@@ -190,15 +190,10 @@ def evaluate_voltage_prediction(model, samples, schemas: dict[str, NodeSchema],
     Returns {"mape", "rmse", "n", "iterations": per-sample first-hit}.
     """
     from .imputation import impute_packed
-    from .training import voltage_lag0_selector
+    from .training import mask_channels, voltage_lag0_selector
 
     sel = voltage_lag0_selector(schemas, samples.groups)
-    feats = {k: v.copy() for k, v in samples.features.items()}
-    masks = {k: v.copy() for k, v in samples.input_mask.items()}
-    for g in samples.groups:
-        flags = np.broadcast_to(sel[g.key][:, None, :], feats[g.key].shape)
-        feats[g.key][flags] = 0.0
-        masks[g.key][flags] = 0.0
+    feats, masks = mask_channels(samples.features, samples.input_mask, sel)
     values, mu, sigma, first_hit, final_delta = impute_packed(
         model, feats, masks, max_iterations=max_iterations, tolerance=tolerance)
 

@@ -25,8 +25,10 @@ from .gridgraph import (SchemaConfig, TopologyError, derive_schemas,
 from .imputation import ImputationProblem, impute
 from .mpnn import GnnConfig, GnnModel
 from .training import (ChannelStats, DatasetError, TrainingConfig,
-                       TrainingError, augment_voltage_missing, build_samples,
-                       chronological_split, train, write_history_csv)
+                       TrainingError, aggregate_energy_lag0_selector,
+                       build_samples, chronological_split, concat_sample_sets,
+                       masked_clones, train, voltage_lag0_selector,
+                       write_history_csv)
 
 CONFIG_SCHEMA_VERSION = 1
 

@@ -38,7 +38,8 @@ __all__ = [
     "add", "sub", "neg", "mul", "scale", "matmul", "tanh", "exp", "clip",
     "concat", "slice_", "reshape", "transpose", "stack", "gather",
     "reduce_sum", "reduce_mean",
-    "mlp_layer_param_ids", "mlp_init", "mlp_forward", "mlp_forward_stacked",
+    "mlp_layer_param_ids", "mlp_init", "mlp_stack", "mlp_forward",
+    "mlp_forward_stacked",
     "mlp_param_count",
     "adam_step", "backward", "gradient_check",
 ]
@@ -492,18 +493,47 @@ def backward(tape: Tape, loss: Tensor, release: bool = True) -> None:
 
 
 class ParameterSet:
-    """Named map of parameter tensors plus matching gradient accumulators."""
+    """Named parameter tensors plus matching gradient accumulators.
+
+    Storage lives in blocks (``block_values`` / ``block_grads``). An id
+    added with ``add`` is its own block; ``stack`` moves equally shaped
+    ids into one stacked block, after which ``values[pid]`` and
+    ``grads[pid]`` are views into it, so per-id reads, in-place writes
+    and serialization see the same numbers. Optimizers walk the blocks.
+    """
 
     def __init__(self) -> None:
         self.values: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+        self.block_values: dict[str, np.ndarray] = {}
+        self.block_grads: dict[str, np.ndarray] = {}
 
     def add(self, pid: str, value) -> None:
-        if pid in self.values:
+        if pid in self.values or pid in self.block_values:
             raise ContractError(f"duplicate parameter id {pid!r}")
         arr = _as_array(value)
-        self.values[pid] = arr
-        self.grads[pid] = np.zeros_like(arr)
+        self.values[pid] = self.block_values[pid] = arr
+        self.grads[pid] = self.block_grads[pid] = np.zeros_like(arr)
+
+    def stack(self, block_id: str, pids: Sequence[str],
+              shape: Sequence[int]) -> None:
+        """Move ``pids`` into one (len(pids), *shape) block named
+        ``block_id``; each id keeps its own shape as a view of its slice."""
+        if block_id in self.values or block_id in self.block_values:
+            raise ContractError(f"duplicate parameter id {block_id!r}")
+        for pid in pids:
+            if pid not in self.values or pid not in self.block_values:
+                raise ContractError(f"{pid!r} is not a standalone parameter")
+        shape = tuple(shape)
+        values = np.stack([self.values[p].reshape(shape) for p in pids])
+        grads = np.stack([self.grads[p].reshape(shape) for p in pids])
+        for j, pid in enumerate(pids):
+            own = self.values[pid].shape
+            del self.block_values[pid], self.block_grads[pid]
+            self.values[pid] = values[j].reshape(own)
+            self.grads[pid] = grads[j].reshape(own)
+        self.block_values[block_id] = values
+        self.block_grads[block_id] = grads
 
     def __contains__(self, pid: str) -> bool:
         return pid in self.values
@@ -518,17 +548,21 @@ class ParameterSet:
         return sum(v.size for v in self.values.values())
 
     def zero_grads(self) -> None:
-        for g in self.grads.values():
+        for g in self.block_grads.values():
             g[...] = 0.0
 
-    def tensor(self, tape: Optional[Tape], pid: str) -> Tensor:
-        """Leaf tensor for this parameter; gradients flow back into grads[pid]."""
-        if pid not in self.values:
-            raise ContractError(f"unknown parameter id {pid!r}")
+    def tensor(self, tape: Optional[Tape], key: str) -> Tensor:
+        """Leaf tensor for a parameter id or a block id; gradients flow
+        back into the matching accumulator."""
+        if key in self.values:
+            data, grads = self.values[key], self.grads
+        elif key in self.block_values:
+            data, grads = self.block_values[key], self.block_grads
+        else:
+            raise ContractError(f"unknown parameter id {key!r}")
         if tape is None:
-            return Tensor(self.values[pid])
-        return tape.leaf(self.values[pid], op="param",
-                         grad_sink=(self.grads, pid))
+            return Tensor(data)
+        return tape.leaf(data, op="param", grad_sink=(grads, key))
 
     def copy(self) -> "ParameterSet":
         out = ParameterSet()
@@ -622,30 +656,33 @@ def mlp_forward(params: ParameterSet, layer_spec: Sequence[int], x,
     return h
 
 
+def mlp_stack(params: ParameterSet, block: str, prefixes: Sequence[str],
+              layer_spec: Sequence[int]) -> None:
+    """Store the MLPs ``prefixes`` (already initialized) as stacked blocks
+    ``<block>/L<i>/W`` of shape (k, in, out) and ``<block>/L<i>/b`` of
+    shape (k, 1, out), the shapes ``mlp_forward_stacked`` computes with."""
+    ids = [mlp_layer_param_ids(p, layer_spec) for p in prefixes]
+    for i, (wid, bid) in enumerate(mlp_layer_param_ids(block, layer_spec)):
+        fan_in, fan_out = int(layer_spec[i]), int(layer_spec[i + 1])
+        params.stack(wid, [pid[i][0] for pid in ids], (fan_in, fan_out))
+        params.stack(bid, [pid[i][1] for pid in ids], (1, fan_out))
+
+
 def mlp_forward_stacked(params: ParameterSet, layer_spec: Sequence[int],
-                        prefixes: Sequence[str], x,
-                        tape: Optional[Tape] = None) -> Tensor:
+                        block: str, x, tape: Optional[Tape] = None) -> Tensor:
     """Apply k structurally identical MLPs at once.
 
-    ``x`` is (k, B, in); MLP ``prefixes[j]`` is applied to slice j. With a
-    single prefix the same parameters broadcast over the leading axis
-    (type-shared configuration).
+    ``x`` is (k, B, in). ``block`` names either blocks made by
+    ``mlp_stack`` (MLP j applies to slice j) or a single MLP's parameters,
+    which broadcast over the leading axis (type-shared configuration).
     """
     tape = tape if tape is not None else _find_tape(x)
     h = _coerce(x, tape)
-    ids = [mlp_layer_param_ids(p, layer_spec) for p in prefixes]
-    n_layers = len(ids[0])
-    _check_last_dim(h, int(layer_spec[0]), f"{prefixes[0]} layer 0 input")
-    for i in range(n_layers):
-        if len(prefixes) == 1:
-            w = params.tensor(tape, ids[0][i][0])
-            b = params.tensor(tape, ids[0][i][1])
-        else:
-            w = stack([params.tensor(tape, pid[i][0]) for pid in ids])
-            b = stack([params.tensor(tape, pid[i][1]) for pid in ids])
-            b = reshape(b, (len(prefixes), 1, b.data.shape[-1]))
-        h = add(matmul(h, w), b)
-        if i < n_layers - 1:
+    ids = mlp_layer_param_ids(block, layer_spec)
+    _check_last_dim(h, int(layer_spec[0]), f"{block} layer 0 input")
+    for i, (wid, bid) in enumerate(ids):
+        h = add(matmul(h, params.tensor(tape, wid)), params.tensor(tape, bid))
+        if i < len(ids) - 1:
             h = tanh(h)
     return h
 
@@ -656,7 +693,7 @@ def mlp_forward_stacked(params: ParameterSet, layer_spec: Sequence[int],
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments and the shared step counter."""
+    """Per-block first/second moments and the shared step counter."""
 
     beta1: float = 0.9
     beta2: float = 0.999
@@ -669,8 +706,9 @@ class AdamState:
 def adam_step(params: ParameterSet, state: AdamState, lr: float = 0.01) -> None:
     """Bias-corrected Adam update from the accumulated gradients.
 
-    Gradients are zeroed afterwards. Moments missing for a parameter are
-    initialized to zeros on first use.
+    Walks the storage blocks, so a stacked block updates in one array
+    operation. Gradients are zeroed afterwards. Moments missing for a
+    block are initialized to zeros on first use.
     """
     if lr <= 0:
         raise ContractError("learning rate must be positive")
@@ -678,14 +716,14 @@ def adam_step(params: ParameterSet, state: AdamState, lr: float = 0.01) -> None:
     b1, b2, eps, t = state.beta1, state.beta2, state.eps, state.t
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    for pid, value in params.values.items():
-        g = params.grads[pid]
-        m = state.m.get(pid)
+    for key, value in params.block_values.items():
+        g = params.block_grads[key]
+        m = state.m.get(key)
         if m is None:
-            m = state.m[pid] = np.zeros_like(value)
-        v = state.v.get(pid)
+            m = state.m[key] = np.zeros_like(value)
+        v = state.v.get(key)
         if v is None:
-            v = state.v[pid] = np.zeros_like(value)
+            v = state.v[key] = np.zeros_like(value)
         m *= b1
         m += (1.0 - b1) * g
         v *= b2

@@ -6,6 +6,10 @@ pass repeatedly replaces them with the decoded means until the largest
 standardized update falls below the tolerance. Observed entries are
 never modified. Voltage prediction, state estimation and bid estimation
 are all specializations of this loop.
+
+Batches iterate per sample: each sample exits at its own first hit, so
+the forwards shrink as samples converge and a batched result does not
+depend on the other samples in the batch.
 """
 
 from __future__ import annotations
@@ -76,45 +80,60 @@ def impute_packed(model, features: dict[str, np.ndarray],
                   tolerance: float = 1e-3):
     """Batched imputation over packed standardized arrays (n, B, q).
 
+    Each forward runs only on the samples still pending. A sample leaves
+    the batch at its first iteration whose update falls below the
+    tolerance and keeps that iteration's values, mu and sigma; a sample
+    that never gets there keeps those of iteration ``max_iterations``.
+    Every sample is thus imputed as if it were alone, whatever else is
+    in the batch.
+
     Returns (values, mu, sigma, first_hit, final_delta) where ``first_hit``
     is, per sample, the first iteration whose update dropped below the
-    tolerance (0 when nothing is unobserved), and ``final_delta`` the last
-    update size per sample.
+    tolerance (0 when nothing is unobserved or it never converged), and
+    ``final_delta`` its last update size.
     """
-    keys = list(features)
+    if max_iterations < 1:
+        raise ImputationError("max_iterations must be at least 1")
     b = next(iter(features.values())).shape[1]
-    cur = {k: features[k].copy() for k in keys}
-    holes = {k: mask[k] == 0.0 for k in keys}
-    any_holes = {k: holes[k].any() for k in keys}
-    n_holes = sum(h.sum() for h in holes.values())
+    values = {k: v.copy() for k, v in features.items()}
+    mu_out = {k: np.empty_like(v) for k, v in values.items()}
+    sig_out = {k: np.empty_like(v) for k, v in values.items()}
     first_hit = np.zeros(b, dtype=int)
     final_delta = np.zeros(b)
-    if n_holes == 0:
-        mu, logvar = model.forward(cur, mask, tape=None)
-        sig = {k: np.sqrt(np.exp(v.data)) for k, v in logvar.items()}
-        return cur, {k: v.data for k, v in mu.items()}, sig, first_hit, final_delta
-    mu_d = sig = None
-    pending = np.ones(b, dtype=bool)
+    holes = {k: m == 0.0 for k, m in mask.items()}
+    has_holes = np.zeros(b, dtype=bool)
+    for h in holes.values():
+        has_holes |= h.any(axis=(0, 2))
+    rows = np.arange(b)  # the pending samples, in batch order
+    cur, cur_mask = values, mask
     for it in range(1, max_iterations + 1):
-        mu, logvar = model.forward(cur, mask, tape=None)
-        mu_d = {k: v.data for k, v in mu.items()}
-        delta = np.zeros(b)
-        for k in keys:
-            if not any_holes[k]:
+        mu, logvar = model.forward(cur, cur_mask, tape=None)
+        delta = np.zeros(len(rows))
+        for k, h in holes.items():
+            if not h.any():
                 continue
-            diff = np.abs(mu_d[k] - cur[k])
-            diff = np.where(holes[k], diff, 0.0)
+            mu_k = mu[k].data
+            diff = np.where(h, np.abs(mu_k - cur[k]), 0.0)
             np.maximum(delta, diff.max(axis=(0, 2)), out=delta)
-            cur[k][holes[k]] = mu_d[k][holes[k]]
-        hit = pending & (delta < tolerance)
-        first_hit[hit] = it
-        pending &= ~hit
-        final_delta = delta
-        if not pending.any():
+            cur[k][h] = mu_k[h]
+        hit = delta < tolerance
+        done = hit if it < max_iterations else np.ones(len(rows), bool)
+        out = rows[done]
+        for k in values:
+            values[k][:, out] = cur[k][:, done]
+            mu_out[k][:, out] = mu[k].data[:, done]
+            sig_out[k][:, out] = np.sqrt(np.exp(logvar[k].data[:, done]))
+        first_hit[out] = np.where(hit[done], it, 0)
+        final_delta[out] = delta[done]
+        if done.all():
             break
-    first_hit[pending] = 0  # unconverged samples carry no hit iteration
-    sig = {k: np.sqrt(np.exp(v.data)) for k, v in logvar.items()}
-    return cur, mu_d, sig, first_hit, final_delta
+        keep = ~done
+        rows = rows[keep]
+        cur = {k: v[:, keep] for k, v in cur.items()}
+        cur_mask = {k: v[:, keep] for k, v in cur_mask.items()}
+        holes = {k: v[:, keep] for k, v in holes.items()}
+    first_hit[~has_holes] = 0
+    return values, mu_out, sig_out, first_hit, final_delta
 
 
 def impute(model, problem: ImputationProblem) -> ImputationResult:

@@ -11,7 +11,10 @@ next state). Inference is one feed-forward chain:
 For speed, nodes with identical layer shapes are evaluated together as
 stacked MLP applications, and message aggregation is a (constant)
 routing-matrix multiply. Parameters stay per-node / per-directed-edge
-unless ``share_by_type`` is set.
+unless ``share_by_type`` is set; per-node and per-edge MLPs of one group
+are stored as stacked (n, i, o) weight and (n, 1, o) bias blocks named
+``stack/<group>/<role>/...`` and ``stack/<src_group>><dst_group>/msg/...``,
+with every documented id below a view into its block.
 
 Parameter-id scheme (stable; checkpoints and tests rely on it):
 
@@ -56,6 +59,9 @@ class GnnConfig:
 
     @classmethod
     def from_document(cls, doc: dict) -> "GnnConfig":
+        unknown = sorted(set(doc) - set(cls().to_document()))
+        if unknown:
+            raise dc.ContractError(f"unknown model keys: {', '.join(unknown)}")
         return cls(layers=int(doc["layers"]),
                    message_passing_steps=int(doc["message_passing_steps"]),
                    message_dim=doc["message_dim"],
@@ -117,6 +123,7 @@ class _EdgeGroup:
     dst_idx: np.ndarray
     spec: list[int]
     prefixes: list[str]
+    block: str
 
 
 def _layer_spec(in_dim: int, out_dim: int, layers: int) -> list[int]:
@@ -259,12 +266,14 @@ class GnnModel(ModelBase):
                 prefixes = [f"etype/{gs}>{gd}/msg"]
             else:
                 prefixes = [f"edge/{s}>{d}/msg" for s, d in pairs]
+            key = f"{gs}>{gd}"
             self.edge_groups.append(_EdgeGroup(
-                key=f"{gs}>{gd}",
+                key=key,
                 src_group=gs, dst_group=gd, pairs=pairs,
                 src_idx=np.array([sg.index_of[s] for s, _ in pairs], dtype=np.intp),
                 dst_idx=np.array([dg.index_of[d] for _, d in pairs], dtype=np.intp),
-                spec=spec, prefixes=prefixes))
+                spec=spec, prefixes=prefixes,
+                block=_block_name(f"stack/{key}/msg", prefixes)))
 
     def _compile_routing(self) -> None:
         """Per node group, the (n_nodes, n_incoming_edges) matrix whose rows
@@ -292,28 +301,39 @@ class GnnModel(ModelBase):
             self.routing[g.key] = r
 
     def _build_parameters(self) -> None:
-        self._mlp_specs: list[tuple[str, list[int]]] = []
+        # (block, member prefixes, layer spec) in parameter-id order
+        self._mlp_blocks: list[tuple[str, list[str], list[int]]] = []
+        self._node_blocks: dict[tuple[str, str], str] = {}
         for g in self.groups:
             for role, spec in (("enc", self._enc_spec(g)),
                                ("agg", self._agg_spec(g)),
                                ("dec_mu", self._dec_spec(g)),
                                ("dec_lv", self._dec_spec(g))):
-                for prefix in self._node_prefixes(g, role):
-                    self._mlp_specs.append((prefix, spec))
+                prefixes = self._node_prefixes(g, role)
+                block = _block_name(f"stack/{g.key}/{role}", prefixes)
+                self._node_blocks[g.key, role] = block
+                self._mlp_blocks.append((block, prefixes, spec))
         for eg in self.edge_groups:
-            for prefix in eg.prefixes:
-                self._mlp_specs.append((prefix, eg.spec))
+            self._mlp_blocks.append((eg.block, eg.prefixes, eg.spec))
 
     def init_parameters(self, seed: int = 0) -> None:
         """(Re)initialize every MLP from a seeded generator."""
         rng = np.random.default_rng(seed)
         self.params = ParameterSet()
-        for prefix, spec in self._mlp_specs:
-            dc.mlp_init(self.params, prefix, spec, rng)
+        for _, prefixes, spec in self._mlp_blocks:
+            for prefix in prefixes:
+                dc.mlp_init(self.params, prefix, spec, rng)
+        self._stack_parameters()
+
+    def _stack_parameters(self) -> None:
+        for block, prefixes, spec in self._mlp_blocks:
+            if len(prefixes) > 1:
+                dc.mlp_stack(self.params, block, prefixes, spec)
 
     def count_parameters(self) -> int:
         if len(self.params) == 0:
-            return sum(dc.mlp_param_count(spec) for _, spec in self._mlp_specs)
+            return sum(len(prefixes) * dc.mlp_param_count(spec)
+                       for _, prefixes, spec in self._mlp_blocks)
         return self.params.n_scalars()
 
     # -- inference chain ----------------------------------------------------
@@ -330,8 +350,8 @@ class GnnModel(ModelBase):
                 raise ShapeError(f"group {g.key}: feature/mask shape mismatch")
             x = dc.concat([_leaf(tape, f), _leaf(tape, m)], axis=-1)
             states[g.key] = dc.mlp_forward_stacked(
-                self.params, self._enc_spec(g), self._node_prefixes(g, "enc"),
-                x, tape=tape)
+                self.params, self._enc_spec(g),
+                self._node_blocks[g.key, "enc"], x, tape=tape)
         return states
 
     def message_pass(self, states: dict[str, Tensor],
@@ -345,7 +365,7 @@ class GnnModel(ModelBase):
                 xs = dc.gather(states[eg.src_group], eg.src_idx)
                 xd = dc.gather(states[eg.dst_group], eg.dst_idx)
                 m = dc.mlp_forward_stacked(
-                    self.params, eg.spec, eg.prefixes,
+                    self.params, eg.spec, eg.block,
                     dc.concat([xd, xs], axis=-1), tape=tape)
                 msgs[eg.dst_group].append(m)
             new_states = {}
@@ -363,7 +383,7 @@ class GnnModel(ModelBase):
                     mean = _leaf(tape, np.zeros((n, b, md)))
                 new_states[g.key] = dc.mlp_forward_stacked(
                     self.params, self._agg_spec(g),
-                    self._node_prefixes(g, "agg"),
+                    self._node_blocks[g.key, "agg"],
                     dc.concat([own, mean], axis=-1), tape=tape)
             states = new_states
         return states
@@ -375,10 +395,10 @@ class GnnModel(ModelBase):
         for g in self.groups:
             mu[g.key] = dc.mlp_forward_stacked(
                 self.params, self._dec_spec(g),
-                self._node_prefixes(g, "dec_mu"), states[g.key], tape=tape)
+                self._node_blocks[g.key, "dec_mu"], states[g.key], tape=tape)
             raw = dc.mlp_forward_stacked(
                 self.params, self._dec_spec(g),
-                self._node_prefixes(g, "dec_lv"), states[g.key], tape=tape)
+                self._node_blocks[g.key, "dec_lv"], states[g.key], tape=tape)
             logvar[g.key] = dc.clip(raw, np.log(VAR_CLAMP_LO), np.log(VAR_CLAMP_HI))
         return mu, logvar
 
@@ -442,10 +462,17 @@ class GnnModel(ModelBase):
         model.params = ParameterSet()
         for pid, rec in doc["parameters"].items():
             model.params.add(pid, np.array(rec["values"], float).reshape(rec["shape"]))
+        model._stack_parameters()
         model.set_standardization(
             {nid: np.array(rec["mean"]) for nid, rec in doc["standardization"].items()},
             {nid: np.array(rec["std"]) for nid, rec in doc["standardization"].items()})
         return model
+
+
+def _block_name(stacked: str, prefixes: list[str]) -> str:
+    """Where ``mlp_forward_stacked`` finds a group's MLPs: the stacked
+    block, or the parameters of a group's only MLP, which need no stack."""
+    return prefixes[0] if len(prefixes) == 1 else stacked
 
 
 def _leaf(tape: Optional[Tape], arr: np.ndarray) -> Tensor:

@@ -205,15 +205,10 @@ def scan_congestions(model, samples, schemas: dict[str, NodeSchema],
     """Predict voltages for every sample (imputation with voltage masked)
     and flag congestions. Returns (events, plot_rows) where plot_rows hold
     (timestamp, node, phase, actual, mu, lo, hi, threshold, flagged)."""
-    from .training import voltage_lag0_selector
+    from .training import mask_channels, voltage_lag0_selector
 
     sel = voltage_lag0_selector(schemas, samples.groups)
-    feats = {k: v.copy() for k, v in samples.features.items()}
-    masks = {k: v.copy() for k, v in samples.input_mask.items()}
-    for g in samples.groups:
-        flags = np.broadcast_to(sel[g.key][:, None, :], feats[g.key].shape)
-        feats[g.key][flags] = 0.0
-        masks[g.key][flags] = 0.0
+    feats, masks = mask_channels(samples.features, samples.input_mask, sel)
     values, mu, sigma, first_hit, final_delta = impute_packed(
         model, feats, masks, max_iterations=max_iterations, tolerance=tolerance)
 

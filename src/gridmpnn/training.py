@@ -72,7 +72,11 @@ class TrainingConfig:
 
     @classmethod
     def from_document(cls, doc: dict) -> "TrainingConfig":
-        return cls(**{k: doc[k] for k in cls().to_document() if k in doc})
+        known = cls().to_document()
+        unknown = sorted(set(doc) - set(known))
+        if unknown:
+            raise ContractError(f"unknown training keys: {', '.join(unknown)}")
+        return cls(**doc)
 
 
 @dataclass
@@ -274,6 +278,20 @@ def aggregate_energy_lag0_selector(schemas: dict[str, NodeSchema],
     return sel
 
 
+def mask_channels(features: dict[str, np.ndarray], mask: dict[str, np.ndarray],
+                  sel: dict[str, np.ndarray],
+                  ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Copies of packed (n, B, q) features and observed-mask with the
+    channels ``sel`` flags (per group, bool (n, q)) masked in every
+    sample: placeholder value 0 and mask 0."""
+    out_f, out_m = {}, {}
+    for key, f in features.items():
+        flags = sel[key][:, None, :]
+        out_f[key] = np.where(flags, 0.0, f)
+        out_m[key] = np.where(flags, 0.0, mask[key])
+    return out_f, out_m
+
+
 def masked_clones(samples: SampleSet, sel: dict[str, np.ndarray]) -> SampleSet:
     """Clones with the selected channels masked from the inputs
     (placeholder value, mask 0); loss targets kept so the clones teach
@@ -281,19 +299,14 @@ def masked_clones(samples: SampleSet, sel: dict[str, np.ndarray]) -> SampleSet:
     if len(samples) == 0:
         raise DatasetError("cannot augment an empty sample set")
     out = SampleSet(samples.groups, samples.stats, samples.timestamps.copy())
+    out.features, out.input_mask = mask_channels(
+        samples.features, samples.input_mask, sel)
     total_entries = sum(g.q * len(g.node_ids) for g in samples.groups)
     unobserved = np.zeros(len(samples))
     for g in samples.groups:
-        cf = samples.features[g.key].copy()
-        cm = samples.input_mask[g.key].copy()
-        flags = sel[g.key][:, None, :]
-        cf[np.broadcast_to(flags, cf.shape)] = 0.0
-        cm[np.broadcast_to(flags, cm.shape)] = 0.0
-        out.features[g.key] = cf
-        out.input_mask[g.key] = cm
         out.targets[g.key] = samples.targets[g.key].copy()
         out.loss_mask[g.key] = samples.loss_mask[g.key].copy()
-        unobserved += (cm == 0.0).sum(axis=(0, 2))
+        unobserved += (out.input_mask[g.key] == 0.0).sum(axis=(0, 2))
     out.missing_fraction = unobserved / total_entries
     return out
 

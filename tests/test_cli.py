@@ -175,6 +175,19 @@ def test_bad_schema_version_exits_2(world, tmp_path):
     assert main(["evaluate", "--config", cfg_path]) == 2
 
 
+@pytest.mark.parametrize("section,key", [("training", "max_epoch"),
+                                         ("model", "message_passing_step")])
+def test_unknown_config_key_exits_2(world, tmp_path, section, key):
+    cfg = json.loads(json.dumps(world["cfg"]))
+    cfg[section] = {key: 3}
+    cfg["paths"]["out_dir"] = str(tmp_path / "out")
+    cfg_path = str(tmp_path / "typo.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main(["train", "--config", cfg_path]) == 2
+    assert not os.path.exists(tmp_path / "out" / "history.csv")
+
+
 def test_impute_writes_report(world):
     rc = main(["impute", "--config", world["cfg_path"],
                "--timestamp", "2019-06-05T12:00:00Z"])

@@ -206,6 +206,89 @@ def test_gather_and_stack_gradients():
     assert _fd_check(build, params) < 1e-4
 
 
+def _three_mlps(seed=4, spec=(3, 5, 2)):
+    params = dc.ParameterSet()
+    rng = np.random.default_rng(seed)
+    for prefix in ("m0", "m1", "m2"):
+        dc.mlp_init(params, prefix, list(spec), rng)
+    return params
+
+
+def test_mlp_forward_stacked_matches_separate_mlps_with_one_leaf_per_block():
+    spec = [3, 5, 2]
+    stacked = _three_mlps()
+    dc.mlp_stack(stacked, "blk", ["m0", "m1", "m2"], spec)
+    separate = _three_mlps()
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((3, 4, 3))
+    mix = rng.standard_normal((3, 4, 2))
+    tape = dc.Tape()
+    out = dc.mlp_forward_stacked(stacked, spec, "blk", x, tape=tape)
+    dc.backward(tape, dc.reduce_sum(dc.mul(out, mix)))
+    leaves = sum(node.op == "param" for node in tape.nodes)
+    assert leaves == 2 * (len(spec) - 1)
+    for j, prefix in enumerate(("m0", "m1", "m2")):
+        tape = dc.Tape()
+        want = dc.mlp_forward(separate, spec, x[j], prefix, tape=tape)
+        dc.backward(tape, dc.reduce_sum(dc.mul(want, mix[j])))
+        assert np.allclose(out.data[j], want.data, rtol=0, atol=1e-14)
+    for pid in separate.ids():
+        assert np.allclose(stacked.grads[pid], separate.grads[pid],
+                           rtol=0, atol=1e-13)
+
+
+def test_stacked_ids_are_views_of_their_block():
+    params = _three_mlps()
+    text = params.to_json()
+    dc.mlp_stack(params, "blk", ["m0", "m1", "m2"], [3, 5, 2])
+    assert params.to_json() == text
+    assert params.block_values["blk/L0/W"].shape == (3, 3, 5)
+    assert params.block_values["blk/L0/b"].shape == (3, 1, 5)
+    assert params.values["m1/L0/b"].shape == (5,)
+    params.values["m1/L0/b"][2] = 7.0
+    params.grads["m2/L1/W"][0, 1] = -3.0
+    assert params.block_values["blk/L0/b"][1, 0, 2] == 7.0
+    assert params.block_grads["blk/L1/W"][2, 0, 1] == -3.0
+    params.zero_grads()
+    assert params.grads["m2/L1/W"][0, 1] == 0.0
+    with pytest.raises(dc.ContractError, match="standalone"):
+        params.stack("again", ["m0/L0/W"], (3, 5))
+
+
+def _reference_adam(params, state, lr):
+    """Per-id Adam, the update the block walk must reproduce bit for bit."""
+    state.t += 1
+    c1, c2 = 1.0 - state.beta1 ** state.t, 1.0 - state.beta2 ** state.t
+    for pid, value in params.values.items():
+        g = params.grads[pid]
+        m = state.m.setdefault(pid, np.zeros_like(value))
+        v = state.v.setdefault(pid, np.zeros_like(value))
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        value -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        g[...] = 0.0
+
+
+def test_adam_over_blocks_matches_per_id_reference_bit_for_bit():
+    stacked = _three_mlps()
+    dc.mlp_stack(stacked, "blk", ["m0", "m1"], [3, 5, 2])
+    reference = _three_mlps()
+    rng = np.random.default_rng(8)
+    s_state, r_state = dc.AdamState(), dc.AdamState()
+    for _ in range(4):
+        for pid in reference.ids():
+            g = rng.standard_normal(reference.grads[pid].shape)
+            reference.grads[pid][...] = g
+            stacked.grads[pid][...] = g
+        dc.adam_step(stacked, s_state, lr=0.03)
+        _reference_adam(reference, r_state, lr=0.03)
+    for pid in reference.ids():
+        assert np.array_equal(stacked.values[pid], reference.values[pid])
+        assert not stacked.grads[pid].any()
+
+
 def test_operations_on_different_tapes_rejected():
     t1, t2 = dc.Tape(), dc.Tape()
     a = t1.leaf(np.ones(2))

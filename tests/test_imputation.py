@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from gridmpnn.imputation import (ImputationError, ImputationProblem, impute,
-                                 predict_voltages, voltage_channel_indices)
+                                 impute_packed, predict_voltages,
+                                 voltage_channel_indices)
 
 from conftest import chain_schemas, chain_topology
 
@@ -82,6 +83,74 @@ def test_seeded_random_initialization_is_reproducible(quick_chain_model):
     a = impute(quick_chain_model, p1)
     b = impute(quick_chain_model, p2)
     assert a.values["f"][0] == b.values["f"][0]
+
+
+# (g, s, f) values and observed flags per sample; holes start at the
+# given value. With max_iterations 6 and the default tolerance the first
+# three converge at different iterations, the fourth has nothing to
+# impute and the fifth (the chain model never learned to fill s) does not
+# converge.
+MIXED_ROWS = [((-0.5, 0.1, 0.0), (1, 1, 0)),
+              ((1.2, 0.4, 0.0), (1, 1, 0)),
+              ((1.2, 0.4, -20.0), (1, 1, 0)),
+              ((1.2, 0.4, -0.3), (1, 1, 1)),
+              ((1.2, 0.0, -0.3), (1, 0, 1))]
+MIXED_MAX_ITERATIONS = 6
+
+
+def _packed_rows(model, rows):
+    feats = model.pack({nid: np.array([[r[0][j]] for r in rows])
+                        for j, nid in enumerate(("g", "s", "f"))})
+    mask = model.pack({nid: np.array([[float(r[1][j])] for r in rows])
+                       for j, nid in enumerate(("g", "s", "f"))})
+    return feats, mask
+
+
+def test_batched_rows_equal_their_own_single_sample_runs(quick_chain_model):
+    model = quick_chain_model
+    batch = impute_packed(model, *_packed_rows(model, MIXED_ROWS),
+                          max_iterations=MIXED_MAX_ITERATIONS)
+    values, mu, sigma, first_hit, final_delta = batch
+    assert len(set(first_hit[:3])) == 3 and all(first_hit[:3] > 0)
+    assert list(first_hit[3:]) == [0, 0]
+    assert final_delta[4] >= 1e-3  # the last row really did not converge
+    for i, row in enumerate(MIXED_ROWS):
+        alone = impute_packed(model, *_packed_rows(model, [row]),
+                              max_iterations=MIXED_MAX_ITERATIONS)
+        for got, want in zip((values, mu, sigma), alone[:3]):
+            for key in got:
+                assert np.abs(got[key][:, i] - want[key][:, 0]).max() <= 1e-12
+        assert first_hit[i] == alone[3][0]
+        assert final_delta[i] == pytest.approx(alone[4][0], abs=1e-12)
+
+
+def test_forwards_run_only_on_pending_rows(quick_chain_model, monkeypatch):
+    model = quick_chain_model
+    forward = model.forward
+    rows_seen = []
+
+    def counting(features, mask, tape=None):
+        rows_seen.append(next(iter(features.values())).shape[1])
+        return forward(features, mask, tape=tape)
+
+    monkeypatch.setattr(model, "forward", counting)
+    per_row = []
+    for row in MIXED_ROWS:
+        rows_seen.clear()
+        impute_packed(model, *_packed_rows(model, [row]),
+                      max_iterations=MIXED_MAX_ITERATIONS)
+        per_row.append(len(rows_seen))
+    rows_seen.clear()
+    impute_packed(model, *_packed_rows(model, MIXED_ROWS),
+                  max_iterations=MIXED_MAX_ITERATIONS)
+    assert sum(rows_seen) == sum(per_row)
+    assert sum(rows_seen) < len(MIXED_ROWS) * len(rows_seen)
+
+
+def test_max_iterations_must_be_positive(quick_chain_model):
+    with pytest.raises(ImputationError):
+        impute(quick_chain_model, _problem(quick_chain_model,
+                                           max_iterations=0))
 
 
 def test_report_json_structure(quick_chain_model):

@@ -11,6 +11,7 @@ from gridmpnn import diffcore as dc
 from gridmpnn import gridsim
 from gridmpnn.gridgraph import NodeSchema, derive_schemas, load_topology
 from gridmpnn.mpnn import GnnConfig, GnnModel, count_parameters
+from gridmpnn.training import nll_loss_packed
 
 
 def chain_topology():
@@ -266,6 +267,106 @@ def test_checkpoint_roundtrip_preserves_predictions(tmp_path):
     path2 = os.path.join(tmp_path, "ckpt2.json")
     back.save_checkpoint(path2)
     assert open(path).read() == open(path2).read()
+
+
+def test_stacked_storage_keeps_ids_shapes_and_initial_draws():
+    topo = chain_topology()
+    model = GnnModel(topo, tiny_schemas(topo))
+    model.init_parameters(5)
+    # the same draws, one standalone array per id, in id order
+    reference = dc.ParameterSet()
+    rng = np.random.default_rng(5)
+    for _, prefixes, spec in model._mlp_blocks:
+        for prefix in prefixes:
+            dc.mlp_init(reference, prefix, spec, rng)
+    assert model.params.ids() == reference.ids()
+    for pid in reference.ids():
+        assert model.params.values[pid].shape == reference.values[pid].shape
+        assert np.array_equal(model.params.values[pid],
+                              reference.values[pid])
+    assert model.params.values["node/p2/enc/L0/W"].shape == (4, 4)
+    assert model.params.values["edge/f>p1/msg/L1/b"].shape == (2,)
+    # the two prosumers and the edges from and to them share blocks
+    blocks = model.params.block_values
+    assert blocks["stack/prosumer:2:2/enc/L0/W"].shape == (2, 4, 4)
+    assert blocks["stack/feeder:2:2>prosumer:2:2/msg/L1/b"].shape == (2, 1, 2)
+    assert len(blocks) < len(model.params)
+
+
+def test_inplace_write_through_parameter_id_changes_forward():
+    topo = chain_topology()
+    model = GnnModel(topo, tiny_schemas(topo))
+    model.init_parameters(3)
+    f, m = ones_inputs(model, b=2, seed=6)
+    before, _ = model.forward(f, m)
+    before = model.unpack({k: v.data for k, v in before.items()})
+    model.params.values["node/p2/dec_mu/L1/b"][...] += 1.0
+    after, _ = model.forward(f, m)
+    after = model.unpack({k: v.data for k, v in after.items()})
+    for nid in topo.ids():
+        shift = 1.0 if nid == "p2" else 0.0
+        assert np.allclose(after[nid] - before[nid], shift, atol=1e-12), nid
+
+
+def _nll(model, f, m, targets, tape):
+    mu, logvar = model.forward(f, m, tape=tape)
+    total, _ = nll_loss_packed(mu, logvar, targets, m, tape)
+    return total
+
+
+def test_gnn_gradients_match_finite_differences():
+    topo = chain_topology()
+    model = GnnModel(topo, tiny_schemas(topo),
+                     GnnConfig(message_passing_steps=2))
+    model.init_parameters(8)
+    rng = np.random.default_rng(9)
+    f, m = ones_inputs(model, b=3, seed=10)
+    m = {k: (rng.uniform(size=v.shape) > 0.3).astype(float)
+         for k, v in m.items()}
+    targets = {k: rng.standard_normal(v.shape) for k, v in f.items()}
+    tape = dc.Tape()
+    dc.backward(tape, _nll(model, f, m, targets, tape))
+    analytic = {pid: model.params.grads[pid].copy()
+                for pid in model.params.ids()}
+    assert any(g.any() for g in analytic.values())
+    model.params.zero_grads()
+
+    def loss():
+        return float(_nll(model, f, m, targets, None).data)
+
+    assert dc.gradient_check(loss, model.params, analytic) < 1e-4
+
+
+def test_share_by_type_trains_and_reloads(tmp_path):
+    topo = chain_topology()
+    model = GnnModel(topo, tiny_schemas(topo), GnnConfig(share_by_type=True))
+    model.init_parameters(4)
+    f, m = ones_inputs(model, b=8, seed=12)
+    adam = dc.AdamState()
+    losses = []
+    for _ in range(20):
+        tape = dc.Tape()
+        loss = _nll(model, f, m, f, tape)
+        dc.backward(tape, loss)
+        dc.adam_step(model.params, adam, lr=0.01)
+        losses.append(float(loss.data))
+    assert losses[-1] < losses[0]
+    path = os.path.join(tmp_path, "shared.json")
+    model.save_checkpoint(path)
+    back = GnnModel.load_checkpoint(path, topo)
+    a, _ = model.forward(f, m)
+    b, _ = back.forward(f, m)
+    for key in a:
+        assert np.array_equal(a[key].data, b[key].data)
+    path2 = os.path.join(tmp_path, "shared2.json")
+    back.save_checkpoint(path2)
+    assert open(path).read() == open(path2).read()
+
+
+def test_unknown_model_config_key_rejected():
+    doc = {**GnnConfig().to_document(), "message_passing_step": 3}
+    with pytest.raises(dc.ContractError, match="message_passing_step"):
+        GnnConfig.from_document(doc)
 
 
 def test_checkpoint_topology_hash_mismatch_rejected(tmp_path):

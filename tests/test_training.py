@@ -12,8 +12,9 @@ from gridmpnn.mpnn import GnnConfig, GnnModel, compute_groups
 from gridmpnn.training import (ChannelStats, DatasetError, TrainingConfig,
                                TrainingError, augment_voltage_missing,
                                build_samples, chronological_split,
-                               evaluate_nll, gaussian_nll, nll_loss,
-                               nll_loss_packed, train, write_history_csv)
+                               evaluate_nll, gaussian_nll, mask_channels,
+                               nll_loss, nll_loss_packed, train,
+                               voltage_lag0_selector, write_history_csv)
 
 from conftest import (chain_dataset, chain_schemas, chain_topology,
                       train_chain_model)
@@ -122,6 +123,25 @@ def test_augmentation_doubles_and_masks_current_voltage():
                           samples.targets[key][0, :, 0])
     assert np.array_equal(doubled.loss_mask[key][0, n:, 0],
                           samples.loss_mask[key][0, :, 0])
+
+
+def test_mask_channels_matches_copy_and_assign_reference():
+    topo, spec, ds = one_prosumer_world(days=3)
+    schemas = derive_schemas(topo)
+    samples = build_samples(ds, topo, schemas, TrainingConfig())
+    sel = voltage_lag0_selector(schemas, samples.groups)
+    before = {k: v.copy() for k, v in samples.features.items()}
+    feats, masks = mask_channels(samples.features, samples.input_mask, sel)
+    assert any(flags.any() for flags in sel.values())
+    for g in samples.groups:
+        want_f = samples.features[g.key].copy()
+        want_m = samples.input_mask[g.key].copy()
+        flags = np.broadcast_to(sel[g.key][:, None, :], want_f.shape)
+        want_f[flags] = 0.0
+        want_m[flags] = 0.0
+        assert feats[g.key].tobytes() == want_f.tobytes()
+        assert masks[g.key].tobytes() == want_m.tobytes()
+        assert np.array_equal(samples.features[g.key], before[g.key])
 
 
 def test_augmentation_on_empty_set_rejected():
@@ -291,6 +311,8 @@ def test_training_config_validation():
         TrainingConfig(missing_threshold=1.5)
     with pytest.raises(dc.ContractError):
         TrainingConfig(batch_size=6000, max_batch_size=5000)
+    with pytest.raises(dc.ContractError, match="max_epoch"):
+        TrainingConfig.from_document({"max_epoch": 3})
     assert TrainingConfig().learning_rate == 0.01
     assert TrainingConfig().max_batch_size == 5000
     assert TrainingConfig().missing_threshold == 0.10
