@@ -21,7 +21,7 @@ import numpy as np
 
 from . import baselines, gridsim, services
 from .gridgraph import (SchemaConfig, TopologyError, derive_schemas,
-                        load_topology)
+                        load_topology, sensor_id)
 from .imputation import ImputationProblem, impute
 from .mpnn import GnnConfig, GnnModel
 from .training import (ChannelStats, DatasetError, TrainingConfig,
@@ -113,9 +113,14 @@ def _out_dir(cfg: dict) -> str:
     return out
 
 
+def _read_topology(cfg: dict):
+    with open(_require_path(cfg, "topology")) as fh:
+        return load_topology(fh.read())
+
+
 def _load_bundle(cfg: dict):
     """Topology + schemas + dataset shared by most commands."""
-    topo = load_topology(open(_require_path(cfg, "topology")).read())
+    topo = _read_topology(cfg)
     schema_cfg = (SchemaConfig.from_document(cfg["schema"])
                   if cfg.get("schema") else SchemaConfig())
     schemas = derive_schemas(topo, schema_cfg)
@@ -186,7 +191,8 @@ def cmd_simulate(args) -> int:
     if args.spec:
         if not os.path.exists(args.spec):
             raise MissingArtifact(f"spec file not found: {args.spec}")
-        spec = gridsim.SyntheticGridSpec.from_json(open(args.spec).read())
+        with open(args.spec) as fh:
+            spec = gridsim.SyntheticGridSpec.from_json(fh.read())
     else:
         spec = gridsim.pilot_spec(seed=args.pilot_seed)
     dataset = gridsim.simulate(spec, args.start, args.days, seed=args.seed)
@@ -231,7 +237,7 @@ def cmd_train(args) -> int:
 
 
 def _load_model(cfg: dict) -> GnnModel:
-    topo = load_topology(open(_require_path(cfg, "topology")).read())
+    topo = _read_topology(cfg)
     ckpt = cfg.get("paths", {}).get("checkpoint")
     if not ckpt:
         raise ConfigError("config paths.checkpoint is required")
@@ -293,8 +299,8 @@ def cmd_impute(args) -> int:
         vec = np.zeros(schema.q)
         obs = np.zeros(schema.q, dtype=bool)
         for c, ch in enumerate(schema.channels()):
-            sid = (f"wx:{nid}:{ch.var}" if ch.var in schema.weather_covariates
-                   else f"{nid}:{ch.var}")
+            sid = sensor_id(nid, ch.var,
+                            weather=ch.var in schema.weather_covariates)
             vec[c] = dataset.series[sid][t_index - ch.lag]
             obs[c] = not dataset.missing[sid][t_index - ch.lag]
         features[nid] = vec

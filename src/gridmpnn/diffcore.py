@@ -11,7 +11,8 @@ Design choices:
 * float64 only; the models are small and reproducibility matters more
   than speed.
 * The tape is an append-only list, so creation order is a topological
-  order for free.
+  order for free. It records backward closures, not op outputs, and
+  serves one reverse pass, which releases them as it goes.
 * Operations work elementwise-broadcast style on numpy arrays and also
   support stacked ("batched") matmuls such as (n, B, i) @ (n, i, o),
   which the graph model uses to evaluate many per-node MLPs at once.
@@ -36,8 +37,7 @@ __all__ = [
     "ParameterSet",
     "AdamState",
     "add", "sub", "neg", "mul", "scale", "matmul", "tanh", "exp", "clip",
-    "concat", "slice_", "reshape", "transpose", "stack", "gather",
-    "reduce_sum", "reduce_mean",
+    "concat", "slice_", "reshape", "transpose", "gather", "reduce_sum",
     "mlp_layer_param_ids", "mlp_init", "mlp_stack", "mlp_forward",
     "mlp_forward_stacked",
     "mlp_param_count",
@@ -68,11 +68,8 @@ def _as_array(x) -> np.ndarray:
 class TapeNode:
     op: str
     inputs: tuple[int, ...]
-    data: Optional[np.ndarray]
     # bwd(adjoint, accum) where accum(input_position_node_id, grad_array)
     bwd: Optional[Callable[[np.ndarray, Callable[[int, np.ndarray], None]], None]]
-    # fwd(input_arrays) -> output array, used by replay(); None for leaves
-    fwd: Optional[Callable[[list[np.ndarray]], np.ndarray]] = None
     # leaves bound to a parameter accumulate adjoints here: (grads dict, id)
     grad_sink: Optional[tuple[dict, str]] = None
 
@@ -81,15 +78,13 @@ class Tape:
     """Ordered record of primitive operations.
 
     Every operand precedes its consumer because nodes are appended at
-    creation time. With ``record_values=True`` every op output is kept on
-    the tape so ``replay`` can re-execute the forward pass and check
-    bit-identical outputs; the default drops op outputs once their
-    consumers no longer need them, which keeps training memory bounded.
+    creation time. Nodes keep only what the reverse pass needs: each
+    backward closure holds the forward arrays it uses, and ``backward``
+    drops the closure once consumed, which keeps training memory bounded.
     """
 
-    def __init__(self, record_values: bool = False) -> None:
+    def __init__(self) -> None:
         self.nodes: list[TapeNode] = []
-        self.record_values = record_values
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -100,23 +95,8 @@ class Tape:
 
     def leaf(self, data: np.ndarray, op: str = "const",
              grad_sink: Optional[tuple[dict, str]] = None) -> "Tensor":
-        nid = self._append(TapeNode(op, (), data, None, None, grad_sink))
+        nid = self._append(TapeNode(op, (), None, grad_sink))
         return Tensor(data, self, nid)
-
-    def replay(self) -> bool:
-        """Recompute every recorded op; True iff all outputs are bit-identical."""
-        if not self.record_values:
-            raise ContractError("replay requires Tape(record_values=True)")
-        ok = True
-        for node in self.nodes:
-            if node.fwd is None:
-                continue
-            new = node.fwd([self.nodes[i].data for i in node.inputs])
-            if new.shape != node.data.shape or not np.array_equal(
-                    new, node.data):
-                ok = False
-            node.data = new
-        return ok
 
 
 class Tensor:
@@ -192,13 +172,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _record(tape: Optional[Tape], op: str, inputs: Sequence[Tensor],
-            out: np.ndarray, bwd, fwd) -> Tensor:
+            out: np.ndarray, bwd) -> Tensor:
     result = Tensor(out)
     if tape is None:
         return result
-    nid = tape._append(TapeNode(op, tuple(t.node for t in inputs),
-                                result.data if tape.record_values else None,
-                                bwd, fwd))
+    nid = tape._append(TapeNode(op, tuple(t.node for t in inputs), bwd))
     result.tape = tape
     result.node = nid
     return result
@@ -218,7 +196,7 @@ def add(a, b) -> Tensor:
         accum(a.node, _unbroadcast(adj, ash))
         accum(b.node, _unbroadcast(adj, bsh))
 
-    return _record(tape, "add", (a, b), out, bwd, lambda xs: xs[0] + xs[1])
+    return _record(tape, "add", (a, b), out, bwd)
 
 
 def sub(a, b) -> Tensor:
@@ -231,7 +209,7 @@ def sub(a, b) -> Tensor:
         accum(a.node, _unbroadcast(adj, ash))
         accum(b.node, _unbroadcast(-adj, bsh))
 
-    return _record(tape, "sub", (a, b), out, bwd, lambda xs: xs[0] - xs[1])
+    return _record(tape, "sub", (a, b), out, bwd)
 
 
 def neg(a) -> Tensor:
@@ -241,7 +219,7 @@ def neg(a) -> Tensor:
     def bwd(adj, accum):
         accum(a.node, -adj)
 
-    return _record(tape, "neg", (a,), -a.data, bwd, lambda xs: -xs[0])
+    return _record(tape, "neg", (a,), -a.data, bwd)
 
 
 def mul(a, b) -> Tensor:
@@ -254,7 +232,7 @@ def mul(a, b) -> Tensor:
         accum(a.node, _unbroadcast(adj * bd, ad.shape))
         accum(b.node, _unbroadcast(adj * ad, bd.shape))
 
-    return _record(tape, "mul", (a, b), out, bwd, lambda xs: xs[0] * xs[1])
+    return _record(tape, "mul", (a, b), out, bwd)
 
 
 def scale(a, c: float) -> Tensor:
@@ -265,7 +243,7 @@ def scale(a, c: float) -> Tensor:
     def bwd(adj, accum):
         accum(a.node, adj * c)
 
-    return _record(tape, "scale", (a,), a.data * c, bwd, lambda xs: xs[0] * c)
+    return _record(tape, "scale", (a,), a.data * c, bwd)
 
 
 def matmul(a, b) -> Tensor:
@@ -283,7 +261,7 @@ def matmul(a, b) -> Tensor:
         accum(a.node, _unbroadcast(adj @ bd.swapaxes(-1, -2), ad.shape))
         accum(b.node, _unbroadcast(ad.swapaxes(-1, -2) @ adj, bd.shape))
 
-    return _record(tape, "matmul", (a, b), out, bwd, lambda xs: xs[0] @ xs[1])
+    return _record(tape, "matmul", (a, b), out, bwd)
 
 
 def tanh(a) -> Tensor:
@@ -294,7 +272,7 @@ def tanh(a) -> Tensor:
     def bwd(adj, accum):
         accum(a.node, adj * (1.0 - out * out))
 
-    return _record(tape, "tanh", (a,), out, bwd, lambda xs: np.tanh(xs[0]))
+    return _record(tape, "tanh", (a,), out, bwd)
 
 
 def exp(a) -> Tensor:
@@ -305,7 +283,7 @@ def exp(a) -> Tensor:
     def bwd(adj, accum):
         accum(a.node, adj * out)
 
-    return _record(tape, "exp", (a,), out, bwd, lambda xs: np.exp(xs[0]))
+    return _record(tape, "exp", (a,), out, bwd)
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
@@ -318,8 +296,7 @@ def clip(a, lo: float, hi: float) -> Tensor:
     def bwd(adj, accum):
         accum(a.node, adj * inside)
 
-    return _record(tape, "clip", (a,), out, bwd,
-                   lambda xs: np.clip(xs[0], lo, hi))
+    return _record(tape, "clip", (a,), out, bwd)
 
 
 def concat(tensors: Sequence, axis: int = -1) -> Tensor:
@@ -334,8 +311,7 @@ def concat(tensors: Sequence, axis: int = -1) -> Tensor:
         for nid, piece in zip(nodes, np.split(adj, splits, axis=axis)):
             accum(nid, piece)
 
-    return _record(tape, "concat", ts, out, bwd,
-                   lambda xs: np.concatenate(xs, axis=axis))
+    return _record(tape, "concat", ts, out, bwd)
 
 
 def slice_(a, key) -> Tensor:
@@ -351,8 +327,7 @@ def slice_(a, key) -> Tensor:
         g[key] += adj
         accum(a.node, g)
 
-    return _record(tape, "slice", (a,), out, bwd,
-                   lambda xs: np.ascontiguousarray(xs[0][key]))
+    return _record(tape, "slice", (a,), out, bwd)
 
 
 def reshape(a, shape: Sequence[int]) -> Tensor:
@@ -364,8 +339,7 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
     def bwd(adj, accum):
         accum(a.node, adj.reshape(ash))
 
-    return _record(tape, "reshape", (a,), a.data.reshape(shape), bwd,
-                   lambda xs: xs[0].reshape(shape))
+    return _record(tape, "reshape", (a,), a.data.reshape(shape), bwd)
 
 
 def transpose(a, axes: Sequence[int]) -> Tensor:
@@ -378,24 +352,7 @@ def transpose(a, axes: Sequence[int]) -> Tensor:
         accum(a.node, np.ascontiguousarray(adj.transpose(inv)))
 
     return _record(tape, "transpose", (a,),
-                   np.ascontiguousarray(a.data.transpose(axes)), bwd,
-                   lambda xs: np.ascontiguousarray(xs[0].transpose(axes)))
-
-
-def stack(tensors: Sequence, axis: int = 0) -> Tensor:
-    if axis != 0:
-        raise ShapeError("stack supports axis=0 only")
-    tape = _find_tape(*tensors)
-    ts = [_coerce(t, tape) for t in tensors]
-    out = np.stack([t.data for t in ts], axis=0)
-    nodes = [t.node for t in ts]
-
-    def bwd(adj, accum):
-        for i, nid in enumerate(nodes):
-            accum(nid, adj[i])
-
-    return _record(tape, "stack", ts, out, bwd,
-                   lambda xs: np.stack(xs, axis=0))
+                   np.ascontiguousarray(a.data.transpose(axes)), bwd)
 
 
 def gather(a, idx, axis: int = 0) -> Tensor:
@@ -413,7 +370,7 @@ def gather(a, idx, axis: int = 0) -> Tensor:
         np.add.at(g, idx, adj)
         accum(a.node, g)
 
-    return _record(tape, "gather", (a,), out, bwd, lambda xs: xs[0][idx])
+    return _record(tape, "gather", (a,), out, bwd)
 
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -428,39 +385,20 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         accum(a.node, np.broadcast_to(g, ash).copy())
 
-    return _record(tape, "reduce_sum", (a,), out, bwd,
-                   lambda xs: np.asarray(xs[0].sum(axis=axis, keepdims=keepdims)))
-
-
-def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    tape = _find_tape(a)
-    a = _coerce(a, tape)
-    out = np.asarray(a.data.mean(axis=axis, keepdims=keepdims))
-    ash = a.data.shape
-    count = a.data.size if axis is None else np.prod(
-        [ash[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
-
-    def bwd(adj, accum):
-        g = np.asarray(adj)
-        if not keepdims and axis is not None:
-            g = np.expand_dims(g, axis)
-        accum(a.node, np.broadcast_to(g, ash) / count)
-
-    return _record(tape, "reduce_mean", (a,), out, bwd,
-                   lambda xs: np.asarray(xs[0].mean(axis=axis, keepdims=keepdims)))
+    return _record(tape, "reduce_sum", (a,), out, bwd)
 
 
 # ---------------------------------------------------------------------------
 # Reverse pass
 
 
-def backward(tape: Tape, loss: Tensor, release: bool = True) -> None:
+def backward(tape: Tape, loss: Tensor) -> None:
     """Accumulate d(loss)/d(param) into every parameter leaf on the tape.
 
     Parameters the loss does not reach keep their current (zeroed)
-    gradient accumulator. With ``release`` (default) each node's backward
-    closure is dropped once consumed, freeing the forward arrays it
-    captured; pass False to keep the tape reusable for another backward.
+    gradient accumulator. Each node's backward closure is dropped once
+    consumed, freeing the forward arrays it captured, so a tape supports
+    one backward pass.
     """
     if loss.tape is not tape or loss.node < 0:
         raise ContractError("loss was not produced by this tape")
@@ -476,16 +414,14 @@ def backward(tape: Tape, loss: Tensor, release: bool = True) -> None:
         adj = adjoints.pop(nid, None)
         node = tape.nodes[nid]
         if adj is None:
-            if release:
-                node.bwd = None
+            node.bwd = None
             continue
         if node.grad_sink is not None:
             grads, pid = node.grad_sink
             grads[pid] += adj.reshape(grads[pid].shape)
         if node.bwd is not None:
             node.bwd(adj, accum)
-            if release:
-                node.bwd = None
+            node.bwd = None
 
 
 # ---------------------------------------------------------------------------

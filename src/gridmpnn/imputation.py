@@ -1,9 +1,10 @@
 """Missing-data imputation by iterated forward inference.
 
 Unobserved entries start at the placeholder value (per-channel training
-mean; optionally a seeded random draw), then the model's feed-forward
-pass repeatedly replaces them with the decoded means until the largest
-standardized update falls below the tolerance. Observed entries are
+mean) in ``impute`` and at whatever values they are given in
+``impute_packed``; then the model's feed-forward pass repeatedly
+replaces them with the decoded means until the largest standardized
+update falls below the tolerance. Observed entries are
 never modified. Voltage prediction, state estimation and bid estimation
 are all specializations of this loop.
 
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -42,11 +42,6 @@ class ImputationProblem:
     query_channels: list[tuple[str, str]] = field(default_factory=list)
     max_iterations: int = 20
     tolerance: float = 1e-3  # normalized (standardized units), L-infinity
-    random_init_seed: Optional[int] = None
-    # seed the iteration from the provided values at unobserved entries
-    # instead of the placeholder; lets a converged result re-enter at its
-    # fixpoint (one iteration, update below tolerance)
-    warm_start: bool = False
 
 
 @dataclass
@@ -149,19 +144,11 @@ def impute(model, problem: ImputationProblem) -> ImputationResult:
             raise ImputationError(
                 f"query channel {nid}:{ch} is observed, nothing to impute")
 
-    rng = (np.random.default_rng(problem.random_init_seed)
-           if problem.random_init_seed is not None else None)
     std_f = {}
     for nid in node_ids:
         x = np.asarray(problem.features[nid], float)
         z = (x - model.std_mean[nid]) / model.std_std[nid]
-        if problem.warm_start:
-            fill = z
-        elif rng is not None:
-            fill = rng.standard_normal(z.shape)
-        else:
-            fill = np.zeros_like(z)
-        std_f[nid] = np.where(obs[nid], z, fill)
+        std_f[nid] = np.where(obs[nid], z, 0.0)
     packed_f = model.pack(std_f)
     packed_m = model.pack({nid: obs[nid].astype(float) for nid in node_ids})
 

@@ -51,6 +51,12 @@ class GnnConfig:
     message_dim: int | str = "dest_latent"
     share_by_type: bool = False
 
+    def __post_init__(self) -> None:
+        if self.layers < 1:
+            raise dc.ContractError("layers must be at least 1")
+        if self.message_passing_steps < 0:
+            raise dc.ContractError("message_passing_steps cannot be negative")
+
     def to_document(self) -> dict:
         return {"layers": self.layers,
                 "message_passing_steps": self.message_passing_steps,
@@ -133,7 +139,7 @@ def _layer_spec(in_dim: int, out_dim: int, layers: int) -> list[int]:
 
 class ModelBase:
     """Shared surface of graph and centralized models: node grouping,
-    packing, standardization and physical-unit predictions."""
+    packing and standardization."""
 
     def _init_base(self, topology: GridTopology,
                    schemas: dict[str, NodeSchema]) -> None:
@@ -183,33 +189,6 @@ class ModelBase:
             for i, nid in enumerate(g.node_ids):
                 out[nid] = arr[i]
         return out
-
-    def predictions_physical(self, mu_packed: dict[str, np.ndarray],
-                             var_packed: dict[str, np.ndarray],
-                             sample: int = 0) -> dict[str, NodePrediction]:
-        """De-standardize one sample of packed (n, B, q) outputs."""
-        out = {}
-        for g in self.groups:
-            for i, nid in enumerate(g.node_ids):
-                m, s = self.std_mean[nid], self.std_std[nid]
-                mu = mu_packed[g.key][i, sample] * s + m
-                var = var_packed[g.key][i, sample] * (s * s)
-                out[nid] = NodePrediction(nid, mu, var)
-        return out
-
-    def forward_nodes(self, features: dict[str, np.ndarray],
-                      mask: dict[str, np.ndarray]) -> dict[str, NodePrediction]:
-        """Convenience single-sample pass: physical-unit features in,
-        physical-unit predictions out."""
-        std_f = {}
-        for nid, vec in features.items():
-            z = (np.asarray(vec, float) - self.std_mean[nid]) / self.std_std[nid]
-            std_f[nid] = np.where(np.asarray(mask[nid], bool), z, 0.0)
-        f = self.pack(std_f)
-        m = self.pack({nid: np.asarray(mask[nid], float) for nid in mask})
-        mu, logvar = self.forward(f, m, tape=None)
-        var = {k: np.exp(v.data) for k, v in logvar.items()}
-        return self.predictions_physical({k: v.data for k, v in mu.items()}, var)
 
 
 class GnnModel(ModelBase):
@@ -477,8 +456,3 @@ def _block_name(stacked: str, prefixes: list[str]) -> str:
 
 def _leaf(tape: Optional[Tape], arr: np.ndarray) -> Tensor:
     return Tensor(arr) if tape is None else tape.leaf(np.asarray(arr, float))
-
-
-def count_parameters(model) -> int:
-    """Total scalar weight+bias count across all of the model's functions."""
-    return model.count_parameters()

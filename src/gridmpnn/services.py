@@ -186,14 +186,6 @@ def estimate_bids(model, features: dict[str, np.ndarray],
     return bids
 
 
-def estimate_bid(model, features, observed, event: CongestionEvent,
-                 target_voltage: Optional[float] = None,
-                 **kwargs) -> FlexibilityBid:
-    """Single-event convenience wrapper around ``estimate_bids``."""
-    return estimate_bids(model, features, observed, [event],
-                         target_voltage=target_voltage, **kwargs)[0]
-
-
 # ---------------------------------------------------------------------------
 # Batch scanning and exports
 

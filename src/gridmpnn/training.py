@@ -2,15 +2,18 @@
 
 Samples carry standardized features with an observed-mask; unobserved
 entries hold the placeholder value (the per-channel training mean,
-which is zero after standardization). The loss sums, over observed
-entries only,
+which is zero after standardization). Augmentation appends
+``masked_clones`` of the training set (chosen channels masked from the
+inputs, loss targets kept) with ``concat_sample_sets``. The loss,
+``nll_loss_packed``, sums over observed entries only
 
     0.5 * log(var) + 0.5 * (y - mu)^2 / var
 
-Training runs shuffled mini-batches with Adam, records per-epoch
-train/validation NLL and stops early when validation stops improving;
-the returned parameters are the best-validation checkpoint. The loop
-only needs a model exposing ``params`` and
+with the model's log-variance as input, so var is positive by
+construction. Training runs shuffled mini-batches with Adam, records
+per-epoch train/validation NLL and stops early when validation stops
+improving; the returned parameters are the best-validation checkpoint.
+The loop only needs a model exposing ``params`` and
 ``forward(features, mask, tape) -> (mu, logvar)`` over packed group
 arrays, so the centralized baselines train through the same code path.
 """
@@ -57,6 +60,13 @@ class TrainingConfig:
             raise ContractError("learning_rate must be positive")
         if not 0.0 <= self.missing_threshold <= 1.0:
             raise ContractError("missing_threshold must lie in [0, 1]")
+        for name in ("max_batch_size", "early_stopping_patience"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be at least 1")
+        if self.max_epochs < 0:
+            raise ContractError("max_epochs cannot be negative")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ContractError("batch_size must be at least 1")
         if self.batch_size is not None and self.batch_size > self.max_batch_size:
             raise ContractError("batch_size cannot exceed max_batch_size")
 
@@ -118,10 +128,12 @@ class SampleSet:
         return len(self.timestamps)
 
     def batch(self, idx: np.ndarray) -> tuple[dict, dict, dict, dict]:
-        f = {k: v[:, idx, :] for k, v in self.features.items()}
-        m = {k: v[:, idx, :] for k, v in self.input_mask.items()}
-        t = {k: v[:, idx, :] for k, v in self.targets.items()}
-        lm = {k: v[:, idx, :] for k, v in self.loss_mask.items()}
+        # np.take keeps the batch C-contiguous (v[:, idx, :] does not), so
+        # tape leaves use these arrays as they are instead of copying them
+        f = {k: np.take(v, idx, axis=1) for k, v in self.features.items()}
+        m = {k: np.take(v, idx, axis=1) for k, v in self.input_mask.items()}
+        t = {k: np.take(v, idx, axis=1) for k, v in self.targets.items()}
+        lm = {k: np.take(v, idx, axis=1) for k, v in self.loss_mask.items()}
         return f, m, t, lm
 
     def select(self, idx) -> "SampleSet":
@@ -142,27 +154,6 @@ class SampleSet:
                 lmask[nid] = self.loss_mask[g.key][j, i]
         return Sample(int(self.timestamps[i]), feats, imask, targs, lmask,
                       float(self.missing_fraction[i]))
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[Sample], groups: list[NodeGroup],
-                     stats: ChannelStats) -> "SampleSet":
-        out = cls(groups, stats, np.array([s.timestamp for s in samples]))
-        n = len(samples)
-        for g in groups:
-            shape = (len(g.node_ids), n, g.q)
-            for name, store in (("features", out.features),
-                                ("input_mask", out.input_mask),
-                                ("targets", out.targets),
-                                ("loss_mask", out.loss_mask)):
-                store[g.key] = np.zeros(shape)
-            for i, s in enumerate(samples):
-                for j, nid in enumerate(g.node_ids):
-                    out.features[g.key][j, i] = s.features[nid]
-                    out.input_mask[g.key][j, i] = s.input_mask[nid]
-                    out.targets[g.key][j, i] = s.targets[nid]
-                    out.loss_mask[g.key][j, i] = s.loss_mask[nid]
-        out.missing_fraction = np.array([s.missing_fraction for s in samples])
-        return out
 
 
 def compute_stats(dataset, topology, schemas: dict[str, NodeSchema],
@@ -326,49 +317,8 @@ def concat_sample_sets(parts: Sequence[SampleSet]) -> SampleSet:
     return out
 
 
-def augment_voltage_missing(samples: SampleSet,
-                            schemas: dict[str, NodeSchema]) -> SampleSet:
-    """Double the set with clones whose current-time voltage channels are
-    masked out of the inputs; targets are kept for the loss."""
-    clones = masked_clones(samples,
-                           voltage_lag0_selector(schemas, samples.groups))
-    return concat_sample_sets([samples, clones])
-
-
-def augment_energy_missing(samples: SampleSet,
-                           schemas: dict[str, NodeSchema]) -> SampleSet:
-    """Double the set with clones whose feeder/substation current-time
-    energy channels are masked, mirroring what bid estimation asks the
-    model to impute."""
-    clones = masked_clones(
-        samples, aggregate_energy_lag0_selector(schemas, samples.groups))
-    return concat_sample_sets([samples, clones])
-
-
 # ---------------------------------------------------------------------------
 # Loss
-
-
-def gaussian_nll(mu, var, targets, mask) -> float:
-    """Masked Gaussian NLL, summed over observed entries (plain arrays)."""
-    mu, var = np.asarray(mu, float), np.asarray(var, float)
-    y, m = np.asarray(targets, float), np.asarray(mask, float)
-    if not (mu.shape == var.shape == y.shape == m.shape):
-        raise ContractError("nll_loss operands must share one shape")
-    if np.any(var[m > 0] <= 0):
-        raise ContractError("variance must be strictly positive at observed entries")
-    terms = 0.5 * np.log(var, where=m > 0, out=np.zeros_like(var))
-    terms += 0.5 * np.square(y - mu) / np.where(m > 0, var, 1.0)
-    total = float((terms * m).sum())
-    if not np.isfinite(total):
-        raise ContractError("nll_loss is not finite")
-    return total
-
-
-def nll_loss(predictions: tuple, targets, mask) -> float:
-    """Spec-shaped wrapper: ``predictions`` is a (mu, var) pair."""
-    mu, var = predictions
-    return gaussian_nll(mu, var, targets, mask)
 
 
 def nll_loss_packed(mu: dict, logvar: dict, targets: dict, loss_mask: dict,

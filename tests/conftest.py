@@ -9,8 +9,9 @@ import pytest
 from gridmpnn import gridsim
 from gridmpnn.gridgraph import NodeSchema, load_topology
 from gridmpnn.mpnn import GnnConfig, GnnModel
-from gridmpnn.training import (TrainingConfig, augment_voltage_missing,
-                               build_samples, chronological_split, train)
+from gridmpnn.training import (TrainingConfig, build_samples,
+                               chronological_split, concat_sample_sets,
+                               masked_clones, train, voltage_lag0_selector)
 
 CHAIN_COEFFS = [0.8, 0.8]
 CHAIN_NOISE_VARS = [1.0, 0.36, 0.36]
@@ -57,7 +58,8 @@ def train_chain_model(n_samples: int, max_epochs: int, seed: int = 0,
                          early_stopping_patience=15, seed=seed)
     samples = build_samples(ds, topo, schemas, cfg)
     train_set, val_set = chronological_split(samples)
-    train_set = augment_voltage_missing(train_set, schemas)
+    train_set = concat_sample_sets([train_set, masked_clones(
+        train_set, voltage_lag0_selector(schemas, train_set.groups))])
     model = GnnModel(topo, schemas,
                      GnnConfig(layers=1, message_passing_steps=2))
     model.init_parameters(seed)

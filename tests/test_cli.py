@@ -188,6 +188,23 @@ def test_unknown_config_key_exits_2(world, tmp_path, section, key):
     assert not os.path.exists(tmp_path / "out" / "history.csv")
 
 
+@pytest.mark.parametrize("section,doc", [
+    ("training", {"batch_size": 0}),
+    ("training", {"batch_size": -4}),
+    ("model", {"layers": 0})])
+def test_out_of_range_config_size_exits_2(world, tmp_path, section, doc):
+    cfg = json.loads(json.dumps(world["cfg"]))
+    cfg[section] = {**cfg[section], **doc}
+    cfg["paths"]["out_dir"] = str(tmp_path / "out")
+    cfg["paths"]["checkpoint"] = str(tmp_path / "out" / "checkpoint.json")
+    cfg_path = str(tmp_path / "sizes.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main(["train", "--config", cfg_path]) == 2
+    assert not os.path.exists(tmp_path / "out" / "history.csv")
+    assert not os.path.exists(tmp_path / "out" / "checkpoint.json")
+
+
 def test_impute_writes_report(world):
     rc = main(["impute", "--config", world["cfg_path"],
                "--timestamp", "2019-06-05T12:00:00Z"])

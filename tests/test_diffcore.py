@@ -1,5 +1,6 @@
 """Tensor engine tests: forward semantics, reverse-mode gradients against
-central finite differences, Adam, serialization, tape replay."""
+central finite differences, Adam, serialization, tape order and
+run-to-run determinism."""
 
 import json
 
@@ -153,7 +154,6 @@ OPS = {
     "reshape": lambda p, t: dc.reshape(p, (2, 1)),
     "transpose": lambda p, t: dc.transpose(p, (1, 0)),
     "reduce_sum_axis": lambda p, t: dc.reduce_sum(p, axis=1, keepdims=True),
-    "reduce_mean": lambda p, t: dc.reduce_mean(p, axis=0, keepdims=True),
 }
 
 
@@ -190,17 +190,18 @@ def test_matmul_stacked_and_broadcast_gradients():
 
 
 def test_gather_and_stack_gradients():
+    # gather rows of a ParameterSet.stack block with repeated indices; the
+    # finite differences perturb the per-id views of that block
     rng = np.random.default_rng(9)
     params = dc.ParameterSet()
     params.add("a", rng.standard_normal((3, 2)))
     params.add("b", rng.standard_normal((3, 2)))
-    idx = np.array([0, 2, 2, 1])
-    mix = rng.standard_normal((4, 3, 2))
+    params.stack("ab", ["a", "b"], (3, 2))
+    idx = np.array([0, 1, 1, 0, 1])
+    mix = rng.standard_normal((5, 3, 2))
 
     def build(tape):
-        s = dc.stack([params.tensor(tape, "a"), params.tensor(tape, "b"),
-                      params.tensor(tape, "a")])
-        g = dc.gather(s, idx)
+        g = dc.gather(params.tensor(tape, "ab"), idx)
         return dc.reduce_sum(dc.mul(g, mix))
 
     assert _fd_check(build, params) < 1e-4
@@ -389,28 +390,6 @@ def test_gradient_shape_matches_parameter_shape():
 # Tape semantics
 
 
-def test_tape_topological_order_and_replay_idempotence():
-    rng = np.random.default_rng(5)
-    params = dc.ParameterSet()
-    dc.mlp_init(params, "net", [3, 5, 2], rng)
-    x = rng.standard_normal((4, 3))
-    tape = dc.Tape(record_values=True)
-    out = dc.mlp_forward(params, [3, 5, 2], x, "net", tape=tape)
-    loss = dc.reduce_sum(dc.mul(out, out))
-    for nid, node in enumerate(tape.nodes):
-        assert all(i < nid for i in node.inputs)
-    dc.backward(tape, loss, release=False)
-    assert tape.replay()  # forward -> backward -> forward, bit-identical
-
-
-def test_replay_requires_recorded_values():
-    tape = dc.Tape()
-    x = tape.leaf(np.ones(2))
-    dc.tanh(x)
-    with pytest.raises(dc.ContractError):
-        tape.replay()
-
-
 def test_forward_and_gradients_deterministic_across_runs():
     def run():
         rng = np.random.default_rng(123)
@@ -420,11 +399,16 @@ def test_forward_and_gradients_deterministic_across_runs():
         tape = dc.Tape()
         out = dc.mlp_forward(params, [4, 4, 1], x, "net", tape=tape)
         loss = dc.reduce_sum(dc.mul(out, out))
+        # creation order is a topological order
+        for nid, node in enumerate(tape.nodes):
+            assert all(i < nid for i in node.inputs)
         dc.backward(tape, loss)
-        return loss.data.copy(), {p: g.copy() for p, g in params.grads.items()}
+        return (out.data.copy(), loss.data.copy(),
+                {p: g.copy() for p, g in params.grads.items()})
 
-    l1, g1 = run()
-    l2, g2 = run()
+    o1, l1, g1 = run()
+    o2, l2, g2 = run()
+    assert np.array_equal(o1, o2)
     assert np.array_equal(l1, l2)
     for pid in g1:
         assert np.array_equal(g1[pid], g2[pid])

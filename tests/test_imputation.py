@@ -40,17 +40,16 @@ def test_observed_entries_preserved_exactly(quick_chain_model):
 
 
 def test_final_update_below_tolerance_and_fixpoint_idempotence(quick_chain_model):
-    problem = _problem(quick_chain_model, (1.2, 0.4, None))
-    first = impute(quick_chain_model, problem)
-    assert first.converged
+    model = quick_chain_model
+    feats, mask = _packed_rows(model, [((1.2, 0.4, 0.0), (1, 1, 0))])
+    first, _, _, hit, _ = impute_packed(model, feats, mask)
+    assert hit[0] > 0  # converged
     # re-enter at the converged fill: one iteration, update below tolerance
-    again = impute(quick_chain_model, ImputationProblem(
-        features={nid: first.values[nid] for nid in first.values},
-        observed=problem.observed, warm_start=True))
-    assert again.iterations == 1
-    assert again.converged
-    assert again.values["f"][0] == pytest.approx(first.values["f"][0],
-                                                 abs=2e-3)
+    again, _, _, hit, delta = impute_packed(model, first, mask)
+    assert hit[0] == 1
+    assert delta[0] < 1e-3
+    for key in first:
+        assert np.allclose(again[key], first[key], rtol=0, atol=1e-3)
 
 
 def test_at_least_one_observation_required(quick_chain_model):
@@ -75,14 +74,6 @@ def test_non_convergence_is_flagged_not_fatal(quick_chain_model):
     assert not result.converged
     assert result.iterations == 1
     assert np.isfinite(result.values["f"][0])
-
-
-def test_seeded_random_initialization_is_reproducible(quick_chain_model):
-    p1 = _problem(quick_chain_model, (1.2, 0.4, None), random_init_seed=5)
-    p2 = _problem(quick_chain_model, (1.2, 0.4, None), random_init_seed=5)
-    a = impute(quick_chain_model, p1)
-    b = impute(quick_chain_model, p2)
-    assert a.values["f"][0] == b.values["f"][0]
 
 
 # (g, s, f) values and observed flags per sample; holes start at the

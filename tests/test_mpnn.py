@@ -10,7 +10,7 @@ import pytest
 from gridmpnn import diffcore as dc
 from gridmpnn import gridsim
 from gridmpnn.gridgraph import NodeSchema, derive_schemas, load_topology
-from gridmpnn.mpnn import GnnConfig, GnnModel, count_parameters
+from gridmpnn.mpnn import GnnConfig, GnnModel
 from gridmpnn.training import nll_loss_packed
 
 
@@ -225,7 +225,7 @@ def test_count_parameters_pilot_default_architecture():
     topo = gridsim.pilot_topology()
     model = GnnModel(topo, derive_schemas(topo))
     # hand-derived for 2-layer functions, hidden=max(in,out), T-shared edges
-    assert count_parameters(model) == 389598
+    assert model.count_parameters() == 389598
     model.init_parameters(0)
     assert model.params.n_scalars() == 389598
 
@@ -256,13 +256,16 @@ def test_checkpoint_roundtrip_preserves_predictions(tmp_path):
     model.save_checkpoint(path)
     back = GnnModel.load_checkpoint(path, topo)
     rng = np.random.default_rng(31)
-    feats = {nid: rng.standard_normal(2) for nid in topo.ids()}
-    mask = {nid: np.ones(2, dtype=bool) for nid in topo.ids()}
-    a = model.forward_nodes(feats, mask)
-    b = back.forward_nodes(feats, mask)
+    feats = model.pack({nid: rng.standard_normal(2) for nid in topo.ids()})
+    mask = model.pack({nid: np.ones(2) for nid in topo.ids()})
+    mu_a, lv_a = model.forward(feats, mask)
+    mu_b, lv_b = back.forward(feats, mask)
+    for key in mu_a:
+        assert np.array_equal(mu_a[key].data, mu_b[key].data)
+        assert np.array_equal(lv_a[key].data, lv_b[key].data)
     for nid in topo.ids():
-        assert np.array_equal(a[nid].mu, b[nid].mu)
-        assert np.array_equal(a[nid].var, b[nid].var)
+        assert np.array_equal(model.std_mean[nid], back.std_mean[nid])
+        assert np.array_equal(model.std_std[nid], back.std_std[nid])
     # a reload-resave is byte-identical
     path2 = os.path.join(tmp_path, "ckpt2.json")
     back.save_checkpoint(path2)
@@ -367,6 +370,15 @@ def test_unknown_model_config_key_rejected():
     doc = {**GnnConfig().to_document(), "message_passing_step": 3}
     with pytest.raises(dc.ContractError, match="message_passing_step"):
         GnnConfig.from_document(doc)
+
+
+def test_gnn_config_validation():
+    for bad in ({"layers": 0}, {"layers": -1}, {"message_passing_steps": -1}):
+        with pytest.raises(dc.ContractError, match=next(iter(bad))):
+            GnnConfig(**bad)
+    with pytest.raises(dc.ContractError, match="layers"):
+        GnnConfig.from_document({**GnnConfig().to_document(), "layers": 0})
+    assert GnnConfig(layers=1, message_passing_steps=0).layers == 1
 
 
 def test_checkpoint_topology_hash_mismatch_rejected(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from gridmpnn.mpnn import NodePrediction
 from gridmpnn.services import (CongestionEvent, detect_congestions,
-                               estimate_bid, estimate_bids, phi,
+                               estimate_bids, phi,
                                write_jsonl, write_plot_csv)
 from gridmpnn.imputation import ImputationProblem, impute
 
@@ -138,10 +138,10 @@ def test_bid_delta_definition_and_determinism(quick_pilot_bid_world):
         assert x.substation_id == model.topology.parent[x.feeder_id]
 
 
-def test_single_event_wrapper(quick_pilot_bid_world):
+def test_single_event_bid(quick_pilot_bid_world):
     model, feats, obs, events = quick_pilot_bid_world
-    bid = estimate_bid(model, feats, obs, events[0])
-    assert bid.event_ids == [events[0].event_id]
+    bids = estimate_bids(model, feats, obs, events[:1])
+    assert [b.event_ids for b in bids] == [[events[0].event_id]]
 
 
 # ---------------------------------------------------------------------------

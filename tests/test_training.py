@@ -10,11 +10,11 @@ from gridmpnn import gridsim
 from gridmpnn.gridgraph import derive_schemas, load_topology
 from gridmpnn.mpnn import GnnConfig, GnnModel, compute_groups
 from gridmpnn.training import (ChannelStats, DatasetError, TrainingConfig,
-                               TrainingError, augment_voltage_missing,
-                               build_samples, chronological_split,
-                               evaluate_nll, gaussian_nll, mask_channels,
-                               nll_loss, nll_loss_packed, train,
-                               voltage_lag0_selector, write_history_csv)
+                               TrainingError, build_samples,
+                               chronological_split, concat_sample_sets,
+                               evaluate_nll, mask_channels, masked_clones,
+                               nll_loss_packed, train, voltage_lag0_selector,
+                               write_history_csv)
 
 from conftest import (chain_dataset, chain_schemas, chain_topology,
                       train_chain_model)
@@ -107,7 +107,8 @@ def test_augmentation_doubles_and_masks_current_voltage():
     topo, spec, ds = one_prosumer_world(days=3)
     schemas = derive_schemas(topo)
     samples = build_samples(ds, topo, schemas, TrainingConfig())
-    doubled = augment_voltage_missing(samples, schemas)
+    doubled = concat_sample_sets([samples, masked_clones(
+        samples, voltage_lag0_selector(schemas, samples.groups))])
     n = len(samples)
     assert len(doubled) == 2 * n
     key = [g.key for g in samples.groups if "prosumer" in g.key][0]
@@ -151,41 +152,42 @@ def test_augmentation_on_empty_set_rejected():
     empty = SampleSet(compute_groups(topo, schemas),
                       ChannelStats({}, {}), np.array([], dtype=np.int64))
     with pytest.raises(DatasetError):
-        augment_voltage_missing(empty, schemas)
+        masked_clones(empty, voltage_lag0_selector(schemas, empty.groups))
 
 
 # ---------------------------------------------------------------------------
 # NLL
 
 
+def _nll(mu, logvar, y, mask):
+    """Untaped ``nll_loss_packed`` over one group of plain arrays."""
+    loss, _ = nll_loss_packed({"k": dc.Tensor(mu)}, {"k": dc.Tensor(logvar)},
+                              {"k": y}, {"k": mask}, None)
+    return float(loss.data)
+
+
 def test_nll_zero_when_prediction_exact_unit_variance():
     y = np.array([1.0, -2.0, 0.5])
-    assert nll_loss((y, np.ones(3)), y, np.ones(3)) == pytest.approx(0.0)
+    assert _nll(y, np.zeros(3), y, np.ones(3)) == pytest.approx(0.0)
 
 
 def test_nll_single_entry_values():
-    assert nll_loss((np.array([0.0]), np.array([1.0])),
-                    np.array([1.0]), np.array([1.0])) == pytest.approx(0.5)
+    assert _nll(np.array([0.0]), np.array([0.0]),
+                np.array([1.0]), np.array([1.0])) == pytest.approx(0.5)
     want = 0.5 * math.log(4.0) + 0.5
-    assert nll_loss((np.array([0.0]), np.array([4.0])),
-                    np.array([2.0]), np.array([1.0])) == pytest.approx(want)
+    assert _nll(np.array([0.0]), np.array([math.log(4.0)]),
+                np.array([2.0]), np.array([1.0])) == pytest.approx(want)
 
 
 def test_nll_ignores_unobserved_entries():
     rng = np.random.default_rng(0)
-    mu, var = rng.standard_normal(6), np.exp(rng.standard_normal(6))
+    mu, lv = rng.standard_normal(6), rng.standard_normal(6)
     y = rng.standard_normal(6)
     mask = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
-    base = gaussian_nll(mu, var, y, mask)
+    base = _nll(mu, lv, y, mask)
     y2 = y.copy()
     y2[mask == 0] = 1e9  # arbitrary garbage at unobserved entries
-    assert gaussian_nll(mu, var, y2, mask) == pytest.approx(base)
-
-
-def test_nll_rejects_nonpositive_variance():
-    with pytest.raises(dc.ContractError):
-        gaussian_nll(np.zeros(2), np.array([1.0, 0.0]), np.zeros(2),
-                     np.ones(2))
+    assert _nll(mu, lv, y2, mask) == pytest.approx(base)
 
 
 def test_nll_gradient_identities():
@@ -220,8 +222,9 @@ def test_nll_packed_matches_plain_sum():
     loss, cnt = nll_loss_packed({"k": dc.Tensor(mu)}, {"k": dc.Tensor(lv)},
                                 {"k": y}, {"k": mask}, None)
     assert cnt == mask.sum()
-    assert float(loss.data) == pytest.approx(
-        gaussian_nll(mu, np.exp(lv), y, mask))
+    var = np.exp(lv)
+    terms = 0.5 * np.log(var) + 0.5 * np.square(y - mu) / var
+    assert float(loss.data) == pytest.approx(terms[mask > 0].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +316,10 @@ def test_training_config_validation():
         TrainingConfig(batch_size=6000, max_batch_size=5000)
     with pytest.raises(dc.ContractError, match="max_epoch"):
         TrainingConfig.from_document({"max_epoch": 3})
+    for bad in ({"batch_size": 0}, {"batch_size": -4}, {"max_batch_size": 0},
+                {"max_epochs": -1}, {"early_stopping_patience": 0}):
+        with pytest.raises(dc.ContractError, match=next(iter(bad))):
+            TrainingConfig(**bad)
     assert TrainingConfig().learning_rate == 0.01
     assert TrainingConfig().max_batch_size == 5000
     assert TrainingConfig().missing_threshold == 0.10
