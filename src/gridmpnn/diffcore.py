@@ -2,9 +2,9 @@
 
 Everything in this package that learns runs on this module: float64
 tensors recorded on an explicit tape, a small set of differentiable
-primitives (matmul, add, tanh, exp, concat, slice, reductions, ...),
-multi-layer perceptrons with tanh hidden activations, and a
-bias-corrected Adam optimizer.
+primitives (matmul, add, exp, concat, slice, gather, reductions, ...),
+multi-layer perceptrons built from one fused dense-layer primitive, and
+a bias-corrected Adam optimizer.
 
 Design choices:
 
@@ -13,6 +13,19 @@ Design choices:
 * The tape is an append-only list, so creation order is a topological
   order for free. It records backward closures, not op outputs, and
   serves one reverse pass, which releases them as it goes.
+* The reverse pass does only the work parameter gradients need. Each
+  tape node records whether a parameter leaf lies upstream of it; nodes
+  without one (constants, inputs, masks and everything computed only
+  from them) get no backward closure, adjoints sent to them are
+  dropped, and ``matmul`` and ``dense`` skip the operand products whose
+  target needs no gradient.
+* ``dense(x, w, b, hidden)`` is one MLP layer, ``x @ w + b`` with tanh
+  on hidden layers, computed in place in one output buffer and undone
+  by one backward closure. Its arithmetic matches the composition of
+  ``matmul``, ``add`` and an elementwise tanh bit for bit.
+* ``gather``'s backward adds each selected row's whole slab into the
+  gradient in index order (the same additions, in the same order, as
+  ``np.add.at``), and plainly assigns when the indices are unique.
 * Operations work elementwise-broadcast style on numpy arrays and also
   support stacked ("batched") matmuls such as (n, B, i) @ (n, i, o),
   which the graph model uses to evaluate many per-node MLPs at once.
@@ -36,7 +49,7 @@ __all__ = [
     "Tape",
     "ParameterSet",
     "AdamState",
-    "add", "sub", "neg", "mul", "scale", "matmul", "tanh", "exp", "clip",
+    "add", "sub", "neg", "mul", "scale", "matmul", "dense", "exp", "clip",
     "concat", "slice_", "reshape", "transpose", "gather", "reduce_sum",
     "mlp_layer_param_ids", "mlp_init", "mlp_stack", "mlp_forward",
     "mlp_forward_stacked",
@@ -72,6 +85,8 @@ class TapeNode:
     bwd: Optional[Callable[[np.ndarray, Callable[[int, np.ndarray], None]], None]]
     # leaves bound to a parameter accumulate adjoints here: (grads dict, id)
     grad_sink: Optional[tuple[dict, str]] = None
+    # a parameter leaf lies upstream (the node itself included)
+    needs_grad: bool = False
 
 
 class Tape:
@@ -95,7 +110,8 @@ class Tape:
 
     def leaf(self, data: np.ndarray, op: str = "const",
              grad_sink: Optional[tuple[dict, str]] = None) -> "Tensor":
-        nid = self._append(TapeNode(op, (), None, grad_sink))
+        nid = self._append(TapeNode(op, (), None, grad_sink,
+                                    needs_grad=grad_sink is not None))
         return Tensor(data, self, nid)
 
 
@@ -120,9 +136,6 @@ class Tensor:
     @property
     def values(self) -> np.ndarray:
         return self.data
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, taped={self.tape is not None})"
@@ -176,7 +189,9 @@ def _record(tape: Optional[Tape], op: str, inputs: Sequence[Tensor],
     result = Tensor(out)
     if tape is None:
         return result
-    nid = tape._append(TapeNode(op, tuple(t.node for t in inputs), bwd))
+    needs = any(tape.nodes[t.node].needs_grad for t in inputs)
+    nid = tape._append(TapeNode(op, tuple(t.node for t in inputs),
+                                bwd if needs else None, needs_grad=needs))
     result.tape = tape
     result.node = nid
     return result
@@ -246,33 +261,61 @@ def scale(a, c: float) -> Tensor:
     return _record(tape, "scale", (a,), a.data * c, bwd)
 
 
+def _check_inner(a: np.ndarray, b: np.ndarray, op: str) -> None:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"{op} operands must have ndim >= 2")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"{op} inner dimensions differ: {a.shape} @ {b.shape}")
+
+
 def matmul(a, b) -> Tensor:
     tape = _find_tape(a, b)
     a, b = _coerce(a, tape), _coerce(b, tape)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError("matmul operands must have ndim >= 2")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(
-            f"matmul inner dimensions differ: {a.data.shape} @ {b.data.shape}")
-    out = a.data @ b.data
     ad, bd = a.data, b.data
+    _check_inner(ad, bd, "matmul")
+    out = ad @ bd
 
     def bwd(adj, accum):
-        accum(a.node, _unbroadcast(adj @ bd.swapaxes(-1, -2), ad.shape))
-        accum(b.node, _unbroadcast(ad.swapaxes(-1, -2) @ adj, bd.shape))
+        if tape.nodes[a.node].needs_grad:
+            accum(a.node, _unbroadcast(adj @ bd.swapaxes(-1, -2), ad.shape))
+        if tape.nodes[b.node].needs_grad:
+            accum(b.node, _unbroadcast(ad.swapaxes(-1, -2) @ adj, bd.shape))
 
     return _record(tape, "matmul", (a, b), out, bwd)
 
 
-def tanh(a) -> Tensor:
-    tape = _find_tape(a)
-    a = _coerce(a, tape)
-    out = np.tanh(a.data)
+def dense(x, w, b, hidden: bool) -> Tensor:
+    """One MLP layer: ``x @ w + b``, then tanh if ``hidden``.
+
+    ``w`` is (i, o) or stacked (k, i, o); ``b`` broadcasts against the
+    (..., o) product, e.g. (o,) or (k, 1, o). The output buffer is the
+    matmul result, updated in place, so a layer allocates one array.
+    """
+    tape = _find_tape(x, w, b)
+    x, w, b = _coerce(x, tape), _coerce(w, tape), _coerce(b, tape)
+    xd, wd, bd = x.data, w.data, b.data
+    _check_inner(xd, wd, "dense")
+    out = xd @ wd
+    out += bd
+    if hidden:
+        np.tanh(out, out=out)
 
     def bwd(adj, accum):
-        accum(a.node, adj * (1.0 - out * out))
+        if hidden:  # adj * (1 - out^2), in one buffer
+            g = out * out
+            np.subtract(1.0, g, out=g)
+            np.multiply(adj, g, out=g)
+        else:
+            g = adj
+        nodes = tape.nodes
+        if nodes[b.node].needs_grad:
+            accum(b.node, _unbroadcast(g, bd.shape))
+        if nodes[x.node].needs_grad:
+            accum(x.node, _unbroadcast(g @ wd.swapaxes(-1, -2), xd.shape))
+        if nodes[w.node].needs_grad:
+            accum(w.node, _unbroadcast(xd.swapaxes(-1, -2) @ g, wd.shape))
 
-    return _record(tape, "tanh", (a,), out, bwd)
+    return _record(tape, "dense", (x, w, b), out, bwd)
 
 
 def exp(a) -> Tensor:
@@ -367,7 +410,11 @@ def gather(a, idx, axis: int = 0) -> Tensor:
 
     def bwd(adj, accum):
         g = np.zeros(ash)
-        np.add.at(g, idx, adj)
+        if np.unique(idx).size == idx.size:
+            g[idx] = adj
+        else:  # whole slabs in index order: np.add.at's sums, bit for bit
+            for j, i in enumerate(idx):
+                g[i] += adj[j]
         accum(a.node, g)
 
     return _record(tape, "gather", (a,), out, bwd)
@@ -396,7 +443,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """Accumulate d(loss)/d(param) into every parameter leaf on the tape.
 
     Parameters the loss does not reach keep their current (zeroed)
-    gradient accumulator. Each node's backward closure is dropped once
+    gradient accumulator. Adjoints sent to nodes with no parameter
+    upstream are dropped. Each node's backward closure is dropped once
     consumed, freeing the forward arrays it captured, so a tape supports
     one backward pass.
     """
@@ -405,14 +453,17 @@ def backward(tape: Tape, loss: Tensor) -> None:
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.data.shape}")
     adjoints: dict[int, np.ndarray] = {loss.node: np.ones_like(loss.data)}
+    nodes = tape.nodes
 
     def accum(nid: int, grad: np.ndarray) -> None:
+        if not nodes[nid].needs_grad:
+            return
         cur = adjoints.get(nid)
         adjoints[nid] = grad if cur is None else cur + grad
 
     for nid in range(loss.node, -1, -1):
         adj = adjoints.pop(nid, None)
-        node = tape.nodes[nid]
+        node = nodes[nid]
         if adj is None:
             node.bwd = None
             continue
@@ -586,9 +637,7 @@ def mlp_forward(params: ParameterSet, layer_spec: Sequence[int], x,
         w = params.tensor(tape, wid)
         b = params.tensor(tape, bid)
         _check_last_dim(h, w.data.shape[0], f"{prefix} layer {i} input")
-        h = add(matmul(h, w), b)
-        if i < n_layers - 1:
-            h = tanh(h)
+        h = dense(h, w, b, hidden=i < n_layers - 1)
     return h
 
 
@@ -617,9 +666,8 @@ def mlp_forward_stacked(params: ParameterSet, layer_spec: Sequence[int],
     ids = mlp_layer_param_ids(block, layer_spec)
     _check_last_dim(h, int(layer_spec[0]), f"{block} layer 0 input")
     for i, (wid, bid) in enumerate(ids):
-        h = add(matmul(h, params.tensor(tape, wid)), params.tensor(tape, bid))
-        if i < len(ids) - 1:
-            h = tanh(h)
+        h = dense(h, params.tensor(tape, wid), params.tensor(tape, bid),
+                  hidden=i < len(ids) - 1)
     return h
 
 

@@ -208,6 +208,11 @@ def parse_timestamp(text: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
+def _iso(epoch_seconds: int) -> str:
+    return datetime.fromtimestamp(epoch_seconds, tz=timezone.utc).strftime(
+        "%Y-%m-%dT%H:%M:%SZ")
+
+
 class TimeSeriesDataset:
     """Aligned 15-minute multi-sensor series with per-point missing flags.
 
@@ -298,31 +303,46 @@ class TimeSeriesDataset:
 
     @classmethod
     def read_csv(cls, *paths: str) -> "TimeSeriesDataset":
+        """Parse ``write_csv`` files into one dataset on the grid that
+        starts at the earliest timestamp; points without a row are
+        missing. A row off that 15-minute grid, or a second row for a
+        (series, timestamp), raises ``SimulationError``."""
         rows: dict[str, list[tuple[int, float, bool]]] = {}
-        stamps: set[int] = set()
+        seconds: dict[str, int] = {}  # each distinct timestamp parsed once
         for path in paths:
             with open(path, newline="") as fh:
                 lines = (ln for ln in fh if not ln.startswith("#"))
                 r = csv.reader(lines)
                 header = next(r)
                 for ts, sid, val, quality in r:
-                    sec = int(parse_timestamp(ts).timestamp())
-                    stamps.add(sec)
+                    sec = seconds.get(ts)
+                    if sec is None:
+                        sec = seconds[ts] = int(parse_timestamp(ts).timestamp())
                     rows.setdefault(sid, []).append(
                         (sec, float(val), quality == "missing"))
-        if not stamps:
+        if not seconds:
             raise SimulationError("no data rows found")
-        t0, t1 = min(stamps), max(stamps)
+        t0, t1 = min(seconds.values()), max(seconds.values())
         n = (t1 - t0) // 900 + 1
         ds = cls(datetime.fromtimestamp(t0, tz=timezone.utc), n)
         for sid, recs in rows.items():
-            vals = np.zeros(n)
-            miss = np.ones(n, dtype=bool)
-            for sec, val, m in recs:
-                i = (sec - t0) // 900
-                vals[i] = val
-                miss[i] = m
-            ds.add_series(sid, vals, miss)
+            secs, vals, miss = zip(*recs)
+            i, off = np.divmod(np.array(secs, dtype=np.int64) - t0, 900)
+            if off.any():
+                bad = secs[int(np.flatnonzero(off)[0])]
+                raise SimulationError(
+                    f"series {sid!r}: timestamp {_iso(bad)} is off the "
+                    f"{STEP_MINUTES}-minute grid starting {_iso(t0)}")
+            repeats = np.bincount(i, minlength=n) > 1
+            if repeats.any():
+                dup = t0 + 900 * int(np.argmax(repeats))
+                raise SimulationError(
+                    f"series {sid!r}: duplicate rows at {_iso(dup)}")
+            v = np.zeros(n)
+            v[i] = vals
+            m = np.ones(n, dtype=bool)
+            m[i] = miss
+            ds.add_series(sid, v, m)
         return ds
 
 

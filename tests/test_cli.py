@@ -205,6 +205,29 @@ def test_out_of_range_config_size_exits_2(world, tmp_path, section, doc):
     assert not os.path.exists(tmp_path / "out" / "checkpoint.json")
 
 
+@pytest.mark.parametrize("fault", ["duplicate", "off_grid"])
+def test_malformed_dataset_csv_exits_2(world, tmp_path, capsys, fault):
+    src = os.path.join(world["data_dir"], "dataset.csv")
+    lines = open(src).read().splitlines()
+    ts, sid, value, quality = lines[-1].split(",")
+    if fault == "off_grid":  # hh:07, between two 15-minute steps
+        ts = ts[:len("2019-06-01T00:")] + "07:00Z"
+    lines.append(",".join([ts, sid, value, quality]))
+    bad = str(tmp_path / "dataset.csv")
+    with open(bad, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    cfg = json.loads(json.dumps(world["cfg"]))
+    cfg["paths"]["dataset"] = bad
+    cfg["paths"]["out_dir"] = str(tmp_path / "out")
+    cfg_path = str(tmp_path / "bad_data.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main(["evaluate", "--config", cfg_path]) == 2
+    assert ("duplicate" if fault == "duplicate" else "off the 15-minute grid") \
+        in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "evaluation.json")
+
+
 def test_impute_writes_report(world):
     rc = main(["impute", "--config", world["cfg_path"],
                "--timestamp", "2019-06-05T12:00:00Z"])

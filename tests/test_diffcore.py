@@ -95,19 +95,21 @@ def test_backward_linear_gradient():
 
 
 def test_backward_tanh_prime_at_zero():
+    # a hidden dense layer at zero pre-activation: d tanh(x*w + b)/db = 1
     params = dc.ParameterSet()
-    params.add("w", np.array([0.0]))
+    params.add("b", np.array([0.0]))
     tape = dc.Tape()
-    loss = dc.reduce_sum(dc.tanh(params.tensor(tape, "w")))
-    dc.backward(tape, loss)
-    assert params.grads["w"][0] == pytest.approx(1.0)
+    out = dc.dense(np.array([[0.0]]), np.array([[1.0]]),
+                   params.tensor(tape, "b"), hidden=True)
+    dc.backward(tape, dc.reduce_sum(out))
+    assert params.grads["b"][0] == pytest.approx(1.0)
 
 
 def test_backward_requires_scalar_loss():
     params = dc.ParameterSet()
     params.add("w", np.ones(3))
     tape = dc.Tape()
-    out = dc.tanh(params.tensor(tape, "w"))
+    out = dc.exp(params.tensor(tape, "w"))
     with pytest.raises(dc.ContractError, match="scalar"):
         dc.backward(tape, out)
 
@@ -139,6 +141,8 @@ def test_backward_random_mlp_matches_finite_differences():
     assert _fd_check(build, params) < 1e-4
 
 
+_X_STACK = np.array([[[0.5], [-1.5]], [[2.0], [0.25]]])  # (n=2, B=2, i=1)
+
 OPS = {
     "add": lambda p, t: dc.add(p, np.array([[1.0, -2.0]])),
     "add_broadcast": lambda p, t: dc.add(p, np.array([3.0, -1.0])),
@@ -146,7 +150,19 @@ OPS = {
     "neg": lambda p, t: dc.neg(p),
     "mul": lambda p, t: dc.mul(p, np.array([[0.5, -3.0]])),
     "scale": lambda p, t: dc.scale(p, -1.7),
-    "tanh": lambda p, t: dc.tanh(p),
+    # dense: p is the input of a hidden layer, the weight of an output
+    # layer, a stacked (n, i, o) weight with its (n, 1, o) bias, or a
+    # shared (i, o) weight with its (o,) bias broadcast over (n, B)
+    "dense_hidden": lambda p, t: dc.dense(
+        p, np.array([[0.7, -1.1], [0.4, 0.9]]), np.array([0.2, -0.3]),
+        hidden=True),
+    "dense_output": lambda p, t: dc.dense(
+        np.array([[1.3], [-0.6]]), p, np.array([0.5, 0.1]), hidden=False),
+    "dense_stacked": lambda p, t: dc.dense(
+        _X_STACK, dc.reshape(p, (2, 1, 1)),
+        dc.reshape(dc.scale(p, -0.5), (2, 1, 1)), hidden=True),
+    "dense_shared": lambda p, t: dc.dense(
+        _X_STACK[:, :1], p, dc.reshape(dc.scale(p, 0.3), (2,)), hidden=True),
     "exp": lambda p, t: dc.exp(p),
     "clip": lambda p, t: dc.clip(p, -0.5, 0.5),
     "concat": lambda p, t: dc.concat([p, dc.mul(p, p)], axis=1),
@@ -187,6 +203,100 @@ def test_matmul_stacked_and_broadcast_gradients():
         return dc.reduce_sum(dc.mul(dc.add(a, b), mix))
 
     assert _fd_check(build, params) < 1e-4
+
+
+def _reference_tanh(a):
+    """The elementwise tanh the fused dense layer replaced: its own output
+    buffer and backward closure, adj * (1 - out^2)."""
+    out = np.tanh(a.data)
+
+    def bwd(adj, accum):
+        accum(a.node, adj * (1.0 - out * out))
+
+    return dc._record(a.tape, "tanh", (a,), out, bwd)
+
+
+@pytest.mark.parametrize("shapes", [
+    ((3, 5, 4), (3, 4, 6), (3, 1, 6)),  # stacked weights and biases
+    ((3, 5, 4), (4, 6), (6,)),          # one MLP shared over the stack
+    ((5, 4), (4, 6), (6,)),             # plain layer
+], ids=["stacked", "shared", "plain"])
+@pytest.mark.parametrize("hidden", [True, False], ids=["hidden", "output"])
+def test_dense_matches_unfused_composition_bit_for_bit(shapes, hidden):
+    rng = np.random.default_rng(12)
+    xs, ws, bs = shapes
+    mix = rng.standard_normal(xs[:-1] + ws[-1:])
+    grads = []
+    outs = []
+    for fused in (True, False):
+        params = dc.ParameterSet()
+        params.add("x", np.random.default_rng(13).standard_normal(xs))
+        params.add("w", np.random.default_rng(14).standard_normal(ws))
+        params.add("b", np.random.default_rng(15).standard_normal(bs))
+        tape = dc.Tape()
+        x, w, b = (params.tensor(tape, k) for k in ("x", "w", "b"))
+        if fused:
+            out = dc.dense(x, w, b, hidden=hidden)
+        else:
+            out = dc.add(dc.matmul(x, w), b)
+            if hidden:
+                out = _reference_tanh(out)
+        outs.append(out.data.copy())
+        dc.backward(tape, dc.reduce_sum(dc.mul(out, mix)))
+        grads.append({k: params.grads[k].copy() for k in ("x", "w", "b")})
+    assert np.array_equal(outs[0], outs[1])
+    for k in ("x", "w", "b"):
+        assert grads[0][k].any()
+        assert np.array_equal(grads[0][k], grads[1][k]), k
+
+
+def test_dense_rejects_mismatched_inner_dimensions():
+    with pytest.raises(dc.ShapeError, match="inner"):
+        dc.dense(np.zeros((2, 3)), np.zeros((4, 5)), np.zeros(5), hidden=True)
+
+
+@pytest.mark.parametrize("idx", [
+    np.array([3, 0, 3, 1, 0, 3, 2]),  # unsorted, repeated
+    np.zeros(15, dtype=int),          # 15-to-1 fan-in, as into the global node
+    np.array([2, 0, 3, 1]),           # all unique
+], ids=["repeated", "fan_in_15", "unique"])
+def test_gather_backward_matches_add_at_bit_for_bit(idx):
+    rng = np.random.default_rng(16)
+    n = int(idx.max()) + 1
+    params = dc.ParameterSet()
+    params.add("a", rng.standard_normal((n, 7, 3)))
+    mix = rng.standard_normal((idx.size, 7, 3))
+    tape = dc.Tape()
+    out = dc.gather(params.tensor(tape, "a"), idx)
+    dc.backward(tape, dc.reduce_sum(dc.mul(out, mix)))
+    want = np.zeros((n, 7, 3))
+    np.add.at(want, idx, mix)
+    assert np.array_equal(params.grads["a"], want)
+
+
+def test_nodes_without_parameters_upstream_have_no_backward():
+    params = dc.ParameterSet()
+    params.add("w", np.array([[0.5, -1.0]]))
+    tape = dc.Tape()
+    x = tape.leaf(np.array([[2.0], [3.0]]))
+    const = dc.exp(dc.mul(x, x))
+    taped = dc.dense(const, params.tensor(tape, "w"), np.zeros(2), hidden=True)
+    for t in (x, const):
+        assert not tape.nodes[t.node].needs_grad
+        assert tape.nodes[t.node].bwd is None
+    assert tape.nodes[taped.node].needs_grad
+    assert tape.nodes[taped.node].bwd is not None
+
+
+def test_backward_of_loss_without_parameters_leaves_gradients_zero():
+    params = dc.ParameterSet()
+    params.add("w", np.array([1.5, -2.0]))
+    tape = dc.Tape()
+    _ = dc.exp(params.tensor(tape, "w"))  # on the tape but not in the loss
+    x = tape.leaf(np.array([0.3, 0.4]))
+    loss = dc.reduce_sum(dc.mul(x, x))
+    dc.backward(tape, loss)
+    assert not params.grads["w"].any()
 
 
 def test_gather_and_stack_gradients():
@@ -438,9 +548,9 @@ def test_forward_and_gradients_deterministic_across_runs():
 
 def test_untaped_operations_evaluate_eagerly():
     a = dc.Tensor(np.array([1.0, 2.0]))
-    out = dc.tanh(dc.add(a, 1.0))
+    out = dc.exp(dc.add(a, 1.0))
     assert out.tape is None
-    assert np.allclose(out.data, np.tanh([2.0, 3.0]))
+    assert np.allclose(out.data, np.exp([2.0, 3.0]))
 
 
 def test_mlp_param_count():

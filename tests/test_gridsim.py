@@ -210,6 +210,55 @@ def test_dataset_csv_roundtrip():
         assert np.array_equal(back.missing[sid], ds.missing[sid])
 
 
+def _write_rows(path, rows):
+    with open(path, "w") as fh:
+        fh.write("timestamp,sensor_id,value,quality\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
+def test_csv_duplicate_row_rejected(tmp_path):
+    path = str(tmp_path / "dataset.csv")
+    _write_rows(path, [("2019-06-01T00:00:00Z", "p1:voltage", "239.1", "ok"),
+                       ("2019-06-01T00:15:00Z", "p1:voltage", "239.4", "ok"),
+                       ("2019-06-01T00:00:00Z", "p2:voltage", "238.0", "ok"),
+                       ("2019-06-01T00:15:00Z", "p1:voltage", "240.2", "ok")])
+    with pytest.raises(gridsim.SimulationError,
+                       match=r"'p1:voltage'.*duplicate.*2019-06-01T00:15:00Z"):
+        gridsim.TimeSeriesDataset.read_csv(path)
+
+
+def test_csv_duplicate_across_files_rejected(tmp_path):
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    _write_rows(a, [("2019-06-01T00:00:00Z", "wx:s1:temperature", "18", "ok")])
+    _write_rows(b, [("2019-06-01T00:00:00Z", "wx:s1:temperature", "19", "ok")])
+    with pytest.raises(gridsim.SimulationError, match="duplicate"):
+        gridsim.TimeSeriesDataset.read_csv(a, b)
+
+
+def test_csv_off_grid_timestamp_rejected(tmp_path):
+    path = str(tmp_path / "dataset.csv")
+    _write_rows(path, [("2019-06-01T00:00:00Z", "p1:voltage", "239.1", "ok"),
+                       ("2019-06-01T00:15:00Z", "p1:voltage", "239.4", "ok"),
+                       ("2019-06-01T00:37:00Z", "p2:voltage", "238.0", "ok")])
+    with pytest.raises(gridsim.SimulationError,
+                       match=r"'p2:voltage'.*2019-06-01T00:37:00Z.*off"):
+        gridsim.TimeSeriesDataset.read_csv(path)
+
+
+def test_csv_gap_reads_as_missing(tmp_path):
+    path = str(tmp_path / "dataset.csv")
+    _write_rows(path, [("2019-06-01T00:30:00Z", "p1:voltage", "239.4", "ok"),
+                       ("2019-06-01T00:00:00Z", "p1:voltage", "239.1", "ok"),
+                       ("2019-06-01T00:15:00Z", "p2:voltage", "238.0",
+                        "missing")])
+    ds = gridsim.TimeSeriesDataset.read_csv(path)
+    assert ds.n_steps == 3
+    assert np.array_equal(ds.series["p1:voltage"], [239.1, 0.0, 239.4])
+    assert np.array_equal(ds.missing["p1:voltage"], [False, True, False])
+    assert np.array_equal(ds.missing["p2:voltage"], [True, True, True])
+
+
 # ---------------------------------------------------------------------------
 # Exact Gaussian conditioning
 

@@ -227,6 +227,39 @@ def test_nll_packed_matches_plain_sum():
     assert float(loss.data) == pytest.approx(terms[mask > 0].sum())
 
 
+class _UnprunedTape(dc.Tape):
+    """Marks every leaf as needing a gradient, so backward forms every
+    adjoint and every operand product: the reference for pruning."""
+
+    def leaf(self, *args, **kwargs):
+        t = super().leaf(*args, **kwargs)
+        self.nodes[t.node].needs_grad = True
+        return t
+
+
+def test_pruned_training_step_matches_unpruned_gradients(pilot_world):
+    spec, dataset = pilot_world
+    schemas = derive_schemas(spec.topology)
+    cfg = TrainingConfig()
+    samples = build_samples(dataset, spec.topology, schemas, cfg)
+    model = GnnModel(spec.topology, schemas, GnnConfig())
+    model.init_parameters(3)
+    model.set_standardization(samples.stats.mean, samples.stats.std)
+    f, m, t, lm = samples.batch(np.arange(0, len(samples), 7)[:24])
+    grads, constants = [], []
+    for tape in (dc.Tape(), _UnprunedTape()):
+        mu, logvar = model.forward(f, m, tape=tape)
+        loss_sum, cnt = nll_loss_packed(mu, logvar, t, lm, tape)
+        dc.backward(tape, dc.scale(loss_sum, 1.0 / cnt))
+        grads.append({k: g.copy() for k, g in model.params.block_grads.items()})
+        constants.append(sum(not node.needs_grad for node in tape.nodes))
+        model.params.zero_grads()
+    assert constants[0] > 0 and constants[1] == 0
+    assert len(grads[0]) > 1 and all(g.any() for g in grads[0].values())
+    for key, g in grads[0].items():
+        assert np.array_equal(g, grads[1][key]), key
+
+
 # ---------------------------------------------------------------------------
 # train loop
 
