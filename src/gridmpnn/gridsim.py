@@ -18,12 +18,18 @@ weather as temperature (degC), irradiance (W/m2), cloud cover (0..1).
 Feeder load includes an unmetered base component on top of the metered
 prosumers, so feeder-level energy keeps conditional freedom given the
 prosumer channels.
+
+Datasets travel as ``timestamp,sensor_id,value,quality`` CSV files:
+``TimeSeriesDataset.write_csv`` formats a whole series per write, and
+``read_csv`` parses fixed-size text blocks column by column, rejecting
+malformed rows with the file and line.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -38,6 +44,11 @@ from .gridgraph import (FEEDER, GLOBAL, PROSUMER, SUBSTATION, GridTopology,
 STEP_MINUTES = 15
 SLOT_HOURS = STEP_MINUTES / 60.0
 _PHASES = ("a", "b", "c")
+# Characters ``read_csv`` reads per block: memory stays bounded by the
+# block, not by the file.
+CSV_BLOCK_CHARS = 1 << 20
+_QUALITY = ("ok", "missing")  # indexed by the missing flag
+_IS_MISSING = {"ok": False, "missing": True}
 
 
 class SimulationError(ValueError):
@@ -288,48 +299,72 @@ class TimeSeriesDataset:
 
     def write_csv(self, path: str, weather: Optional[bool] = None,
                   header_comment: Optional[str] = None) -> None:
-        stamps = self.timestamps()
+        """Write the series (all, or only weather or only grid ones) sorted
+        by id, one row per point, in the bytes ``csv.writer`` would write:
+        CRLF row ends and the sensor id quoted where it needs quotes.
+        Values keep 10 significant digits."""
+        # The rows of one series: the sensor id goes in at "\0", and one
+        # %-formatting call fills every value and quality slot.
+        rows = "".join([f"{t},\0,%.10g,%s\r\n" for t in self.timestamps()])
+        slots: list = [None] * (2 * self.n_steps)
         with open(path, "w", newline="") as fh:
             if header_comment:
                 fh.write(f"# {header_comment}\n")
-            w = csv.writer(fh)
-            w.writerow(["timestamp", "sensor_id", "value", "quality"])
+            fh.write("timestamp,sensor_id,value,quality\r\n")
             for sid in sorted(self.ids(weather)):
-                vals = self.series[sid]
-                miss = self.missing[sid]
-                for i in range(self.n_steps):
-                    w.writerow([stamps[i], sid, format(vals[i], ".10g"),
-                                "missing" if miss[i] else "ok"])
+                slots[0::2] = self.series[sid].tolist()
+                slots[1::2] = map(_QUALITY.__getitem__,
+                                  self.missing[sid].tolist())
+                quoted = _csv_field(sid).replace("%", "%%")
+                fh.write(rows.replace("\0", quoted) % tuple(slots))
 
     @classmethod
     def read_csv(cls, *paths: str) -> "TimeSeriesDataset":
         """Parse ``write_csv`` files into one dataset on the grid that
         starts at the earliest timestamp; points without a row are
-        missing. A row off that 15-minute grid, or a second row for a
-        (series, timestamp), raises ``SimulationError``."""
-        rows: dict[str, list[tuple[int, float, bool]]] = {}
+        missing.
+
+        Rows may end in LF or CRLF and come in any order; lines starting
+        with ``#`` are skipped anywhere, and the first other line of each
+        file is its header. A file is parsed a block of
+        ``CSV_BLOCK_CHARS`` characters at a time, column by column.
+        ``SimulationError`` is raised for a row without exactly four
+        fields, an unparsable timestamp or value, or a quality other than
+        ``ok``/``missing`` (naming the file and line); for a row off the
+        15-minute grid; and for a second row of a (series, timestamp)."""
         seconds: dict[str, int] = {}  # each distinct timestamp parsed once
+        codes: dict[str, int] = {}  # sensor id -> code, first appearance
+        blocks = []
         for path in paths:
-            with open(path, newline="") as fh:
-                lines = (ln for ln in fh if not ln.startswith("#"))
-                r = csv.reader(lines)
-                header = next(r)
-                for ts, sid, val, quality in r:
-                    sec = seconds.get(ts)
-                    if sec is None:
-                        sec = seconds[ts] = int(parse_timestamp(ts).timestamp())
-                    rows.setdefault(sid, []).append(
-                        (sec, float(val), quality == "missing"))
+            with open(path) as fh:
+                line_no = 2  # the line after the header
+                while fh.readline().startswith("#"):
+                    line_no += 1
+                for line0, text in _csv_blocks(fh, line_no):
+                    try:
+                        ts, sid, val, quality = _csv_columns(text)
+                        blocks.append((
+                            _coded(ts, seconds, _epoch_seconds),
+                            _coded(sid, codes, lambda s: len(codes)),
+                            np.fromiter(map(float, val), np.float64, len(val)),
+                            np.fromiter(map(_IS_MISSING.__getitem__, quality),
+                                        bool, len(quality))))
+                    except (ValueError, KeyError):
+                        raise _malformed(path, line0, text) from None
         if not seconds:
             raise SimulationError("no data rows found")
         t0, t1 = min(seconds.values()), max(seconds.values())
         n = (t1 - t0) // 900 + 1
         ds = cls(datetime.fromtimestamp(t0, tz=timezone.utc), n)
-        for sid, recs in rows.items():
-            secs, vals, miss = zip(*recs)
-            i, off = np.divmod(np.array(secs, dtype=np.int64) - t0, 900)
+        secs, code, vals, miss = (np.concatenate(c) for c in zip(*blocks))
+        order = np.argsort(code, kind="stable")  # file order within a series
+        secs, vals, miss = secs[order], vals[order], miss[order]
+        counts = np.bincount(code)
+        ends = np.cumsum(counts)
+        for sid, lo, hi in zip(codes, ends - counts, ends):
+            i, off = np.divmod(secs[lo:hi] - t0, 900)
             if off.any():
-                bad = secs[int(np.flatnonzero(off)[0])]
+                bad = int(secs[lo + np.flatnonzero(off)[0]])
                 raise SimulationError(
                     f"series {sid!r}: timestamp {_iso(bad)} is off the "
                     f"{STEP_MINUTES}-minute grid starting {_iso(t0)}")
@@ -339,11 +374,105 @@ class TimeSeriesDataset:
                 raise SimulationError(
                     f"series {sid!r}: duplicate rows at {_iso(dup)}")
             v = np.zeros(n)
-            v[i] = vals
+            v[i] = vals[lo:hi]
             m = np.ones(n, dtype=bool)
-            m[i] = miss
+            m[i] = miss[lo:hi]
             ds.add_series(sid, v, m)
         return ds
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes a field with ``QUOTE_MINIMAL``."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_blocks(fh, line_no: int):
+    """Yield (number of its first line, text) for runs of whole lines of
+    about ``CSV_BLOCK_CHARS`` characters read from ``fh``; each text ends
+    in a newline. Files are opened with universal newlines, so CRLF
+    arrives as LF."""
+    carry = ""
+    while chunk := fh.read(CSV_BLOCK_CHARS):
+        text = carry + chunk
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield line_no, text[:cut]
+            line_no += text.count("\n", 0, cut)
+        carry = text[cut:]
+    if carry:
+        yield line_no, carry + "\n"
+
+
+def _csv_columns(text: str) -> tuple[list[str], ...]:
+    """The (timestamp, sensor_id, value, quality) columns of the rows in
+    a block, ``#`` lines dropped. ValueError if a row has other than four
+    fields or a quoted field holds a line break."""
+    if "#" in text:
+        text = "\n".join(ln for ln in text.split("\n")
+                         if not ln.startswith("#"))
+    if not text:
+        return [], [], [], []
+    if '"' in text:  # quoted fields: only the csv module splits them right
+        rows = list(csv.reader(io.StringIO(text)))
+        # A row per line: a line break inside a quoted field is an error.
+        if (len(rows) != text.count("\n")
+                or any(len(r) != 4 for r in rows)):
+            raise ValueError("field count")
+        return tuple(list(col) for col in zip(*rows))
+    # Four fields a row: in order, the separators are ",,,\n" per row.
+    raw = np.frombuffer(text.encode(), np.uint8)
+    seps = raw[(raw == ord(",")) | (raw == ord("\n"))].tobytes()
+    if seps != b",,,\n" * (len(seps) // 4):
+        raise ValueError("field count")
+    fields = text.replace("\n", ",").split(",")
+    fields.pop()  # after the last newline
+    return fields[0::4], fields[1::4], fields[2::4], fields[3::4]
+
+
+def _epoch_seconds(timestamp: str) -> int:
+    return int(parse_timestamp(timestamp).timestamp())
+
+
+def _coded(column: list[str], table: dict[str, int], new) -> np.ndarray:
+    """``column`` mapped through ``table``; a string not in it yet is
+    added, in order of first appearance, as ``new(string)``."""
+    try:
+        return np.fromiter(map(table.__getitem__, column), np.int64,
+                           len(column))
+    except KeyError:
+        for key in dict.fromkeys(column):
+            if key not in table:
+                table[key] = new(key)
+        return np.fromiter(map(table.__getitem__, column), np.int64,
+                           len(column))
+
+
+def _malformed(path: str, line0: int, text: str) -> SimulationError:
+    """The error for the first bad row of a block starting at ``line0``."""
+    for no, line in enumerate(text.split("\n")[:-1], line0):
+        if line.startswith("#"):
+            continue
+        row = next(csv.reader([line]))
+        where = f"{path}, line {no}"
+        if len(row) != 4:
+            return SimulationError(
+                f"{where}: expected 4 fields (timestamp,sensor_id,value,"
+                f"quality), found {len(row)}")
+        ts, _, val, quality = row
+        try:
+            parse_timestamp(ts)
+        except ValueError:
+            return SimulationError(f"{where}: bad timestamp {ts!r}")
+        try:
+            float(val)
+        except ValueError:
+            return SimulationError(f"{where}: bad value {val!r}")
+        if quality not in _IS_MISSING:
+            return SimulationError(
+                f"{where}: quality {quality!r} is not 'ok' or 'missing'")
+    return SimulationError(f"{path}: malformed rows from line {line0}")
 
 
 # ---------------------------------------------------------------------------
@@ -613,9 +742,10 @@ def inject_missing(dataset: TimeSeriesDataset, rate: float,
         return out
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD15C0]))
     if pattern == "random":
-        flat = rng.choice(total, size=target, replace=False)
-        for ix in flat:
-            out.missing[sids[ix // n_per]][ix % n_per] = True
+        hit = np.zeros((len(sids), n_per), dtype=bool)
+        hit.flat[rng.choice(total, size=target, replace=False)] = True
+        for sid, row in zip(sids, hit):
+            out.missing[sid] |= row
         return out
     remaining = target
     flagged = {sid: out.missing[sid] for sid in sids}

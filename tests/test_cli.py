@@ -205,14 +205,27 @@ def test_out_of_range_config_size_exits_2(world, tmp_path, section, doc):
     assert not os.path.exists(tmp_path / "out" / "checkpoint.json")
 
 
-@pytest.mark.parametrize("fault", ["duplicate", "off_grid"])
+_FAULT_MESSAGES = {"duplicate": "duplicate",
+                   "off_grid": "off the 15-minute grid",
+                   "short_row": "expected 4 fields",
+                   "bad_value": "bad value",
+                   "bad_quality": "is not 'ok' or 'missing'"}
+
+
+@pytest.mark.parametrize("fault", list(_FAULT_MESSAGES))
 def test_malformed_dataset_csv_exits_2(world, tmp_path, capsys, fault):
     src = os.path.join(world["data_dir"], "dataset.csv")
     lines = open(src).read().splitlines()
-    ts, sid, value, quality = lines[-1].split(",")
+    row = lines[-1].split(",")
     if fault == "off_grid":  # hh:07, between two 15-minute steps
-        ts = ts[:len("2019-06-01T00:")] + "07:00Z"
-    lines.append(",".join([ts, sid, value, quality]))
+        row[0] = row[0][:len("2019-06-01T00:")] + "07:00Z"
+    elif fault == "short_row":
+        row.pop()
+    elif fault == "bad_value":
+        row[2] = "n/a"
+    elif fault == "bad_quality":
+        row[3] = "estimated"
+    lines.append(",".join(row))
     bad = str(tmp_path / "dataset.csv")
     with open(bad, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -223,8 +236,7 @@ def test_malformed_dataset_csv_exits_2(world, tmp_path, capsys, fault):
     with open(cfg_path, "w") as fh:
         json.dump(cfg, fh)
     assert main(["evaluate", "--config", cfg_path]) == 2
-    assert ("duplicate" if fault == "duplicate" else "off the 15-minute grid") \
-        in capsys.readouterr().err
+    assert _FAULT_MESSAGES[fault] in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "out" / "evaluation.json")
 
 

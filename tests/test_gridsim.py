@@ -2,6 +2,10 @@
 seeded determinism, missingness injection, and the exact Gaussian
 conditioning oracle (checked against grid quadrature)."""
 
+import csv
+import re
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
 
@@ -192,6 +196,25 @@ def test_inject_missing_rejects_rate_one():
         gridsim.inject_missing(ds, 1.0)
 
 
+@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("rate", [0.01, 0.1, 0.37])
+def test_inject_missing_random_flags_the_points_of_the_pointwise_loop(
+        seed, rate):
+    spec = gridsim.pilot_spec(seed=7)
+    ds = gridsim.simulate(spec, "2019-06-01T00:00:00Z", days=2.5, seed=0)
+    ds = gridsim.inject_missing(ds, 0.05, pattern="burst", seed=1)
+    out = gridsim.inject_missing(ds, rate, pattern="random", seed=seed)
+    # Reference: the one-point-at-a-time loop over rng.choice.
+    ref = ds.copy()
+    sids = sorted(ref.series)
+    n_per = ref.n_steps
+    total = len(sids) * n_per
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD15C0]))
+    for ix in rng.choice(total, size=int(rate * total), replace=False):
+        ref.missing[sids[ix // n_per]][ix % n_per] = True
+    assert out.equals(ref)
+
+
 def test_dataset_csv_roundtrip():
     spec = gridsim.pilot_spec(seed=7)
     ds = gridsim.simulate(spec, "2019-06-01T00:00:00Z", days=2.5, seed=0)
@@ -206,7 +229,8 @@ def test_dataset_csv_roundtrip():
     assert back.n_steps == ds.n_steps
     assert set(back.series) == set(ds.series)
     for sid in ds.series:
-        assert np.allclose(back.series[sid], ds.series[sid], atol=1e-8)
+        want = np.array([float(format(v, ".10g")) for v in ds.series[sid]])
+        assert np.array_equal(back.series[sid], want)
         assert np.array_equal(back.missing[sid], ds.missing[sid])
 
 
@@ -257,6 +281,170 @@ def test_csv_gap_reads_as_missing(tmp_path):
     assert np.array_equal(ds.series["p1:voltage"], [239.1, 0.0, 239.4])
     assert np.array_equal(ds.missing["p1:voltage"], [False, True, False])
     assert np.array_equal(ds.missing["p2:voltage"], [True, True, True])
+
+
+def _reference_write(ds, path, weather=None, header_comment=None):
+    """Row-by-row csv.writer output, the reference for write_csv."""
+    stamps = ds.timestamps()
+    with open(path, "w", newline="") as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        w = csv.writer(fh)
+        w.writerow(["timestamp", "sensor_id", "value", "quality"])
+        for sid in sorted(ds.ids(weather)):
+            for i in range(ds.n_steps):
+                w.writerow([stamps[i], sid, format(ds.series[sid][i], ".10g"),
+                            "missing" if ds.missing[sid][i] else "ok"])
+
+
+def _reference_read(*paths):
+    """Row-by-row csv.reader parse, the reference for read_csv."""
+    rows = {}
+    for path in paths:
+        with open(path, newline="") as fh:
+            r = csv.reader(ln for ln in fh if not ln.startswith("#"))
+            next(r)  # header
+            for ts, sid, val, quality in r:
+                sec = int(gridsim.parse_timestamp(ts).timestamp())
+                rows.setdefault(sid, []).append(
+                    (sec, float(val), quality == "missing"))
+    secs = [sec for recs in rows.values() for sec, _, _ in recs]
+    t0 = min(secs)
+    n = (max(secs) - t0) // 900 + 1
+    ds = gridsim.TimeSeriesDataset(
+        datetime.fromtimestamp(t0, tz=timezone.utc), n)
+    for sid, recs in rows.items():
+        v, m = np.zeros(n), np.ones(n, dtype=bool)
+        for sec, val, miss in recs:
+            v[(sec - t0) // 900], m[(sec - t0) // 900] = val, miss
+        ds.add_series(sid, v, m)
+    return ds
+
+
+def _assert_same_dataset(got, want):
+    assert list(got.series) == list(want.series)  # first-appearance order
+    assert got.equals(want)
+
+
+def _odd_dataset():
+    """A small dataset whose ids need quoting or hold % signs, and whose
+    values span the formats .10g produces."""
+    start = datetime(2019, 6, 1, tzinfo=timezone.utc)
+    ds = gridsim.TimeSeriesDataset(start, 4)
+    ds.add_series("p1:voltage", [239.123456789012, 240.0, 1e-300, 2.5e21])
+    ds.add_series('odd,id "x"', [-0.0, -1.25, 3.0, np.nan],
+                  missing=[False, True, False, True])
+    ds.add_series("wx:s1:temperature", [18.0, -3.5, 0.1, 1 / 3])
+    ds.add_series("f1:load %s 100%", [1.0, 2.0, 3.0, 4.0],
+                  missing=[True, True, False, False])
+    return ds
+
+
+def _simulated_dataset():
+    spec = gridsim.pilot_spec(seed=7)
+    ds = gridsim.simulate(spec, "2019-06-01T00:00:00Z", days=2.5, seed=0)
+    return gridsim.inject_missing(ds, 0.02, seed=1)
+
+
+@pytest.mark.parametrize("make", [_odd_dataset, _simulated_dataset],
+                         ids=["odd", "simulated"])
+@pytest.mark.parametrize("weather", [None, False, True])
+def test_write_csv_bytes_equal_csv_writer(tmp_path, make, weather):
+    ds = make()
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    ds.write_csv(str(got), weather=weather, header_comment="seed=1")
+    _reference_write(ds, str(want), weather=weather, header_comment="seed=1")
+    assert got.read_bytes() == want.read_bytes()
+    ds.write_csv(str(got), weather=weather)
+    _reference_write(ds, str(want), weather=weather)
+    assert got.read_bytes() == want.read_bytes()
+
+
+_UNORDERED_ROWS = (
+    "# made by hand\n"
+    "timestamp,sensor_id,value,quality\n"
+    "2019-06-01T00:30:00Z,p1:voltage,239.4,ok\n"
+    '2019-06-01T00:00:00Z,"odd,id ""x""",1.5,missing\n'
+    "# a comment between rows\n"
+    "2019-06-01T01:00:00Z,f1:load_p,-0.25,ok\n"
+    "2019-06-01T00:00:00Z,p1:voltage,239.1,ok\n"
+    "2019-06-01T00:45:00Z,\"odd,id \"\"x\"\"\",2e-3,ok\n"
+    "2019-06-01T00:15:00Z,f1:load_p,0.5,missing\n")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_read_csv_equals_csv_reader(tmp_path, newline):
+    path = tmp_path / "dataset.csv"
+    path.write_bytes(_UNORDERED_ROWS.replace("\n", newline).encode())
+    got = gridsim.TimeSeriesDataset.read_csv(str(path))
+    _assert_same_dataset(got, _reference_read(str(path)))
+    assert list(got.series) == ["p1:voltage", 'odd,id "x"', "f1:load_p"]
+    assert got.n_steps == 5  # 00:00 .. 01:00, gaps read as missing
+    assert np.array_equal(got.missing["p1:voltage"],
+                          [False, True, False, True, True])
+
+
+def test_read_csv_of_written_files_equals_csv_reader(tmp_path):
+    ds = _simulated_dataset()
+    ds.add_series('odd,id "x"', np.linspace(-1.0, 1.0, ds.n_steps))
+    paths = [str(tmp_path / "dataset.csv"), str(tmp_path / "weather.csv")]
+    ds.write_csv(paths[0], weather=False, header_comment="test")
+    ds.write_csv(paths[1], weather=True)
+    _assert_same_dataset(gridsim.TimeSeriesDataset.read_csv(*paths),
+                         _reference_read(*paths))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_read_csv_block_edges_change_nothing(tmp_path, monkeypatch, newline):
+    ds = _simulated_dataset().slice_steps(10, 16)  # after the hand-made rows
+    ds.add_series('odd,id "x"', np.arange(6.0))
+    written = tmp_path / "written.csv"
+    ds.write_csv(str(written), header_comment="x" * 150)  # spans blocks
+    text = (_UNORDERED_ROWS  # read_text turns CRLF into LF
+            + written.read_text().replace("timestamp,", "# timestamp,", 1)
+            + "# last line, no newline after it\n"
+            + "2019-06-01T01:15:00Z,f1:load_p,7,ok")
+    path = tmp_path / "dataset.csv"
+    path.write_bytes(text.replace("\n", newline).encode())
+    default = gridsim.TimeSeriesDataset.read_csv(str(path))
+    _assert_same_dataset(default, _reference_read(str(path)))
+    for block in (64, 7, 1):
+        monkeypatch.setattr(gridsim, "CSV_BLOCK_CHARS", block)
+        _assert_same_dataset(gridsim.TimeSeriesDataset.read_csv(str(path)),
+                             default)
+
+
+@pytest.mark.parametrize("block", [1 << 20, 64, 16])
+@pytest.mark.parametrize("rows, message", [
+    ("2019-06-01T00:15:00Z,p1:voltage,239.4", "expected 4 fields.*found 3"),
+    ("2019-06-01T00:15:00Z,p1:voltage,239.4,ok,9", "expected 4.*found 5"),
+    ("", "expected 4.*found 0"),
+    # A short row then a long one: field counts that only add up to 4s.
+    ("2019-06-01T00:15:00Z,p1:voltage,239.4\n"
+     "ok,2019-06-01T00:45:00Z,p1:voltage,239.0,ok", "expected 4.*found 3"),
+    ('2019-06-01T00:15:00Z,"p1:voltage",239.4', "expected 4.*found 3"),
+    # Sensor ids cannot hold line breaks.
+    ('2019-06-01T00:15:00Z,"p1:\nvoltage",239.4,ok', "expected 4.*found 2"),
+    ("2019-06-01T00:15:00Z,p1:voltage,high,ok", "bad value 'high'"),
+    ("2019-06-31T00:15:00Z,p1:voltage,239.4,ok",
+     "bad timestamp '2019-06-31T00:15:00Z'"),
+    ("2019-06-01T00:15:00Z,p1:voltage,239.4,OK",
+     "quality 'OK' is not 'ok' or 'missing'"),
+], ids=["short", "long", "blank", "short_then_long", "quoted_short",
+        "quoted_line_break", "value", "timestamp", "quality"])
+def test_csv_malformed_row_names_file_and_line(tmp_path, monkeypatch, block,
+                                               rows, message):
+    monkeypatch.setattr(gridsim, "CSV_BLOCK_CHARS", block)
+    path = tmp_path / "dataset.csv"
+    path.write_text("# comment\n"
+                    "timestamp,sensor_id,value,quality\n"
+                    "2019-06-01T00:00:00Z,p1:voltage,239.1,ok\n"
+                    "# another comment\n"
+                    f"{rows}\n"
+                    "2019-06-01T00:30:00Z,p1:voltage,239.0,ok\n")
+    with pytest.raises(gridsim.SimulationError,
+                       match=re.escape(f"{path}, line 5: ") + message):
+        gridsim.TimeSeriesDataset.read_csv(str(path))
 
 
 # ---------------------------------------------------------------------------
