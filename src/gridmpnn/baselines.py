@@ -23,6 +23,7 @@ from . import diffcore as dc
 from .diffcore import ContractError, ParameterSet, Tape
 from .gridgraph import GridTopology, NodeSchema, total_feature_dim, total_latent_dim
 from .mpnn import VAR_CLAMP_HI, VAR_CLAMP_LO, ModelBase
+from .services import predict_voltages
 
 
 class MetricError(ValueError):
@@ -162,11 +163,6 @@ def mape_with_counts(actual, predicted) -> tuple[float, int, int]:
     return value, int(nonzero.sum()), excluded
 
 
-def mape(actual, predicted) -> float:
-    """Mean absolute percentage error over nonzero-actual entries."""
-    return mape_with_counts(actual, predicted)[0]
-
-
 def rmse(actual, predicted) -> float:
     a = np.asarray(actual, float).reshape(-1)
     p = np.asarray(predicted, float).reshape(-1)
@@ -184,37 +180,21 @@ def rmse(actual, predicted) -> float:
 def evaluate_voltage_prediction(model, samples, schemas: dict[str, NodeSchema],
                                 max_iterations: int = 20,
                                 tolerance: float = 1e-3) -> dict:
-    """Mask every current-time voltage channel, impute, and score the
-    predictions against the known targets in physical units.
+    """Score ``services.predict_voltages`` against the known voltage
+    targets in physical units.
 
-    Returns {"mape", "rmse", "n", "iterations": per-sample first-hit}.
+    Returns {"mape", "rmse", "n", "iterations": per-sample first-hit,
+    "final_delta"}.
     """
-    from .imputation import impute_packed
-    from .training import mask_channels, voltage_lag0_selector
-
-    sel = voltage_lag0_selector(schemas, samples.groups)
-    feats, masks = mask_channels(samples.features, samples.input_mask, sel)
-    values, mu, sigma, first_hit, final_delta = impute_packed(
-        model, feats, masks, max_iterations=max_iterations, tolerance=tolerance)
-
-    actual_all, pred_all = [], []
-    for g in samples.groups:
-        flags = sel[g.key]
-        if not flags.any():
-            continue
-        known = samples.loss_mask[g.key] > 0
-        use = np.broadcast_to(flags[:, None, :], known.shape) & known
-        std = np.stack([model.std_std[nid] for nid in g.node_ids])[:, None, :]
-        mean = np.stack([model.std_mean[nid] for nid in g.node_ids])[:, None, :]
-        actual = samples.targets[g.key] * std + mean
-        pred = mu[g.key] * std + mean
-        actual_all.append(actual[use])
-        pred_all.append(pred[use])
-    actual = np.concatenate(actual_all)
-    pred = np.concatenate(pred_all)
-    m, n_used, _ = mape_with_counts(actual, pred)
-    return {"mape": m, "rmse": rmse(actual, pred), "n": n_used,
-            "iterations": first_hit, "final_delta": final_delta}
+    pred = predict_voltages(model, samples, schemas, max_iterations,
+                            tolerance)
+    actual = np.concatenate([pred.actual[k][use]
+                             for k, use in pred.known.items()])
+    predicted = np.concatenate([pred.mu[k][use]
+                                for k, use in pred.known.items()])
+    m, n_used, _ = mape_with_counts(actual, predicted)
+    return {"mape": m, "rmse": rmse(actual, predicted), "n": n_used,
+            "iterations": pred.first_hit, "final_delta": pred.final_delta}
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ _PHASES = ("a", "b", "c")
 # Characters ``read_csv`` reads per block: memory stays bounded by the
 # block, not by the file.
 CSV_BLOCK_CHARS = 1 << 20
+_CSV_HEADER = "timestamp,sensor_id,value,quality"
 _QUALITY = ("ok", "missing")  # indexed by the missing flag
 _IS_MISSING = {"ok": False, "missing": True}
 
@@ -310,7 +311,7 @@ class TimeSeriesDataset:
         with open(path, "w", newline="") as fh:
             if header_comment:
                 fh.write(f"# {header_comment}\n")
-            fh.write("timestamp,sensor_id,value,quality\r\n")
+            fh.write(_CSV_HEADER + "\r\n")
             for sid in sorted(self.ids(weather)):
                 slots[0::2] = self.series[sid].tolist()
                 slots[1::2] = map(_QUALITY.__getitem__,
@@ -326,21 +327,27 @@ class TimeSeriesDataset:
 
         Rows may end in LF or CRLF and come in any order; lines starting
         with ``#`` are skipped anywhere, and the first other line of each
-        file is its header. A file is parsed a block of
-        ``CSV_BLOCK_CHARS`` characters at a time, column by column.
-        ``SimulationError`` is raised for a row without exactly four
-        fields, an unparsable timestamp or value, or a quality other than
-        ``ok``/``missing`` (naming the file and line); for a row off the
-        15-minute grid; and for a second row of a (series, timestamp)."""
+        file must be the header ``timestamp,sensor_id,value,quality``. A
+        file is parsed a block of ``CSV_BLOCK_CHARS`` characters at a
+        time, column by column. ``SimulationError`` is raised for any
+        other header, a row without exactly four fields, an unparsable
+        timestamp or value, or a quality other than ``ok``/``missing``
+        (naming the file and line); for a row off the 15-minute grid; and
+        for a second row of a (series, timestamp)."""
         seconds: dict[str, int] = {}  # each distinct timestamp parsed once
         codes: dict[str, int] = {}  # sensor id -> code, first appearance
         blocks = []
         for path in paths:
             with open(path) as fh:
-                line_no = 2  # the line after the header
-                while fh.readline().startswith("#"):
+                line_no = 1
+                while (line := fh.readline()).startswith("#"):
                     line_no += 1
-                for line0, text in _csv_blocks(fh, line_no):
+                header = line.rstrip("\n")
+                if line and header != _CSV_HEADER:
+                    raise SimulationError(
+                        f"{path}, line {line_no}: expected the header "
+                        f"{_CSV_HEADER}, found {header!r}")
+                for line0, text in _csv_blocks(fh, line_no + 1):
                     try:
                         ts, sid, val, quality = _csv_columns(text)
                         blocks.append((

@@ -5,8 +5,9 @@ mean) in ``impute`` and at whatever values they are given in
 ``impute_packed``; then the model's feed-forward pass repeatedly
 replaces them with the decoded means until the largest standardized
 update falls below the tolerance. Observed entries are
-never modified. Voltage prediction, state estimation and bid estimation
-are all specializations of this loop.
+never modified. Voltage prediction (``services.predict_voltages``),
+state estimation and bid estimation are all specializations of this
+loop.
 
 Batches iterate per sample: each sample exits at its own first hit, so
 the forwards shrink as samples converge and a batched result does not
@@ -15,13 +16,11 @@ depend on the other samples in the batch.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gridgraph import VOLTAGE, NodeSchema
-from .mpnn import NodePrediction
+from .gridgraph import NodeSchema
 
 
 class ImputationError(ValueError):
@@ -30,16 +29,10 @@ class ImputationError(ValueError):
 
 @dataclass
 class ImputationProblem:
-    """Physical-unit snapshot with an observed-mask and query channels.
-
-    ``query_channels`` (list of (node_id, channel_name)) selects what the
-    report focuses on; it must be a subset of the unobserved channels.
-    Empty means "all unobserved channels".
-    """
+    """Physical-unit snapshot with an observed-mask."""
 
     features: dict[str, np.ndarray]
     observed: dict[str, np.ndarray]
-    query_channels: list[tuple[str, str]] = field(default_factory=list)
     max_iterations: int = 20
     tolerance: float = 1e-3  # normalized (standardized units), L-infinity
 
@@ -65,9 +58,6 @@ class ImputationResult:
                 }
         return {"channels": channels, "iterations": self.iterations,
                 "converged": self.converged}
-
-    def report_json(self, schemas: dict[str, NodeSchema]) -> str:
-        return json.dumps(self.report_document(schemas), indent=2, sort_keys=True)
 
 
 def impute_packed(model, features: dict[str, np.ndarray],
@@ -138,11 +128,6 @@ def impute(model, problem: ImputationProblem) -> ImputationResult:
     obs = {nid: np.asarray(problem.observed[nid], bool) for nid in node_ids}
     if not any(o.any() for o in obs.values()):
         raise ImputationError("at least one entry must be observed")
-    for nid, ch in problem.query_channels:
-        c = model.schemas[nid].channel_index()[ch]
-        if obs[nid][c]:
-            raise ImputationError(
-                f"query channel {nid}:{ch} is observed, nothing to impute")
 
     std_f = {}
     for nid in node_ids:
@@ -170,39 +155,3 @@ def impute(model, problem: ImputationProblem) -> ImputationResult:
         sigma[nid] = sig_std[nid] * model.std_std[nid]
     return ImputationResult(values, sigma, {nid: obs[nid] for nid in node_ids},
                             iterations, bool(converged))
-
-
-def voltage_channel_indices(schema: NodeSchema) -> list[int]:
-    """Indices of current-time voltage channels in a node's feature vector."""
-    return [c for c, ch in enumerate(schema.channels())
-            if ch.category == VOLTAGE and ch.lag == 0]
-
-
-def predict_voltages(model, features: dict[str, np.ndarray],
-                     observed: dict[str, np.ndarray],
-                     max_iterations: int = 20,
-                     tolerance: float = 1e-3) -> dict[str, NodePrediction]:
-    """Voltage prediction as imputation: mask every current-time voltage
-    channel, impute, and report mu/sigma per prosumer node (physical V)."""
-    masked = {nid: np.asarray(observed[nid], bool).copy()
-              for nid in model.topology.ids()}
-    queries = []
-    for nid, schema in model.schemas.items():
-        for c in voltage_channel_indices(schema):
-            masked[nid][c] = False
-            queries.append((nid, schema.channels()[c].name))
-    problem = ImputationProblem(features=features, observed=masked,
-                                query_channels=queries,
-                                max_iterations=max_iterations,
-                                tolerance=tolerance)
-    result = impute(model, problem)
-    out = {}
-    for nid, schema in model.schemas.items():
-        idx = voltage_channel_indices(schema)
-        if not idx:
-            continue
-        out[nid] = NodePrediction(
-            nid,
-            mu=result.values[nid][idx],
-            var=np.square(result.sigma[nid][idx]))
-    return out

@@ -75,19 +75,6 @@ class GnnConfig:
 
 
 @dataclass
-class NodePrediction:
-    """Per-node mean and diagonal variance in physical units."""
-
-    node_id: str
-    mu: np.ndarray
-    var: np.ndarray
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return np.sqrt(self.var)
-
-
-@dataclass
 class NodeGroup:
     key: str
     node_ids: list[str]

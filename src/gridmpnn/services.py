@@ -1,12 +1,18 @@
-"""Operator-facing analytics: congestion flagging and flexibility bids.
+"""Operator-facing analytics on one voltage prediction: congestion flags
+and flexibility bids.
 
-A congestion is flagged when the predicted voltage mean clears the
-threshold by at least ``z`` standard deviations (one-sided Z-test); the
-exceedance probability reported is Phi(z_score). A flexibility bid is
-estimated by clamping the affected voltage channels to the target value
-(as observed), masking the energy channels at the corresponding feeder
-and substation, re-running imputation, and reading off the energy delta
-that the model deems consistent with the clamped voltage.
+``predict_voltages`` is the voltage-prediction service: it masks every
+current-time voltage channel of a sample batch, imputes them in one
+``impute_packed`` pass and returns mu and sigma next to the actual
+voltages, in volts. ``baselines.evaluate_voltage_prediction`` scores it
+and ``scan_congestions`` flags from it. A congestion is flagged when the
+predicted mean clears the threshold by at least ``z`` standard
+deviations, the one-sided Z-test of ``z_scores``; the exceedance
+probability reported is Phi(z_score). A flexibility bid is estimated by
+clamping the affected voltage channels to the target value (as
+observed), masking the energy channels at the corresponding feeder and
+substation, re-running imputation, and reading off the energy delta that
+the model deems consistent with the clamped voltage.
 """
 
 from __future__ import annotations
@@ -20,9 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .gridgraph import ENERGY, NodeSchema
-from .imputation import (ImputationProblem, impute, impute_packed,
-                         voltage_channel_indices)
-from .mpnn import NodePrediction
+from .imputation import ImputationProblem, impute, impute_packed
+from .training import mask_channels, voltage_lag0_selector
 
 
 def phi(z: float) -> float:
@@ -32,6 +37,61 @@ def phi(z: float) -> float:
     if math.isinf(z):
         return 1.0 if z > 0 else 0.0
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+
+@dataclass
+class VoltagePrediction:
+    """Voltages predicted for a sample batch, in volts. Per group with a
+    current-time voltage channel: ``flags`` (n_nodes, q) marks those
+    channels; ``mu``, ``sigma`` and ``actual`` are (n_nodes, B, q);
+    ``known`` is True where a channel is flagged and its actual is known.
+    ``first_hit`` and ``final_delta`` are the imputation's, per sample
+    (see ``impute_packed``)."""
+
+    flags: dict[str, np.ndarray]
+    mu: dict[str, np.ndarray]
+    sigma: dict[str, np.ndarray]
+    actual: dict[str, np.ndarray]
+    known: dict[str, np.ndarray]
+    first_hit: np.ndarray
+    final_delta: np.ndarray
+
+
+def predict_voltages(model, samples, schemas: dict[str, NodeSchema],
+                     max_iterations: int = 20,
+                     tolerance: float = 1e-3) -> VoltagePrediction:
+    """Mask every current-time voltage channel of the samples, impute them
+    in one batched pass and un-standardize the prediction."""
+    sel = voltage_lag0_selector(schemas, samples.groups)
+    feats, masks = mask_channels(samples.features, samples.input_mask, sel)
+    _, mu, sigma, first_hit, final_delta = impute_packed(
+        model, feats, masks, max_iterations=max_iterations, tolerance=tolerance)
+    pred = VoltagePrediction({}, {}, {}, {}, {}, first_hit, final_delta)
+    for g in samples.groups:
+        flags = sel[g.key]
+        if not flags.any():
+            continue
+        std = np.stack([model.std_std[nid] for nid in g.node_ids])[:, None, :]
+        mean = np.stack([model.std_mean[nid] for nid in g.node_ids])[:, None, :]
+        pred.flags[g.key] = flags
+        pred.mu[g.key] = mu[g.key] * std + mean
+        pred.sigma[g.key] = sigma[g.key] * std
+        pred.actual[g.key] = samples.targets[g.key] * std + mean
+        pred.known[g.key] = flags[:, None, :] & (samples.loss_mask[g.key] > 0)
+    return pred
+
+
+def z_scores(mu, sigma, threshold_v: float, direction: str) -> np.ndarray:
+    """One-sided Z-test statistic per entry: (mu - threshold) / sigma for
+    ``over``, (threshold - mu) / sigma for ``under``. Where sigma is 0 the
+    score is +inf if the margin is positive and -inf otherwise, so the
+    test degenerates to a strict mean/threshold comparison."""
+    if direction not in ("over", "under"):
+        raise ValueError(f"unknown direction {direction!r}")
+    mu, sigma = np.asarray(mu, float), np.asarray(sigma, float)
+    margin = mu - threshold_v if direction == "over" else threshold_v - mu
+    return np.where(sigma > 0, margin / np.maximum(sigma, 1e-300),
+                    np.where(margin > 0, np.inf, -np.inf))
 
 
 @dataclass
@@ -65,39 +125,6 @@ class CongestionEvent:
             "exceedance_probability": self.exceedance_probability,
             "direction": self.direction,
         }
-
-
-def detect_congestions(predictions: dict[str, NodePrediction],
-                       schemas: dict[str, NodeSchema],
-                       threshold_v: float = 240.0, z: float = 1.0,
-                       timestamp: int = 0,
-                       direction: str = "over") -> list[CongestionEvent]:
-    """Scan voltage-channel predictions and emit one event per channel
-    whose z-score reaches ``z``. With sigma == 0 the test degenerates to a
-    strict mean/threshold comparison."""
-    if direction not in ("over", "under"):
-        raise ValueError(f"unknown direction {direction!r}")
-    events = []
-    for nid, pred in sorted(predictions.items()):
-        schema = schemas[nid]
-        idx = voltage_channel_indices(schema)
-        names = [schema.channels()[c].name for c in idx]
-        for k, name in enumerate(names):
-            mu = float(pred.mu[k]) if len(pred.mu) == len(names) else float(pred.mu[idx[k]])
-            sigma = (float(pred.sigma[k]) if len(pred.mu) == len(names)
-                     else float(pred.sigma[idx[k]]))
-            margin = (mu - threshold_v) if direction == "over" else (threshold_v - mu)
-            if sigma > 0.0:
-                score = margin / sigma
-            else:
-                score = math.inf if margin > 0 else -math.inf
-            if score >= z:
-                events.append(CongestionEvent(
-                    node_id=nid, phase=name, timestamp=int(timestamp),
-                    threshold=threshold_v, mu=mu, sigma=sigma,
-                    z_score=score, exceedance_probability=phi(score),
-                    direction=direction))
-    return events
 
 
 # ---------------------------------------------------------------------------
@@ -194,53 +221,36 @@ def scan_congestions(model, samples, schemas: dict[str, NodeSchema],
                      threshold_v: float = 240.0, z: float = 1.0,
                      direction: str = "over",
                      max_iterations: int = 20, tolerance: float = 1e-3):
-    """Predict voltages for every sample (imputation with voltage masked)
-    and flag congestions. Returns (events, plot_rows) where plot_rows hold
-    (timestamp, node, phase, actual, mu, lo, hi, threshold, flagged)."""
-    from .training import mask_channels, voltage_lag0_selector
-
-    sel = voltage_lag0_selector(schemas, samples.groups)
-    feats, masks = mask_channels(samples.features, samples.input_mask, sel)
-    values, mu, sigma, first_hit, final_delta = impute_packed(
-        model, feats, masks, max_iterations=max_iterations, tolerance=tolerance)
-
+    """Flag congestions on ``predict_voltages``. Returns (events,
+    plot_rows) where plot_rows hold (timestamp, node, phase, actual, mu,
+    lo, hi, threshold, flagged), channel by channel in group order."""
+    pred = predict_voltages(model, samples, schemas, max_iterations,
+                            tolerance)
+    timestamps = [int(t) for t in samples.timestamps]
     events: list[CongestionEvent] = []
     plot_rows: list[dict] = []
     for g in samples.groups:
-        flags = sel[g.key]
-        if not flags.any():
+        if g.key not in pred.flags:
             continue
-        for j, nid in enumerate(g.node_ids):
-            schema = schemas[nid]
-            std, mean = model.std_std[nid], model.std_mean[nid]
-            for c in np.where(flags[j])[0]:
-                name = schema.channels()[c].name
-                mu_phys = mu[g.key][j, :, c] * std[c] + mean[c]
-                sig_phys = sigma[g.key][j, :, c] * std[c]
-                actual = samples.targets[g.key][j, :, c] * std[c] + mean[c]
-                known = samples.loss_mask[g.key][j, :, c] > 0
-                margin = (mu_phys - threshold_v if direction == "over"
-                          else threshold_v - mu_phys)
-                score = np.where(sig_phys > 0, margin / np.maximum(sig_phys, 1e-300),
-                                 np.where(margin > 0, np.inf, -np.inf))
-                flagged = score >= z
-                for i in range(len(mu_phys)):
-                    ts = int(samples.timestamps[i])
-                    if flagged[i]:
-                        events.append(CongestionEvent(
-                            node_id=nid, phase=name, timestamp=ts,
-                            threshold=threshold_v, mu=float(mu_phys[i]),
-                            sigma=float(sig_phys[i]), z_score=float(score[i]),
-                            exceedance_probability=phi(float(score[i])),
-                            direction=direction))
-                    plot_rows.append({
-                        "timestamp": ts, "node_id": nid, "phase": name,
-                        "actual": float(actual[i]) if known[i] else "",
-                        "mu": float(mu_phys[i]),
-                        "lo": float(mu_phys[i] - 2 * sig_phys[i]),
-                        "hi": float(mu_phys[i] + 2 * sig_phys[i]),
-                        "threshold": threshold_v,
-                        "flagged": int(flagged[i])})
+        mu, sigma = pred.mu[g.key], pred.sigma[g.key]
+        score = z_scores(mu, sigma, threshold_v, direction)
+        columns = (mu, sigma, mu - 2 * sigma, mu + 2 * sigma, score,
+                   score >= z, pred.actual[g.key], pred.known[g.key])
+        for j, c in zip(*np.nonzero(pred.flags[g.key])):
+            nid = g.node_ids[j]
+            name = schemas[nid].channels()[c].name
+            rows = zip(timestamps, *(col[j, :, c].tolist() for col in columns))
+            for ts, m, s, lo, hi, sc, flagged, actual, known in rows:
+                if flagged:
+                    events.append(CongestionEvent(
+                        node_id=nid, phase=name, timestamp=ts,
+                        threshold=threshold_v, mu=m, sigma=s, z_score=sc,
+                        exceedance_probability=phi(sc), direction=direction))
+                plot_rows.append({
+                    "timestamp": ts, "node_id": nid, "phase": name,
+                    "actual": actual if known else "", "mu": m,
+                    "lo": lo, "hi": hi, "threshold": threshold_v,
+                    "flagged": int(flagged)})
     events.sort(key=lambda e: (e.timestamp, e.node_id, e.phase))
     return events, plot_rows
 

@@ -9,7 +9,7 @@ import pytest
 from gridmpnn import gridsim
 from gridmpnn.gridgraph import NodeSchema, load_topology
 from gridmpnn.mpnn import GnnConfig, GnnModel
-from gridmpnn.training import (TrainingConfig, build_samples,
+from gridmpnn.training import (ChannelStats, TrainingConfig, build_samples,
                                chronological_split, concat_sample_sets,
                                masked_clones, train, voltage_lag0_selector)
 
@@ -45,6 +45,13 @@ def chain_dataset(n: int, seed: int = 0) -> gridsim.TimeSeriesDataset:
     for j, name in enumerate(joint.names):
         ds.add_series(name, draws[:, j])
     return ds
+
+
+def chain_samples(model, n: int, seed: int = 0):
+    """Chain-world samples standardized with the model's statistics."""
+    return build_samples(chain_dataset(n, seed=seed), chain_topology(),
+                         chain_schemas(), TrainingConfig(),
+                         stats=ChannelStats(model.std_mean, model.std_std))
 
 
 def train_chain_model(n_samples: int, max_epochs: int, seed: int = 0,

@@ -209,7 +209,8 @@ _FAULT_MESSAGES = {"duplicate": "duplicate",
                    "off_grid": "off the 15-minute grid",
                    "short_row": "expected 4 fields",
                    "bad_value": "bad value",
-                   "bad_quality": "is not 'ok' or 'missing'"}
+                   "bad_quality": "is not 'ok' or 'missing'",
+                   "no_header": "line 2: expected the header"}
 
 
 @pytest.mark.parametrize("fault", list(_FAULT_MESSAGES))
@@ -225,7 +226,10 @@ def test_malformed_dataset_csv_exits_2(world, tmp_path, capsys, fault):
         row[2] = "n/a"
     elif fault == "bad_quality":
         row[3] = "estimated"
-    lines.append(",".join(row))
+    if fault == "no_header":  # drop the header under simulate's comment
+        del lines[1]
+    else:
+        lines.append(",".join(row))
     bad = str(tmp_path / "dataset.csv")
     with open(bad, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -265,6 +269,20 @@ def test_bid_runs_and_writes_jsonl(world):
     rc = main(["bid", "--config", world["cfg_path"]])
     assert rc == 0
     assert os.path.exists(os.path.join(world["out_dir"], "bids.jsonl"))
+
+
+@pytest.mark.parametrize("command, artifact", [("congest", "events.jsonl"),
+                                               ("bid", "bids.jsonl")])
+def test_unknown_direction_exits_2(world, tmp_path, capsys, command, artifact):
+    cfg = json.loads(json.dumps(world["cfg"]))
+    cfg["services"]["direction"] = "sideways"
+    cfg["paths"]["out_dir"] = str(tmp_path / "out")
+    cfg_path = str(tmp_path / "sideways.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main([command, "--config", cfg_path]) == 2
+    assert "unknown direction 'sideways'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / artifact)
 
 
 def test_bench_writes_comparison_and_sweep(world, tmp_path):

@@ -430,20 +430,26 @@ def test_read_csv_block_edges_change_nothing(tmp_path, monkeypatch, newline):
      "bad timestamp '2019-06-31T00:15:00Z'"),
     ("2019-06-01T00:15:00Z,p1:voltage,239.4,OK",
      "quality 'OK' is not 'ok' or 'missing'"),
+    # Without its header a file would silently lose its first row.
+    (None, "expected the header timestamp,sensor_id,value,quality, "
+           "found '2019-06-01T00:00:00Z,p1:voltage,239.1,ok'"),
 ], ids=["short", "long", "blank", "short_then_long", "quoted_short",
-        "quoted_line_break", "value", "timestamp", "quality"])
+        "quoted_line_break", "value", "timestamp", "quality", "no_header"])
 def test_csv_malformed_row_names_file_and_line(tmp_path, monkeypatch, block,
                                                rows, message):
     monkeypatch.setattr(gridsim, "CSV_BLOCK_CHARS", block)
+    header, line = "timestamp,sensor_id,value,quality\n", 5
+    if rows is None:  # no header: the first row stands where it belongs
+        header, rows, line = "", "2019-06-01T00:15:00Z,p1:voltage,239.4,ok", 2
     path = tmp_path / "dataset.csv"
     path.write_text("# comment\n"
-                    "timestamp,sensor_id,value,quality\n"
+                    f"{header}"
                     "2019-06-01T00:00:00Z,p1:voltage,239.1,ok\n"
                     "# another comment\n"
                     f"{rows}\n"
                     "2019-06-01T00:30:00Z,p1:voltage,239.0,ok\n")
     with pytest.raises(gridsim.SimulationError,
-                       match=re.escape(f"{path}, line 5: ") + message):
+                       match=re.escape(f"{path}, line {line}: ") + message):
         gridsim.TimeSeriesDataset.read_csv(str(path))
 
 

@@ -1,15 +1,16 @@
 """Imputation loop mechanics: pass-through, fixpoint behavior, reports."""
 
-import json
-
 import numpy as np
 import pytest
 
+from gridmpnn.gridgraph import NodeSchema
 from gridmpnn.imputation import (ImputationError, ImputationProblem, impute,
-                                 impute_packed, predict_voltages,
-                                 voltage_channel_indices)
+                                 impute_packed)
+from gridmpnn.mpnn import compute_groups
+from gridmpnn.services import predict_voltages
+from gridmpnn.training import voltage_lag0_selector
 
-from conftest import chain_schemas, chain_topology
+from conftest import chain_samples, chain_schemas, chain_topology
 
 
 def _problem(model, observed_x=(1.2, 0.4, None), **kwargs):
@@ -58,13 +59,6 @@ def test_at_least_one_observation_required(quick_chain_model):
     with pytest.raises(ImputationError):
         impute(quick_chain_model, ImputationProblem(features=feats,
                                                     observed=obs))
-
-
-def test_query_channel_must_be_unobserved(quick_chain_model):
-    problem = _problem(quick_chain_model, (1.2, 0.4, -0.3),
-                       query_channels=[("f", "x")])
-    with pytest.raises(ImputationError, match="observed"):
-        impute(quick_chain_model, problem)
 
 
 def test_non_convergence_is_flagged_not_fatal(quick_chain_model):
@@ -147,7 +141,7 @@ def test_max_iterations_must_be_positive(quick_chain_model):
 def test_report_json_structure(quick_chain_model):
     problem = _problem(quick_chain_model, (1.2, 0.4, None))
     result = impute(quick_chain_model, problem)
-    doc = json.loads(result.report_json(quick_chain_model.schemas))
+    doc = result.report_document(quick_chain_model.schemas)
     assert set(doc) == {"channels", "iterations", "converged"}
     assert doc["channels"]["f:x"]["was_observed"] is False
     assert doc["channels"]["g:x"]["value"] == 1.2
@@ -155,19 +149,30 @@ def test_report_json_structure(quick_chain_model):
 
 
 def test_predict_voltages_emits_mu_and_sigma_band(quick_chain_model):
-    feats = {"g": np.array([1.0]), "s": np.array([0.5]),
-             "f": np.array([123.0])}  # voltage value present but ignored
-    obs = {nid: np.array([True]) for nid in feats}
-    preds = predict_voltages(quick_chain_model, feats, obs)
-    assert set(preds) == {"f"}  # only the voltage-carrying node
-    band = (preds["f"].mu[0] - 2 * preds["f"].sigma[0],
-            preds["f"].mu[0] + 2 * preds["f"].sigma[0])
-    assert band[0] < preds["f"].mu[0] < band[1]
-    # prediction conditions on s, not on the masked actual
-    assert abs(preds["f"].mu[0] - 123.0) > 10
+    model = quick_chain_model
+    samples = chain_samples(model, 60, seed=7)
+    pred = predict_voltages(model, samples, model.schemas)
+    assert list(pred.flags) == ["feeder:1:1"]  # the voltage-carrying node
+    assert pred.known["feeder:1:1"].all()
+    assert (pred.sigma["feeder:1:1"] > 0).all()
+    assert len(pred.first_hit) == len(samples)
+    # the prediction conditions on g and s, not on the masked voltages
+    moved = samples.select(np.arange(len(samples)))
+    moved.features["feeder:1:1"] += 5.0
+    moved.targets["feeder:1:1"] += 5.0
+    again = predict_voltages(model, moved, model.schemas)
+    assert np.array_equal(again.mu["feeder:1:1"], pred.mu["feeder:1:1"])
+    assert np.array_equal(again.sigma["feeder:1:1"], pred.sigma["feeder:1:1"])
+    assert not np.array_equal(again.actual["feeder:1:1"],
+                              pred.actual["feeder:1:1"])
 
 
 def test_voltage_channel_indices():
-    schemas = chain_schemas()
-    assert voltage_channel_indices(schemas["f"]) == [0]
-    assert voltage_channel_indices(schemas["g"]) == []
+    # only current-time voltage channels are masked and predicted
+    schemas = {**chain_schemas(), "f": NodeSchema(
+        "f", [("v", "voltage"), ("e", "energy")], [1], [], p=1)}
+    sel = voltage_lag0_selector(schemas,
+                                compute_groups(chain_topology(), schemas))
+    assert {k: v.tolist() for k, v in sel.items()} == {
+        "feeder:4:1": [[True, False, False, False]],
+        "global:1:1": [[False]], "substation:1:1": [[False]]}

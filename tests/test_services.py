@@ -6,13 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from gridmpnn.mpnn import NodePrediction
-from gridmpnn.services import (CongestionEvent, detect_congestions,
-                               estimate_bids, phi,
-                               write_jsonl, write_plot_csv)
+from gridmpnn.services import (CongestionEvent, estimate_bids, phi,
+                               predict_voltages, scan_congestions,
+                               write_jsonl, write_plot_csv, z_scores)
 from gridmpnn.imputation import ImputationProblem, impute
 
-from conftest import chain_schemas
+from conftest import chain_samples
 
 
 def test_phi_standard_values():
@@ -28,80 +27,50 @@ def test_phi_symmetry():
     assert phi(-math.inf) == 0.0
 
 
-def _volt_pred(mu, sigma):
-    return {"p": NodePrediction("p", np.array([mu]),
-                                np.array([sigma ** 2]))}
-
-
-def _volt_schema():
-    from gridmpnn.gridgraph import NodeSchema
-    return {"p": NodeSchema("p", [("voltage", "voltage")], [], [], p=1)}
-
-
 def test_detect_flags_one_sigma_exceedance():
-    events = detect_congestions(_volt_pred(242.0, 2.0), _volt_schema(),
-                                threshold_v=240.0, z=1.0, timestamp=77)
-    assert len(events) == 1
-    ev = events[0]
-    assert ev.z_score == pytest.approx(1.0)
-    assert ev.exceedance_probability == pytest.approx(0.8413, abs=5e-5)
-    assert ev.node_id == "p" and ev.phase == "voltage" and ev.timestamp == 77
+    score = z_scores(242.0, 2.0, 240.0, "over")
+    assert score == pytest.approx(1.0)
+    assert score >= 1.0
+    assert phi(score) == pytest.approx(0.8413, abs=5e-5)
 
 
 def test_detect_does_not_flag_at_threshold_mean():
-    events = detect_congestions(_volt_pred(240.0, 2.0), _volt_schema(),
-                                threshold_v=240.0, z=1.0)
-    assert events == []
+    assert not z_scores(240.0, 2.0, 240.0, "over") >= 1.0
 
 
 def test_detect_flags_far_exceedance():
-    events = detect_congestions(_volt_pred(245.0, 1.0), _volt_schema(),
-                                threshold_v=240.0, z=1.0)
-    assert len(events) == 1
-    assert events[0].z_score == pytest.approx(5.0)
+    assert z_scores(245.0, 1.0, 240.0, "over") == pytest.approx(5.0)
 
 
 def test_detect_zero_sigma_degenerates_to_mean_comparison():
-    assert detect_congestions(_volt_pred(240.5, 0.0), _volt_schema(),
-                              threshold_v=240.0, z=1.0)
-    assert not detect_congestions(_volt_pred(240.0, 0.0), _volt_schema(),
-                                  threshold_v=240.0, z=1.0)
+    assert z_scores(240.5, 0.0, 240.0, "over") == math.inf
+    assert z_scores(240.0, 0.0, 240.0, "over") == -math.inf
+    assert z_scores(240.5, 0.0, 241.0, "under") == math.inf
 
 
 def test_undervoltage_mode():
-    events = detect_congestions(_volt_pred(214.0, 2.0), _volt_schema(),
-                                threshold_v=218.0, z=1.0, direction="under")
-    assert len(events) == 1
-    assert events[0].z_score == pytest.approx(2.0)
+    assert z_scores(214.0, 2.0, 218.0, "under") == pytest.approx(2.0)
+    assert z_scores(214.0, 2.0, 218.0, "over") == pytest.approx(-2.0)
 
 
 def test_flag_monotonicity_in_mu_and_threshold():
     rng = np.random.default_rng(5)
-    for _ in range(200):
-        mu = rng.uniform(230, 250)
-        sigma = rng.uniform(0.1, 4.0)
-        thr = rng.uniform(235, 245)
-        z = rng.uniform(0.5, 2.0)
-        flagged = bool(detect_congestions(_volt_pred(mu, sigma),
-                                          _volt_schema(), thr, z))
-        higher = bool(detect_congestions(_volt_pred(mu + 1.0, sigma),
-                                         _volt_schema(), thr, z))
-        stricter = bool(detect_congestions(_volt_pred(mu, sigma),
-                                           _volt_schema(), thr + 1.0, z))
-        if flagged:
-            assert higher
-        if stricter:
-            assert flagged
+    mu = rng.uniform(230, 250, 200)
+    sigma = rng.uniform(0.1, 4.0, 200)
+    thr = rng.uniform(235, 245, 200)
+    z = rng.uniform(0.5, 2.0, 200)
+    flagged = z_scores(mu, sigma, thr, "over") >= z
+    higher = z_scores(mu + 1.0, sigma, thr, "over") >= z
+    stricter = z_scores(mu, sigma, thr + 1.0, "over") >= z
+    assert np.all(higher[flagged])
+    assert np.all(flagged[stricter])
 
 
 def test_event_probability_consistent_with_z_score():
     rng = np.random.default_rng(6)
-    for _ in range(100):
-        mu, sigma, thr = rng.uniform(238, 246), rng.uniform(0.2, 3), 240.0
-        events = detect_congestions(_volt_pred(mu, sigma), _volt_schema(),
-                                    thr, z=0.0)
-        for ev in events:
-            assert abs(ev.exceedance_probability - phi(ev.z_score)) < 1e-4
+    mu, sigma = rng.uniform(238, 246, 100), rng.uniform(0.2, 3, 100)
+    for m, s, score in zip(mu, sigma, z_scores(mu, sigma, 240.0, "over")):
+        assert abs(phi(score) - phi((m - 240.0) / s)) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -169,3 +138,19 @@ def test_jsonl_and_plot_csv_writers(tmp_path):
     assert lines[1].split(",") == ["timestamp", "node_id", "phase", "actual",
                                    "mu", "lo", "hi", "threshold", "flagged"]
     assert lines[2].startswith("1000,p,voltage,241.2,242,238,246,240,1")
+
+
+
+def test_scan_events_are_the_flagged_plot_rows(quick_chain_model):
+    model = quick_chain_model
+    samples = chain_samples(model, 60, seed=7)
+    pred = predict_voltages(model, samples, model.schemas)
+    events, rows = scan_congestions(model, samples, model.schemas,
+                                    threshold_v=0.0, z=0.5)
+    assert [r["mu"] for r in rows] == pred.mu["feeder:1:1"][0, :, 0].tolist()
+    flagged = [(r["timestamp"], r["mu"]) for r in rows if r["flagged"]]
+    assert 0 < len(flagged) < len(rows)
+    assert [(e.timestamp, e.mu) for e in events] == flagged
+    for ev in events:
+        assert ev.z_score >= 0.5
+        assert ev.exceedance_probability == phi(ev.z_score)
