@@ -89,6 +89,7 @@ class CentralModel(ModelBase):
         for g in self.groups:
             self._cols[g.key] = (off, off + len(g.node_ids) * g.q)
             off += len(g.node_ids) * g.q
+        self.init_parameters()
 
     def init_parameters(self, seed: int = 0) -> None:
         rng = np.random.default_rng(seed)
@@ -97,8 +98,6 @@ class CentralModel(ModelBase):
             dc.mlp_init(self.params, name, spec, rng)
 
     def count_parameters(self) -> int:
-        if len(self.params) == 0:
-            return sum(dc.mlp_param_count(spec) for _, spec in self.layer_specs)
         return self.params.n_scalars()
 
     def _flatten(self, packed: dict[str, np.ndarray], tape: Optional[Tape]):
@@ -130,7 +129,7 @@ class CentralModel(ModelBase):
         m_flat, _ = self._flatten(mask, tape)
         h = dc.concat([f_flat, m_flat], axis=1)
         for name, spec in self.layer_specs:
-            h = dc.mlp_forward(self.params, spec, h, prefix=name, tape=tape)
+            h = dc.mlp_forward(self.params, spec, name, h, tape=tape)
         mu_flat = dc.slice_(h, (slice(None), slice(0, self.d_features)))
         lv_flat = dc.slice_(h, (slice(None), slice(self.d_features, self.d_out)))
         lv_flat = dc.clip(lv_flat, np.log(VAR_CLAMP_LO), np.log(VAR_CLAMP_HI))

@@ -159,6 +159,9 @@ def _train_model(model, cfg, topo, schemas, train_ds, verbose: bool = False,
     if learning_rate is not None:
         doc["learning_rate"] = learning_rate
     tcfg = TrainingConfig.from_document(doc)
+    if tcfg.max_epochs == 0:
+        raise ConfigError("training.max_epochs is 0: the model would be "
+                          "written untrained")
     samples = build_samples(train_ds, topo, schemas, tcfg)
     train_set, val_set = chronological_split(samples)
     parts = [train_set]

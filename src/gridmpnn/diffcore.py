@@ -29,16 +29,20 @@ Design choices:
 * Operations work elementwise-broadcast style on numpy arrays and also
   support stacked ("batched") matmuls such as (n, B, i) @ (n, i, o),
   which the graph model uses to evaluate many per-node MLPs at once.
+* Parameters live only in blocks of the shapes the engine computes
+  with: per MLP layer one weight and one bias, stacked along a leading
+  member axis when k same-shaped MLPs run as one batched matmul. There
+  is no per-MLP copy; a caller that names single MLPs (the graph
+  model's checkpoint ids) takes views of block slices.
 * Tensors that never touch a tape evaluate eagerly with zero recording
   overhead (used for inference-only passes).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -51,9 +55,7 @@ __all__ = [
     "AdamState",
     "add", "sub", "neg", "mul", "scale", "matmul", "dense", "exp", "clip",
     "concat", "slice_", "reshape", "transpose", "gather", "reduce_sum",
-    "mlp_layer_param_ids", "mlp_init", "mlp_stack", "mlp_forward",
-    "mlp_forward_stacked",
-    "mlp_param_count",
+    "mlp_layer_param_ids", "mlp_init", "mlp_forward",
     "adam_step", "backward", "gradient_check",
 ]
 
@@ -480,107 +482,59 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 
 class ParameterSet:
-    """Named parameter tensors plus matching gradient accumulators.
+    """Parameter blocks plus matching gradient accumulators, keyed by
+    block id.
 
-    Storage lives in blocks (``block_values`` / ``block_grads``). An id
-    added with ``add`` is its own block; ``stack`` moves equally shaped
-    ids into one stacked block, after which ``values[pid]`` and
-    ``grads[pid]`` are views into it, so per-id reads, in-place writes
-    and serialization see the same numbers. Optimizers walk the blocks.
+    A block has the shape the engine computes with: one MLP layer's
+    (i, o) weight and (o,) bias, or, for k structurally identical MLPs,
+    a (k, i, o) weight and a (k, 1, o) bias stacked along a leading
+    member axis. Optimizers walk the blocks; a member's slice is a view
+    of its block, so writes through it are seen by the next forward.
     """
 
     def __init__(self) -> None:
         self.values: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
-        self.block_values: dict[str, np.ndarray] = {}
-        self.block_grads: dict[str, np.ndarray] = {}
 
-    def add(self, pid: str, value) -> None:
-        if pid in self.values or pid in self.block_values:
-            raise ContractError(f"duplicate parameter id {pid!r}")
+    def add(self, key: str, value) -> None:
+        if key in self.values:
+            raise ContractError(f"duplicate parameter id {key!r}")
         arr = _as_array(value)
-        self.values[pid] = self.block_values[pid] = arr
-        self.grads[pid] = self.block_grads[pid] = np.zeros_like(arr)
+        self.values[key] = arr
+        self.grads[key] = np.zeros_like(arr)
 
-    def stack(self, block_id: str, pids: Sequence[str],
-              shape: Sequence[int]) -> None:
-        """Move ``pids`` into one (len(pids), *shape) block named
-        ``block_id``; each id keeps its own shape as a view of its slice."""
-        if block_id in self.values or block_id in self.block_values:
-            raise ContractError(f"duplicate parameter id {block_id!r}")
-        for pid in pids:
-            if pid not in self.values or pid not in self.block_values:
-                raise ContractError(f"{pid!r} is not a standalone parameter")
-        shape = tuple(shape)
-        values = np.stack([self.values[p].reshape(shape) for p in pids])
-        grads = np.stack([self.grads[p].reshape(shape) for p in pids])
-        for j, pid in enumerate(pids):
-            own = self.values[pid].shape
-            del self.block_values[pid], self.block_grads[pid]
-            self.values[pid] = values[j].reshape(own)
-            self.grads[pid] = grads[j].reshape(own)
-        self.block_values[block_id] = values
-        self.block_grads[block_id] = grads
-
-    def __contains__(self, pid: str) -> bool:
-        return pid in self.values
+    def __contains__(self, key: str) -> bool:
+        return key in self.values
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def ids(self) -> list[str]:
-        return list(self.values.keys())
 
     def n_scalars(self) -> int:
         return sum(v.size for v in self.values.values())
 
     def zero_grads(self) -> None:
-        for g in self.block_grads.values():
+        for g in self.grads.values():
             g[...] = 0.0
 
     def tensor(self, tape: Optional[Tape], key: str) -> Tensor:
-        """Leaf tensor for a parameter id or a block id; gradients flow
-        back into the matching accumulator."""
-        if key in self.values:
-            data, grads = self.values[key], self.grads
-        elif key in self.block_values:
-            data, grads = self.block_values[key], self.block_grads
-        else:
-            raise ContractError(f"unknown parameter id {key!r}")
+        """Leaf tensor for a block; gradients flow back into its
+        accumulator."""
+        if key not in self.values:
+            raise ContractError(f"unknown parameter block {key!r}")
         if tape is None:
-            return Tensor(data)
-        return tape.leaf(data, op="param", grad_sink=(grads, key))
+            return Tensor(self.values[key])
+        return tape.leaf(self.values[key], op="param",
+                         grad_sink=(self.grads, key))
 
     def copy(self) -> "ParameterSet":
         out = ParameterSet()
-        for pid, v in self.values.items():
-            out.add(pid, v.copy())
+        for key, v in self.values.items():
+            out.add(key, v.copy())
         return out
 
     def load_values(self, other: "ParameterSet") -> None:
-        for pid, v in other.values.items():
-            self.values[pid][...] = v
-
-    # -- serialization: {param_id: {"shape": [...], "values": [...]}} with
-    #    17-significant-digit floats so the round trip is bit exact.
-
-    def to_json(self) -> str:
-        parts = []
-        for pid in self.values:
-            v = self.values[pid]
-            vals = ",".join(format(x, ".17g") for x in v.reshape(-1))
-            shape = ",".join(str(int(s)) for s in v.shape)
-            parts.append(f'{json.dumps(pid)}:{{"shape":[{shape}],"values":[{vals}]}}')
-        return "{" + ",".join(parts) + "}"
-
-    @classmethod
-    def from_json(cls, text: str) -> "ParameterSet":
-        raw = json.loads(text)
-        out = cls()
-        for pid, rec in raw.items():
-            arr = np.array(rec["values"], dtype=np.float64).reshape(rec["shape"])
-            out.add(pid, arr)
-        return out
+        for key, v in other.values.items():
+            self.values[key][...] = v
 
 
 # ---------------------------------------------------------------------------
@@ -596,19 +550,27 @@ def mlp_layer_param_ids(prefix: str, layer_spec: Sequence[int]) -> list[tuple[st
 
 
 def mlp_init(params: ParameterSet, prefix: str, layer_spec: Sequence[int],
-             rng: np.random.Generator) -> None:
-    """Create MLP parameters: W ~ U[-a, a] with a = sqrt(6/(fan_in+fan_out)),
-    biases zero."""
-    for i, (wid, bid) in enumerate(mlp_layer_param_ids(prefix, layer_spec)):
-        fan_in, fan_out = int(layer_spec[i]), int(layer_spec[i + 1])
-        a = math.sqrt(6.0 / (fan_in + fan_out))
-        params.add(wid, rng.uniform(-a, a, size=(fan_in, fan_out)))
-        params.add(bid, np.zeros(fan_out))
+             rng: np.random.Generator, members: int = 1) -> None:
+    """Create the blocks of ``members`` structurally identical MLPs.
 
-
-def mlp_param_count(layer_spec: Sequence[int]) -> int:
-    return sum(int(layer_spec[i]) * int(layer_spec[i + 1]) + int(layer_spec[i + 1])
-               for i in range(len(layer_spec) - 1))
+    Weights are W ~ U[-a, a] with a = sqrt(6/(fan_in+fan_out)), biases
+    zero. One MLP gets (in, out) weights and (out,) biases; k > 1 get
+    (k, in, out) and (k, 1, out) blocks, drawn member by member, each
+    member's layers in order.
+    """
+    if members < 1:
+        raise ContractError("an MLP block needs at least one member")
+    ids = mlp_layer_param_ids(prefix, layer_spec)
+    lead = () if members == 1 else (members,)
+    fans = [(int(layer_spec[i]), int(layer_spec[i + 1])) for i in range(len(ids))]
+    for (wid, bid), (fan_in, fan_out) in zip(ids, fans):
+        params.add(wid, np.empty(lead + (fan_in, fan_out)))
+        params.add(bid, np.zeros(lead + ((1, fan_out) if lead else (fan_out,))))
+    for j in range(members):
+        for (wid, _), (fan_in, fan_out) in zip(ids, fans):
+            a = math.sqrt(6.0 / (fan_in + fan_out))
+            w = params.values[wid]
+            (w[j] if lead else w)[...] = rng.uniform(-a, a, size=(fan_in, fan_out))
 
 
 def _check_last_dim(x: Tensor, want: int, what: str) -> None:
@@ -617,55 +579,22 @@ def _check_last_dim(x: Tensor, want: int, what: str) -> None:
                          f"got {x.data.shape[-1]}")
 
 
-def mlp_forward(params: ParameterSet, layer_spec: Sequence[int], x,
-                prefix: str = "mlp", tape: Optional[Tape] = None) -> Tensor:
-    """Apply an MLP: tanh on hidden layers, linear final layer.
+def mlp_forward(params: ParameterSet, layer_spec: Sequence[int], prefix: str,
+                x, tape: Optional[Tape] = None) -> Tensor:
+    """Apply the MLP block ``prefix``: tanh on hidden layers, linear
+    final layer.
 
-    ``x`` has the layer input width as its last dimension; leading
-    dimensions are batch-like.
+    ``x`` has the layer input width as its last dimension. For a block
+    of k stacked MLPs ``x`` is (k, B, in) and MLP j applies to slice j;
+    a single MLP's parameters broadcast over all leading dimensions.
     """
     tape = tape if tape is not None else _find_tape(x)
     h = _coerce(x, tape)
-    if h.data.ndim == 1:
-        h = reshape(h, (1, h.data.shape[0]))
     ids = mlp_layer_param_ids(prefix, layer_spec)
     _check_last_dim(h, int(layer_spec[0]), f"{prefix} layer 0 input")
-    n_layers = len(ids)
     for i, (wid, bid) in enumerate(ids):
         if wid not in params or bid not in params:
             raise ContractError(f"missing parameters for {prefix} layer {i}")
-        w = params.tensor(tape, wid)
-        b = params.tensor(tape, bid)
-        _check_last_dim(h, w.data.shape[0], f"{prefix} layer {i} input")
-        h = dense(h, w, b, hidden=i < n_layers - 1)
-    return h
-
-
-def mlp_stack(params: ParameterSet, block: str, prefixes: Sequence[str],
-              layer_spec: Sequence[int]) -> None:
-    """Store the MLPs ``prefixes`` (already initialized) as stacked blocks
-    ``<block>/L<i>/W`` of shape (k, in, out) and ``<block>/L<i>/b`` of
-    shape (k, 1, out), the shapes ``mlp_forward_stacked`` computes with."""
-    ids = [mlp_layer_param_ids(p, layer_spec) for p in prefixes]
-    for i, (wid, bid) in enumerate(mlp_layer_param_ids(block, layer_spec)):
-        fan_in, fan_out = int(layer_spec[i]), int(layer_spec[i + 1])
-        params.stack(wid, [pid[i][0] for pid in ids], (fan_in, fan_out))
-        params.stack(bid, [pid[i][1] for pid in ids], (1, fan_out))
-
-
-def mlp_forward_stacked(params: ParameterSet, layer_spec: Sequence[int],
-                        block: str, x, tape: Optional[Tape] = None) -> Tensor:
-    """Apply k structurally identical MLPs at once.
-
-    ``x`` is (k, B, in). ``block`` names either blocks made by
-    ``mlp_stack`` (MLP j applies to slice j) or a single MLP's parameters,
-    which broadcast over the leading axis (type-shared configuration).
-    """
-    tape = tape if tape is not None else _find_tape(x)
-    h = _coerce(x, tape)
-    ids = mlp_layer_param_ids(block, layer_spec)
-    _check_last_dim(h, int(layer_spec[0]), f"{block} layer 0 input")
-    for i, (wid, bid) in enumerate(ids):
         h = dense(h, params.tensor(tape, wid), params.tensor(tape, bid),
                   hidden=i < len(ids) - 1)
     return h
@@ -700,8 +629,8 @@ def adam_step(params: ParameterSet, state: AdamState, lr: float = 0.01) -> None:
     b1, b2, eps, t = state.beta1, state.beta2, state.eps, state.t
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    for key, value in params.block_values.items():
-        g = params.block_grads[key]
+    for key, value in params.values.items():
+        g = params.grads[key]
         m = state.m.get(key)
         if m is None:
             m = state.m[key] = np.zeros_like(value)

@@ -34,11 +34,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .gridgraph import (FEEDER, GLOBAL, PROSUMER, SUBSTATION, GridTopology,
+from .gridgraph import (FEEDER, PROSUMER, SUBSTATION, GridTopology,
                         load_topology, sensor_id)
 
 STEP_MINUTES = 15

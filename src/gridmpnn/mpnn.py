@@ -10,13 +10,17 @@ next state). Inference is one feed-forward chain:
 
 For speed, nodes with identical layer shapes are evaluated together as
 stacked MLP applications, and message aggregation is a (constant)
-routing-matrix multiply. Parameters stay per-node / per-directed-edge
-unless ``share_by_type`` is set; per-node and per-edge MLPs of one group
-are stored as stacked (n, i, o) weight and (n, 1, o) bias blocks named
-``stack/<group>/<role>/...`` and ``stack/<src_group>><dst_group>/msg/...``,
-with every documented id below a view into its block.
+routing-matrix multiply. Parameters are per node and per directed edge
+unless ``share_by_type`` is set. They live only in the blocks the
+forward computes with, one weight and one bias per layer and MLP role
+of a node group (``stack/<group>/<role>/L<i>/W|b``) or edge group
+(``stack/<src_group>><dst_group>/msg/L<i>/W|b``). A group of k MLPs has
+(k, i, o) weight and (k, 1, o) bias blocks; a group's lone MLP (a
+single-node group, a single-edge group or a shared type MLP) has
+(i, o) and (o,) blocks.
 
-Parameter-id scheme (stable; checkpoints and tests rely on it):
+Parameter-id scheme (stable; checkpoints are written in it, and
+``GnnModel.parameter_views`` maps each id to a view of its block slice):
 
     node/<node_id>/enc|agg|dec_mu|dec_lv/L<i>/W|b
     edge/<src>><dst>/msg/L<i>/W|b
@@ -27,13 +31,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import diffcore as dc
 from .diffcore import ParameterSet, ShapeError, Tape, Tensor
-from .gridgraph import (GridTopology, NodeSchema, SchemaConfig, load_topology)
+from .gridgraph import GridTopology, NodeSchema, SchemaConfig
 
 VAR_CLAMP_LO = 1e-6
 VAR_CLAMP_HI = 1e6
@@ -132,7 +136,6 @@ class ModelBase:
                    schemas: dict[str, NodeSchema]) -> None:
         self.topology = topology
         self.schemas = schemas
-        self.params = ParameterSet()
         self.groups = compute_groups(topology, schemas)
         self.group_of = {nid: g.key for g in self.groups for nid in g.node_ids}
         self._group_by_key = {g.key: g for g in self.groups}
@@ -190,7 +193,8 @@ class GnnModel(ModelBase):
         self.schema_config = schema_config
         self._compile_edges()
         self._compile_routing()
-        self._build_parameters()
+        self._compile_mlps()
+        self.init_parameters()
 
     # -- compilation -------------------------------------------------------
 
@@ -238,8 +242,7 @@ class GnnModel(ModelBase):
                 src_group=gs, dst_group=gd, pairs=pairs,
                 src_idx=np.array([sg.index_of[s] for s, _ in pairs], dtype=np.intp),
                 dst_idx=np.array([dg.index_of[d] for _, d in pairs], dtype=np.intp),
-                spec=spec, prefixes=prefixes,
-                block=_block_name(f"stack/{key}/msg", prefixes)))
+                spec=spec, prefixes=prefixes, block=f"stack/{key}/msg"))
 
     def _compile_routing(self) -> None:
         """Per node group, the (n_nodes, n_incoming_edges) matrix whose rows
@@ -266,40 +269,42 @@ class GnnModel(ModelBase):
                     col += 1
             self.routing[g.key] = r
 
-    def _build_parameters(self) -> None:
-        # (block, member prefixes, layer spec) in parameter-id order
+    def _compile_mlps(self) -> None:
+        # (block, member prefixes, layer spec) per MLP group, in id order
         self._mlp_blocks: list[tuple[str, list[str], list[int]]] = []
-        self._node_blocks: dict[tuple[str, str], str] = {}
         for g in self.groups:
             for role, spec in (("enc", self._enc_spec(g)),
                                ("agg", self._agg_spec(g)),
                                ("dec_mu", self._dec_spec(g)),
                                ("dec_lv", self._dec_spec(g))):
-                prefixes = self._node_prefixes(g, role)
-                block = _block_name(f"stack/{g.key}/{role}", prefixes)
-                self._node_blocks[g.key, role] = block
-                self._mlp_blocks.append((block, prefixes, spec))
+                self._mlp_blocks.append((f"stack/{g.key}/{role}",
+                                         self._node_prefixes(g, role), spec))
         for eg in self.edge_groups:
             self._mlp_blocks.append((eg.block, eg.prefixes, eg.spec))
 
     def init_parameters(self, seed: int = 0) -> None:
-        """(Re)initialize every MLP from a seeded generator."""
+        """(Re)initialize every MLP from a seeded generator, in id order."""
         rng = np.random.default_rng(seed)
         self.params = ParameterSet()
-        for _, prefixes, spec in self._mlp_blocks:
-            for prefix in prefixes:
-                dc.mlp_init(self.params, prefix, spec, rng)
-        self._stack_parameters()
-
-    def _stack_parameters(self) -> None:
         for block, prefixes, spec in self._mlp_blocks:
-            if len(prefixes) > 1:
-                dc.mlp_stack(self.params, block, prefixes, spec)
+            dc.mlp_init(self.params, block, spec, rng, members=len(prefixes))
+
+    def parameter_views(self) -> dict[str, np.ndarray]:
+        """Every documented parameter id, in checkpoint order, mapped to
+        a view of its slice of its block."""
+        views = {}
+        for block, prefixes, spec in self._mlp_blocks:
+            layers = dc.mlp_layer_param_ids(block, spec)
+            for j, prefix in enumerate(prefixes):
+                for (wb, bb), (wid, bid) in zip(
+                        layers, dc.mlp_layer_param_ids(prefix, spec)):
+                    w, b = self.params.values[wb], self.params.values[bb]
+                    if len(prefixes) > 1:
+                        w, b = w[j], b[j, 0]
+                    views[wid], views[bid] = w, b
+        return views
 
     def count_parameters(self) -> int:
-        if len(self.params) == 0:
-            return sum(len(prefixes) * dc.mlp_param_count(spec)
-                       for _, prefixes, spec in self._mlp_blocks)
         return self.params.n_scalars()
 
     # -- inference chain ----------------------------------------------------
@@ -315,9 +320,9 @@ class GnnModel(ModelBase):
             if f.shape != m.shape or f.shape[-1] != g.q:
                 raise ShapeError(f"group {g.key}: feature/mask shape mismatch")
             x = dc.concat([_leaf(tape, f), _leaf(tape, m)], axis=-1)
-            states[g.key] = dc.mlp_forward_stacked(
-                self.params, self._enc_spec(g),
-                self._node_blocks[g.key, "enc"], x, tape=tape)
+            states[g.key] = dc.mlp_forward(
+                self.params, self._enc_spec(g), f"stack/{g.key}/enc", x,
+                tape=tape)
         return states
 
     def message_pass(self, states: dict[str, Tensor],
@@ -330,7 +335,7 @@ class GnnModel(ModelBase):
             for eg in self.edge_groups:
                 xs = dc.gather(states[eg.src_group], eg.src_idx)
                 xd = dc.gather(states[eg.dst_group], eg.dst_idx)
-                m = dc.mlp_forward_stacked(
+                m = dc.mlp_forward(
                     self.params, eg.spec, eg.block,
                     dc.concat([xd, xs], axis=-1), tape=tape)
                 msgs[eg.dst_group].append(m)
@@ -347,9 +352,8 @@ class GnnModel(ModelBase):
                     mean = dc.reshape(mean, (n, b, md))
                 else:
                     mean = _leaf(tape, np.zeros((n, b, md)))
-                new_states[g.key] = dc.mlp_forward_stacked(
-                    self.params, self._agg_spec(g),
-                    self._node_blocks[g.key, "agg"],
+                new_states[g.key] = dc.mlp_forward(
+                    self.params, self._agg_spec(g), f"stack/{g.key}/agg",
                     dc.concat([own, mean], axis=-1), tape=tape)
             states = new_states
         return states
@@ -359,12 +363,12 @@ class GnnModel(ModelBase):
         """Standardized mean and clamped log-variance per group, (n, B, q)."""
         mu, logvar = {}, {}
         for g in self.groups:
-            mu[g.key] = dc.mlp_forward_stacked(
-                self.params, self._dec_spec(g),
-                self._node_blocks[g.key, "dec_mu"], states[g.key], tape=tape)
-            raw = dc.mlp_forward_stacked(
-                self.params, self._dec_spec(g),
-                self._node_blocks[g.key, "dec_lv"], states[g.key], tape=tape)
+            mu[g.key] = dc.mlp_forward(
+                self.params, self._dec_spec(g), f"stack/{g.key}/dec_mu",
+                states[g.key], tape=tape)
+            raw = dc.mlp_forward(
+                self.params, self._dec_spec(g), f"stack/{g.key}/dec_lv",
+                states[g.key], tape=tape)
             logvar[g.key] = dc.clip(raw, np.log(VAR_CLAMP_LO), np.log(VAR_CLAMP_HI))
         return mu, logvar
 
@@ -401,7 +405,8 @@ class GnnModel(ModelBase):
                 for nid in self.topology.ids()},
         }
         text = json.dumps(doc, sort_keys=True)
-        text = text[:-1] + ',"parameters":' + self.params.to_json() + "}"
+        text = (text[:-1] + ',"parameters":'
+                + _arrays_json(self.parameter_views()) + "}")
         with open(path, "w") as fh:
             fh.write(text)
 
@@ -425,20 +430,36 @@ class GnnModel(ModelBase):
                          if doc.get("schema_config") else None)
         model = cls(topology, schemas, GnnConfig.from_document(doc["model"]),
                     schema_config=schema_config)
-        model.params = ParameterSet()
-        for pid, rec in doc["parameters"].items():
-            model.params.add(pid, np.array(rec["values"], float).reshape(rec["shape"]))
-        model._stack_parameters()
+        # every documented id, each present, known and of its shape
+        views, stored = model.parameter_views(), doc["parameters"]
+        for pid in stored:
+            if pid not in views:
+                raise ValueError(f"checkpoint parameter {pid!r} is not a "
+                                 "parameter of this model")
+        for pid, view in views.items():
+            if pid not in stored:
+                raise ValueError(f"checkpoint lacks parameter {pid!r}")
+            shape = stored[pid]["shape"]
+            values = np.array(stored[pid]["values"], float)
+            if list(shape) != list(view.shape) or values.size != view.size:
+                raise ValueError(f"checkpoint parameter {pid!r} has shape "
+                                 f"{shape}, not {list(view.shape)}")
+            view[...] = values.reshape(view.shape)
         model.set_standardization(
             {nid: np.array(rec["mean"]) for nid, rec in doc["standardization"].items()},
             {nid: np.array(rec["std"]) for nid, rec in doc["standardization"].items()})
         return model
 
 
-def _block_name(stacked: str, prefixes: list[str]) -> str:
-    """Where ``mlp_forward_stacked`` finds a group's MLPs: the stacked
-    block, or the parameters of a group's only MLP, which need no stack."""
-    return prefixes[0] if len(prefixes) == 1 else stacked
+def _arrays_json(arrays: dict[str, np.ndarray]) -> str:
+    """{id: {"shape": [...], "values": [...]}} with 17-significant-digit
+    floats, so a reload is bit exact."""
+    parts = []
+    for key, v in arrays.items():
+        vals = ",".join(format(x, ".17g") for x in v.reshape(-1))
+        shape = ",".join(str(int(s)) for s in v.shape)
+        parts.append(f'{json.dumps(key)}:{{"shape":[{shape}],"values":[{vals}]}}')
+    return "{" + ",".join(parts) + "}"
 
 
 def _leaf(tape: Optional[Tape], arr: np.ndarray) -> Tensor:

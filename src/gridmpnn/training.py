@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 

@@ -1,6 +1,7 @@
 """Shared fixtures: a 3-node linear-Gaussian chain world (cheap) used by
-training/imputation mechanics tests and the oracle-equivalence check."""
+training/imputation mechanics tests, and checkpoint fault injection."""
 
+import json
 from datetime import datetime, timezone
 
 import numpy as np
@@ -12,6 +13,33 @@ from gridmpnn.mpnn import GnnConfig, GnnModel
 from gridmpnn.training import (ChannelStats, TrainingConfig, build_samples,
                                chronological_split, concat_sample_sets,
                                masked_clones, train, voltage_lag0_selector)
+
+# A checkpoint parameter record to drop, add or replace: (id, record), a
+# None record drops the id. Every test topology has a lone global node
+# "g" with more than one channel, so its bias has more than one entry.
+BAD_PARAMETERS = {
+    "missing": ("node/p1/agg/L1/W", None),
+    "unknown": ("node/p9/enc/L1/b", {"shape": [2], "values": [0.0, 0.0]}),
+    # a lone MLP's bias of a shape numpy would broadcast in the forward
+    "wrong_shape": ("node/g/dec_mu/L1/b", {"shape": [1], "values": [0.0]}),
+}
+
+
+def write_bad_checkpoint(src: str, dst: str, fault: str) -> str:
+    """Copy checkpoint ``src`` to ``dst`` with the ``BAD_PARAMETERS``
+    fault applied; returns the affected parameter id."""
+    with open(src) as fh:
+        doc = json.load(fh)
+    pid, rec = BAD_PARAMETERS[fault]
+    if rec is None:
+        del doc["parameters"][pid]
+    else:
+        assert rec["shape"] != doc["parameters"].get(pid, {}).get("shape")
+        doc["parameters"][pid] = rec
+    with open(dst, "w") as fh:
+        json.dump(doc, fh)
+    return pid
+
 
 CHAIN_COEFFS = [0.8, 0.8]
 CHAIN_NOISE_VARS = [1.0, 0.36, 0.36]

@@ -10,6 +10,8 @@ from gridmpnn import gridsim
 from gridmpnn.cli import main
 from gridmpnn.gridgraph import load_topology
 
+from conftest import BAD_PARAMETERS, write_bad_checkpoint
+
 
 def small_spec(pv_kw=0.0):
     topo = load_topology({
@@ -164,6 +166,38 @@ def test_missing_checkpoint_exits_3(world, tmp_path):
     with open(cfg_path, "w") as fh:
         json.dump(cfg, fh)
     assert main(["evaluate", "--config", cfg_path]) == 3
+
+
+@pytest.mark.parametrize("fault", list(BAD_PARAMETERS))
+def test_bad_checkpoint_parameter_exits_2(world, tmp_path, capsys, fault):
+    bad = str(tmp_path / "bad_checkpoint.json")
+    pid = write_bad_checkpoint(world["cfg"]["paths"]["checkpoint"], bad, fault)
+    cfg = json.loads(json.dumps(world["cfg"]))
+    cfg["paths"]["checkpoint"] = bad
+    cfg["paths"]["out_dir"] = str(tmp_path / "out")
+    cfg_path = str(tmp_path / "bad_ckpt.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main(["evaluate", "--config", cfg_path]) == 2
+    assert repr(pid) in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "evaluation.json")
+
+
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_zero_epoch_budget_exits_2(world, tmp_path, capsys, command):
+    cfg = json.loads(json.dumps(world["cfg"]))
+    cfg["training"]["max_epochs"] = 0
+    out = tmp_path / "out"
+    cfg["paths"]["out_dir"] = str(out)
+    cfg["paths"]["checkpoint"] = str(out / "checkpoint.json")
+    cfg_path = str(tmp_path / "zero_epochs.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main([command, "--config", cfg_path]) == 2
+    assert "training.max_epochs" in capsys.readouterr().err
+    assert not os.path.exists(out / "checkpoint.json")
+    assert not os.path.exists(out / "history.csv")
+    assert not os.path.exists(out / "comparison.csv")
 
 
 def test_bad_schema_version_exits_2(world, tmp_path):

@@ -1,8 +1,6 @@
 """Tensor engine tests: forward semantics, reverse-mode gradients against
-central finite differences, Adam, serialization, tape order and
+central finite differences, stacked MLP blocks, Adam, tape order and
 run-to-run determinism."""
-
-import json
 
 import numpy as np
 import pytest
@@ -16,7 +14,7 @@ def _fd_check(build_loss, params, step=1e-5, floor=1e-6):
     tape = dc.Tape()
     loss = build_loss(tape)
     dc.backward(tape, loss)
-    analytic = {pid: params.grads[pid].copy() for pid in params.ids()}
+    analytic = {key: g.copy() for key, g in params.grads.items()}
     params.zero_grads()
 
     def loss_value():
@@ -34,7 +32,7 @@ def test_mlp_zero_weights_gives_zero_output():
     for i, (w, b) in enumerate(dc.mlp_layer_param_ids("net", [3, 4, 2])):
         params.add(w, np.zeros((3 if i == 0 else 4, 4 if i == 0 else 2)))
         params.add(b, np.zeros(4 if i == 0 else 2))
-    out = dc.mlp_forward(params, [3, 4, 2], np.array([[0.3, -1.2, 2.0]]), "net")
+    out = dc.mlp_forward(params, [3, 4, 2], "net", np.array([[0.3, -1.2, 2.0]]))
     assert np.array_equal(out.data, np.zeros((1, 2)))
 
 
@@ -42,7 +40,7 @@ def test_mlp_single_linear_layer_is_identity_map():
     params = dc.ParameterSet()
     params.add("net/L0/W", np.array([[1.0]]))
     params.add("net/L0/b", np.array([0.0]))
-    out = dc.mlp_forward(params, [1, 1], np.array([[0.7]]), "net")
+    out = dc.mlp_forward(params, [1, 1], "net", np.array([[0.7]]))
     assert out.data[0, 0] == pytest.approx(0.7)
 
 
@@ -52,7 +50,7 @@ def test_mlp_two_layer_tanh_of_zero_is_zero():
     params.add("net/L0/b", np.array([0.0]))
     params.add("net/L1/W", np.array([[1.0]]))
     params.add("net/L1/b", np.array([0.0]))
-    out = dc.mlp_forward(params, [1, 1, 1], np.array([[0.0]]), "net")
+    out = dc.mlp_forward(params, [1, 1, 1], "net", np.array([[0.0]]))
     assert out.data[0, 0] == 0.0
 
 
@@ -61,13 +59,13 @@ def test_mlp_shape_mismatch_names_layer():
     rng = np.random.default_rng(0)
     dc.mlp_init(params, "net", [3, 4, 2], rng)
     with pytest.raises(dc.ShapeError, match="layer 0"):
-        dc.mlp_forward(params, [3, 4, 2], np.zeros((5, 7)), "net")
+        dc.mlp_forward(params, [3, 4, 2], "net", np.zeros((5, 7)))
 
 
 def test_mlp_missing_parameters_error():
     params = dc.ParameterSet()
     with pytest.raises(dc.ContractError, match="layer 0"):
-        dc.mlp_forward(params, [2, 2], np.zeros((1, 2)), "net")
+        dc.mlp_forward(params, [2, 2], "net", np.zeros((1, 2)))
 
 
 def test_mlp_init_ranges():
@@ -135,7 +133,7 @@ def test_backward_random_mlp_matches_finite_differences():
     w = rng.standard_normal((5, 3))  # fixed mixing weights -> scalar loss
 
     def build(tape):
-        out = dc.mlp_forward(params, [4, 6, 3], x, "net", tape=tape)
+        out = dc.mlp_forward(params, [4, 6, 3], "net", x, tape=tape)
         return dc.reduce_sum(dc.mul(out, w))
 
     assert _fd_check(build, params) < 1e-4
@@ -300,13 +298,12 @@ def test_backward_of_loss_without_parameters_leaves_gradients_zero():
 
 
 def test_gather_and_stack_gradients():
-    # gather rows of a ParameterSet.stack block with repeated indices; the
-    # finite differences perturb the per-id views of that block
+    # gather rows of a stacked (2, 3, 2) block with repeated indices; the
+    # finite differences perturb every entry of that block
     rng = np.random.default_rng(9)
     params = dc.ParameterSet()
-    params.add("a", rng.standard_normal((3, 2)))
-    params.add("b", rng.standard_normal((3, 2)))
-    params.stack("ab", ["a", "b"], (3, 2))
+    params.add("ab", np.stack([rng.standard_normal((3, 2)),
+                               rng.standard_normal((3, 2))]))
     idx = np.array([0, 1, 1, 0, 1])
     mix = rng.standard_normal((5, 3, 2))
 
@@ -325,45 +322,62 @@ def _three_mlps(seed=4, spec=(3, 5, 2)):
     return params
 
 
+def _member(arrays, block, pid):
+    """Member j's slice of a stacked block, for the id ``m<j>/L<i>/W|b``."""
+    j, layer = int(pid[1]), pid.split("/", 1)[1]
+    a = arrays[f"{block}/{layer}"]
+    return a[j] if layer.endswith("W") else a[j, 0]
+
+
 def test_mlp_forward_stacked_matches_separate_mlps_with_one_leaf_per_block():
     spec = [3, 5, 2]
-    stacked = _three_mlps()
-    dc.mlp_stack(stacked, "blk", ["m0", "m1", "m2"], spec)
+    stacked = dc.ParameterSet()
+    dc.mlp_init(stacked, "blk", spec, np.random.default_rng(4), members=3)
     separate = _three_mlps()
     rng = np.random.default_rng(6)
     x = rng.standard_normal((3, 4, 3))
     mix = rng.standard_normal((3, 4, 2))
     tape = dc.Tape()
-    out = dc.mlp_forward_stacked(stacked, spec, "blk", x, tape=tape)
+    out = dc.mlp_forward(stacked, spec, "blk", x, tape=tape)
     dc.backward(tape, dc.reduce_sum(dc.mul(out, mix)))
     leaves = sum(node.op == "param" for node in tape.nodes)
     assert leaves == 2 * (len(spec) - 1)
     for j, prefix in enumerate(("m0", "m1", "m2")):
         tape = dc.Tape()
-        want = dc.mlp_forward(separate, spec, x[j], prefix, tape=tape)
+        want = dc.mlp_forward(separate, spec, prefix, x[j], tape=tape)
         dc.backward(tape, dc.reduce_sum(dc.mul(want, mix[j])))
         assert np.allclose(out.data[j], want.data, rtol=0, atol=1e-14)
-    for pid in separate.ids():
-        assert np.allclose(stacked.grads[pid], separate.grads[pid],
-                           rtol=0, atol=1e-13)
+    for pid in separate.values:
+        assert np.allclose(_member(stacked.grads, "blk", pid),
+                           separate.grads[pid], rtol=0, atol=1e-13)
 
 
-def test_stacked_ids_are_views_of_their_block():
-    params = _three_mlps()
-    text = params.to_json()
-    dc.mlp_stack(params, "blk", ["m0", "m1", "m2"], [3, 5, 2])
-    assert params.to_json() == text
-    assert params.block_values["blk/L0/W"].shape == (3, 3, 5)
-    assert params.block_values["blk/L0/b"].shape == (3, 1, 5)
-    assert params.values["m1/L0/b"].shape == (5,)
-    params.values["m1/L0/b"][2] = 7.0
-    params.grads["m2/L1/W"][0, 1] = -3.0
-    assert params.block_values["blk/L0/b"][1, 0, 2] == 7.0
-    assert params.block_grads["blk/L1/W"][2, 0, 1] == -3.0
+def test_mlp_members_are_views_of_their_block():
+    spec = [3, 5, 2]
+    params = dc.ParameterSet()
+    dc.mlp_init(params, "blk", spec, np.random.default_rng(4), members=3)
+    # member by member, each member's layers in order: the draws of
+    # three separate MLPs
+    separate = _three_mlps()
+    for pid, value in separate.values.items():
+        assert np.array_equal(_member(params.values, "blk", pid), value)
+    assert params.values["blk/L0/W"].shape == (3, 3, 5)
+    assert params.values["blk/L0/b"].shape == (3, 1, 5)
+    assert params.values["blk/L1/b"].shape == (3, 1, 2)
+    x = np.random.default_rng(5).standard_normal((3, 4, 3))
+    before = dc.mlp_forward(params, spec, "blk", x).data
+    _member(params.values, "blk", "m1/L1/b")[1] = 7.0
+    after = dc.mlp_forward(params, spec, "blk", x).data
+    assert np.array_equal(after[[0, 2]], before[[0, 2]])
+    assert np.allclose(after[1, :, 1] - before[1, :, 1], 7.0)
+    _member(params.grads, "blk", "m2/L1/W")[0, 1] = -3.0
+    assert params.grads["blk/L1/W"][2, 0, 1] == -3.0
     params.zero_grads()
-    assert params.grads["m2/L1/W"][0, 1] == 0.0
-    with pytest.raises(dc.ContractError, match="standalone"):
-        params.stack("again", ["m0/L0/W"], (3, 5))
+    assert not params.grads["blk/L1/W"].any()
+    with pytest.raises(dc.ContractError, match="duplicate"):
+        dc.mlp_init(params, "blk", spec, np.random.default_rng(4), members=3)
+    with pytest.raises(dc.ContractError, match="member"):
+        dc.mlp_init(params, "other", spec, np.random.default_rng(4), members=0)
 
 
 def _reference_adam(params, state, lr):
@@ -383,21 +397,30 @@ def _reference_adam(params, state, lr):
 
 
 def test_adam_over_blocks_matches_per_id_reference_bit_for_bit():
-    stacked = _three_mlps()
-    dc.mlp_stack(stacked, "blk", ["m0", "m1"], [3, 5, 2])
+    # m0 and m1 as one stacked block, m2 on its own; the reference keeps
+    # one array per id
+    spec = [3, 5, 2]
+    stacked = dc.ParameterSet()
+    rng = np.random.default_rng(4)
+    dc.mlp_init(stacked, "blk", spec, rng, members=2)
+    dc.mlp_init(stacked, "m2", spec, rng)
     reference = _three_mlps()
+
+    def view(arrays, pid):
+        return arrays[pid] if pid.startswith("m2") else _member(arrays, "blk", pid)
+
     rng = np.random.default_rng(8)
     s_state, r_state = dc.AdamState(), dc.AdamState()
     for _ in range(4):
-        for pid in reference.ids():
+        for pid in reference.values:
             g = rng.standard_normal(reference.grads[pid].shape)
             reference.grads[pid][...] = g
-            stacked.grads[pid][...] = g
+            view(stacked.grads, pid)[...] = g
         dc.adam_step(stacked, s_state, lr=0.03)
         _reference_adam(reference, r_state, lr=0.03)
-    for pid in reference.ids():
-        assert np.array_equal(stacked.values[pid], reference.values[pid])
-        assert not stacked.grads[pid].any()
+    for pid in reference.values:
+        assert np.array_equal(view(stacked.values, pid), reference.values[pid])
+        assert not view(stacked.grads, pid).any()
 
 
 def test_operations_on_different_tapes_rejected():
@@ -473,23 +496,6 @@ def test_parameter_set_duplicate_id_rejected():
         params.add("w", np.zeros(2))
 
 
-def test_parameter_serialization_roundtrip_is_bit_exact():
-    rng = np.random.default_rng(11)
-    params = dc.ParameterSet()
-    params.add("a/L0/W", rng.standard_normal((3, 4)) * 1e-7)
-    params.add("a/L0/b", np.array([1.0 / 3.0, -0.0, 2.0 ** -40]))
-    params.add("z", rng.standard_normal((2, 2, 2)) * 1e9)
-    text = params.to_json()
-    back = dc.ParameterSet.from_json(text)
-    assert back.ids() == params.ids()
-    for pid in params.ids():
-        assert params.values[pid].shape == back.values[pid].shape
-        assert np.array_equal(params.values[pid], back.values[pid])
-    # the JSON is a plain object with shape+values per parameter
-    doc = json.loads(text)
-    assert doc["a/L0/W"]["shape"] == [3, 4]
-
-
 def test_gradient_shape_matches_parameter_shape():
     params = dc.ParameterSet()
     params.add("w", np.zeros((2, 5)))
@@ -506,7 +512,7 @@ def test_tape_topological_order_and_replay_idempotence():
     dc.mlp_init(params, "net", [3, 5, 2], rng)
     x = rng.standard_normal((4, 3))
     tape = dc.Tape()
-    out = dc.mlp_forward(params, [3, 5, 2], x, "net", tape=tape)
+    out = dc.mlp_forward(params, [3, 5, 2], "net", x, tape=tape)
     loss = dc.reduce_sum(dc.mul(out, out))
     for nid, node in enumerate(tape.nodes):
         assert all(i < nid for i in node.inputs)
@@ -516,7 +522,7 @@ def test_tape_topological_order_and_replay_idempotence():
     # forward -> backward -> forward again on a fresh tape: the reverse pass
     # leaves parameters and inputs alone, so the second forward is bit-identical
     tape2 = dc.Tape()
-    out2 = dc.mlp_forward(params, [3, 5, 2], x, "net", tape=tape2)
+    out2 = dc.mlp_forward(params, [3, 5, 2], "net", x, tape=tape2)
     loss2 = dc.reduce_sum(dc.mul(out2, out2))
     assert np.array_equal(out2.data, out_before)
     assert np.array_equal(loss2.data, loss_before)
@@ -529,7 +535,7 @@ def test_forward_and_gradients_deterministic_across_runs():
         dc.mlp_init(params, "net", [4, 4, 1], rng)
         x = rng.standard_normal((6, 4))
         tape = dc.Tape()
-        out = dc.mlp_forward(params, [4, 4, 1], x, "net", tape=tape)
+        out = dc.mlp_forward(params, [4, 4, 1], "net", x, tape=tape)
         loss = dc.reduce_sum(dc.mul(out, out))
         # creation order is a topological order
         for nid, node in enumerate(tape.nodes):
@@ -551,8 +557,3 @@ def test_untaped_operations_evaluate_eagerly():
     out = dc.exp(dc.add(a, 1.0))
     assert out.tape is None
     assert np.allclose(out.data, np.exp([2.0, 3.0]))
-
-
-def test_mlp_param_count():
-    assert dc.mlp_param_count([8, 6]) == 54
-    assert dc.mlp_param_count([8, 6, 8]) == 110

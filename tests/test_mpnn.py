@@ -1,7 +1,9 @@
 """Graph model tests: encode/message/decode semantics, locality,
 permutation safety, parameter counting, checkpoints."""
 
+import json
 import os
+import re
 import time
 
 import numpy as np
@@ -12,6 +14,8 @@ from gridmpnn import gridsim
 from gridmpnn.gridgraph import NodeSchema, derive_schemas, load_topology
 from gridmpnn.mpnn import GnnConfig, GnnModel
 from gridmpnn.training import nll_loss_packed
+
+from conftest import BAD_PARAMETERS, write_bad_checkpoint
 
 
 def chain_topology():
@@ -43,8 +47,8 @@ def test_zero_encoder_weights_give_zero_states():
     topo = chain_topology()
     model = GnnModel(topo, tiny_schemas(topo), GnnConfig(layers=2))
     model.init_parameters(0)
-    for pid in model.params.ids():
-        model.params.values[pid][...] = 0.0
+    for value in model.params.values.values():
+        value[...] = 0.0
     f, m = ones_inputs(model)
     states = model.encode(f, m)
     for key, st in states.items():
@@ -92,15 +96,16 @@ def test_zero_messages_with_identity_aggregator_keep_states():
     model = GnnModel(topo, schemas, GnnConfig(layers=1,
                                               message_passing_steps=4))
     model.init_parameters(2)
-    for pid in model.params.ids():
+    views = model.parameter_views()
+    for pid, view in views.items():
         if "/msg/" in pid:
-            model.params.values[pid][...] = 0.0
+            view[...] = 0.0
     for nid in topo.ids():
         p = schemas[nid].p
-        w = model.params.values[f"node/{nid}/agg/L0/W"]
+        w = views[f"node/{nid}/agg/L0/W"]
         w[...] = 0.0
         w[:p, :p] = np.eye(p)
-        model.params.values[f"node/{nid}/agg/L0/b"][...] = 0.0
+        views[f"node/{nid}/agg/L0/b"][...] = 0.0
     f, m = ones_inputs(model, seed=4)
     states = model.encode(f, m)
     after = model.message_pass(states)
@@ -136,9 +141,9 @@ def test_zero_decoder_weights_give_unit_variance():
     topo = chain_topology()
     model = GnnModel(topo, tiny_schemas(topo))
     model.init_parameters(0)
-    for pid in model.params.ids():
-        if "/dec_" in pid:
-            model.params.values[pid][...] = 0.0
+    for key, value in model.params.values.items():
+        if "/dec_" in key:
+            value[...] = 0.0
     f, m = ones_inputs(model)
     mu, logvar = model.forward(f, m)
     for key in mu:
@@ -205,8 +210,9 @@ def test_permutation_relabeling_transports_predictions():
             parts[1] = f"{mapping[src]}>{mapping[dst]}"
         return "/".join(parts)
 
-    for pid in model.params.ids():
-        model2.params.values[rename_key(pid)][...] = model.params.values[pid]
+    views2 = model2.parameter_views()
+    for pid, view in model.parameter_views().items():
+        views2[rename_key(pid)][...] = view
 
     rng = np.random.default_rng(23)
     feats = {nid: rng.standard_normal((1, 2)) for nid in topo.ids()}
@@ -228,6 +234,13 @@ def test_count_parameters_pilot_default_architecture():
     assert model.count_parameters() == 389598
     model.init_parameters(0)
     assert model.params.n_scalars() == 389598
+
+
+def test_pilot_parameters_live_in_112_blocks():
+    topo = gridsim.pilot_topology()
+    model = GnnModel(topo, derive_schemas(topo))
+    assert len(model.params) == 112
+    assert len(model.parameter_views()) == 1648
 
 
 def test_share_by_type_shrinks_parameters():
@@ -272,28 +285,66 @@ def test_checkpoint_roundtrip_preserves_predictions(tmp_path):
     assert open(path).read() == open(path2).read()
 
 
+def test_checkpoint_values_roundtrip_bit_exact(tmp_path):
+    topo = chain_topology()
+    model = GnnModel(topo, tiny_schemas(topo))
+    rng = np.random.default_rng(11)
+    views = model.parameter_views()
+    views["node/g/enc/L0/W"][...] = rng.standard_normal((4, 4)) * 1e-7
+    views["node/p1/enc/L1/b"][...] = [1.0 / 3.0, -0.0]
+    views["node/p2/enc/L1/b"][...] = [2.0 ** -40, 5e-324]
+    views["edge/f>p2/msg/L0/W"][...] = rng.standard_normal((4, 4)) * 1e9
+    path = os.path.join(tmp_path, "ckpt.json")
+    model.save_checkpoint(path)
+    back = GnnModel.load_checkpoint(path, topo).parameter_views()
+    assert list(back) == list(views)
+    for pid, value in views.items():
+        assert back[pid].shape == value.shape
+        assert np.array_equal(back[pid], value)
+    # a plain object with shape and values per parameter id
+    doc = json.load(open(path))
+    assert doc["parameters"]["node/g/enc/L0/W"]["shape"] == [4, 4]
+
+
+@pytest.mark.parametrize("fault", list(BAD_PARAMETERS))
+def test_checkpoint_parameter_ids_are_validated_on_load(tmp_path, fault):
+    topo = chain_topology()
+    model = GnnModel(topo, tiny_schemas(topo))
+    path = os.path.join(tmp_path, "ckpt.json")
+    model.save_checkpoint(path)
+    bad = os.path.join(tmp_path, "bad.json")
+    pid = write_bad_checkpoint(path, bad, fault)
+    with pytest.raises(ValueError, match=re.escape(repr(pid))):
+        GnnModel.load_checkpoint(bad, topo)
+
+
 def test_stacked_storage_keeps_ids_shapes_and_initial_draws():
     topo = chain_topology()
     model = GnnModel(topo, tiny_schemas(topo))
     model.init_parameters(5)
-    # the same draws, one standalone array per id, in id order
+    # the same draws as one standalone MLP per id prefix, in id order
     reference = dc.ParameterSet()
     rng = np.random.default_rng(5)
     for _, prefixes, spec in model._mlp_blocks:
         for prefix in prefixes:
             dc.mlp_init(reference, prefix, spec, rng)
-    assert model.params.ids() == reference.ids()
-    for pid in reference.ids():
-        assert model.params.values[pid].shape == reference.values[pid].shape
-        assert np.array_equal(model.params.values[pid],
-                              reference.values[pid])
-    assert model.params.values["node/p2/enc/L0/W"].shape == (4, 4)
-    assert model.params.values["edge/f>p1/msg/L1/b"].shape == (2,)
-    # the two prosumers and the edges from and to them share blocks
-    blocks = model.params.block_values
+    views = model.parameter_views()
+    assert list(views) == list(reference.values)
+    for pid, want in reference.values.items():
+        assert views[pid].shape == want.shape
+        assert np.array_equal(views[pid], want)
+    assert views["node/p2/enc/L0/W"].shape == (4, 4)
+    assert views["edge/f>p1/msg/L1/b"].shape == (2,)
+    # the two prosumers and the edges from and to them share blocks; the
+    # lone global node's MLPs keep the unstacked shapes
+    blocks = model.params.values
     assert blocks["stack/prosumer:2:2/enc/L0/W"].shape == (2, 4, 4)
     assert blocks["stack/feeder:2:2>prosumer:2:2/msg/L1/b"].shape == (2, 1, 2)
-    assert len(blocks) < len(model.params)
+    assert blocks["stack/global:2:2/enc/L1/b"].shape == (2,)
+    assert np.shares_memory(views["node/p2/enc/L0/W"],
+                            blocks["stack/prosumer:2:2/enc/L0/W"])
+    assert views["node/g/enc/L1/b"] is blocks["stack/global:2:2/enc/L1/b"]
+    assert len(blocks) < len(views)
 
 
 def test_inplace_write_through_parameter_id_changes_forward():
@@ -303,7 +354,7 @@ def test_inplace_write_through_parameter_id_changes_forward():
     f, m = ones_inputs(model, b=2, seed=6)
     before, _ = model.forward(f, m)
     before = model.unpack({k: v.data for k, v in before.items()})
-    model.params.values["node/p2/dec_mu/L1/b"][...] += 1.0
+    model.parameter_views()["node/p2/dec_mu/L1/b"][...] += 1.0
     after, _ = model.forward(f, m)
     after = model.unpack({k: v.data for k, v in after.items()})
     for nid in topo.ids():
@@ -329,8 +380,7 @@ def test_gnn_gradients_match_finite_differences():
     targets = {k: rng.standard_normal(v.shape) for k, v in f.items()}
     tape = dc.Tape()
     dc.backward(tape, _nll(model, f, m, targets, tape))
-    analytic = {pid: model.params.grads[pid].copy()
-                for pid in model.params.ids()}
+    analytic = {key: g.copy() for key, g in model.params.grads.items()}
     assert any(g.any() for g in analytic.values())
     model.params.zero_grads()
 

@@ -251,7 +251,7 @@ def test_pruned_training_step_matches_unpruned_gradients(pilot_world):
         mu, logvar = model.forward(f, m, tape=tape)
         loss_sum, cnt = nll_loss_packed(mu, logvar, t, lm, tape)
         dc.backward(tape, dc.scale(loss_sum, 1.0 / cnt))
-        grads.append({k: g.copy() for k, g in model.params.block_grads.items()})
+        grads.append({k: g.copy() for k, g in model.params.grads.items()})
         constants.append(sum(not node.needs_grad for node in tape.nodes))
         model.params.zero_grads()
     assert constants[0] > 0 and constants[1] == 0
