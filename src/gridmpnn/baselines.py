@@ -122,9 +122,12 @@ class CentralModel(ModelBase):
         return out
 
     def forward(self, features: dict[str, np.ndarray],
-                mask: dict[str, np.ndarray], tape: Optional[Tape] = None):
+                mask: dict[str, np.ndarray], tape: Optional[Tape] = None,
+                window: Optional[tuple[int, int]] = None):
         """Packed groups in, packed standardized (mu, logvar) out; same
-        contract as the graph model's forward."""
+        contract as the graph model's forward. ``window`` changes nothing
+        here: in blocks that start on ``imputation.BLOCK_ALIGN`` rows,
+        BLAS computes each row of these products as in the whole batch."""
         f_flat, b = self._flatten(features, tape)
         m_flat, _ = self._flatten(mask, tape)
         h = dc.concat([f_flat, m_flat], axis=1)

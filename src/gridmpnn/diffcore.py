@@ -40,6 +40,7 @@ Design choices:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -153,6 +154,14 @@ class Tensor:
     def __neg__(self): return neg(self)
 
 
+def _wrap(data: np.ndarray) -> Tensor:
+    """A tape-free tensor over an array already known to be C-contiguous
+    float64, without ``_as_array``'s checks."""
+    t = Tensor.__new__(Tensor)
+    t.data, t.tape, t.node = data, None, -1
+    return t
+
+
 def _coerce(x, tape: Optional[Tape]) -> Tensor:
     """Attach ``x`` to ``tape`` (as a const leaf) if needed."""
     if isinstance(x, Tensor):
@@ -188,7 +197,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _record(tape: Optional[Tape], op: str, inputs: Sequence[Tensor],
             out: np.ndarray, bwd) -> Tensor:
-    result = Tensor(out)
+    result = _wrap(out)  # every primitive's output is C-contiguous float64
     if tape is None:
         return result
     needs = any(tape.nodes[t.node].needs_grad for t in inputs)
@@ -349,10 +358,10 @@ def concat(tensors: Sequence, axis: int = -1) -> Tensor:
     ts = [_coerce(t, tape) for t in tensors]
     out = np.concatenate([t.data for t in ts], axis=axis)
     sizes = [t.data.shape[axis] for t in ts]
-    splits = np.cumsum(sizes)[:-1]
     nodes = [t.node for t in ts]
 
     def bwd(adj, accum):
+        splits = np.cumsum(sizes)[:-1]
         for nid, piece in zip(nodes, np.split(adj, splits, axis=axis)):
             accum(nid, piece)
 
@@ -522,7 +531,7 @@ class ParameterSet:
         if key not in self.values:
             raise ContractError(f"unknown parameter block {key!r}")
         if tape is None:
-            return Tensor(self.values[key])
+            return _wrap(self.values[key])
         return tape.leaf(self.values[key], op="param",
                          grad_sink=(self.grads, key))
 
@@ -573,6 +582,13 @@ def mlp_init(params: ParameterSet, prefix: str, layer_spec: Sequence[int],
             (w[j] if lead else w)[...] = rng.uniform(-a, a, size=(fan_in, fan_out))
 
 
+@functools.lru_cache(maxsize=None)
+def _layer_ids(prefix: str, n_layers: int) -> tuple[tuple[str, str, bool], ...]:
+    """(weight id, bias id, hidden) per layer of MLP block ``prefix``."""
+    ids = mlp_layer_param_ids(prefix, range(n_layers + 1))
+    return tuple((w, b, i < n_layers - 1) for i, (w, b) in enumerate(ids))
+
+
 def _check_last_dim(x: Tensor, want: int, what: str) -> None:
     if x.data.shape[-1] != want:
         raise ShapeError(f"{what}: expected last dimension {want}, "
@@ -588,15 +604,17 @@ def mlp_forward(params: ParameterSet, layer_spec: Sequence[int], prefix: str,
     of k stacked MLPs ``x`` is (k, B, in) and MLP j applies to slice j;
     a single MLP's parameters broadcast over all leading dimensions.
     """
+    layers = _layer_ids(prefix, len(layer_spec) - 1)
     tape = tape if tape is not None else _find_tape(x)
     h = _coerce(x, tape)
-    ids = mlp_layer_param_ids(prefix, layer_spec)
     _check_last_dim(h, int(layer_spec[0]), f"{prefix} layer 0 input")
-    for i, (wid, bid) in enumerate(ids):
-        if wid not in params or bid not in params:
-            raise ContractError(f"missing parameters for {prefix} layer {i}")
-        h = dense(h, params.tensor(tape, wid), params.tensor(tape, bid),
-                  hidden=i < len(ids) - 1)
+    for i, (wid, bid, hidden) in enumerate(layers):
+        try:
+            w, b = params.tensor(tape, wid), params.tensor(tape, bid)
+        except ContractError:
+            raise ContractError(
+                f"missing parameters for {prefix} layer {i}") from None
+        h = dense(h, w, b, hidden=hidden)
     return h
 
 

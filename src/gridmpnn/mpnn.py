@@ -327,8 +327,11 @@ class GnnModel(ModelBase):
 
     def message_pass(self, states: dict[str, Tensor],
                      tape: Optional[Tape] = None,
-                     steps: Optional[int] = None) -> dict[str, Tensor]:
-        """T synchronous steps: edge messages, then aggregator updates."""
+                     steps: Optional[int] = None,
+                     window: Optional[tuple[int, int]] = None,
+                     ) -> dict[str, Tensor]:
+        """T synchronous steps: edge messages, then aggregator updates.
+        ``window`` is ``forward``'s."""
         t_steps = self.config.message_passing_steps if steps is None else steps
         for _ in range(t_steps):
             msgs: dict[str, list[Tensor]] = {g.key: [] for g in self.groups}
@@ -348,8 +351,8 @@ class GnnModel(ModelBase):
                     stacked = (msgs[g.key][0] if len(msgs[g.key]) == 1
                                else dc.concat(msgs[g.key], axis=0))
                     flat = dc.reshape(stacked, (stacked.data.shape[0], b * md))
-                    mean = dc.matmul(_leaf(tape, self.routing[g.key]), flat)
-                    mean = dc.reshape(mean, (n, b, md))
+                    mean = dc.reshape(
+                        self._route(g.key, flat, b, tape, window), (n, b, md))
                 else:
                     mean = _leaf(tape, np.zeros((n, b, md)))
                 new_states[g.key] = dc.mlp_forward(
@@ -357,6 +360,26 @@ class GnnModel(ModelBase):
                     dc.concat([own, mean], axis=-1), tape=tape)
             states = new_states
         return states
+
+    def _route(self, key: str, flat: Tensor, rows: int, tape: Optional[Tape],
+               window: Optional[tuple[int, int]]) -> Tensor:
+        """Mean incoming message, ``routing @ flat``. Batch columns lie on
+        the dimension along which BLAS picks kernels by problem size, and
+        the kernels round the last columns of a product differently. So a
+        window of rows is multiplied at its whole batch's width, its
+        columns in place and zeros elsewhere, which gives every column the
+        bytes of the whole batch's product."""
+        routing = self.routing[key]
+        if window is None or window[1] == rows:
+            return dc.matmul(_leaf(tape, routing), flat)
+        if tape is not None:
+            raise dc.ContractError("a row window is for untaped passes only")
+        start, batch = window
+        per_row = flat.data.shape[1] // rows
+        cols = slice(start * per_row, (start + rows) * per_row)
+        wide = np.zeros((flat.data.shape[0], batch * per_row))
+        wide[:, cols] = flat.data
+        return Tensor((routing @ wide)[:, cols])
 
     def decode(self, states: dict[str, Tensor],
                tape: Optional[Tape] = None) -> tuple[dict[str, Tensor], dict[str, Tensor]]:
@@ -375,13 +398,18 @@ class GnnModel(ModelBase):
     def forward(self, features: dict[str, np.ndarray],
                 mask: dict[str, np.ndarray],
                 tape: Optional[Tape] = None,
+                window: Optional[tuple[int, int]] = None,
                 ) -> tuple[dict[str, Tensor], dict[str, Tensor]]:
         """Single feed-forward pass encode -> message_pass -> decode.
 
         Returns standardized (mu, logvar) per group; no internal iteration.
+        An untaped pass may run a window of a batch's rows: ``window =
+        (start, batch)`` says the rows given are rows ``start``, ``start +
+        1``, ... of a batch of ``batch`` rows, and each comes out with the
+        bytes the whole batch's forward gives it.
         """
         states = self.encode(features, mask, tape)
-        states = self.message_pass(states, tape)
+        states = self.message_pass(states, tape, window=window)
         return self.decode(states, tape)
 
     # -- checkpoints ----------------------------------------------------------
@@ -416,6 +444,14 @@ class GnnModel(ModelBase):
             doc = json.load(fh)
         if doc.get("format_version") != CHECKPOINT_VERSION:
             raise ValueError("unsupported checkpoint format version")
+        try:
+            return cls._from_checkpoint(doc, topology)
+        except KeyError as missing:
+            raise ValueError(
+                f"checkpoint lacks key {missing.args[0]!r}") from None
+
+    @classmethod
+    def _from_checkpoint(cls, doc: dict, topology: GridTopology) -> "GnnModel":
         if doc["topology_hash"] != topology.content_hash():
             raise ValueError("checkpoint topology hash does not match topology")
         schemas = {
@@ -456,7 +492,11 @@ def _arrays_json(arrays: dict[str, np.ndarray]) -> str:
     floats, so a reload is bit exact."""
     parts = []
     for key, v in arrays.items():
-        vals = ",".join(format(x, ".17g") for x in v.reshape(-1))
+        flat = v.reshape(-1)
+        vals = [format(x, ".17g") for x in flat]
+        for i in np.flatnonzero(np.signbit(flat) & (flat == 0.0)):
+            vals[i] = "-0.0"  # JSON reads -0 as the integer 0
+        vals = ",".join(vals)
         shape = ",".join(str(int(s)) for s in v.shape)
         parts.append(f'{json.dumps(key)}:{{"shape":[{shape}],"values":[{vals}]}}')
     return "{" + ",".join(parts) + "}"

@@ -168,18 +168,38 @@ def test_missing_checkpoint_exits_3(world, tmp_path):
     assert main(["evaluate", "--config", cfg_path]) == 3
 
 
-@pytest.mark.parametrize("fault", list(BAD_PARAMETERS))
-def test_bad_checkpoint_parameter_exits_2(world, tmp_path, capsys, fault):
-    bad = str(tmp_path / "bad_checkpoint.json")
-    pid = write_bad_checkpoint(world["cfg"]["paths"]["checkpoint"], bad, fault)
+def _evaluate_with_checkpoint(world, tmp_path, checkpoint: str) -> int:
     cfg = json.loads(json.dumps(world["cfg"]))
-    cfg["paths"]["checkpoint"] = bad
+    cfg["paths"]["checkpoint"] = checkpoint
     cfg["paths"]["out_dir"] = str(tmp_path / "out")
     cfg_path = str(tmp_path / "bad_ckpt.json")
     with open(cfg_path, "w") as fh:
         json.dump(cfg, fh)
-    assert main(["evaluate", "--config", cfg_path]) == 2
+    return main(["evaluate", "--config", cfg_path])
+
+
+@pytest.mark.parametrize("fault", list(BAD_PARAMETERS))
+def test_bad_checkpoint_parameter_exits_2(world, tmp_path, capsys, fault):
+    bad = str(tmp_path / "bad_checkpoint.json")
+    pid = write_bad_checkpoint(world["cfg"]["paths"]["checkpoint"], bad, fault)
+    assert _evaluate_with_checkpoint(world, tmp_path, bad) == 2
     assert repr(pid) in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "evaluation.json")
+
+
+@pytest.mark.parametrize("key", ["topology_hash", "schemas", "model",
+                                 "standardization", "parameters", "shape",
+                                 "values"])
+def test_checkpoint_without_a_key_exits_2(world, tmp_path, capsys, key):
+    with open(world["cfg"]["paths"]["checkpoint"]) as fh:
+        doc = json.load(fh)
+    record = doc if key in doc else doc["parameters"]["node/p1/enc/L0/W"]
+    del record[key]
+    bad = str(tmp_path / "bad_checkpoint.json")
+    with open(bad, "w") as fh:
+        json.dump(doc, fh)
+    assert _evaluate_with_checkpoint(world, tmp_path, bad) == 2
+    assert repr(key) in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "out" / "evaluation.json")
 
 

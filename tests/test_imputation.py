@@ -1,16 +1,29 @@
-"""Imputation loop mechanics: pass-through, fixpoint behavior, reports."""
+"""Imputation loop mechanics: pass-through, fixpoint behavior, reports,
+and the blocked forwards of a batch on free cores."""
+
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from gridmpnn.gridgraph import NodeSchema
+from gridmpnn import gridsim, imputation
+from gridmpnn.baselines import build_baseline
+from gridmpnn.gridgraph import NodeSchema, derive_schemas
 from gridmpnn.imputation import (ImputationError, ImputationProblem, impute,
                                  impute_packed)
-from gridmpnn.mpnn import compute_groups
+from gridmpnn.mpnn import GnnModel, compute_groups
 from gridmpnn.services import predict_voltages
-from gridmpnn.training import voltage_lag0_selector
+from gridmpnn.training import (TrainingConfig, build_samples, mask_channels,
+                               voltage_lag0_selector)
 
 from conftest import chain_samples, chain_schemas, chain_topology
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(HERE), "src")
 
 
 def _problem(model, observed_x=(1.2, 0.4, None), **kwargs):
@@ -114,9 +127,9 @@ def test_forwards_run_only_on_pending_rows(quick_chain_model, monkeypatch):
     forward = model.forward
     rows_seen = []
 
-    def counting(features, mask, tape=None):
+    def counting(features, mask, tape=None, window=None):
         rows_seen.append(next(iter(features.values())).shape[1])
-        return forward(features, mask, tape=tape)
+        return forward(features, mask, tape=tape, window=window)
 
     monkeypatch.setattr(model, "forward", counting)
     per_row = []
@@ -176,3 +189,190 @@ def test_voltage_channel_indices():
     assert {k: v.tolist() for k, v in sel.items()} == {
         "feeder:4:1": [[True, False, False, False]],
         "global:1:1": [[False]], "substation:1:1": [[False]]}
+
+
+class _CountingPool:
+    """Stands in for the module's pool and counts the blocks sent to it."""
+
+    def __init__(self, pool):
+        self.pool, self.jobs = pool, 0
+
+    def submit(self, fn, *args):
+        self.jobs += 1
+        return self.pool.submit(fn, *args)
+
+
+@pytest.fixture
+def counting_pool(monkeypatch):
+    pool = _CountingPool(imputation._POOL)
+    monkeypatch.setattr(imputation, "_POOL", pool)
+    return pool
+
+
+def _chain_holes(model, rows: int):
+    """``rows`` samples of the chain world, each with ``f`` unobserved."""
+    rng = np.random.default_rng(rows)
+    return _packed_rows(model, [((x, y, 0.0), (1, 1, 0))
+                                for x, y in rng.normal(size=(rows, 2))])
+
+
+def _same_bytes(a, b) -> bool:
+    """Whether two ``impute_packed`` results hold the same arrays, byte
+    for byte."""
+    def arrays(result):
+        return [x for part in result
+                for x in (part.values() if isinstance(part, dict) else [part])]
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+               for x, y in zip(arrays(a), arrays(b), strict=True))
+
+
+def _blocked_run(kind: str) -> tuple[bool, int]:
+    """Impute 181 samples of the pilot world (the ``pilot_world``
+    fixture's) serially and in blocks of 72 and 109 rows, the second
+    ragged; returns (same bytes, blocks sent to the pool)."""
+    spec = gridsim.pilot_spec(seed=7)
+    dataset = gridsim.simulate(spec, "2019-06-01T00:00:00Z", days=4, seed=11)
+    schemas = derive_schemas(spec.topology)
+    samples = build_samples(dataset, spec.topology, schemas, TrainingConfig())
+    if kind == "gnn":
+        model = GnnModel(spec.topology, schemas)
+    else:  # the AE's default widths, 1808 -> 1210 -> 810, need BLOCK_ALIGN
+        model = build_baseline(kind, spec.topology, schemas,
+                               hidden=16 if kind == "mlp" else None)
+    model.set_standardization(samples.stats.mean, samples.stats.std)
+    samples = samples.select(np.arange(181))
+    feats, masks = mask_channels(samples.features, samples.input_mask,
+                                 voltage_lag0_selector(schemas, samples.groups))
+    pool = imputation._POOL = _CountingPool(imputation._POOL)
+    results = []
+    for workers in (1, 2):
+        imputation._WORKERS = workers
+        results.append(impute_packed(model, feats, masks, max_iterations=3))
+    return _same_bytes(*results), pool.jobs
+
+
+@pytest.mark.parametrize("kind", ["gnn", "mlp", "ae"])
+def test_blocked_pass_returns_the_serial_bytes(kind):
+    # Blocks run only under a single-threaded BLAS, so check there.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    code = f"import test_imputation as t; print(*t._blocked_run({kind!r}))"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=HERE, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "3"]  # a second block per iteration
+
+
+def test_only_two_full_blocks_of_pending_rows_reach_the_pool(
+        quick_chain_model, monkeypatch, counting_pool):
+    # 2 * 72 rows: each block has at least 64, and starts on 24 rows
+    assert imputation.MIN_BLOCK_ROWS == 72 and imputation.BLOCK_ALIGN == 24
+    monkeypatch.setattr(imputation, "_WORKERS", 4)
+    impute_packed(quick_chain_model, *_chain_holes(quick_chain_model, 143))
+    assert counting_pool.jobs == 0
+    impute_packed(quick_chain_model, *_chain_holes(quick_chain_model, 144),
+                  max_iterations=1)
+    assert counting_pool.jobs == 1
+
+
+@pytest.mark.parametrize("declared, workers", [
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2),
+    ({"OMP_NUM_THREADS": "1"}, 2),
+    ({"MKL_NUM_THREADS": "2"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "3"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "2", "cores": 4}, 1),
+    ({"OPENBLAS_NUM_THREADS": "1", "cores": 4}, 4),
+])
+def test_workers_are_the_cores_blas_leaves_free(monkeypatch, declared,
+                                                workers):
+    for var in imputation.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    declared = dict(declared)
+    cores = set(range(declared.pop("cores", 2)))
+    for var, value in declared.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(imputation.os, "sched_getaffinity",
+                        lambda pid: cores)
+    assert imputation._free_workers() == workers
+
+
+def test_pool_unused_without_a_declared_blas_thread_count(
+        quick_chain_model, monkeypatch, counting_pool):
+    for var in imputation.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(imputation, "_WORKERS", imputation._free_workers())
+    impute_packed(quick_chain_model, *_chain_holes(quick_chain_model, 512))
+    assert counting_pool.jobs == 0
+
+
+def test_eight_blocks_on_eight_threads_fill_every_row(quick_chain_model,
+                                                      monkeypatch):
+    model = quick_chain_model
+    feats, mask = _chain_holes(model, 8 * imputation.MIN_BLOCK_ROWS + 5)
+    serial = impute_packed(model, feats, mask, max_iterations=4)
+    pool = ThreadPoolExecutor(max_workers=7)
+    monkeypatch.setattr(imputation, "_POOL", _CountingPool(pool))
+    monkeypatch.setattr(imputation, "_WORKERS", 8)
+    switch = sys.getswitchinterval()
+    results = []
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            runner = threading.Thread(target=lambda: results.append(
+                impute_packed(model, feats, mask, max_iterations=4)))
+            runner.start()
+            runner.join(timeout=60)
+            assert not runner.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+        pool.shutdown()
+    assert len(results) == 5 and imputation._POOL.jobs >= 5 * 7
+    assert all(_same_bytes(serial, blocked) for blocked in results)
+
+
+def test_two_blocks_per_worker_and_a_window_for_the_last(quick_chain_model,
+                                                        monkeypatch):
+    model = quick_chain_model
+    forward = model.forward
+    calls = []
+
+    def recording(features, mask, tape=None, window=None):
+        calls.append((next(iter(features.values())).shape[1], window))
+        return forward(features, mask, tape=tape, window=window)
+
+    monkeypatch.setattr(model, "forward", recording)
+    monkeypatch.setattr(imputation, "_WORKERS", 2)
+    impute_packed(model, *_chain_holes(model, 485), max_iterations=1)
+    # cuts at 0, 120, 240, 360: only the block with the ragged tail needs
+    # the whole batch's width
+    assert sorted(calls) == [(120, None)] * 3 + [(125, (360, 485))]
+
+
+def test_a_busy_pool_does_not_hold_up_the_pass(quick_chain_model,
+                                               monkeypatch):
+    # The pool's only thread is held elsewhere, so the calling thread
+    # forwards every block and does not wait for a helper to start.
+    model = quick_chain_model
+    feats, mask = _chain_holes(model, 300)
+    monkeypatch.setattr(imputation, "_WORKERS", 1)
+    serial = impute_packed(model, feats, mask, max_iterations=3)
+    pool = ThreadPoolExecutor(max_workers=1)
+    held = threading.Event()
+    pool.submit(held.wait)
+    monkeypatch.setattr(imputation, "_POOL", _CountingPool(pool))
+    monkeypatch.setattr(imputation, "_WORKERS", 2)
+    results = []
+    try:
+        runner = threading.Thread(target=lambda: results.append(
+            impute_packed(model, feats, mask, max_iterations=3)))
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+    finally:
+        held.set()
+        pool.shutdown()
+    assert imputation._POOL.jobs >= 1 and _same_bytes(serial, results[0])

@@ -301,6 +301,8 @@ def test_checkpoint_values_roundtrip_bit_exact(tmp_path):
     for pid, value in views.items():
         assert back[pid].shape == value.shape
         assert np.array_equal(back[pid], value)
+        assert np.array_equal(np.signbit(back[pid]), np.signbit(value))
+    assert np.signbit(back["node/p1/enc/L1/b"][1])
     # a plain object with shape and values per parameter id
     doc = json.load(open(path))
     assert doc["parameters"]["node/g/enc/L0/W"]["shape"] == [4, 4]
@@ -467,3 +469,20 @@ def test_forward_runtime_scales_roughly_linearly_in_edges():
     per_edge_small = times[20] / 21
     per_edge_big = times[200] / 201
     assert per_edge_big < 4.0 * per_edge_small
+
+
+def test_row_windows_reproduce_the_whole_batch_bit_for_bit():
+    topo = gridsim.pilot_topology()
+    model = GnnModel(topo, derive_schemas(topo))
+    f, m = ones_inputs(model, b=181, seed=4)
+    whole = model.forward(f, m)
+    for lo, hi in ((0, 88), (88, 181)):
+        part = model.forward({k: v[:, lo:hi] for k, v in f.items()},
+                             {k: v[:, lo:hi] for k, v in m.items()},
+                             window=(lo, 181))
+        for full, got in zip(whole, part):
+            for k in full:
+                want = np.ascontiguousarray(full[k].data[:, lo:hi])
+                assert got[k].data.tobytes() == want.tobytes()
+    with pytest.raises(dc.ContractError, match="untaped"):
+        model.forward(f, m, tape=dc.Tape(), window=(0, 362))

@@ -43,17 +43,17 @@ SHARED_CALLERS = {
     "diffcore.ParameterSet.copy": "training.train",
     "gridgraph.GridTopology.ids": "mpnn.ModelBase.set_standardization",
     "gridgraph.GridTopology.to_document": "cli.cmd_simulate",
-    "gridgraph.SchemaConfig.from_document": "mpnn.GnnModel.load_checkpoint",
+    "gridgraph.SchemaConfig.from_document": "mpnn.GnnModel._from_checkpoint",
     "gridgraph.SchemaConfig.to_document": "mpnn.GnnModel.save_checkpoint",
     "gridsim.SyntheticGridSpec.from_document":
         "gridsim.SyntheticGridSpec.from_json",
     "gridsim.SyntheticGridSpec.to_document": "gridsim.SyntheticGridSpec.to_json",
     "gridsim.TimeSeriesDataset.copy": "gridsim.inject_missing",
     "gridsim.TimeSeriesDataset.ids": "cli.cmd_simulate",
-    "mpnn.GnnConfig.from_document": "mpnn.GnnModel.load_checkpoint",
+    "mpnn.GnnConfig.from_document": "mpnn.GnnModel._from_checkpoint",
     "mpnn.GnnConfig.to_document": "mpnn.GnnModel.save_checkpoint",
     "mpnn.GnnModel.count_parameters": "cli.cmd_train",
-    "mpnn.GnnModel.forward": "imputation.impute_packed",
+    "mpnn.GnnModel.forward": "imputation._blocked_forward",
     "mpnn.GnnModel.init_parameters": "cli.cmd_train",
     "services.CongestionEvent.to_document": "services.write_jsonl",
     "services.FlexibilityBid.to_document": "services.write_jsonl",
