@@ -36,12 +36,23 @@ Design choices:
   model's checkpoint ids) takes views of block slices.
 * Tensors that never touch a tape evaluate eagerly with zero recording
   overhead (used for inference-only passes).
+* Work cut into blocks runs on the cores that BLAS leaves free
+  (``run_blocks``): the calling thread and a module-level pool take the
+  blocks from one shared list until none is left, and numpy releases
+  the GIL inside matmuls and ufunc loops, so blocks run at once. The
+  caller's block rule reads only the work's size, never the worker
+  count, so what the blocks compute does not depend on how many cores
+  run them. A training step records each block on its own ``fork`` of
+  the step's tape, which sends parameter gradients to that block's
+  buffers, so blocks that run at once never write to one array.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -57,7 +68,7 @@ __all__ = [
     "add", "sub", "neg", "mul", "scale", "matmul", "dense", "exp", "clip",
     "concat", "slice_", "reshape", "transpose", "gather", "reduce_sum",
     "mlp_layer_param_ids", "mlp_init", "mlp_forward",
-    "adam_step", "backward", "gradient_check",
+    "adam_step", "backward", "gradient_check", "run_blocks",
 ]
 
 
@@ -103,6 +114,17 @@ class Tape:
 
     def __init__(self) -> None:
         self.nodes: list[TapeNode] = []
+        # where parameter leaves accumulate; None: their ParameterSet's grads
+        self.grads: Optional[dict[str, np.ndarray]] = None
+
+    def fork(self, grads: dict[str, np.ndarray]) -> "Tape":
+        """A new tape for one block of this tape's work, recorded and run
+        backward on its own, on any thread. Its parameter leaves
+        accumulate into ``grads`` (keyed like ``ParameterSet.grads``)
+        instead of their parameter set's accumulators."""
+        tape = Tape()
+        tape.grads = grads
+        return tape
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -119,11 +141,8 @@ class Tape:
 
 
 class Tensor:
-    """A float64 array, optionally recorded on a tape.
-
-    shape/values invariants: values are stored row-major (C order) and
-    ``prod(shape) == values.size`` by construction.
-    """
+    """A float64 array, ``data``, stored row-major (C order) and
+    optionally recorded on a tape."""
 
     __slots__ = ("data", "tape", "node")
 
@@ -131,14 +150,6 @@ class Tensor:
         self.data = _as_array(data)
         self.tape = tape
         self.node = node
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.data
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, taped={self.tape is not None})"
@@ -532,8 +543,8 @@ class ParameterSet:
             raise ContractError(f"unknown parameter block {key!r}")
         if tape is None:
             return _wrap(self.values[key])
-        return tape.leaf(self.values[key], op="param",
-                         grad_sink=(self.grads, key))
+        grads = self.grads if tape.grads is None else tape.grads
+        return tape.leaf(self.values[key], op="param", grad_sink=(grads, key))
 
     def copy(self) -> "ParameterSet":
         out = ParameterSet()
@@ -661,6 +672,62 @@ def adam_step(params: ParameterSet, state: AdamState, lr: float = 0.01) -> None:
         v += (1.0 - b2) * (g * g)
         value -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
     params.zero_grads()
+
+
+# ---------------------------------------------------------------------------
+# Blocks on the cores BLAS leaves free
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+def _free_workers() -> int:
+    """Blocks that can run at once: the usable cores if the first BLAS
+    thread count the environment declares is 1, else 1. With none
+    declared BLAS already uses every core, and several BLAS threads
+    split each product among themselves by its size."""
+    for var in BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ[var])
+        except (KeyError, ValueError):
+            continue
+        if threads > 0:
+            return len(os.sched_getaffinity(0)) if threads == 1 else 1
+    return 1
+
+
+_WORKERS = _free_workers()
+# the calling thread is a worker too, so the pool needs one thread fewer
+_POOL = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1),
+                           thread_name_prefix="blocks")
+
+
+def run_blocks(blocks: list, work: Callable[[object], None]) -> None:
+    """Call ``work(block)`` for every item of ``blocks``, emptying it.
+
+    The calling thread and up to ``_WORKERS - 1`` pool threads pop items
+    from the end of the one list until it is empty, so a worker whose
+    core is busy with other work takes fewer blocks instead of holding
+    the others up, and a helper that has not started when the list runs
+    dry is cancelled, not waited for. ``work`` must not depend on which
+    thread runs it.
+    """
+    def drain() -> None:
+        while True:
+            try:
+                block = blocks.pop()  # atomic, so no block runs twice
+            except IndexError:
+                return
+            work(block)
+
+    helpers = [_POOL.submit(drain)
+               for _ in range(min(len(blocks), _WORKERS) - 1)]
+    try:
+        drain()
+    finally:
+        for job in helpers:
+            if not job.cancel():  # a helper that never started took nothing
+                job.result()
 
 
 # ---------------------------------------------------------------------------

@@ -13,19 +13,11 @@ Batches iterate per sample: each sample exits at its own first hit, so
 the forwards shrink as samples converge and a batched result does not
 depend on the other samples in the batch.
 
-Each iteration forwards its pending rows in blocks, which every worker
-takes from one shared list until none is left: the calling thread and a
-module-level pool with a thread for each further core that BLAS leaves
-free. When the environment declares one BLAS thread (the first of
-``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``
-that is set), that is every core this process may run on. Otherwise
-each iteration is one block: with none declared BLAS already uses every
-core, and several BLAS threads split each product among themselves by
-its size, which would round a block's rows differently from the whole
-batch's. numpy releases the GIL inside matmuls and ufunc loops, so the
-workers forward their blocks at once. There are two blocks per worker,
-so a worker whose core is shared with other work takes fewer of them
-instead of holding the others up.
+Each iteration forwards its pending rows in blocks on the cores that
+BLAS leaves free (``diffcore.run_blocks``), two blocks per worker, so a
+worker whose core is shared with other work takes fewer of them instead
+of holding the others up. ``blocked_forward`` does the same for any
+untaped pass over a batch (``training.evaluate_nll`` uses it too).
 
 A split pass returns the serial pass's bytes. BLAS rounds a row of a
 product by where the row falls in the kernels' column unrolls, so block
@@ -37,16 +29,13 @@ width at the whole batch's width (``GnnModel.forward``'s ``window``).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import diffcore as dc
 from .gridgraph import NodeSchema
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS")
 # Block starts fall on multiples of BLOCK_ALIGN rows: OpenBLAS's AVX-512
 # double kernels round a row of a large product by its position modulo
 # 12, and 8 is the usual column unroll elsewhere. A pass splits into up
@@ -55,25 +44,6 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 BLOCK_ALIGN = 24
 MIN_BLOCK_ROWS = 3 * BLOCK_ALIGN
 BLOCKS_PER_WORKER = 2
-
-
-def _free_workers() -> int:
-    """Forward blocks that can run at once: the usable cores if the first
-    BLAS thread count the environment declares is 1, else 1."""
-    for var in BLAS_THREAD_VARS:
-        try:
-            threads = int(os.environ[var])
-        except (KeyError, ValueError):
-            continue
-        if threads > 0:
-            return len(os.sched_getaffinity(0)) if threads == 1 else 1
-    return 1
-
-
-_WORKERS = _free_workers()
-# the calling thread is a worker too, so the pool needs one thread fewer
-_POOL = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1),
-                           thread_name_prefix="impute")
 
 
 class ImputationError(ValueError):
@@ -113,45 +83,35 @@ class ImputationResult:
                 "converged": self.converged}
 
 
-def _blocked_forward(model, features: dict[str, np.ndarray],
-                     mask: dict[str, np.ndarray]):
-    """``model.forward`` over the rows of packed (n, B, q) arrays in one
-    block, or with several workers in up to ``BLOCKS_PER_WORKER`` blocks
-    per worker, as many as get ``MIN_BLOCK_ROWS`` rows each. Each block
-    writes its mu and log-variance into preallocated (n, B, q) arrays,
-    which are returned."""
+def blocked_forward(model, features: dict[str, np.ndarray],
+                    mask: dict[str, np.ndarray]):
+    """Untaped ``model.forward`` over the rows of packed (n, B, q) arrays
+    in one block, or with several workers in up to ``BLOCKS_PER_WORKER``
+    blocks per worker, as many as get ``MIN_BLOCK_ROWS`` rows each. Each
+    block writes its mu and log-variance into preallocated (n, B, q)
+    arrays, which are returned."""
     rows = next(iter(features.values())).shape[1]
     units = rows // BLOCK_ALIGN
-    n = 1 if _WORKERS == 1 else max(1, min(
-        BLOCKS_PER_WORKER * _WORKERS, units // (MIN_BLOCK_ROWS // BLOCK_ALIGN)))
+    n = 1 if dc._WORKERS == 1 else max(1, min(
+        BLOCKS_PER_WORKER * dc._WORKERS,
+        units // (MIN_BLOCK_ROWS // BLOCK_ALIGN)))
     cuts = [i * units // n * BLOCK_ALIGN for i in range(n)] + [rows]
-    # popped from the end: the tail block, which may need the whole
-    # batch's width, goes first
-    blocks = list(zip(cuts, cuts[1:]))
     mu = {k: np.empty(v.shape) for k, v in features.items()}
     logvar = {k: np.empty(v.shape) for k, v in features.items()}
 
-    def drain() -> None:
-        while True:
-            try:
-                lo, hi = blocks.pop()  # atomic, so no block runs twice
-            except IndexError:
-                return
-            out = model.forward(
-                {k: v[:, lo:hi] for k, v in features.items()},
-                {k: v[:, lo:hi] for k, v in mask.items()}, tape=None,
-                window=(lo, rows) if 0 < lo and hi == rows else None)
-            for dst, src in zip((mu, logvar), out):
-                for k, t in src.items():
-                    dst[k][:, lo:hi] = t.data
+    def run(block: tuple[int, int]) -> None:
+        lo, hi = block
+        out = model.forward(
+            {k: v[:, lo:hi] for k, v in features.items()},
+            {k: v[:, lo:hi] for k, v in mask.items()}, tape=None,
+            window=(lo, rows) if 0 < lo and hi == rows else None)
+        for dst, src in zip((mu, logvar), out):
+            for k, t in src.items():
+                dst[k][:, lo:hi] = t.data
 
-    helpers = [_POOL.submit(drain) for _ in range(min(n, _WORKERS) - 1)]
-    try:
-        drain()
-    finally:
-        for job in helpers:
-            if not job.cancel():  # a helper that never started took nothing
-                job.result()
+    # popped from the end: the tail block, which may need the whole
+    # batch's width, goes first
+    dc.run_blocks(list(zip(cuts, cuts[1:])), run)
     return mu, logvar
 
 
@@ -187,7 +147,7 @@ def impute_packed(model, features: dict[str, np.ndarray],
     rows = np.arange(b)  # the pending samples, in batch order
     cur, cur_mask = values, mask
     for it in range(1, max_iterations + 1):
-        mu, logvar = _blocked_forward(model, cur, cur_mask)
+        mu, logvar = blocked_forward(model, cur, cur_mask)
         delta = np.zeros(len(rows))
         for k, h in holes.items():
             if not h.any():

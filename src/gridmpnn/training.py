@@ -16,6 +16,16 @@ improving; the returned parameters are the best-validation checkpoint.
 The loop only needs a model exposing ``params`` and
 ``forward(features, mask, tape) -> (mu, logvar)`` over packed group
 arrays, so the centralized baselines train through the same code path.
+
+Each mini-batch trains as row blocks of at most ``BLOCK_ROWS`` samples,
+cut by the batch's row count alone, on the cores that BLAS leaves free
+(``diffcore.run_blocks``). A block records its forward on its own fork
+of the step's tape, scales its NLL sum by the whole batch's observed
+count and backpropagates into gradient buffers of its own; the blocks'
+gradients are then added up in block order ahead of one Adam step. So
+the trained bytes depend on the block rule, never on the core count.
+Validation forwards go through ``imputation.blocked_forward`` and give
+the bytes of one whole-batch forward.
 """
 
 from __future__ import annotations
@@ -30,7 +40,12 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import AdamState, ContractError, Tape, adam_step, backward
 from .gridgraph import ENERGY, NodeSchema, VOLTAGE, sensor_id
+from .imputation import blocked_forward
 from .mpnn import NodeGroup, compute_groups
+
+# Rows per training block at most: a batch of B rows trains as
+# ceil(B / BLOCK_ROWS) blocks of near-equal size.
+BLOCK_ROWS = 256
 
 
 class DatasetError(ValueError):
@@ -355,15 +370,29 @@ def evaluate_nll(model, samples: SampleSet, chunk: int = 2048) -> float:
     for lo in range(0, len(samples), chunk):
         idx = np.arange(lo, min(lo + chunk, len(samples)))
         f, m, t, lm = samples.batch(idx)
-        mu, logvar = model.forward(f, m, tape=None)
-        loss, c = nll_loss_packed({k: v.data for k, v in mu.items()},
-                                  {k: v.data for k, v in logvar.items()},
-                                  t, lm, tape=None)
+        mu, logvar = blocked_forward(model, f, m)
+        loss, c = nll_loss_packed(mu, logvar, t, lm, tape=None)
         total += float(loss.data)
         count += c
     if count == 0:
         raise DatasetError("no observed entries to evaluate")
     return total / count
+
+
+def _train_block(model, samples: SampleSet, idx: np.ndarray, tape: Tape,
+                 grads: dict[str, np.ndarray], scale: float) -> float:
+    """One block's taped forward on a fork of ``tape``, and, if its NLL
+    sum is finite, the backward of that sum times ``scale`` into
+    ``grads``, which it overwrites. Returns the NLL sum."""
+    f, m, t, lm = samples.batch(idx)
+    block_tape = tape.fork(grads)
+    mu, logvar = model.forward(f, m, tape=block_tape)
+    loss_sum, _ = nll_loss_packed(mu, logvar, t, lm, block_tape)
+    if np.isfinite(loss_sum.data):
+        for g in grads.values():
+            g[...] = 0.0
+        backward(block_tape, dc.scale(loss_sum, scale))
+    return float(loss_sum.data)
 
 
 def train(model, train_samples: SampleSet, val_samples: SampleSet,
@@ -383,23 +412,37 @@ def train(model, train_samples: SampleSet, val_samples: SampleSet,
     best_epoch = 0
     n = len(train_samples)
     bsize = min(config.effective_batch, n)
+    # observed loss entries per sample, and one gradient buffer per block
+    observed = sum(m.sum(axis=(0, 2)) for m in train_samples.loss_mask.values())
+    slots = [{k: np.zeros_like(g) for k, g in model.params.grads.items()}
+             for _ in range(-(-bsize // BLOCK_ROWS))]
     t0 = time.perf_counter()
     for epoch in range(1, config.max_epochs + 1):
         perm = rng.permutation(n)
         run_sum, run_count = 0.0, 0.0
         for lo in range(0, n, bsize):
             idx = perm[lo:lo + bsize]
-            f, m, t, lm = train_samples.batch(idx)
+            cnt = float(observed[idx].sum())
+            blocks = -(-len(idx) // BLOCK_ROWS)
+            cuts = [i * len(idx) // blocks for i in range(blocks + 1)]
+            sums = [0.0] * blocks
             tape = Tape()
-            mu, logvar = model.forward(f, m, tape=tape)
-            loss_sum, cnt = nll_loss_packed(mu, logvar, t, lm, tape)
-            loss = dc.scale(loss_sum, 1.0 / max(cnt, 1.0))
-            if not np.isfinite(loss.data):
+
+            def run(i: int) -> None:
+                sums[i] = _train_block(model, train_samples,
+                                       idx[cuts[i]:cuts[i + 1]], tape,
+                                       slots[i], 1.0 / max(cnt, 1.0))
+
+            dc.run_blocks(list(range(blocks)), run)
+            loss_sum = sum(sums)
+            if not np.isfinite(loss_sum):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {lo // bsize}")
-            backward(tape, loss)
+            for slot in slots[:blocks]:
+                for key, g in model.params.grads.items():
+                    g += slot[key]
             adam_step(model.params, adam, config.learning_rate)
-            run_sum += float(loss_sum.data)
+            run_sum += loss_sum
             run_count += cnt
         train_nll = run_sum / max(run_count, 1.0)
         val_nll = evaluate_nll(model, val_samples) if len(val_samples) else train_nll

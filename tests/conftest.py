@@ -41,6 +41,17 @@ def write_bad_checkpoint(src: str, dst: str, fault: str) -> str:
     return pid
 
 
+class CountingPool:
+    """Stands in for ``diffcore``'s pool and counts the blocks sent to it."""
+
+    def __init__(self, pool):
+        self.pool, self.jobs = pool, 0
+
+    def submit(self, fn, *args):
+        self.jobs += 1
+        return self.pool.submit(fn, *args)
+
+
 CHAIN_COEFFS = [0.8, 0.8]
 CHAIN_NOISE_VARS = [1.0, 0.36, 0.36]
 

@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from gridmpnn import gridsim, imputation
+from gridmpnn import diffcore, gridsim, imputation
 from gridmpnn.baselines import build_baseline
 from gridmpnn.gridgraph import NodeSchema, derive_schemas
 from gridmpnn.imputation import (ImputationError, ImputationProblem, impute,
@@ -20,7 +20,8 @@ from gridmpnn.services import predict_voltages
 from gridmpnn.training import (TrainingConfig, build_samples, mask_channels,
                                voltage_lag0_selector)
 
-from conftest import chain_samples, chain_schemas, chain_topology
+from conftest import (CountingPool, chain_samples, chain_schemas,
+                      chain_topology)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
@@ -191,21 +192,10 @@ def test_voltage_channel_indices():
         "global:1:1": [[False]], "substation:1:1": [[False]]}
 
 
-class _CountingPool:
-    """Stands in for the module's pool and counts the blocks sent to it."""
-
-    def __init__(self, pool):
-        self.pool, self.jobs = pool, 0
-
-    def submit(self, fn, *args):
-        self.jobs += 1
-        return self.pool.submit(fn, *args)
-
-
 @pytest.fixture
 def counting_pool(monkeypatch):
-    pool = _CountingPool(imputation._POOL)
-    monkeypatch.setattr(imputation, "_POOL", pool)
+    pool = CountingPool(diffcore._POOL)
+    monkeypatch.setattr(diffcore, "_POOL", pool)
     return pool
 
 
@@ -243,10 +233,10 @@ def _blocked_run(kind: str) -> tuple[bool, int]:
     samples = samples.select(np.arange(181))
     feats, masks = mask_channels(samples.features, samples.input_mask,
                                  voltage_lag0_selector(schemas, samples.groups))
-    pool = imputation._POOL = _CountingPool(imputation._POOL)
+    pool = diffcore._POOL = CountingPool(diffcore._POOL)
     results = []
     for workers in (1, 2):
-        imputation._WORKERS = workers
+        diffcore._WORKERS = workers
         results.append(impute_packed(model, feats, masks, max_iterations=3))
     return _same_bytes(*results), pool.jobs
 
@@ -268,7 +258,7 @@ def test_only_two_full_blocks_of_pending_rows_reach_the_pool(
         quick_chain_model, monkeypatch, counting_pool):
     # 2 * 72 rows: each block has at least 64, and starts on 24 rows
     assert imputation.MIN_BLOCK_ROWS == 72 and imputation.BLOCK_ALIGN == 24
-    monkeypatch.setattr(imputation, "_WORKERS", 4)
+    monkeypatch.setattr(diffcore, "_WORKERS", 4)
     impute_packed(quick_chain_model, *_chain_holes(quick_chain_model, 143))
     assert counting_pool.jobs == 0
     impute_packed(quick_chain_model, *_chain_holes(quick_chain_model, 144),
@@ -289,22 +279,22 @@ def test_only_two_full_blocks_of_pending_rows_reach_the_pool(
 ])
 def test_workers_are_the_cores_blas_leaves_free(monkeypatch, declared,
                                                 workers):
-    for var in imputation.BLAS_THREAD_VARS:
+    for var in diffcore.BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     declared = dict(declared)
     cores = set(range(declared.pop("cores", 2)))
     for var, value in declared.items():
         monkeypatch.setenv(var, value)
-    monkeypatch.setattr(imputation.os, "sched_getaffinity",
+    monkeypatch.setattr(diffcore.os, "sched_getaffinity",
                         lambda pid: cores)
-    assert imputation._free_workers() == workers
+    assert diffcore._free_workers() == workers
 
 
 def test_pool_unused_without_a_declared_blas_thread_count(
         quick_chain_model, monkeypatch, counting_pool):
-    for var in imputation.BLAS_THREAD_VARS:
+    for var in diffcore.BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
-    monkeypatch.setattr(imputation, "_WORKERS", imputation._free_workers())
+    monkeypatch.setattr(diffcore, "_WORKERS", diffcore._free_workers())
     impute_packed(quick_chain_model, *_chain_holes(quick_chain_model, 512))
     assert counting_pool.jobs == 0
 
@@ -315,8 +305,8 @@ def test_eight_blocks_on_eight_threads_fill_every_row(quick_chain_model,
     feats, mask = _chain_holes(model, 8 * imputation.MIN_BLOCK_ROWS + 5)
     serial = impute_packed(model, feats, mask, max_iterations=4)
     pool = ThreadPoolExecutor(max_workers=7)
-    monkeypatch.setattr(imputation, "_POOL", _CountingPool(pool))
-    monkeypatch.setattr(imputation, "_WORKERS", 8)
+    monkeypatch.setattr(diffcore, "_POOL", CountingPool(pool))
+    monkeypatch.setattr(diffcore, "_WORKERS", 8)
     switch = sys.getswitchinterval()
     results = []
     sys.setswitchinterval(1e-6)
@@ -330,7 +320,7 @@ def test_eight_blocks_on_eight_threads_fill_every_row(quick_chain_model,
     finally:
         sys.setswitchinterval(switch)
         pool.shutdown()
-    assert len(results) == 5 and imputation._POOL.jobs >= 5 * 7
+    assert len(results) == 5 and diffcore._POOL.jobs >= 5 * 7
     assert all(_same_bytes(serial, blocked) for blocked in results)
 
 
@@ -345,7 +335,7 @@ def test_two_blocks_per_worker_and_a_window_for_the_last(quick_chain_model,
         return forward(features, mask, tape=tape, window=window)
 
     monkeypatch.setattr(model, "forward", recording)
-    monkeypatch.setattr(imputation, "_WORKERS", 2)
+    monkeypatch.setattr(diffcore, "_WORKERS", 2)
     impute_packed(model, *_chain_holes(model, 485), max_iterations=1)
     # cuts at 0, 120, 240, 360: only the block with the ragged tail needs
     # the whole batch's width
@@ -358,13 +348,13 @@ def test_a_busy_pool_does_not_hold_up_the_pass(quick_chain_model,
     # forwards every block and does not wait for a helper to start.
     model = quick_chain_model
     feats, mask = _chain_holes(model, 300)
-    monkeypatch.setattr(imputation, "_WORKERS", 1)
+    monkeypatch.setattr(diffcore, "_WORKERS", 1)
     serial = impute_packed(model, feats, mask, max_iterations=3)
     pool = ThreadPoolExecutor(max_workers=1)
     held = threading.Event()
     pool.submit(held.wait)
-    monkeypatch.setattr(imputation, "_POOL", _CountingPool(pool))
-    monkeypatch.setattr(imputation, "_WORKERS", 2)
+    monkeypatch.setattr(diffcore, "_POOL", CountingPool(pool))
+    monkeypatch.setattr(diffcore, "_WORKERS", 2)
     results = []
     try:
         runner = threading.Thread(target=lambda: results.append(
@@ -375,4 +365,4 @@ def test_a_busy_pool_does_not_hold_up_the_pass(quick_chain_model,
     finally:
         held.set()
         pool.shutdown()
-    assert imputation._POOL.jobs >= 1 and _same_bytes(serial, results[0])
+    assert diffcore._POOL.jobs >= 1 and _same_bytes(serial, results[0])

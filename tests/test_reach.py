@@ -36,7 +36,7 @@ ORACLES = {
 # Shared-name definition -> a library or benchmark function that calls it.
 SHARED_CALLERS = {
     "baselines.CentralModel.count_parameters": "baselines.compare",
-    "baselines.CentralModel.forward": "training.train",
+    "baselines.CentralModel.forward": "training._train_block",
     "baselines.CentralModel.init_parameters": "baselines.build_baseline",
     "diffcore.add": "training.nll_loss_packed",
     "diffcore.ParameterSet.add": "diffcore.mlp_init",
@@ -53,7 +53,7 @@ SHARED_CALLERS = {
     "mpnn.GnnConfig.from_document": "mpnn.GnnModel._from_checkpoint",
     "mpnn.GnnConfig.to_document": "mpnn.GnnModel.save_checkpoint",
     "mpnn.GnnModel.count_parameters": "cli.cmd_train",
-    "mpnn.GnnModel.forward": "imputation._blocked_forward",
+    "mpnn.GnnModel.forward": "imputation.blocked_forward",
     "mpnn.GnnModel.init_parameters": "cli.cmd_train",
     "services.CongestionEvent.to_document": "services.write_jsonl",
     "services.FlexibilityBid.to_document": "services.write_jsonl",

@@ -1,12 +1,20 @@
-"""Sample assembly, masked NLL, gradient identities and the training loop."""
+"""Sample assembly, masked NLL, gradient identities and the training
+loop, with its mini-batches trained as row blocks on free cores."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from gridmpnn import diffcore as dc
-from gridmpnn import gridsim
+from gridmpnn import gridsim, training
+from gridmpnn.baselines import build_baseline
 from gridmpnn.gridgraph import derive_schemas, load_topology
 from gridmpnn.mpnn import GnnConfig, GnnModel, compute_groups
 from gridmpnn.training import (ChannelStats, DatasetError, TrainingConfig,
@@ -16,8 +24,52 @@ from gridmpnn.training import (ChannelStats, DatasetError, TrainingConfig,
                                nll_loss_packed, train, voltage_lag0_selector,
                                write_history_csv)
 
-from conftest import (chain_dataset, chain_schemas, chain_topology,
-                      train_chain_model)
+from conftest import (CountingPool, chain_dataset, chain_schemas,
+                      chain_topology, train_chain_model)
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(HERE), "src")
+
+
+def _pinned_run(call: str) -> list[str]:
+    """Words printed by ``test_training.<call>`` run in a subprocess with
+    BLAS pinned to one thread, the setting under which blocks run on
+    several cores and BLAS computes a product the same way on any
+    thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    code = f"import test_training as t; print(*t.{call})"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=HERE, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def _pilot_sets(pilot_world=None):
+    """(schemas, samples, train set with voltage-masked clones, validation
+    set) of the ``pilot_world`` fixture's world."""
+    if pilot_world is None:
+        spec = gridsim.pilot_spec(seed=7)
+        pilot_world = spec, gridsim.simulate(spec, "2019-06-01T00:00:00Z",
+                                             days=4, seed=11)
+    spec, dataset = pilot_world
+    schemas = derive_schemas(spec.topology)
+    samples = build_samples(dataset, spec.topology, schemas, TrainingConfig())
+    tr, val = chronological_split(samples)
+    tr = concat_sample_sets([tr, masked_clones(
+        tr, voltage_lag0_selector(schemas, tr.groups))])
+    return spec.topology, schemas, samples, tr, val
+
+
+def _pilot_model(topology, schemas, samples, kind="gnn", seed=3):
+    if kind == "gnn":
+        model = GnnModel(topology, schemas, GnnConfig())
+        model.init_parameters(seed)
+    else:
+        model = build_baseline(kind, topology, schemas, hidden=16, seed=seed)
+    model.set_standardization(samples.stats.mean, samples.stats.std)
+    return model
 
 
 def one_prosumer_world(days, seed=0):
@@ -317,6 +369,158 @@ def test_divergence_raises_training_error():
     model.init_parameters(0)
     with pytest.raises(TrainingError, match="epoch 1"):
         train(model, tr, val, cfg)
+
+
+@pytest.mark.parametrize("block", [0, 1, 2])
+def test_divergence_in_one_block_leaves_the_last_update(monkeypatch, block):
+    # batch 1 of epoch 1 trains as 3 blocks of 200 rows; a NaN input in
+    # one of them raises before that step updates anything
+    topo, schemas = chain_topology(), chain_schemas()
+    cfg = TrainingConfig(max_epochs=2, batch_size=600, seed=0)
+    tr, val = chronological_split(build_samples(chain_dataset(1400, seed=6),
+                                                topo, schemas, cfg))
+    assert training.BLOCK_ROWS == 256 and len(tr) >= 1200
+    row = np.random.default_rng(cfg.seed).permutation(len(tr))[600 + 200 * block]
+    tr.features[tr.groups[0].key][0, row, 0] = np.nan
+    model = GnnModel(topo, schemas, GnnConfig(layers=1))
+    model.init_parameters(0)
+    steps = []
+    adam_step = training.adam_step
+
+    def recording(params, state, lr):
+        adam_step(params, state, lr)
+        steps.append(({k: v.copy() for k, v in params.values.items()},
+                      state.t, {k: v.copy() for k, v in state.m.items()},
+                      {k: v.copy() for k, v in state.v.items()}, state))
+
+    monkeypatch.setattr(training, "adam_step", recording)
+    with pytest.raises(TrainingError, match="epoch 1, batch 1"):
+        train(model, tr, val, cfg)
+    assert len(steps) == 1
+    values, t, m, v, state = steps[0]
+    assert state.t == t == 1
+    for key, value in model.params.values.items():
+        assert value.tobytes() == values[key].tobytes(), key
+        assert state.m[key].tobytes() == m[key].tobytes(), key
+        assert state.v[key].tobytes() == v[key].tobytes(), key
+        assert not model.params.grads[key].any(), key
+
+
+class _StepTaken(Exception):
+    pass
+
+
+@pytest.mark.parametrize("kind", ["gnn", "mlp"])
+def test_block_gradients_sum_to_the_whole_batch_gradient(pilot_world,
+                                                         monkeypatch, kind):
+    topology, schemas, samples, tr, val = _pilot_sets(pilot_world)
+    cfg = TrainingConfig(max_epochs=1, seed=4)
+    assert len(tr) > training.BLOCK_ROWS  # the one batch splits in two
+    model = _pilot_model(topology, schemas, samples, kind)
+    reference = _pilot_model(topology, schemas, samples, kind)
+    stepped = {}
+
+    def capture(params, state, lr):
+        stepped.update({k: g.copy() for k, g in params.grads.items()})
+        raise _StepTaken
+
+    monkeypatch.setattr(training, "adam_step", capture)
+    with pytest.raises(_StepTaken):
+        train(model, tr, val, cfg)
+    idx = np.random.default_rng(cfg.seed).permutation(len(tr))
+    f, m, t, lm = tr.batch(idx)
+    tape = dc.Tape()
+    mu, logvar = reference.forward(f, m, tape=tape)
+    loss_sum, cnt = nll_loss_packed(mu, logvar, t, lm, tape)
+    dc.backward(tape, dc.scale(loss_sum, 1.0 / cnt))
+    assert set(stepped) == set(reference.params.grads)
+    for key, want in reference.params.grads.items():
+        assert want.any(), key
+        gap = np.abs(stepped[key] - want).max()
+        assert gap <= 1e-12 * np.abs(want).max(), key
+
+
+def _trained_digest(model, result) -> str:
+    digest = hashlib.sha256()
+    for key, value in model.params.values.items():
+        digest.update(key.encode() + value.tobytes())
+    for row in result.history:
+        digest.update(repr({k: v for k, v in row.items()
+                            if k != "wall_seconds"}).encode())
+    return digest.hexdigest()
+
+
+def _worker_runs() -> list[str]:
+    """Digests of the trained parameters and history of one recipe
+    (batches of 300 rows: two blocks of 150, then one of 52) with 1, 2,
+    4 and again 2 workers, and the blocks sent to the pool."""
+    topology, schemas, samples, tr, val = _pilot_sets()
+    cfg = TrainingConfig(max_epochs=2, batch_size=300, seed=5)
+    pool = dc._POOL = CountingPool(ThreadPoolExecutor(max_workers=3))
+    digests = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 4, 2):
+            dc._WORKERS = workers
+            model = _pilot_model(topology, schemas, samples)
+            digests.append(_trained_digest(model, train(model, tr, val, cfg)))
+    finally:
+        sys.setswitchinterval(switch)
+        pool.pool.shutdown()
+    return digests + [str(pool.jobs)]
+
+
+def test_training_bytes_do_not_depend_on_the_worker_count():
+    *digests, jobs = _pinned_run("_worker_runs()")
+    assert len(digests) == 4 and len(set(digests)) == 1
+    assert int(jobs) > 0
+
+
+def _validation_runs() -> list[str]:
+    """``evaluate_nll`` of an untrained pilot model over 181 samples (in
+    blocks of 72 and 109 rows, the second ragged) with 1 and 2 workers,
+    and the blocks sent to the pool."""
+    topology, schemas, samples, _, _ = _pilot_sets()
+    model = _pilot_model(topology, schemas, samples)
+    samples = samples.select(np.arange(181))
+    pool = dc._POOL = CountingPool(dc._POOL)
+    out = []
+    for workers in (1, 2):
+        dc._WORKERS = workers
+        out.append(repr(evaluate_nll(model, samples)))
+    return out + [str(pool.jobs)]
+
+
+def test_validation_nll_does_not_depend_on_the_worker_count():
+    serial, blocked, jobs = _pinned_run("_validation_runs()")
+    assert serial == blocked and int(jobs) > 0
+
+
+def test_a_busy_pool_does_not_hold_up_a_step(monkeypatch):
+    # The pool's only thread is held elsewhere, so the calling thread
+    # trains every block and does not wait for a helper to start.
+    def run():
+        model, result, _ = train_chain_model(700, max_epochs=2, seed=8)
+        return _trained_digest(model, result)
+
+    monkeypatch.setattr(dc, "_WORKERS", 1)
+    serial = run()
+    pool = ThreadPoolExecutor(max_workers=1)
+    held = threading.Event()
+    pool.submit(held.wait)
+    monkeypatch.setattr(dc, "_POOL", CountingPool(pool))
+    monkeypatch.setattr(dc, "_WORKERS", 2)
+    results = []
+    try:
+        runner = threading.Thread(target=lambda: results.append(run()))
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+    finally:
+        held.set()
+        pool.shutdown()
+    assert dc._POOL.jobs >= 1 and results == [serial]
 
 
 def test_chronological_split_is_contiguous_final_slice():
