@@ -2,9 +2,10 @@
 
 Everything in this package that learns runs on this module: float64
 tensors recorded on an explicit tape, a small set of differentiable
-primitives (matmul, add, exp, concat, slice, gather, reductions, ...),
-multi-layer perceptrons built from one fused dense-layer primitive, and
-a bias-corrected Adam optimizer.
+primitives (matmul, scale, clip, concat, slice, gather, ...),
+multi-layer perceptrons built from one fused dense-layer primitive, one
+fused Gaussian negative log-likelihood, and a bias-corrected Adam
+optimizer.
 
 Design choices:
 
@@ -21,8 +22,13 @@ Design choices:
   target needs no gradient.
 * ``dense(x, w, b, hidden)`` is one MLP layer, ``x @ w + b`` with tanh
   on hidden layers, computed in place in one output buffer and undone
-  by one backward closure. Its arithmetic matches the composition of
-  ``matmul``, ``add`` and an elementwise tanh bit for bit.
+  by one backward closure. Its arithmetic matches a matmul, a bias add
+  and an elementwise tanh, each with its own backward, bit for bit.
+* ``gaussian_nll(mu, logvar, targets, weights)`` is the training loss,
+  summed over per-group dicts into one scalar and undone by one backward
+  closure. Its forward and adjoints use the numpy operations, in the
+  order, of the loss composed from elementwise primitives (subtract,
+  square, exp, scale, add, weight, sum), so they match it bit for bit.
 * ``gather``'s backward adds each selected row's whole slab into the
   gradient in index order (the same additions, in the same order, as
   ``np.add.at``), and plainly assigns when the indices are unique.
@@ -65,8 +71,8 @@ __all__ = [
     "Tape",
     "ParameterSet",
     "AdamState",
-    "add", "sub", "neg", "mul", "scale", "matmul", "dense", "exp", "clip",
-    "concat", "slice_", "reshape", "transpose", "gather", "reduce_sum",
+    "scale", "matmul", "dense", "clip", "concat", "slice_", "reshape",
+    "transpose", "gather", "gaussian_nll",
     "mlp_layer_param_ids", "mlp_init", "mlp_forward",
     "adam_step", "backward", "gradient_check", "run_blocks",
 ]
@@ -126,9 +132,6 @@ class Tape:
         tape.grads = grads
         return tape
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
     def _append(self, node: TapeNode) -> int:
         self.nodes.append(node)
         return len(self.nodes) - 1
@@ -153,16 +156,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, taped={self.tape is not None})"
-
-    # operator sugar
-    def __add__(self, other): return add(self, other)
-    def __radd__(self, other): return add(other, self)
-    def __sub__(self, other): return sub(self, other)
-    def __rsub__(self, other): return sub(other, self)
-    def __mul__(self, other): return mul(self, other)
-    def __rmul__(self, other): return mul(other, self)
-    def __matmul__(self, other): return matmul(self, other)
-    def __neg__(self): return neg(self)
 
 
 def _wrap(data: np.ndarray) -> Tensor:
@@ -221,55 +214,6 @@ def _record(tape: Optional[Tape], op: str, inputs: Sequence[Tensor],
 
 # ---------------------------------------------------------------------------
 # Primitives
-
-
-def add(a, b) -> Tensor:
-    tape = _find_tape(a, b)
-    a, b = _coerce(a, tape), _coerce(b, tape)
-    out = a.data + b.data
-    ash, bsh = a.data.shape, b.data.shape
-
-    def bwd(adj, accum):
-        accum(a.node, _unbroadcast(adj, ash))
-        accum(b.node, _unbroadcast(adj, bsh))
-
-    return _record(tape, "add", (a, b), out, bwd)
-
-
-def sub(a, b) -> Tensor:
-    tape = _find_tape(a, b)
-    a, b = _coerce(a, tape), _coerce(b, tape)
-    out = a.data - b.data
-    ash, bsh = a.data.shape, b.data.shape
-
-    def bwd(adj, accum):
-        accum(a.node, _unbroadcast(adj, ash))
-        accum(b.node, _unbroadcast(-adj, bsh))
-
-    return _record(tape, "sub", (a, b), out, bwd)
-
-
-def neg(a) -> Tensor:
-    tape = _find_tape(a)
-    a = _coerce(a, tape)
-
-    def bwd(adj, accum):
-        accum(a.node, -adj)
-
-    return _record(tape, "neg", (a,), -a.data, bwd)
-
-
-def mul(a, b) -> Tensor:
-    tape = _find_tape(a, b)
-    a, b = _coerce(a, tape), _coerce(b, tape)
-    out = a.data * b.data
-    ad, bd = a.data, b.data
-
-    def bwd(adj, accum):
-        accum(a.node, _unbroadcast(adj * bd, ad.shape))
-        accum(b.node, _unbroadcast(adj * ad, bd.shape))
-
-    return _record(tape, "mul", (a, b), out, bwd)
 
 
 def scale(a, c: float) -> Tensor:
@@ -338,17 +282,6 @@ def dense(x, w, b, hidden: bool) -> Tensor:
             accum(w.node, _unbroadcast(xd.swapaxes(-1, -2) @ g, wd.shape))
 
     return _record(tape, "dense", (x, w, b), out, bwd)
-
-
-def exp(a) -> Tensor:
-    tape = _find_tape(a)
-    a = _coerce(a, tape)
-    out = np.exp(a.data)
-
-    def bwd(adj, accum):
-        accum(a.node, adj * out)
-
-    return _record(tape, "exp", (a,), out, bwd)
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
@@ -420,10 +353,8 @@ def transpose(a, axes: Sequence[int]) -> Tensor:
                    np.ascontiguousarray(a.data.transpose(axes)), bwd)
 
 
-def gather(a, idx, axis: int = 0) -> Tensor:
+def gather(a, idx) -> Tensor:
     """Select rows along axis 0: out = a[idx]. Repeated indices allowed."""
-    if axis != 0:
-        raise ShapeError("gather supports axis=0 only")
     tape = _find_tape(a)
     a = _coerce(a, tape)
     idx = np.asarray(idx, dtype=np.intp)
@@ -442,19 +373,41 @@ def gather(a, idx, axis: int = 0) -> Tensor:
     return _record(tape, "gather", (a,), out, bwd)
 
 
-def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
-    tape = _find_tape(a)
-    a = _coerce(a, tape)
-    out = np.asarray(a.data.sum(axis=axis, keepdims=keepdims))
-    ash = a.data.shape
+def gaussian_nll(mu: dict, logvar: dict, targets: dict, weights: dict) -> Tensor:
+    """Weighted Gaussian negative log-likelihood (without its constant) as
+    one scalar: over the groups of ``mu``, in order, the sum of
+    ``w * (0.5 * lv + 0.5 * (y - mu)^2 * exp(-lv))``.
+
+    ``mu`` and ``logvar`` map group keys to tensors; ``targets`` and
+    ``weights`` map them to constant arrays of the same shapes, which get
+    no gradient.
+    """
+    tape = _find_tape(*mu.values(), *logvar.values())
+    inputs, saved, total = [], [], None
+    for key in mu:
+        m, lv = _coerce(mu[key], tape), _coerce(logvar[key], tape)
+        y, w = _as_array(targets[key]), _as_array(weights[key])
+        if not m.data.shape == lv.data.shape == y.shape == w.shape:
+            raise ShapeError(f"gaussian_nll group {key!r}: shapes differ")
+        d = y - m.data
+        dd = d * d
+        e = np.exp(-lv.data)
+        s = ((lv.data * 0.5 + (dd * e) * 0.5) * w).sum()
+        total = s if total is None else total + s
+        inputs += (m, lv)
+        saved.append((m.node, lv.node, d, dd, e, w))
 
     def bwd(adj, accum):
-        g = np.asarray(adj)
-        if not keepdims and axis is not None:
-            g = np.expand_dims(g, axis)
-        accum(a.node, np.broadcast_to(g, ash).copy())
+        # last group first, log-variance before mean, as the composed
+        # chain's reverse pass sent them
+        for mid, lid, d, dd, e, w in reversed(saved):
+            g = adj * w
+            h = g * 0.5
+            accum(lid, -((h * dd) * e) + h)
+            t = (h * e) * d
+            accum(mid, -(t + t))
 
-    return _record(tape, "reduce_sum", (a,), out, bwd)
+    return _record(tape, "gaussian_nll", inputs, np.asarray(total), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -327,13 +327,11 @@ class GnnModel(ModelBase):
 
     def message_pass(self, states: dict[str, Tensor],
                      tape: Optional[Tape] = None,
-                     steps: Optional[int] = None,
                      window: Optional[tuple[int, int]] = None,
                      ) -> dict[str, Tensor]:
         """T synchronous steps: edge messages, then aggregator updates.
         ``window`` is ``forward``'s."""
-        t_steps = self.config.message_passing_steps if steps is None else steps
-        for _ in range(t_steps):
+        for _ in range(self.config.message_passing_steps):
             msgs: dict[str, list[Tensor]] = {g.key: [] for g in self.groups}
             for eg in self.edge_groups:
                 xs = dc.gather(states[eg.src_group], eg.src_idx)

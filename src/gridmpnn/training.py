@@ -5,7 +5,8 @@ entries hold the placeholder value (the per-channel training mean,
 which is zero after standardization). Augmentation appends
 ``masked_clones`` of the training set (chosen channels masked from the
 inputs, loss targets kept) with ``concat_sample_sets``. The loss,
-``nll_loss_packed``, sums over observed entries only
+``nll_loss_packed``, is one engine primitive, ``diffcore.gaussian_nll``,
+which sums over observed entries only
 
     0.5 * log(var) + 0.5 * (y - mu)^2 / var
 
@@ -46,6 +47,8 @@ from .mpnn import NodeGroup, compute_groups
 # Rows per training block at most: a batch of B rows trains as
 # ceil(B / BLOCK_ROWS) blocks of near-equal size.
 BLOCK_ROWS = 256
+# Samples per validation forward.
+EVAL_CHUNK = 2048
 
 
 class DatasetError(ValueError):
@@ -336,20 +339,11 @@ def concat_sample_sets(parts: Sequence[SampleSet]) -> SampleSet:
 # Loss
 
 
-def nll_loss_packed(mu: dict, logvar: dict, targets: dict, loss_mask: dict,
-                    tape: Optional[Tape]):
-    """Taped masked NLL over packed groups; returns (sum tensor, n observed)."""
-    total = None
-    count = 0.0
-    for key in mu:
-        lv = logvar[key]
-        d = dc.sub(targets[key], mu[key])
-        terms = dc.add(dc.scale(lv, 0.5),
-                       dc.scale(dc.mul(dc.mul(d, d), dc.exp(dc.neg(lv))), 0.5))
-        masked = dc.reduce_sum(dc.mul(terms, loss_mask[key]))
-        total = masked if total is None else dc.add(total, masked)
-        count += float(np.asarray(loss_mask[key]).sum())
-    return total, count
+def nll_loss_packed(mu: dict, logvar: dict, targets: dict, loss_mask: dict):
+    """Masked NLL over packed groups, one ``diffcore.gaussian_nll`` node
+    on the operands' tape (if any); returns (sum tensor, n observed)."""
+    count = sum(float(np.asarray(loss_mask[key]).sum()) for key in mu)
+    return dc.gaussian_nll(mu, logvar, targets, loss_mask), count
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +358,15 @@ class TrainResult:
     best_val_nll: float
 
 
-def evaluate_nll(model, samples: SampleSet, chunk: int = 2048) -> float:
-    """Mean NLL per observed entry, forward passes only."""
+def evaluate_nll(model, samples: SampleSet) -> float:
+    """Mean NLL per observed entry, forward passes only, over chunks of
+    ``EVAL_CHUNK`` samples."""
     total, count = 0.0, 0.0
-    for lo in range(0, len(samples), chunk):
-        idx = np.arange(lo, min(lo + chunk, len(samples)))
+    for lo in range(0, len(samples), EVAL_CHUNK):
+        idx = np.arange(lo, min(lo + EVAL_CHUNK, len(samples)))
         f, m, t, lm = samples.batch(idx)
         mu, logvar = blocked_forward(model, f, m)
-        loss, c = nll_loss_packed(mu, logvar, t, lm, tape=None)
+        loss, c = nll_loss_packed(mu, logvar, t, lm)
         total += float(loss.data)
         count += c
     if count == 0:
@@ -387,7 +382,7 @@ def _train_block(model, samples: SampleSet, idx: np.ndarray, tape: Tape,
     f, m, t, lm = samples.batch(idx)
     block_tape = tape.fork(grads)
     mu, logvar = model.forward(f, m, tape=block_tape)
-    loss_sum, _ = nll_loss_packed(mu, logvar, t, lm, block_tape)
+    loss_sum, _ = nll_loss_packed(mu, logvar, t, lm)
     if np.isfinite(loss_sum.data):
         for g in grads.values():
             g[...] = 0.0

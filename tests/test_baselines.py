@@ -67,7 +67,7 @@ def test_baseline_forward_and_gradients_flow():
     t = mlp.pack({nid: rng.standard_normal((4, 1)) for nid in topo.ids()})
     tape = dc.Tape()
     mu, lv = mlp.forward(f, m, tape=tape)
-    loss, cnt = nll_loss_packed(mu, lv, t, m, tape)
+    loss, cnt = nll_loss_packed(mu, lv, t, m)
     dc.backward(tape, loss)
     total = sum(float(np.abs(g).sum()) for g in mlp.params.grads.values())
     assert total > 0.0
@@ -84,7 +84,7 @@ def test_baseline_gradients_match_finite_differences():
 
     def build(tape):
         mu, lv = mlp.forward(f, m, tape=tape)
-        loss, cnt = nll_loss_packed(mu, lv, t, m, tape)
+        loss, cnt = nll_loss_packed(mu, lv, t, m)
         return loss
 
     tape = dc.Tape()

@@ -366,7 +366,7 @@ def test_inplace_write_through_parameter_id_changes_forward():
 
 def _nll(model, f, m, targets, tape):
     mu, logvar = model.forward(f, m, tape=tape)
-    total, _ = nll_loss_packed(mu, logvar, targets, m, tape)
+    total, _ = nll_loss_packed(mu, logvar, targets, m)
     return total
 
 

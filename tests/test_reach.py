@@ -2,9 +2,10 @@
 the library or the benchmark, not only from tests; the reference oracles
 that tests compare against are the listed exceptions.
 
-The check is by name: a definition counts as reached when its name
-appears as a variable, an attribute or an imported name anywhere under
-``src/`` or ``benchmarks/`` outside the definition itself. A name that
+The check is by name: a definition counts as reached when its name is
+read as a variable or an attribute, or imported, anywhere under ``src/``
+or ``benchmarks/`` outside the definition itself. Assigning to a name
+(a field, a local) does not count. A name that
 two public definitions share (``copy``, ``to_document``, ...) would let
 one stand in for the other, so each shared definition names in
 ``SHARED_CALLERS`` one function under ``src/`` or ``benchmarks/`` whose
@@ -38,8 +39,6 @@ SHARED_CALLERS = {
     "baselines.CentralModel.count_parameters": "baselines.compare",
     "baselines.CentralModel.forward": "training._train_block",
     "baselines.CentralModel.init_parameters": "baselines.build_baseline",
-    "diffcore.add": "training.nll_loss_packed",
-    "diffcore.ParameterSet.add": "diffcore.mlp_init",
     "diffcore.ParameterSet.copy": "training.train",
     "gridgraph.GridTopology.ids": "mpnn.ModelBase.set_standardization",
     "gridgraph.GridTopology.to_document": "cli.cmd_simulate",
@@ -101,15 +100,24 @@ def _definitions(path):
 
 
 def _references(tree):
-    """(name, line) of every variable, attribute and imported name."""
+    """(name, line) of every variable and attribute read, and of every
+    imported name."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
             yield node.attr, node.lineno
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 yield alias.name, node.lineno
+
+
+def test_assigned_names_are_not_references():
+    tree = ast.parse("obj.field = 1\nlocal = obj.read\nfrom m import imported\n"
+                     "del gone\nprint(called())")
+    assert {n for n, _ in _references(tree)} == {
+        "obj", "read", "imported", "print", "called"}
 
 
 def _shared_definitions():

@@ -214,7 +214,7 @@ def test_augmentation_on_empty_set_rejected():
 def _nll(mu, logvar, y, mask):
     """Untaped ``nll_loss_packed`` over one group of plain arrays."""
     loss, _ = nll_loss_packed({"k": dc.Tensor(mu)}, {"k": dc.Tensor(logvar)},
-                              {"k": y}, {"k": mask}, None)
+                              {"k": y}, {"k": mask})
     return float(loss.data)
 
 
@@ -254,7 +254,7 @@ def test_nll_gradient_identities():
     mu_t = params.tensor(tape, "mu")
     lv_t = params.tensor(tape, "lv")
     loss, cnt = nll_loss_packed({"k": mu_t}, {"k": lv_t}, {"k": y},
-                                {"k": mask}, tape)
+                                {"k": mask})
     dc.backward(tape, loss)
     mu, lv = params.values["mu"], params.values["lv"]
     var = np.exp(lv)
@@ -272,11 +272,31 @@ def test_nll_packed_matches_plain_sum():
     y = rng.standard_normal((2, 5, 3))
     mask = (rng.random((2, 5, 3)) > 0.3).astype(float)
     loss, cnt = nll_loss_packed({"k": dc.Tensor(mu)}, {"k": dc.Tensor(lv)},
-                                {"k": y}, {"k": mask}, None)
+                                {"k": y}, {"k": mask})
     assert cnt == mask.sum()
     var = np.exp(lv)
     terms = 0.5 * np.log(var) + 0.5 * np.square(y - mu) / var
     assert float(loss.data) == pytest.approx(terms[mask > 0].sum())
+
+
+def test_nll_loss_packed_is_one_tape_node():
+    rng = np.random.default_rng(9)
+    params = dc.ParameterSet()
+    for k in ("a", "b"):
+        params.add(f"mu/{k}", rng.standard_normal((2, 4, 3)))
+        params.add(f"lv/{k}", rng.uniform(-1, 1, (2, 4, 3)))
+    tape = dc.Tape()
+    mu = {k: params.tensor(tape, f"mu/{k}") for k in ("a", "b")}
+    lv = {k: params.tensor(tape, f"lv/{k}") for k in ("a", "b")}
+    y = {k: rng.standard_normal((2, 4, 3)) for k in ("a", "b")}
+    mask = {k: (rng.random((2, 4, 3)) > 0.5).astype(float) for k in ("a", "b")}
+    before = len(tape.nodes)
+    loss, cnt = nll_loss_packed(mu, lv, y, mask)
+    assert len(tape.nodes) == before + 1
+    assert loss.tape is tape and loss.node == before
+    assert tape.nodes[before].inputs == (mu["a"].node, lv["a"].node,
+                                         mu["b"].node, lv["b"].node)
+    assert cnt == mask["a"].sum() + mask["b"].sum()
 
 
 class _UnprunedTape(dc.Tape):
@@ -301,7 +321,7 @@ def test_pruned_training_step_matches_unpruned_gradients(pilot_world):
     grads, constants = [], []
     for tape in (dc.Tape(), _UnprunedTape()):
         mu, logvar = model.forward(f, m, tape=tape)
-        loss_sum, cnt = nll_loss_packed(mu, logvar, t, lm, tape)
+        loss_sum, cnt = nll_loss_packed(mu, logvar, t, lm)
         dc.backward(tape, dc.scale(loss_sum, 1.0 / cnt))
         grads.append({k: g.copy() for k, g in model.params.grads.items()})
         constants.append(sum(not node.needs_grad for node in tape.nodes))
@@ -431,7 +451,7 @@ def test_block_gradients_sum_to_the_whole_batch_gradient(pilot_world,
     f, m, t, lm = tr.batch(idx)
     tape = dc.Tape()
     mu, logvar = reference.forward(f, m, tape=tape)
-    loss_sum, cnt = nll_loss_packed(mu, logvar, t, lm, tape)
+    loss_sum, cnt = nll_loss_packed(mu, logvar, t, lm)
     dc.backward(tape, dc.scale(loss_sum, 1.0 / cnt))
     assert set(stepped) == set(reference.params.grads)
     for key, want in reference.params.grads.items():
