@@ -2,10 +2,9 @@
 
 Everything in this package that learns runs on this module: float64
 tensors recorded on an explicit tape, a small set of differentiable
-primitives (matmul, scale, clip, concat, slice, gather, ...),
-multi-layer perceptrons built from one fused dense-layer primitive, one
-fused Gaussian negative log-likelihood, and a bias-corrected Adam
-optimizer.
+primitives (matmul, scale, clip, concat, slice, ...), multi-layer
+perceptrons built from one fused dense-layer primitive, one fused
+Gaussian negative log-likelihood, and a bias-corrected Adam optimizer.
 
 Design choices:
 
@@ -14,6 +13,15 @@ Design choices:
 * The tape is an append-only list, so creation order is a topological
   order for free. It records backward closures, not op outputs, and
   serves one reverse pass, which releases them as it goes.
+* A backward closure captures the node ids of its inputs, never
+  ``Tensor`` objects, and only the arrays its own backward reads: a
+  matmul operand only if the other operand needs a gradient, a dense
+  layer's input only for its weight's gradient and its weight only for
+  its input's, its output only if the layer is hidden (for the tanh
+  derivative), and shapes, masks or indices for ``scale``, ``clip``,
+  ``slice_``, ``reshape``, ``transpose`` and ``concat``. So the tape
+  holds no array that the reverse pass does not read, and an untaped
+  call returns before it builds a closure.
 * The reverse pass does only the work parameter gradients need. Each
   tape node records whether a parameter leaf lies upstream of it; nodes
   without one (constants, inputs, masks and everything computed only
@@ -29,9 +37,13 @@ Design choices:
   closure. Its forward and adjoints use the numpy operations, in the
   order, of the loss composed from elementwise primitives (subtract,
   square, exp, scale, add, weight, sum), so they match it bit for bit.
-* ``gather``'s backward adds each selected row's whole slab into the
-  gradient in index order (the same additions, in the same order, as
-  ``np.add.at``), and plainly assigns when the indices are unique.
+* ``gather_dense(xs, rows, w, b, hidden)`` is ``dense`` of rows gathered
+  from several tensors and concatenated, as a graph model's edge MLP
+  reads both endpoint states. It keeps the tensors and indices, not the
+  gathered copy, and gathers again in its backward. Its adjoint to each
+  tensor adds each selected row's whole slab in index order (the same
+  additions, in the same order, as ``np.add.at``), and plainly assigns
+  when the indices are unique.
 * Operations work elementwise-broadcast style on numpy arrays and also
   support stacked ("batched") matmuls such as (n, B, i) @ (n, i, o),
   which the graph model uses to evaluate many per-node MLPs at once.
@@ -72,7 +84,7 @@ __all__ = [
     "ParameterSet",
     "AdamState",
     "scale", "matmul", "dense", "clip", "concat", "slice_", "reshape",
-    "transpose", "gather", "gaussian_nll",
+    "transpose", "gather_dense", "gaussian_nll",
     "mlp_layer_param_ids", "mlp_init", "mlp_forward",
     "adam_step", "backward", "gradient_check", "run_blocks",
 ]
@@ -113,9 +125,10 @@ class Tape:
     """Ordered record of primitive operations.
 
     Every operand precedes its consumer because nodes are appended at
-    creation time. Nodes keep only what the reverse pass needs: each
-    backward closure holds the forward arrays it uses, and ``backward``
-    drops the closure once consumed, which keeps training memory bounded.
+    creation time. Nodes keep only what the reverse pass reads: each
+    backward closure holds its inputs' node ids and the forward arrays
+    its own backward uses, never a ``Tensor``, and ``backward`` drops the
+    closure once consumed, which keeps training memory bounded.
     """
 
     def __init__(self) -> None:
@@ -199,14 +212,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _record(tape: Optional[Tape], op: str, inputs: Sequence[Tensor],
+def _record(tape: Tape, op: str, inputs: Sequence[Tensor],
             out: np.ndarray, bwd) -> Tensor:
-    result = _wrap(out)  # every primitive's output is C-contiguous float64
-    if tape is None:
-        return result
+    """``out`` as the output of a new node of ``tape``; its backward
+    closure is kept only if a parameter lies upstream."""
     needs = any(tape.nodes[t.node].needs_grad for t in inputs)
     nid = tape._append(TapeNode(op, tuple(t.node for t in inputs),
                                 bwd if needs else None, needs_grad=needs))
+    result = _wrap(out)  # every primitive's output is C-contiguous float64
     result.tape = tape
     result.node = nid
     return result
@@ -220,11 +233,15 @@ def scale(a, c: float) -> Tensor:
     tape = _find_tape(a)
     a = _coerce(a, tape)
     c = float(c)
+    out = a.data * c
+    if tape is None:
+        return _wrap(out)
+    aid = a.node
 
     def bwd(adj, accum):
-        accum(a.node, adj * c)
+        accum(aid, adj * c)
 
-    return _record(tape, "scale", (a,), a.data * c, bwd)
+    return _record(tape, "scale", (a,), out, bwd)
 
 
 def _check_inner(a: np.ndarray, b: np.ndarray, op: str) -> None:
@@ -237,15 +254,22 @@ def _check_inner(a: np.ndarray, b: np.ndarray, op: str) -> None:
 def matmul(a, b) -> Tensor:
     tape = _find_tape(a, b)
     a, b = _coerce(a, tape), _coerce(b, tape)
-    ad, bd = a.data, b.data
-    _check_inner(ad, bd, "matmul")
-    out = ad @ bd
+    _check_inner(a.data, b.data, "matmul")
+    out = a.data @ b.data
+    if tape is None:
+        return _wrap(out)
+    aid, bid = a.node, b.node
+    ash, bsh = a.data.shape, b.data.shape
+    need_a, need_b = tape.nodes[aid].needs_grad, tape.nodes[bid].needs_grad
+    # each operand only for the other's gradient
+    ad = a.data if need_b else None
+    bd = b.data if need_a else None
 
     def bwd(adj, accum):
-        if tape.nodes[a.node].needs_grad:
-            accum(a.node, _unbroadcast(adj @ bd.swapaxes(-1, -2), ad.shape))
-        if tape.nodes[b.node].needs_grad:
-            accum(b.node, _unbroadcast(ad.swapaxes(-1, -2) @ adj, bd.shape))
+        if need_a:
+            accum(aid, _unbroadcast(adj @ bd.swapaxes(-1, -2), ash))
+        if need_b:
+            accum(bid, _unbroadcast(ad.swapaxes(-1, -2) @ adj, bsh))
 
     return _record(tape, "matmul", (a, b), out, bwd)
 
@@ -257,31 +281,92 @@ def dense(x, w, b, hidden: bool) -> Tensor:
     (..., o) product, e.g. (o,) or (k, 1, o). The output buffer is the
     matmul result, updated in place, so a layer allocates one array.
     """
-    tape = _find_tape(x, w, b)
-    x, w, b = _coerce(x, tape), _coerce(w, tape), _coerce(b, tape)
-    xd, wd, bd = x.data, w.data, b.data
-    _check_inner(xd, wd, "dense")
-    out = xd @ wd
-    out += bd
+    return _dense("dense", [x], None, w, b, hidden)
+
+
+def gather_dense(xs: Sequence, rows: Sequence, w, b, hidden: bool) -> Tensor:
+    """``dense`` of ``[xs[0][rows[0]] | xs[1][rows[1]] | ...]``, the rows
+    each index array selects along axis 0 (repeated indices allowed),
+    concatenated along the last axis.
+
+    The tape keeps the ``xs`` and the indices, not the gathered input: the
+    backward gathers it again for the weight gradient, and sends the
+    input's adjoint to ``xs[0]``, ``xs[1]``, ... in that order.
+    """
+    rows = [np.asarray(r, dtype=np.intp) for r in rows]
+    return _dense("gather_dense", xs, rows, w, b, hidden)
+
+
+def _gather_rows(xs: Sequence[np.ndarray], rows) -> np.ndarray:
+    if rows is None:
+        return xs[0]
+    return np.concatenate([x[r] for x, r in zip(xs, rows)], axis=-1)
+
+
+def _scatter_rows(gx: np.ndarray, xids, rows, shapes, accum) -> None:
+    """Send each gathered tensor, in order, the adjoint of its rows: its
+    slice of ``gx``, each selected row's whole slab added in index order
+    (the additions, in the order, of ``np.add.at``), or assigned at once
+    when the indices are unique."""
+    lo = 0
+    for xid, r, shape in zip(xids, rows, shapes):
+        hi = lo + shape[-1]
+        piece, g = gx[..., lo:hi], np.zeros(shape)
+        if np.unique(r).size == r.size:
+            g[r] = piece
+        else:
+            for j, i in enumerate(r):
+                g[i] += piece[j]
+        accum(xid, g)
+        lo = hi
+
+
+def _dense(op: str, xs: Sequence, rows, w, b, hidden: bool) -> Tensor:
+    """``dense`` of ``xs[0]`` (``rows`` None) or ``gather_dense``."""
+    tape = _find_tape(*xs, w, b)
+    xs = [_coerce(x, tape) for x in xs]
+    w, b = _coerce(w, tape), _coerce(b, tape)
+    x = _gather_rows([t.data for t in xs], rows)
+    _check_inner(x, w.data, op)
+    out = x @ w.data
+    out += b.data
     if hidden:
         np.tanh(out, out=out)
+    if tape is None:
+        return _wrap(out)
+    xids = [t.node for t in xs]
+    wid, bid = w.node, b.node
+    xsh, xshs = x.shape, [t.data.shape for t in xs]
+    wsh, bsh = w.data.shape, b.data.shape
+    nodes = tape.nodes
+    need_x = any(nodes[i].needs_grad for i in xids)
+    need_w, need_b = nodes[wid].needs_grad, nodes[bid].needs_grad
+    # the input only for the weight's gradient and the weight only for
+    # the input's; the output only for the tanh derivative
+    xds = [t.data for t in xs] if need_w else None
+    wd = w.data if need_x else None
+    kept = out if hidden else None
 
     def bwd(adj, accum):
-        if hidden:  # adj * (1 - out^2), in one buffer
-            g = out * out
+        if kept is None:
+            g = adj
+        else:  # adj * (1 - out^2), in one buffer
+            g = kept * kept
             np.subtract(1.0, g, out=g)
             np.multiply(adj, g, out=g)
-        else:
-            g = adj
-        nodes = tape.nodes
-        if nodes[b.node].needs_grad:
-            accum(b.node, _unbroadcast(g, bd.shape))
-        if nodes[x.node].needs_grad:
-            accum(x.node, _unbroadcast(g @ wd.swapaxes(-1, -2), xd.shape))
-        if nodes[w.node].needs_grad:
-            accum(w.node, _unbroadcast(xd.swapaxes(-1, -2) @ g, wd.shape))
+        if need_b:
+            accum(bid, _unbroadcast(g, bsh))
+        if need_x:
+            gx = _unbroadcast(g @ wd.swapaxes(-1, -2), xsh)
+            if rows is None:
+                accum(xids[0], gx)
+            else:
+                _scatter_rows(gx, xids, rows, xshs, accum)
+        if need_w:
+            xd = _gather_rows(xds, rows)
+            accum(wid, _unbroadcast(xd.swapaxes(-1, -2) @ g, wsh))
 
-    return _record(tape, "dense", (x, w, b), out, bwd)
+    return _record(tape, op, (*xs, w, b), out, bwd)
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
@@ -289,10 +374,13 @@ def clip(a, lo: float, hi: float) -> Tensor:
     tape = _find_tape(a)
     a = _coerce(a, tape)
     out = np.clip(a.data, lo, hi)
+    if tape is None:
+        return _wrap(out)
+    aid = a.node
     inside = (a.data >= lo) & (a.data <= hi)
 
     def bwd(adj, accum):
-        accum(a.node, adj * inside)
+        accum(aid, adj * inside)
 
     return _record(tape, "clip", (a,), out, bwd)
 
@@ -301,6 +389,8 @@ def concat(tensors: Sequence, axis: int = -1) -> Tensor:
     tape = _find_tape(*tensors)
     ts = [_coerce(t, tape) for t in tensors]
     out = np.concatenate([t.data for t in ts], axis=axis)
+    if tape is None:
+        return _wrap(out)
     sizes = [t.data.shape[axis] for t in ts]
     nodes = [t.node for t in ts]
 
@@ -318,12 +408,14 @@ def slice_(a, key) -> Tensor:
     tape = _find_tape(a)
     a = _coerce(a, tape)
     out = np.ascontiguousarray(a.data[key])
-    ash = a.data.shape
+    if tape is None:
+        return _wrap(out)
+    aid, ash = a.node, a.data.shape
 
     def bwd(adj, accum):
         g = np.zeros(ash)
         g[key] += adj
-        accum(a.node, g)
+        accum(aid, g)
 
     return _record(tape, "slice", (a,), out, bwd)
 
@@ -331,46 +423,30 @@ def slice_(a, key) -> Tensor:
 def reshape(a, shape: Sequence[int]) -> Tensor:
     tape = _find_tape(a)
     a = _coerce(a, tape)
-    shape = tuple(shape)
-    ash = a.data.shape
+    out = a.data.reshape(tuple(shape))
+    if tape is None:
+        return _wrap(out)
+    aid, ash = a.node, a.data.shape
 
     def bwd(adj, accum):
-        accum(a.node, adj.reshape(ash))
+        accum(aid, adj.reshape(ash))
 
-    return _record(tape, "reshape", (a,), a.data.reshape(shape), bwd)
+    return _record(tape, "reshape", (a,), out, bwd)
 
 
 def transpose(a, axes: Sequence[int]) -> Tensor:
     tape = _find_tape(a)
     a = _coerce(a, tape)
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
+    out = np.ascontiguousarray(a.data.transpose(axes))
+    if tape is None:
+        return _wrap(out)
+    aid, inv = a.node, tuple(np.argsort(axes))
 
     def bwd(adj, accum):
-        accum(a.node, np.ascontiguousarray(adj.transpose(inv)))
+        accum(aid, np.ascontiguousarray(adj.transpose(inv)))
 
-    return _record(tape, "transpose", (a,),
-                   np.ascontiguousarray(a.data.transpose(axes)), bwd)
-
-
-def gather(a, idx) -> Tensor:
-    """Select rows along axis 0: out = a[idx]. Repeated indices allowed."""
-    tape = _find_tape(a)
-    a = _coerce(a, tape)
-    idx = np.asarray(idx, dtype=np.intp)
-    out = a.data[idx]
-    ash = a.data.shape
-
-    def bwd(adj, accum):
-        g = np.zeros(ash)
-        if np.unique(idx).size == idx.size:
-            g[idx] = adj
-        else:  # whole slabs in index order: np.add.at's sums, bit for bit
-            for j, i in enumerate(idx):
-                g[i] += adj[j]
-        accum(a.node, g)
-
-    return _record(tape, "gather", (a,), out, bwd)
+    return _record(tape, "transpose", (a,), out, bwd)
 
 
 def gaussian_nll(mu: dict, logvar: dict, targets: dict, weights: dict) -> Tensor:
@@ -394,8 +470,11 @@ def gaussian_nll(mu: dict, logvar: dict, targets: dict, weights: dict) -> Tensor
         e = np.exp(-lv.data)
         s = ((lv.data * 0.5 + (dd * e) * 0.5) * w).sum()
         total = s if total is None else total + s
-        inputs += (m, lv)
-        saved.append((m.node, lv.node, d, dd, e, w))
+        if tape is not None:
+            inputs += (m, lv)
+            saved.append((m.node, lv.node, d, dd, e, w))
+    if tape is None:
+        return _wrap(np.asarray(total))
 
     def bwd(adj, accum):
         # last group first, log-variance before mean, as the composed
@@ -553,32 +632,38 @@ def _layer_ids(prefix: str, n_layers: int) -> tuple[tuple[str, str, bool], ...]:
     return tuple((w, b, i < n_layers - 1) for i, (w, b) in enumerate(ids))
 
 
-def _check_last_dim(x: Tensor, want: int, what: str) -> None:
-    if x.data.shape[-1] != want:
-        raise ShapeError(f"{what}: expected last dimension {want}, "
-                         f"got {x.data.shape[-1]}")
-
-
 def mlp_forward(params: ParameterSet, layer_spec: Sequence[int], prefix: str,
-                x, tape: Optional[Tape] = None) -> Tensor:
+                x, tape: Optional[Tape] = None,
+                rows: Optional[Sequence] = None) -> Tensor:
     """Apply the MLP block ``prefix``: tanh on hidden layers, linear
     final layer.
 
     ``x`` has the layer input width as its last dimension. For a block
     of k stacked MLPs ``x`` is (k, B, in) and MLP j applies to slice j;
     a single MLP's parameters broadcast over all leading dimensions.
+    With ``rows``, ``x`` is a sequence of tensors and the input is
+    ``[x[0][rows[0]] | x[1][rows[1]] | ...]``, which the first layer
+    builds as ``gather_dense`` does.
     """
     layers = _layer_ids(prefix, len(layer_spec) - 1)
-    tape = tape if tape is not None else _find_tape(x)
-    h = _coerce(x, tape)
-    _check_last_dim(h, int(layer_spec[0]), f"{prefix} layer 0 input")
+    xs = list(x) if rows is not None else [x]
+    tape = tape if tape is not None else _find_tape(*xs)
+    xs = [_coerce(t, tape) for t in xs]
+    width = sum(t.data.shape[-1] for t in xs)
+    if width != int(layer_spec[0]):
+        raise ShapeError(f"{prefix} layer 0 input: expected last dimension "
+                         f"{layer_spec[0]}, got {width}")
+    h = xs[0]
     for i, (wid, bid, hidden) in enumerate(layers):
         try:
             w, b = params.tensor(tape, wid), params.tensor(tape, bid)
         except ContractError:
             raise ContractError(
                 f"missing parameters for {prefix} layer {i}") from None
-        h = dense(h, w, b, hidden=hidden)
+        if i == 0 and rows is not None:
+            h = gather_dense(xs, rows, w, b, hidden=hidden)
+        else:
+            h = dense(h, w, b, hidden=hidden)
     return h
 
 

@@ -8,15 +8,17 @@ next state). Inference is one feed-forward chain:
 
     encode -> T synchronous message-passing steps -> decode
 
-For speed, nodes with identical layer shapes are evaluated together as
-stacked MLP applications, and message aggregation is a (constant)
-routing-matrix multiply. Parameters are per node and per directed edge
-unless ``share_by_type`` is set. They live only in the blocks the
-forward computes with, one weight and one bias per layer and MLP role
-of a node group (``stack/<group>/<role>/L<i>/W|b``) or edge group
-(``stack/<src_group>><dst_group>/msg/L<i>/W|b``). A group of k MLPs has
-(k, i, o) weight and (k, 1, o) bias blocks; a group's lone MLP (a
-single-node group, a single-edge group or a shared type MLP) has
+For speed, nodes of one kind with identical layer shapes (one group per
+(kind, q, p)) are evaluated together as stacked MLP applications, each
+edge MLP's first layer gathers both endpoint states from their groups'
+stacks (``diffcore.gather_dense``), and message aggregation is a
+(constant) routing-matrix multiply. Parameters are per node and per
+directed edge unless ``share_by_type`` is set. They live only in the
+blocks the forward computes with, one weight and one bias per layer and
+MLP role of a node group (``stack/<group>/<role>/L<i>/W|b``) or edge
+group (``stack/<src_group>><dst_group>/msg/L<i>/W|b``). A group of k
+MLPs has (k, i, o) weight and (k, 1, o) bias blocks; a group's lone MLP
+(a single-node group, a single-edge group or a shared type MLP) has
 (i, o) and (o,) blocks.
 
 Parameter-id scheme (stable; checkpoints are written in it, and
@@ -334,11 +336,10 @@ class GnnModel(ModelBase):
         for _ in range(self.config.message_passing_steps):
             msgs: dict[str, list[Tensor]] = {g.key: [] for g in self.groups}
             for eg in self.edge_groups:
-                xs = dc.gather(states[eg.src_group], eg.src_idx)
-                xd = dc.gather(states[eg.dst_group], eg.dst_idx)
                 m = dc.mlp_forward(
                     self.params, eg.spec, eg.block,
-                    dc.concat([xd, xs], axis=-1), tape=tape)
+                    (states[eg.dst_group], states[eg.src_group]), tape=tape,
+                    rows=(eg.dst_idx, eg.src_idx))
                 msgs[eg.dst_group].append(m)
             new_states = {}
             for g in self.groups:

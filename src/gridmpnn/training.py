@@ -22,9 +22,12 @@ Each mini-batch trains as row blocks of at most ``BLOCK_ROWS`` samples,
 cut by the batch's row count alone, on the cores that BLAS leaves free
 (``diffcore.run_blocks``). A block records its forward on its own fork
 of the step's tape, scales its NLL sum by the whole batch's observed
-count and backpropagates into gradient buffers of its own; the blocks'
-gradients are then added up in block order ahead of one Adam step. So
-the trained bytes depend on the block rule, never on the core count.
+count and backpropagates into a gradient buffer of its own. Blocks are
+handed out in block order, and a finished block's buffer is added into
+the parameters' gradients as soon as every earlier block's is, then
+reused, so at most one buffer more than the blocks that run at once
+exists; one Adam step follows the last. So the trained bytes depend on
+the block rule, never on the core count.
 Validation forwards go through ``imputation.blocked_forward`` and give
 the bytes of one whole-batch forward.
 """
@@ -32,6 +35,7 @@ the bytes of one whole-batch forward.
 from __future__ import annotations
 
 import csv
+import threading
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -374,6 +378,42 @@ def evaluate_nll(model, samples: SampleSet) -> float:
     return total / count
 
 
+class _GradientSlots:
+    """Gradient buffers for the blocks of a step, added into ``grads`` in
+    block order.
+
+    Block i takes a buffer once block i - ``limit`` has been added, so
+    at most ``limit`` buffers exist and the earliest block never waits.
+    A finished block's buffer is added as soon as every earlier block's
+    is, and then reused.
+    """
+
+    def __init__(self, grads: dict[str, np.ndarray], limit: int):
+        self.grads, self.limit = grads, limit
+        self.free: list[dict[str, np.ndarray]] = []
+        self.finished: dict[int, dict[str, np.ndarray]] = {}
+        self.added = 0  # blocks of the current step added so far
+        self.cond = threading.Condition()
+
+    def take(self, i: int) -> dict[str, np.ndarray]:
+        with self.cond:
+            self.cond.wait_for(lambda: i < self.added + self.limit)
+            if self.free:
+                return self.free.pop()
+        return {k: np.zeros_like(g) for k, g in self.grads.items()}
+
+    def finish(self, i: int, slot: dict[str, np.ndarray]) -> None:
+        with self.cond:
+            self.finished[i] = slot
+            while self.added in self.finished:
+                done = self.finished.pop(self.added)
+                for key, g in self.grads.items():
+                    g += done[key]
+                self.free.append(done)
+                self.added += 1
+            self.cond.notify_all()
+
+
 def _train_block(model, samples: SampleSet, idx: np.ndarray, tape: Tape,
                  grads: dict[str, np.ndarray], scale: float) -> float:
     """One block's taped forward on a fork of ``tape``, and, if its NLL
@@ -395,7 +435,9 @@ def train(model, train_samples: SampleSet, val_samples: SampleSet,
     """Adam over shuffled mini-batches with validation-based early stopping.
 
     Returns the model carrying the best-validation parameters plus the
-    per-epoch history (epoch, train_nll, val_nll, wall_seconds).
+    per-epoch history (epoch, train_nll, val_nll, wall_seconds). A
+    non-finite loss raises ``TrainingError`` before its step updates
+    anything, with the gradient accumulators zeroed.
     """
     if len(train_samples) == 0:
         raise DatasetError("empty training set")
@@ -407,10 +449,9 @@ def train(model, train_samples: SampleSet, val_samples: SampleSet,
     best_epoch = 0
     n = len(train_samples)
     bsize = min(config.effective_batch, n)
-    # observed loss entries per sample, and one gradient buffer per block
+    # observed loss entries per sample
     observed = sum(m.sum(axis=(0, 2)) for m in train_samples.loss_mask.values())
-    slots = [{k: np.zeros_like(g) for k, g in model.params.grads.items()}
-             for _ in range(-(-bsize // BLOCK_ROWS))]
+    slots = _GradientSlots(model.params.grads, dc._WORKERS + 1)
     t0 = time.perf_counter()
     for epoch in range(1, config.max_epochs + 1):
         perm = rng.permutation(n)
@@ -422,20 +463,27 @@ def train(model, train_samples: SampleSet, val_samples: SampleSet,
             cuts = [i * len(idx) // blocks for i in range(blocks + 1)]
             sums = [0.0] * blocks
             tape = Tape()
+            slots.added = 0  # this step's blocks count from 0
 
             def run(i: int) -> None:
-                sums[i] = _train_block(model, train_samples,
-                                       idx[cuts[i]:cuts[i + 1]], tape,
-                                       slots[i], 1.0 / max(cnt, 1.0))
+                slot = slots.take(i)
+                try:
+                    sums[i] = _train_block(model, train_samples,
+                                           idx[cuts[i]:cuts[i + 1]], tape,
+                                           slot, 1.0 / max(cnt, 1.0))
+                finally:
+                    slots.finish(i, slot)
 
-            dc.run_blocks(list(range(blocks)), run)
-            loss_sum = sum(sums)
-            if not np.isfinite(loss_sum):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, batch {lo // bsize}")
-            for slot in slots[:blocks]:
-                for key, g in model.params.grads.items():
-                    g += slot[key]
+            try:
+                # run_blocks pops from the end: hand blocks out in order
+                dc.run_blocks(list(range(blocks - 1, -1, -1)), run)
+                loss_sum = sum(sums)
+                if not np.isfinite(loss_sum):
+                    raise TrainingError(f"non-finite loss at epoch {epoch}, "
+                                        f"batch {lo // bsize}")
+            except BaseException:
+                model.params.zero_grads()  # drop the failed step's sum
+                raise
             adam_step(model.params, adam, config.learning_rate)
             run_sum += loss_sum
             run_count += cnt

@@ -1,11 +1,18 @@
 """Tensor engine tests: forward semantics, reverse-mode gradients against
-central finite differences, stacked MLP blocks, Adam, tape order and
-run-to-run determinism."""
+central finite differences, stacked MLP blocks, Adam, tape order, what
+the tape keeps alive and run-to-run determinism."""
+
+import gc
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from gridmpnn import diffcore as dc
+from gridmpnn.gridgraph import derive_schemas
+from gridmpnn.mpnn import GnnConfig, GnnModel
+from gridmpnn.training import TrainingConfig, build_samples, nll_loss_packed
 
 
 def _weighted_sum(out, weights):
@@ -166,6 +173,11 @@ OPS = {
         dc.reshape(dc.scale(p, -0.5), (2, 1, 1)), hidden=True),
     "dense_shared": lambda p, t: dc.dense(
         _X_STACK[:, :1], p, dc.reshape(dc.scale(p, 0.3), (2,)), hidden=True),
+    # p is one gathered tensor (with repeated rows) and the weight
+    "gather_dense": lambda p, t: dc.gather_dense(
+        [dc.reshape(p, (2, 1, 1)), _X_STACK[:, :1]],
+        [np.array([1, 0, 1]), np.array([0, 1, 1])],
+        dc.reshape(dc.scale(p, -0.8), (2, 1)), np.array([0.1]), hidden=True),
     "clip": lambda p, t: dc.clip(p, -0.5, 0.5),
     "concat": lambda p, t: dc.concat([p, dc.scale(p, -2.0)], axis=1),
     "slice": lambda p, t: dc.slice_(p, (slice(None), slice(0, 1))),
@@ -333,18 +345,92 @@ def test_dense_rejects_mismatched_inner_dimensions():
     np.zeros(15, dtype=int),          # 15-to-1 fan-in, as into the global node
     np.array([2, 0, 3, 1]),           # all unique
 ], ids=["repeated", "fan_in_15", "unique"])
-def test_gather_backward_matches_add_at_bit_for_bit(idx):
+def test_gather_dense_backward_matches_add_at_bit_for_bit(idx):
+    # an identity weight and a zero bias pass the gathered rows and the
+    # adjoint through unchanged
     rng = np.random.default_rng(16)
     n = int(idx.max()) + 1
     params = dc.ParameterSet()
     params.add("a", rng.standard_normal((n, 7, 3)))
     mix = rng.standard_normal((idx.size, 7, 3))
     tape = dc.Tape()
-    out = dc.gather(params.tensor(tape, "a"), idx)
+    out = dc.gather_dense([params.tensor(tape, "a")], [idx], np.eye(3),
+                          np.zeros(3), hidden=False)
+    assert np.array_equal(out.data, params.values["a"][idx])
     dc.backward(tape, _weighted_sum(out, mix))
     want = np.zeros((n, 7, 3))
     np.add.at(want, idx, mix)
     assert np.array_equal(params.grads["a"], want)
+
+
+# (destination rows, source rows, source group is the destination group)
+_EDGE_CASES = {
+    "repeated": (np.array([3, 0, 3, 1, 0, 3, 2]), np.array([1, 1, 0, 2, 2, 0, 1]),
+                 False),
+    # the global node's message to each of 15 substations
+    "fan_out_15": (np.arange(15), np.zeros(15, dtype=int), False),
+    "unique": (np.array([2, 0, 3, 1]), np.array([1, 2, 0, 3]), False),
+    "same_group": (np.array([0, 1, 1, 2, 3]), np.array([1, 0, 2, 1, 2]), True),
+}
+
+
+@pytest.mark.parametrize("weights", ["stacked", "lone"])
+@pytest.mark.parametrize("layers", [1, 3])
+@pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+def test_gather_dense_matches_composed_layers_bit_for_bit(case, layers, weights):
+    # the reference gathers and concatenates in numpy and feeds that copy
+    # to dense layers; its adjoint goes back through np.add.at, to the
+    # destination first, as the composed gather -> gather -> concat ->
+    # dense chain sent it. A later term on the destination states sends
+    # them an adjoint first, so the order of the three sums shows.
+    dst, src, same = _EDGE_CASES[case]
+    rng = np.random.default_rng(31)
+    pd, ps, batch = 3, (3 if same else 2), 5
+    xd = rng.standard_normal((int(dst.max()) + 1, batch, pd))
+    xs = xd if same else rng.standard_normal((int(src.max()) + 1, batch, ps))
+    spec = [pd + ps] + [4] * (layers - 1) + [2]
+    members = 1 if weights == "lone" else dst.size  # share_by_type: one MLP
+
+    def model(extra):
+        params = dc.ParameterSet()
+        dc.mlp_init(params, "m", spec, np.random.default_rng(32),
+                    members=members)
+        for k, v in extra.items():
+            params.add(k, v)
+        return params
+
+    mix = rng.standard_normal((dst.size, batch, 2))
+    mix_d = rng.standard_normal(xd.size)
+    fused = model({"xd": xd} if same else {"xd": xd, "xs": xs})
+    tape = dc.Tape()
+    td = fused.tensor(tape, "xd")
+    ts = td if same else fused.tensor(tape, "xs")
+    out = dc.mlp_forward(fused, spec, "m", (td, ts), tape=tape, rows=(dst, src))
+    later = dc.reshape(dc.scale(td, 0.37), (-1,))
+    dc.backward(tape, _weighted_sum(dc.concat([dc.reshape(out, (-1,)), later]),
+                                    np.concatenate([mix.ravel(), mix_d])))
+
+    x = np.concatenate([xd[dst], xs[src]], axis=-1)
+    composed = model({"x": x})
+    tape = dc.Tape()
+    want = dc.mlp_forward(composed, spec, "m", composed.tensor(tape, "x"),
+                          tape=tape)
+    dc.backward(tape, _weighted_sum(want, mix))
+    assert np.array_equal(out.data, want.data)
+    gx = composed.grads["x"]
+    to_dst, to_src = np.zeros(xd.shape), np.zeros(xs.shape)
+    np.add.at(to_dst, dst, gx[..., :pd])
+    np.add.at(to_src, src, gx[..., pd:])
+    to_dst += (mix_d * 0.37).reshape(xd.shape)
+    if same:
+        assert np.array_equal(fused.grads["xd"], to_dst + to_src)
+    else:
+        assert np.array_equal(fused.grads["xd"], to_dst)
+        assert np.array_equal(fused.grads["xs"], to_src)
+    for key in composed.values:
+        if key != "x":
+            assert fused.grads[key].any(), key
+            assert np.array_equal(fused.grads[key], composed.grads[key]), key
 
 
 def test_nodes_without_parameters_upstream_have_no_backward():
@@ -372,18 +458,22 @@ def test_backward_of_loss_without_parameters_leaves_gradients_zero():
     assert not params.grads["w"].any()
 
 
-def test_gather_and_stack_gradients():
-    # gather rows of a stacked (2, 3, 2) block with repeated indices; the
-    # finite differences perturb every entry of that block
+def test_gather_dense_and_stack_gradients():
+    # gather rows of a stacked (2, 3, 2) block with repeated indices, from
+    # both sides of the concatenation; the finite differences perturb
+    # every entry of that block
     rng = np.random.default_rng(9)
     params = dc.ParameterSet()
     params.add("ab", np.stack([rng.standard_normal((3, 2)),
                                rng.standard_normal((3, 2))]))
-    idx = np.array([0, 1, 1, 0, 1])
-    mix = rng.standard_normal((5, 3, 2))
+    w = rng.standard_normal((4, 3))
+    mix = rng.standard_normal((5, 3, 3))
 
     def build(tape):
-        g = dc.gather(params.tensor(tape, "ab"), idx)
+        ab = params.tensor(tape, "ab")
+        g = dc.gather_dense([ab, ab], [np.array([0, 1, 1, 0, 1]),
+                                       np.array([1, 1, 0, 0, 0])],
+                            w, np.zeros(3), hidden=True)
         return _weighted_sum(g, mix)
 
     assert _fd_check(build, params) < 1e-4
@@ -504,6 +594,115 @@ def test_operations_on_different_tapes_rejected():
     b = t2.leaf(np.ones(2))
     with pytest.raises(dc.ContractError, match="tapes"):
         dc.concat([a, b])
+
+
+# ---------------------------------------------------------------------------
+# What the tape keeps
+
+
+def _dies(make):
+    """Build ``make(tape, p)`` -> (tensor whose array to watch, loss) on a
+    fresh tape, drop the caller's references and tell whether that array
+    died before ``backward``; after ``backward`` it must be dead."""
+    params = dc.ParameterSet()
+    params.add("p", np.random.default_rng(3).uniform(-0.4, 0.4, (2, 3)))
+    tape = dc.Tape()
+    watched, loss = make(tape, params.tensor(tape, "p"))
+    ref = weakref.ref(watched.data)
+    del watched
+    gc.collect()
+    alive = ref() is not None
+    dc.backward(tape, loss)
+    gc.collect()
+    assert ref() is None  # the reverse pass releases what it read
+    assert params.grads["p"].any()
+    return not alive
+
+
+_MIX = np.random.default_rng(4).standard_normal(6)
+_W = np.array([[0.4, -0.2], [1.1, 0.3], [-0.7, 0.5]])
+
+
+def _linear_dense(tape, p):
+    out = dc.dense(p, _W, np.zeros(2), hidden=False)
+    return out, _weighted_sum(out, _MIX[:4])
+
+
+def _hidden_dense(tape, p):
+    out = dc.dense(p, _W, np.zeros(2), hidden=True)
+    return out, _weighted_sum(out, _MIX[:4])
+
+
+def _matmul_right(tape, p):
+    right = dc.scale(p, 2.0)
+    return right, _weighted_sum(dc.matmul(np.ones((1, 2)), right), _MIX[:3])
+
+
+def _matmul_constant_left(tape, p):
+    left = tape.leaf(np.array([[0.5, -1.5]]))
+    return left, _weighted_sum(dc.matmul(left, dc.scale(p, 2.0)), _MIX[:3])
+
+
+def _reshape_input(tape, p):
+    x = dc.scale(p, 2.0)
+    return x, _weighted_sum(dc.reshape(x, (3, 2)), _MIX)
+
+
+def _clip_input(tape, p):
+    x = dc.scale(p, 2.0)
+    return x, _weighted_sum(dc.clip(x, -0.5, 0.5), _MIX)
+
+
+def _dense_input(tape, p):
+    # the weight needs a gradient, so the layer keeps its input
+    x = tape.leaf(np.array([[0.2, -0.1], [0.4, 0.3]]))
+    return x, _weighted_sum(dc.dense(x, p, np.zeros(3), hidden=True), _MIX)
+
+
+@pytest.mark.parametrize("make", [_linear_dense, _matmul_right, _reshape_input,
+                                  _clip_input],
+                         ids=["dense_linear_output", "matmul_right_operand",
+                              "reshape_input", "clip_input"])
+def test_arrays_the_backward_does_not_read_die_with_the_caller(make):
+    assert _dies(make)
+
+
+@pytest.mark.parametrize("make", [_hidden_dense, _matmul_constant_left,
+                                  _dense_input],
+                         ids=["dense_hidden_output", "matmul_constant_left",
+                              "dense_input"])
+def test_arrays_the_backward_reads_live_until_backward(make):
+    assert not _dies(make)
+
+
+# Bytes a taped forward and loss of 128 rows of the conftest pilot world
+# may leave held until backward: what the reverse pass reads is about
+# 47 MB; closures that keep whole tensors or gathered edge inputs hold
+# about 86 MB.
+PILOT_BLOCK_TAPE_BUDGET = 55e6
+
+
+def test_one_pilot_block_tape_stays_within_its_byte_budget(pilot_world):
+    spec, dataset = pilot_world
+    schemas = derive_schemas(spec.topology)
+    samples = build_samples(dataset, spec.topology, schemas, TrainingConfig())
+    model = GnnModel(spec.topology, schemas, GnnConfig())
+    f, m, t, lm = samples.batch(np.arange(128))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tape = dc.Tape()
+        mu, logvar = model.forward(f, m, tape=tape)
+        loss, _ = nll_loss_packed(mu, logvar, t, lm)
+        del mu, logvar
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= PILOT_BLOCK_TAPE_BUDGET, held
+    dc.backward(tape, loss)
+    assert any(g.any() for g in model.params.grads.values())
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -541,6 +542,64 @@ def test_a_busy_pool_does_not_hold_up_a_step(monkeypatch):
         held.set()
         pool.shutdown()
     assert dc._POOL.jobs >= 1 and results == [serial]
+
+
+def test_gradient_slots_stay_bounded_and_add_up_in_block_order(monkeypatch):
+    # one batch of 210 rows as 14 blocks on two workers, the first block
+    # slow, so the other worker runs ahead until it has to wait: at most
+    # workers + 1 buffers exist, and the step's gradient is the blocks'
+    # gradients added in block order
+    monkeypatch.setattr(training, "BLOCK_ROWS", 16)
+    monkeypatch.setattr(dc, "_WORKERS", 2)
+    topo, schemas = chain_topology(), chain_schemas()
+    cfg = TrainingConfig(max_epochs=1, batch_size=210, seed=3)
+    tr, val = chronological_split(build_samples(chain_dataset(300, seed=2),
+                                                topo, schemas, cfg))
+    idx = np.random.default_rng(cfg.seed).permutation(len(tr))[:210]
+
+    def new_model():
+        model = GnnModel(topo, schemas, GnnConfig())
+        model.init_parameters(4)
+        return model
+
+    taken = []
+
+    class CountingSlots(training._GradientSlots):
+        def take(self, i):
+            taken.append(super().take(i))
+            return taken[-1]
+
+    train_block = training._train_block
+
+    def slow_first(model, samples, rows, *args):
+        if rows[0] == idx[0]:
+            time.sleep(0.3)
+        return train_block(model, samples, rows, *args)
+
+    stepped = {}
+
+    def capture(params, state, lr):
+        stepped.update({k: g.copy() for k, g in params.grads.items()})
+        raise _StepTaken
+
+    monkeypatch.setattr(training, "_GradientSlots", CountingSlots)
+    monkeypatch.setattr(training, "_train_block", slow_first)
+    monkeypatch.setattr(training, "adam_step", capture)
+    with pytest.raises(_StepTaken):
+        train(new_model(), tr, val, cfg)
+    assert len(taken) == 14 and len({id(slot) for slot in taken}) <= 3
+
+    reference = new_model()
+    cnt = sum(float(m[:, idx].sum()) for m in tr.loss_mask.values())
+    cuts = [i * 210 // 14 for i in range(15)]
+    want = {k: np.zeros_like(g) for k, g in reference.params.grads.items()}
+    for lo, hi in zip(cuts, cuts[1:]):
+        slot = {k: np.zeros_like(g) for k, g in want.items()}
+        train_block(reference, tr, idx[lo:hi], dc.Tape(), slot, 1.0 / cnt)
+        for key, g in want.items():
+            g += slot[key]
+    for key, g in want.items():
+        assert g.any() and stepped[key].tobytes() == g.tobytes(), key
 
 
 def test_chronological_split_is_contiguous_final_slice():
