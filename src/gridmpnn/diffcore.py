@@ -19,9 +19,11 @@ Design choices:
   layer's input only for its weight's gradient and its weight only for
   its input's, its output only if the layer is hidden (for the tanh
   derivative), and shapes, masks or indices for ``scale``, ``clip``,
-  ``slice_``, ``reshape``, ``transpose`` and ``concat``. So the tape
-  holds no array that the reverse pass does not read, and an untaped
-  call returns before it builds a closure.
+  ``slice_``, ``reshape``, ``transpose`` and ``concat``. A dense layer
+  whose input comes in parts keeps the parts, never their
+  concatenation, and concatenates them again in its backward. So the
+  tape holds no array that the reverse pass does not read, and no
+  copy of one, and an untaped call returns before it builds a closure.
 * The reverse pass does only the work parameter gradients need. Each
   tape node records whether a parameter leaf lies upstream of it; nodes
   without one (constants, inputs, masks and everything computed only
@@ -32,11 +34,15 @@ Design choices:
   on hidden layers, computed in place in one output buffer and undone
   by one backward closure. Its arithmetic matches a matmul, a bias add
   and an elementwise tanh, each with its own backward, bit for bit.
+  Given a list of parts as ``x``, it matches ``concat`` of the parts
+  followed by ``dense``, bit for bit, forward and adjoints alike.
 * ``gaussian_nll(mu, logvar, targets, weights)`` is the training loss,
   summed over per-group dicts into one scalar and undone by one backward
   closure. Its forward and adjoints use the numpy operations, in the
   order, of the loss composed from elementwise primitives (subtract,
   square, exp, scale, add, weight, sum), so they match it bit for bit.
+  It keeps the residual, not its square, which the backward forms
+  again.
 * ``gather_dense(xs, rows, w, b, hidden)`` is ``dense`` of rows gathered
   from several tensors and concatenated, as a graph model's edge MLP
   reads both endpoint states. It keeps the tensors and indices, not the
@@ -280,8 +286,14 @@ def dense(x, w, b, hidden: bool) -> Tensor:
     ``w`` is (i, o) or stacked (k, i, o); ``b`` broadcasts against the
     (..., o) product, e.g. (o,) or (k, 1, o). The output buffer is the
     matmul result, updated in place, so a layer allocates one array.
+    ``x`` may be a list or tuple of parts, the input being their
+    concatenation along the last axis. The tape then keeps the parts,
+    not their concatenation: the backward concatenates again for the
+    weight gradient and sends each part its slice of the input's
+    adjoint, in order, as ``concat`` followed by ``dense`` would.
     """
-    return _dense("dense", [x], None, w, b, hidden)
+    xs = list(x) if isinstance(x, (list, tuple)) else [x]
+    return _dense("dense", xs, None, w, b, hidden)
 
 
 def gather_dense(xs: Sequence, rows: Sequence, w, b, hidden: bool) -> Tensor:
@@ -298,31 +310,36 @@ def gather_dense(xs: Sequence, rows: Sequence, w, b, hidden: bool) -> Tensor:
 
 
 def _gather_rows(xs: Sequence[np.ndarray], rows) -> np.ndarray:
-    if rows is None:
-        return xs[0]
-    return np.concatenate([x[r] for x, r in zip(xs, rows)], axis=-1)
+    if rows is not None:
+        xs = [x[r] for x, r in zip(xs, rows)]
+    return xs[0] if len(xs) == 1 else np.concatenate(xs, axis=-1)
 
 
 def _scatter_rows(gx: np.ndarray, xids, rows, shapes, accum) -> None:
-    """Send each gathered tensor, in order, the adjoint of its rows: its
-    slice of ``gx``, each selected row's whole slab added in index order
-    (the additions, in the order, of ``np.add.at``), or assigned at once
+    """Send each part, in order, the adjoint of its slice of the input:
+    the slice of ``gx`` itself for a part taken whole, or for gathered
+    rows each selected row's whole slab of the slice added in index order
+    (the additions, in the order, of ``np.add.at``), assigned at once
     when the indices are unique."""
     lo = 0
-    for xid, r, shape in zip(xids, rows, shapes):
+    for k, (xid, shape) in enumerate(zip(xids, shapes)):
         hi = lo + shape[-1]
-        piece, g = gx[..., lo:hi], np.zeros(shape)
+        piece = gx[..., lo:hi]
+        lo = hi
+        if rows is None:
+            accum(xid, piece)
+            continue
+        r, g = rows[k], np.zeros(shape)
         if np.unique(r).size == r.size:
             g[r] = piece
         else:
             for j, i in enumerate(r):
                 g[i] += piece[j]
         accum(xid, g)
-        lo = hi
 
 
 def _dense(op: str, xs: Sequence, rows, w, b, hidden: bool) -> Tensor:
-    """``dense`` of ``xs[0]`` (``rows`` None) or ``gather_dense``."""
+    """``dense`` of the parts ``xs`` (``rows`` None) or ``gather_dense``."""
     tape = _find_tape(*xs, w, b)
     xs = [_coerce(x, tape) for x in xs]
     w, b = _coerce(w, tape), _coerce(b, tape)
@@ -358,10 +375,7 @@ def _dense(op: str, xs: Sequence, rows, w, b, hidden: bool) -> Tensor:
             accum(bid, _unbroadcast(g, bsh))
         if need_x:
             gx = _unbroadcast(g @ wd.swapaxes(-1, -2), xsh)
-            if rows is None:
-                accum(xids[0], gx)
-            else:
-                _scatter_rows(gx, xids, rows, xshs, accum)
+            _scatter_rows(gx, xids, rows, xshs, accum)
         if need_w:
             xd = _gather_rows(xds, rows)
             accum(wid, _unbroadcast(xd.swapaxes(-1, -2) @ g, wsh))
@@ -466,23 +480,23 @@ def gaussian_nll(mu: dict, logvar: dict, targets: dict, weights: dict) -> Tensor
         if not m.data.shape == lv.data.shape == y.shape == w.shape:
             raise ShapeError(f"gaussian_nll group {key!r}: shapes differ")
         d = y - m.data
-        dd = d * d
         e = np.exp(-lv.data)
-        s = ((lv.data * 0.5 + (dd * e) * 0.5) * w).sum()
+        s = ((lv.data * 0.5 + ((d * d) * e) * 0.5) * w).sum()
         total = s if total is None else total + s
         if tape is not None:
             inputs += (m, lv)
-            saved.append((m.node, lv.node, d, dd, e, w))
+            saved.append((m.node, lv.node, d, e, w))
     if tape is None:
         return _wrap(np.asarray(total))
 
     def bwd(adj, accum):
         # last group first, log-variance before mean, as the composed
-        # chain's reverse pass sent them
-        for mid, lid, d, dd, e, w in reversed(saved):
+        # chain's reverse pass sent them; d * d is formed again, the
+        # same bits as the forward's
+        for mid, lid, d, e, w in reversed(saved):
             g = adj * w
             h = g * 0.5
-            accum(lid, -((h * dd) * e) + h)
+            accum(lid, -((h * (d * d)) * e) + h)
             t = (h * e) * d
             accum(mid, -(t + t))
 
@@ -641,19 +655,20 @@ def mlp_forward(params: ParameterSet, layer_spec: Sequence[int], prefix: str,
     ``x`` has the layer input width as its last dimension. For a block
     of k stacked MLPs ``x`` is (k, B, in) and MLP j applies to slice j;
     a single MLP's parameters broadcast over all leading dimensions.
-    With ``rows``, ``x`` is a sequence of tensors and the input is
-    ``[x[0][rows[0]] | x[1][rows[1]] | ...]``, which the first layer
-    builds as ``gather_dense`` does.
+    ``x`` may be a list or tuple of parts, which the first layer reads
+    as ``dense`` does, the input being ``[x[0] | x[1] | ...]``; with
+    ``rows`` it is ``[x[0][rows[0]] | x[1][rows[1]] | ...]``, which the
+    first layer builds as ``gather_dense`` does.
     """
     layers = _layer_ids(prefix, len(layer_spec) - 1)
-    xs = list(x) if rows is not None else [x]
+    xs = list(x) if isinstance(x, (list, tuple)) else [x]
     tape = tape if tape is not None else _find_tape(*xs)
     xs = [_coerce(t, tape) for t in xs]
     width = sum(t.data.shape[-1] for t in xs)
     if width != int(layer_spec[0]):
         raise ShapeError(f"{prefix} layer 0 input: expected last dimension "
                          f"{layer_spec[0]}, got {width}")
-    h = xs[0]
+    h = xs
     for i, (wid, bid, hidden) in enumerate(layers):
         try:
             w, b = params.tensor(tape, wid), params.tensor(tape, bid)

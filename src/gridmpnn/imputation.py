@@ -118,7 +118,8 @@ def blocked_forward(model, features: dict[str, np.ndarray],
 def impute_packed(model, features: dict[str, np.ndarray],
                   mask: dict[str, np.ndarray], max_iterations: int = 20,
                   tolerance: float = 1e-3):
-    """Batched imputation over packed standardized arrays (n, B, q).
+    """Batched imputation over packed standardized arrays (n, B, q), the
+    observed-mask bool or float 0/1.
 
     Each forward runs only on the samples still pending. A sample leaves
     the batch at its first iteration whose update falls below the
@@ -135,6 +136,7 @@ def impute_packed(model, features: dict[str, np.ndarray],
     if max_iterations < 1:
         raise ImputationError("max_iterations must be at least 1")
     b = next(iter(features.values())).shape[1]
+    mask = {k: np.asarray(m, dtype=np.float64) for k, m in mask.items()}
     values = {k: v.copy() for k, v in features.items()}
     mu_out = {k: np.empty_like(v) for k, v in values.items()}
     sig_out = {k: np.empty_like(v) for k, v in values.items()}

@@ -12,7 +12,10 @@ For speed, nodes of one kind with identical layer shapes (one group per
 (kind, q, p)) are evaluated together as stacked MLP applications, each
 edge MLP's first layer gathers both endpoint states from their groups'
 stacks (``diffcore.gather_dense``), and message aggregation is a
-(constant) routing-matrix multiply. Parameters are per node and per
+(constant) routing-matrix multiply. The encoder's first layer reads
+features and mask, and the aggregator's its state and mean message, as
+two parts of one ``diffcore.dense`` input, so a taped pass keeps the
+parts, not their concatenation. Parameters are per node and per
 directed edge unless ``share_by_type`` is set. They live only in the
 blocks the forward computes with, one weight and one bias per layer and
 MLP role of a node group (``stack/<group>/<role>/L<i>/W|b``) or edge
@@ -321,10 +324,9 @@ class GnnModel(ModelBase):
             f, m = features[g.key], mask[g.key]
             if f.shape != m.shape or f.shape[-1] != g.q:
                 raise ShapeError(f"group {g.key}: feature/mask shape mismatch")
-            x = dc.concat([_leaf(tape, f), _leaf(tape, m)], axis=-1)
             states[g.key] = dc.mlp_forward(
-                self.params, self._enc_spec(g), f"stack/{g.key}/enc", x,
-                tape=tape)
+                self.params, self._enc_spec(g), f"stack/{g.key}/enc",
+                (_leaf(tape, f), _leaf(tape, m)), tape=tape)
         return states
 
     def message_pass(self, states: dict[str, Tensor],
@@ -356,7 +358,7 @@ class GnnModel(ModelBase):
                     mean = _leaf(tape, np.zeros((n, b, md)))
                 new_states[g.key] = dc.mlp_forward(
                     self.params, self._agg_spec(g), f"stack/{g.key}/agg",
-                    dc.concat([own, mean], axis=-1), tape=tape)
+                    (own, mean), tape=tape)
             states = new_states
         return states
 

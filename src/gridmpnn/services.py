@@ -63,7 +63,7 @@ def predict_voltages(model, samples, schemas: dict[str, NodeSchema],
     """Mask every current-time voltage channel of the samples, impute them
     in one batched pass and un-standardize the prediction."""
     sel = voltage_lag0_selector(schemas, samples.groups)
-    feats, masks = mask_channels(samples.features, samples.input_mask, sel)
+    feats, masks = mask_channels(samples.targets, samples.input_mask, sel)
     _, mu, sigma, first_hit, final_delta = impute_packed(
         model, feats, masks, max_iterations=max_iterations, tolerance=tolerance)
     pred = VoltagePrediction({}, {}, {}, {}, {}, first_hit, final_delta)
@@ -77,7 +77,7 @@ def predict_voltages(model, samples, schemas: dict[str, NodeSchema],
         pred.mu[g.key] = mu[g.key] * std + mean
         pred.sigma[g.key] = sigma[g.key] * std
         pred.actual[g.key] = samples.targets[g.key] * std + mean
-        pred.known[g.key] = flags[:, None, :] & (samples.loss_mask[g.key] > 0)
+        pred.known[g.key] = flags[:, None, :] & samples.loss_mask[g.key]
     return pred
 
 

@@ -1,10 +1,14 @@
 """Sample assembly, masked Gaussian NLL and the training loop.
 
-Samples carry standardized features with an observed-mask; unobserved
-entries hold the placeholder value (the per-channel training mean,
-which is zero after standardization). Augmentation appends
-``masked_clones`` of the training set (chosen channels masked from the
-inputs, loss targets kept) with ``concat_sample_sets``. The loss,
+A ``SampleSet`` stores standardized targets (float64, 0 where
+unobserved) with a bool input mask and a bool loss mask. The model's
+input features are the targets where the input mask is set and the
+placeholder value elsewhere (the per-channel training mean, which is
+zero after standardization), so they are not stored: ``batch``,
+``sample`` and ``mask_channels`` derive them where they are read, as
+read-only arrays. Augmentation appends ``masked_clones`` of the
+training set (chosen channels masked from the inputs, loss targets
+kept) with ``concat_sample_sets``. The loss,
 ``nll_loss_packed``, is one engine primitive, ``diffcore.gaussian_nll``,
 which sums over observed entries only
 
@@ -38,7 +42,8 @@ import csv
 import threading
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -121,10 +126,12 @@ class ChannelStats:
 
 @dataclass
 class Sample:
-    """One timestamp: standardized per-node features with masks."""
+    """One timestamp, per node: read-only standardized features derived
+    for this sample alone, the bool input and loss masks and the targets
+    (views of the set's arrays)."""
 
     timestamp: int  # epoch seconds
-    features: dict[str, np.ndarray]
+    features: Mapping[str, np.ndarray]
     input_mask: dict[str, np.ndarray]
     targets: dict[str, np.ndarray]
     loss_mask: dict[str, np.ndarray]
@@ -133,14 +140,20 @@ class Sample:
 
 class SampleSet:
     """Group-packed sample storage: per node group, arrays of shape
-    (n_nodes, n_samples, q)."""
+    (n_nodes, n_samples, q).
+
+    Only what cannot be derived is stored: the float64 ``targets`` and
+    the bool ``input_mask`` and ``loss_mask``. The features, the targets
+    where the input mask is set and 0 elsewhere, are derived where they
+    are read, and are read-only, so a write to them fails instead of
+    being lost.
+    """
 
     def __init__(self, groups: list[NodeGroup], stats: ChannelStats,
                  timestamps: np.ndarray):
         self.groups = groups
         self.stats = stats
         self.timestamps = np.asarray(timestamps, dtype=np.int64)
-        self.features: dict[str, np.ndarray] = {}
         self.input_mask: dict[str, np.ndarray] = {}
         self.targets: dict[str, np.ndarray] = {}
         self.loss_mask: dict[str, np.ndarray] = {}
@@ -149,33 +162,61 @@ class SampleSet:
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def batch(self, idx: np.ndarray) -> tuple[dict, dict, dict, dict]:
-        # np.take keeps the batch C-contiguous (v[:, idx, :] does not), so
-        # tape leaves use these arrays as they are instead of copying them
-        f = {k: np.take(v, idx, axis=1) for k, v in self.features.items()}
-        m = {k: np.take(v, idx, axis=1) for k, v in self.input_mask.items()}
-        t = {k: np.take(v, idx, axis=1) for k, v in self.targets.items()}
-        lm = {k: np.take(v, idx, axis=1) for k, v in self.loss_mask.items()}
-        return f, m, t, lm
+    @property
+    def features(self) -> Mapping[str, np.ndarray]:
+        """Every sample's features, derived on each access."""
+        return _features(self.targets, self.input_mask)
+
+    def batch(self, idx: np.ndarray) -> tuple[Mapping, dict, dict, dict]:
+        """Features, input mask, targets and loss mask of the samples
+        ``idx``, in the model's and the loss's float64 form (masks 0/1)."""
+        t, m, lm = (_take(a, idx) for a in (self.targets, self.input_mask,
+                                            self.loss_mask))
+        return (_features(t, m), {k: v.astype(np.float64) for k, v in m.items()},
+                t, {k: v.astype(np.float64) for k, v in lm.items()})
 
     def select(self, idx) -> "SampleSet":
         idx = np.asarray(idx)
         out = SampleSet(self.groups, self.stats, self.timestamps[idx])
-        f, m, t, lm = self.batch(idx)
-        out.features, out.input_mask, out.targets, out.loss_mask = f, m, t, lm
+        out.targets = _take(self.targets, idx)
+        out.input_mask = _take(self.input_mask, idx)
+        out.loss_mask = _take(self.loss_mask, idx)
         out.missing_fraction = self.missing_fraction[idx].copy()
         return out
 
     def sample(self, i: int) -> Sample:
-        feats, imask, targs, lmask = {}, {}, {}, {}
+        t = {k: v[:, i] for k, v in self.targets.items()}
+        m = {k: v[:, i] for k, v in self.input_mask.items()}
+        lm = {k: v[:, i] for k, v in self.loss_mask.items()}
+        packed = (_features(t, m), m, t, lm)
+        per_node: tuple[dict, ...] = ({}, {}, {}, {})
         for g in self.groups:
             for j, nid in enumerate(g.node_ids):
-                feats[nid] = self.features[g.key][j, i]
-                imask[nid] = self.input_mask[g.key][j, i]
-                targs[nid] = self.targets[g.key][j, i]
-                lmask[nid] = self.loss_mask[g.key][j, i]
-        return Sample(int(self.timestamps[i]), feats, imask, targs, lmask,
-                      float(self.missing_fraction[i]))
+                for out, arrays in zip(per_node, packed):
+                    out[nid] = arrays[g.key][j]
+        feats, imask, targs, lmask = per_node
+        return Sample(int(self.timestamps[i]), MappingProxyType(feats), imask,
+                      targs, lmask, float(self.missing_fraction[i]))
+
+
+def _take(arrays: dict[str, np.ndarray], idx) -> dict[str, np.ndarray]:
+    # np.take keeps the batch C-contiguous (v[:, idx, :] does not), so
+    # tape leaves use these arrays as they are instead of copying them
+    return {k: np.take(v, idx, axis=1) for k, v in arrays.items()}
+
+
+def _features(targets: dict[str, np.ndarray],
+              mask: dict[str, np.ndarray]) -> Mapping[str, np.ndarray]:
+    """Model input features of packed samples: per group, the targets
+    where ``mask`` is set and the placeholder 0 elsewhere. The mapping
+    and its arrays are read-only: they are derived, so a write would be
+    lost."""
+    out = {}
+    for key, m in mask.items():
+        f = np.where(m, targets[key], 0.0)
+        f.flags.writeable = False
+        out[key] = f
+    return MappingProxyType(out)
 
 
 def compute_stats(dataset, topology, schemas: dict[str, NodeSchema],
@@ -253,10 +294,9 @@ def build_samples(dataset, topology, schemas: dict[str, NodeSchema],
         m = np.stack([stats.mean[nid] for nid in g.node_ids])[:, None, :]
         s = np.stack([stats.std[nid] for nid in g.node_ids])[:, None, :]
         z = (vals - m) / s
-        out.features[g.key] = np.where(ok, z, 0.0)
-        out.input_mask[g.key] = ok.astype(np.float64)
         out.targets[g.key] = np.where(ok, z, 0.0)
-        out.loss_mask[g.key] = ok.astype(np.float64)
+        out.input_mask[g.key] = ok
+        out.loss_mask[g.key] = ok.copy()
     out.missing_fraction = frac[keep]
     return out
 
@@ -291,18 +331,24 @@ def aggregate_energy_lag0_selector(schemas: dict[str, NodeSchema],
     return sel
 
 
-def mask_channels(features: dict[str, np.ndarray], mask: dict[str, np.ndarray],
+def _hide(mask: dict[str, np.ndarray],
+          sel: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Bool copies of packed (n, B, q) observed-masks with the channels
+    ``sel`` flags (per group, bool (n, q)) unobserved in every sample."""
+    return {key: np.logical_and(m, ~sel[key][:, None, :])
+            for key, m in mask.items()}
+
+
+def mask_channels(values: dict[str, np.ndarray], mask: dict[str, np.ndarray],
                   sel: dict[str, np.ndarray],
-                  ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Copies of packed (n, B, q) features and observed-mask with the
-    channels ``sel`` flags (per group, bool (n, q)) masked in every
-    sample: placeholder value 0 and mask 0."""
-    out_f, out_m = {}, {}
-    for key, f in features.items():
-        flags = sel[key][:, None, :]
-        out_f[key] = np.where(flags, 0.0, f)
-        out_m[key] = np.where(flags, 0.0, mask[key])
-    return out_f, out_m
+                  ) -> tuple[Mapping[str, np.ndarray], dict[str, np.ndarray]]:
+    """Features and bool observed-mask of packed (n, B, q) samples with
+    the channels ``sel`` flags (per group, bool (n, q)) masked in every
+    sample: placeholder value 0 and mask False. ``values`` may be the
+    targets or the features, which agree wherever the mask is set; the
+    features are read-only."""
+    masks = _hide(mask, sel)
+    return _features(values, masks), masks
 
 
 def masked_clones(samples: SampleSet, sel: dict[str, np.ndarray]) -> SampleSet:
@@ -312,14 +358,13 @@ def masked_clones(samples: SampleSet, sel: dict[str, np.ndarray]) -> SampleSet:
     if len(samples) == 0:
         raise DatasetError("cannot augment an empty sample set")
     out = SampleSet(samples.groups, samples.stats, samples.timestamps.copy())
-    out.features, out.input_mask = mask_channels(
-        samples.features, samples.input_mask, sel)
+    out.input_mask = _hide(samples.input_mask, sel)
     total_entries = sum(g.q * len(g.node_ids) for g in samples.groups)
     unobserved = np.zeros(len(samples))
     for g in samples.groups:
         out.targets[g.key] = samples.targets[g.key].copy()
         out.loss_mask[g.key] = samples.loss_mask[g.key].copy()
-        unobserved += (out.input_mask[g.key] == 0.0).sum(axis=(0, 2))
+        unobserved += (~out.input_mask[g.key]).sum(axis=(0, 2))
     out.missing_fraction = unobserved / total_entries
     return out
 
@@ -328,8 +373,7 @@ def concat_sample_sets(parts: Sequence[SampleSet]) -> SampleSet:
     out = SampleSet(parts[0].groups, parts[0].stats,
                     np.concatenate([p.timestamps for p in parts]))
     for g in parts[0].groups:
-        for store, name in ((out.features, "features"),
-                            (out.input_mask, "input_mask"),
+        for store, name in ((out.input_mask, "input_mask"),
                             (out.targets, "targets"),
                             (out.loss_mask, "loss_mask")):
             store[g.key] = np.concatenate(

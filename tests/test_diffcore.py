@@ -173,6 +173,12 @@ OPS = {
         dc.reshape(dc.scale(p, -0.5), (2, 1, 1)), hidden=True),
     "dense_shared": lambda p, t: dc.dense(
         _X_STACK[:, :1], p, dc.reshape(dc.scale(p, 0.3), (2,)), hidden=True),
+    # p is one part of a multi-part input and the weight
+    "dense_parts": lambda p, t: dc.dense(
+        [p, np.array([[0.6]])],
+        dc.reshape(dc.concat([p, dc.scale(p, -0.5), dc.scale(p, 0.8)], axis=1),
+                   (3, 2)),
+        np.array([0.1, -0.2]), hidden=True),
     # p is one gathered tensor (with repeated rows) and the weight
     "gather_dense": lambda p, t: dc.gather_dense(
         [dc.reshape(p, (2, 1, 1)), _X_STACK[:, :1]],
@@ -433,6 +439,74 @@ def test_gather_dense_matches_composed_layers_bit_for_bit(case, layers, weights)
             assert np.array_equal(fused.grads[key], composed.grads[key]), key
 
 
+@pytest.mark.parametrize("weights", ["stacked", "lone"])
+@pytest.mark.parametrize("layers", [1, 3])
+@pytest.mark.parametrize("same", [False, True], ids=["two_parts", "one_twice"])
+def test_dense_parts_match_concat_then_dense_bit_for_bit(same, layers, weights):
+    # an MLP whose first layer reads (a, b) as parts against the same MLP
+    # fed concat([a, b]): a later term on a sends it an adjoint first, so
+    # the order in which its adjoints are added shows, and with b = a so
+    # does the order of the two slices
+    rng = np.random.default_rng(41)
+    n, batch, pa, pb = 3, 5, 3, (3 if same else 2)
+    a = rng.standard_normal((n, batch, pa))
+    b = rng.standard_normal((n, batch, pb))
+    spec = [pa + pb] + [4] * (layers - 1) + [2]
+    mix = rng.standard_normal(n * batch * 2)
+    mix_a = rng.standard_normal(a.size)
+    runs = []
+    for parts in (True, False):
+        params = dc.ParameterSet()
+        dc.mlp_init(params, "m", spec, np.random.default_rng(42),
+                    members=n if weights == "stacked" else 1)
+        params.add("a", a)
+        if not same:
+            params.add("b", b)
+        tape = dc.Tape()
+        ta = params.tensor(tape, "a")
+        tb = ta if same else params.tensor(tape, "b")
+        x = (ta, tb) if parts else dc.concat([ta, tb], axis=-1)
+        out = dc.mlp_forward(params, spec, "m", x, tape=tape)
+        later = dc.reshape(dc.scale(ta, 0.37), (-1,))
+        dc.backward(tape, _weighted_sum(
+            dc.concat([dc.reshape(out, (-1,)), later]),
+            np.concatenate([mix, mix_a])))
+        runs.append((out.data, params.grads))
+    (out, grads), (want, want_grads) = runs
+    assert out.tobytes() == want.tobytes()
+    assert set(grads) == set(want_grads)
+    for key, g in grads.items():
+        assert g.any() and g.tobytes() == want_grads[key].tobytes(), key
+
+
+def test_dense_parts_keep_no_concatenated_copy(monkeypatch):
+    # the weight needs a gradient, so the layer keeps its input: the parts,
+    # while the concatenation it multiplied dies with the forward
+    params = dc.ParameterSet()
+    params.add("p", np.random.default_rng(3).uniform(-0.4, 0.4, (2, 3)))
+    params.add("w", np.random.default_rng(5).uniform(-0.4, 0.4, (6, 2)))
+    tape = dc.Tape()
+    p = params.tensor(tape, "p")
+    made = []
+    concatenate = np.concatenate
+
+    def watched(*args, **kwargs):
+        out = concatenate(*args, **kwargs)
+        made.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(np, "concatenate", watched)
+    out = dc.dense([dc.scale(p, 2.0), p], params.tensor(tape, "w"),
+                   np.zeros(2), hidden=True)
+    monkeypatch.undo()
+    loss = _weighted_sum(out, _MIX[:4])
+    del out
+    gc.collect()
+    assert len(made) == 1 and made[0]() is None
+    dc.backward(tape, loss)
+    assert params.grads["p"].any() and params.grads["w"].any()
+
+
 def test_nodes_without_parameters_upstream_have_no_backward():
     params = dc.ParameterSet()
     params.add("w", np.array([[0.5, -1.0]]))
@@ -659,6 +733,14 @@ def _dense_input(tape, p):
     return x, _weighted_sum(dc.dense(x, p, np.zeros(3), hidden=True), _MIX)
 
 
+def _dense_part(tape, p):
+    # ... and of an input in parts, each part
+    x = tape.leaf(np.array([[0.2], [0.4]]))
+    w = dc.reshape(dc.slice_(p, (slice(None), slice(0, 2))), (2, 2))
+    return x, _weighted_sum(dc.dense([x, np.array([[-0.1], [0.3]])], w,
+                                     np.zeros(2), hidden=True), _MIX[:4])
+
+
 @pytest.mark.parametrize("make", [_linear_dense, _matmul_right, _reshape_input,
                                   _clip_input],
                          ids=["dense_linear_output", "matmul_right_operand",
@@ -668,18 +750,19 @@ def test_arrays_the_backward_does_not_read_die_with_the_caller(make):
 
 
 @pytest.mark.parametrize("make", [_hidden_dense, _matmul_constant_left,
-                                  _dense_input],
+                                  _dense_input, _dense_part],
                          ids=["dense_hidden_output", "matmul_constant_left",
-                              "dense_input"])
+                              "dense_input", "dense_part"])
 def test_arrays_the_backward_reads_live_until_backward(make):
     assert not _dies(make)
 
 
 # Bytes a taped forward and loss of 128 rows of the conftest pilot world
 # may leave held until backward: what the reverse pass reads is about
-# 47 MB; closures that keep whole tensors or gathered edge inputs hold
+# 40.5 MB; first layers that keep their concatenated inputs hold about
+# 47.5 MB, and closures that keep whole tensors or gathered edge inputs
 # about 86 MB.
-PILOT_BLOCK_TAPE_BUDGET = 55e6
+PILOT_BLOCK_TAPE_BUDGET = 43e6
 
 
 def test_one_pilot_block_tape_stays_within_its_byte_budget(pilot_world):

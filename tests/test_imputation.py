@@ -170,10 +170,13 @@ def test_predict_voltages_emits_mu_and_sigma_band(quick_chain_model):
     assert pred.known["feeder:1:1"].all()
     assert (pred.sigma["feeder:1:1"] > 0).all()
     assert len(pred.first_hit) == len(samples)
-    # the prediction conditions on g and s, not on the masked voltages
+    # the prediction conditions on g and s, not on the masked voltages;
+    # the observed voltages move their features with their targets
     moved = samples.select(np.arange(len(samples)))
-    moved.features["feeder:1:1"] += 5.0
+    assert moved.input_mask["feeder:1:1"].all()
     moved.targets["feeder:1:1"] += 5.0
+    assert np.array_equal(moved.features["feeder:1:1"],
+                          samples.features["feeder:1:1"] + 5.0)
     again = predict_voltages(model, moved, model.schemas)
     assert np.array_equal(again.mu["feeder:1:1"], pred.mu["feeder:1:1"])
     assert np.array_equal(again.sigma["feeder:1:1"], pred.sigma["feeder:1:1"])

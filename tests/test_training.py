@@ -185,17 +185,66 @@ def test_mask_channels_matches_copy_and_assign_reference():
     samples = build_samples(ds, topo, schemas, TrainingConfig())
     sel = voltage_lag0_selector(schemas, samples.groups)
     before = {k: v.copy() for k, v in samples.features.items()}
-    feats, masks = mask_channels(samples.features, samples.input_mask, sel)
+    before_m = {k: v.copy() for k, v in samples.input_mask.items()}
+    # the set's targets and masks in, as predict_voltages passes them
+    feats, masks = mask_channels(samples.targets, samples.input_mask, sel)
     assert any(flags.any() for flags in sel.values())
     for g in samples.groups:
         want_f = samples.features[g.key].copy()
         want_m = samples.input_mask[g.key].copy()
         flags = np.broadcast_to(sel[g.key][:, None, :], want_f.shape)
         want_f[flags] = 0.0
-        want_m[flags] = 0.0
+        want_m[flags] = False
         assert feats[g.key].tobytes() == want_f.tobytes()
         assert masks[g.key].tobytes() == want_m.tobytes()
         assert np.array_equal(samples.features[g.key], before[g.key])
+        assert np.array_equal(samples.input_mask[g.key], before_m[g.key])
+
+
+# Bytes a sample set may store per (sample, node, channel) entry: float64
+# targets and two bool masks take 10 (the pilot world's 192 samples store
+# 10.02 with their timestamps and missing fractions); stored float64
+# features and masks beside the targets take 32.
+SAMPLE_BYTES_PER_ENTRY = 11
+
+
+def test_pilot_sample_set_stays_within_its_byte_budget(pilot_world):
+    _, _, samples, _, _ = _pilot_sets(pilot_world)
+    stored = 0
+    for value in vars(samples).values():
+        arrays = value.values() if isinstance(value, dict) else [value]
+        stored += sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+    entries = len(samples) * sum(g.q * len(g.node_ids) for g in samples.groups)
+    assert stored <= SAMPLE_BYTES_PER_ENTRY * entries, stored / entries
+
+
+def test_batch_matches_stored_features_and_float_masks_bit_for_bit(pilot_world):
+    # the reference builds the batch as stored float64 arrays did: the
+    # originals' features equal their targets, a clone's are the
+    # original's with the selected channels set to 0.0, and masks are
+    # float 0/1 arrays masked the same way
+    _, schemas, samples, _, _ = _pilot_sets(pilot_world)
+    sel = voltage_lag0_selector(schemas, samples.groups)
+    doubled = concat_sample_sets([samples, masked_clones(samples, sel)])
+    idx = np.random.default_rng(5).permutation(len(doubled))[:100]
+    f, m, t, lm = doubled.batch(idx)
+    hidden = 0
+    for g in samples.groups:
+        flags = sel[g.key][:, None, :]
+        y = samples.targets[g.key]
+        mask = samples.input_mask[g.key].astype(np.float64)
+        want_f = np.concatenate([y, np.where(flags, 0.0, y)], axis=1)[:, idx]
+        want_m = np.concatenate([mask, np.where(flags, 0.0, mask)], axis=1)[:, idx]
+        want_t = np.concatenate([y, y], axis=1)[:, idx]
+        want_lm = np.concatenate([mask, mask], axis=1)[:, idx]
+        for got, want in ((f, want_f), (m, want_m), (t, want_t), (lm, want_lm)):
+            assert got[g.key].dtype == np.float64
+            assert got[g.key].flags["C_CONTIGUOUS"]
+            assert got[g.key].tobytes() == want.tobytes(), g.key
+        hidden += int((want_m != want_lm).sum())
+    assert hidden > 0  # some clone rows are in the batch
+    with pytest.raises(ValueError, match="read-only"):
+        f[samples.groups[0].key][0, 0, 0] = 1.0
 
 
 def test_augmentation_on_empty_set_rejected():
@@ -385,7 +434,11 @@ def test_divergence_raises_training_error():
     cfg = TrainingConfig(max_epochs=3, seed=0)
     samples = build_samples(ds, topo, schemas, cfg)
     tr, val = chronological_split(samples)
-    tr.features[tr.groups[0].key][0, 5, 0] = np.nan
+    # an observed NaN target is a NaN input feature and a NaN loss term
+    key = tr.groups[0].key
+    tr.targets[key][0, 5, 0] = np.nan
+    tr.input_mask[key][0, 5, 0] = tr.loss_mask[key][0, 5, 0] = True
+    assert np.isnan(tr.features[key][0, 5, 0])
     model = GnnModel(topo, schemas, GnnConfig(layers=1))
     model.init_parameters(0)
     with pytest.raises(TrainingError, match="epoch 1"):
@@ -402,7 +455,10 @@ def test_divergence_in_one_block_leaves_the_last_update(monkeypatch, block):
                                                 topo, schemas, cfg))
     assert training.BLOCK_ROWS == 256 and len(tr) >= 1200
     row = np.random.default_rng(cfg.seed).permutation(len(tr))[600 + 200 * block]
-    tr.features[tr.groups[0].key][0, row, 0] = np.nan
+    key = tr.groups[0].key
+    tr.targets[key][0, row, 0] = np.nan
+    tr.input_mask[key][0, row, 0] = tr.loss_mask[key][0, row, 0] = True
+    assert np.isnan(tr.features[key][0, row, 0])
     model = GnnModel(topo, schemas, GnnConfig(layers=1))
     model.init_parameters(0)
     steps = []
