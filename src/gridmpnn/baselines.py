@@ -7,8 +7,9 @@ they train through the same loss, masking, augmentation and early
 stopping as the graph model. The auto-encoder's bottleneck width is
 the sum of the graph model's latent sizes.
 
-The flat layout is the deterministic group order (groups sorted by
-key, topology order within a group).
+The flat layout is the deterministic group order of
+``mpnn.compute_groups``: groups by layer shape, sorted by their ``q:p``
+key, topology order within a group.
 """
 
 from __future__ import annotations

@@ -50,6 +50,12 @@ Design choices:
   tensor adds each selected row's whole slab in index order (the same
   additions, in the same order, as ``np.add.at``), and plainly assigns
   when the indices are unique.
+* ``dense`` and ``gather_dense`` take an optional ``members`` index into
+  a stacked block's leading axis, so a block can hold fewer MLPs than
+  the layer has slices, as when a graph model shares one MLP per node
+  type: slice j applies member ``members[j]``, and each member's
+  gradient adds the slabs of its slices in index order, by the same
+  rule.
 * Operations work elementwise-broadcast style on numpy arrays and also
   support stacked ("batched") matmuls such as (n, B, i) @ (n, i, o),
   which the graph model uses to evaluate many per-node MLPs at once.
@@ -280,7 +286,7 @@ def matmul(a, b) -> Tensor:
     return _record(tape, "matmul", (a, b), out, bwd)
 
 
-def dense(x, w, b, hidden: bool) -> Tensor:
+def dense(x, w, b, hidden: bool, members=None) -> Tensor:
     """One MLP layer: ``x @ w + b``, then tanh if ``hidden``.
 
     ``w`` is (i, o) or stacked (k, i, o); ``b`` broadcasts against the
@@ -291,12 +297,19 @@ def dense(x, w, b, hidden: bool) -> Tensor:
     not their concatenation: the backward concatenates again for the
     weight gradient and sends each part its slice of the input's
     adjoint, in order, as ``concat`` followed by ``dense`` would.
+
+    With ``members``, an index array of length n into the leading axis
+    of stacked ``w`` and ``b``, slice j of an (n, B, i) input applies
+    member ``members[j]``: the layer computes with ``w[members]`` and
+    ``b[members]``, and each member's gradient adds the slabs of the
+    slices that read it, in index order.
     """
     xs = list(x) if isinstance(x, (list, tuple)) else [x]
-    return _dense("dense", xs, None, w, b, hidden)
+    return _dense("dense", xs, None, w, b, hidden, members)
 
 
-def gather_dense(xs: Sequence, rows: Sequence, w, b, hidden: bool) -> Tensor:
+def gather_dense(xs: Sequence, rows: Sequence, w, b, hidden: bool,
+                 members=None) -> Tensor:
     """``dense`` of ``[xs[0][rows[0]] | xs[1][rows[1]] | ...]``, the rows
     each index array selects along axis 0 (repeated indices allowed),
     concatenated along the last axis.
@@ -304,9 +317,10 @@ def gather_dense(xs: Sequence, rows: Sequence, w, b, hidden: bool) -> Tensor:
     The tape keeps the ``xs`` and the indices, not the gathered input: the
     backward gathers it again for the weight gradient, and sends the
     input's adjoint to ``xs[0]``, ``xs[1]``, ... in that order.
+    ``members`` is ``dense``'s.
     """
     rows = [np.asarray(r, dtype=np.intp) for r in rows]
-    return _dense("gather_dense", xs, rows, w, b, hidden)
+    return _dense("gather_dense", xs, rows, w, b, hidden, members)
 
 
 def _gather_rows(xs: Sequence[np.ndarray], rows) -> np.ndarray:
@@ -315,38 +329,51 @@ def _gather_rows(xs: Sequence[np.ndarray], rows) -> np.ndarray:
     return xs[0] if len(xs) == 1 else np.concatenate(xs, axis=-1)
 
 
+def _add_rows(shape: tuple[int, ...], r: np.ndarray,
+              piece: np.ndarray) -> np.ndarray:
+    """Zeros of ``shape`` with slab ``piece[j]`` added into row ``r[j]``
+    for every j, in index order: the additions, in the order, of
+    ``np.add.at``; unique indices are assigned at once. Each addition is
+    one in-place add of a whole (B, ...) slab, which at the graph
+    model's shapes runs several times faster than one fancy-indexed add
+    per occurrence rank, whose gathered copies cost more than the loop
+    saves."""
+    g = np.zeros(shape)
+    if np.unique(r).size == r.size:
+        g[r] = piece
+    else:
+        for j, i in enumerate(r):
+            g[i] += piece[j]
+    return g
+
+
 def _scatter_rows(gx: np.ndarray, xids, rows, shapes, accum) -> None:
     """Send each part, in order, the adjoint of its slice of the input:
     the slice of ``gx`` itself for a part taken whole, or for gathered
-    rows each selected row's whole slab of the slice added in index order
-    (the additions, in the order, of ``np.add.at``), assigned at once
-    when the indices are unique."""
+    rows each selected row's whole slab of the slice added in index
+    order (``_add_rows``)."""
     lo = 0
     for k, (xid, shape) in enumerate(zip(xids, shapes)):
         hi = lo + shape[-1]
         piece = gx[..., lo:hi]
         lo = hi
-        if rows is None:
-            accum(xid, piece)
-            continue
-        r, g = rows[k], np.zeros(shape)
-        if np.unique(r).size == r.size:
-            g[r] = piece
-        else:
-            for j, i in enumerate(r):
-                g[i] += piece[j]
-        accum(xid, g)
+        accum(xid, piece if rows is None else _add_rows(shape, rows[k], piece))
 
 
-def _dense(op: str, xs: Sequence, rows, w, b, hidden: bool) -> Tensor:
+def _dense(op: str, xs: Sequence, rows, w, b, hidden: bool,
+           members) -> Tensor:
     """``dense`` of the parts ``xs`` (``rows`` None) or ``gather_dense``."""
     tape = _find_tape(*xs, w, b)
     xs = [_coerce(x, tape) for x in xs]
     w, b = _coerce(w, tape), _coerce(b, tape)
     x = _gather_rows([t.data for t in xs], rows)
-    _check_inner(x, w.data, op)
-    out = x @ w.data
-    out += b.data
+    wm, bm = w.data, b.data
+    if members is not None:
+        members = np.asarray(members, dtype=np.intp)
+        wm, bm = wm[members], bm[members]
+    _check_inner(x, wm, op)
+    out = x @ wm
+    out += bm
     if hidden:
         np.tanh(out, out=out)
     if tape is None:
@@ -355,14 +382,20 @@ def _dense(op: str, xs: Sequence, rows, w, b, hidden: bool) -> Tensor:
     wid, bid = w.node, b.node
     xsh, xshs = x.shape, [t.data.shape for t in xs]
     wsh, bsh = w.data.shape, b.data.shape
+    wmsh, bmsh = wm.shape, bm.shape
     nodes = tape.nodes
     need_x = any(nodes[i].needs_grad for i in xids)
     need_w, need_b = nodes[wid].needs_grad, nodes[bid].needs_grad
-    # the input only for the weight's gradient and the weight only for
-    # the input's; the output only for the tanh derivative
+    # the input only for the weight's gradient and the weight (its
+    # block, not the members' copy) only for the input's; the output
+    # only for the tanh derivative
     xds = [t.data for t in xs] if need_w else None
     wd = w.data if need_x else None
     kept = out if hidden else None
+
+    def to_block(grad, shape):
+        # the members' gradients added into their block rows
+        return grad if members is None else _add_rows(shape, members, grad)
 
     def bwd(adj, accum):
         if kept is None:
@@ -372,13 +405,15 @@ def _dense(op: str, xs: Sequence, rows, w, b, hidden: bool) -> Tensor:
             np.subtract(1.0, g, out=g)
             np.multiply(adj, g, out=g)
         if need_b:
-            accum(bid, _unbroadcast(g, bsh))
+            accum(bid, to_block(_unbroadcast(g, bmsh), bsh))
         if need_x:
-            gx = _unbroadcast(g @ wd.swapaxes(-1, -2), xsh)
+            wt = (wd if members is None else wd[members]).swapaxes(-1, -2)
+            gx = _unbroadcast(g @ wt, xsh)
             _scatter_rows(gx, xids, rows, xshs, accum)
         if need_w:
             xd = _gather_rows(xds, rows)
-            accum(wid, _unbroadcast(xd.swapaxes(-1, -2) @ g, wsh))
+            accum(wid, to_block(_unbroadcast(xd.swapaxes(-1, -2) @ g, wmsh),
+                                wsh))
 
     return _record(tape, op, (*xs, w, b), out, bwd)
 
@@ -648,7 +683,8 @@ def _layer_ids(prefix: str, n_layers: int) -> tuple[tuple[str, str, bool], ...]:
 
 def mlp_forward(params: ParameterSet, layer_spec: Sequence[int], prefix: str,
                 x, tape: Optional[Tape] = None,
-                rows: Optional[Sequence] = None) -> Tensor:
+                rows: Optional[Sequence] = None,
+                members: Optional[np.ndarray] = None) -> Tensor:
     """Apply the MLP block ``prefix``: tanh on hidden layers, linear
     final layer.
 
@@ -658,7 +694,9 @@ def mlp_forward(params: ParameterSet, layer_spec: Sequence[int], prefix: str,
     ``x`` may be a list or tuple of parts, which the first layer reads
     as ``dense`` does, the input being ``[x[0] | x[1] | ...]``; with
     ``rows`` it is ``[x[0][rows[0]] | x[1][rows[1]] | ...]``, which the
-    first layer builds as ``gather_dense`` does.
+    first layer builds as ``gather_dense`` does. With ``members``, slice
+    j of the input applies member ``members[j]`` of the block, as in
+    ``dense``.
     """
     layers = _layer_ids(prefix, len(layer_spec) - 1)
     xs = list(x) if isinstance(x, (list, tuple)) else [x]
@@ -676,9 +714,9 @@ def mlp_forward(params: ParameterSet, layer_spec: Sequence[int], prefix: str,
             raise ContractError(
                 f"missing parameters for {prefix} layer {i}") from None
         if i == 0 and rows is not None:
-            h = gather_dense(xs, rows, w, b, hidden=hidden)
+            h = gather_dense(xs, rows, w, b, hidden, members)
         else:
-            h = dense(h, w, b, hidden=hidden)
+            h = dense(h, w, b, hidden, members)
     return h
 
 

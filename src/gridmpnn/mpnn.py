@@ -8,9 +8,10 @@ next state). Inference is one feed-forward chain:
 
     encode -> T synchronous message-passing steps -> decode
 
-For speed, nodes of one kind with identical layer shapes (one group per
-(kind, q, p)) are evaluated together as stacked MLP applications, each
-edge MLP's first layer gathers both endpoint states from their groups'
+For speed, nodes whose MLPs have the same layer shapes (one group per
+(q, p), whatever their kind) are evaluated together as stacked MLP
+applications, and so are the edges between two such groups; each edge
+MLP's first layer gathers both endpoint states from their groups'
 stacks (``diffcore.gather_dense``), and message aggregation is a
 (constant) routing-matrix multiply. The encoder's first layer reads
 features and mask, and the aggregator's its state and mean message, as
@@ -21,15 +22,18 @@ blocks the forward computes with, one weight and one bias per layer and
 MLP role of a node group (``stack/<group>/<role>/L<i>/W|b``) or edge
 group (``stack/<src_group>><dst_group>/msg/L<i>/W|b``). A group of k
 MLPs has (k, i, o) weight and (k, 1, o) bias blocks; a group's lone MLP
-(a single-node group, a single-edge group or a shared type MLP) has
-(i, o) and (o,) blocks.
+(a single-node group, a single-edge group or a group's one shared type
+MLP) has (i, o) and (o,) blocks. Under ``share_by_type`` a type is
+(kind, q, p), so a group holding several types stacks one member per
+type, and each node or edge reads its type's member through an index
+on the block's leading axis.
 
 Parameter-id scheme (stable; checkpoints are written in it, and
 ``GnnModel.parameter_views`` maps each id to a view of its block slice):
 
     node/<node_id>/enc|agg|dec_mu|dec_lv/L<i>/W|b
     edge/<src>><dst>/msg/L<i>/W|b
-    type/<group>/...  and  etype/<src_group>><dst_group>/msg/...   (shared)
+    type/<kind>:<q>:<p>/...  and  etype/<src type>><dst type>/msg/...   (shared)
 """
 
 from __future__ import annotations
@@ -85,8 +89,12 @@ class GnnConfig:
 
 @dataclass
 class NodeGroup:
+    """Nodes whose MLPs share one layer shape: q features, p latents.
+    ``kinds`` holds each node's kind, in node order."""
+
     key: str
     node_ids: list[str]
+    kinds: list[str]
     q: int
     p: int
     index_of: dict[str, int] = field(default_factory=dict)
@@ -95,23 +103,24 @@ class NodeGroup:
         self.index_of = {nid: i for i, nid in enumerate(self.node_ids)}
 
 
-def group_key(kind: str, q: int, p: int) -> str:
-    return f"{kind}:{q}:{p}"
+def group_key(q: int, p: int) -> str:
+    return f"{q}:{p}"
 
 
 def compute_groups(topology: GridTopology,
                    schemas: dict[str, NodeSchema]) -> list[NodeGroup]:
-    """Deterministic grouping of nodes by (kind, q, p); node order within a
-    group follows topology order, groups sorted by key."""
-    buckets: dict[str, list[str]] = {}
+    """Deterministic grouping of nodes by layer shape (q, p); node order
+    within a group follows topology order, groups sorted by key."""
+    buckets: dict[str, list] = {}
     for node in topology.nodes:
         s = schemas[node.node_id]
-        buckets.setdefault(group_key(node.kind, s.q, s.p), []).append(node.node_id)
+        buckets.setdefault(group_key(s.q, s.p), []).append(node)
     out = []
     for key in sorted(buckets):
-        ids = buckets[key]
-        s = schemas[ids[0]]
-        out.append(NodeGroup(key, ids, s.q, s.p))
+        nodes = buckets[key]
+        s = schemas[nodes[0].node_id]
+        out.append(NodeGroup(key, [n.node_id for n in nodes],
+                             [n.kind for n in nodes], s.q, s.p))
     return out
 
 
@@ -126,6 +135,17 @@ class _EdgeGroup:
     spec: list[int]
     prefixes: list[str]
     block: str
+    members: Optional[np.ndarray]  # each edge's shared MLP, or None
+
+
+def _shared(types: list[str]) -> tuple[list[str], Optional[np.ndarray]]:
+    """The distinct ``types`` in sorted order, one shared MLP each, and
+    each position's member index, or None when one MLP serves all."""
+    distinct = sorted(set(types))
+    if len(distinct) == 1:
+        return distinct, None
+    at = {t: i for i, t in enumerate(distinct)}
+    return distinct, np.array([at[t] for t in types], dtype=np.intp)
 
 
 def _layer_spec(in_dim: int, out_dim: int, layers: int) -> list[int]:
@@ -196,6 +216,9 @@ class GnnModel(ModelBase):
         self._init_base(topology, schemas)
         self.config = config or GnnConfig()
         self.schema_config = schema_config
+        # a node's type, (kind, q, p), names its MLPs under share_by_type
+        self._type_of = {nid: f"{kind}:{g.key}" for g in self.groups
+                         for nid, kind in zip(g.node_ids, g.kinds)}
         self._compile_edges()
         self._compile_routing()
         self._compile_mlps()
@@ -217,11 +240,6 @@ class GnnModel(ModelBase):
     def _dec_spec(self, g: NodeGroup) -> list[int]:
         return _layer_spec(g.p, g.q, self.config.layers)
 
-    def _node_prefixes(self, g: NodeGroup, role: str) -> list[str]:
-        if self.config.share_by_type:
-            return [f"type/{g.key}/{role}"]
-        return [f"node/{nid}/{role}" for nid in g.node_ids]
-
     def _compile_edges(self) -> None:
         directed: list[tuple[str, str]] = []
         for parent, child in self.topology.edges:
@@ -238,16 +256,20 @@ class GnnModel(ModelBase):
             spec = _layer_spec(sg.p + dg.p, self.message_dim_for(dg),
                                self.config.layers)
             if self.config.share_by_type:
-                prefixes = [f"etype/{gs}>{gd}/msg"]
+                etypes, members = _shared([
+                    f"{self._type_of[s]}>{self._type_of[d]}" for s, d in pairs])
+                prefixes = [f"etype/{e}/msg" for e in etypes]
             else:
                 prefixes = [f"edge/{s}>{d}/msg" for s, d in pairs]
+                members = None
             key = f"{gs}>{gd}"
             self.edge_groups.append(_EdgeGroup(
                 key=key,
                 src_group=gs, dst_group=gd, pairs=pairs,
                 src_idx=np.array([sg.index_of[s] for s, _ in pairs], dtype=np.intp),
                 dst_idx=np.array([dg.index_of[d] for _, d in pairs], dtype=np.intp),
-                spec=spec, prefixes=prefixes, block=f"stack/{key}/msg"))
+                spec=spec, prefixes=prefixes, block=f"stack/{key}/msg",
+                members=members))
 
     def _compile_routing(self) -> None:
         """Per node group, the (n_nodes, n_incoming_edges) matrix whose rows
@@ -277,13 +299,21 @@ class GnnModel(ModelBase):
     def _compile_mlps(self) -> None:
         # (block, member prefixes, layer spec) per MLP group, in id order
         self._mlp_blocks: list[tuple[str, list[str], list[int]]] = []
+        # per node group, each node's shared MLP, or None
+        self._node_members: dict[str, Optional[np.ndarray]] = {}
         for g in self.groups:
+            if self.config.share_by_type:
+                names, members = _shared(
+                    [f"type/{self._type_of[nid]}" for nid in g.node_ids])
+            else:
+                names, members = [f"node/{nid}" for nid in g.node_ids], None
+            self._node_members[g.key] = members
             for role, spec in (("enc", self._enc_spec(g)),
                                ("agg", self._agg_spec(g)),
                                ("dec_mu", self._dec_spec(g)),
                                ("dec_lv", self._dec_spec(g))):
                 self._mlp_blocks.append((f"stack/{g.key}/{role}",
-                                         self._node_prefixes(g, role), spec))
+                                         [f"{n}/{role}" for n in names], spec))
         for eg in self.edge_groups:
             self._mlp_blocks.append((eg.block, eg.prefixes, eg.spec))
 
@@ -326,7 +356,8 @@ class GnnModel(ModelBase):
                 raise ShapeError(f"group {g.key}: feature/mask shape mismatch")
             states[g.key] = dc.mlp_forward(
                 self.params, self._enc_spec(g), f"stack/{g.key}/enc",
-                (_leaf(tape, f), _leaf(tape, m)), tape=tape)
+                (_leaf(tape, f), _leaf(tape, m)), tape=tape,
+                members=self._node_members[g.key])
         return states
 
     def message_pass(self, states: dict[str, Tensor],
@@ -341,7 +372,7 @@ class GnnModel(ModelBase):
                 m = dc.mlp_forward(
                     self.params, eg.spec, eg.block,
                     (states[eg.dst_group], states[eg.src_group]), tape=tape,
-                    rows=(eg.dst_idx, eg.src_idx))
+                    rows=(eg.dst_idx, eg.src_idx), members=eg.members)
                 msgs[eg.dst_group].append(m)
             new_states = {}
             for g in self.groups:
@@ -358,7 +389,7 @@ class GnnModel(ModelBase):
                     mean = _leaf(tape, np.zeros((n, b, md)))
                 new_states[g.key] = dc.mlp_forward(
                     self.params, self._agg_spec(g), f"stack/{g.key}/agg",
-                    (own, mean), tape=tape)
+                    (own, mean), tape=tape, members=self._node_members[g.key])
             states = new_states
         return states
 
@@ -387,12 +418,13 @@ class GnnModel(ModelBase):
         """Standardized mean and clamped log-variance per group, (n, B, q)."""
         mu, logvar = {}, {}
         for g in self.groups:
+            members = self._node_members[g.key]
             mu[g.key] = dc.mlp_forward(
                 self.params, self._dec_spec(g), f"stack/{g.key}/dec_mu",
-                states[g.key], tape=tape)
+                states[g.key], tape=tape, members=members)
             raw = dc.mlp_forward(
                 self.params, self._dec_spec(g), f"stack/{g.key}/dec_lv",
-                states[g.key], tape=tape)
+                states[g.key], tape=tape, members=members)
             logvar[g.key] = dc.clip(raw, np.log(VAR_CLAMP_LO), np.log(VAR_CLAMP_HI))
         return mu, logvar
 

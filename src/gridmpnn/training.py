@@ -321,10 +321,9 @@ def aggregate_energy_lag0_selector(schemas: dict[str, NodeSchema],
     the bid-estimation service masks)."""
     sel = {}
     for g in groups:
-        kind = g.key.split(":")[0]
         flags = np.zeros((len(g.node_ids), g.q), dtype=bool)
-        if kind in ("feeder", "substation"):
-            for j, nid in enumerate(g.node_ids):
+        for j, (nid, kind) in enumerate(zip(g.node_ids, g.kinds)):
+            if kind in ("feeder", "substation"):
                 for c, ch in enumerate(schemas[nid].channels()):
                     flags[j, c] = ch.category == ENERGY and ch.lag == 0
         sel[g.key] = flags

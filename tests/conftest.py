@@ -129,11 +129,9 @@ def pilot_world():
     return spec, dataset
 
 
-@pytest.fixture(scope="session")
-def quick_pilot_bid_world():
-    """Small two-feeder world with congestion events for bid mechanics."""
-    from gridmpnn.services import CongestionEvent, phi
-
+def two_kinds_world():
+    """Small two-feeder world in which two kinds share each layer shape:
+    global and substation q = p = 1, feeders and prosumers q = p = 2."""
     topo = load_topology({
         "nodes": [{"id": "g", "kind": "global"},
                   {"id": "s1", "kind": "substation"},
@@ -158,6 +156,15 @@ def quick_pilot_bid_world():
         "p3": NodeSchema("p3", [("voltage", "voltage"), ("energy", "energy")],
                          [], [], p=2),
     }
+    return topo, schemas
+
+
+@pytest.fixture(scope="session")
+def quick_pilot_bid_world():
+    """Small two-feeder world with congestion events for bid mechanics."""
+    from gridmpnn.services import CongestionEvent, phi
+
+    topo, schemas = two_kinds_world()
     model = GnnModel(topo, schemas, GnnConfig(message_passing_steps=2))
     model.init_parameters(21)
     rng = np.random.default_rng(2)

@@ -369,6 +369,39 @@ def test_gather_dense_backward_matches_add_at_bit_for_bit(idx):
     assert np.array_equal(params.grads["a"], want)
 
 
+@pytest.mark.parametrize("hidden", [False, True])
+def test_dense_members_match_gathered_weights_bit_for_bit(hidden):
+    # slice j of the input applies member members[j] of the block: the
+    # bytes of a layer fed the gathered (n, i, o) copies, whose gradients
+    # np.add.at adds back into the block, slab by slab in index order
+    rng = np.random.default_rng(41)
+    members = np.array([1, 0, 1, 2, 1, 0])
+    values = {"W": rng.standard_normal((3, 4, 5)),
+              "b": rng.standard_normal((3, 1, 5)),
+              "x": rng.standard_normal((6, 7, 4))}
+    mix = rng.standard_normal((6, 7, 5))
+
+    def run(params, **kw):
+        tape = dc.Tape()
+        out = dc.dense(*(params.tensor(tape, k) for k in ("x", "W", "b")),
+                       hidden, **kw)
+        dc.backward(tape, _weighted_sum(out, mix))
+        return out
+
+    fused, gathered = dc.ParameterSet(), dc.ParameterSet()
+    for k, v in values.items():
+        fused.add(k, v)
+        gathered.add(k, v if k == "x" else v[members])
+    out = run(fused, members=members)
+    want = run(gathered)
+    assert np.array_equal(out.data, want.data)
+    assert np.array_equal(fused.grads["x"], gathered.grads["x"])
+    for k in ("W", "b"):
+        block = np.zeros(values[k].shape)
+        np.add.at(block, members, gathered.grads[k])
+        assert np.array_equal(fused.grads[k], block), k
+
+
 # (destination rows, source rows, source group is the destination group)
 _EDGE_CASES = {
     "repeated": (np.array([3, 0, 3, 1, 0, 3, 2]), np.array([1, 1, 0, 2, 2, 0, 1]),

@@ -166,22 +166,24 @@ def test_predict_voltages_emits_mu_and_sigma_band(quick_chain_model):
     model = quick_chain_model
     samples = chain_samples(model, 60, seed=7)
     pred = predict_voltages(model, samples, model.schemas)
-    assert list(pred.flags) == ["feeder:1:1"]  # the voltage-carrying node
-    assert pred.known["feeder:1:1"].all()
-    assert (pred.sigma["feeder:1:1"] > 0).all()
+    key = model.group_of["f"]  # the voltage-carrying node
+    j = model._group_by_key[key].index_of["f"]
+    assert list(pred.flags) == [key]
+    assert np.flatnonzero(pred.flags[key].any(axis=1)).tolist() == [j]
+    assert pred.known[key][j].all()
+    assert (pred.sigma[key][j] > 0).all()
     assert len(pred.first_hit) == len(samples)
     # the prediction conditions on g and s, not on the masked voltages;
     # the observed voltages move their features with their targets
     moved = samples.select(np.arange(len(samples)))
-    assert moved.input_mask["feeder:1:1"].all()
-    moved.targets["feeder:1:1"] += 5.0
-    assert np.array_equal(moved.features["feeder:1:1"],
-                          samples.features["feeder:1:1"] + 5.0)
+    assert moved.input_mask[key][j].all()
+    moved.targets[key][j] += 5.0
+    assert np.array_equal(moved.features[key][j],
+                          samples.features[key][j] + 5.0)
     again = predict_voltages(model, moved, model.schemas)
-    assert np.array_equal(again.mu["feeder:1:1"], pred.mu["feeder:1:1"])
-    assert np.array_equal(again.sigma["feeder:1:1"], pred.sigma["feeder:1:1"])
-    assert not np.array_equal(again.actual["feeder:1:1"],
-                              pred.actual["feeder:1:1"])
+    assert np.array_equal(again.mu[key], pred.mu[key])
+    assert np.array_equal(again.sigma[key], pred.sigma[key])
+    assert not np.array_equal(again.actual[key][j], pred.actual[key][j])
 
 
 def test_voltage_channel_indices():
@@ -191,8 +193,7 @@ def test_voltage_channel_indices():
     sel = voltage_lag0_selector(schemas,
                                 compute_groups(chain_topology(), schemas))
     assert {k: v.tolist() for k, v in sel.items()} == {
-        "feeder:4:1": [[True, False, False, False]],
-        "global:1:1": [[False]], "substation:1:1": [[False]]}
+        "4:1": [[True, False, False, False]], "1:1": [[False], [False]]}
 
 
 @pytest.fixture

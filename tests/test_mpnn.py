@@ -15,7 +15,9 @@ from gridmpnn.gridgraph import NodeSchema, derive_schemas, load_topology
 from gridmpnn.mpnn import GnnConfig, GnnModel
 from gridmpnn.training import nll_loss_packed
 
-from conftest import BAD_PARAMETERS, write_bad_checkpoint
+from conftest import BAD_PARAMETERS, two_kinds_world, write_bad_checkpoint
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def chain_topology():
@@ -61,7 +63,12 @@ def test_pilot_prosumer_state_length_is_six():
     model.init_parameters(0)
     f, m = ones_inputs(model)
     states = model.encode(f, m)
-    assert states["prosumer:8:6"].data.shape == (21, 1, 6)
+    single = [(g.key, j) for g in model.groups
+              for j, (nid, kind) in enumerate(zip(g.node_ids, g.kinds))
+              if kind == "prosumer" and topo.node(nid).phases == 1]
+    assert len(single) == 21
+    for key, j in single:
+        assert states[key].data[j].shape == (1, 6)
 
 
 def test_mask_is_an_encoder_input():
@@ -121,7 +128,7 @@ def test_isolated_node_depends_only_on_own_encoder():
     model.init_parameters(5)
     f, m = ones_inputs(model, seed=2)
     mu, logvar = model.forward(f, m)
-    assert mu["global:1:1"].data.shape == (1, 1, 1)
+    assert mu["1:1"].data.shape == (1, 1, 1)
 
 
 def test_decode_variance_strictly_positive_and_clamped():
@@ -236,11 +243,112 @@ def test_count_parameters_pilot_default_architecture():
     assert model.params.n_scalars() == 389598
 
 
-def test_pilot_parameters_live_in_112_blocks():
+def test_pilot_parameters_live_in_44_blocks():
+    # node groups by layer shape: 8:6 (global, feeders, single-phase
+    # prosumers) and 24:24 (substations, three-phase prosumers); edge
+    # groups 8:6>8:6, 8:6>24:24 and 24:24>8:6
     topo = gridsim.pilot_topology()
     model = GnnModel(topo, derive_schemas(topo))
-    assert len(model.params) == 112
+    assert [g.key for g in model.groups] == ["24:24", "8:6"]
+    assert [eg.key for eg in model.edge_groups] == [
+        "24:24>8:6", "8:6>24:24", "8:6>8:6"]
+    assert len(model.params) == 44
     assert len(model.parameter_views()) == 1648
+
+
+def test_pilot_forward_runs_62_dense_layers(monkeypatch):
+    # 2 node groups x (encoder, 5 aggregator steps, 2 decoders) x 2 layers
+    # + 3 edge groups x 5 steps x 2 layers; grouping by kind ran 160
+    topo = gridsim.pilot_topology()
+    model = GnnModel(topo, derive_schemas(topo))
+    f, m = ones_inputs(model)
+    calls = []
+    layer = dc._dense
+
+    def counted(*args):
+        calls.append(args[0])
+        return layer(*args)
+
+    monkeypatch.setattr(dc, "_dense", counted)
+    model.forward(f, m)
+    assert len(calls) == 62
+    assert calls.count("gather_dense") == 15
+
+
+def test_pilot_share_by_type_keeps_types_and_ids():
+    # a type stays (kind, q, p); the shape groups stack one member per type
+    topo = gridsim.pilot_topology()
+    model = GnnModel(topo, derive_schemas(topo), GnnConfig(share_by_type=True))
+    assert model.count_parameters() == 30342
+    types = ["feeder:8:6", "global:8:6", "prosumer:24:24", "prosumer:8:6",
+             "substation:24:24"]
+    etypes = ["feeder:8:6>prosumer:24:24", "feeder:8:6>prosumer:8:6",
+              "feeder:8:6>substation:24:24", "global:8:6>substation:24:24",
+              "prosumer:24:24>feeder:8:6", "prosumer:8:6>feeder:8:6",
+              "substation:24:24>feeder:8:6", "substation:24:24>global:8:6"]
+    want = {f"type/{t}/{role}/L{i}/{wb}" for t in types
+            for role in ("enc", "agg", "dec_mu", "dec_lv")
+            for i in (0, 1) for wb in "Wb"}
+    want |= {f"etype/{e}/msg/L{i}/{wb}" for e in etypes
+             for i in (0, 1) for wb in "Wb"}
+    views = model.parameter_views()
+    assert len(views) == 112 and set(views) == want
+    blocks = model.params.values
+    assert blocks["stack/8:6/enc/L0/W"].shape == (3, 16, 16)
+    assert blocks["stack/8:6>8:6/msg/L0/W"].shape == (2, 12, 12)
+    assert np.shares_memory(views["type/global:8:6/enc/L0/W"],
+                            blocks["stack/8:6/enc/L0/W"])
+
+
+def test_share_by_type_gradients_match_finite_differences():
+    # every shape group holds two types, so each layer reads its
+    # members through an index
+    topo, schemas = two_kinds_world()
+    model = GnnModel(topo, schemas, GnnConfig(message_passing_steps=2,
+                                              share_by_type=True))
+    model.init_parameters(8)
+    assert model.params.values["stack/2:2/enc/L0/W"].shape == (2, 4, 4)
+    assert model.params.values["stack/2:2>2:2/msg/L0/W"].shape == (2, 4, 4)
+    rng = np.random.default_rng(9)
+    for v in model.params.values.values():
+        v += rng.normal(scale=0.2, size=v.shape)  # biases off zero too
+    f, m = ones_inputs(model, b=3, seed=10)
+    m = {k: (rng.uniform(size=v.shape) > 0.3).astype(float)
+         for k, v in m.items()}
+    targets = {k: rng.standard_normal(v.shape) for k, v in f.items()}
+    tape = dc.Tape()
+    dc.backward(tape, _nll(model, f, m, targets, tape))
+    analytic = {key: g.copy() for key, g in model.params.grads.items()}
+    assert all(g.any() for g in analytic.values())
+    model.params.zero_grads()
+
+    def loss():
+        return float(_nll(model, f, m, targets, None).data)
+
+    assert dc.gradient_check(loss, model.params, analytic) < 1e-4
+
+
+@pytest.mark.parametrize("name", ["default", "shared"])
+def test_checkpoints_written_under_kind_groups_predict_as_recorded(name):
+    # written when nodes were grouped by (kind, q, p), with the untaped mu
+    # and sigma that grouping gave for a fixed input
+    topo, _ = two_kinds_world()
+    model = GnnModel.load_checkpoint(
+        os.path.join(DATA, f"two_kinds_{name}.checkpoint.json"), topo)
+    assert [g.key for g in model.groups] == ["1:1", "2:2"]
+    with open(os.path.join(DATA, f"two_kinds_{name}.forward.json")) as fh:
+        doc = json.load(fh)
+    mask = {nid: np.array(doc["mask"][nid]) for nid in topo.ids()}
+    f = model.pack({nid: np.where(mask[nid], doc["features"][nid], 0.0)
+                    for nid in topo.ids()})
+    m = model.pack({nid: mask[nid].astype(float) for nid in topo.ids()})
+    mu, logvar = model.forward(f, m)
+    mu = model.unpack({k: v.data for k, v in mu.items()})
+    sigma = model.unpack({k: np.exp(0.5 * v.data) for k, v in logvar.items()})
+    for nid in topo.ids():
+        np.testing.assert_allclose(mu[nid], doc["mu"][nid], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sigma[nid], doc["sigma"][nid],
+                                   rtol=1e-12, atol=0)
 
 
 def test_share_by_type_shrinks_parameters():
@@ -254,7 +362,7 @@ def test_share_by_type_shrinks_parameters():
     model.init_parameters(1)
     f, m = ones_inputs(model)
     mu, _ = model.forward(f, m)
-    assert mu["prosumer:8:6"].data.shape == (21, 1, 8)
+    assert mu["8:6"].data.shape == (47, 1, 8)
 
 
 def test_checkpoint_roundtrip_preserves_predictions(tmp_path):
@@ -322,7 +430,9 @@ def test_checkpoint_parameter_ids_are_validated_on_load(tmp_path, fault):
 
 def test_stacked_storage_keeps_ids_shapes_and_initial_draws():
     topo = chain_topology()
-    model = GnnModel(topo, tiny_schemas(topo))
+    # the global node alone has its layer shape
+    schemas = {**tiny_schemas(topo), "g": tiny_schemas(topo, q=1)["g"]}
+    model = GnnModel(topo, schemas)
     model.init_parameters(5)
     # the same draws as one standalone MLP per id prefix, in id order
     reference = dc.ParameterSet()
@@ -337,15 +447,17 @@ def test_stacked_storage_keeps_ids_shapes_and_initial_draws():
         assert np.array_equal(views[pid], want)
     assert views["node/p2/enc/L0/W"].shape == (4, 4)
     assert views["edge/f>p1/msg/L1/b"].shape == (2,)
-    # the two prosumers and the edges from and to them share blocks; the
-    # lone global node's MLPs keep the unstacked shapes
+    # the same-shaped substation, feeder and prosumers, and the six edges
+    # among them, share blocks; the lone global node's MLPs and its lone
+    # edges keep the unstacked shapes
     blocks = model.params.values
-    assert blocks["stack/prosumer:2:2/enc/L0/W"].shape == (2, 4, 4)
-    assert blocks["stack/feeder:2:2>prosumer:2:2/msg/L1/b"].shape == (2, 1, 2)
-    assert blocks["stack/global:2:2/enc/L1/b"].shape == (2,)
+    assert blocks["stack/2:2/enc/L0/W"].shape == (4, 4, 4)
+    assert blocks["stack/2:2>2:2/msg/L1/b"].shape == (6, 1, 2)
+    assert blocks["stack/1:1/enc/L1/b"].shape == (1,)
+    assert blocks["stack/1:1>2:2/msg/L0/W"].shape == (3, 3)
     assert np.shares_memory(views["node/p2/enc/L0/W"],
-                            blocks["stack/prosumer:2:2/enc/L0/W"])
-    assert views["node/g/enc/L1/b"] is blocks["stack/global:2:2/enc/L1/b"]
+                            blocks["stack/2:2/enc/L0/W"])
+    assert views["node/g/enc/L1/b"] is blocks["stack/1:1/enc/L1/b"]
     assert len(blocks) < len(views)
 
 

@@ -147,7 +147,9 @@ def test_scan_events_are_the_flagged_plot_rows(quick_chain_model):
     pred = predict_voltages(model, samples, model.schemas)
     events, rows = scan_congestions(model, samples, model.schemas,
                                     threshold_v=0.0, z=0.5)
-    assert [r["mu"] for r in rows] == pred.mu["feeder:1:1"][0, :, 0].tolist()
+    key = model.group_of["f"]  # the voltage-carrying node
+    j = model._group_by_key[key].index_of["f"]
+    assert [r["mu"] for r in rows] == pred.mu[key][j, :, 0].tolist()
     flagged = [(r["timestamp"], r["mu"]) for r in rows if r["flagged"]]
     assert 0 < len(flagged) < len(rows)
     assert [(e.timestamp, e.mu) for e in events] == flagged

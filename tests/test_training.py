@@ -129,14 +129,14 @@ def test_features_are_standardized_and_placeholdered():
     schemas = derive_schemas(topo)
     ds.missing["p:voltage"][300] = True
     samples = build_samples(ds, topo, schemas, TrainingConfig())
-    g = samples.groups
-    key = [x.key for x in g if "prosumer" in x.key][0]
+    g = next(x for x in samples.groups if "p" in x.node_ids)
+    key, j = g.key, g.index_of["p"]
     feats = samples.features[key]
-    assert abs(feats[0, :, 0].mean()) < 0.2  # roughly centred
+    assert abs(feats[j, :, 0].mean()) < 0.2  # roughly centred
     i = list(samples.timestamps).index(int(ds.epoch_seconds()[300]))
-    assert feats[0, i, 0] == 0.0               # placeholder at the hole
-    assert samples.input_mask[key][0, i, 0] == 0.0
-    assert samples.loss_mask[key][0, i, 0] == 0.0  # unknown truth: no loss
+    assert feats[j, i, 0] == 0.0               # placeholder at the hole
+    assert samples.input_mask[key][j, i, 0] == 0.0
+    assert samples.loss_mask[key][j, i, 0] == 0.0  # unknown truth: no loss
 
 
 def test_missing_fraction_invariant():
@@ -164,19 +164,39 @@ def test_augmentation_doubles_and_masks_current_voltage():
         samples, voltage_lag0_selector(schemas, samples.groups))])
     n = len(samples)
     assert len(doubled) == 2 * n
-    key = [g.key for g in samples.groups if "prosumer" in g.key][0]
+    g = next(x for x in samples.groups if "p" in x.node_ids)
+    key, j = g.key, g.index_of["p"]
     # clone: current-time voltage masked, lag features and energy intact
-    assert np.all(doubled.input_mask[key][0, n:, 0] == 0.0)
-    assert np.all(doubled.features[key][0, n:, 0] == 0.0)
-    assert np.array_equal(doubled.features[key][0, n:, 1],
-                          samples.features[key][0, :, 1])  # voltage lag kept
-    assert np.array_equal(doubled.features[key][0, n:, 4],
-                          samples.features[key][0, :, 4])  # energy kept
+    assert np.all(doubled.input_mask[key][j, n:, 0] == 0.0)
+    assert np.all(doubled.features[key][j, n:, 0] == 0.0)
+    assert np.array_equal(doubled.features[key][j, n:, 1],
+                          samples.features[key][j, :, 1])  # voltage lag kept
+    assert np.array_equal(doubled.features[key][j, n:, 4],
+                          samples.features[key][j, :, 4])  # energy kept
     # loss targets retained for the masked entries
-    assert np.array_equal(doubled.targets[key][0, n:, 0],
-                          samples.targets[key][0, :, 0])
-    assert np.array_equal(doubled.loss_mask[key][0, n:, 0],
-                          samples.loss_mask[key][0, :, 0])
+    assert np.array_equal(doubled.targets[key][j, n:, 0],
+                          samples.targets[key][j, :, 0])
+    assert np.array_equal(doubled.loss_mask[key][j, n:, 0],
+                          samples.loss_mask[key][j, :, 0])
+
+
+def test_aggregate_energy_selector_reads_node_kinds():
+    # the bid pattern: lag-0 energies of the 25 feeders and 15 substations,
+    # though feeders share their shape group with the global node and
+    # single-phase prosumers, and substations theirs with three-phase ones
+    topo = gridsim.pilot_topology()
+    schemas = derive_schemas(topo)
+    groups = compute_groups(topo, schemas)
+    sel = training.aggregate_energy_lag0_selector(schemas, groups)
+    flagged = {(nid, schemas[nid].channels()[c].name)
+               for g in groups for j, c in zip(*np.nonzero(sel[g.key]))
+               for nid in [g.node_ids[j]]}
+    want = {(nid, var) for nid in topo.ids("feeder")
+            for var in ("load_p", "load_q")}
+    want |= {(nid, f"load_{ph}") for nid in topo.ids("substation")
+             for ph in "abc"}
+    assert len(topo.ids("feeder")) == 25 and len(topo.ids("substation")) == 15
+    assert flagged == want
 
 
 def test_mask_channels_matches_copy_and_assign_reference():
