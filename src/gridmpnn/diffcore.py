@@ -16,7 +16,7 @@ Design choices:
 * A backward closure captures the node ids of its inputs, never
   ``Tensor`` objects, and only the arrays its own backward reads: a
   matmul operand only if the other operand needs a gradient, a dense
-  layer's input only for its weight's gradient and its weight only for
+  layer's input only for its block's gradient and its block only for
   its input's, its output only if the layer is hidden (for the tanh
   derivative), and shapes, masks or indices for ``scale``, ``clip``,
   ``slice_``, ``reshape``, ``transpose`` and ``concat``. A dense layer
@@ -30,12 +30,22 @@ Design choices:
   from them) get no backward closure, adjoints sent to them are
   dropped, and ``matmul`` and ``dense`` skip the operand products whose
   target needs no gradient.
-* ``dense(x, w, b, hidden)`` is one MLP layer, ``x @ w + b`` with tanh
-  on hidden layers, computed in place in one output buffer and undone
-  by one backward closure. Its arithmetic matches a matmul, a bias add
-  and an elementwise tanh, each with its own backward, bit for bit.
-  Given a list of parts as ``x``, it matches ``concat`` of the parts
-  followed by ``dense``, bit for bit, forward and adjoints alike.
+* An MLP layer is one affine block, (i + 1, o) or stacked (k, i + 1, o):
+  its weight rows, then its bias row. ``dense(x, a, hidden)`` computes
+  the layer as one GEMM, ``x @ a`` with tanh on hidden layers, in place
+  in one output buffer, over an input whose last column is ones: a
+  first layer appends that column (``ones``), and each hidden layer
+  carries one constant unit, weights 0 and bias ``CONSTANT_BIAS`` = 40,
+  whose ``tanh`` is exactly 1.0, so it is the next layer's ones column.
+  Its arithmetic matches a matmul with the weights, a bias add and a
+  tanh, bit for bit at the graph model's shapes. One backward closure
+  undoes it: one GEMM, ``x^T @ g``, gives the weights' and the bias's
+  gradients at once, and the tanh derivative ``1 - out^2`` is formed in
+  the kept output's buffer, which nothing reads after it. The constant
+  unit's derivative is exactly 0, so its gradient is 0 and Adam never
+  moves it; it is not a parameter (``ParameterSet.n_scalars``).
+  Given a list of parts as ``x``, ``dense`` matches ``concat`` of the
+  parts followed by ``dense``, bit for bit, forward and adjoints alike.
 * ``gaussian_nll(mu, logvar, targets, weights)`` is the training loss,
   summed over per-group dicts into one scalar and undone by one backward
   closure. Its forward and adjoints use the numpy operations, in the
@@ -43,7 +53,7 @@ Design choices:
   square, exp, scale, add, weight, sum), so they match it bit for bit.
   It keeps the residual, not its square, which the backward forms
   again.
-* ``gather_dense(xs, rows, w, b, hidden)`` is ``dense`` of rows gathered
+* ``gather_dense(xs, rows, a, hidden)`` is ``dense`` of rows gathered
   from several tensors and concatenated, as a graph model's edge MLP
   reads both endpoint states. It keeps the tensors and indices, not the
   gathered copy, and gathers again in its backward. Its adjoint to each
@@ -60,12 +70,15 @@ Design choices:
   support stacked ("batched") matmuls such as (n, B, i) @ (n, i, o),
   which the graph model uses to evaluate many per-node MLPs at once.
 * Parameters live only in blocks of the shapes the engine computes
-  with: per MLP layer one weight and one bias, stacked along a leading
-  member axis when k same-shaped MLPs run as one batched matmul. There
-  is no per-MLP copy; a caller that names single MLPs (the graph
-  model's checkpoint ids) takes views of block slices.
-* Tensors that never touch a tape evaluate eagerly with zero recording
-  overhead (used for inference-only passes).
+  with: per MLP layer one affine block, stacked along a leading member
+  axis when k same-shaped MLPs run as one batched matmul. There is no
+  per-MLP copy; a caller that names single MLPs (the graph model's
+  checkpoint ids) takes views of block slices that leave the constant
+  units out (``mlp_views``).
+* An untaped ``mlp_forward`` runs on plain arrays: one GEMM and one
+  in-place tanh per layer, with no ``Tensor`` or tape lookup between
+  layers; only its result is wrapped. Other tensors that never touch a
+  tape also evaluate eagerly with no recording.
 * Work cut into blocks runs on the cores that BLAS leaves free
   (``run_blocks``): the calling thread and a module-level pool take the
   blocks from one shared list until none is left, and numpy releases
@@ -97,7 +110,7 @@ __all__ = [
     "AdamState",
     "scale", "matmul", "dense", "clip", "concat", "slice_", "reshape",
     "transpose", "gather_dense", "gaussian_nll",
-    "mlp_layer_param_ids", "mlp_init", "mlp_forward",
+    "CONSTANT_BIAS", "mlp_layer_ids", "mlp_init", "mlp_views", "mlp_forward",
     "adam_step", "backward", "gradient_check", "run_blocks",
 ]
 
@@ -286,46 +299,60 @@ def matmul(a, b) -> Tensor:
     return _record(tape, "matmul", (a, b), out, bwd)
 
 
-def dense(x, w, b, hidden: bool, members=None) -> Tensor:
-    """One MLP layer: ``x @ w + b``, then tanh if ``hidden``.
+def dense(x, a, hidden: bool, members=None, ones: bool = False) -> Tensor:
+    """One MLP layer as one GEMM: ``x @ a``, then tanh if ``hidden``.
 
-    ``w`` is (i, o) or stacked (k, i, o); ``b`` broadcasts against the
-    (..., o) product, e.g. (o,) or (k, 1, o). The output buffer is the
-    matmul result, updated in place, so a layer allocates one array.
+    ``a`` is an affine block, (i, o) or stacked (k, i, o): the weight
+    rows, then the bias row, which the input's last column multiplies.
+    That column is ones: with ``ones`` the layer appends it to ``x`` (a
+    first layer), and a hidden layer's output ends with its constant
+    unit, which is 1 (see ``mlp_init``). The output buffer is the matmul
+    result, updated in place, so a layer allocates one array.
+
     ``x`` may be a list or tuple of parts, the input being their
     concatenation along the last axis. The tape then keeps the parts,
     not their concatenation: the backward concatenates again for the
-    weight gradient and sends each part its slice of the input's
-    adjoint, in order, as ``concat`` followed by ``dense`` would.
+    block's gradient and sends each part its slice of the input's
+    adjoint, in order, as ``concat`` followed by ``dense`` would. The
+    input's adjoint covers its columns up to the last part that needs a
+    gradient, so an appended ones column gets none.
 
     With ``members``, an index array of length n into the leading axis
-    of stacked ``w`` and ``b``, slice j of an (n, B, i) input applies
-    member ``members[j]``: the layer computes with ``w[members]`` and
-    ``b[members]``, and each member's gradient adds the slabs of the
-    slices that read it, in index order.
+    of stacked ``a``, slice j of an (n, B, i) input applies member
+    ``members[j]``: the layer computes with ``a[members]``, and each
+    member's gradient adds the slabs of the slices that read it, in
+    index order.
+
+    The backward forms a hidden layer's tanh derivative in place in the
+    output it kept, so after ``backward`` a hidden output tensor holds
+    ``1 - out^2``, not ``out``.
     """
     xs = list(x) if isinstance(x, (list, tuple)) else [x]
-    return _dense("dense", xs, None, w, b, hidden, members)
+    return _dense("dense", xs, None, a, hidden, members, ones)
 
 
-def gather_dense(xs: Sequence, rows: Sequence, w, b, hidden: bool,
-                 members=None) -> Tensor:
+def gather_dense(xs: Sequence, rows: Sequence, a, hidden: bool,
+                 members=None, ones: bool = False) -> Tensor:
     """``dense`` of ``[xs[0][rows[0]] | xs[1][rows[1]] | ...]``, the rows
     each index array selects along axis 0 (repeated indices allowed),
     concatenated along the last axis.
 
     The tape keeps the ``xs`` and the indices, not the gathered input: the
-    backward gathers it again for the weight gradient, and sends the
+    backward gathers it again for the block's gradient, and sends the
     input's adjoint to ``xs[0]``, ``xs[1]``, ... in that order.
-    ``members`` is ``dense``'s.
+    ``members`` and ``ones`` are ``dense``'s.
     """
     rows = [np.asarray(r, dtype=np.intp) for r in rows]
-    return _dense("gather_dense", xs, rows, w, b, hidden, members)
+    return _dense("gather_dense", xs, rows, a, hidden, members, ones)
 
 
-def _gather_rows(xs: Sequence[np.ndarray], rows) -> np.ndarray:
+def _gather_rows(xs: Sequence[np.ndarray], rows, ones: bool) -> np.ndarray:
+    """``[xs[0][rows[0]] | xs[1][rows[1]] | ...]`` (each part whole if
+    ``rows`` is None), then a ones column if ``ones``, in one array."""
     if rows is not None:
         xs = [x[r] for x, r in zip(xs, rows)]
+    if ones:
+        xs = [*xs, np.ones(xs[0].shape[:-1] + (1,))]
     return xs[0] if len(xs) == 1 else np.concatenate(xs, axis=-1)
 
 
@@ -360,62 +387,61 @@ def _scatter_rows(gx: np.ndarray, xids, rows, shapes, accum) -> None:
         accum(xid, piece if rows is None else _add_rows(shape, rows[k], piece))
 
 
-def _dense(op: str, xs: Sequence, rows, w, b, hidden: bool,
-           members) -> Tensor:
+def _dense(op: str, xs: Sequence, rows, a, hidden: bool, members,
+           ones: bool) -> Tensor:
     """``dense`` of the parts ``xs`` (``rows`` None) or ``gather_dense``."""
-    tape = _find_tape(*xs, w, b)
+    tape = _find_tape(*xs, a)
     xs = [_coerce(x, tape) for x in xs]
-    w, b = _coerce(w, tape), _coerce(b, tape)
-    x = _gather_rows([t.data for t in xs], rows)
-    wm, bm = w.data, b.data
+    a = _coerce(a, tape)
+    x = _gather_rows([t.data for t in xs], rows, ones)
+    am = a.data
     if members is not None:
         members = np.asarray(members, dtype=np.intp)
-        wm, bm = wm[members], bm[members]
-    _check_inner(x, wm, op)
-    out = x @ wm
-    out += bm
+        am = am[members]
+    _check_inner(x, am, op)
+    out = x @ am
     if hidden:
         np.tanh(out, out=out)
     if tape is None:
         return _wrap(out)
-    xids = [t.node for t in xs]
-    wid, bid = w.node, b.node
-    xsh, xshs = x.shape, [t.data.shape for t in xs]
-    wsh, bsh = w.data.shape, b.data.shape
-    wmsh, bmsh = wm.shape, bm.shape
     nodes = tape.nodes
-    need_x = any(nodes[i].needs_grad for i in xids)
-    need_w, need_b = nodes[wid].needs_grad, nodes[bid].needs_grad
-    # the input only for the weight's gradient and the weight (its
-    # block, not the members' copy) only for the input's; the output
-    # only for the tanh derivative
-    xds = [t.data for t in xs] if need_w else None
-    wd = w.data if need_x else None
+    xids, aid = [t.node for t in xs], a.node
+    xsh, xshs = x.shape, [t.data.shape for t in xs]
+    ash, amsh = a.data.shape, am.shape
+    # the input's adjoint spans the parts up to the last that needs one
+    grad_parts = max((k + 1 for k, i in enumerate(xids) if nodes[i].needs_grad),
+                     default=0)
+    width = sum(sh[-1] for sh in xshs[:grad_parts])
+    need_a = nodes[aid].needs_grad
+    # the input only for the block's gradient and the block (not the
+    # members' copy) only for the input's; the output only for the tanh
+    # derivative
+    xds = [t.data for t in xs] if need_a else None
+    ad = a.data if grad_parts else None
     kept = out if hidden else None
 
-    def to_block(grad, shape):
+    def to_block(grad):
         # the members' gradients added into their block rows
-        return grad if members is None else _add_rows(shape, members, grad)
+        return grad if members is None else _add_rows(ash, members, grad)
 
     def bwd(adj, accum):
         if kept is None:
             g = adj
-        else:  # adj * (1 - out^2), in one buffer
-            g = kept * kept
+        else:  # adj * (1 - out^2), in the kept output's buffer
+            g = kept
+            np.multiply(g, g, out=g)
             np.subtract(1.0, g, out=g)
-            np.multiply(adj, g, out=g)
-        if need_b:
-            accum(bid, to_block(_unbroadcast(g, bmsh), bsh))
-        if need_x:
-            wt = (wd if members is None else wd[members]).swapaxes(-1, -2)
-            gx = _unbroadcast(g @ wt, xsh)
-            _scatter_rows(gx, xids, rows, xshs, accum)
-        if need_w:
-            xd = _gather_rows(xds, rows)
-            accum(wid, to_block(_unbroadcast(xd.swapaxes(-1, -2) @ g, wmsh),
-                                wsh))
+            np.multiply(g, adj, out=g)
+        if grad_parts:
+            wt = (ad if members is None else ad[members])[..., :width, :]
+            gx = _unbroadcast(g @ wt.swapaxes(-1, -2), xsh[:-1] + (width,))
+            _scatter_rows(gx, xids[:grad_parts], rows, xshs[:grad_parts],
+                          accum)
+        if need_a:
+            xd = _gather_rows(xds, rows, ones)
+            accum(aid, to_block(_unbroadcast(xd.swapaxes(-1, -2) @ g, amsh)))
 
-    return _record(tape, op, (*xs, w, b), out, bwd)
+    return _record(tape, op, (*xs, a), out, bwd)
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
@@ -587,22 +613,27 @@ class ParameterSet:
     block id.
 
     A block has the shape the engine computes with: one MLP layer's
-    (i, o) weight and (o,) bias, or, for k structurally identical MLPs,
-    a (k, i, o) weight and a (k, 1, o) bias stacked along a leading
-    member axis. Optimizers walk the blocks; a member's slice is a view
-    of its block, so writes through it are seen by the next forward.
+    affine (i + 1, o) block, its weight rows and then its bias row, or,
+    for k structurally identical MLPs, a (k, i + 1, o) block stacked
+    along a leading member axis. A block added with ``constant_unit``
+    ends with a hidden layer's constant unit, a column that is not a
+    parameter. Optimizers walk the blocks; a member's slice is a view of
+    its block, so writes through it are seen by the next forward.
     """
 
     def __init__(self) -> None:
         self.values: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+        self.constant_units: set[str] = set()
 
-    def add(self, key: str, value) -> None:
+    def add(self, key: str, value, constant_unit: bool = False) -> None:
         if key in self.values:
             raise ContractError(f"duplicate parameter id {key!r}")
         arr = _as_array(value)
         self.values[key] = arr
         self.grads[key] = np.zeros_like(arr)
+        if constant_unit:
+            self.constant_units.add(key)
 
     def __contains__(self, key: str) -> bool:
         return key in self.values
@@ -611,7 +642,9 @@ class ParameterSet:
         return len(self.values)
 
     def n_scalars(self) -> int:
-        return sum(v.size for v in self.values.values())
+        """Parameters stored, leaving out the constant units' columns."""
+        return sum(v.size - (v.size // v.shape[-1] if k in self.constant_units
+                             else 0) for k, v in self.values.items())
 
     def zero_grads(self) -> None:
         for g in self.grads.values():
@@ -630,7 +663,7 @@ class ParameterSet:
     def copy(self) -> "ParameterSet":
         out = ParameterSet()
         for key, v in self.values.items():
-            out.add(key, v.copy())
+            out.add(key, v.copy(), key in self.constant_units)
         return out
 
     def load_values(self, other: "ParameterSet") -> None:
@@ -642,51 +675,68 @@ class ParameterSet:
 # MLPs
 
 
-def mlp_layer_param_ids(prefix: str, layer_spec: Sequence[int]) -> list[tuple[str, str]]:
-    """(weight_id, bias_id) per layer for an MLP named by ``prefix``."""
+# The bias of a hidden layer's constant unit, whose weights are 0:
+# np.tanh(40.0) is exactly 1.0 in float64.
+CONSTANT_BIAS = 40.0
+
+
+def mlp_layer_ids(prefix: str, layer_spec: Sequence[int]) -> list[str]:
+    """The affine block id of each layer of the MLP block ``prefix``."""
     if len(layer_spec) < 2:
         raise ContractError("layer_spec needs at least input and output widths")
-    return [(f"{prefix}/L{i}/W", f"{prefix}/L{i}/b")
-            for i in range(len(layer_spec) - 1)]
+    return [f"{prefix}/L{i}" for i in range(len(layer_spec) - 1)]
 
 
 def mlp_init(params: ParameterSet, prefix: str, layer_spec: Sequence[int],
              rng: np.random.Generator, members: int = 1) -> None:
-    """Create the blocks of ``members`` structurally identical MLPs.
+    """Create the affine blocks of ``members`` structurally identical MLPs.
 
-    Weights are W ~ U[-a, a] with a = sqrt(6/(fan_in+fan_out)), biases
-    zero. One MLP gets (in, out) weights and (out,) biases; k > 1 get
-    (k, in, out) and (k, 1, out) blocks, drawn member by member, each
-    member's layers in order.
+    Layer i of spec (n_0, n_1, ...) is one (n_i + 1, n_{i+1}) block, or
+    (k, n_i + 1, n_{i+1}) for k > 1 members: the weight rows, then the
+    bias row. A hidden layer's block has one column more, its constant
+    unit (``CONSTANT_BIAS``), which is not a parameter. Weights are
+    W ~ U[-a, a] with a = sqrt(6/(fan_in+fan_out)), drawn member by
+    member, each member's layers in order; biases are zero.
     """
     if members < 1:
         raise ContractError("an MLP block needs at least one member")
-    ids = mlp_layer_param_ids(prefix, layer_spec)
+    ids = mlp_layer_ids(prefix, layer_spec)
     lead = () if members == 1 else (members,)
     fans = [(int(layer_spec[i]), int(layer_spec[i + 1])) for i in range(len(ids))]
-    for (wid, bid), (fan_in, fan_out) in zip(ids, fans):
-        params.add(wid, np.empty(lead + (fan_in, fan_out)))
-        params.add(bid, np.zeros(lead + ((1, fan_out) if lead else (fan_out,))))
+    for i, (aid, (fan_in, fan_out)) in enumerate(zip(ids, fans)):
+        hidden = i < len(ids) - 1
+        block = np.zeros(lead + (fan_in + 1, fan_out + hidden))
+        if hidden:
+            block[..., -1, -1] = CONSTANT_BIAS
+        params.add(aid, block, constant_unit=hidden)
     for j in range(members):
-        for (wid, _), (fan_in, fan_out) in zip(ids, fans):
+        for aid, (fan_in, fan_out) in zip(ids, fans):
             a = math.sqrt(6.0 / (fan_in + fan_out))
-            w = params.values[wid]
-            (w[j] if lead else w)[...] = rng.uniform(-a, a, size=(fan_in, fan_out))
+            block = params.values[aid]
+            (block[j] if lead else block)[:fan_in, :fan_out] = rng.uniform(
+                -a, a, size=(fan_in, fan_out))
+
+
+def mlp_views(block: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (weight, bias) views of one MLP's slice of an affine block
+    whose layer has ``width`` outputs, without its constant unit."""
+    return block[..., :-1, :width], block[..., -1, :width]
 
 
 @functools.lru_cache(maxsize=None)
-def _layer_ids(prefix: str, n_layers: int) -> tuple[tuple[str, str, bool], ...]:
-    """(weight id, bias id, hidden) per layer of MLP block ``prefix``."""
-    ids = mlp_layer_param_ids(prefix, range(n_layers + 1))
-    return tuple((w, b, i < n_layers - 1) for i, (w, b) in enumerate(ids))
+def _layer_ids(prefix: str, n_layers: int) -> tuple[tuple[str, bool], ...]:
+    """(block id, hidden) per layer of MLP block ``prefix``."""
+    ids = mlp_layer_ids(prefix, range(n_layers + 1))
+    return tuple((a, i < n_layers - 1) for i, a in enumerate(ids))
 
 
 def mlp_forward(params: ParameterSet, layer_spec: Sequence[int], prefix: str,
                 x, tape: Optional[Tape] = None,
                 rows: Optional[Sequence] = None,
-                members: Optional[np.ndarray] = None) -> Tensor:
+                members: Optional[np.ndarray] = None,
+                ones: bool = True) -> Tensor:
     """Apply the MLP block ``prefix``: tanh on hidden layers, linear
-    final layer.
+    final layer, one GEMM per layer.
 
     ``x`` has the layer input width as its last dimension. For a block
     of k stacked MLPs ``x`` is (k, B, in) and MLP j applies to slice j;
@@ -694,30 +744,54 @@ def mlp_forward(params: ParameterSet, layer_spec: Sequence[int], prefix: str,
     ``x`` may be a list or tuple of parts, which the first layer reads
     as ``dense`` does, the input being ``[x[0] | x[1] | ...]``; with
     ``rows`` it is ``[x[0][rows[0]] | x[1][rows[1]] | ...]``, which the
-    first layer builds as ``gather_dense`` does. With ``members``, slice
-    j of the input applies member ``members[j]`` of the block, as in
-    ``dense``.
+    first layer builds as ``gather_dense`` does. The first layer appends
+    the ones column its bias row multiplies; with ``ones`` False ``x``
+    already ends with it, as when several MLPs read one input. With
+    ``members``, slice j of the input applies member ``members[j]`` of
+    the block, as in ``dense``.
+
+    Untaped, the layers run on plain arrays: one GEMM and one in-place
+    tanh each, the result wrapped in a ``Tensor`` at the end.
     """
     layers = _layer_ids(prefix, len(layer_spec) - 1)
     xs = list(x) if isinstance(x, (list, tuple)) else [x]
     tape = tape if tape is not None else _find_tape(*xs)
+    if tape is None:
+        h = _gather_rows([t.data if isinstance(t, Tensor) else _as_array(t)
+                          for t in xs], rows, ones)
+        _check_input(prefix, layer_spec, h.shape[-1])
+        for i, (aid, hidden) in enumerate(layers):
+            try:
+                a = params.values[aid]
+            except KeyError:
+                raise ContractError(
+                    f"missing parameters for {prefix} layer {i}") from None
+            h = h @ (a if members is None else a[members])
+            if hidden:
+                np.tanh(h, out=h)
+        return _wrap(h)
     xs = [_coerce(t, tape) for t in xs]
-    width = sum(t.data.shape[-1] for t in xs)
-    if width != int(layer_spec[0]):
-        raise ShapeError(f"{prefix} layer 0 input: expected last dimension "
-                         f"{layer_spec[0]}, got {width}")
+    _check_input(prefix, layer_spec, sum(t.data.shape[-1] for t in xs) + ones)
     h = xs
-    for i, (wid, bid, hidden) in enumerate(layers):
+    for i, (aid, hidden) in enumerate(layers):
         try:
-            w, b = params.tensor(tape, wid), params.tensor(tape, bid)
+            a = params.tensor(tape, aid)
         except ContractError:
             raise ContractError(
                 f"missing parameters for {prefix} layer {i}") from None
         if i == 0 and rows is not None:
-            h = gather_dense(xs, rows, w, b, hidden, members)
+            h = gather_dense(xs, rows, a, hidden, members, ones)
         else:
-            h = dense(h, w, b, hidden, members)
+            h = dense(h, a, hidden, members, ones=i == 0 and ones)
     return h
+
+
+def _check_input(prefix: str, layer_spec: Sequence[int], width: int) -> None:
+    """``width``, the first layer's input columns with its ones column,
+    must be the spec's input width plus one."""
+    if width != int(layer_spec[0]) + 1:
+        raise ShapeError(f"{prefix} layer 0 input: expected last dimension "
+                         f"{layer_spec[0]}, got {width - 1}")
 
 
 # ---------------------------------------------------------------------------

@@ -13,23 +13,28 @@ For speed, nodes whose MLPs have the same layer shapes (one group per
 applications, and so are the edges between two such groups; each edge
 MLP's first layer gathers both endpoint states from their groups'
 stacks (``diffcore.gather_dense``), and message aggregation is a
-(constant) routing-matrix multiply. The encoder's first layer reads
-features and mask, and the aggregator's its state and mean message, as
-two parts of one ``diffcore.dense`` input, so a taped pass keeps the
-parts, not their concatenation. Parameters are per node and per
-directed edge unless ``share_by_type`` is set. They live only in the
-blocks the forward computes with, one weight and one bias per layer and
-MLP role of a node group (``stack/<group>/<role>/L<i>/W|b``) or edge
-group (``stack/<src_group>><dst_group>/msg/L<i>/W|b``). A group of k
-MLPs has (k, i, o) weight and (k, 1, o) bias blocks; a group's lone MLP
-(a single-node group, a single-edge group or a group's one shared type
-MLP) has (i, o) and (o,) blocks. Under ``share_by_type`` a type is
+(constant) routing-matrix multiply. Every layer is one GEMM over an
+input whose last column is ones. The encoder's first layer reads
+[features | mask | 1], the aggregator's [state | mean message | 1] and
+the edge MLP's [destination state | source state | 1], each as parts of
+one ``diffcore.dense`` input, so a taped pass keeps the parts, not
+their concatenation; both decoder heads read one [state | 1]. Parameters
+are per node and per directed edge unless ``share_by_type`` is set. They
+live only in the blocks the forward computes with, one affine block per
+layer and MLP role of a node group (``stack/<group>/<role>/L<i>``) or
+edge group (``stack/<src_group>><dst_group>/msg/L<i>``): the weight
+rows, then the bias row, and on a hidden layer a last column for its
+constant unit, which is not a parameter (``diffcore.mlp_init``). A
+group of k MLPs has a (k, i + 1, o) block; a group's lone MLP (a
+single-node group, a single-edge group or a group's one shared type
+MLP) has an (i + 1, o) block. Under ``share_by_type`` a type is
 (kind, q, p), so a group holding several types stacks one member per
 type, and each node or edge reads its type's member through an index
 on the block's leading axis.
 
 Parameter-id scheme (stable; checkpoints are written in it, and
-``GnnModel.parameter_views`` maps each id to a view of its block slice):
+``GnnModel.parameter_views`` maps each id to a view of its block slice,
+the weight rows or the bias row without the constant unit):
 
     node/<node_id>/enc|agg|dec_mu|dec_lv/L<i>/W|b
     edge/<src>><dst>/msg/L<i>/W|b
@@ -326,17 +331,16 @@ class GnnModel(ModelBase):
 
     def parameter_views(self) -> dict[str, np.ndarray]:
         """Every documented parameter id, in checkpoint order, mapped to
-        a view of its slice of its block."""
+        a view of its slice of its block (never a constant unit)."""
         views = {}
         for block, prefixes, spec in self._mlp_blocks:
-            layers = dc.mlp_layer_param_ids(block, spec)
+            blocks = [self.params.values[a]
+                      for a in dc.mlp_layer_ids(block, spec)]
             for j, prefix in enumerate(prefixes):
-                for (wb, bb), (wid, bid) in zip(
-                        layers, dc.mlp_layer_param_ids(prefix, spec)):
-                    w, b = self.params.values[wb], self.params.values[bb]
-                    if len(prefixes) > 1:
-                        w, b = w[j], b[j, 0]
-                    views[wid], views[bid] = w, b
+                for i, a in enumerate(blocks):
+                    w, b = dc.mlp_views(a[j] if len(prefixes) > 1 else a,
+                                        spec[i + 1])
+                    views[f"{prefix}/L{i}/W"], views[f"{prefix}/L{i}/b"] = w, b
         return views
 
     def count_parameters(self) -> int:
@@ -377,54 +381,64 @@ class GnnModel(ModelBase):
             new_states = {}
             for g in self.groups:
                 own = states[g.key]
-                n, b, p = own.data.shape
-                md = self.message_dim_for(g)
-                if msgs[g.key]:
-                    stacked = (msgs[g.key][0] if len(msgs[g.key]) == 1
-                               else dc.concat(msgs[g.key], axis=0))
-                    flat = dc.reshape(stacked, (stacked.data.shape[0], b * md))
-                    mean = dc.reshape(
-                        self._route(g.key, flat, b, tape, window), (n, b, md))
-                else:
-                    mean = _leaf(tape, np.zeros((n, b, md)))
+                mean = self._mean_message(g, msgs[g.key], own.data.shape[1],
+                                          tape, window)
                 new_states[g.key] = dc.mlp_forward(
                     self.params, self._agg_spec(g), f"stack/{g.key}/agg",
                     (own, mean), tape=tape, members=self._node_members[g.key])
             states = new_states
         return states
 
-    def _route(self, key: str, flat: Tensor, rows: int, tape: Optional[Tape],
-               window: Optional[tuple[int, int]]) -> Tensor:
-        """Mean incoming message, ``routing @ flat``. Batch columns lie on
+    def _mean_message(self, g: NodeGroup, msgs: list[Tensor], rows: int,
+                      tape: Optional[Tape],
+                      window: Optional[tuple[int, int]]) -> Tensor:
+        """Mean incoming message per node of group ``g``, (n, B, md):
+        ``routing @`` the group's incoming messages, stacked and flattened
+        to (edges, B * md). Untaped, on plain arrays. Batch columns lie on
         the dimension along which BLAS picks kernels by problem size, and
         the kernels round the last columns of a product differently. So a
         window of rows is multiplied at its whole batch's width, its
         columns in place and zeros elsewhere, which gives every column the
         bytes of the whole batch's product."""
-        routing = self.routing[key]
-        if window is None or window[1] == rows:
-            return dc.matmul(_leaf(tape, routing), flat)
+        n, md = len(g.node_ids), self.message_dim_for(g)
+        if not msgs:
+            return _leaf(tape, np.zeros((n, rows, md)))
+        routing = self.routing[g.key]
+        partial = window is not None and window[1] != rows
         if tape is not None:
-            raise dc.ContractError("a row window is for untaped passes only")
+            if partial:
+                raise dc.ContractError("a row window is for untaped passes only")
+            stacked = msgs[0] if len(msgs) == 1 else dc.concat(msgs, axis=0)
+            flat = dc.reshape(stacked, (stacked.data.shape[0], rows * md))
+            return dc.reshape(dc.matmul(_leaf(tape, routing), flat),
+                              (n, rows, md))
+        flat = np.concatenate([m.data for m in msgs]) if len(msgs) > 1 \
+            else msgs[0].data
+        flat = flat.reshape(flat.shape[0], rows * md)
+        if not partial:
+            return Tensor((routing @ flat).reshape(n, rows, md))
         start, batch = window
-        per_row = flat.data.shape[1] // rows
-        cols = slice(start * per_row, (start + rows) * per_row)
-        wide = np.zeros((flat.data.shape[0], batch * per_row))
-        wide[:, cols] = flat.data
-        return Tensor((routing @ wide)[:, cols])
+        wide = np.zeros((flat.shape[0], batch * md))
+        cols = slice(start * md, (start + rows) * md)
+        wide[:, cols] = flat
+        return Tensor((routing @ wide)[:, cols].reshape(n, rows, md))
 
     def decode(self, states: dict[str, Tensor],
                tape: Optional[Tape] = None) -> tuple[dict[str, Tensor], dict[str, Tensor]]:
-        """Standardized mean and clamped log-variance per group, (n, B, q)."""
+        """Standardized mean and clamped log-variance per group, (n, B, q).
+        Both heads read one [state | 1] input."""
         mu, logvar = {}, {}
         for g in self.groups:
             members = self._node_members[g.key]
+            state = states[g.key]
+            x = dc.concat([state, _leaf(tape, np.ones(state.data.shape[:-1]
+                                                      + (1,)))])
             mu[g.key] = dc.mlp_forward(
-                self.params, self._dec_spec(g), f"stack/{g.key}/dec_mu",
-                states[g.key], tape=tape, members=members)
+                self.params, self._dec_spec(g), f"stack/{g.key}/dec_mu", x,
+                tape=tape, members=members, ones=False)
             raw = dc.mlp_forward(
-                self.params, self._dec_spec(g), f"stack/{g.key}/dec_lv",
-                states[g.key], tape=tape, members=members)
+                self.params, self._dec_spec(g), f"stack/{g.key}/dec_lv", x,
+                tape=tape, members=members, ones=False)
             logvar[g.key] = dc.clip(raw, np.log(VAR_CLAMP_LO), np.log(VAR_CLAMP_HI))
         return mu, logvar
 

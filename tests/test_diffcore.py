@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from gridmpnn import diffcore as dc
+from gridmpnn import gridsim
 from gridmpnn.gridgraph import derive_schemas
 from gridmpnn.mpnn import GnnConfig, GnnModel
 from gridmpnn.training import TrainingConfig, build_samples, nll_loss_packed
@@ -43,27 +44,24 @@ def _fd_check(build_loss, params, step=1e-5, floor=1e-6):
 
 def test_mlp_zero_weights_gives_zero_output():
     params = dc.ParameterSet()
-    for i, (w, b) in enumerate(dc.mlp_layer_param_ids("net", [3, 4, 2])):
-        params.add(w, np.zeros((3 if i == 0 else 4, 4 if i == 0 else 2)))
-        params.add(b, np.zeros(4 if i == 0 else 2))
+    for a, shape in zip(dc.mlp_layer_ids("net", [3, 4, 2]), [(4, 5), (5, 2)]):
+        params.add(a, np.zeros(shape))
     out = dc.mlp_forward(params, [3, 4, 2], "net", np.array([[0.3, -1.2, 2.0]]))
     assert np.array_equal(out.data, np.zeros((1, 2)))
 
 
 def test_mlp_single_linear_layer_is_identity_map():
     params = dc.ParameterSet()
-    params.add("net/L0/W", np.array([[1.0]]))
-    params.add("net/L0/b", np.array([0.0]))
+    params.add("net/L0", np.array([[1.0], [0.0]]))  # weight 1, bias 0
     out = dc.mlp_forward(params, [1, 1], "net", np.array([[0.7]]))
     assert out.data[0, 0] == pytest.approx(0.7)
 
 
 def test_mlp_two_layer_tanh_of_zero_is_zero():
     params = dc.ParameterSet()
-    params.add("net/L0/W", np.array([[1.0]]))
-    params.add("net/L0/b", np.array([0.0]))
-    params.add("net/L1/W", np.array([[1.0]]))
-    params.add("net/L1/b", np.array([0.0]))
+    # weight 1 and bias 0, then the constant unit; then weight 1, bias 0
+    params.add("net/L0", np.array([[1.0, 0.0], [0.0, dc.CONSTANT_BIAS]]))
+    params.add("net/L1", np.array([[1.0], [0.0]]))
     out = dc.mlp_forward(params, [1, 1, 1], "net", np.array([[0.0]]))
     assert out.data[0, 0] == 0.0
 
@@ -86,10 +84,12 @@ def test_mlp_init_ranges():
     params = dc.ParameterSet()
     dc.mlp_init(params, "net", [10, 20], np.random.default_rng(1))
     a = np.sqrt(6.0 / 30.0)
-    w = params.values["net/L0/W"]
+    block = params.values["net/L0"]
+    assert block.shape == (11, 20)  # an output layer has no constant unit
+    w, b = dc.mlp_views(block, 20)
     assert w.shape == (10, 20)
     assert np.all(np.abs(w) <= a)
-    assert np.array_equal(params.values["net/L0/b"], np.zeros(20))
+    assert np.array_equal(b, np.zeros(20))
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +109,12 @@ def test_backward_linear_gradient():
 def test_backward_tanh_prime_at_zero():
     # a hidden dense layer at zero pre-activation: d tanh(x*w + b)/db = 1
     params = dc.ParameterSet()
-    params.add("b", np.array([0.0]))
+    params.add("a", np.array([[1.0], [0.0]]))  # weight 1, bias 0
     tape = dc.Tape()
-    out = dc.dense(np.array([[0.0]]), np.array([[1.0]]),
-                   params.tensor(tape, "b"), hidden=True)
+    out = dc.dense(np.array([[0.0]]), params.tensor(tape, "a"), hidden=True,
+                   ones=True)
     dc.backward(tape, out)
-    assert params.grads["b"][0] == pytest.approx(1.0)
+    assert params.grads["a"][1, 0] == pytest.approx(1.0)
 
 
 def test_backward_requires_scalar_loss():
@@ -162,28 +162,34 @@ OPS = {
     "scale": lambda p, t: dc.scale(p, -1.7),
     # dense: p is the input of a hidden layer, the weight of an output
     # layer, a stacked (n, i, o) weight with its (n, 1, o) bias, or a
-    # shared (i, o) weight with its (o,) bias broadcast over (n, B)
+    # shared (i, o) weight with its (o,) bias broadcast over (n, B); each
+    # affine block is the weight rows, then the bias row
     "dense_hidden": lambda p, t: dc.dense(
-        p, np.array([[0.7, -1.1], [0.4, 0.9]]), np.array([0.2, -0.3]),
-        hidden=True),
+        p, np.array([[0.7, -1.1], [0.4, 0.9], [0.2, -0.3]]), hidden=True,
+        ones=True),
     "dense_output": lambda p, t: dc.dense(
-        np.array([[1.3], [-0.6]]), p, np.array([0.5, 0.1]), hidden=False),
+        np.array([[1.3], [-0.6]]), dc.concat([p, np.array([[0.5, 0.1]])], axis=0),
+        hidden=False, ones=True),
     "dense_stacked": lambda p, t: dc.dense(
-        _X_STACK, dc.reshape(p, (2, 1, 1)),
-        dc.reshape(dc.scale(p, -0.5), (2, 1, 1)), hidden=True),
+        _X_STACK, dc.concat([dc.reshape(p, (2, 1, 1)),
+                             dc.reshape(dc.scale(p, -0.5), (2, 1, 1))], axis=1),
+        hidden=True, ones=True),
     "dense_shared": lambda p, t: dc.dense(
-        _X_STACK[:, :1], p, dc.reshape(dc.scale(p, 0.3), (2,)), hidden=True),
+        _X_STACK[:, :1], dc.concat([p, dc.scale(p, 0.3)], axis=0), hidden=True,
+        ones=True),
     # p is one part of a multi-part input and the weight
     "dense_parts": lambda p, t: dc.dense(
         [p, np.array([[0.6]])],
-        dc.reshape(dc.concat([p, dc.scale(p, -0.5), dc.scale(p, 0.8)], axis=1),
-                   (3, 2)),
-        np.array([0.1, -0.2]), hidden=True),
+        dc.concat([dc.reshape(dc.concat([p, dc.scale(p, -0.5),
+                                         dc.scale(p, 0.8)], axis=1), (3, 2)),
+                   np.array([[0.1, -0.2]])], axis=0),
+        hidden=True, ones=True),
     # p is one gathered tensor (with repeated rows) and the weight
     "gather_dense": lambda p, t: dc.gather_dense(
         [dc.reshape(p, (2, 1, 1)), _X_STACK[:, :1]],
         [np.array([1, 0, 1]), np.array([0, 1, 1])],
-        dc.reshape(dc.scale(p, -0.8), (2, 1)), np.array([0.1]), hidden=True),
+        dc.concat([dc.reshape(dc.scale(p, -0.8), (2, 1)), np.array([[0.1]])],
+                  axis=0), hidden=True, ones=True),
     "clip": lambda p, t: dc.clip(p, -0.5, 0.5),
     "concat": lambda p, t: dc.concat([p, dc.scale(p, -2.0)], axis=1),
     "slice": lambda p, t: dc.slice_(p, (slice(None), slice(0, 1))),
@@ -252,31 +258,40 @@ def test_dense_matches_unfused_composition_bit_for_bit(shapes, hidden):
     # the reference is the unfused layer in numpy: a matmul, a bias add
     # and a tanh, each output its own array; backward from the adjoint
     # ``mix``: adj * (1 - out^2) through the tanh, then the matmul's two
-    # products and the bias sum, each summed back to its operand's shape
+    # products and the bias sum, each summed back to its operand's shape.
+    # The fused layer computes [x | 1] @ [w; b] in one GEMM.
     rng = np.random.default_rng(12)
     xs, ws, bs = shapes
     mix = rng.standard_normal(xs[:-1] + ws[-1:])
+    xd = np.random.default_rng(13).standard_normal(xs)
+    wd = np.random.default_rng(14).standard_normal(ws)
+    bd = np.random.default_rng(15).standard_normal(bs)
     params = dc.ParameterSet()
-    params.add("x", np.random.default_rng(13).standard_normal(xs))
-    params.add("w", np.random.default_rng(14).standard_normal(ws))
-    params.add("b", np.random.default_rng(15).standard_normal(bs))
+    params.add("x", xd)
+    params.add("a", np.concatenate([wd, bd.reshape(ws[:-2] + (1, ws[-1]))],
+                                   axis=-2))
     tape = dc.Tape()
-    x, w, b = (params.tensor(tape, k) for k in ("x", "w", "b"))
-    out = dc.dense(x, w, b, hidden=hidden)
+    out = dc.dense(params.tensor(tape, "x"), params.tensor(tape, "a"),
+                   hidden=hidden, ones=True)
+    got = out.data.copy()  # backward forms the tanh derivative in place
     dc.backward(tape, _weighted_sum(out, mix))
-    xd, wd, bd = (params.values[k] for k in ("x", "w", "b"))
     want = xd @ wd + bd
     g = mix
     if hidden:
         want = np.tanh(want)
         g = mix * (1.0 - want * want)
-    assert np.array_equal(out.data, want)
+    assert np.array_equal(got, want)
+    # the bias sums over the rows of each slice, as the block's GEMM
+    # does, then over a stack that shares it
     wants = {"x": _sum_to(g @ wd.swapaxes(-1, -2), xs),
-             "w": _sum_to(xd.swapaxes(-1, -2) @ g, ws),
-             "b": _sum_to(g, bs)}
+             "W": _sum_to(xd.swapaxes(-1, -2) @ g, ws),
+             "b": _sum_to(g.sum(axis=-2, keepdims=True), bs)}
+    ga = params.grads["a"]
+    gots = {"x": params.grads["x"], "W": ga[..., :-1, :],
+            "b": ga[..., -1, :].reshape(bs)}
     for k, want in wants.items():
-        assert params.grads[k].any()
-        assert np.array_equal(params.grads[k], want), k
+        assert gots[k].any()
+        assert np.array_equal(gots[k], want), k
 
 
 def _composed_nll(mu, lv, y, w, c):
@@ -343,7 +358,7 @@ def test_gaussian_nll_rejects_mismatched_group_shapes():
 
 def test_dense_rejects_mismatched_inner_dimensions():
     with pytest.raises(dc.ShapeError, match="inner"):
-        dc.dense(np.zeros((2, 3)), np.zeros((4, 5)), np.zeros(5), hidden=True)
+        dc.dense(np.zeros((2, 3)), np.zeros((5, 5)), hidden=True, ones=True)
 
 
 @pytest.mark.parametrize("idx", [
@@ -352,16 +367,17 @@ def test_dense_rejects_mismatched_inner_dimensions():
     np.array([2, 0, 3, 1]),           # all unique
 ], ids=["repeated", "fan_in_15", "unique"])
 def test_gather_dense_backward_matches_add_at_bit_for_bit(idx):
-    # an identity weight and a zero bias pass the gathered rows and the
-    # adjoint through unchanged
+    # an identity weight and a zero bias row pass the gathered rows and
+    # the adjoint through unchanged
     rng = np.random.default_rng(16)
     n = int(idx.max()) + 1
     params = dc.ParameterSet()
     params.add("a", rng.standard_normal((n, 7, 3)))
     mix = rng.standard_normal((idx.size, 7, 3))
     tape = dc.Tape()
-    out = dc.gather_dense([params.tensor(tape, "a")], [idx], np.eye(3),
-                          np.zeros(3), hidden=False)
+    out = dc.gather_dense([params.tensor(tape, "a")], [idx],
+                          np.vstack([np.eye(3), np.zeros(3)]), hidden=False,
+                          ones=True)
     assert np.array_equal(out.data, params.values["a"][idx])
     dc.backward(tape, _weighted_sum(out, mix))
     want = np.zeros((n, 7, 3))
@@ -372,21 +388,23 @@ def test_gather_dense_backward_matches_add_at_bit_for_bit(idx):
 @pytest.mark.parametrize("hidden", [False, True])
 def test_dense_members_match_gathered_weights_bit_for_bit(hidden):
     # slice j of the input applies member members[j] of the block: the
-    # bytes of a layer fed the gathered (n, i, o) copies, whose gradients
-    # np.add.at adds back into the block, slab by slab in index order
+    # bytes of a layer fed the gathered (n, i + 1, o) copies, whose
+    # gradients np.add.at adds back into the block, slab by slab in index
+    # order
     rng = np.random.default_rng(41)
     members = np.array([1, 0, 1, 2, 1, 0])
-    values = {"W": rng.standard_normal((3, 4, 5)),
-              "b": rng.standard_normal((3, 1, 5)),
+    values = {"a": np.concatenate([rng.standard_normal((3, 4, 5)),
+                                   rng.standard_normal((3, 1, 5))], axis=1),
               "x": rng.standard_normal((6, 7, 4))}
     mix = rng.standard_normal((6, 7, 5))
 
     def run(params, **kw):
         tape = dc.Tape()
-        out = dc.dense(*(params.tensor(tape, k) for k in ("x", "W", "b")),
-                       hidden, **kw)
+        out = dc.dense(params.tensor(tape, "x"), params.tensor(tape, "a"),
+                       hidden, ones=True, **kw)
+        got = out.data.copy()
         dc.backward(tape, _weighted_sum(out, mix))
-        return out
+        return got
 
     fused, gathered = dc.ParameterSet(), dc.ParameterSet()
     for k, v in values.items():
@@ -394,12 +412,11 @@ def test_dense_members_match_gathered_weights_bit_for_bit(hidden):
         gathered.add(k, v if k == "x" else v[members])
     out = run(fused, members=members)
     want = run(gathered)
-    assert np.array_equal(out.data, want.data)
+    assert np.array_equal(out, want)
     assert np.array_equal(fused.grads["x"], gathered.grads["x"])
-    for k in ("W", "b"):
-        block = np.zeros(values[k].shape)
-        np.add.at(block, members, gathered.grads[k])
-        assert np.array_equal(fused.grads[k], block), k
+    block = np.zeros(values["a"].shape)
+    np.add.at(block, members, gathered.grads["a"])
+    assert np.array_equal(fused.grads["a"], block)
 
 
 # (destination rows, source rows, source group is the destination group)
@@ -517,7 +534,7 @@ def test_dense_parts_keep_no_concatenated_copy(monkeypatch):
     # while the concatenation it multiplied dies with the forward
     params = dc.ParameterSet()
     params.add("p", np.random.default_rng(3).uniform(-0.4, 0.4, (2, 3)))
-    params.add("w", np.random.default_rng(5).uniform(-0.4, 0.4, (6, 2)))
+    params.add("a", np.random.default_rng(5).uniform(-0.4, 0.4, (7, 2)))
     tape = dc.Tape()
     p = params.tensor(tape, "p")
     made = []
@@ -529,24 +546,98 @@ def test_dense_parts_keep_no_concatenated_copy(monkeypatch):
         return out
 
     monkeypatch.setattr(np, "concatenate", watched)
-    out = dc.dense([dc.scale(p, 2.0), p], params.tensor(tape, "w"),
-                   np.zeros(2), hidden=True)
+    out = dc.dense([dc.scale(p, 2.0), p], params.tensor(tape, "a"),
+                   hidden=True, ones=True)
     monkeypatch.undo()
     loss = _weighted_sum(out, _MIX[:4])
     del out
     gc.collect()
     assert len(made) == 1 and made[0]() is None
     dc.backward(tape, loss)
-    assert params.grads["p"].any() and params.grads["w"].any()
+    assert params.grads["p"].any() and params.grads["a"].any()
+
+
+def _pilot_layers():
+    """(slices, block shape, inputs, outputs, hidden, members) of every
+    layer of the pilot model, with MLPs per node and edge and with one
+    MLP per type."""
+    topo = gridsim.pilot_topology()
+    schemas = derive_schemas(topo)
+    layers = []
+    for share in (False, True):
+        model = GnnModel(topo, schemas, GnnConfig(share_by_type=share))
+        reads = {eg.block: (len(eg.pairs), eg.members)
+                 for eg in model.edge_groups}
+        for g in model.groups:
+            for role in ("enc", "agg", "dec_mu", "dec_lv"):
+                reads[f"stack/{g.key}/{role}"] = (len(g.node_ids),
+                                                  model._node_members[g.key])
+        for block, _, spec in model._mlp_blocks:
+            n, members = reads[block]
+            for i, a in enumerate(dc.mlp_layer_ids(block, spec)):
+                layers.append((n, model.params.values[a].shape, spec[i],
+                               spec[i + 1], i < len(spec) - 2, members))
+    return layers
+
+
+@pytest.mark.parametrize("batch", [1, 24, 120, 256])
+def test_affine_layers_match_the_bias_add_composition_bit_for_bit(batch):
+    # every layer shape of the pilot model, with and without members: the
+    # one-GEMM layer [x | 1] @ [W; b] against x @ W, then += b, then tanh,
+    # and its adjoints against that composition's: the tanh derivative,
+    # the two matmul products and the bias sum over each slice's rows,
+    # added into the block per member in index order (np.add.at)
+    rng = np.random.default_rng(batch)
+    for n, shape, i, o, hidden, members in _pilot_layers():
+        block = rng.uniform(-0.5, 0.5, shape)
+        if hidden:
+            block[..., -1] = 0.0
+            block[..., -1, -1] = dc.CONSTANT_BIAS
+        x = rng.standard_normal((n, batch, i))
+        mix = rng.standard_normal((n, batch, shape[-1]))
+        params = dc.ParameterSet()
+        params.add("x", x)
+        params.add("a", block, constant_unit=hidden)
+        tape = dc.Tape()
+        out = dc.dense(params.tensor(tape, "x"), params.tensor(tape, "a"),
+                       hidden, members, ones=True)
+        got = out.data.copy()
+        dc.backward(tape, _weighted_sum(out, mix))
+
+        w, b = block[..., :i, :o], block[..., i:, :o]
+        if members is not None:
+            w, b = w[members], b[members]
+        want = x @ w
+        want += b
+        g = mix[..., :o]
+        if hidden:
+            np.tanh(want, out=want)
+            g = g * (1.0 - want * want)
+        dw, db = x.swapaxes(-1, -2) @ g, g.sum(axis=-2, keepdims=True)
+        if members is not None:
+            dw_block, db_block = np.zeros(shape[:-2] + (i, o)), np.zeros(
+                shape[:-2] + (1, o))
+            np.add.at(dw_block, members, dw)
+            np.add.at(db_block, members, db)
+            dw, db = dw_block, db_block
+        case = (n, shape, members is not None)
+        assert np.array_equal(got[..., :o], want), case
+        if hidden:
+            assert (got[..., o] == 1.0).all(), case
+        assert np.array_equal(params.grads["x"], g @ w.swapaxes(-1, -2)), case
+        ga = params.grads["a"]
+        assert np.array_equal(ga[..., :i, :o], dw), case
+        assert np.array_equal(ga[..., i:, :o], db), case
+        assert not ga[..., o:].any(), case
 
 
 def test_nodes_without_parameters_upstream_have_no_backward():
     params = dc.ParameterSet()
-    params.add("w", np.array([[0.5, -1.0]]))
+    params.add("a", np.array([[0.5, -1.0], [0.0, 0.0]]))
     tape = dc.Tape()
     x = tape.leaf(np.array([[2.0], [3.0]]))
     const = dc.clip(dc.scale(x, 0.5), -1.0, 1.0)
-    taped = dc.dense(const, params.tensor(tape, "w"), np.zeros(2), hidden=True)
+    taped = dc.dense(const, params.tensor(tape, "a"), hidden=True, ones=True)
     for t in (x, const):
         assert not tape.nodes[t.node].needs_grad
         assert tape.nodes[t.node].bwd is None
@@ -573,14 +664,14 @@ def test_gather_dense_and_stack_gradients():
     params = dc.ParameterSet()
     params.add("ab", np.stack([rng.standard_normal((3, 2)),
                                rng.standard_normal((3, 2))]))
-    w = rng.standard_normal((4, 3))
+    a = np.vstack([rng.standard_normal((4, 3)), np.zeros(3)])
     mix = rng.standard_normal((5, 3, 3))
 
     def build(tape):
         ab = params.tensor(tape, "ab")
         g = dc.gather_dense([ab, ab], [np.array([0, 1, 1, 0, 1]),
                                        np.array([1, 1, 0, 0, 0])],
-                            w, np.zeros(3), hidden=True)
+                            a, hidden=True, ones=True)
         return _weighted_sum(g, mix)
 
     assert _fd_check(build, params) < 1e-4
@@ -595,10 +686,9 @@ def _three_mlps(seed=4, spec=(3, 5, 2)):
 
 
 def _member(arrays, block, pid):
-    """Member j's slice of a stacked block, for the id ``m<j>/L<i>/W|b``."""
+    """Member j's slice of a stacked block, for the block id ``m<j>/L<i>``."""
     j, layer = int(pid[1]), pid.split("/", 1)[1]
-    a = arrays[f"{block}/{layer}"]
-    return a[j] if layer.endswith("W") else a[j, 0]
+    return arrays[f"{block}/{layer}"][j]
 
 
 def test_mlp_forward_stacked_matches_separate_mlps_with_one_leaf_per_block():
@@ -613,7 +703,7 @@ def test_mlp_forward_stacked_matches_separate_mlps_with_one_leaf_per_block():
     out = dc.mlp_forward(stacked, spec, "blk", x, tape=tape)
     dc.backward(tape, _weighted_sum(out, mix))
     leaves = sum(node.op == "param" for node in tape.nodes)
-    assert leaves == 2 * (len(spec) - 1)
+    assert leaves == len(spec) - 1
     for j, prefix in enumerate(("m0", "m1", "m2")):
         tape = dc.Tape()
         want = dc.mlp_forward(separate, spec, prefix, x[j], tape=tape)
@@ -633,19 +723,19 @@ def test_mlp_members_are_views_of_their_block():
     separate = _three_mlps()
     for pid, value in separate.values.items():
         assert np.array_equal(_member(params.values, "blk", pid), value)
-    assert params.values["blk/L0/W"].shape == (3, 3, 5)
-    assert params.values["blk/L0/b"].shape == (3, 1, 5)
-    assert params.values["blk/L1/b"].shape == (3, 1, 2)
+    # weight rows and a bias row; the hidden layer's constant unit last
+    assert params.values["blk/L0"].shape == (3, 4, 6)
+    assert params.values["blk/L1"].shape == (3, 6, 2)
     x = np.random.default_rng(5).standard_normal((3, 4, 3))
     before = dc.mlp_forward(params, spec, "blk", x).data
-    _member(params.values, "blk", "m1/L1/b")[1] = 7.0
+    dc.mlp_views(_member(params.values, "blk", "m1/L1"), 2)[1][1] = 7.0
     after = dc.mlp_forward(params, spec, "blk", x).data
     assert np.array_equal(after[[0, 2]], before[[0, 2]])
     assert np.allclose(after[1, :, 1] - before[1, :, 1], 7.0)
-    _member(params.grads, "blk", "m2/L1/W")[0, 1] = -3.0
-    assert params.grads["blk/L1/W"][2, 0, 1] == -3.0
+    dc.mlp_views(_member(params.grads, "blk", "m2/L1"), 2)[0][0, 1] = -3.0
+    assert params.grads["blk/L1"][2, 0, 1] == -3.0
     params.zero_grads()
-    assert not params.grads["blk/L1/W"].any()
+    assert not params.grads["blk/L1"].any()
     with pytest.raises(dc.ContractError, match="duplicate"):
         dc.mlp_init(params, "blk", spec, np.random.default_rng(4), members=3)
     with pytest.raises(dc.ContractError, match="member"):
@@ -670,7 +760,7 @@ def _reference_adam(params, state, lr):
 
 def test_adam_over_blocks_matches_per_id_reference_bit_for_bit():
     # m0 and m1 as one stacked block, m2 on its own; the reference keeps
-    # one array per id
+    # one array per MLP
     spec = [3, 5, 2]
     stacked = dc.ParameterSet()
     rng = np.random.default_rng(4)
@@ -727,16 +817,16 @@ def _dies(make):
 
 
 _MIX = np.random.default_rng(4).standard_normal(6)
-_W = np.array([[0.4, -0.2], [1.1, 0.3], [-0.7, 0.5]])
+_A = np.array([[0.4, -0.2], [1.1, 0.3], [-0.7, 0.5], [0.0, 0.0]])
 
 
 def _linear_dense(tape, p):
-    out = dc.dense(p, _W, np.zeros(2), hidden=False)
+    out = dc.dense(p, _A, hidden=False, ones=True)
     return out, _weighted_sum(out, _MIX[:4])
 
 
 def _hidden_dense(tape, p):
-    out = dc.dense(p, _W, np.zeros(2), hidden=True)
+    out = dc.dense(p, _A, hidden=True, ones=True)
     return out, _weighted_sum(out, _MIX[:4])
 
 
@@ -763,15 +853,17 @@ def _clip_input(tape, p):
 def _dense_input(tape, p):
     # the weight needs a gradient, so the layer keeps its input
     x = tape.leaf(np.array([[0.2, -0.1], [0.4, 0.3]]))
-    return x, _weighted_sum(dc.dense(x, p, np.zeros(3), hidden=True), _MIX)
+    a = dc.concat([p, np.zeros((1, 3))], axis=0)
+    return x, _weighted_sum(dc.dense(x, a, hidden=True, ones=True), _MIX)
 
 
 def _dense_part(tape, p):
     # ... and of an input in parts, each part
     x = tape.leaf(np.array([[0.2], [0.4]]))
     w = dc.reshape(dc.slice_(p, (slice(None), slice(0, 2))), (2, 2))
-    return x, _weighted_sum(dc.dense([x, np.array([[-0.1], [0.3]])], w,
-                                     np.zeros(2), hidden=True), _MIX[:4])
+    a = dc.concat([w, np.zeros((1, 2))], axis=0)
+    return x, _weighted_sum(dc.dense([x, np.array([[-0.1], [0.3]])], a,
+                                     hidden=True, ones=True), _MIX[:4])
 
 
 @pytest.mark.parametrize("make", [_linear_dense, _matmul_right, _reshape_input,
@@ -792,9 +884,9 @@ def test_arrays_the_backward_reads_live_until_backward(make):
 
 # Bytes a taped forward and loss of 128 rows of the conftest pilot world
 # may leave held until backward: what the reverse pass reads is about
-# 40.5 MB; first layers that keep their concatenated inputs hold about
-# 47.5 MB, and closures that keep whole tensors or gathered edge inputs
-# about 86 MB.
+# 41.6 MB, of which the hidden layers' constant units take 1.3 MB; first
+# layers that keep their concatenated inputs hold about 47.5 MB, and
+# closures that keep whole tensors or gathered edge inputs about 86 MB.
 PILOT_BLOCK_TAPE_BUDGET = 43e6
 
 

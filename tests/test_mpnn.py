@@ -243,36 +243,31 @@ def test_count_parameters_pilot_default_architecture():
     assert model.params.n_scalars() == 389598
 
 
-def test_pilot_parameters_live_in_44_blocks():
+def test_pilot_parameters_live_in_22_blocks():
     # node groups by layer shape: 8:6 (global, feeders, single-phase
     # prosumers) and 24:24 (substations, three-phase prosumers); edge
-    # groups 8:6>8:6, 8:6>24:24 and 24:24>8:6
+    # groups 8:6>8:6, 8:6>24:24 and 24:24>8:6; one affine block per layer
     topo = gridsim.pilot_topology()
     model = GnnModel(topo, derive_schemas(topo))
     assert [g.key for g in model.groups] == ["24:24", "8:6"]
     assert [eg.key for eg in model.edge_groups] == [
         "24:24>8:6", "8:6>24:24", "8:6>8:6"]
-    assert len(model.params) == 44
+    assert len(model.params) == 22
     assert len(model.parameter_views()) == 1648
 
 
-def test_pilot_forward_runs_62_dense_layers(monkeypatch):
+def test_pilot_forward_runs_62_dense_layers():
     # 2 node groups x (encoder, 5 aggregator steps, 2 decoders) x 2 layers
     # + 3 edge groups x 5 steps x 2 layers; grouping by kind ran 160
     topo = gridsim.pilot_topology()
     model = GnnModel(topo, derive_schemas(topo))
     f, m = ones_inputs(model)
-    calls = []
-    layer = dc._dense
-
-    def counted(*args):
-        calls.append(args[0])
-        return layer(*args)
-
-    monkeypatch.setattr(dc, "_dense", counted)
-    model.forward(f, m)
-    assert len(calls) == 62
-    assert calls.count("gather_dense") == 15
+    tape = dc.Tape()
+    model.forward(f, m, tape=tape)
+    ops = [node.op for node in tape.nodes]
+    assert ops.count("dense") + ops.count("gather_dense") == 62
+    assert ops.count("gather_dense") == 15
+    assert ops.count("param") == 62  # one block per layer, no bias leaf
 
 
 def test_pilot_share_by_type_keeps_types_and_ids():
@@ -294,10 +289,10 @@ def test_pilot_share_by_type_keeps_types_and_ids():
     views = model.parameter_views()
     assert len(views) == 112 and set(views) == want
     blocks = model.params.values
-    assert blocks["stack/8:6/enc/L0/W"].shape == (3, 16, 16)
-    assert blocks["stack/8:6>8:6/msg/L0/W"].shape == (2, 12, 12)
+    assert blocks["stack/8:6/enc/L0"].shape == (3, 17, 17)
+    assert blocks["stack/8:6>8:6/msg/L0"].shape == (2, 13, 13)
     assert np.shares_memory(views["type/global:8:6/enc/L0/W"],
-                            blocks["stack/8:6/enc/L0/W"])
+                            blocks["stack/8:6/enc/L0"])
 
 
 def test_share_by_type_gradients_match_finite_differences():
@@ -307,10 +302,10 @@ def test_share_by_type_gradients_match_finite_differences():
     model = GnnModel(topo, schemas, GnnConfig(message_passing_steps=2,
                                               share_by_type=True))
     model.init_parameters(8)
-    assert model.params.values["stack/2:2/enc/L0/W"].shape == (2, 4, 4)
-    assert model.params.values["stack/2:2>2:2/msg/L0/W"].shape == (2, 4, 4)
+    assert model.params.values["stack/2:2/enc/L0"].shape == (2, 5, 5)
+    assert model.params.values["stack/2:2>2:2/msg/L0"].shape == (2, 5, 5)
     rng = np.random.default_rng(9)
-    for v in model.params.values.values():
+    for v in model.parameter_views().values():
         v += rng.normal(scale=0.2, size=v.shape)  # biases off zero too
     f, m = ones_inputs(model, b=3, seed=10)
     m = {k: (rng.uniform(size=v.shape) > 0.3).astype(float)
@@ -437,27 +432,32 @@ def test_stacked_storage_keeps_ids_shapes_and_initial_draws():
     # the same draws as one standalone MLP per id prefix, in id order
     reference = dc.ParameterSet()
     rng = np.random.default_rng(5)
+    want = {}
     for _, prefixes, spec in model._mlp_blocks:
         for prefix in prefixes:
             dc.mlp_init(reference, prefix, spec, rng)
+            for i, a in enumerate(dc.mlp_layer_ids(prefix, spec)):
+                want[f"{a}/W"], want[f"{a}/b"] = dc.mlp_views(
+                    reference.values[a], spec[i + 1])
     views = model.parameter_views()
-    assert list(views) == list(reference.values)
-    for pid, want in reference.values.items():
-        assert views[pid].shape == want.shape
-        assert np.array_equal(views[pid], want)
+    assert list(views) == list(want)
+    for pid, value in want.items():
+        assert views[pid].shape == value.shape
+        assert np.array_equal(views[pid], value)
     assert views["node/p2/enc/L0/W"].shape == (4, 4)
     assert views["edge/f>p1/msg/L1/b"].shape == (2,)
     # the same-shaped substation, feeder and prosumers, and the six edges
     # among them, share blocks; the lone global node's MLPs and its lone
     # edges keep the unstacked shapes
     blocks = model.params.values
-    assert blocks["stack/2:2/enc/L0/W"].shape == (4, 4, 4)
-    assert blocks["stack/2:2>2:2/msg/L1/b"].shape == (6, 1, 2)
-    assert blocks["stack/1:1/enc/L1/b"].shape == (1,)
-    assert blocks["stack/1:1>2:2/msg/L0/W"].shape == (3, 3)
+    assert blocks["stack/2:2/enc/L0"].shape == (4, 5, 5)
+    assert blocks["stack/2:2>2:2/msg/L1"].shape == (6, 5, 2)
+    assert blocks["stack/1:1/enc/L1"].shape == (3, 1)
+    assert blocks["stack/1:1>2:2/msg/L0"].shape == (4, 4)
     assert np.shares_memory(views["node/p2/enc/L0/W"],
-                            blocks["stack/2:2/enc/L0/W"])
-    assert views["node/g/enc/L1/b"] is blocks["stack/1:1/enc/L1/b"]
+                            blocks["stack/2:2/enc/L0"])
+    assert np.shares_memory(views["node/g/enc/L1/b"],
+                            blocks["stack/1:1/enc/L1"])
     assert len(blocks) < len(views)
 
 
@@ -528,6 +528,69 @@ def test_share_by_type_trains_and_reloads(tmp_path):
     path2 = os.path.join(tmp_path, "shared2.json")
     back.save_checkpoint(path2)
     assert open(path).read() == open(path2).read()
+
+
+def test_constant_units_stay_fixed_and_are_no_parameters(tmp_path):
+    # every hidden layer's last column is its constant unit, (0...0, 40):
+    # its gradient is exactly 0, so Adam leaves it, and no checkpoint id
+    # or parameter count includes it
+    topo = chain_topology()
+    model = GnnModel(topo, tiny_schemas(topo), GnnConfig(message_passing_steps=2))
+    model.init_parameters(4)
+    blocks = model.params.values
+    hidden = {a for block, _, spec in model._mlp_blocks
+              for a in dc.mlp_layer_ids(block, spec)[:-1]}
+    assert model.params.constant_units == hidden
+    f, m = ones_inputs(model, b=8, seed=12)
+    start = {a: v.copy() for a, v in blocks.items()}
+    adam = dc.AdamState()
+    for _ in range(5):
+        tape = dc.Tape()
+        dc.backward(tape, _nll(model, f, m, f, tape))
+        for a in hidden:
+            assert not model.params.grads[a][..., -1].any(), a
+        dc.adam_step(model.params, adam, lr=0.05)
+    assert all(not np.array_equal(v, start[a]) for a, v in blocks.items())
+    for a in hidden:
+        assert not blocks[a][..., :-1, -1].any(), a
+        assert (blocks[a][..., -1, -1] == dc.CONSTANT_BIAS).all(), a
+    # the checkpoint views cover every block entry but the constant units
+    saved = {a: v.copy() for a, v in blocks.items()}
+    for v in blocks.values():
+        v[...] = 0.0
+    views = model.parameter_views()
+    for v in views.values():
+        v[...] = 1.0
+    for a, v in blocks.items():
+        covered = np.ones(v.shape, dtype=bool)
+        if a in hidden:
+            covered[..., -1] = False
+        assert np.array_equal(v == 1.0, covered), a
+        v[...] = saved[a]
+    assert model.count_parameters() == sum(v.size for v in views.values())
+    path = os.path.join(tmp_path, "ckpt.json")
+    model.save_checkpoint(path)
+    back = GnnModel.load_checkpoint(path, topo)
+    for a, v in blocks.items():
+        assert np.array_equal(back.params.values[a], v), a
+
+
+def test_untaped_forward_matches_the_taped_forward_bit_for_bit():
+    # the untaped pass runs on plain arrays; the taped one records Tensors
+    topo = gridsim.pilot_topology()
+    for share in (False, True):
+        model = GnnModel(topo, derive_schemas(topo), GnnConfig(share_by_type=share))
+        model.init_parameters(3)
+        for b in (1, 24, 120):
+            f, m = ones_inputs(model, b=b, seed=b)
+            m = {k: (v * (np.arange(v.size).reshape(v.shape) % 3 > 0))
+                 for k, v in m.items()}
+            untaped = model.forward(f, m)
+            taped = model.forward(f, m, tape=dc.Tape())
+            for want, got in zip(taped, untaped):
+                for k in want:
+                    assert got[k].tape is None
+                    assert got[k].data.tobytes() == want[k].data.tobytes()
 
 
 def test_unknown_model_config_key_rejected():
