@@ -123,12 +123,10 @@ class CentralModel(ModelBase):
         return out
 
     def forward(self, features: dict[str, np.ndarray],
-                mask: dict[str, np.ndarray], tape: Optional[Tape] = None,
-                window: Optional[tuple[int, int]] = None):
+                mask: dict[str, np.ndarray], tape: Optional[Tape] = None):
         """Packed groups in, packed standardized (mu, logvar) out; same
-        contract as the graph model's forward. ``window`` changes nothing
-        here: in blocks that start on ``imputation.BLOCK_ALIGN`` rows,
-        BLAS computes each row of these products as in the whole batch."""
+        contract as the graph model's forward, rows rounded by BLAS the
+        same way."""
         f_flat, b = self._flatten(features, tape)
         m_flat, _ = self._flatten(mask, tape)
         h = dc.concat([f_flat, m_flat], axis=1)

@@ -83,11 +83,12 @@ Design choices:
   (``run_blocks``): the calling thread and a module-level pool take the
   blocks from one shared list until none is left, and numpy releases
   the GIL inside matmuls and ufunc loops, so blocks run at once. The
-  caller's block rule reads only the work's size, never the worker
-  count, so what the blocks compute does not depend on how many cores
-  run them. A training step records each block on its own ``fork`` of
-  the step's tape, which sends parameter gradients to that block's
-  buffers, so blocks that run at once never write to one array.
+  callers cut rows with ``row_blocks``, which reads only the work's
+  size, never the worker count, so what the blocks compute does not
+  depend on how many cores run them. A training step records each
+  block on its own ``fork`` of the step's tape, which sends parameter
+  gradients to that block's buffers, so blocks that run at once never
+  write to one array.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ __all__ = [
     "scale", "matmul", "dense", "clip", "concat", "slice_", "reshape",
     "transpose", "gather_dense", "gaussian_nll",
     "CONSTANT_BIAS", "mlp_layer_ids", "mlp_init", "mlp_views", "mlp_forward",
-    "adam_step", "backward", "gradient_check", "run_blocks",
+    "adam_step", "backward", "gradient_check", "row_blocks", "run_blocks",
 ]
 
 
@@ -865,6 +866,14 @@ _WORKERS = _free_workers()
 # the calling thread is a worker too, so the pool needs one thread fewer
 _POOL = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1),
                            thread_name_prefix="blocks")
+
+
+def row_blocks(rows: int, limit: int) -> list[tuple[int, int]]:
+    """(lo, hi) of ``rows`` rows cut into ceil(rows / limit) blocks of
+    near-equal size, at least one; the cuts read only the two counts."""
+    n = max(1, -(-rows // limit))
+    cuts = [i * rows // n for i in range(n + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
 def run_blocks(blocks: list, work: Callable[[object], None]) -> None:

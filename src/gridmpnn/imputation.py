@@ -10,21 +10,17 @@ state estimation and bid estimation are all specializations of this
 loop.
 
 Batches iterate per sample: each sample exits at its own first hit, so
-the forwards shrink as samples converge and a batched result does not
-depend on the other samples in the batch.
+the forwards shrink as samples converge.
 
-Each iteration forwards its pending rows in blocks on the cores that
-BLAS leaves free (``diffcore.run_blocks``), two blocks per worker, so a
-worker whose core is shared with other work takes fewer of them instead
-of holding the others up. ``blocked_forward`` does the same for any
-untaped pass over a batch (``training.evaluate_nll`` uses it too).
-
-A split pass returns the serial pass's bytes. BLAS rounds a row of a
-product by where the row falls in the kernels' column unrolls, so block
-starts fall on multiples of ``BLOCK_ALIGN`` rows. The block that ends
-the batch also ends its ragged tail, which BLAS rounds by the width of
-the product; the model computes its one product that depends on that
-width at the whole batch's width (``GnnModel.forward``'s ``window``).
+A batch is cut once into blocks of at most ``BLOCK_ROWS`` samples, by
+its row count alone (``diffcore.row_blocks``), and each block runs its
+whole loop on its own, on the cores that BLAS leaves free
+(``diffcore.run_blocks``): forward, update the holes, drop the
+converged samples, forward again. No iteration waits for another
+block's, and a sample's result is the one its block gives when imputed
+alone, whatever the other blocks hold and however many cores run them.
+``blocked_forward`` cuts any untaped pass over a batch by the same rule,
+one forward per block (``training.evaluate_nll`` uses it).
 """
 
 from __future__ import annotations
@@ -36,14 +32,9 @@ import numpy as np
 from . import diffcore as dc
 from .gridgraph import NodeSchema
 
-# Block starts fall on multiples of BLOCK_ALIGN rows: OpenBLAS's AVX-512
-# double kernels round a row of a large product by its position modulo
-# 12, and 8 is the usual column unroll elsewhere. A pass splits into up
-# to BLOCKS_PER_WORKER blocks per worker, as many as get MIN_BLOCK_ROWS
-# rows each.
-BLOCK_ALIGN = 24
-MIN_BLOCK_ROWS = 3 * BLOCK_ALIGN
-BLOCKS_PER_WORKER = 2
+# Samples per block at most: a batch of B samples runs as
+# ceil(B / BLOCK_ROWS) blocks of near-equal size.
+BLOCK_ROWS = 120
 
 
 class ImputationError(ValueError):
@@ -85,33 +76,23 @@ class ImputationResult:
 
 def blocked_forward(model, features: dict[str, np.ndarray],
                     mask: dict[str, np.ndarray]):
-    """Untaped ``model.forward`` over the rows of packed (n, B, q) arrays
-    in one block, or with several workers in up to ``BLOCKS_PER_WORKER``
-    blocks per worker, as many as get ``MIN_BLOCK_ROWS`` rows each. Each
+    """Untaped ``model.forward`` over the rows of packed (n, B, q)
+    arrays, one forward per block of at most ``BLOCK_ROWS`` rows. Each
     block writes its mu and log-variance into preallocated (n, B, q)
     arrays, which are returned."""
     rows = next(iter(features.values())).shape[1]
-    units = rows // BLOCK_ALIGN
-    n = 1 if dc._WORKERS == 1 else max(1, min(
-        BLOCKS_PER_WORKER * dc._WORKERS,
-        units // (MIN_BLOCK_ROWS // BLOCK_ALIGN)))
-    cuts = [i * units // n * BLOCK_ALIGN for i in range(n)] + [rows]
     mu = {k: np.empty(v.shape) for k, v in features.items()}
     logvar = {k: np.empty(v.shape) for k, v in features.items()}
 
     def run(block: tuple[int, int]) -> None:
-        lo, hi = block
-        out = model.forward(
-            {k: v[:, lo:hi] for k, v in features.items()},
-            {k: v[:, lo:hi] for k, v in mask.items()}, tape=None,
-            window=(lo, rows) if 0 < lo and hi == rows else None)
+        cols = slice(*block)
+        out = model.forward({k: v[:, cols] for k, v in features.items()},
+                            {k: v[:, cols] for k, v in mask.items()})
         for dst, src in zip((mu, logvar), out):
             for k, t in src.items():
-                dst[k][:, lo:hi] = t.data
+                dst[k][:, cols] = t.data
 
-    # popped from the end: the tail block, which may need the whole
-    # batch's width, goes first
-    dc.run_blocks(list(zip(cuts, cuts[1:])), run)
+    dc.run_blocks(dc.row_blocks(rows, BLOCK_ROWS), run)
     return mu, logvar
 
 
@@ -121,12 +102,11 @@ def impute_packed(model, features: dict[str, np.ndarray],
     """Batched imputation over packed standardized arrays (n, B, q), the
     observed-mask bool or float 0/1.
 
-    Each forward runs only on the samples still pending. A sample leaves
-    the batch at its first iteration whose update falls below the
+    Each block of at most ``BLOCK_ROWS`` samples iterates on its own,
+    and each forward runs only on the block's samples still pending. A
+    sample leaves at its first iteration whose update falls below the
     tolerance and keeps that iteration's values, mu and sigma; a sample
     that never gets there keeps those of iteration ``max_iterations``.
-    Every sample is thus imputed as if it were alone, whatever else is
-    in the batch.
 
     Returns (values, mu, sigma, first_hit, final_delta) where ``first_hit``
     is, per sample, the first iteration whose update dropped below the
@@ -136,45 +116,51 @@ def impute_packed(model, features: dict[str, np.ndarray],
     if max_iterations < 1:
         raise ImputationError("max_iterations must be at least 1")
     b = next(iter(features.values())).shape[1]
-    mask = {k: np.asarray(m, dtype=np.float64) for k, m in mask.items()}
-    values = {k: v.copy() for k, v in features.items()}
-    mu_out = {k: np.empty_like(v) for k, v in values.items()}
-    sig_out = {k: np.empty_like(v) for k, v in values.items()}
+    values = {k: np.empty_like(v) for k, v in features.items()}
+    mu_out = {k: np.empty_like(v) for k, v in features.items()}
+    sig_out = {k: np.empty_like(v) for k, v in features.items()}
     first_hit = np.zeros(b, dtype=int)
     final_delta = np.zeros(b)
-    holes = {k: m == 0.0 for k, m in mask.items()}
-    has_holes = np.zeros(b, dtype=bool)
-    for h in holes.values():
-        has_holes |= h.any(axis=(0, 2))
-    rows = np.arange(b)  # the pending samples, in batch order
-    cur, cur_mask = values, mask
-    for it in range(1, max_iterations + 1):
-        mu, logvar = blocked_forward(model, cur, cur_mask)
-        delta = np.zeros(len(rows))
-        for k, h in holes.items():
-            if not h.any():
-                continue
-            mu_k = mu[k]
-            diff = np.where(h, np.abs(mu_k - cur[k]), 0.0)
-            np.maximum(delta, diff.max(axis=(0, 2)), out=delta)
-            cur[k][h] = mu_k[h]
-        hit = delta < tolerance
-        done = hit if it < max_iterations else np.ones(len(rows), bool)
-        out = rows[done]
-        for k in values:
-            values[k][:, out] = cur[k][:, done]
-            mu_out[k][:, out] = mu[k][:, done]
-            sig_out[k][:, out] = np.sqrt(np.exp(logvar[k][:, done]))
-        first_hit[out] = np.where(hit[done], it, 0)
-        final_delta[out] = delta[done]
-        if done.all():
-            break
-        keep = ~done
-        rows = rows[keep]
-        cur = {k: v[:, keep] for k, v in cur.items()}
-        cur_mask = {k: v[:, keep] for k, v in cur_mask.items()}
-        holes = {k: v[:, keep] for k, v in holes.items()}
-    first_hit[~has_holes] = 0
+
+    def run(block: tuple[int, int]) -> None:
+        cols = slice(*block)
+        cur = {k: v[:, cols].copy() for k, v in features.items()}
+        cur_mask = {k: np.array(m[:, cols], dtype=np.float64)
+                    for k, m in mask.items()}
+        holes = {k: m == 0.0 for k, m in cur_mask.items()}
+        rows = np.arange(*block)  # the block's pending samples
+        has_holes = np.zeros(len(rows), dtype=bool)
+        for h in holes.values():
+            has_holes |= h.any(axis=(0, 2))
+        for it in range(1, max_iterations + 1):
+            mu, logvar = model.forward(cur, cur_mask)
+            delta = np.zeros(len(rows))
+            for k, h in holes.items():
+                if not h.any():
+                    continue
+                mu_k = mu[k].data
+                diff = np.where(h, np.abs(mu_k - cur[k]), 0.0)
+                np.maximum(delta, diff.max(axis=(0, 2)), out=delta)
+                cur[k][h] = mu_k[h]
+            hit = delta < tolerance
+            done = hit if it < max_iterations else np.ones(len(rows), bool)
+            out = rows[done]
+            for k in values:
+                values[k][:, out] = cur[k][:, done]
+                mu_out[k][:, out] = mu[k].data[:, done]
+                sig_out[k][:, out] = np.sqrt(np.exp(logvar[k].data[:, done]))
+            first_hit[out] = np.where(hit[done], it, 0)
+            final_delta[out] = delta[done]
+            if done.all():
+                break
+            keep = ~done
+            rows = rows[keep]
+            cur = {k: v[:, keep] for k, v in cur.items()}
+            cur_mask = {k: v[:, keep] for k, v in cur_mask.items()}
+            holes = {k: v[:, keep] for k, v in holes.items()}
+        first_hit[cols][~has_holes] = 0
+
+    dc.run_blocks(dc.row_blocks(b, BLOCK_ROWS), run)
     return values, mu_out, sig_out, first_hit, final_delta
 
 

@@ -365,11 +365,8 @@ class GnnModel(ModelBase):
         return states
 
     def message_pass(self, states: dict[str, Tensor],
-                     tape: Optional[Tape] = None,
-                     window: Optional[tuple[int, int]] = None,
-                     ) -> dict[str, Tensor]:
-        """T synchronous steps: edge messages, then aggregator updates.
-        ``window`` is ``forward``'s."""
+                     tape: Optional[Tape] = None) -> dict[str, Tensor]:
+        """T synchronous steps: edge messages, then aggregator updates."""
         for _ in range(self.config.message_passing_steps):
             msgs: dict[str, list[Tensor]] = {g.key: [] for g in self.groups}
             for eg in self.edge_groups:
@@ -382,7 +379,7 @@ class GnnModel(ModelBase):
             for g in self.groups:
                 own = states[g.key]
                 mean = self._mean_message(g, msgs[g.key], own.data.shape[1],
-                                          tape, window)
+                                          tape)
                 new_states[g.key] = dc.mlp_forward(
                     self.params, self._agg_spec(g), f"stack/{g.key}/agg",
                     (own, mean), tape=tape, members=self._node_members[g.key])
@@ -390,24 +387,15 @@ class GnnModel(ModelBase):
         return states
 
     def _mean_message(self, g: NodeGroup, msgs: list[Tensor], rows: int,
-                      tape: Optional[Tape],
-                      window: Optional[tuple[int, int]]) -> Tensor:
+                      tape: Optional[Tape]) -> Tensor:
         """Mean incoming message per node of group ``g``, (n, B, md):
         ``routing @`` the group's incoming messages, stacked and flattened
-        to (edges, B * md). Untaped, on plain arrays. Batch columns lie on
-        the dimension along which BLAS picks kernels by problem size, and
-        the kernels round the last columns of a product differently. So a
-        window of rows is multiplied at its whole batch's width, its
-        columns in place and zeros elsewhere, which gives every column the
-        bytes of the whole batch's product."""
+        to (edges, B * md). Untaped, on plain arrays."""
         n, md = len(g.node_ids), self.message_dim_for(g)
         if not msgs:
             return _leaf(tape, np.zeros((n, rows, md)))
         routing = self.routing[g.key]
-        partial = window is not None and window[1] != rows
         if tape is not None:
-            if partial:
-                raise dc.ContractError("a row window is for untaped passes only")
             stacked = msgs[0] if len(msgs) == 1 else dc.concat(msgs, axis=0)
             flat = dc.reshape(stacked, (stacked.data.shape[0], rows * md))
             return dc.reshape(dc.matmul(_leaf(tape, routing), flat),
@@ -415,13 +403,7 @@ class GnnModel(ModelBase):
         flat = np.concatenate([m.data for m in msgs]) if len(msgs) > 1 \
             else msgs[0].data
         flat = flat.reshape(flat.shape[0], rows * md)
-        if not partial:
-            return Tensor((routing @ flat).reshape(n, rows, md))
-        start, batch = window
-        wide = np.zeros((flat.shape[0], batch * md))
-        cols = slice(start * md, (start + rows) * md)
-        wide[:, cols] = flat
-        return Tensor((routing @ wide)[:, cols].reshape(n, rows, md))
+        return Tensor((routing @ flat).reshape(n, rows, md))
 
     def decode(self, states: dict[str, Tensor],
                tape: Optional[Tape] = None) -> tuple[dict[str, Tensor], dict[str, Tensor]]:
@@ -445,18 +427,15 @@ class GnnModel(ModelBase):
     def forward(self, features: dict[str, np.ndarray],
                 mask: dict[str, np.ndarray],
                 tape: Optional[Tape] = None,
-                window: Optional[tuple[int, int]] = None,
                 ) -> tuple[dict[str, Tensor], dict[str, Tensor]]:
-        """Single feed-forward pass encode -> message_pass -> decode.
-
-        Returns standardized (mu, logvar) per group; no internal iteration.
-        An untaped pass may run a window of a batch's rows: ``window =
-        (start, batch)`` says the rows given are rows ``start``, ``start +
-        1``, ... of a batch of ``batch`` rows, and each comes out with the
-        bytes the whole batch's forward gives it.
+        """Single feed-forward pass encode -> message_pass -> decode over
+        the rows given. Returns standardized (mu, logvar) per group; no
+        internal iteration. BLAS rounds a row by the width of the
+        products, so a row's last bits depend on how many rows run with
+        it; ``imputation.BLOCK_ROWS`` fixes that count for a batch.
         """
         states = self.encode(features, mask, tape)
-        states = self.message_pass(states, tape, window=window)
+        states = self.message_pass(states, tape)
         return self.decode(states, tape)
 
     # -- checkpoints ----------------------------------------------------------

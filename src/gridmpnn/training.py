@@ -23,17 +23,18 @@ The loop only needs a model exposing ``params`` and
 arrays, so the centralized baselines train through the same code path.
 
 Each mini-batch trains as row blocks of at most ``BLOCK_ROWS`` samples,
-cut by the batch's row count alone, on the cores that BLAS leaves free
-(``diffcore.run_blocks``). A block records its forward on its own fork
-of the step's tape, scales its NLL sum by the whole batch's observed
-count and backpropagates into a gradient buffer of its own. Blocks are
-handed out in block order, and a finished block's buffer is added into
-the parameters' gradients as soon as every earlier block's is, then
-reused, so at most one buffer more than the blocks that run at once
-exists; one Adam step follows the last. So the trained bytes depend on
-the block rule, never on the core count.
-Validation forwards go through ``imputation.blocked_forward`` and give
-the bytes of one whole-batch forward.
+cut by the batch's row count alone (``diffcore.row_blocks``), on the
+cores that BLAS leaves free (``diffcore.run_blocks``). A block records
+its forward on its own fork of the step's tape, scales its NLL sum by
+the whole batch's observed count and backpropagates into a gradient
+buffer of its own. Blocks are handed out in block order, and a finished
+block's buffer is added into the parameters' gradients as soon as every
+earlier block's is, then reused, so at most one buffer more than the
+blocks that run at once exists; one Adam step follows the last. So the
+trained bytes depend on the block rule, never on the core count.
+Validation forwards go through ``imputation.blocked_forward``, one
+forward per block of at most ``imputation.BLOCK_ROWS`` samples, so the
+validation NLL too depends on a block rule, not on the core count.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ from .gridgraph import ENERGY, NodeSchema, VOLTAGE, sensor_id
 from .imputation import blocked_forward
 from .mpnn import NodeGroup, compute_groups
 
-# Rows per training block at most: a batch of B rows trains as
-# ceil(B / BLOCK_ROWS) blocks of near-equal size.
+# Rows per training block at most (``diffcore.row_blocks``): a batch of
+# B rows trains as ceil(B / BLOCK_ROWS) blocks of near-equal size.
 BLOCK_ROWS = 256
 # Samples per validation forward.
 EVAL_CHUNK = 2048
@@ -502,9 +503,8 @@ def train(model, train_samples: SampleSet, val_samples: SampleSet,
         for lo in range(0, n, bsize):
             idx = perm[lo:lo + bsize]
             cnt = float(observed[idx].sum())
-            blocks = -(-len(idx) // BLOCK_ROWS)
-            cuts = [i * len(idx) // blocks for i in range(blocks + 1)]
-            sums = [0.0] * blocks
+            blocks = dc.row_blocks(len(idx), BLOCK_ROWS)
+            sums = [0.0] * len(blocks)
             tape = Tape()
             slots.added = 0  # this step's blocks count from 0
 
@@ -512,14 +512,14 @@ def train(model, train_samples: SampleSet, val_samples: SampleSet,
                 slot = slots.take(i)
                 try:
                     sums[i] = _train_block(model, train_samples,
-                                           idx[cuts[i]:cuts[i + 1]], tape,
+                                           idx[slice(*blocks[i])], tape,
                                            slot, 1.0 / max(cnt, 1.0))
                 finally:
                     slots.finish(i, slot)
 
             try:
                 # run_blocks pops from the end: hand blocks out in order
-                dc.run_blocks(list(range(blocks - 1, -1, -1)), run)
+                dc.run_blocks(list(range(len(blocks) - 1, -1, -1)), run)
                 loss_sum = sum(sums)
                 if not np.isfinite(loss_sum):
                     raise TrainingError(f"non-finite loss at epoch {epoch}, "

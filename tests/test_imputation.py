@@ -128,9 +128,9 @@ def test_forwards_run_only_on_pending_rows(quick_chain_model, monkeypatch):
     forward = model.forward
     rows_seen = []
 
-    def counting(features, mask, tape=None, window=None):
+    def counting(features, mask, tape=None):
         rows_seen.append(next(iter(features.values())).shape[1])
-        return forward(features, mask, tape=tape, window=window)
+        return forward(features, mask, tape=tape)
 
     monkeypatch.setattr(model, "forward", counting)
     per_row = []
@@ -139,11 +139,16 @@ def test_forwards_run_only_on_pending_rows(quick_chain_model, monkeypatch):
         impute_packed(model, *_packed_rows(model, [row]),
                       max_iterations=MIXED_MAX_ITERATIONS)
         per_row.append(len(rows_seen))
-    rows_seen.clear()
-    impute_packed(model, *_packed_rows(model, MIXED_ROWS),
-                  max_iterations=MIXED_MAX_ITERATIONS)
-    assert sum(rows_seen) == sum(per_row)
-    assert sum(rows_seen) < len(MIXED_ROWS) * len(rows_seen)
+    # one block of five rows, then blocks of one, two and two, each
+    # forwarding only its own rows still pending
+    for block_rows, blocks in ((imputation.BLOCK_ROWS, 1), (2, 3)):
+        monkeypatch.setattr(imputation, "BLOCK_ROWS", block_rows)
+        rows_seen.clear()
+        impute_packed(model, *_packed_rows(model, MIXED_ROWS),
+                      max_iterations=MIXED_MAX_ITERATIONS)
+        assert sum(rows_seen) == sum(per_row)
+        assert max(rows_seen) == -(-len(MIXED_ROWS) // blocks)
+        assert sum(rows_seen) < max(rows_seen) * len(rows_seen)
 
 
 def test_max_iterations_must_be_positive(quick_chain_model):
@@ -220,34 +225,42 @@ def _same_bytes(a, b) -> bool:
                for x, y in zip(arrays(a), arrays(b), strict=True))
 
 
-def _blocked_run(kind: str) -> tuple[bool, int]:
-    """Impute 181 samples of the pilot world (the ``pilot_world``
-    fixture's) serially and in blocks of 72 and 109 rows, the second
-    ragged; returns (same bytes, blocks sent to the pool)."""
+def _pilot_holes(kind: str, rows: int):
+    """(model, features, mask) for ``rows`` samples of a 6-day pilot
+    world (the ``pilot_world`` fixture's spec and seed) with their lag-0
+    voltages hidden, under an untrained ``kind`` model."""
     spec = gridsim.pilot_spec(seed=7)
-    dataset = gridsim.simulate(spec, "2019-06-01T00:00:00Z", days=4, seed=11)
+    dataset = gridsim.simulate(spec, "2019-06-01T00:00:00Z", days=6, seed=11)
     schemas = derive_schemas(spec.topology)
     samples = build_samples(dataset, spec.topology, schemas, TrainingConfig())
     if kind == "gnn":
         model = GnnModel(spec.topology, schemas)
-    else:  # the AE's default widths, 1808 -> 1210 -> 810, need BLOCK_ALIGN
+    else:
         model = build_baseline(kind, spec.topology, schemas,
                                hidden=16 if kind == "mlp" else None)
     model.set_standardization(samples.stats.mean, samples.stats.std)
-    samples = samples.select(np.arange(181))
+    samples = samples.select(np.arange(rows))
     feats, masks = mask_channels(samples.features, samples.input_mask,
                                  voltage_lag0_selector(schemas, samples.groups))
-    pool = diffcore._POOL = CountingPool(diffcore._POOL)
+    return model, feats, masks
+
+
+def _blocked_run(kind: str) -> tuple[bool, int]:
+    """Impute 301 pilot samples, three blocks, on 1, 2, 4 and 8 workers;
+    returns (the same bytes on each, blocks sent to the pool)."""
+    model, feats, masks = _pilot_holes(kind, 301)
+    pool = diffcore._POOL = CountingPool(ThreadPoolExecutor(max_workers=7))
     results = []
-    for workers in (1, 2):
+    for workers in (1, 2, 4, 8):
         diffcore._WORKERS = workers
         results.append(impute_packed(model, feats, masks, max_iterations=3))
-    return _same_bytes(*results), pool.jobs
+    pool.pool.shutdown()
+    return all(_same_bytes(results[0], r) for r in results[1:]), pool.jobs
 
 
 @pytest.mark.parametrize("kind", ["gnn", "mlp", "ae"])
 def test_blocked_pass_returns_the_serial_bytes(kind):
-    # Blocks run only under a single-threaded BLAS, so check there.
+    # Blocks run at once only under a single-threaded BLAS, so check there.
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
@@ -255,17 +268,47 @@ def test_blocked_pass_returns_the_serial_bytes(kind):
     proc = subprocess.run([sys.executable, "-c", code], cwd=HERE, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "3"]  # a second block per iteration
+    # one pass hands out its blocks once: 0 + 1 + 2 + 2 helpers
+    assert proc.stdout.split() == ["True", "5"]
 
 
-def test_only_two_full_blocks_of_pending_rows_reach_the_pool(
+def test_a_batch_gives_each_block_the_bytes_it_gets_alone():
+    model, feats, masks = _pilot_holes("gnn", 251)
+    batch = impute_packed(model, feats, masks, max_iterations=3)
+    for lo, hi in ((0, 83), (83, 167), (167, 251)):  # 251 rows, 3 blocks
+        alone = impute_packed(model,
+                              {k: v[:, lo:hi] for k, v in feats.items()},
+                              {k: v[:, lo:hi] for k, v in masks.items()},
+                              max_iterations=3)
+        part = [{k: np.ascontiguousarray(v[:, lo:hi]) for k, v in p.items()}
+                for p in batch[:3]] + [p[lo:hi] for p in batch[3:]]
+        assert _same_bytes(part, alone)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_the_cuts_read_only_the_row_count(quick_chain_model, monkeypatch,
+                                          workers):
+    model = quick_chain_model
+    forward = model.forward
+    calls = []
+
+    def recording(features, mask, tape=None):
+        calls.append(next(iter(features.values())).shape[1])
+        return forward(features, mask, tape=tape)
+
+    monkeypatch.setattr(model, "forward", recording)
+    monkeypatch.setattr(diffcore, "_WORKERS", workers)
+    assert imputation.BLOCK_ROWS == 120
+    impute_packed(model, *_chain_holes(model, 485), max_iterations=1)
+    assert calls == [97] * 5
+
+
+def test_a_batch_of_one_block_never_reaches_the_pool(
         quick_chain_model, monkeypatch, counting_pool):
-    # 2 * 72 rows: each block has at least 64, and starts on 24 rows
-    assert imputation.MIN_BLOCK_ROWS == 72 and imputation.BLOCK_ALIGN == 24
     monkeypatch.setattr(diffcore, "_WORKERS", 4)
-    impute_packed(quick_chain_model, *_chain_holes(quick_chain_model, 143))
+    impute_packed(quick_chain_model, *_chain_holes(quick_chain_model, 120))
     assert counting_pool.jobs == 0
-    impute_packed(quick_chain_model, *_chain_holes(quick_chain_model, 144),
+    impute_packed(quick_chain_model, *_chain_holes(quick_chain_model, 121),
                   max_iterations=1)
     assert counting_pool.jobs == 1
 
@@ -306,7 +349,7 @@ def test_pool_unused_without_a_declared_blas_thread_count(
 def test_eight_blocks_on_eight_threads_fill_every_row(quick_chain_model,
                                                       monkeypatch):
     model = quick_chain_model
-    feats, mask = _chain_holes(model, 8 * imputation.MIN_BLOCK_ROWS + 5)
+    feats, mask = _chain_holes(model, 8 * imputation.BLOCK_ROWS - 5)
     serial = impute_packed(model, feats, mask, max_iterations=4)
     pool = ThreadPoolExecutor(max_workers=7)
     monkeypatch.setattr(diffcore, "_POOL", CountingPool(pool))
@@ -326,24 +369,6 @@ def test_eight_blocks_on_eight_threads_fill_every_row(quick_chain_model,
         pool.shutdown()
     assert len(results) == 5 and diffcore._POOL.jobs >= 5 * 7
     assert all(_same_bytes(serial, blocked) for blocked in results)
-
-
-def test_two_blocks_per_worker_and_a_window_for_the_last(quick_chain_model,
-                                                        monkeypatch):
-    model = quick_chain_model
-    forward = model.forward
-    calls = []
-
-    def recording(features, mask, tape=None, window=None):
-        calls.append((next(iter(features.values())).shape[1], window))
-        return forward(features, mask, tape=tape, window=window)
-
-    monkeypatch.setattr(model, "forward", recording)
-    monkeypatch.setattr(diffcore, "_WORKERS", 2)
-    impute_packed(model, *_chain_holes(model, 485), max_iterations=1)
-    # cuts at 0, 120, 240, 360: only the block with the ragged tail needs
-    # the whole batch's width
-    assert sorted(calls) == [(120, None)] * 3 + [(125, (360, 485))]
 
 
 def test_a_busy_pool_does_not_hold_up_the_pass(quick_chain_model,

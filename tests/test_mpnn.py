@@ -645,19 +645,3 @@ def test_forward_runtime_scales_roughly_linearly_in_edges():
     per_edge_big = times[200] / 201
     assert per_edge_big < 4.0 * per_edge_small
 
-
-def test_row_windows_reproduce_the_whole_batch_bit_for_bit():
-    topo = gridsim.pilot_topology()
-    model = GnnModel(topo, derive_schemas(topo))
-    f, m = ones_inputs(model, b=181, seed=4)
-    whole = model.forward(f, m)
-    for lo, hi in ((0, 88), (88, 181)):
-        part = model.forward({k: v[:, lo:hi] for k, v in f.items()},
-                             {k: v[:, lo:hi] for k, v in m.items()},
-                             window=(lo, 181))
-        for full, got in zip(whole, part):
-            for k in full:
-                want = np.ascontiguousarray(full[k].data[:, lo:hi])
-                assert got[k].data.tobytes() == want.tobytes()
-    with pytest.raises(dc.ContractError, match="untaped"):
-        model.forward(f, m, tape=dc.Tape(), window=(0, 362))

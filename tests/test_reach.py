@@ -52,7 +52,7 @@ SHARED_CALLERS = {
     "mpnn.GnnConfig.from_document": "mpnn.GnnModel._from_checkpoint",
     "mpnn.GnnConfig.to_document": "mpnn.GnnModel.save_checkpoint",
     "mpnn.GnnModel.count_parameters": "cli.cmd_train",
-    "mpnn.GnnModel.forward": "imputation.blocked_forward",
+    "mpnn.GnnModel.forward": "imputation.impute_packed",
     "mpnn.GnnModel.init_parameters": "cli.cmd_train",
     "services.CongestionEvent.to_document": "services.write_jsonl",
     "services.FlexibilityBid.to_document": "services.write_jsonl",
