@@ -178,17 +178,15 @@ def rmse(actual, predicted) -> float:
 # Voltage-prediction evaluation (shared by graph and central models)
 
 
-def evaluate_voltage_prediction(model, samples, schemas: dict[str, NodeSchema],
-                                max_iterations: int = 20,
-                                tolerance: float = 1e-3) -> dict:
+def evaluate_voltage_prediction(model, samples,
+                                schemas: dict[str, NodeSchema]) -> dict:
     """Score ``services.predict_voltages`` against the known voltage
     targets in physical units.
 
     Returns {"mape", "rmse", "n", "iterations": per-sample first-hit,
     "final_delta"}.
     """
-    pred = predict_voltages(model, samples, schemas, max_iterations,
-                            tolerance)
+    pred = predict_voltages(model, samples, schemas)
     actual = np.concatenate([pred.actual[k][use]
                              for k, use in pred.known.items()])
     predicted = np.concatenate([pred.mu[k][use]
@@ -254,7 +252,7 @@ def missing_rate_sweep(model, dataset_test, topology,
     stats = ChannelStats(model.std_mean, model.std_std)
     rows = []
     for rate in rates:
-        ds = inject_missing(dataset_test, rate, pattern="random", seed=seed)
+        ds = inject_missing(dataset_test, rate, seed=seed)
         cfg = TrainingConfig(missing_threshold=max(0.5, 2 * rate))
         samples = build_samples(ds, topology, schemas, cfg, stats=stats)
         res = evaluate_voltage_prediction(model, samples, schemas)

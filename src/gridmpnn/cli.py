@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict, replace
 from typing import Optional
 
 import numpy as np
@@ -25,10 +26,9 @@ from .gridgraph import (SchemaConfig, TopologyError, derive_schemas,
 from .imputation import ImputationProblem, impute
 from .mpnn import GnnConfig, GnnModel
 from .training import (ChannelStats, DatasetError, TrainingConfig,
-                       TrainingError, aggregate_energy_lag0_selector,
-                       build_samples, chronological_split, concat_sample_sets,
-                       masked_clones, train, voltage_lag0_selector,
-                       write_history_csv)
+                       TrainingError, build_samples, chronological_split,
+                       concat_sample_sets, masked_clones, train,
+                       voltage_lag0_selector, write_history_csv)
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -56,6 +56,45 @@ DEFAULT_BENCHMARK = {"models": ["gnn", "mlp"], "layers": 2,
                      "mlp_hidden": baselines.BENCH_MLP_HIDDEN,
                      "ae_hidden": 64,
                      "missing_rates": [0.0, 0.001, 0.01, 0.05, 0.10]}
+# Each object of the run config, the top level first, with the default
+# of every key the CLI reads from it (None: any value). The top-level
+# seed seeds training, so the training section takes none of its own.
+CONFIG_KEYS = {
+    "config": {"schema_version": CONFIG_SCHEMA_VERSION, "seed": 0,
+               "paths": {}, "data": {}, "schema": {}, "model": {},
+               "training": {}, "services": {}, "benchmark": {}},
+    "paths": dict.fromkeys(("topology", "dataset", "weather", "checkpoint",
+                            "out_dir"), ""),
+    "data": {"test_start": ""},
+    "schema": SchemaConfig().to_document(),
+    # message_dim is a size or the name of a rule
+    "model": {**GnnConfig().to_document(), "message_dim": None},
+    "training": {k: v for k, v in asdict(TrainingConfig()).items()
+                 if k != "seed"},
+    "services": DEFAULT_SERVICES,
+    "benchmark": DEFAULT_BENCHMARK,
+}
+
+
+def _check_section(name: str, doc, defaults: dict) -> None:
+    """Reject a section that is not an object, names a key it does not
+    read or gives a value of another JSON type than the key's default:
+    an integer passes for a float, and any value for a None default."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {name} must be a JSON object")
+    unknown = sorted(set(doc) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {', '.join(unknown)}")
+    for key, value in doc.items():
+        want = type(defaults[key])
+        ok = (defaults[key] is None
+              or (isinstance(value, want)
+                  and (want is bool or not isinstance(value, bool)))
+              or (want is float and type(value) is int))
+        if not ok:
+            where = key if name == "config" else f"{name}.{key}"
+            raise ConfigError(f"config {where} must be {want.__name__}, "
+                              f"not {value!r}")
 
 
 def load_config(path: str) -> dict:
@@ -71,6 +110,14 @@ def load_config(path: str) -> dict:
     if cfg.get("schema_version") != CONFIG_SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported config schema_version {cfg.get('schema_version')!r}")
+    for name, defaults in CONFIG_KEYS.items():
+        _check_section(name, cfg if name == "config" else cfg.get(name, {}),
+                       defaults)
+    if cfg.get("schema"):
+        missing = sorted(set(CONFIG_KEYS["schema"]) - set(cfg["schema"]))
+        if missing:
+            raise ConfigError(
+                f"config schema lacks keys: {', '.join(missing)}")
     for key in ("paths",):
         if key not in cfg:
             raise ConfigError(f"config lacks required section {key!r}")
@@ -97,12 +144,12 @@ def _meta_comment(cfg: dict) -> str:
     return f"config_sha256={m['config_sha256']} seed={m['seed']}"
 
 
-def _require_path(cfg: dict, key: str, must_exist: bool = True) -> str:
+def _require_path(cfg: dict, key: str) -> str:
     paths = cfg.get("paths", {})
     if key not in paths or not paths[key]:
         raise ConfigError(f"config paths.{key} is required for this command")
     p = paths[key]
-    if must_exist and not os.path.exists(p):
+    if not os.path.exists(p):
         raise MissingArtifact(f"paths.{key} does not exist: {p}")
     return p
 
@@ -153,27 +200,15 @@ def _split_dataset(cfg: dict, dataset, schemas):
     return train_ds, test_ds
 
 
-def _train_model(model, cfg, topo, schemas, train_ds, verbose: bool = False,
-                 learning_rate: Optional[float] = None):
-    doc = {**cfg.get("training", {}), "seed": cfg.get("seed", 0)}
-    if learning_rate is not None:
-        doc["learning_rate"] = learning_rate
-    tcfg = TrainingConfig.from_document(doc)
+def _train_model(model, cfg, topo, schemas, train_ds, verbose: bool = False):
+    tcfg = TrainingConfig(**cfg["training"], seed=cfg["seed"])
     if tcfg.max_epochs == 0:
         raise ConfigError("training.max_epochs is 0: the model would be "
                           "written untrained")
     samples = build_samples(train_ds, topo, schemas, tcfg)
     train_set, val_set = chronological_split(samples)
-    parts = [train_set]
-    if tcfg.augmentation_enabled:
-        parts.append(masked_clones(
-            train_set, voltage_lag0_selector(schemas, train_set.groups)))
-    if tcfg.bid_augmentation_enabled:
-        parts.append(masked_clones(
-            train_set,
-            aggregate_energy_lag0_selector(schemas, train_set.groups)))
-    if len(parts) > 1:
-        train_set = concat_sample_sets(parts)
+    train_set = concat_sample_sets([train_set, masked_clones(
+        train_set, voltage_lag0_selector(schemas, train_set.groups))])
     model.set_standardization(samples.stats.mean, samples.stats.std)
     result = train(model, train_set, val_set, tcfg)
     if verbose:
@@ -255,15 +290,11 @@ def _test_samples(cfg, model, dataset, schemas, missing_rate: float = 0.0):
         raise ConfigError("dataset has no test range after data.test_start")
     if missing_rate > 0.0:
         test_ds = gridsim.inject_missing(test_ds, missing_rate,
-                                         pattern="random",
                                          seed=cfg.get("seed", 0))
     stats = ChannelStats(model.std_mean, model.std_std)
-    tcfg = TrainingConfig.from_document({**cfg.get("training", {}),
-                                         "seed": cfg.get("seed", 0)})
+    tcfg = TrainingConfig(**cfg["training"])
     if missing_rate > 0.0:
-        tcfg = TrainingConfig.from_document(
-            {**tcfg.to_document(),
-             "missing_threshold": max(0.5, 2 * missing_rate)})
+        tcfg = replace(tcfg, missing_threshold=max(0.5, 2 * missing_rate))
     return build_samples(test_ds, model.topology, schemas, tcfg, stats=stats), test_ds
 
 

@@ -2,7 +2,7 @@
 
 Generates 15-minute voltage / load / weather series on a radial
 topology: seasonal demand profiles, irradiance-driven PV generation,
-smooth stochastic weather, measurement noise and controllable
+smooth stochastic weather, measurement noise and uniformly random
 missingness. Voltages follow the linearized radial drop model,
 accumulated along the path from the source:
 
@@ -293,8 +293,8 @@ class TimeSeriesDataset:
                    and np.array_equal(self.missing[s], other.missing[s])
                    for s in self.series)
 
-    def n_points(self, weather: Optional[bool] = None) -> int:
-        return len(self.ids(weather)) * self.n_steps
+    def n_points(self) -> int:
+        return len(self.series) * self.n_steps
 
     # -- CSV: timestamp, sensor_id, value, quality ---------------------------
 
@@ -732,39 +732,23 @@ def replay_feeder_delta(spec: SyntheticGridSpec, dataset: TimeSeriesDataset,
 
 
 def inject_missing(dataset: TimeSeriesDataset, rate: float,
-                   pattern: str = "random", seed: int = 0,
-                   mean_burst: int = 16) -> TimeSeriesDataset:
-    """Flag exactly floor(rate * N) points missing; N counts every point of
-    every series. ``pattern`` is 'random' or 'burst' (contiguous gaps)."""
+                   seed: int = 0) -> TimeSeriesDataset:
+    """Flag floor(rate * N) points missing, drawn uniformly at random
+    without replacement; N counts every point of every series. A point
+    that is missing already stays so."""
     if not 0.0 <= rate < 1.0:
         raise ValueError("missing rate must be in [0, 1)")
-    if pattern not in ("random", "burst"):
-        raise ValueError(f"unknown pattern {pattern!r}")
     out = dataset.copy()
     sids = sorted(out.series)
-    n_per = out.n_steps
-    total = len(sids) * n_per
+    total = len(sids) * out.n_steps
     target = int(rate * total)
     if target == 0:
         return out
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD15C0]))
-    if pattern == "random":
-        hit = np.zeros((len(sids), n_per), dtype=bool)
-        hit.flat[rng.choice(total, size=target, replace=False)] = True
-        for sid, row in zip(sids, hit):
-            out.missing[sid] |= row
-        return out
-    remaining = target
-    flagged = {sid: out.missing[sid] for sid in sids}
-    while remaining > 0:
-        sid = sids[int(rng.integers(len(sids)))]
-        start = int(rng.integers(n_per))
-        length = min(1 + int(rng.exponential(mean_burst - 1)), remaining,
-                     n_per - start)
-        seg = flagged[sid][start:start + length]
-        fresh = int(length - seg.sum())
-        seg[...] = True
-        remaining -= fresh
+    hit = np.zeros((len(sids), out.n_steps), dtype=bool)
+    hit.flat[rng.choice(total, size=target, replace=False)] = True
+    for sid, row in zip(sids, hit):
+        out.missing[sid] |= row
     return out
 
 

@@ -4,10 +4,10 @@ Unobserved entries start at the placeholder value (per-channel training
 mean) in ``impute`` and at whatever values they are given in
 ``impute_packed``; then the model's feed-forward pass repeatedly
 replaces them with the decoded means until the largest standardized
-update falls below the tolerance. Observed entries are
-never modified. Voltage prediction (``services.predict_voltages``),
-state estimation and bid estimation are all specializations of this
-loop.
+update falls below ``TOLERANCE``, for at most ``MAX_ITERATIONS``
+forwards. Observed entries are never modified. Voltage prediction
+(``services.predict_voltages``), state estimation and bid estimation
+are all specializations of this loop, and all stop by this one rule.
 
 Batches iterate per sample: each sample exits at its own first hit, so
 the forwards shrink as samples converge.
@@ -35,6 +35,11 @@ from .gridgraph import NodeSchema
 # Samples per block at most: a batch of B samples runs as
 # ceil(B / BLOCK_ROWS) blocks of near-equal size.
 BLOCK_ROWS = 120
+# The stopping rule: a sample stops at its first update whose largest
+# standardized change (L-infinity) falls below TOLERANCE, or after
+# MAX_ITERATIONS forwards.
+MAX_ITERATIONS = 20
+TOLERANCE = 1e-3
 
 
 class ImputationError(ValueError):
@@ -47,8 +52,6 @@ class ImputationProblem:
 
     features: dict[str, np.ndarray]
     observed: dict[str, np.ndarray]
-    max_iterations: int = 20
-    tolerance: float = 1e-3  # normalized (standardized units), L-infinity
 
 
 @dataclass
@@ -97,8 +100,9 @@ def blocked_forward(model, features: dict[str, np.ndarray],
 
 
 def impute_packed(model, features: dict[str, np.ndarray],
-                  mask: dict[str, np.ndarray], max_iterations: int = 20,
-                  tolerance: float = 1e-3):
+                  mask: dict[str, np.ndarray],
+                  max_iterations: int = MAX_ITERATIONS,
+                  tolerance: float = TOLERANCE):
     """Batched imputation over packed standardized arrays (n, B, q), the
     observed-mask bool or float 0/1.
 
@@ -181,12 +185,9 @@ def impute(model, problem: ImputationProblem) -> ImputationResult:
     packed_m = model.pack({nid: obs[nid].astype(float) for nid in node_ids})
 
     n_unobserved = sum((~o).sum() for o in obs.values())
-    cur, mu_d, sig, first_hit, final_delta = impute_packed(
-        model, packed_f, packed_m, problem.max_iterations, problem.tolerance)
-    iterations = int(first_hit[0]) if n_unobserved else 0
-    converged = n_unobserved == 0 or float(final_delta[0]) < problem.tolerance
-    if n_unobserved and iterations == 0:
-        iterations = problem.max_iterations
+    cur, _, sig, first_hit, _ = impute_packed(model, packed_f, packed_m)
+    converged = n_unobserved == 0 or first_hit[0] > 0
+    iterations = int(first_hit[0] or MAX_ITERATIONS) if n_unobserved else 0
 
     values, sigma = {}, {}
     filled = model.unpack({k: v[:, 0, :] for k, v in cur.items()})

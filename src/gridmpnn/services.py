@@ -12,7 +12,9 @@ probability reported is Phi(z_score). A flexibility bid is estimated by
 clamping the affected voltage channels to the target value (as
 observed), masking the energy channels at the corresponding feeder and
 substation, re-running imputation, and reading off the energy delta that
-the model deems consistent with the clamped voltage.
+the model deems consistent with the clamped voltage. Every service stops
+imputing by the one rule of ``imputation.MAX_ITERATIONS`` and
+``imputation.TOLERANCE``.
 """
 
 from __future__ import annotations
@@ -57,15 +59,13 @@ class VoltagePrediction:
     final_delta: np.ndarray
 
 
-def predict_voltages(model, samples, schemas: dict[str, NodeSchema],
-                     max_iterations: int = 20,
-                     tolerance: float = 1e-3) -> VoltagePrediction:
+def predict_voltages(model, samples,
+                     schemas: dict[str, NodeSchema]) -> VoltagePrediction:
     """Mask every current-time voltage channel of the samples, impute them
     in one batched pass and un-standardize the prediction."""
     sel = voltage_lag0_selector(schemas, samples.groups)
     feats, masks = mask_channels(samples.targets, samples.input_mask, sel)
-    _, mu, sigma, first_hit, final_delta = impute_packed(
-        model, feats, masks, max_iterations=max_iterations, tolerance=tolerance)
+    _, mu, sigma, first_hit, final_delta = impute_packed(model, feats, masks)
     pred = VoltagePrediction({}, {}, {}, {}, {}, first_hit, final_delta)
     for g in samples.groups:
         flags = sel[g.key]
@@ -167,8 +167,7 @@ def estimate_bids(model, features: dict[str, np.ndarray],
                   observed: dict[str, np.ndarray],
                   events: Sequence[CongestionEvent],
                   target_voltage: Optional[float] = None,
-                  max_iterations: int = 20,
-                  tolerance: float = 1e-3) -> list[FlexibilityBid]:
+                  ) -> list[FlexibilityBid]:
     """One merged bid per (feeder, timestamp): clamp every flagged voltage
     channel to the target (max target wins on duplicates), mask the feeder
     and substation energy channels, impute, and report the energy delta."""
@@ -197,10 +196,7 @@ def estimate_bids(model, features: dict[str, np.ndarray],
         for nid in (feeder, substation):
             for c in _energy_lag0_indices(model.schemas[nid]):
                 obs[nid][c] = False
-        problem = ImputationProblem(features=feats, observed=obs,
-                                    max_iterations=max_iterations,
-                                    tolerance=tolerance)
-        result = impute(model, problem)
+        result = impute(model, ImputationProblem(features=feats, observed=obs))
         p_idx = model.schemas[feeder].channel_index()["load_p"]
         baseline = float(np.asarray(features[feeder], float)[p_idx])
         constrained = float(result.values[feeder][p_idx])
@@ -219,13 +215,11 @@ def estimate_bids(model, features: dict[str, np.ndarray],
 
 def scan_congestions(model, samples, schemas: dict[str, NodeSchema],
                      threshold_v: float = 240.0, z: float = 1.0,
-                     direction: str = "over",
-                     max_iterations: int = 20, tolerance: float = 1e-3):
+                     direction: str = "over"):
     """Flag congestions on ``predict_voltages``. Returns (events,
     plot_rows) where plot_rows hold (timestamp, node, phase, actual, mu,
     lo, hi, threshold, flagged), channel by channel in group order."""
-    pred = predict_voltages(model, samples, schemas, max_iterations,
-                            tolerance)
+    pred = predict_voltages(model, samples, schemas)
     timestamps = [int(t) for t in samples.timestamps]
     events: list[CongestionEvent] = []
     plot_rows: list[dict] = []
@@ -255,7 +249,7 @@ def scan_congestions(model, samples, schemas: dict[str, NodeSchema],
     return events, plot_rows
 
 
-def write_jsonl(path: str, records: Sequence, header_comment: Optional[str] = None,
+def write_jsonl(path: str, records: Sequence,
                 meta: Optional[dict] = None) -> None:
     """Events/bids as JSON lines; an optional meta record goes first."""
     with open(path, "w") as fh:

@@ -7,15 +7,17 @@ placeholder value elsewhere (the per-channel training mean, which is
 zero after standardization), so they are not stored: ``batch``,
 ``sample`` and ``mask_channels`` derive them where they are read, as
 read-only arrays. Augmentation appends ``masked_clones`` of the
-training set (chosen channels masked from the inputs, loss targets
-kept) with ``concat_sample_sets``. The loss,
+training set with the current-time voltages (``voltage_lag0_selector``)
+masked from the inputs and the loss targets kept, joined with
+``concat_sample_sets``; every trainer adds this one pattern. The loss,
 ``nll_loss_packed``, is one engine primitive, ``diffcore.gaussian_nll``,
 which sums over observed entries only
 
     0.5 * log(var) + 0.5 * (y - mu)^2 / var
 
 with the model's log-variance as input, so var is positive by
-construction. Training runs shuffled mini-batches with Adam, records
+construction. Training runs shuffled mini-batches of ``batch_size``
+samples (5000 by default) with Adam, records
 per-epoch train/validation NLL and stops early when validation stops
 improving; the returned parameters are the best-validation checkpoint.
 The loop only needs a model exposing ``params`` and
@@ -50,7 +52,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import AdamState, ContractError, Tape, adam_step, backward
-from .gridgraph import ENERGY, NodeSchema, VOLTAGE, sensor_id
+from .gridgraph import NodeSchema, VOLTAGE, sensor_id
 from .imputation import blocked_forward
 from .mpnn import NodeGroup, compute_groups
 
@@ -72,15 +74,10 @@ class TrainingError(RuntimeError):
 @dataclass
 class TrainingConfig:
     learning_rate: float = 0.01
-    max_batch_size: int = 5000
     missing_threshold: float = 0.10
-    augmentation_enabled: bool = True
-    # additionally clone samples with feeder/substation current energy
-    # masked (the bid-imputation pattern); off by default
-    bid_augmentation_enabled: bool = False
     early_stopping_patience: int = 10
     max_epochs: int = 100
-    batch_size: Optional[int] = None  # defaults to max_batch_size
+    batch_size: int = 5000
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -88,33 +85,11 @@ class TrainingConfig:
             raise ContractError("learning_rate must be positive")
         if not 0.0 <= self.missing_threshold <= 1.0:
             raise ContractError("missing_threshold must lie in [0, 1]")
-        for name in ("max_batch_size", "early_stopping_patience"):
+        for name in ("batch_size", "early_stopping_patience"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be at least 1")
         if self.max_epochs < 0:
             raise ContractError("max_epochs cannot be negative")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ContractError("batch_size must be at least 1")
-        if self.batch_size is not None and self.batch_size > self.max_batch_size:
-            raise ContractError("batch_size cannot exceed max_batch_size")
-
-    @property
-    def effective_batch(self) -> int:
-        return self.batch_size or self.max_batch_size
-
-    def to_document(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "learning_rate", "max_batch_size", "missing_threshold",
-            "augmentation_enabled", "bid_augmentation_enabled",
-            "early_stopping_patience", "max_epochs", "batch_size", "seed")}
-
-    @classmethod
-    def from_document(cls, doc: dict) -> "TrainingConfig":
-        known = cls().to_document()
-        unknown = sorted(set(doc) - set(known))
-        if unknown:
-            raise ContractError(f"unknown training keys: {', '.join(unknown)}")
-        return cls(**doc)
 
 
 @dataclass
@@ -315,22 +290,6 @@ def voltage_lag0_selector(schemas: dict[str, NodeSchema],
     return sel
 
 
-def aggregate_energy_lag0_selector(schemas: dict[str, NodeSchema],
-                                   groups: list[NodeGroup],
-                                   ) -> dict[str, np.ndarray]:
-    """Current-time energy channels at feeder/substation nodes (the pattern
-    the bid-estimation service masks)."""
-    sel = {}
-    for g in groups:
-        flags = np.zeros((len(g.node_ids), g.q), dtype=bool)
-        for j, (nid, kind) in enumerate(zip(g.node_ids, g.kinds)):
-            if kind in ("feeder", "substation"):
-                for c, ch in enumerate(schemas[nid].channels()):
-                    flags[j, c] = ch.category == ENERGY and ch.lag == 0
-        sel[g.key] = flags
-    return sel
-
-
 def _hide(mask: dict[str, np.ndarray],
           sel: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Bool copies of packed (n, B, q) observed-masks with the channels
@@ -492,7 +451,7 @@ def train(model, train_samples: SampleSet, val_samples: SampleSet,
     best_val = evaluate_nll(model, val_samples) if len(val_samples) else np.inf
     best_epoch = 0
     n = len(train_samples)
-    bsize = min(config.effective_batch, n)
+    bsize = min(config.batch_size, n)
     # observed loss entries per sample
     observed = sum(m.sum(axis=(0, 2)) for m in train_samples.loss_mask.values())
     slots = _GradientSlots(model.params.grads, dc._WORKERS + 1)
@@ -545,13 +504,12 @@ def train(model, train_samples: SampleSet, val_samples: SampleSet,
     return TrainResult(model, history, best_epoch, float(best_val))
 
 
-def chronological_split(samples: SampleSet,
-                        val_fraction: float = 1.0 / 12.0,
-                        ) -> tuple[SampleSet, SampleSet]:
-    """Final contiguous slice of the time range becomes the validation set."""
+def chronological_split(samples: SampleSet) -> tuple[SampleSet, SampleSet]:
+    """The final twelfth of the samples in time order becomes the
+    validation set."""
     n = len(samples)
     order = np.argsort(samples.timestamps, kind="stable")
-    cut = min(max(1, int(round(n * (1.0 - val_fraction)))), n - 1) if n > 1 else n
+    cut = min(max(1, int(round(n * (1.0 - 1.0 / 12.0)))), n - 1) if n > 1 else n
     return samples.select(order[:cut]), samples.select(order[cut:])
 
 

@@ -100,7 +100,7 @@ def train_chain_model(n_samples: int, max_epochs: int, seed: int = 0,
     schemas = chain_schemas()
     ds = chain_dataset(n_samples, seed=seed)
     cfg = TrainingConfig(learning_rate=lr, max_epochs=max_epochs,
-                         batch_size=1000, max_batch_size=5000,
+                         batch_size=1000,
                          early_stopping_patience=15, seed=seed)
     samples = build_samples(ds, topo, schemas, cfg)
     train_set, val_set = chronological_split(samples)

@@ -8,7 +8,7 @@ import pytest
 
 from gridmpnn import gridsim
 from gridmpnn.cli import main
-from gridmpnn.gridgraph import load_topology
+from gridmpnn.gridgraph import SchemaConfig, load_topology
 
 from conftest import BAD_PARAMETERS, write_bad_checkpoint
 
@@ -66,7 +66,7 @@ def world(tmp_path_factory):
         "model": {"layers": 2, "message_passing_steps": 2},
         "training": {"max_epochs": 3, "batch_size": 128,
                      "early_stopping_patience": 5},
-        "services": {"threshold_v": 240.0, "z": 1.0},
+        "services": {"threshold_v": 240, "z": 1.0},  # an int passes for a float
         "benchmark": {"models": ["gnn", "mlp"], "layers": 2,
                       "mlp_hidden": 16, "missing_rates": [0.0, 0.05]},
     }
@@ -229,19 +229,6 @@ def test_bad_schema_version_exits_2(world, tmp_path):
     assert main(["evaluate", "--config", cfg_path]) == 2
 
 
-@pytest.mark.parametrize("section,key", [("training", "max_epoch"),
-                                         ("model", "message_passing_step")])
-def test_unknown_config_key_exits_2(world, tmp_path, section, key):
-    cfg = json.loads(json.dumps(world["cfg"]))
-    cfg[section] = {key: 3}
-    cfg["paths"]["out_dir"] = str(tmp_path / "out")
-    cfg_path = str(tmp_path / "typo.json")
-    with open(cfg_path, "w") as fh:
-        json.dump(cfg, fh)
-    assert main(["train", "--config", cfg_path]) == 2
-    assert not os.path.exists(tmp_path / "out" / "history.csv")
-
-
 @pytest.mark.parametrize("section,doc", [
     ("training", {"batch_size": 0}),
     ("training", {"batch_size": -4}),
@@ -257,6 +244,66 @@ def test_out_of_range_config_size_exits_2(world, tmp_path, section, doc):
     assert main(["train", "--config", cfg_path]) == 2
     assert not os.path.exists(tmp_path / "out" / "history.csv")
     assert not os.path.exists(tmp_path / "out" / "checkpoint.json")
+
+
+def _train_exit(world, tmp_path, cfg) -> int:
+    """Exit code of ``train`` on ``cfg``, writing under ``tmp_path``."""
+    cfg["paths"]["out_dir"] = str(tmp_path / "out")
+    cfg["paths"]["checkpoint"] = str(tmp_path / "out" / "checkpoint.json")
+    cfg_path = str(tmp_path / "run.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    return main(["train", "--config", cfg_path])
+
+
+# (section or None for the top level, a key it does not read, a value)
+UNREAD_KEYS = [
+    ("training", "max_epoch", 3),
+    ("model", "message_passing_step", 3),
+    (None, "trainning", {"max_epochs": 3}),
+    ("paths", "weather_csv", "weather.csv"),
+    ("data", "test_end", "2019-06-06T00:00:00Z"),
+    ("schema", "latent_medium", 12),
+    ("services", "treshold_v", 241.0),
+    ("benchmark", "model", "gnn"),
+    ("training", "seed", 5),  # the top-level seed seeds training
+    # training keys that are gone, at the values they used to take
+    ("training", "max_batch_size", 5000),
+    ("training", "augmentation_enabled", True),
+    ("training", "bid_augmentation_enabled", False),
+]
+
+
+@pytest.mark.parametrize("section,key,value", UNREAD_KEYS, ids=[
+    f"{s or 'config'}-{k}" for s, k, _ in UNREAD_KEYS])
+def test_unknown_config_key_exits_2(world, tmp_path, capsys, section, key,
+                                    value):
+    cfg = json.loads(json.dumps(world["cfg"]))
+    if section is None:
+        cfg[key] = value
+    else:
+        if section == "schema":
+            cfg["schema"] = SchemaConfig().to_document()
+        cfg.setdefault(section, {})[key] = value
+    assert _train_exit(world, tmp_path, cfg) == 2
+    assert key in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "history.csv")
+
+
+@pytest.mark.parametrize("section,doc,named", [
+    ("training", {"max_epochs": "2"}, "training.max_epochs"),
+    ("training", {"batch_size": 100.5}, "training.batch_size"),
+    ("services", {"z": True}, "services.z"),
+    ("paths", {"dataset": 2.5}, "paths.dataset"),
+    ("schema", {k: v for k, v in SchemaConfig().to_document().items()
+                if k != "latent_small"}, "latent_small")])
+def test_a_mistyped_or_missing_value_exits_2(world, tmp_path, capsys,
+                                             section, doc, named):
+    cfg = json.loads(json.dumps(world["cfg"]))
+    cfg[section] = {**cfg.get(section, {}), **doc}
+    assert _train_exit(world, tmp_path, cfg) == 2
+    assert named in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "history.csv")
 
 
 _FAULT_MESSAGES = {"duplicate": "duplicate",

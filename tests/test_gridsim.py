@@ -158,35 +158,25 @@ def test_inject_missing_rate_zero_unchanged():
     assert out.equals(ds)
 
 
-def test_inject_missing_exact_count_random_and_burst():
+def test_inject_missing_exact_count():
     spec = gridsim.pilot_spec(seed=7)
     ds = gridsim.simulate(spec, "2019-06-01T00:00:00Z", days=2.5, seed=0)
     total = ds.n_points()
-    for pattern in ("random", "burst"):
-        out = gridsim.inject_missing(ds, 0.10, pattern=pattern, seed=3)
-        assert _flag_count(out) == int(0.10 * total)
+    assert total == len(ds.series) * 240
+    for rate in (0.10, 0.37):
+        out = gridsim.inject_missing(ds, rate, seed=3)
+        assert _flag_count(out) == int(rate * total)
     assert _flag_count(ds) == 0  # original untouched
 
 
 def test_inject_missing_deterministic_per_seed():
     spec = gridsim.pilot_spec(seed=7)
     ds = gridsim.simulate(spec, "2019-06-01T00:00:00Z", days=2.5, seed=0)
-    a = gridsim.inject_missing(ds, 0.05, pattern="burst", seed=9)
-    b = gridsim.inject_missing(ds, 0.05, pattern="burst", seed=9)
+    a = gridsim.inject_missing(ds, 0.05, seed=9)
+    b = gridsim.inject_missing(ds, 0.05, seed=9)
+    c = gridsim.inject_missing(ds, 0.05, seed=10)
     assert a.equals(b)
-
-
-def test_inject_missing_burst_produces_contiguous_gaps():
-    spec = gridsim.pilot_spec(seed=7)
-    ds = gridsim.simulate(spec, "2019-06-01T00:00:00Z", days=2.5, seed=0)
-    out = gridsim.inject_missing(ds, 0.05, pattern="burst", seed=2)
-    runs = []
-    for sid in out.missing:
-        m = out.missing[sid].astype(int)
-        changes = np.diff(np.concatenate([[0], m, [0]]))
-        starts, ends = np.where(changes == 1)[0], np.where(changes == -1)[0]
-        runs.extend(ends - starts)
-    assert np.mean(runs) > 3.0  # bursty, not single points
+    assert not a.equals(c)
 
 
 def test_inject_missing_rejects_rate_one():
@@ -202,8 +192,8 @@ def test_inject_missing_random_flags_the_points_of_the_pointwise_loop(
         seed, rate):
     spec = gridsim.pilot_spec(seed=7)
     ds = gridsim.simulate(spec, "2019-06-01T00:00:00Z", days=2.5, seed=0)
-    ds = gridsim.inject_missing(ds, 0.05, pattern="burst", seed=1)
-    out = gridsim.inject_missing(ds, rate, pattern="random", seed=seed)
+    ds = gridsim.inject_missing(ds, 0.05, seed=1)
+    out = gridsim.inject_missing(ds, rate, seed=seed)
     # Reference: the one-point-at-a-time loop over rng.choice.
     ref = ds.copy()
     sids = sorted(ref.series)

@@ -1,6 +1,7 @@
 """Imputation loop mechanics: pass-through, fixpoint behavior, reports,
 and the blocked forwards of a batch on free cores."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -27,12 +28,12 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
 
 
-def _problem(model, observed_x=(1.2, 0.4, None), **kwargs):
+def _problem(model, observed_x=(1.2, 0.4, None)):
     feats, obs = {}, {}
     for nid, val in zip(("g", "s", "f"), observed_x):
         feats[nid] = np.array([val if val is not None else 0.0])
         obs[nid] = np.array([val is not None])
-    return ImputationProblem(features=feats, observed=obs, **kwargs)
+    return ImputationProblem(features=feats, observed=obs)
 
 
 def test_nothing_missing_returns_input_verbatim(quick_chain_model):
@@ -75,12 +76,15 @@ def test_at_least_one_observation_required(quick_chain_model):
                                                     observed=obs))
 
 
-def test_non_convergence_is_flagged_not_fatal(quick_chain_model):
-    problem = _problem(quick_chain_model, (1.2, 0.4, None),
-                       max_iterations=1, tolerance=1e-15)
-    result = impute(quick_chain_model, problem)
+def test_non_convergence_is_flagged_not_fatal(quick_chain_model,
+                                              monkeypatch):
+    # no update falls below a tolerance of 0: the loop runs to its bound
+    monkeypatch.setattr(imputation, "impute_packed",
+                        functools.partial(impute_packed, tolerance=0.0))
+    result = impute(quick_chain_model,
+                    _problem(quick_chain_model, (1.2, 0.4, None)))
     assert not result.converged
-    assert result.iterations == 1
+    assert result.iterations == imputation.MAX_ITERATIONS
     assert np.isfinite(result.values["f"][0])
 
 
@@ -152,9 +156,10 @@ def test_forwards_run_only_on_pending_rows(quick_chain_model, monkeypatch):
 
 
 def test_max_iterations_must_be_positive(quick_chain_model):
+    model = quick_chain_model
     with pytest.raises(ImputationError):
-        impute(quick_chain_model, _problem(quick_chain_model,
-                                           max_iterations=0))
+        impute_packed(model, *_packed_rows(model, MIXED_ROWS[:1]),
+                      max_iterations=0)
 
 
 def test_report_json_structure(quick_chain_model):

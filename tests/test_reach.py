@@ -1,6 +1,7 @@
 """Every public function, class and method of the library is reached from
-the library or the benchmark, not only from tests; the reference oracles
-that tests compare against are the listed exceptions.
+the library or the benchmark, not only from tests, and so is each of its
+defaulted parameters; the reference oracles that tests compare against
+and the parameters in ``UNPASSED`` are the listed exceptions.
 
 The check is by name: a definition counts as reached when its name is
 read as a variable or an attribute, or imported, anywhere under ``src/``
@@ -10,6 +11,13 @@ two public definitions share (``copy``, ``to_document``, ...) would let
 one stand in for the other, so each shared definition names in
 ``SHARED_CALLERS`` one function under ``src/`` or ``benchmarks/`` whose
 body calls it, and that function must still name it.
+
+A defaulted parameter of a public function or method counts as passed
+when some call of a function of that bare name under ``src/`` or
+``benchmarks/``, outside test files, passes it by keyword or by
+position, or splats ``*args`` or ``**kwargs`` that may hold it. A
+parameter no such call passes is a setting only its default reaches,
+so it goes, unless ``UNPASSED`` lists it with the reason it stays.
 """
 
 import ast
@@ -32,6 +40,17 @@ ORACLES = {
         "dataset equality for the CSV round-trip checks",
     "gridsim.JointGaussian.sample":
         "conftest draws the chain world from it",
+}
+
+# Defaulted parameters no library or benchmark call passes, kept on purpose.
+# The oracles' parameters are exempt with the oracles.
+UNPASSED = {
+    "imputation.impute_packed.max_iterations":
+        "the stopping rule's bound; tests vary it to exercise the loop",
+    "imputation.impute_packed.tolerance":
+        "the stopping rule's tolerance; tests vary it to exercise the loop",
+    "cli.main.argv":
+        "the console script reads the process arguments; tests pass argv",
 }
 
 # Shared-name definition -> a library or benchmark function that calls it.
@@ -57,9 +76,6 @@ SHARED_CALLERS = {
     "services.CongestionEvent.to_document": "services.write_jsonl",
     "services.FlexibilityBid.to_document": "services.write_jsonl",
     "training.SampleSet.sample": "cli.cmd_bid",
-    "training.TrainingConfig.from_document": "cli._train_model",
-    "training.TrainingConfig.to_document":
-        "training.TrainingConfig.from_document",
 }
 
 
@@ -156,3 +172,75 @@ def test_shared_names_have_a_listed_caller():
         name = qualified.rsplit(".", 1)[1]
         named = {n for n, _ in _references(callers[caller])}
         assert name in named, f"{caller} no longer names {qualified}"
+
+
+def _defaulted(node, is_method):
+    """(name, position) of each parameter of a function node that has a
+    default; positions count from the first argument a call spells out,
+    and a keyword-only parameter has position None."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    skip = int(is_method and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod"
+        for d in node.decorator_list))
+    first = len(positional) - len(args.defaults)
+    out = [(p.arg, i - skip) for i, p in enumerate(positional) if i >= first]
+    out += [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _calls(*dirs):
+    """Bare name -> (positional count, keyword names) of each call under
+    ``dirs`` outside test files; a count or a name set is None where the
+    call splats ``*args`` or ``**kwargs``."""
+    calls = collections.defaultdict(list)
+    for path in _python_files(*dirs):
+        if os.path.basename(path).startswith("test_"):
+            continue
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            splat = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls[name].append((None if splat else len(node.args),
+                                None if None in keywords else keywords))
+    return calls
+
+
+def _unpassed_parameters():
+    """Qualified names of the defaulted parameters of public library
+    functions and methods, oracles aside, that no call passes."""
+    calls = _calls(PACKAGE, BENCHMARKS)
+    unpassed = set()
+    for path in _python_files(PACKAGE):
+        for qualified, name, node in _functions(path):
+            if isinstance(node, ast.ClassDef) or qualified in ORACLES:
+                continue
+            is_method = qualified.count(".") == 2
+            for param, pos in _defaulted(node, is_method):
+                if not any(keywords is None or param in keywords
+                           or (pos is not None
+                               and (count is None or count > pos))
+                           for count, keywords in calls[name]):
+                    unpassed.add(f"{qualified}.{param}")
+    return unpassed
+
+
+def test_defaulted_parameter_positions():
+    tree = ast.parse("class C:\n"
+                     "    def m(self, a, b=1, *, c=2, d): ...\n"
+                     "    @staticmethod\n"
+                     "    def s(a, b=1): ...\n"
+                     "def f(a, b=1, c=2): ...")
+    cls, f = tree.body
+    m, s = cls.body
+    assert _defaulted(m, True) == [("b", 1), ("c", None)]
+    assert _defaulted(s, True) == [("b", 1)]
+    assert _defaulted(f, False) == [("b", 1), ("c", 2)]
+
+
+def test_every_defaulted_parameter_is_passed_by_a_caller():
+    assert _unpassed_parameters() == set(UNPASSED)

@@ -1,6 +1,7 @@
 """Sample assembly, masked NLL, gradient identities and the training
 loop, with its mini-batches trained as row blocks on free cores."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -178,25 +179,6 @@ def test_augmentation_doubles_and_masks_current_voltage():
                           samples.targets[key][j, :, 0])
     assert np.array_equal(doubled.loss_mask[key][j, n:, 0],
                           samples.loss_mask[key][j, :, 0])
-
-
-def test_aggregate_energy_selector_reads_node_kinds():
-    # the bid pattern: lag-0 energies of the 25 feeders and 15 substations,
-    # though feeders share their shape group with the global node and
-    # single-phase prosumers, and substations theirs with three-phase ones
-    topo = gridsim.pilot_topology()
-    schemas = derive_schemas(topo)
-    groups = compute_groups(topo, schemas)
-    sel = training.aggregate_energy_lag0_selector(schemas, groups)
-    flagged = {(nid, schemas[nid].channels()[c].name)
-               for g in groups for j, c in zip(*np.nonzero(sel[g.key]))
-               for nid in [g.node_ids[j]]}
-    want = {(nid, var) for nid in topo.ids("feeder")
-            for var in ("load_p", "load_q")}
-    want |= {(nid, f"load_{ph}") for nid in topo.ids("substation")
-             for ph in "abc"}
-    assert len(topo.ids("feeder")) == 25 and len(topo.ids("substation")) == 15
-    assert flagged == want
 
 
 def test_mask_channels_matches_copy_and_assign_reference():
@@ -704,15 +686,16 @@ def test_training_config_validation():
         TrainingConfig(learning_rate=0.0)
     with pytest.raises(dc.ContractError):
         TrainingConfig(missing_threshold=1.5)
-    with pytest.raises(dc.ContractError):
-        TrainingConfig(batch_size=6000, max_batch_size=5000)
-    with pytest.raises(dc.ContractError, match="max_epoch"):
-        TrainingConfig.from_document({"max_epoch": 3})
-    for bad in ({"batch_size": 0}, {"batch_size": -4}, {"max_batch_size": 0},
+    for key in ("max_batch_size", "augmentation_enabled",
+                "bid_augmentation_enabled"):
+        with pytest.raises(TypeError, match=key):
+            TrainingConfig(**{key: 3})
+    for bad in ({"batch_size": 0}, {"batch_size": -4},
                 {"max_epochs": -1}, {"early_stopping_patience": 0}):
         with pytest.raises(dc.ContractError, match=next(iter(bad))):
             TrainingConfig(**bad)
-    assert TrainingConfig().learning_rate == 0.01
-    assert TrainingConfig().max_batch_size == 5000
-    assert TrainingConfig().missing_threshold == 0.10
-    assert TrainingConfig().augmentation_enabled is True
+    assert dataclasses.asdict(TrainingConfig()) == {
+        "learning_rate": 0.01, "missing_threshold": 0.10,
+        "early_stopping_patience": 10, "max_epochs": 100,
+        "batch_size": 5000, "seed": 0}
+    assert TrainingConfig(batch_size=6000).batch_size == 6000
