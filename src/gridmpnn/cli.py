@@ -118,14 +118,17 @@ def load_config(path: str) -> dict:
         if missing:
             raise ConfigError(
                 f"config schema lacks keys: {', '.join(missing)}")
-    for key in ("paths",):
-        if key not in cfg:
-            raise ConfigError(f"config lacks required section {key!r}")
+    if "paths" not in cfg:
+        raise ConfigError("config lacks required section 'paths'")
     cfg.setdefault("seed", 0)
     cfg.setdefault("model", {})
     cfg.setdefault("training", {})
     cfg.setdefault("data", {})
     cfg["services"] = {**DEFAULT_SERVICES, **cfg.get("services", {})}
+    target = cfg["services"]["target_voltage"]
+    if target is not None and type(target) not in (int, float):
+        raise ConfigError("config services.target_voltage must be a number "
+                          f"or null, not {target!r}")
     cfg["benchmark"] = {**DEFAULT_BENCHMARK, **cfg.get("benchmark", {})}
     return cfg
 
@@ -357,16 +360,18 @@ def cmd_impute(args) -> int:
 def cmd_congest(args) -> int:
     cfg = load_config(args.config)
     model = _load_model(cfg)
-    _, _, schemas, dataset = _load_bundle(cfg)
-    samples, _ = _test_samples(cfg, model, dataset, schemas)
+    topo, _, schemas, dataset = _load_bundle(cfg)
     svc = cfg["services"]
+    node = svc["plot_node"]
+    if node is not None and node not in topo.ids():
+        raise ConfigError(f"config services.plot_node: no node {node!r}")
+    samples, _ = _test_samples(cfg, model, dataset, schemas)
     events, plot_rows = services.scan_congestions(
         model, samples, schemas, threshold_v=svc["threshold_v"], z=svc["z"],
         direction=svc["direction"])
     out = _out_dir(cfg)
     services.write_jsonl(os.path.join(out, "events.jsonl"), events,
                          meta=_meta(cfg))
-    node = svc.get("plot_node")
     rows = [r for r in plot_rows if node is None or r["node_id"] == node]
     services.write_plot_csv(os.path.join(out, "congestion_plot.csv"), rows,
                             header_comment=_meta_comment(cfg))

@@ -82,13 +82,13 @@ Design choices:
 * Work cut into blocks runs on the cores that BLAS leaves free
   (``run_blocks``): the calling thread and a module-level pool take the
   blocks from one shared list until none is left, and numpy releases
-  the GIL inside matmuls and ufunc loops, so blocks run at once. The
-  callers cut rows with ``row_blocks``, which reads only the work's
-  size, never the worker count, so what the blocks compute does not
-  depend on how many cores run them. A training step records each
-  block on its own ``fork`` of the step's tape, which sends parameter
-  gradients to that block's buffers, so blocks that run at once never
-  write to one array.
+  the GIL inside matmuls and ufunc loops, so blocks run at once. Every
+  caller cuts rows by one rule, ``row_blocks`` at ``BLOCK_ROWS``, which
+  reads only the row count, never the worker count, so what the blocks
+  compute does not depend on how many cores run them. A training step
+  records each block on its own ``fork`` of the step's tape, which sends
+  parameter gradients to that block's buffers, so blocks that run at
+  once never write to one array.
 """
 
 from __future__ import annotations
@@ -866,12 +866,14 @@ _WORKERS = _free_workers()
 # the calling thread is a worker too, so the pool needs one thread fewer
 _POOL = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1),
                            thread_name_prefix="blocks")
+# Rows per block at most, for training steps and untaped passes alike.
+BLOCK_ROWS = 128
 
 
-def row_blocks(rows: int, limit: int) -> list[tuple[int, int]]:
-    """(lo, hi) of ``rows`` rows cut into ceil(rows / limit) blocks of
-    near-equal size, at least one; the cuts read only the two counts."""
-    n = max(1, -(-rows // limit))
+def row_blocks(rows: int) -> list[tuple[int, int]]:
+    """(lo, hi) of ``rows`` rows in ceil(rows / BLOCK_ROWS) near-equal
+    blocks, at least one, cut by the row count alone (240 → 2 × 120)."""
+    n = max(1, -(-rows // BLOCK_ROWS))
     cuts = [i * rows // n for i in range(n + 1)]
     return list(zip(cuts, cuts[1:]))
 
@@ -883,8 +885,8 @@ def run_blocks(blocks: list, work: Callable[[object], None]) -> None:
     from the end of the one list until it is empty, so a worker whose
     core is busy with other work takes fewer blocks instead of holding
     the others up, and a helper that has not started when the list runs
-    dry is cancelled, not waited for. ``work`` must not depend on which
-    thread runs it.
+    dry is cancelled, not waited for. Two blocks, as ``row_blocks`` cuts
+    240 rows, get one helper. ``work`` must not depend on the thread.
     """
     def drain() -> None:
         while True:

@@ -12,15 +12,15 @@ are all specializations of this loop, and all stop by this one rule.
 Batches iterate per sample: each sample exits at its own first hit, so
 the forwards shrink as samples converge.
 
-A batch is cut once into blocks of at most ``BLOCK_ROWS`` samples, by
-its row count alone (``diffcore.row_blocks``), and each block runs its
-whole loop on its own, on the cores that BLAS leaves free
-(``diffcore.run_blocks``): forward, update the holes, drop the
-converged samples, forward again. No iteration waits for another
-block's, and a sample's result is the one its block gives when imputed
-alone, whatever the other blocks hold and however many cores run them.
-``blocked_forward`` cuts any untaped pass over a batch by the same rule,
-one forward per block (``training.evaluate_nll`` uses it).
+A batch is cut once into blocks by its row count alone, as training
+steps are (``diffcore.row_blocks``), and each block runs its whole loop
+on its own, on the cores that BLAS leaves free (``diffcore.run_blocks``):
+forward, update the holes, drop the converged samples, forward again.
+No iteration waits for another block's, and a sample's result is the
+one its block gives when imputed alone, whatever the other blocks hold
+and however many cores run them. ``blocked_forward`` cuts any untaped
+pass over a batch by the same rule, one forward per block
+(``training.evaluate_nll`` uses it).
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ import numpy as np
 from . import diffcore as dc
 from .gridgraph import NodeSchema
 
-# Samples per block at most: a batch of B samples runs as
-# ceil(B / BLOCK_ROWS) blocks of near-equal size.
-BLOCK_ROWS = 120
 # The stopping rule: a sample stops at its first update whose largest
 # standardized change (L-infinity) falls below TOLERANCE, or after
 # MAX_ITERATIONS forwards.
@@ -80,7 +77,7 @@ class ImputationResult:
 def blocked_forward(model, features: dict[str, np.ndarray],
                     mask: dict[str, np.ndarray]):
     """Untaped ``model.forward`` over the rows of packed (n, B, q)
-    arrays, one forward per block of at most ``BLOCK_ROWS`` rows. Each
+    arrays, one forward per ``diffcore.row_blocks`` block. Each
     block writes its mu and log-variance into preallocated (n, B, q)
     arrays, which are returned."""
     rows = next(iter(features.values())).shape[1]
@@ -95,7 +92,7 @@ def blocked_forward(model, features: dict[str, np.ndarray],
             for k, t in src.items():
                 dst[k][:, cols] = t.data
 
-    dc.run_blocks(dc.row_blocks(rows, BLOCK_ROWS), run)
+    dc.run_blocks(dc.row_blocks(rows), run)
     return mu, logvar
 
 
@@ -106,7 +103,7 @@ def impute_packed(model, features: dict[str, np.ndarray],
     """Batched imputation over packed standardized arrays (n, B, q), the
     observed-mask bool or float 0/1.
 
-    Each block of at most ``BLOCK_ROWS`` samples iterates on its own,
+    Each ``diffcore.row_blocks`` block iterates on its own,
     and each forward runs only on the block's samples still pending. A
     sample leaves at its first iteration whose update falls below the
     tolerance and keeps that iteration's values, mu and sigma; a sample
@@ -164,7 +161,7 @@ def impute_packed(model, features: dict[str, np.ndarray],
             holes = {k: v[:, keep] for k, v in holes.items()}
         first_hit[cols][~has_holes] = 0
 
-    dc.run_blocks(dc.row_blocks(b, BLOCK_ROWS), run)
+    dc.run_blocks(dc.row_blocks(b), run)
     return values, mu_out, sig_out, first_hit, final_delta
 
 

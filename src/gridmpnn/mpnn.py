@@ -432,7 +432,7 @@ class GnnModel(ModelBase):
         the rows given. Returns standardized (mu, logvar) per group; no
         internal iteration. BLAS rounds a row by the width of the
         products, so a row's last bits depend on how many rows run with
-        it; ``imputation.BLOCK_ROWS`` fixes that count for a batch.
+        it; ``diffcore.row_blocks`` fixes that count for a batch.
         """
         states = self.encode(features, mask, tape)
         states = self.message_pass(states, tape)

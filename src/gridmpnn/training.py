@@ -24,19 +24,18 @@ The loop only needs a model exposing ``params`` and
 ``forward(features, mask, tape) -> (mu, logvar)`` over packed group
 arrays, so the centralized baselines train through the same code path.
 
-Each mini-batch trains as row blocks of at most ``BLOCK_ROWS`` samples,
-cut by the batch's row count alone (``diffcore.row_blocks``), on the
-cores that BLAS leaves free (``diffcore.run_blocks``). A block records
-its forward on its own fork of the step's tape, scales its NLL sum by
-the whole batch's observed count and backpropagates into a gradient
-buffer of its own. Blocks are handed out in block order, and a finished
+Each mini-batch trains as the row blocks ``diffcore.row_blocks`` cuts by
+its row count alone (512 rows as 4 × 128, 240 as 2 × 120), on the cores
+that BLAS leaves free (``diffcore.run_blocks``). A block records its
+forward on its own fork of the step's tape, scales its NLL sum by the
+whole batch's observed count and backpropagates into a gradient buffer
+of its own. Blocks are handed out in block order, and a finished
 block's buffer is added into the parameters' gradients as soon as every
 earlier block's is, then reused, so at most one buffer more than the
 blocks that run at once exists; one Adam step follows the last. So the
-trained bytes depend on the block rule, never on the core count.
-Validation forwards go through ``imputation.blocked_forward``, one
-forward per block of at most ``imputation.BLOCK_ROWS`` samples, so the
-validation NLL too depends on a block rule, not on the core count.
+trained bytes, and the validation NLL, whose forwards
+``imputation.blocked_forward`` cuts by the same rule, depend on the
+block rule, never on the core count.
 """
 
 from __future__ import annotations
@@ -56,9 +55,6 @@ from .gridgraph import NodeSchema, VOLTAGE, sensor_id
 from .imputation import blocked_forward
 from .mpnn import NodeGroup, compute_groups
 
-# Rows per training block at most (``diffcore.row_blocks``): a batch of
-# B rows trains as ceil(B / BLOCK_ROWS) blocks of near-equal size.
-BLOCK_ROWS = 256
 # Samples per validation forward.
 EVAL_CHUNK = 2048
 
@@ -462,7 +458,7 @@ def train(model, train_samples: SampleSet, val_samples: SampleSet,
         for lo in range(0, n, bsize):
             idx = perm[lo:lo + bsize]
             cnt = float(observed[idx].sum())
-            blocks = dc.row_blocks(len(idx), BLOCK_ROWS)
+            blocks = dc.row_blocks(len(idx))
             sums = [0.0] * len(blocks)
             tape = Tape()
             slots.added = 0  # this step's blocks count from 0

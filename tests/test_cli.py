@@ -386,6 +386,23 @@ def test_unknown_direction_exits_2(world, tmp_path, capsys, command, artifact):
     assert not os.path.exists(tmp_path / "out" / artifact)
 
 
+@pytest.mark.parametrize("command, key, value, artifact", [
+    ("bid", "target_voltage", "240", "bids.jsonl"),
+    ("congest", "plot_node", 5, "congestion_plot.csv"),
+    ("congest", "plot_node", "p9", "congestion_plot.csv")])
+def test_a_bad_service_value_exits_2(world, tmp_path, capsys, command, key,
+                                     value, artifact):
+    cfg = json.loads(json.dumps(world["cfg"]))
+    cfg["services"][key] = value
+    cfg["paths"]["out_dir"] = str(tmp_path / "out")
+    cfg_path = str(tmp_path / "bad_service.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main([command, "--config", cfg_path]) == 2
+    assert f"services.{key}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / artifact)
+
+
 def test_bench_writes_comparison_and_sweep(world, tmp_path):
     cfg = json.loads(json.dumps(world["cfg"]))
     out = str(tmp_path / "bench")

@@ -913,6 +913,15 @@ def test_one_pilot_block_tape_stays_within_its_byte_budget(pilot_world):
     assert any(g.any() for g in model.params.grads.values())
 
 
+def test_row_blocks_cut_by_the_row_count_alone():
+    # a 512-row training step, the benchmark recipe's last mini-batch
+    # and the served test window
+    assert dc.BLOCK_ROWS == 128
+    assert dc.row_blocks(512) == [(0, 128), (128, 256), (256, 384), (384, 512)]
+    assert dc.row_blocks(240) == [(0, 120), (120, 240)]
+    assert dc.row_blocks(480) == [(0, 120), (120, 240), (240, 360), (360, 480)]
+
+
 # ---------------------------------------------------------------------------
 # Adam
 

@@ -145,8 +145,8 @@ def test_forwards_run_only_on_pending_rows(quick_chain_model, monkeypatch):
         per_row.append(len(rows_seen))
     # one block of five rows, then blocks of one, two and two, each
     # forwarding only its own rows still pending
-    for block_rows, blocks in ((imputation.BLOCK_ROWS, 1), (2, 3)):
-        monkeypatch.setattr(imputation, "BLOCK_ROWS", block_rows)
+    for block_rows, blocks in ((diffcore.BLOCK_ROWS, 1), (2, 3)):
+        monkeypatch.setattr(diffcore, "BLOCK_ROWS", block_rows)
         rows_seen.clear()
         impute_packed(model, *_packed_rows(model, MIXED_ROWS),
                       max_iterations=MIXED_MAX_ITERATIONS)
@@ -278,9 +278,9 @@ def test_blocked_pass_returns_the_serial_bytes(kind):
 
 
 def test_a_batch_gives_each_block_the_bytes_it_gets_alone():
-    model, feats, masks = _pilot_holes("gnn", 251)
+    model, feats, masks = _pilot_holes("gnn", 301)
     batch = impute_packed(model, feats, masks, max_iterations=3)
-    for lo, hi in ((0, 83), (83, 167), (167, 251)):  # 251 rows, 3 blocks
+    for lo, hi in ((0, 100), (100, 200), (200, 301)):  # 301 rows, 3 blocks
         alone = impute_packed(model,
                               {k: v[:, lo:hi] for k, v in feats.items()},
                               {k: v[:, lo:hi] for k, v in masks.items()},
@@ -303,18 +303,18 @@ def test_the_cuts_read_only_the_row_count(quick_chain_model, monkeypatch,
 
     monkeypatch.setattr(model, "forward", recording)
     monkeypatch.setattr(diffcore, "_WORKERS", workers)
-    assert imputation.BLOCK_ROWS == 120
+    assert diffcore.BLOCK_ROWS == 128
     impute_packed(model, *_chain_holes(model, 485), max_iterations=1)
-    assert calls == [97] * 5
+    assert sorted(calls) == [121, 121, 121, 122]
 
 
 def test_a_batch_of_one_block_never_reaches_the_pool(
         quick_chain_model, monkeypatch, counting_pool):
     monkeypatch.setattr(diffcore, "_WORKERS", 4)
-    impute_packed(quick_chain_model, *_chain_holes(quick_chain_model, 120))
+    model, rows = quick_chain_model, diffcore.BLOCK_ROWS
+    impute_packed(model, *_chain_holes(model, rows))
     assert counting_pool.jobs == 0
-    impute_packed(quick_chain_model, *_chain_holes(quick_chain_model, 121),
-                  max_iterations=1)
+    impute_packed(model, *_chain_holes(model, rows + 1), max_iterations=1)
     assert counting_pool.jobs == 1
 
 
@@ -354,7 +354,7 @@ def test_pool_unused_without_a_declared_blas_thread_count(
 def test_eight_blocks_on_eight_threads_fill_every_row(quick_chain_model,
                                                       monkeypatch):
     model = quick_chain_model
-    feats, mask = _chain_holes(model, 8 * imputation.BLOCK_ROWS - 5)
+    feats, mask = _chain_holes(model, 8 * diffcore.BLOCK_ROWS - 5)
     serial = impute_packed(model, feats, mask, max_iterations=4)
     pool = ThreadPoolExecutor(max_workers=7)
     monkeypatch.setattr(diffcore, "_POOL", CountingPool(pool))

@@ -18,6 +18,8 @@ when some call of a function of that bare name under ``src/`` or
 position, or splats ``*args`` or ``**kwargs`` that may hold it. A
 parameter no such call passes is a setting only its default reaches,
 so it goes, unless ``UNPASSED`` lists it with the reason it stays.
+
+No module of the library or of the tests imports a name it never reads.
 """
 
 import ast
@@ -244,3 +246,31 @@ def test_defaulted_parameter_positions():
 
 def test_every_defaulted_parameter_is_passed_by_a_caller():
     assert _unpassed_parameters() == set(UNPASSED)
+
+
+def _unread_imports(tree):
+    """Names an import binds in ``tree`` that nothing in it reads;
+    ``__future__`` features bind no name."""
+    bound, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+    return sorted(bound - read)
+
+
+def test_unread_imports_are_found():
+    tree = ast.parse("from __future__ import annotations\nimport os.path\n"
+                     "import numpy as np\nfrom m import a, b as c\nos.sep\n"
+                     "a()")
+    assert _unread_imports(tree) == ["c", "np"]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    tests = os.path.dirname(os.path.abspath(__file__))
+    unread = {path: names for path in _python_files(PACKAGE, tests)
+              if (names := _unread_imports(_parse(path)))}
+    assert unread == {}

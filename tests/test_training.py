@@ -449,14 +449,14 @@ def test_divergence_raises_training_error():
 
 @pytest.mark.parametrize("block", [0, 1, 2])
 def test_divergence_in_one_block_leaves_the_last_update(monkeypatch, block):
-    # batch 1 of epoch 1 trains as 3 blocks of 200 rows; a NaN input in
+    # batch 1 of epoch 1 trains as 3 blocks of 128 rows; a NaN input in
     # one of them raises before that step updates anything
     topo, schemas = chain_topology(), chain_schemas()
-    cfg = TrainingConfig(max_epochs=2, batch_size=600, seed=0)
+    cfg = TrainingConfig(max_epochs=2, batch_size=384, seed=0)
     tr, val = chronological_split(build_samples(chain_dataset(1400, seed=6),
                                                 topo, schemas, cfg))
-    assert training.BLOCK_ROWS == 256 and len(tr) >= 1200
-    row = np.random.default_rng(cfg.seed).permutation(len(tr))[600 + 200 * block]
+    assert dc.BLOCK_ROWS == 128 and len(tr) >= 768
+    row = np.random.default_rng(cfg.seed).permutation(len(tr))[384 + 128 * block]
     key = tr.groups[0].key
     tr.targets[key][0, row, 0] = np.nan
     tr.input_mask[key][0, row, 0] = tr.loss_mask[key][0, row, 0] = True
@@ -494,7 +494,7 @@ def test_block_gradients_sum_to_the_whole_batch_gradient(pilot_world,
                                                          monkeypatch, kind):
     topology, schemas, samples, tr, val = _pilot_sets(pilot_world)
     cfg = TrainingConfig(max_epochs=1, seed=4)
-    assert len(tr) > training.BLOCK_ROWS  # the one batch splits in two
+    assert len(tr) > dc.BLOCK_ROWS  # the one batch splits into blocks
     model = _pilot_model(topology, schemas, samples, kind)
     reference = _pilot_model(topology, schemas, samples, kind)
     stepped = {}
@@ -531,7 +531,7 @@ def _trained_digest(model, result) -> str:
 
 def _worker_runs() -> list[str]:
     """Digests of the trained parameters and history of one recipe
-    (batches of 300 rows: two blocks of 150, then one of 52) with 1, 2,
+    (batches of 300 rows: three blocks of 100, then one of 52) with 1, 2,
     4 and again 2 workers, and the blocks sent to the pool."""
     topology, schemas, samples, tr, val = _pilot_sets()
     cfg = TrainingConfig(max_epochs=2, batch_size=300, seed=5)
@@ -558,7 +558,7 @@ def test_training_bytes_do_not_depend_on_the_worker_count():
 
 def _validation_runs() -> list[str]:
     """``evaluate_nll`` of an untrained pilot model over 181 samples (in
-    blocks of 72 and 109 rows, the second ragged) with 1 and 2 workers,
+    blocks of 90 and 91 rows) with 1 and 2 workers,
     and the blocks sent to the pool."""
     topology, schemas, samples, _, _ = _pilot_sets()
     model = _pilot_model(topology, schemas, samples)
@@ -602,12 +602,38 @@ def test_a_busy_pool_does_not_hold_up_a_step(monkeypatch):
     assert dc._POOL.jobs >= 1 and results == [serial]
 
 
+def test_a_240_row_batch_trains_on_both_cores(monkeypatch):
+    # the benchmark recipe's last mini-batch: two blocks of 120 rows,
+    # which wait for each other, so each must run on a thread of its own
+    monkeypatch.setattr(dc, "_WORKERS", 2)
+    topo, schemas = chain_topology(), chain_schemas()
+    cfg = TrainingConfig(max_epochs=1, batch_size=240, seed=3)
+    tr, val = chronological_split(build_samples(chain_dataset(300, seed=2),
+                                                topo, schemas, cfg))
+    tr = tr.select(np.arange(240))
+    model = GnnModel(topo, schemas, GnnConfig(layers=1))
+    model.init_parameters(0)
+    met = threading.Barrier(2, timeout=10)
+    seen = []
+    train_block = training._train_block
+
+    def meeting(model, samples, rows, *args):
+        seen.append((threading.get_ident(), len(rows)))
+        met.wait()
+        return train_block(model, samples, rows, *args)
+
+    monkeypatch.setattr(training, "_train_block", meeting)
+    train(model, tr, val, cfg)
+    assert sorted(rows for _, rows in seen) == [120, 120]
+    assert len({thread for thread, _ in seen}) == 2
+
+
 def test_gradient_slots_stay_bounded_and_add_up_in_block_order(monkeypatch):
     # one batch of 210 rows as 14 blocks on two workers, the first block
     # slow, so the other worker runs ahead until it has to wait: at most
     # workers + 1 buffers exist, and the step's gradient is the blocks'
     # gradients added in block order
-    monkeypatch.setattr(training, "BLOCK_ROWS", 16)
+    monkeypatch.setattr(dc, "BLOCK_ROWS", 16)
     monkeypatch.setattr(dc, "_WORKERS", 2)
     topo, schemas = chain_topology(), chain_schemas()
     cfg = TrainingConfig(max_epochs=1, batch_size=210, seed=3)
