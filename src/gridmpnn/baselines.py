@@ -37,39 +37,24 @@ class MetricError(ValueError):
 BENCH_MLP_HIDDEN = 640
 
 
-def _geo_widths(d_in: int, d_out: int, layers: int,
-                hidden: Optional[int] = None) -> list[int]:
-    """Layer widths: geometric interpolation unless ``hidden`` pins the
-    hidden width(s) (the benchmark config freezes a tuned value)."""
-    if layers < 1:
-        raise ContractError("layers must be >= 1")
-    if layers == 1:
-        return [d_in, d_out]
-    if hidden is not None:
-        return [d_in] + [int(hidden)] * (layers - 1) + [d_out]
-    ratio = (d_out / d_in) ** (1.0 / layers)
-    widths = [d_in]
-    for i in range(1, layers):
-        widths.append(max(1, int(round(d_in * ratio ** i))))
-    widths.append(d_out)
-    return widths
-
-
 class CentralModel(ModelBase):
     """Flattened-input benchmark model (kind 'mlp' or 'ae').
 
     The MLP maps features+mask straight to all-channel Gaussian heads;
     the AE goes through a bottleneck equal to the summed latent sizes.
+    Hidden layers are ``hidden`` wide (the benchmark config freezes a
+    tuned value); 1 layer is a linear map, for degenerate test models.
+    The constant inputs are flattened in numpy and reach the first layer
+    as parts of one ``diffcore.dense`` input, and each group's mean and
+    log-variance are read from the flat output with ``diffcore.regroup``.
     """
 
     def __init__(self, kind: str, topology: GridTopology,
-                 schemas: dict[str, NodeSchema], layers: int = 2,
-                 hidden: Optional[int] = None):
+                 schemas: dict[str, NodeSchema], hidden: int, layers: int = 2):
         if kind not in ("mlp", "ae"):
             raise ContractError(f"unknown baseline kind {kind!r}")
-        if layers not in (2, 3) and kind in ("mlp", "ae"):
-            if layers != 1:  # 1 is allowed for degenerate/linear test models
-                raise ContractError("baseline layers must be 1, 2 or 3")
+        if layers not in (1, 2, 3):
+            raise ContractError("baseline layers must be 1, 2 or 3")
         self._init_base(topology, schemas)
         self.kind = kind
         self.layers = layers
@@ -77,13 +62,12 @@ class CentralModel(ModelBase):
         self.d_in = 2 * self.d_features
         self.d_out = 2 * self.d_features  # mu and log-variance heads
         self.bottleneck = total_latent_dim(schemas)
+        mid = [int(hidden)] * (layers - 1)
         if kind == "mlp":
-            self.layer_specs = [("net", _geo_widths(self.d_in, self.d_out,
-                                                    layers, hidden))]
+            self.layer_specs = [("net", [self.d_in, *mid, self.d_out])]
         else:
-            enc = _geo_widths(self.d_in, self.bottleneck, layers, hidden)
-            dec = _geo_widths(self.bottleneck, self.d_out, layers, hidden)
-            self.layer_specs = [("enc", enc), ("dec", dec)]
+            self.layer_specs = [("enc", [self.d_in, *mid, self.bottleneck]),
+                                ("dec", [self.bottleneck, *mid, self.d_out])]
         # fixed flat layout: group order, node order within group
         self._cols: dict[str, tuple[int, int]] = {}
         off = 0
@@ -101,47 +85,38 @@ class CentralModel(ModelBase):
     def count_parameters(self) -> int:
         return self.params.n_scalars()
 
-    def _flatten(self, packed: dict[str, np.ndarray], tape: Optional[Tape]):
+    def _flatten(self, packed: dict[str, np.ndarray]) -> np.ndarray:
+        """(B, d_features) rows of packed (n, B, q) groups, each sample's
+        nodes in the flat layout."""
         parts = []
-        b = None
         for g in self.groups:
-            arr = packed[g.key]
-            n, b, q = arr.shape
-            t = dc.transpose(dc.Tensor(arr) if tape is None else tape.leaf(arr),
-                             (1, 0, 2))
-            parts.append(dc.reshape(t, (b, n * q)))
-        return dc.concat(parts, axis=1), b
-
-    def _unflatten(self, flat, b: int) -> dict:
-        out = {}
-        for g in self.groups:
-            lo, hi = self._cols[g.key]
-            n, q = len(g.node_ids), g.q
-            piece = dc.slice_(flat, (slice(None), slice(lo, hi)))
-            piece = dc.reshape(piece, (b, n, q))
-            out[g.key] = dc.transpose(piece, (1, 0, 2))
-        return out
+            n, b, q = packed[g.key].shape
+            parts.append(np.ascontiguousarray(
+                packed[g.key].transpose(1, 0, 2)).reshape(b, n * q))
+        return np.concatenate(parts, axis=1)
 
     def forward(self, features: dict[str, np.ndarray],
                 mask: dict[str, np.ndarray], tape: Optional[Tape] = None):
         """Packed groups in, packed standardized (mu, logvar) out; same
         contract as the graph model's forward, rows rounded by BLAS the
         same way."""
-        f_flat, b = self._flatten(features, tape)
-        m_flat, _ = self._flatten(mask, tape)
-        h = dc.concat([f_flat, m_flat], axis=1)
+        h = (self._flatten(features), self._flatten(mask))
         for name, spec in self.layer_specs:
             h = dc.mlp_forward(self.params, spec, name, h, tape=tape)
-        mu_flat = dc.slice_(h, (slice(None), slice(0, self.d_features)))
-        lv_flat = dc.slice_(h, (slice(None), slice(self.d_features, self.d_out)))
-        lv_flat = dc.clip(lv_flat, np.log(VAR_CLAMP_LO), np.log(VAR_CLAMP_HI))
-        return self._unflatten(mu_flat, b), self._unflatten(lv_flat, b)
+        mu, logvar = {}, {}
+        for g in self.groups:
+            lo, hi = self._cols[g.key]
+            n, d = len(g.node_ids), self.d_features
+            mu[g.key] = dc.regroup(h, lo, hi, n)
+            logvar[g.key] = dc.clip(dc.regroup(h, d + lo, d + hi, n),
+                                    np.log(VAR_CLAMP_LO), np.log(VAR_CLAMP_HI))
+        return mu, logvar
 
 
 def build_baseline(kind: str, topology: GridTopology,
-                   schemas: dict[str, NodeSchema], layers: int = 2,
-                   hidden: Optional[int] = None, seed: int = 0) -> CentralModel:
-    model = CentralModel(kind, topology, schemas, layers=layers, hidden=hidden)
+                   schemas: dict[str, NodeSchema], hidden: int,
+                   layers: int = 2, seed: int = 0) -> CentralModel:
+    model = CentralModel(kind, topology, schemas, hidden, layers=layers)
     model.init_parameters(seed)
     return model
 

@@ -21,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from . import baselines, gridsim, services
-from .gridgraph import (SchemaConfig, TopologyError, derive_schemas,
-                        load_topology, sensor_id)
+from .gridgraph import (VOLTAGE, SchemaConfig, TopologyError,
+                        derive_schemas, load_topology, sensor_id)
 from .imputation import ImputationProblem, impute
 from .mpnn import GnnConfig, GnnModel
 from .training import (ChannelStats, DatasetError, TrainingConfig,
@@ -129,7 +129,21 @@ def load_config(path: str) -> dict:
     if target is not None and type(target) not in (int, float):
         raise ConfigError("config services.target_voltage must be a number "
                           f"or null, not {target!r}")
-    cfg["benchmark"] = {**DEFAULT_BENCHMARK, **cfg.get("benchmark", {})}
+    cfg["benchmark"] = bench = {**DEFAULT_BENCHMARK, **cfg.get("benchmark", {})}
+    models = bench["models"]
+    for kind in models:
+        if kind not in ("gnn", "mlp", "ae"):
+            raise ConfigError(f"config benchmark.models: unknown model {kind!r}")
+    if not models or len(set(models)) < len(models):
+        raise ConfigError("config benchmark.models must name each model "
+                          f"once, not {models!r}")
+    for rate in bench["missing_rates"]:
+        if type(rate) not in (int, float) or not 0.0 <= rate < 1.0:
+            raise ConfigError("config benchmark.missing_rates: "
+                              f"{rate!r} is not a rate in [0, 1)")
+    if {"mlp", "ae"} & set(models) and bench["layers"] not in (1, 2, 3):
+        raise ConfigError("config benchmark.layers must be 1, 2 or 3 for the "
+                          f"MLP and AE, not {bench['layers']!r}")
     return cfg
 
 
@@ -365,6 +379,10 @@ def cmd_congest(args) -> int:
     node = svc["plot_node"]
     if node is not None and node not in topo.ids():
         raise ConfigError(f"config services.plot_node: no node {node!r}")
+    if node is not None and not any(ch.category == VOLTAGE and ch.lag == 0
+                                    for ch in schemas[node].channels()):
+        raise ConfigError(f"config services.plot_node: node {node!r} has no "
+                          "current-time voltage channel")
     samples, _ = _test_samples(cfg, model, dataset, schemas)
     events, plot_rows = services.scan_congestions(
         model, samples, schemas, threshold_v=svc["threshold_v"], z=svc["z"],
@@ -430,14 +448,12 @@ def cmd_bench(args) -> int:
             model.init_parameters(seed=cfg.get("seed", 0))
             mp_steps = model.config.message_passing_steps
             gnn_model = model
-        elif kind in ("mlp", "ae"):
+        else:
             hidden = bench["mlp_hidden"] if kind == "mlp" else bench["ae_hidden"]
             model = baselines.build_baseline(
                 kind, topo, schemas, layers=bench["layers"], hidden=hidden,
                 seed=cfg.get("seed", 0))
             mp_steps = None
-        else:
-            raise ConfigError(f"unknown benchmark model kind {kind!r}")
         result, _ = _train_model(model, cfg, topo, schemas, train_ds,
                                  verbose=args.verbose)
         entries.append((kind.upper(), model, bench["layers"], mp_steps))

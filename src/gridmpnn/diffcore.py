@@ -1,10 +1,13 @@
 """Dense-tensor math with reverse-mode differentiation.
 
 Everything in this package that learns runs on this module: float64
-tensors recorded on an explicit tape, a small set of differentiable
-primitives (matmul, scale, clip, concat, slice, ...), multi-layer
-perceptrons built from one fused dense-layer primitive, one fused
-Gaussian negative log-likelihood, and a bias-corrected Adam optimizer.
+tensors recorded on an explicit tape, and on it only the layers of the
+two models that train, the graph model and the centralized MLP or
+auto-encoder: one fused dense layer (plain or over gathered rows), the
+graph model's message routing, the centralized model's regrouping of
+its flat output, a clamp, one fused Gaussian negative log-likelihood;
+then a bias-corrected Adam optimizer. Data a model only lays out
+(flattening constant inputs, a ones column) is laid out in numpy.
 
 Design choices:
 
@@ -12,24 +15,25 @@ Design choices:
   than speed.
 * The tape is an append-only list, so creation order is a topological
   order for free. It records backward closures, not op outputs, and
-  serves one reverse pass, which releases them as it goes.
+  serves one reverse pass, which releases them as it goes. The pass is
+  seeded with an adjoint of the output's shape (``backward``), so a
+  loss's scale needs no op of its own.
 * A backward closure captures the node ids of its inputs, never
   ``Tensor`` objects, and only the arrays its own backward reads: a
-  matmul operand only if the other operand needs a gradient, a dense
-  layer's input only for its block's gradient and its block only for
-  its input's, its output only if the layer is hidden (for the tanh
-  derivative), and shapes, masks or indices for ``scale``, ``clip``,
-  ``slice_``, ``reshape``, ``transpose`` and ``concat``. A dense layer
-  whose input comes in parts keeps the parts, never their
-  concatenation, and concatenates them again in its backward. So the
-  tape holds no array that the reverse pass does not read, and no
-  copy of one, and an untaped call returns before it builds a closure.
+  dense layer's input only for its block's gradient and its block only
+  for its input's, its output only if the layer is hidden (for the tanh
+  derivative), the routing matrix for ``route``, and the mask for
+  ``clip``. A dense layer whose input comes in parts keeps the parts,
+  never their concatenation, and concatenates them again in its
+  backward. So the tape holds no array that the reverse pass does not
+  read, and no copy of one, and an untaped call returns before it
+  builds a closure.
 * The reverse pass does only the work parameter gradients need. Each
   tape node records whether a parameter leaf lies upstream of it; nodes
   without one (constants, inputs, masks and everything computed only
   from them) get no backward closure, adjoints sent to them are
-  dropped, and ``matmul`` and ``dense`` skip the operand products whose
-  target needs no gradient.
+  dropped, and ``dense`` skips the operand products whose target needs
+  no gradient.
 * An MLP layer is one affine block, (i + 1, o) or stacked (k, i + 1, o):
   its weight rows, then its bias row. ``dense(x, a, hidden)`` computes
   the layer as one GEMM, ``x @ a`` with tanh on hidden layers, in place
@@ -44,8 +48,8 @@ Design choices:
   the kept output's buffer, which nothing reads after it. The constant
   unit's derivative is exactly 0, so its gradient is 0 and Adam never
   moves it; it is not a parameter (``ParameterSet.n_scalars``).
-  Given a list of parts as ``x``, ``dense`` matches ``concat`` of the
-  parts followed by ``dense``, bit for bit, forward and adjoints alike.
+  Given a list of parts as ``x``, ``dense`` matches ``dense`` of the
+  parts' concatenation, bit for bit, forward and adjoints alike.
 * ``gaussian_nll(mu, logvar, targets, weights)`` is the training loss,
   summed over per-group dicts into one scalar and undone by one backward
   closure. Its forward and adjoints use the numpy operations, in the
@@ -66,9 +70,15 @@ Design choices:
   type: slice j applies member ``members[j]``, and each member's
   gradient adds the slabs of its slices in index order, by the same
   rule.
-* Operations work elementwise-broadcast style on numpy arrays and also
-  support stacked ("batched") matmuls such as (n, B, i) @ (n, i, o),
-  which the graph model uses to evaluate many per-node MLPs at once.
+* ``route(msgs, routing)`` is a graph model's mean incoming message:
+  its messages stacked, flattened and multiplied by a constant routing
+  matrix, and ``regroup(h, lo, hi, n)`` reads a column range of a flat
+  (B, D) output as (n, B, q) per node group. Both use the numpy calls,
+  in the order, of the stack, reshape, transpose, slice and matmul
+  steps they stand for, so the bytes are theirs.
+* Dense layers run stacked ("batched") matmuls such as
+  (n, B, i) @ (n, i, o), which the graph model uses to evaluate many
+  per-node MLPs at once.
 * Parameters live only in blocks of the shapes the engine computes
   with: per MLP layer one affine block, stacked along a leading member
   axis when k same-shaped MLPs run as one batched matmul. There is no
@@ -77,8 +87,8 @@ Design choices:
   units out (``mlp_views``).
 * An untaped ``mlp_forward`` runs on plain arrays: one GEMM and one
   in-place tanh per layer, with no ``Tensor`` or tape lookup between
-  layers; only its result is wrapped. Other tensors that never touch a
-  tape also evaluate eagerly with no recording.
+  layers; only its result is wrapped. The other ops evaluate eagerly
+  with no recording when no operand is on a tape.
 * Work cut into blocks runs on the cores that BLAS leaves free
   (``run_blocks``): the calling thread and a module-level pool take the
   blocks from one shared list until none is left, and numpy releases
@@ -101,19 +111,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-
-__all__ = [
-    "ContractError",
-    "ShapeError",
-    "Tensor",
-    "Tape",
-    "ParameterSet",
-    "AdamState",
-    "scale", "matmul", "dense", "clip", "concat", "slice_", "reshape",
-    "transpose", "gather_dense", "gaussian_nll",
-    "CONSTANT_BIAS", "mlp_layer_ids", "mlp_init", "mlp_views", "mlp_forward",
-    "adam_step", "backward", "gradient_check", "row_blocks", "run_blocks",
-]
 
 
 class ContractError(ValueError):
@@ -255,49 +252,11 @@ def _record(tape: Tape, op: str, inputs: Sequence[Tensor],
 # Primitives
 
 
-def scale(a, c: float) -> Tensor:
-    tape = _find_tape(a)
-    a = _coerce(a, tape)
-    c = float(c)
-    out = a.data * c
-    if tape is None:
-        return _wrap(out)
-    aid = a.node
-
-    def bwd(adj, accum):
-        accum(aid, adj * c)
-
-    return _record(tape, "scale", (a,), out, bwd)
-
-
 def _check_inner(a: np.ndarray, b: np.ndarray, op: str) -> None:
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"{op} operands must have ndim >= 2")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"{op} inner dimensions differ: {a.shape} @ {b.shape}")
-
-
-def matmul(a, b) -> Tensor:
-    tape = _find_tape(a, b)
-    a, b = _coerce(a, tape), _coerce(b, tape)
-    _check_inner(a.data, b.data, "matmul")
-    out = a.data @ b.data
-    if tape is None:
-        return _wrap(out)
-    aid, bid = a.node, b.node
-    ash, bsh = a.data.shape, b.data.shape
-    need_a, need_b = tape.nodes[aid].needs_grad, tape.nodes[bid].needs_grad
-    # each operand only for the other's gradient
-    ad = a.data if need_b else None
-    bd = b.data if need_a else None
-
-    def bwd(adj, accum):
-        if need_a:
-            accum(aid, _unbroadcast(adj @ bd.swapaxes(-1, -2), ash))
-        if need_b:
-            accum(bid, _unbroadcast(ad.swapaxes(-1, -2) @ adj, bsh))
-
-    return _record(tape, "matmul", (a, b), out, bwd)
 
 
 def dense(x, a, hidden: bool, members=None, ones: bool = False) -> Tensor:
@@ -314,7 +273,7 @@ def dense(x, a, hidden: bool, members=None, ones: bool = False) -> Tensor:
     concatenation along the last axis. The tape then keeps the parts,
     not their concatenation: the backward concatenates again for the
     block's gradient and sends each part its slice of the input's
-    adjoint, in order, as ``concat`` followed by ``dense`` would. The
+    adjoint, in order, the bytes of ``dense`` over the concatenation. The
     input's adjoint covers its columns up to the last part that needs a
     gradient, so an appended ones column gets none.
 
@@ -461,68 +420,58 @@ def clip(a, lo: float, hi: float) -> Tensor:
     return _record(tape, "clip", (a,), out, bwd)
 
 
-def concat(tensors: Sequence, axis: int = -1) -> Tensor:
-    tape = _find_tape(*tensors)
-    ts = [_coerce(t, tape) for t in tensors]
-    out = np.concatenate([t.data for t in ts], axis=axis)
+def route(msgs: Sequence, routing: np.ndarray) -> Tensor:
+    """A graph model's mean incoming message per node: ``routing @`` the
+    message tensors ``msgs``, each (k, B, m), stacked along axis 0 and
+    flattened to (edges, B * m), as (n, B, m) for an (n, edges) constant
+    ``routing``. Each message tensor's adjoint is its rows of
+    ``routing^T @`` the output's adjoint; the tape keeps no array but the
+    routing matrix."""
+    tape = _find_tape(*msgs)
+    ms = [_coerce(m, tape) for m in msgs]
+    stacked = (ms[0].data if len(ms) == 1
+               else np.concatenate([m.data for m in ms]))
+    edges, rows, width = stacked.shape
+    n, flat = routing.shape[0], stacked.reshape(edges, rows * width)
+    _check_inner(routing, flat, "route")
+    out = (routing @ flat).reshape(n, rows, width)
     if tape is None:
         return _wrap(out)
-    sizes = [t.data.shape[axis] for t in ts]
-    nodes = [t.node for t in ts]
+    mids, cuts = [m.node for m in ms], np.cumsum([m.data.shape[0] for m in ms])
 
     def bwd(adj, accum):
-        splits = np.cumsum(sizes)[:-1]
-        for nid, piece in zip(nodes, np.split(adj, splits, axis=axis)):
-            accum(nid, piece)
+        g = routing.swapaxes(-1, -2) @ adj.reshape(n, rows * width)
+        for mid, piece in zip(mids, np.split(g.reshape(edges, rows, width),
+                                             cuts[:-1])):
+            accum(mid, piece)
 
-    return _record(tape, "concat", ts, out, bwd)
+    return _record(tape, "route", ms, out, bwd)
 
 
-def slice_(a, key) -> Tensor:
-    """Basic slicing; ``key`` is anything accepted by ndarray.__getitem__
-    that selects without fancy indexing."""
-    tape = _find_tape(a)
-    a = _coerce(a, tape)
-    out = np.ascontiguousarray(a.data[key])
+def regroup(h, lo: int, hi: int, n: int) -> Tensor:
+    """Columns ``lo:hi`` of a (B, D) tensor as n groups of q = (hi - lo) / n
+    columns, stacked (n, B, q): column lo + j * q + c of row b is element
+    (j, b, c), as a centralized model's flat output is read per node
+    group. The adjoint puts the columns back in a zero (B, D) array, so
+    the tape keeps no array."""
+    tape = _find_tape(h)
+    h = _coerce(h, tape)
+    rows, width = h.data.shape
+    if not 0 <= lo < hi <= width or (hi - lo) % n:
+        raise ShapeError(f"regroup: columns {lo}:{hi} of {width} do not "
+                         f"split into {n} groups")
+    out = np.ascontiguousarray(
+        h.data[:, lo:hi].reshape(rows, n, (hi - lo) // n).transpose(1, 0, 2))
     if tape is None:
         return _wrap(out)
-    aid, ash = a.node, a.data.shape
+    hid = h.node
 
     def bwd(adj, accum):
-        g = np.zeros(ash)
-        g[key] += adj
-        accum(aid, g)
+        g = np.zeros((rows, width))
+        g[:, lo:hi] += adj.transpose(1, 0, 2).reshape(rows, hi - lo)
+        accum(hid, g)
 
-    return _record(tape, "slice", (a,), out, bwd)
-
-
-def reshape(a, shape: Sequence[int]) -> Tensor:
-    tape = _find_tape(a)
-    a = _coerce(a, tape)
-    out = a.data.reshape(tuple(shape))
-    if tape is None:
-        return _wrap(out)
-    aid, ash = a.node, a.data.shape
-
-    def bwd(adj, accum):
-        accum(aid, adj.reshape(ash))
-
-    return _record(tape, "reshape", (a,), out, bwd)
-
-
-def transpose(a, axes: Sequence[int]) -> Tensor:
-    tape = _find_tape(a)
-    a = _coerce(a, tape)
-    axes = tuple(axes)
-    out = np.ascontiguousarray(a.data.transpose(axes))
-    if tape is None:
-        return _wrap(out)
-    aid, inv = a.node, tuple(np.argsort(axes))
-
-    def bwd(adj, accum):
-        accum(aid, np.ascontiguousarray(adj.transpose(inv)))
-
-    return _record(tape, "transpose", (a,), out, bwd)
+    return _record(tape, "regroup", (h,), out, bwd)
 
 
 def gaussian_nll(mu: dict, logvar: dict, targets: dict, weights: dict) -> Tensor:
@@ -569,20 +518,24 @@ def gaussian_nll(mu: dict, logvar: dict, targets: dict, weights: dict) -> Tensor
 # Reverse pass
 
 
-def backward(tape: Tape, loss: Tensor) -> None:
-    """Accumulate d(loss)/d(param) into every parameter leaf on the tape.
+def backward(tape: Tape, out: Tensor, adjoint) -> None:
+    """Accumulate into every parameter leaf on the tape the gradient of
+    sum(adjoint * out): ``adjoint``, of ``out``'s shape, seeds the
+    reverse pass, as a scalar loss's scale or a tensor output's weights.
 
-    Parameters the loss does not reach keep their current (zeroed)
+    Parameters ``out`` does not reach keep their current (zeroed)
     gradient accumulator. Adjoints sent to nodes with no parameter
     upstream are dropped. Each node's backward closure is dropped once
     consumed, freeing the forward arrays it captured, so a tape supports
     one backward pass.
     """
-    if loss.tape is not tape or loss.node < 0:
-        raise ContractError("loss was not produced by this tape")
-    if loss.data.size != 1:
-        raise ContractError(f"loss must be scalar, got shape {loss.data.shape}")
-    adjoints: dict[int, np.ndarray] = {loss.node: np.ones_like(loss.data)}
+    if out.tape is not tape or out.node < 0:
+        raise ContractError("output was not produced by this tape")
+    seed = np.asarray(adjoint, dtype=np.float64)
+    if seed.shape != out.data.shape:
+        raise ContractError(f"adjoint of shape {seed.shape} for an output "
+                            f"of shape {out.data.shape}")
+    adjoints: dict[int, np.ndarray] = {out.node: seed}
     nodes = tape.nodes
 
     def accum(nid: int, grad: np.ndarray) -> None:
@@ -591,7 +544,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
         cur = adjoints.get(nid)
         adjoints[nid] = grad if cur is None else cur + grad
 
-    for nid in range(loss.node, -1, -1):
+    for nid in range(out.node, -1, -1):
         adj = adjoints.pop(nid, None)
         node = nodes[nid]
         if adj is None:
@@ -734,8 +687,7 @@ def _layer_ids(prefix: str, n_layers: int) -> tuple[tuple[str, bool], ...]:
 def mlp_forward(params: ParameterSet, layer_spec: Sequence[int], prefix: str,
                 x, tape: Optional[Tape] = None,
                 rows: Optional[Sequence] = None,
-                members: Optional[np.ndarray] = None,
-                ones: bool = True) -> Tensor:
+                members: Optional[np.ndarray] = None) -> Tensor:
     """Apply the MLP block ``prefix``: tanh on hidden layers, linear
     final layer, one GEMM per layer.
 
@@ -746,10 +698,9 @@ def mlp_forward(params: ParameterSet, layer_spec: Sequence[int], prefix: str,
     as ``dense`` does, the input being ``[x[0] | x[1] | ...]``; with
     ``rows`` it is ``[x[0][rows[0]] | x[1][rows[1]] | ...]``, which the
     first layer builds as ``gather_dense`` does. The first layer appends
-    the ones column its bias row multiplies; with ``ones`` False ``x``
-    already ends with it, as when several MLPs read one input. With
-    ``members``, slice j of the input applies member ``members[j]`` of
-    the block, as in ``dense``.
+    the ones column its bias row multiplies. With ``members``, slice j
+    of the input applies member ``members[j]`` of the block, as in
+    ``dense``.
 
     Untaped, the layers run on plain arrays: one GEMM and one in-place
     tanh each, the result wrapped in a ``Tensor`` at the end.
@@ -759,7 +710,7 @@ def mlp_forward(params: ParameterSet, layer_spec: Sequence[int], prefix: str,
     tape = tape if tape is not None else _find_tape(*xs)
     if tape is None:
         h = _gather_rows([t.data if isinstance(t, Tensor) else _as_array(t)
-                          for t in xs], rows, ones)
+                          for t in xs], rows, True)
         _check_input(prefix, layer_spec, h.shape[-1])
         for i, (aid, hidden) in enumerate(layers):
             try:
@@ -772,7 +723,7 @@ def mlp_forward(params: ParameterSet, layer_spec: Sequence[int], prefix: str,
                 np.tanh(h, out=h)
         return _wrap(h)
     xs = [_coerce(t, tape) for t in xs]
-    _check_input(prefix, layer_spec, sum(t.data.shape[-1] for t in xs) + ones)
+    _check_input(prefix, layer_spec, sum(t.data.shape[-1] for t in xs) + 1)
     h = xs
     for i, (aid, hidden) in enumerate(layers):
         try:
@@ -781,9 +732,9 @@ def mlp_forward(params: ParameterSet, layer_spec: Sequence[int], prefix: str,
             raise ContractError(
                 f"missing parameters for {prefix} layer {i}") from None
         if i == 0 and rows is not None:
-            h = gather_dense(xs, rows, a, hidden, members, ones)
+            h = gather_dense(xs, rows, a, hidden, members, ones=True)
         else:
-            h = dense(h, a, hidden, members, ones=i == 0 and ones)
+            h = dense(h, a, hidden, members, ones=i == 0)
     return h
 
 

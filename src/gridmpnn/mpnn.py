@@ -12,13 +12,14 @@ For speed, nodes whose MLPs have the same layer shapes (one group per
 (q, p), whatever their kind) are evaluated together as stacked MLP
 applications, and so are the edges between two such groups; each edge
 MLP's first layer gathers both endpoint states from their groups'
-stacks (``diffcore.gather_dense``), and message aggregation is a
-(constant) routing-matrix multiply. Every layer is one GEMM over an
-input whose last column is ones. The encoder's first layer reads
-[features | mask | 1], the aggregator's [state | mean message | 1] and
-the edge MLP's [destination state | source state | 1], each as parts of
-one ``diffcore.dense`` input, so a taped pass keeps the parts, not
-their concatenation; both decoder heads read one [state | 1]. Parameters
+stacks (``diffcore.gather_dense``), and message aggregation is one
+``diffcore.route`` per group, a constant routing-matrix multiply. Every
+layer is one GEMM over an input whose last column is ones. The
+encoder's first layer reads [features | mask | 1], the aggregator's
+[state | mean message | 1] and the edge MLP's [destination state |
+source state | 1], each as parts of one ``diffcore.dense`` input, so a
+taped pass keeps the parts, not their concatenation; each decoder head
+reads its own [state | 1]. Parameters
 are per node and per directed edge unless ``share_by_type`` is set. They
 live only in the blocks the forward computes with, one affine block per
 layer and MLP role of a node group (``stack/<group>/<role>/L<i>``) or
@@ -360,8 +361,7 @@ class GnnModel(ModelBase):
                 raise ShapeError(f"group {g.key}: feature/mask shape mismatch")
             states[g.key] = dc.mlp_forward(
                 self.params, self._enc_spec(g), f"stack/{g.key}/enc",
-                (_leaf(tape, f), _leaf(tape, m)), tape=tape,
-                members=self._node_members[g.key])
+                (f, m), tape=tape, members=self._node_members[g.key])
         return states
 
     def message_pass(self, states: dict[str, Tensor],
@@ -378,49 +378,37 @@ class GnnModel(ModelBase):
             new_states = {}
             for g in self.groups:
                 own = states[g.key]
-                mean = self._mean_message(g, msgs[g.key], own.data.shape[1],
-                                          tape)
+                mean = self._mean_message(g, msgs[g.key], own.data.shape[1])
                 new_states[g.key] = dc.mlp_forward(
                     self.params, self._agg_spec(g), f"stack/{g.key}/agg",
                     (own, mean), tape=tape, members=self._node_members[g.key])
             states = new_states
         return states
 
-    def _mean_message(self, g: NodeGroup, msgs: list[Tensor], rows: int,
-                      tape: Optional[Tape]) -> Tensor:
+    def _mean_message(self, g: NodeGroup, msgs: list[Tensor],
+                      rows: int) -> Tensor:
         """Mean incoming message per node of group ``g``, (n, B, md):
-        ``routing @`` the group's incoming messages, stacked and flattened
-        to (edges, B * md). Untaped, on plain arrays."""
-        n, md = len(g.node_ids), self.message_dim_for(g)
+        ``diffcore.route`` of the group's incoming messages, zeros when
+        it has none."""
         if not msgs:
-            return _leaf(tape, np.zeros((n, rows, md)))
-        routing = self.routing[g.key]
-        if tape is not None:
-            stacked = msgs[0] if len(msgs) == 1 else dc.concat(msgs, axis=0)
-            flat = dc.reshape(stacked, (stacked.data.shape[0], rows * md))
-            return dc.reshape(dc.matmul(_leaf(tape, routing), flat),
-                              (n, rows, md))
-        flat = np.concatenate([m.data for m in msgs]) if len(msgs) > 1 \
-            else msgs[0].data
-        flat = flat.reshape(flat.shape[0], rows * md)
-        return Tensor((routing @ flat).reshape(n, rows, md))
+            return Tensor(np.zeros((len(g.node_ids), rows,
+                                    self.message_dim_for(g))))
+        return dc.route(msgs, self.routing[g.key])
 
     def decode(self, states: dict[str, Tensor],
                tape: Optional[Tape] = None) -> tuple[dict[str, Tensor], dict[str, Tensor]]:
         """Standardized mean and clamped log-variance per group, (n, B, q).
-        Both heads read one [state | 1] input."""
+        Each head reads its own [state | 1]."""
         mu, logvar = {}, {}
         for g in self.groups:
             members = self._node_members[g.key]
             state = states[g.key]
-            x = dc.concat([state, _leaf(tape, np.ones(state.data.shape[:-1]
-                                                      + (1,)))])
             mu[g.key] = dc.mlp_forward(
-                self.params, self._dec_spec(g), f"stack/{g.key}/dec_mu", x,
-                tape=tape, members=members, ones=False)
+                self.params, self._dec_spec(g), f"stack/{g.key}/dec_mu", state,
+                tape=tape, members=members)
             raw = dc.mlp_forward(
-                self.params, self._dec_spec(g), f"stack/{g.key}/dec_lv", x,
-                tape=tape, members=members, ones=False)
+                self.params, self._dec_spec(g), f"stack/{g.key}/dec_lv", state,
+                tape=tape, members=members)
             logvar[g.key] = dc.clip(raw, np.log(VAR_CLAMP_LO), np.log(VAR_CLAMP_HI))
         return mu, logvar
 
@@ -526,7 +514,3 @@ def _arrays_json(arrays: dict[str, np.ndarray]) -> str:
         shape = ",".join(str(int(s)) for s in v.shape)
         parts.append(f'{json.dumps(key)}:{{"shape":[{shape}],"values":[{vals}]}}')
     return "{" + ",".join(parts) + "}"
-
-
-def _leaf(tape: Optional[Tape], arr: np.ndarray) -> Tensor:
-    return Tensor(arr) if tape is None else tape.leaf(np.asarray(arr, float))

@@ -107,7 +107,6 @@ class Sample:
     input_mask: dict[str, np.ndarray]
     targets: dict[str, np.ndarray]
     loss_mask: dict[str, np.ndarray]
-    missing_fraction: float
 
 
 class SampleSet:
@@ -129,7 +128,6 @@ class SampleSet:
         self.input_mask: dict[str, np.ndarray] = {}
         self.targets: dict[str, np.ndarray] = {}
         self.loss_mask: dict[str, np.ndarray] = {}
-        self.missing_fraction = np.zeros(len(self.timestamps))
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -153,7 +151,6 @@ class SampleSet:
         out.targets = _take(self.targets, idx)
         out.input_mask = _take(self.input_mask, idx)
         out.loss_mask = _take(self.loss_mask, idx)
-        out.missing_fraction = self.missing_fraction[idx].copy()
         return out
 
     def sample(self, i: int) -> Sample:
@@ -168,7 +165,7 @@ class SampleSet:
                     out[nid] = arrays[g.key][j]
         feats, imask, targs, lmask = per_node
         return Sample(int(self.timestamps[i]), MappingProxyType(feats), imask,
-                      targs, lmask, float(self.missing_fraction[i]))
+                      targs, lmask)
 
 
 def _take(arrays: dict[str, np.ndarray], idx) -> dict[str, np.ndarray]:
@@ -269,7 +266,6 @@ def build_samples(dataset, topology, schemas: dict[str, NodeSchema],
         out.targets[g.key] = np.where(ok, z, 0.0)
         out.input_mask[g.key] = ok
         out.loss_mask[g.key] = ok.copy()
-    out.missing_fraction = frac[keep]
     return out
 
 
@@ -314,13 +310,9 @@ def masked_clones(samples: SampleSet, sel: dict[str, np.ndarray]) -> SampleSet:
         raise DatasetError("cannot augment an empty sample set")
     out = SampleSet(samples.groups, samples.stats, samples.timestamps.copy())
     out.input_mask = _hide(samples.input_mask, sel)
-    total_entries = sum(g.q * len(g.node_ids) for g in samples.groups)
-    unobserved = np.zeros(len(samples))
     for g in samples.groups:
         out.targets[g.key] = samples.targets[g.key].copy()
         out.loss_mask[g.key] = samples.loss_mask[g.key].copy()
-        unobserved += (~out.input_mask[g.key]).sum(axis=(0, 2))
-    out.missing_fraction = unobserved / total_entries
     return out
 
 
@@ -333,8 +325,6 @@ def concat_sample_sets(parts: Sequence[SampleSet]) -> SampleSet:
                             (out.loss_mask, "loss_mask")):
             store[g.key] = np.concatenate(
                 [getattr(p, name)[g.key] for p in parts], axis=1)
-    out.missing_fraction = np.concatenate(
-        [p.missing_fraction for p in parts])
     return out
 
 
@@ -416,8 +406,9 @@ class _GradientSlots:
 def _train_block(model, samples: SampleSet, idx: np.ndarray, tape: Tape,
                  grads: dict[str, np.ndarray], scale: float) -> float:
     """One block's taped forward on a fork of ``tape``, and, if its NLL
-    sum is finite, the backward of that sum times ``scale`` into
-    ``grads``, which it overwrites. Returns the NLL sum."""
+    sum is finite, the backward of that sum times ``scale`` (the seed of
+    the reverse pass) into ``grads``, which it overwrites. Returns the
+    NLL sum."""
     f, m, t, lm = samples.batch(idx)
     block_tape = tape.fork(grads)
     mu, logvar = model.forward(f, m, tape=block_tape)
@@ -425,7 +416,7 @@ def _train_block(model, samples: SampleSet, idx: np.ndarray, tape: Tape,
     if np.isfinite(loss_sum.data):
         for g in grads.values():
             g[...] = 0.0
-        backward(block_tape, dc.scale(loss_sum, scale))
+        backward(block_tape, loss_sum, scale)
     return float(loss_sum.data)
 
 

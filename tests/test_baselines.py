@@ -48,7 +48,7 @@ def test_degenerate_single_node_baseline():
                           "edges": []})
     schemas = {"g": NodeSchema("g", [("x", "energy"), ("y", "energy")],
                                [], [], p=2)}
-    mlp = build_baseline("mlp", topo, schemas, layers=2, seed=1)
+    mlp = build_baseline("mlp", topo, schemas, layers=2, hidden=4, seed=1)
     assert mlp.d_features == 2
     f = mlp.pack({"g": np.array([[0.5, -1.0]])})
     m = mlp.pack({"g": np.ones((1, 2))})
@@ -60,7 +60,7 @@ def test_degenerate_single_node_baseline():
 def test_baseline_forward_and_gradients_flow():
     topo = chain_topology()
     schemas = chain_schemas()
-    mlp = build_baseline("mlp", topo, schemas, layers=2, seed=2)
+    mlp = build_baseline("mlp", topo, schemas, layers=2, hidden=6, seed=2)
     rng = np.random.default_rng(0)
     f = mlp.pack({nid: rng.standard_normal((4, 1)) for nid in topo.ids()})
     m = mlp.pack({nid: np.ones((4, 1)) for nid in topo.ids()})
@@ -68,7 +68,7 @@ def test_baseline_forward_and_gradients_flow():
     tape = dc.Tape()
     mu, lv = mlp.forward(f, m, tape=tape)
     loss, cnt = nll_loss_packed(mu, lv, t, m)
-    dc.backward(tape, loss)
+    dc.backward(tape, loss, 1.0)
     total = sum(float(np.abs(g).sum()) for g in mlp.params.grads.values())
     assert total > 0.0
 
@@ -76,7 +76,7 @@ def test_baseline_forward_and_gradients_flow():
 def test_baseline_gradients_match_finite_differences():
     topo = chain_topology()
     schemas = chain_schemas()
-    mlp = build_baseline("ae", topo, schemas, layers=2, seed=3)
+    mlp = build_baseline("ae", topo, schemas, layers=2, hidden=4, seed=3)
     rng = np.random.default_rng(1)
     f = mlp.pack({nid: rng.standard_normal((2, 1)) for nid in topo.ids()})
     m = mlp.pack({nid: np.ones((2, 1)) for nid in topo.ids()})
@@ -89,7 +89,7 @@ def test_baseline_gradients_match_finite_differences():
 
     tape = dc.Tape()
     loss = build(tape)
-    dc.backward(tape, loss)
+    dc.backward(tape, loss, 1.0)
     analytic = {p: g.copy() for p, g in mlp.params.grads.items()}
     mlp.params.zero_grads()
     err = dc.gradient_check(lambda: float(build(None).data), mlp.params,
@@ -100,7 +100,14 @@ def test_baseline_gradients_match_finite_differences():
 def test_unknown_baseline_kind_rejected():
     topo = chain_topology()
     with pytest.raises(dc.ContractError):
-        CentralModel("rnn", topo, chain_schemas())
+        CentralModel("rnn", topo, chain_schemas(), hidden=4)
+
+
+@pytest.mark.parametrize("layers", [0, 4])
+def test_baseline_layers_outside_one_to_three_rejected(layers):
+    with pytest.raises(dc.ContractError, match="layers"):
+        CentralModel("mlp", chain_topology(), chain_schemas(), hidden=4,
+                     layers=layers)
 
 
 # ---------------------------------------------------------------------------

@@ -389,7 +389,9 @@ def test_unknown_direction_exits_2(world, tmp_path, capsys, command, artifact):
 @pytest.mark.parametrize("command, key, value, artifact", [
     ("bid", "target_voltage", "240", "bids.jsonl"),
     ("congest", "plot_node", 5, "congestion_plot.csv"),
-    ("congest", "plot_node", "p9", "congestion_plot.csv")])
+    ("congest", "plot_node", "p9", "congestion_plot.csv"),
+    # a feeder: no current-time voltage channel, so nothing to plot
+    ("congest", "plot_node", "f1", "congestion_plot.csv")])
 def test_a_bad_service_value_exits_2(world, tmp_path, capsys, command, key,
                                      value, artifact):
     cfg = json.loads(json.dumps(world["cfg"]))
@@ -401,6 +403,30 @@ def test_a_bad_service_value_exits_2(world, tmp_path, capsys, command, key,
     assert main([command, "--config", cfg_path]) == 2
     assert f"services.{key}" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "out" / artifact)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("models", ["gnn", "rnn"]),
+    ("models", []),
+    ("models", ["mlp", "mlp"]),
+    ("missing_rates", [0.0, 1.5]),
+    ("missing_rates", [0.0, True]),
+    ("layers", 4)])
+def test_a_bad_benchmark_value_exits_2_before_training(world, tmp_path, capsys,
+                                                       key, value):
+    cfg = json.loads(json.dumps(world["cfg"]))
+    cfg["benchmark"][key] = value
+    out = tmp_path / "out"
+    cfg["paths"]["out_dir"] = str(out)
+    cfg["paths"].pop("checkpoint")
+    cfg_path = str(tmp_path / "bad_bench.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main(["bench", "--config", cfg_path]) == 2
+    captured = capsys.readouterr()
+    assert f"benchmark.{key}" in captured.err
+    assert captured.out == ""  # no model trained
+    assert not out.exists() or not os.listdir(out)
 
 
 def test_bench_writes_comparison_and_sweep(world, tmp_path):

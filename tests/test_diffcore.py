@@ -16,24 +16,25 @@ from gridmpnn.mpnn import GnnConfig, GnnModel
 from gridmpnn.training import TrainingConfig, build_samples, nll_loss_packed
 
 
-def _weighted_sum(out, weights):
-    """sum(out * weights) as a loss of size 1: ``out`` reshaped to one
-    row, times ``weights`` as a column."""
-    row = dc.reshape(out, (1, out.data.size))
-    return dc.matmul(row, np.reshape(weights, (-1, 1)))
+def _seed(out, mix):
+    """The first ``out.data.size`` entries of ``mix`` in ``out``'s shape:
+    the adjoint that seeds the gradient of sum(mix * out)."""
+    return np.reshape(mix[:out.data.size], out.data.shape)
 
 
-def _fd_check(build_loss, params, step=1e-5, floor=1e-6):
-    """Analytic gradients via one taped backward, then the central-difference
-    oracle over every parameter entry."""
+def _fd_check(build_out, params, mix, step=1e-5, floor=1e-6):
+    """Analytic gradients of sum(mix * out) via one taped backward seeded
+    with ``mix``, then the central-difference oracle over every parameter
+    entry."""
     tape = dc.Tape()
-    loss = build_loss(tape)
-    dc.backward(tape, loss)
+    out = build_out(tape)
+    adjoint = _seed(out, mix)
+    dc.backward(tape, out, adjoint)
     analytic = {key: g.copy() for key, g in params.grads.items()}
     params.zero_grads()
 
     def loss_value():
-        return build_loss(None).data.item()
+        return float((build_out(None).data * adjoint).sum())
 
     return dc.gradient_check(loss_value, params, analytic, step=step, floor=floor)
 
@@ -98,12 +99,12 @@ def test_mlp_init_ranges():
 
 def test_backward_linear_gradient():
     params = dc.ParameterSet()
-    params.add("w", np.array([[2.0]]))
+    params.add("a", np.array([[2.0], [0.0]]))  # weight 2, bias 0
     tape = dc.Tape()
     x = tape.leaf(np.array([[3.0]]))
-    loss = dc.matmul(x, params.tensor(tape, "w"))
-    dc.backward(tape, loss)
-    assert params.grads["w"][0, 0] == pytest.approx(3.0)
+    out = dc.dense(x, params.tensor(tape, "a"), hidden=False, ones=True)
+    dc.backward(tape, out, np.ones((1, 1)))
+    assert params.grads["a"][0, 0] == pytest.approx(3.0)
 
 
 def test_backward_tanh_prime_at_zero():
@@ -113,29 +114,33 @@ def test_backward_tanh_prime_at_zero():
     tape = dc.Tape()
     out = dc.dense(np.array([[0.0]]), params.tensor(tape, "a"), hidden=True,
                    ones=True)
-    dc.backward(tape, out)
+    dc.backward(tape, out, np.ones((1, 1)))
     assert params.grads["a"][1, 0] == pytest.approx(1.0)
 
 
-def test_backward_requires_scalar_loss():
+def test_backward_rejects_an_adjoint_of_another_shape():
     params = dc.ParameterSet()
     params.add("w", np.ones(3))
     tape = dc.Tape()
-    out = dc.scale(params.tensor(tape, "w"), 2.0)
-    with pytest.raises(dc.ContractError, match="scalar"):
-        dc.backward(tape, out)
+    out = dc.clip(params.tensor(tape, "w"), -2.0, 2.0)
+    with pytest.raises(dc.ContractError, match="adjoint"):
+        dc.backward(tape, out, 1.0)
+    with pytest.raises(dc.ContractError, match="tape"):
+        dc.backward(dc.Tape(), out, np.ones(3))
+    dc.backward(tape, out, np.full(3, 0.5))
+    assert np.array_equal(params.grads["w"], np.full(3, 0.5))
 
 
 def test_backward_unreachable_parameter_keeps_zero_gradient():
     params = dc.ParameterSet()
-    params.add("used", np.array([1.5]))
+    params.add("used", np.array([[1.5], [0.0]]))  # weight 1.5, bias 0
     params.add("unused", np.array([2.5]))
     tape = dc.Tape()
-    used = dc.reshape(params.tensor(tape, "used"), (1, 1))
-    loss = dc.matmul(used, used)
-    _ = params.tensor(tape, "unused")  # on the tape but not in the loss
-    dc.backward(tape, loss)
-    assert params.grads["used"][0] == pytest.approx(3.0)
+    out = dc.dense(np.array([[2.0]]), params.tensor(tape, "used"),
+                   hidden=False, ones=True)
+    _ = params.tensor(tape, "unused")  # on the tape but not in the output
+    dc.backward(tape, out, np.ones((1, 1)))
+    assert params.grads["used"][0, 0] == pytest.approx(2.0)
     assert params.grads["unused"][0] == 0.0
 
 
@@ -147,97 +152,90 @@ def test_backward_random_mlp_matches_finite_differences():
     w = rng.standard_normal((5, 3))  # fixed mixing weights -> scalar loss
 
     def build(tape):
-        out = dc.mlp_forward(params, [4, 6, 3], "net", x, tape=tape)
-        return _weighted_sum(out, w)
+        return dc.mlp_forward(params, [4, 6, 3], "net", x, tape=tape)
 
-    assert _fd_check(build, params) < 1e-4
+    assert _fd_check(build, params, w.ravel()) < 1e-4
 
 
 _X_STACK = np.array([[[0.5], [-1.5]], [[2.0], [0.25]]])  # (n=2, B=2, i=1)
-# gaussian_nll operands for a (1, 2) parameter; one zero weight
+# gaussian_nll operands of a (1, 2) group; one zero weight
 _NLL = {"y": np.array([[0.8, -1.3]]), "lv": np.array([[0.3, -0.6]]),
         "mu": np.array([[-0.2, 0.5]]), "w": np.array([[1.5, 0.0]])}
+# a routing matrix over 3 incoming edges of 2 nodes, one of them fed twice
+_ROUTING = np.array([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
 
+# name: (parameter shapes, the op over those parameters' tensors). Each
+# affine block is the weight rows, then the bias row.
 OPS = {
-    "scale": lambda p, t: dc.scale(p, -1.7),
-    # dense: p is the input of a hidden layer, the weight of an output
-    # layer, a stacked (n, i, o) weight with its (n, 1, o) bias, or a
-    # shared (i, o) weight with its (o,) bias broadcast over (n, B); each
-    # affine block is the weight rows, then the bias row
-    "dense_hidden": lambda p, t: dc.dense(
-        p, np.array([[0.7, -1.1], [0.4, 0.9], [0.2, -0.3]]), hidden=True,
-        ones=True),
-    "dense_output": lambda p, t: dc.dense(
-        np.array([[1.3], [-0.6]]), dc.concat([p, np.array([[0.5, 0.1]])], axis=0),
-        hidden=False, ones=True),
-    "dense_stacked": lambda p, t: dc.dense(
-        _X_STACK, dc.concat([dc.reshape(p, (2, 1, 1)),
-                             dc.reshape(dc.scale(p, -0.5), (2, 1, 1))], axis=1),
-        hidden=True, ones=True),
-    "dense_shared": lambda p, t: dc.dense(
-        _X_STACK[:, :1], dc.concat([p, dc.scale(p, 0.3)], axis=0), hidden=True,
-        ones=True),
-    # p is one part of a multi-part input and the weight
-    "dense_parts": lambda p, t: dc.dense(
-        [p, np.array([[0.6]])],
-        dc.concat([dc.reshape(dc.concat([p, dc.scale(p, -0.5),
-                                         dc.scale(p, 0.8)], axis=1), (3, 2)),
-                   np.array([[0.1, -0.2]])], axis=0),
-        hidden=True, ones=True),
-    # p is one gathered tensor (with repeated rows) and the weight
-    "gather_dense": lambda p, t: dc.gather_dense(
-        [dc.reshape(p, (2, 1, 1)), _X_STACK[:, :1]],
-        [np.array([1, 0, 1]), np.array([0, 1, 1])],
-        dc.concat([dc.reshape(dc.scale(p, -0.8), (2, 1)), np.array([[0.1]])],
-                  axis=0), hidden=True, ones=True),
-    "clip": lambda p, t: dc.clip(p, -0.5, 0.5),
-    "concat": lambda p, t: dc.concat([p, dc.scale(p, -2.0)], axis=1),
-    "slice": lambda p, t: dc.slice_(p, (slice(None), slice(0, 1))),
-    "reshape": lambda p, t: dc.reshape(p, (2, 1)),
-    "transpose": lambda p, t: dc.transpose(p, (1, 0)),
-    "gaussian_nll_mu": lambda p, t: dc.gaussian_nll(
-        {"k": p}, {"k": _NLL["lv"]}, {"k": _NLL["y"]}, {"k": _NLL["w"]}),
-    "gaussian_nll_logvar": lambda p, t: dc.gaussian_nll(
-        {"k": _NLL["mu"]}, {"k": p}, {"k": _NLL["y"]}, {"k": _NLL["w"]}),
-    # two groups, p upstream of both operands of the second
-    "gaussian_nll_groups": lambda p, t: dc.gaussian_nll(
-        {"a": p, "b": dc.scale(p, 0.5)},
-        {"a": _NLL["lv"], "b": dc.scale(p, -1.0)},
+    # the input of a hidden layer
+    "dense_hidden": ({"p": (1, 2)}, lambda t: dc.dense(
+        t["p"], np.array([[0.7, -1.1], [0.4, 0.9], [0.2, -0.3]]), hidden=True,
+        ones=True)),
+    # the block of an output layer
+    "dense_output": ({"a": (2, 2)}, lambda t: dc.dense(
+        np.array([[1.3], [-0.6]]), t["a"], hidden=False, ones=True)),
+    # a stacked (n, i + 1, o) block
+    "dense_stacked": ({"a": (2, 2, 1)}, lambda t: dc.dense(
+        _X_STACK, t["a"], hidden=True, ones=True)),
+    # one (i + 1, o) block broadcast over (n, B)
+    "dense_shared": ({"a": (2, 1)}, lambda t: dc.dense(
+        _X_STACK[:, :1], t["a"], hidden=True, ones=True)),
+    # a part read twice of a multi-part input, and the block
+    "dense_parts": ({"x": (2, 1), "a": (4, 2)}, lambda t: dc.dense(
+        [t["x"], np.array([[0.6], [-0.2]]), t["x"]], t["a"], hidden=True,
+        ones=True)),
+    # a gathered tensor (with repeated rows), and the block
+    "gather_dense": ({"x": (2, 1, 1), "a": (3, 1)}, lambda t: dc.gather_dense(
+        [t["x"], _X_STACK[:, :1]], [np.array([1, 0, 1]), np.array([0, 1, 1])],
+        t["a"], hidden=True, ones=True)),
+    # a group fed by one edge group, and one fed by two
+    "route_one_group": ({"m": (3, 2, 2)}, lambda t: dc.route(
+        [t["m"]], _ROUTING)),
+    "route_several_groups": ({"m": (2, 2, 2), "k": (1, 2, 2)},
+                             lambda t: dc.route([t["m"], t["k"]], _ROUTING)),
+    "regroup": ({"h": (2, 7)}, lambda t: dc.regroup(t["h"], 1, 7, 3)),
+    "clip": ({"p": (1, 2)}, lambda t: dc.clip(t["p"], -0.5, 0.5)),
+    "gaussian_nll_mu": ({"p": (1, 2)}, lambda t: dc.gaussian_nll(
+        {"k": t["p"]}, {"k": _NLL["lv"]}, {"k": _NLL["y"]}, {"k": _NLL["w"]})),
+    "gaussian_nll_logvar": ({"p": (1, 2)}, lambda t: dc.gaussian_nll(
+        {"k": _NLL["mu"]}, {"k": t["p"]}, {"k": _NLL["y"]}, {"k": _NLL["w"]})),
+    # two groups, p the mean of one and the log-variance of the other
+    "gaussian_nll_groups": ({"p": (1, 2), "q": (1, 2)}, lambda t: dc.gaussian_nll(
+        {"a": t["p"], "b": t["q"]}, {"a": _NLL["lv"], "b": t["p"]},
         {"a": _NLL["y"], "b": _NLL["mu"]},
-        {"a": _NLL["w"], "b": _NLL["w"][:, ::-1]}),
+        {"a": _NLL["w"], "b": _NLL["w"][:, ::-1]})),
 }
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
 def test_primitive_gradients_match_finite_differences(name):
     rng = np.random.default_rng(7)
+    shapes, op = OPS[name]
     params = dc.ParameterSet()
-    params.add("p", rng.uniform(-0.4, 0.4, size=(1, 2)))
-    mix = rng.standard_normal((4,))
+    for key, shape in shapes.items():
+        params.add(key, rng.uniform(-0.4, 0.4, size=shape))
+    mix = rng.standard_normal(16)
 
     def build(tape):
-        p = params.tensor(tape, "p")
-        out = OPS[name](p, tape)
-        return _weighted_sum(out, mix[:out.data.size])
+        return op({key: params.tensor(tape, key) for key in shapes})
 
-    assert _fd_check(build, params) < 1e-4
+    assert _fd_check(build, params, mix) < 1e-4
 
 
 def test_matmul_stacked_and_broadcast_gradients():
+    # a dense layer's GEMM over a stacked (n, i + 1, o) block, and over
+    # one (i + 1, o) block broadcast over the stack
     rng = np.random.default_rng(3)
-    params = dc.ParameterSet()
-    params.add("w", rng.standard_normal((2, 3, 4)))  # stacked weights
-    params.add("ws", rng.standard_normal((3, 4)))    # broadcast weights
     x = rng.standard_normal((2, 5, 3))
-    mix = rng.standard_normal((2, 5, 4))
+    for block in ((2, 4, 4), (4, 4)):
+        params = dc.ParameterSet()
+        params.add("a", rng.standard_normal(block))
 
-    def build(tape):
-        a = dc.matmul(x, params.tensor(tape, "w"))
-        b = dc.matmul(x, params.tensor(tape, "ws"))
-        return _weighted_sum(dc.concat([a, b], axis=0),
-                             np.concatenate([mix, mix]))
+        def build(tape):
+            return dc.dense(x, params.tensor(tape, "a"), hidden=False,
+                            ones=True)
 
-    assert _fd_check(build, params) < 1e-4
+        assert _fd_check(build, params, rng.standard_normal(40)) < 1e-4, block
 
 
 def _sum_to(g, shape):
@@ -274,7 +272,7 @@ def test_dense_matches_unfused_composition_bit_for_bit(shapes, hidden):
     out = dc.dense(params.tensor(tape, "x"), params.tensor(tape, "a"),
                    hidden=hidden, ones=True)
     got = out.data.copy()  # backward forms the tanh derivative in place
-    dc.backward(tape, _weighted_sum(out, mix))
+    dc.backward(tape, out, mix)
     want = xd @ wd + bd
     g = mix
     if hidden:
@@ -332,14 +330,13 @@ def test_gaussian_nll_matches_composed_loss_bit_for_bit():
     loss = dc.gaussian_nll(
         {k: params.tensor(tape, f"mu/{k}") for k in shapes},
         {k: params.tensor(tape, f"lv/{k}") for k in shapes}, y, w)
-    scaled = dc.scale(loss, c)
-    dc.backward(tape, scaled)
+    dc.backward(tape, loss, c)
     mu = {k: params.values[f"mu/{k}"] for k in shapes}
     lv = {k: params.values[f"lv/{k}"] for k in shapes}
     want, dmu, dlv = _composed_nll(mu, lv, y, w, c)
     backwards = {k: mu[k] for k in reversed(shapes)}
     assert _composed_nll(backwards, lv, y, w, c)[0] != want
-    assert np.array_equal(scaled.data, want)
+    assert np.array_equal(loss.data * c, want)
     for k in shapes:
         assert params.grads[f"mu/{k}"].any() and params.grads[f"lv/{k}"].any()
         assert np.array_equal(params.grads[f"mu/{k}"], dmu[k]), k
@@ -348,6 +345,62 @@ def test_gaussian_nll_matches_composed_loss_bit_for_bit():
                               {k: dc.Tensor(v) for k, v in lv.items()}, y, w)
     assert untaped.tape is None
     assert np.array_equal(untaped.data, loss.data)
+
+
+# per node group, the sizes of the edge groups that feed it
+_FEEDS = {"one_edge_group": [5], "several_edge_groups": [3, 1, 4]}
+
+
+@pytest.mark.parametrize("feeds", sorted(_FEEDS))
+def test_route_matches_numpy_reference_bit_for_bit(feeds):
+    # the forward is routing @ the messages stacked and flattened to
+    # (edges, B * m); the adjoint is routing^T @ the output's adjoint,
+    # split back into the edge groups
+    rng = np.random.default_rng(51)
+    sizes, n, batch, m = _FEEDS[feeds], 3, 4, 2
+    edges = sum(sizes)
+    routing = rng.uniform(0.1, 1.0, (n, edges)) * (rng.random((n, edges)) > 0.4)
+    mix = rng.standard_normal((n, batch, m))
+    params = dc.ParameterSet()
+    for k, size in enumerate(sizes):
+        params.add(f"m{k}", rng.standard_normal((size, batch, m)))
+    tape = dc.Tape()
+    out = dc.route([params.tensor(tape, f"m{k}") for k in range(len(sizes))],
+                   routing)
+    dc.backward(tape, out, mix)
+    stacked = np.concatenate([params.values[f"m{k}"] for k in range(len(sizes))])
+    want = (routing @ stacked.reshape(edges, batch * m)).reshape(n, batch, m)
+    assert out.data.tobytes() == want.tobytes()
+    back = (routing.T @ mix.reshape(n, batch * m)).reshape(edges, batch, m)
+    for k, piece in enumerate(np.split(back, np.cumsum(sizes)[:-1])):
+        assert params.grads[f"m{k}"].tobytes() == piece.tobytes(), k
+    untaped = dc.route([dc.Tensor(params.values[f"m{k}"])
+                        for k in range(len(sizes))], routing)
+    assert untaped.tape is None and untaped.data.tobytes() == want.tobytes()
+
+
+def test_regroup_matches_numpy_reference_bit_for_bit():
+    # a flat (B, D) output read as two node groups' means and then their
+    # log-variances; each read's adjoint lands in its own columns
+    rng = np.random.default_rng(52)
+    batch, layout = 4, [(0, 6, 3), (6, 8, 1)]  # (lo, hi, nodes) per group
+    d = layout[-1][1]
+    params = dc.ParameterSet()
+    params.add("h", rng.standard_normal((batch, 2 * d)))
+    want_grad = np.zeros((batch, 2 * d))
+    for lo, hi, n in [(lo + off, hi + off, n) for off in (0, d)
+                      for lo, hi, n in layout]:
+        tape = dc.Tape()
+        out = dc.regroup(params.tensor(tape, "h"), lo, hi, n)
+        want = params.values["h"][:, lo:hi].reshape(
+            batch, n, (hi - lo) // n).transpose(1, 0, 2)
+        assert out.data.tobytes() == np.ascontiguousarray(want).tobytes()
+        mix = rng.standard_normal(out.data.shape)
+        dc.backward(tape, out, mix)  # adds into the gradient accumulator
+        want_grad[:, lo:hi] = mix.transpose(1, 0, 2).reshape(batch, hi - lo)
+    assert params.grads["h"].tobytes() == want_grad.tobytes()
+    with pytest.raises(dc.ShapeError, match="regroup"):
+        dc.regroup(dc.Tensor(want_grad), 0, 5, 2)
 
 
 def test_gaussian_nll_rejects_mismatched_group_shapes():
@@ -379,7 +432,7 @@ def test_gather_dense_backward_matches_add_at_bit_for_bit(idx):
                           np.vstack([np.eye(3), np.zeros(3)]), hidden=False,
                           ones=True)
     assert np.array_equal(out.data, params.values["a"][idx])
-    dc.backward(tape, _weighted_sum(out, mix))
+    dc.backward(tape, out, mix)
     want = np.zeros((n, 7, 3))
     np.add.at(want, idx, mix)
     assert np.array_equal(params.grads["a"], want)
@@ -403,7 +456,7 @@ def test_dense_members_match_gathered_weights_bit_for_bit(hidden):
         out = dc.dense(params.tensor(tape, "x"), params.tensor(tape, "a"),
                        hidden, ones=True, **kw)
         got = out.data.copy()
-        dc.backward(tape, _weighted_sum(out, mix))
+        dc.backward(tape, out, mix)
         return got
 
     fused, gathered = dc.ParameterSet(), dc.ParameterSet()
@@ -430,6 +483,15 @@ _EDGE_CASES = {
 }
 
 
+def _and_later(out, x, block):
+    """``out`` and a later linear read of ``x`` through the constant
+    ``block``, which sends ``x`` an adjoint before ``out``'s, stacked
+    along axis 0 into one output by an identity routing."""
+    later = dc.dense(x, block, hidden=False, ones=True)
+    edges = out.data.shape[0] + later.data.shape[0]
+    return dc.route([out, later], np.eye(edges))
+
+
 @pytest.mark.parametrize("weights", ["stacked", "lone"])
 @pytest.mark.parametrize("layers", [1, 3])
 @pytest.mark.parametrize("case", sorted(_EDGE_CASES))
@@ -437,7 +499,7 @@ def test_gather_dense_matches_composed_layers_bit_for_bit(case, layers, weights)
     # the reference gathers and concatenates in numpy and feeds that copy
     # to dense layers; its adjoint goes back through np.add.at, to the
     # destination first, as the composed gather -> gather -> concat ->
-    # dense chain sent it. A later term on the destination states sends
+    # dense chain sent it. A later read of the destination states sends
     # them an adjoint first, so the order of the three sums shows.
     dst, src, same = _EDGE_CASES[case]
     rng = np.random.default_rng(31)
@@ -456,28 +518,27 @@ def test_gather_dense_matches_composed_layers_bit_for_bit(case, layers, weights)
         return params
 
     mix = rng.standard_normal((dst.size, batch, 2))
-    mix_d = rng.standard_normal(xd.size)
+    mix_d = rng.standard_normal((xd.shape[0], batch, 2))
+    later = np.vstack([rng.standard_normal((pd, 2)), np.zeros((1, 2))])
     fused = model({"xd": xd} if same else {"xd": xd, "xs": xs})
     tape = dc.Tape()
     td = fused.tensor(tape, "xd")
     ts = td if same else fused.tensor(tape, "xs")
     out = dc.mlp_forward(fused, spec, "m", (td, ts), tape=tape, rows=(dst, src))
-    later = dc.reshape(dc.scale(td, 0.37), (-1,))
-    dc.backward(tape, _weighted_sum(dc.concat([dc.reshape(out, (-1,)), later]),
-                                    np.concatenate([mix.ravel(), mix_d])))
+    dc.backward(tape, _and_later(out, td, later), np.concatenate([mix, mix_d]))
 
     x = np.concatenate([xd[dst], xs[src]], axis=-1)
     composed = model({"x": x})
     tape = dc.Tape()
     want = dc.mlp_forward(composed, spec, "m", composed.tensor(tape, "x"),
                           tape=tape)
-    dc.backward(tape, _weighted_sum(want, mix))
+    dc.backward(tape, want, mix)
     assert np.array_equal(out.data, want.data)
     gx = composed.grads["x"]
     to_dst, to_src = np.zeros(xd.shape), np.zeros(xs.shape)
     np.add.at(to_dst, dst, gx[..., :pd])
     np.add.at(to_src, src, gx[..., pd:])
-    to_dst += (mix_d * 0.37).reshape(xd.shape)
+    to_dst += mix_d @ later[:pd].swapaxes(-1, -2)
     if same:
         assert np.array_equal(fused.grads["xd"], to_dst + to_src)
     else:
@@ -494,39 +555,50 @@ def test_gather_dense_matches_composed_layers_bit_for_bit(case, layers, weights)
 @pytest.mark.parametrize("same", [False, True], ids=["two_parts", "one_twice"])
 def test_dense_parts_match_concat_then_dense_bit_for_bit(same, layers, weights):
     # an MLP whose first layer reads (a, b) as parts against the same MLP
-    # fed concat([a, b]): a later term on a sends it an adjoint first, so
-    # the order in which its adjoints are added shows, and with b = a so
-    # does the order of the two slices
+    # fed their numpy concatenation, held as a parameter: a later read of
+    # a sends it an adjoint first, so the order in which its adjoints are
+    # added shows, and with b = a so does the order of the two slices
     rng = np.random.default_rng(41)
     n, batch, pa, pb = 3, 5, 3, (3 if same else 2)
     a = rng.standard_normal((n, batch, pa))
-    b = rng.standard_normal((n, batch, pb))
+    b = a if same else rng.standard_normal((n, batch, pb))
     spec = [pa + pb] + [4] * (layers - 1) + [2]
-    mix = rng.standard_normal(n * batch * 2)
-    mix_a = rng.standard_normal(a.size)
-    runs = []
-    for parts in (True, False):
+    mix = rng.standard_normal((n, batch, 2))
+    mix_a = rng.standard_normal((n, batch, 2))
+    later = np.vstack([rng.standard_normal((pa, 2)), np.zeros((1, 2))])
+
+    def model(extra):
         params = dc.ParameterSet()
         dc.mlp_init(params, "m", spec, np.random.default_rng(42),
                     members=n if weights == "stacked" else 1)
-        params.add("a", a)
-        if not same:
-            params.add("b", b)
-        tape = dc.Tape()
-        ta = params.tensor(tape, "a")
-        tb = ta if same else params.tensor(tape, "b")
-        x = (ta, tb) if parts else dc.concat([ta, tb], axis=-1)
-        out = dc.mlp_forward(params, spec, "m", x, tape=tape)
-        later = dc.reshape(dc.scale(ta, 0.37), (-1,))
-        dc.backward(tape, _weighted_sum(
-            dc.concat([dc.reshape(out, (-1,)), later]),
-            np.concatenate([mix, mix_a])))
-        runs.append((out.data, params.grads))
-    (out, grads), (want, want_grads) = runs
-    assert out.tobytes() == want.tobytes()
-    assert set(grads) == set(want_grads)
-    for key, g in grads.items():
-        assert g.any() and g.tobytes() == want_grads[key].tobytes(), key
+        for k, v in extra.items():
+            params.add(k, v)
+        return params
+
+    fused = model({"a": a} if same else {"a": a, "b": b})
+    tape = dc.Tape()
+    ta = fused.tensor(tape, "a")
+    tb = ta if same else fused.tensor(tape, "b")
+    out = dc.mlp_forward(fused, spec, "m", (ta, tb), tape=tape)
+    dc.backward(tape, _and_later(out, ta, later), np.concatenate([mix, mix_a]))
+
+    composed = model({"x": np.concatenate([a, b], axis=-1)})
+    tape = dc.Tape()
+    want = dc.mlp_forward(composed, spec, "m", composed.tensor(tape, "x"),
+                          tape=tape)
+    dc.backward(tape, want, mix)
+    assert out.data.tobytes() == want.data.tobytes()
+    gx = composed.grads["x"]
+    to_a = mix_a @ later[:pa].swapaxes(-1, -2) + gx[..., :pa]
+    if same:
+        assert fused.grads["a"].tobytes() == (to_a + gx[..., pa:]).tobytes()
+    else:
+        assert fused.grads["a"].tobytes() == to_a.tobytes()
+        assert fused.grads["b"].tobytes() == gx[..., pa:].tobytes()
+    for key in composed.values:
+        if key != "x":
+            g = fused.grads[key]
+            assert g.any() and g.tobytes() == composed.grads[key].tobytes(), key
 
 
 def test_dense_parts_keep_no_concatenated_copy(monkeypatch):
@@ -546,14 +618,12 @@ def test_dense_parts_keep_no_concatenated_copy(monkeypatch):
         return out
 
     monkeypatch.setattr(np, "concatenate", watched)
-    out = dc.dense([dc.scale(p, 2.0), p], params.tensor(tape, "a"),
+    out = dc.dense([dc.clip(p, -1.0, 1.0), p], params.tensor(tape, "a"),
                    hidden=True, ones=True)
     monkeypatch.undo()
-    loss = _weighted_sum(out, _MIX[:4])
-    del out
     gc.collect()
     assert len(made) == 1 and made[0]() is None
-    dc.backward(tape, loss)
+    dc.backward(tape, out, _seed(out, _MIX))
     assert params.grads["p"].any() and params.grads["a"].any()
 
 
@@ -602,7 +672,7 @@ def test_affine_layers_match_the_bias_add_composition_bit_for_bit(batch):
         out = dc.dense(params.tensor(tape, "x"), params.tensor(tape, "a"),
                        hidden, members, ones=True)
         got = out.data.copy()
-        dc.backward(tape, _weighted_sum(out, mix))
+        dc.backward(tape, out, mix)
 
         w, b = block[..., :i, :o], block[..., i:, :o]
         if members is not None:
@@ -636,7 +706,7 @@ def test_nodes_without_parameters_upstream_have_no_backward():
     params.add("a", np.array([[0.5, -1.0], [0.0, 0.0]]))
     tape = dc.Tape()
     x = tape.leaf(np.array([[2.0], [3.0]]))
-    const = dc.clip(dc.scale(x, 0.5), -1.0, 1.0)
+    const = dc.clip(x, -1.0, 1.0)
     taped = dc.dense(const, params.tensor(tape, "a"), hidden=True, ones=True)
     for t in (x, const):
         assert not tape.nodes[t.node].needs_grad
@@ -649,10 +719,10 @@ def test_backward_of_loss_without_parameters_leaves_gradients_zero():
     params = dc.ParameterSet()
     params.add("w", np.array([1.5, -2.0]))
     tape = dc.Tape()
-    _ = dc.scale(params.tensor(tape, "w"), 2.0)  # on the tape, not in the loss
+    # on the tape, not upstream of the output
+    _ = dc.clip(params.tensor(tape, "w"), -2.0, 2.0)
     x = tape.leaf(np.array([0.3, 0.4]))
-    loss = _weighted_sum(x, np.array([0.3, 0.4]))
-    dc.backward(tape, loss)
+    dc.backward(tape, x, np.array([0.3, 0.4]))
     assert not params.grads["w"].any()
 
 
@@ -669,12 +739,11 @@ def test_gather_dense_and_stack_gradients():
 
     def build(tape):
         ab = params.tensor(tape, "ab")
-        g = dc.gather_dense([ab, ab], [np.array([0, 1, 1, 0, 1]),
-                                       np.array([1, 1, 0, 0, 0])],
-                            a, hidden=True, ones=True)
-        return _weighted_sum(g, mix)
+        return dc.gather_dense([ab, ab], [np.array([0, 1, 1, 0, 1]),
+                                          np.array([1, 1, 0, 0, 0])],
+                               a, hidden=True, ones=True)
 
-    assert _fd_check(build, params) < 1e-4
+    assert _fd_check(build, params, mix.ravel()) < 1e-4
 
 
 def _three_mlps(seed=4, spec=(3, 5, 2)):
@@ -701,13 +770,13 @@ def test_mlp_forward_stacked_matches_separate_mlps_with_one_leaf_per_block():
     mix = rng.standard_normal((3, 4, 2))
     tape = dc.Tape()
     out = dc.mlp_forward(stacked, spec, "blk", x, tape=tape)
-    dc.backward(tape, _weighted_sum(out, mix))
+    dc.backward(tape, out, mix)
     leaves = sum(node.op == "param" for node in tape.nodes)
     assert leaves == len(spec) - 1
     for j, prefix in enumerate(("m0", "m1", "m2")):
         tape = dc.Tape()
         want = dc.mlp_forward(separate, spec, prefix, x[j], tape=tape)
-        dc.backward(tape, _weighted_sum(want, mix[j]))
+        dc.backward(tape, want, mix[j])
         assert np.allclose(out.data[j], want.data, rtol=0, atol=1e-14)
     for pid in separate.values:
         assert np.allclose(_member(stacked.grads, "blk", pid),
@@ -787,10 +856,10 @@ def test_adam_over_blocks_matches_per_id_reference_bit_for_bit():
 
 def test_operations_on_different_tapes_rejected():
     t1, t2 = dc.Tape(), dc.Tape()
-    a = t1.leaf(np.ones(2))
-    b = t2.leaf(np.ones(2))
+    a = t1.leaf(np.ones((1, 1)))
+    b = t2.leaf(np.ones((1, 1)))
     with pytest.raises(dc.ContractError, match="tapes"):
-        dc.concat([a, b])
+        dc.dense([a, b], np.ones((3, 1)), hidden=False, ones=True)
 
 
 # ---------------------------------------------------------------------------
@@ -798,86 +867,86 @@ def test_operations_on_different_tapes_rejected():
 
 
 def _dies(make):
-    """Build ``make(tape, p)`` -> (tensor whose array to watch, loss) on a
-    fresh tape, drop the caller's references and tell whether that array
-    died before ``backward``; after ``backward`` it must be dead."""
+    """Build ``make(tape, p)`` -> (tensor whose array to watch, output)
+    on a fresh tape, drop the caller's references but the output's and
+    tell whether that array died before ``backward``; after ``backward``
+    it must be dead."""
     params = dc.ParameterSet()
-    params.add("p", np.random.default_rng(3).uniform(-0.4, 0.4, (2, 3)))
+    params.add("p", np.random.default_rng(3).uniform(-0.4, 0.4, (3, 2)))
     tape = dc.Tape()
-    watched, loss = make(tape, params.tensor(tape, "p"))
+    watched, out = make(tape, params.tensor(tape, "p"))
     ref = weakref.ref(watched.data)
     del watched
     gc.collect()
     alive = ref() is not None
-    dc.backward(tape, loss)
+    dc.backward(tape, out, _seed(out, _MIX))
     gc.collect()
     assert ref() is None  # the reverse pass releases what it read
     assert params.grads["p"].any()
     return not alive
 
 
-_MIX = np.random.default_rng(4).standard_normal(6)
-_A = np.array([[0.4, -0.2], [1.1, 0.3], [-0.7, 0.5], [0.0, 0.0]])
+_MIX = np.random.default_rng(4).standard_normal(8)
+_A = np.array([[0.4, -0.2], [1.1, 0.3], [0.0, 0.0]])
 
 
 def _linear_dense(tape, p):
     out = dc.dense(p, _A, hidden=False, ones=True)
-    return out, _weighted_sum(out, _MIX[:4])
+    return out, dc.regroup(out, 0, 2, 2)
 
 
 def _hidden_dense(tape, p):
     out = dc.dense(p, _A, hidden=True, ones=True)
-    return out, _weighted_sum(out, _MIX[:4])
-
-
-def _matmul_right(tape, p):
-    right = dc.scale(p, 2.0)
-    return right, _weighted_sum(dc.matmul(np.ones((1, 2)), right), _MIX[:3])
-
-
-def _matmul_constant_left(tape, p):
-    left = tape.leaf(np.array([[0.5, -1.5]]))
-    return left, _weighted_sum(dc.matmul(left, dc.scale(p, 2.0)), _MIX[:3])
-
-
-def _reshape_input(tape, p):
-    x = dc.scale(p, 2.0)
-    return x, _weighted_sum(dc.reshape(x, (3, 2)), _MIX)
+    return out, dc.regroup(out, 0, 2, 2)
 
 
 def _clip_input(tape, p):
-    x = dc.scale(p, 2.0)
-    return x, _weighted_sum(dc.clip(x, -0.5, 0.5), _MIX)
+    x = dc.regroup(p, 0, 2, 2)
+    return x, dc.clip(x, -0.5, 0.5)
+
+
+def _route_input(tape, p):
+    x = dc.regroup(p, 0, 2, 2)
+    return x, dc.route([x], np.array([[1.0, -1.0]]))
+
+
+def _regroup_input(tape, p):
+    x = dc.clip(p, -1.0, 1.0)
+    return x, dc.regroup(x, 0, 2, 2)
 
 
 def _dense_input(tape, p):
-    # the weight needs a gradient, so the layer keeps its input
+    # the block needs a gradient, so the layer keeps its input
     x = tape.leaf(np.array([[0.2, -0.1], [0.4, 0.3]]))
-    a = dc.concat([p, np.zeros((1, 3))], axis=0)
-    return x, _weighted_sum(dc.dense(x, a, hidden=True, ones=True), _MIX)
+    return x, dc.dense(x, dc.clip(p, -1.0, 1.0), hidden=True, ones=True)
 
 
 def _dense_part(tape, p):
     # ... and of an input in parts, each part
     x = tape.leaf(np.array([[0.2], [0.4]]))
-    w = dc.reshape(dc.slice_(p, (slice(None), slice(0, 2))), (2, 2))
-    a = dc.concat([w, np.zeros((1, 2))], axis=0)
-    return x, _weighted_sum(dc.dense([x, np.array([[-0.1], [0.3]])], a,
-                                     hidden=True, ones=True), _MIX[:4])
+    return x, dc.dense([x, np.array([[-0.1], [0.3]])], dc.clip(p, -1.0, 1.0),
+                       hidden=True, ones=True)
 
 
-@pytest.mark.parametrize("make", [_linear_dense, _matmul_right, _reshape_input,
-                                  _clip_input],
-                         ids=["dense_linear_output", "matmul_right_operand",
-                              "reshape_input", "clip_input"])
+def _gather_dense_input(tape, p):
+    # ... and of gathered rows, the tensor they are gathered from
+    x = tape.leaf(np.array([[[0.2, -0.1]], [[0.4, 0.3]]]))
+    return x, dc.gather_dense([x], [np.array([1, 0, 1])],
+                              dc.clip(p, -1.0, 1.0), hidden=True, ones=True)
+
+
+@pytest.mark.parametrize("make", [_linear_dense, _clip_input, _route_input,
+                                  _regroup_input],
+                         ids=["dense_linear_output", "clip_input",
+                              "route_input", "regroup_input"])
 def test_arrays_the_backward_does_not_read_die_with_the_caller(make):
     assert _dies(make)
 
 
-@pytest.mark.parametrize("make", [_hidden_dense, _matmul_constant_left,
-                                  _dense_input, _dense_part],
-                         ids=["dense_hidden_output", "matmul_constant_left",
-                              "dense_input", "dense_part"])
+@pytest.mark.parametrize("make", [_hidden_dense, _dense_input, _dense_part,
+                                  _gather_dense_input],
+                         ids=["dense_hidden_output", "dense_input",
+                              "dense_part", "gather_dense_input"])
 def test_arrays_the_backward_reads_live_until_backward(make):
     assert not _dies(make)
 
@@ -909,7 +978,7 @@ def test_one_pilot_block_tape_stays_within_its_byte_budget(pilot_world):
     finally:
         tracemalloc.stop()
     assert held <= PILOT_BLOCK_TAPE_BUDGET, held
-    dc.backward(tape, loss)
+    dc.backward(tape, loss, 1.0)
     assert any(g.any() for g in model.params.grads.values())
 
 
@@ -1002,22 +1071,18 @@ def test_tape_topological_order_and_replay_idempotence():
     params = dc.ParameterSet()
     dc.mlp_init(params, "net", [3, 5, 2], rng)
     x = rng.standard_normal((4, 3))
-    mix = rng.standard_normal(8)
+    mix = rng.standard_normal((4, 2))
     tape = dc.Tape()
     out = dc.mlp_forward(params, [3, 5, 2], "net", x, tape=tape)
-    loss = _weighted_sum(out, mix)
     for nid, node in enumerate(tape.nodes):
         assert all(i < nid for i in node.inputs)
     out_before = out.data.copy()
-    loss_before = loss.data.copy()
-    dc.backward(tape, loss)
+    dc.backward(tape, out, mix)
     # forward -> backward -> forward again on a fresh tape: the reverse pass
     # leaves parameters and inputs alone, so the second forward is bit-identical
     tape2 = dc.Tape()
     out2 = dc.mlp_forward(params, [3, 5, 2], "net", x, tape=tape2)
-    loss2 = _weighted_sum(out2, mix)
     assert np.array_equal(out2.data, out_before)
-    assert np.array_equal(loss2.data, loss_before)
 
 
 def test_forward_and_gradients_deterministic_across_runs():
@@ -1026,27 +1091,28 @@ def test_forward_and_gradients_deterministic_across_runs():
         params = dc.ParameterSet()
         dc.mlp_init(params, "net", [4, 4, 1], rng)
         x = rng.standard_normal((6, 4))
-        mix = rng.standard_normal(6)
+        mix = rng.standard_normal((6, 1))
         tape = dc.Tape()
         out = dc.mlp_forward(params, [4, 4, 1], "net", x, tape=tape)
-        loss = _weighted_sum(out, mix)
         # creation order is a topological order
         for nid, node in enumerate(tape.nodes):
             assert all(i < nid for i in node.inputs)
-        dc.backward(tape, loss)
-        return (out.data.copy(), loss.data.copy(),
+        dc.backward(tape, out, mix)
+        return (out.data.copy(),
                 {p: g.copy() for p, g in params.grads.items()})
 
-    o1, l1, g1 = run()
-    o2, l2, g2 = run()
+    o1, g1 = run()
+    o2, g2 = run()
     assert np.array_equal(o1, o2)
-    assert np.array_equal(l1, l2)
     for pid in g1:
         assert np.array_equal(g1[pid], g2[pid])
 
 
 def test_untaped_operations_evaluate_eagerly():
-    a = dc.Tensor(np.array([1.0, 2.0]))
-    out = dc.scale(dc.clip(a, 0.0, 1.5), 2.0)
-    assert out.tape is None
-    assert np.array_equal(out.data, [2.0, 3.0])
+    a = dc.Tensor(np.array([[1.0, 2.0]]))
+    clipped = dc.clip(a, 0.0, 1.5)
+    grouped = dc.regroup(clipped, 0, 2, 2)
+    out = dc.route([grouped], np.array([[2.0, 1.0]]))
+    assert clipped.tape is None and grouped.tape is None and out.tape is None
+    assert np.array_equal(grouped.data, [[[1.0]], [[1.5]]])
+    assert np.array_equal(out.data, [[[3.5]]])

@@ -143,6 +143,21 @@ def test_replay_feeder_delta_moves_voltage_down():
             assert v_more[pid] < v_base[pid]
 
 
+def test_noise_free_replay_reproduces_the_simulated_voltages():
+    # the replay re-solves a step from the recorded loads, so without
+    # measurement noise it must land on the voltages the simulator wrote
+    spec = gridsim.pilot_spec(seed=7)
+    spec.noise = dict.fromkeys(spec.noise, 0.0)
+    ds = gridsim.simulate(spec, "2019-06-01T00:00:00Z", days=2.5, seed=0)
+    single = [pid for pid in spec.topology.ids("prosumer")
+              if spec.topology.node(pid).phases == 1]
+    assert single
+    for t in (0, 150, ds.n_steps - 1):
+        v = gridsim.replay_feeder_delta(spec, ds, t, {})
+        for pid in single:
+            assert abs(v[pid] - ds.series[f"{pid}:voltage"][t]) <= 1e-9, (t, pid)
+
+
 # ---------------------------------------------------------------------------
 # Missingness injection
 

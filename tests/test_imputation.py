@@ -242,7 +242,7 @@ def _pilot_holes(kind: str, rows: int):
         model = GnnModel(spec.topology, schemas)
     else:
         model = build_baseline(kind, spec.topology, schemas,
-                               hidden=16 if kind == "mlp" else None)
+                               hidden=16 if kind == "mlp" else 64)
     model.set_standardization(samples.stats.mean, samples.stats.std)
     samples = samples.select(np.arange(rows))
     feats, masks = mask_channels(samples.features, samples.input_mask,

@@ -312,7 +312,7 @@ def test_share_by_type_gradients_match_finite_differences():
          for k, v in m.items()}
     targets = {k: rng.standard_normal(v.shape) for k, v in f.items()}
     tape = dc.Tape()
-    dc.backward(tape, _nll(model, f, m, targets, tape))
+    dc.backward(tape, _nll(model, f, m, targets, tape), 1.0)
     analytic = {key: g.copy() for key, g in model.params.grads.items()}
     assert all(g.any() for g in analytic.values())
     model.params.zero_grads()
@@ -493,7 +493,7 @@ def test_gnn_gradients_match_finite_differences():
          for k, v in m.items()}
     targets = {k: rng.standard_normal(v.shape) for k, v in f.items()}
     tape = dc.Tape()
-    dc.backward(tape, _nll(model, f, m, targets, tape))
+    dc.backward(tape, _nll(model, f, m, targets, tape), 1.0)
     analytic = {key: g.copy() for key, g in model.params.grads.items()}
     assert any(g.any() for g in analytic.values())
     model.params.zero_grads()
@@ -514,7 +514,7 @@ def test_share_by_type_trains_and_reloads(tmp_path):
     for _ in range(20):
         tape = dc.Tape()
         loss = _nll(model, f, m, f, tape)
-        dc.backward(tape, loss)
+        dc.backward(tape, loss, 1.0)
         dc.adam_step(model.params, adam, lr=0.01)
         losses.append(float(loss.data))
     assert losses[-1] < losses[0]
@@ -546,7 +546,7 @@ def test_constant_units_stay_fixed_and_are_no_parameters(tmp_path):
     adam = dc.AdamState()
     for _ in range(5):
         tape = dc.Tape()
-        dc.backward(tape, _nll(model, f, m, f, tape))
+        dc.backward(tape, _nll(model, f, m, f, tape), 1.0)
         for a in hidden:
             assert not model.params.grads[a][..., -1].any(), a
         dc.adam_step(model.params, adam, lr=0.05)

@@ -141,16 +141,23 @@ def test_features_are_standardized_and_placeholdered():
 
 
 def test_missing_fraction_invariant():
+    # the timestamps kept under a threshold are those whose share of
+    # unobserved inputs, counted from the masks of every sample, is
+    # within it
     topo, spec, ds = one_prosumer_world(days=3)
     schemas = derive_schemas(topo)
-    ds.missing["p:voltage"][260] = True
-    samples = build_samples(ds, topo, schemas, TrainingConfig())
+    ds.missing["p:voltage"][[230, 260]] = True
+    ds.missing["f:load_p"][260] = True
+    every = build_samples(ds, topo, schemas,
+                          TrainingConfig(missing_threshold=1.0))
     total = sum(s.q for s in schemas.values())
-    for i in range(len(samples)):
-        s = samples.sample(i)
-        unobserved = sum(int((s.input_mask[nid] == 0).sum())
-                         for nid in s.input_mask)
-        assert s.missing_fraction == pytest.approx(unobserved / total)
+    frac = sum((~m).sum(axis=(0, 2)) for m in every.input_mask.values()) / total
+    assert sorted(set(frac)) == [0.0, 1 / total, 2 / total]
+    for threshold in (0.0, 1.5 / total, 0.1):
+        kept = build_samples(ds, topo, schemas,
+                             TrainingConfig(missing_threshold=threshold))
+        assert np.array_equal(kept.timestamps,
+                              every.timestamps[frac <= threshold]), threshold
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +314,7 @@ def test_nll_gradient_identities():
     lv_t = params.tensor(tape, "lv")
     loss, cnt = nll_loss_packed({"k": mu_t}, {"k": lv_t}, {"k": y},
                                 {"k": mask})
-    dc.backward(tape, loss)
+    dc.backward(tape, loss, 1.0)
     mu, lv = params.values["mu"], params.values["lv"]
     var = np.exp(lv)
     want_mu = (mu - y) / var
@@ -374,7 +381,7 @@ def test_pruned_training_step_matches_unpruned_gradients(pilot_world):
     for tape in (dc.Tape(), _UnprunedTape()):
         mu, logvar = model.forward(f, m, tape=tape)
         loss_sum, cnt = nll_loss_packed(mu, logvar, t, lm)
-        dc.backward(tape, dc.scale(loss_sum, 1.0 / cnt))
+        dc.backward(tape, loss_sum, 1.0 / cnt)
         grads.append({k: g.copy() for k, g in model.params.grads.items()})
         constants.append(sum(not node.needs_grad for node in tape.nodes))
         model.params.zero_grads()
@@ -485,6 +492,40 @@ def test_divergence_in_one_block_leaves_the_last_update(monkeypatch, block):
         assert not model.params.grads[key].any(), key
 
 
+# The ops of the two trained models' layers, and their leaves
+_MODEL_OPS = {"param", "const", "dense", "gather_dense", "route", "regroup",
+              "clip", "gaussian_nll"}
+
+
+class _ForkRecorder(dc.Tape):
+    """A step's tape that keeps the block tapes it forks."""
+
+    def __init__(self):
+        super().__init__()
+        self.forks = []
+
+    def fork(self, grads):
+        self.forks.append(super().fork(grads))
+        return self.forks[-1]
+
+
+def test_a_training_block_tape_holds_only_model_layers(pilot_world):
+    topology, schemas, samples, tr, val = _pilot_sets(pilot_world)
+    seen = {}
+    for kind in ("gnn", "mlp", "ae"):
+        model = _pilot_model(topology, schemas, samples, kind)
+        tape = _ForkRecorder()
+        grads = {k: np.zeros_like(g) for k, g in model.params.grads.items()}
+        training._train_block(model, tr, np.arange(dc.BLOCK_ROWS), tape,
+                              grads, 1.0)
+        (fork,) = tape.forks
+        seen[kind] = {node.op for node in fork.nodes}
+        assert seen[kind] <= _MODEL_OPS, (kind, seen[kind] - _MODEL_OPS)
+        assert all(g.any() for g in grads.values()), kind
+    assert {"gather_dense", "route"} <= seen["gnn"]
+    assert "regroup" in seen["mlp"] and "regroup" in seen["ae"]
+
+
 class _StepTaken(Exception):
     pass
 
@@ -511,7 +552,7 @@ def test_block_gradients_sum_to_the_whole_batch_gradient(pilot_world,
     tape = dc.Tape()
     mu, logvar = reference.forward(f, m, tape=tape)
     loss_sum, cnt = nll_loss_packed(mu, logvar, t, lm)
-    dc.backward(tape, dc.scale(loss_sum, 1.0 / cnt))
+    dc.backward(tape, loss_sum, 1.0 / cnt)
     assert set(stepped) == set(reference.params.grads)
     for key, want in reference.params.grads.items():
         assert want.any(), key
