@@ -24,10 +24,15 @@ Design choices:
   for its input's, its output only if the layer is hidden (for the tanh
   derivative), the routing matrix for ``route``, and the mask for
   ``clip``. A dense layer whose input comes in parts keeps the parts,
-  never their concatenation, and concatenates them again in its
-  backward. So the tape holds no array that the reverse pass does not
-  read, and no copy of one, and an untaped call returns before it
+  never the array it assembles them in, and assembles them again in
+  its backward. So the tape holds no array that the reverse pass does
+  not read, and no copy of one, and an untaped call returns before it
   builds a closure.
+* A dense layer assembles its ``[parts | 1]`` input (``_gather_rows``)
+  part by part into one buffer, then writes the ones column there: no
+  ones array and no concatenation. A whole part is copied straight in;
+  gathered rows go through numpy's fancy-index temporary, as a loop
+  over the rows, which would avoid it, costs far more at one row.
 * The reverse pass does only the work parameter gradients need. Each
   tape node records whether a parameter leaf lies upstream of it; nodes
   without one (constants, inputs, masks and everything computed only
@@ -99,6 +104,16 @@ Design choices:
   records each block on its own ``fork`` of the step's tape, which sends
   parameter gradients to that block's buffers, so blocks that run at
   once never write to one array.
+* A training worker owns a ``Workspace``, handed to each of its blocks'
+  forks. On that fork every hidden dense output, which the backward
+  keeps, is written into a workspace buffer (``np.matmul(..., out=)``),
+  and every layer input, forward and in the backward's re-gather, is
+  assembled in the workspace's one scratch buffer. Such an output stays
+  valid until the worker's next block, which starts after this block's
+  backward, so no buffer is live twice, and a steady-state step does
+  not take fresh pages for its tape, which the allocator would hand
+  back to the kernel after each backward. Other outputs, plain tapes
+  and untaped passes write new arrays.
 """
 
 from __future__ import annotations
@@ -158,14 +173,24 @@ class Tape:
         self.nodes: list[TapeNode] = []
         # where parameter leaves accumulate; None: their ParameterSet's grads
         self.grads: Optional[dict[str, np.ndarray]] = None
+        # the buffers dense layers write into; None: new arrays
+        self.workspace: Optional[Workspace] = None
 
-    def fork(self, grads: dict[str, np.ndarray]) -> "Tape":
+    def fork(self, grads: dict[str, np.ndarray],
+             workspace: Optional["Workspace"] = None) -> "Tape":
         """A new tape for one block of this tape's work, recorded and run
         backward on its own, on any thread. Its parameter leaves
         accumulate into ``grads`` (keyed like ``ParameterSet.grads``)
-        instead of their parameter set's accumulators."""
+        instead of their parameter set's accumulators. With a
+        ``workspace``, its dense layers write their hidden outputs and
+        assemble their inputs in that workspace's buffers, from its first
+        buffer on, so whatever an earlier fork on it recorded is no longer
+        valid."""
         tape = Tape()
         tape.grads = grads
+        if workspace is not None:
+            workspace.next = 0
+            tape.workspace = workspace
         return tape
 
     def _append(self, node: TapeNode) -> int:
@@ -252,6 +277,38 @@ def _record(tape: Tape, op: str, inputs: Sequence[Tensor],
 # Primitives
 
 
+class Workspace:
+    """The buffers one worker's taped blocks write into, reused block
+    after block: the hidden dense outputs, which the backward keeps, and
+    one scratch buffer in which dense layers assemble their inputs.
+
+    Output buffers are flat and handed out in call order, the n-th
+    hidden layer of a block getting the n-th buffer, viewed at that
+    layer's shape, so a block with fewer rows reuses a larger block's
+    buffers; a buffer too small for its call is replaced.
+    """
+
+    def __init__(self) -> None:
+        self.outputs: list[np.ndarray] = []
+        self.scratch = np.empty(0)
+        self.next = 0  # the output buffer the next call gets
+
+    def output(self, shape: tuple[int, ...]) -> np.ndarray:
+        size, i = math.prod(shape), self.next
+        self.next += 1
+        if i == len(self.outputs):
+            self.outputs.append(np.empty(size))
+        elif self.outputs[i].size < size:
+            self.outputs[i] = np.empty(size)
+        return self.outputs[i][:size].reshape(shape)
+
+    def input(self, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        if self.scratch.size < size:
+            self.scratch = np.empty(size)
+        return self.scratch[:size].reshape(shape)
+
+
 def _check_inner(a: np.ndarray, b: np.ndarray, op: str) -> None:
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"{op} operands must have ndim >= 2")
@@ -267,11 +324,12 @@ def dense(x, a, hidden: bool, members=None, ones: bool = False) -> Tensor:
     That column is ones: with ``ones`` the layer appends it to ``x`` (a
     first layer), and a hidden layer's output ends with its constant
     unit, which is 1 (see ``mlp_init``). The output buffer is the matmul
-    result, updated in place, so a layer allocates one array.
+    result, updated in place, so a layer allocates one array, or none
+    for a hidden layer on a tape with a workspace (``Tape.fork``).
 
     ``x`` may be a list or tuple of parts, the input being their
     concatenation along the last axis. The tape then keeps the parts,
-    not their concatenation: the backward concatenates again for the
+    not the assembled input: the backward assembles it again for the
     block's gradient and sends each part its slice of the input's
     adjoint, in order, the bytes of ``dense`` over the concatenation. The
     input's adjoint covers its columns up to the last part that needs a
@@ -306,14 +364,28 @@ def gather_dense(xs: Sequence, rows: Sequence, a, hidden: bool,
     return _dense("gather_dense", xs, rows, a, hidden, members, ones)
 
 
-def _gather_rows(xs: Sequence[np.ndarray], rows, ones: bool) -> np.ndarray:
+def _gather_rows(xs: Sequence[np.ndarray], rows, ones: bool,
+                 ws: Optional[Workspace] = None) -> np.ndarray:
     """``[xs[0][rows[0]] | xs[1][rows[1]] | ...]`` (each part whole if
-    ``rows`` is None), then a ones column if ``ones``, in one array."""
-    if rows is not None:
-        xs = [x[r] for x, r in zip(xs, rows)]
+    ``rows`` is None), then a ones column if ``ones``, written part by
+    part into one array: ``ws``'s scratch buffer, or a new one. A lone
+    whole part without ones is returned as it is."""
+    if rows is None and not ones and len(xs) == 1:
+        return xs[0]
+    lead = {x.shape[:-1] if rows is None else rows[k].shape + x.shape[1:-1]
+            for k, x in enumerate(xs)}
+    if len(lead) > 1:
+        raise ShapeError(f"input parts' leading shapes differ: {lead}")
+    shape = lead.pop() + (sum(x.shape[-1] for x in xs) + ones,)
+    out = np.empty(shape) if ws is None else ws.input(shape)
+    lo = 0
+    for k, x in enumerate(xs):
+        hi = lo + x.shape[-1]
+        out[..., lo:hi] = x if rows is None else x[rows[k]]
+        lo = hi
     if ones:
-        xs = [*xs, np.ones(xs[0].shape[:-1] + (1,))]
-    return xs[0] if len(xs) == 1 else np.concatenate(xs, axis=-1)
+        out[..., -1] = 1.0
+    return out
 
 
 def _add_rows(shape: tuple[int, ...], r: np.ndarray,
@@ -353,13 +425,19 @@ def _dense(op: str, xs: Sequence, rows, a, hidden: bool, members,
     tape = _find_tape(*xs, a)
     xs = [_coerce(x, tape) for x in xs]
     a = _coerce(a, tape)
-    x = _gather_rows([t.data for t in xs], rows, ones)
+    ws = tape.workspace if tape is not None else None
+    x = _gather_rows([t.data for t in xs], rows, ones, ws)
     am = a.data
     if members is not None:
         members = np.asarray(members, dtype=np.intp)
         am = am[members]
     _check_inner(x, am, op)
-    out = x @ am
+    if hidden and ws is not None:  # kept for the backward: a workspace buffer
+        out = np.matmul(x, am, out=ws.output(
+            np.broadcast_shapes(x.shape[:-2], am.shape[:-2])
+            + (x.shape[-2], am.shape[-1])))
+    else:
+        out = x @ am
     if hidden:
         np.tanh(out, out=out)
     if tape is None:
@@ -398,7 +476,7 @@ def _dense(op: str, xs: Sequence, rows, a, hidden: bool, members,
             _scatter_rows(gx, xids[:grad_parts], rows, xshs[:grad_parts],
                           accum)
         if need_a:
-            xd = _gather_rows(xds, rows, ones)
+            xd = _gather_rows(xds, rows, ones, ws)
             accum(aid, to_block(_unbroadcast(xd.swapaxes(-1, -2) @ g, amsh)))
 
     return _record(tape, op, (*xs, a), out, bwd)

@@ -507,10 +507,11 @@ def _arrays_json(arrays: dict[str, np.ndarray]) -> str:
     parts = []
     for key, v in arrays.items():
         flat = v.reshape(-1)
-        vals = [format(x, ".17g") for x in flat]
+        # one %-formatting call fills every value of the block
+        slots = ["%.17g"] * flat.size
         for i in np.flatnonzero(np.signbit(flat) & (flat == 0.0)):
-            vals[i] = "-0.0"  # JSON reads -0 as the integer 0
-        vals = ",".join(vals)
+            slots[i] = "%.1f"  # -0.0: JSON reads -0 as the integer 0
+        vals = ",".join(slots) % tuple(flat.tolist())
         shape = ",".join(str(int(s)) for s in v.shape)
         parts.append(f'{json.dumps(key)}:{{"shape":[{shape}],"values":[{vals}]}}')
     return "{" + ",".join(parts) + "}"

@@ -27,12 +27,14 @@ arrays, so the centralized baselines train through the same code path.
 Each mini-batch trains as the row blocks ``diffcore.row_blocks`` cuts by
 its row count alone (512 rows as 4 × 128, 240 as 2 × 120), on the cores
 that BLAS leaves free (``diffcore.run_blocks``). A block records its
-forward on its own fork of the step's tape, scales its NLL sum by the
-whole batch's observed count and backpropagates into a gradient buffer
-of its own. Blocks are handed out in block order, and a finished
-block's buffer is added into the parameters' gradients as soon as every
-earlier block's is, then reused, so at most one buffer more than the
-blocks that run at once exists; one Adam step follows the last. So the
+forward on its own fork of the step's tape, in the ``diffcore.Workspace``
+of the worker thread that runs it, whose buffers that worker's next
+block reuses, scales its NLL sum by the whole batch's observed count
+and backpropagates into a gradient buffer of its own. Blocks are handed
+out in block order, and a finished block's buffer is added into the
+parameters' gradients as soon as every earlier block's is, then reused,
+so at most one buffer more than the blocks that run at once exists;
+one Adam step follows the last. So the
 trained bytes, and the validation NLL, whose forwards
 ``imputation.blocked_forward`` cuts by the same rule, depend on the
 block rule, never on the core count.
@@ -404,13 +406,14 @@ class _GradientSlots:
 
 
 def _train_block(model, samples: SampleSet, idx: np.ndarray, tape: Tape,
-                 grads: dict[str, np.ndarray], scale: float) -> float:
-    """One block's taped forward on a fork of ``tape``, and, if its NLL
-    sum is finite, the backward of that sum times ``scale`` (the seed of
-    the reverse pass) into ``grads``, which it overwrites. Returns the
-    NLL sum."""
+                 grads: dict[str, np.ndarray], scale: float,
+                 workspace: Optional[dc.Workspace] = None) -> float:
+    """One block's taped forward on a fork of ``tape`` (in ``workspace``'s
+    buffers, if given), and, if its NLL sum is finite, the backward of
+    that sum times ``scale`` (the seed of the reverse pass) into
+    ``grads``, which it overwrites. Returns the NLL sum."""
     f, m, t, lm = samples.batch(idx)
-    block_tape = tape.fork(grads)
+    block_tape = tape.fork(grads, workspace)
     mu, logvar = model.forward(f, m, tape=block_tape)
     loss_sum, _ = nll_loss_packed(mu, logvar, t, lm)
     if np.isfinite(loss_sum.data):
@@ -442,6 +445,8 @@ def train(model, train_samples: SampleSet, val_samples: SampleSet,
     # observed loss entries per sample
     observed = sum(m.sum(axis=(0, 2)) for m in train_samples.loss_mask.values())
     slots = _GradientSlots(model.params.grads, dc._WORKERS + 1)
+    # one workspace per worker thread, which runs its blocks one by one
+    workspaces: dict[int, dc.Workspace] = {}
     t0 = time.perf_counter()
     for epoch in range(1, config.max_epochs + 1):
         perm = rng.permutation(n)
@@ -456,10 +461,12 @@ def train(model, train_samples: SampleSet, val_samples: SampleSet,
 
             def run(i: int) -> None:
                 slot = slots.take(i)
+                ws = workspaces.setdefault(threading.get_ident(),
+                                           dc.Workspace())
                 try:
                     sums[i] = _train_block(model, train_samples,
                                            idx[slice(*blocks[i])], tape,
-                                           slot, 1.0 / max(cnt, 1.0))
+                                           slot, 1.0 / max(cnt, 1.0), ws)
                 finally:
                     slots.finish(i, slot)
 

@@ -412,6 +412,14 @@ def test_gaussian_nll_rejects_mismatched_group_shapes():
 def test_dense_rejects_mismatched_inner_dimensions():
     with pytest.raises(dc.ShapeError, match="inner"):
         dc.dense(np.zeros((2, 3)), np.zeros((5, 5)), hidden=True, ones=True)
+    # parts are assembled by assignment, which must not broadcast
+    with pytest.raises(dc.ShapeError, match="leading shapes"):
+        dc.dense([np.zeros((2, 4, 1)), np.zeros((2, 1, 1))], np.zeros((3, 2)),
+                 hidden=False, ones=True)
+    with pytest.raises(dc.ShapeError, match="leading shapes"):
+        dc.gather_dense([np.zeros((3, 4, 1)), np.zeros((3, 4, 1))],
+                        [np.array([0, 1]), np.array([2])], np.zeros((3, 2)),
+                        hidden=False, ones=True)
 
 
 @pytest.mark.parametrize("idx", [
@@ -601,30 +609,54 @@ def test_dense_parts_match_concat_then_dense_bit_for_bit(same, layers, weights):
             assert g.any() and g.tobytes() == composed.grads[key].tobytes(), key
 
 
+def _held_arrays(tape):
+    """Every array the backward closures on ``tape`` capture, directly
+    or in a list or tuple."""
+    held, todo = [], [c.cell_contents for node in tape.nodes if node.bwd
+                      for c in node.bwd.__closure__ or ()]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray):
+            held.append(item)
+        elif isinstance(item, (list, tuple)):
+            todo.extend(item)
+    return held
+
+
 def test_dense_parts_keep_no_concatenated_copy(monkeypatch):
     # the weight needs a gradient, so the layer keeps its input: the parts,
-    # while the concatenation it multiplied dies with the forward
+    # while the array it assembled them in is dropped with the forward
+    # (a new one) or left to the next layer (a workspace's scratch buffer)
     params = dc.ParameterSet()
     params.add("p", np.random.default_rng(3).uniform(-0.4, 0.4, (2, 3)))
     params.add("a", np.random.default_rng(5).uniform(-0.4, 0.4, (7, 2)))
-    tape = dc.Tape()
-    p = params.tensor(tape, "p")
-    made = []
-    concatenate = np.concatenate
+    for ws in (None, dc.Workspace()):
+        tape = dc.Tape().fork(params.grads, ws)
+        p = params.tensor(tape, "p")
+        made = []
+        empty = np.empty
 
-    def watched(*args, **kwargs):
-        out = concatenate(*args, **kwargs)
-        made.append(weakref.ref(out))
-        return out
+        def watched(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            made.append(weakref.ref(out))
+            return out
 
-    monkeypatch.setattr(np, "concatenate", watched)
-    out = dc.dense([dc.clip(p, -1.0, 1.0), p], params.tensor(tape, "a"),
-                   hidden=True, ones=True)
-    monkeypatch.undo()
-    gc.collect()
-    assert len(made) == 1 and made[0]() is None
-    dc.backward(tape, out, _seed(out, _MIX))
-    assert params.grads["p"].any() and params.grads["a"].any()
+        monkeypatch.setattr(np, "empty", watched)
+        out = dc.dense([dc.clip(p, -1.0, 1.0), p], params.tensor(tape, "a"),
+                       hidden=True, ones=True)
+        monkeypatch.undo()
+        gc.collect()
+        held = _held_arrays(tape)
+        assert any(h is p.data for h in held)
+        if ws is None:
+            assert len(made) == 1 and made[0]() is None
+        else:
+            assert ws.scratch.size == 2 * 7 and np.shares_memory(out.data,
+                                                                ws.outputs[0])
+            assert not any(np.shares_memory(h, ws.scratch) for h in held)
+        dc.backward(tape, out, _seed(out, _MIX))
+        assert params.grads["p"].any() and params.grads["a"].any()
+        params.zero_grads()
 
 
 def _pilot_layers():
@@ -980,6 +1012,30 @@ def test_one_pilot_block_tape_stays_within_its_byte_budget(pilot_world):
     assert held <= PILOT_BLOCK_TAPE_BUDGET, held
     dc.backward(tape, loss, 1.0)
     assert any(g.any() for g in model.params.grads.values())
+
+
+# Bytes one training worker's workspace may hold after a 128-row block
+# of the conftest pilot world: the hidden layers' outputs, which the
+# backward reads, take 30.3 MB and the input scratch buffer, sized for
+# the widest edge layer, 1.5 MB. States, messages and decoder outputs
+# stay new arrays.
+PILOT_BLOCK_WORKSPACE_BUDGET = 33e6
+
+
+def test_one_pilot_block_workspace_stays_within_its_byte_budget(pilot_world):
+    spec, dataset = pilot_world
+    schemas = derive_schemas(spec.topology)
+    samples = build_samples(dataset, spec.topology, schemas, TrainingConfig())
+    model = GnnModel(spec.topology, schemas, GnnConfig())
+    f, m, t, lm = samples.batch(np.arange(128))
+    ws = dc.Workspace()
+    tape = dc.Tape().fork(model.params.grads, ws)
+    mu, logvar = model.forward(f, m, tape=tape)
+    loss, _ = nll_loss_packed(mu, logvar, t, lm)
+    dc.backward(tape, loss, 1.0)
+    assert any(g.any() for g in model.params.grads.values())
+    held = ws.scratch.nbytes + sum(b.nbytes for b in ws.outputs)
+    assert 0 < held <= PILOT_BLOCK_WORKSPACE_BUDGET, held
 
 
 def test_row_blocks_cut_by_the_row_count_alone():

@@ -3,6 +3,7 @@ loop, with its mini-batches trained as row blocks on free cores."""
 
 import dataclasses
 import hashlib
+import inspect
 import math
 import os
 import subprocess
@@ -504,8 +505,8 @@ class _ForkRecorder(dc.Tape):
         super().__init__()
         self.forks = []
 
-    def fork(self, grads):
-        self.forks.append(super().fork(grads))
+    def fork(self, grads, workspace=None):
+        self.forks.append(super().fork(grads, workspace))
         return self.forks[-1]
 
 
@@ -524,6 +525,87 @@ def test_a_training_block_tape_holds_only_model_layers(pilot_world):
         assert all(g.any() for g in grads.values()), kind
     assert {"gather_dense", "route"} <= seen["gnn"]
     assert "regroup" in seen["mlp"] and "regroup" in seen["ae"]
+
+
+def _watch_hidden_outputs(monkeypatch) -> list:
+    """The list every hidden dense layer's output array is appended to
+    from now on, in call order."""
+    made = []
+    for name in ("dense", "gather_dense"):
+        op = getattr(dc, name)
+        signature = inspect.signature(op)
+
+        def watched(*args, op=op, signature=signature, **kwargs):
+            out = op(*args, **kwargs)
+            if signature.bind(*args, **kwargs).arguments["hidden"]:
+                made.append(out.data)
+            return out
+
+        monkeypatch.setattr(dc, name, watched)
+    return made
+
+
+def _workspace_steps(pilot_world, monkeypatch, sizes):
+    """(hidden outputs, workspace buffers) after each of one worker's
+    blocks of ``sizes`` rows, and the workspace."""
+    topology, schemas, samples, tr, val = _pilot_sets(pilot_world)
+    model = _pilot_model(topology, schemas, samples)
+    grads = {k: np.zeros_like(g) for k, g in model.params.grads.items()}
+    ws = dc.Workspace()
+    made = _watch_hidden_outputs(monkeypatch)
+    steps = []
+    for i, rows in enumerate(sizes):
+        made.clear()
+        lo = i % 2 * (len(tr) - rows)  # from the front, then the back
+        training._train_block(model, tr, np.arange(lo, lo + rows),
+                              dc.Tape(), grads, 1.0, ws)
+        steps.append((list(made), list(ws.outputs)))
+    return steps, ws
+
+
+def test_a_second_step_writes_into_the_first_steps_buffers(pilot_world,
+                                                           monkeypatch):
+    rows = dc.BLOCK_ROWS
+    ((first, buffers), (second, again)), ws = _workspace_steps(
+        pilot_world, monkeypatch, [rows, rows])
+    assert len(first) == len(second) == len(buffers) > 0
+    assert len(again) == len(buffers)
+    assert all(a is b for a, b in zip(again, buffers))
+    for out, out2, buf in zip(first, second, buffers):
+        assert out.shape[-2] == rows and out.size == buf.size
+        assert np.shares_memory(out, buf) and np.shares_memory(out2, buf)
+    assert ws.next == len(buffers)
+
+
+def test_a_tail_block_adds_no_workspace_buffer(pilot_world, monkeypatch):
+    steps, ws = _workspace_steps(pilot_world, monkeypatch,
+                                 [dc.BLOCK_ROWS, dc.BLOCK_ROWS, 120])
+    (_, full), (_, before), (tail, after) = steps
+    assert len(after) == len(before) == len(tail)
+    assert all(a is b for a, b in zip(after, full))
+    for out, buf in zip(tail, after):
+        assert out.shape[-2] == 120 and np.shares_memory(out, buf)
+
+
+@pytest.mark.parametrize("kind", ["gnn", "mlp", "ae"])
+def test_a_workspace_block_matches_a_plain_block_bit_for_bit(pilot_world,
+                                                             kind):
+    topology, schemas, samples, tr, val = _pilot_sets(pilot_world)
+    model = _pilot_model(topology, schemas, samples, kind)
+    ws = dc.Workspace()
+    results = []
+    # the workspace's buffers hold an earlier block's values
+    for idx in (np.arange(150, 150 + dc.BLOCK_ROWS), np.arange(120)):
+        grads = {k: np.zeros_like(g) for k, g in model.params.grads.items()}
+        total = training._train_block(model, tr, idx, dc.Tape(), grads,
+                                      0.25, ws)
+        results.append((total, grads))
+    plain = {k: np.zeros_like(g) for k, g in model.params.grads.items()}
+    total = training._train_block(model, tr, np.arange(120), dc.Tape(),
+                                  plain, 0.25)
+    assert ws.outputs and results[1][0] == total
+    for key, g in plain.items():
+        assert g.any() and g.tobytes() == results[1][1][key].tobytes(), key
 
 
 class _StepTaken(Exception):
