@@ -15,7 +15,7 @@ key, topology order within a group.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,8 +23,10 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import ContractError, ParameterSet, Tape
 from .gridgraph import GridTopology, NodeSchema, total_feature_dim, total_latent_dim
+from .gridsim import inject_missing
 from .mpnn import VAR_CLAMP_HI, VAR_CLAMP_LO, ModelBase
 from .services import predict_voltages
+from .training import ChannelStats, SampleSet, TrainingConfig, build_samples
 
 
 class MetricError(ValueError):
@@ -214,22 +216,34 @@ def compare(entries: Sequence[tuple], test_samples,
     return rows
 
 
-def missing_rate_sweep(model, dataset_test, topology,
-                       schemas: dict[str, NodeSchema], rates: Sequence[float],
-                       seed: int = 0, csv_path: Optional[str] = None,
-                       header_comment: Optional[str] = None) -> list[dict]:
-    """Re-evaluate voltage prediction with missing data injected into the
-    test inputs at each rate; emits a table shaped like the missing-data
-    impact summary."""
-    from .gridsim import inject_missing
-    from .training import ChannelStats, TrainingConfig, build_samples
+def evaluation_samples(model, dataset, schemas: dict[str, NodeSchema],
+                       config: TrainingConfig, rate: float) -> SampleSet:
+    """The samples a model's voltage prediction is scored on at missing
+    rate ``rate``: that share of the points of ``dataset`` flagged
+    missing on top of its own gaps (drawn at ``config.seed``), and the
+    features standardized with the model's statistics. A sample with
+    more than ``config.missing_threshold`` of its inputs unobserved is
+    dropped; above rate 0 the bound is max(0.5, 2 * rate), at most 1, so
+    the injected gaps alone do not empty the set."""
+    if rate > 0.0:
+        dataset = inject_missing(dataset, rate, seed=config.seed)
+        config = replace(config,
+                         missing_threshold=min(1.0, max(0.5, 2 * rate)))
+    return build_samples(dataset, model.topology, schemas, config,
+                         stats=ChannelStats(model.std_mean, model.std_std))
 
-    stats = ChannelStats(model.std_mean, model.std_std)
+
+def missing_rate_sweep(model, dataset_test, schemas: dict[str, NodeSchema],
+                       config: TrainingConfig, rates: Sequence[float],
+                       csv_path: Optional[str] = None,
+                       header_comment: Optional[str] = None) -> list[dict]:
+    """Re-evaluate voltage prediction on ``evaluation_samples`` at each
+    missing rate; emits a table shaped like the missing-data impact
+    summary."""
     rows = []
     for rate in rates:
-        ds = inject_missing(dataset_test, rate, seed=seed)
-        cfg = TrainingConfig(missing_threshold=max(0.5, 2 * rate))
-        samples = build_samples(ds, topology, schemas, cfg, stats=stats)
+        samples = evaluation_samples(model, dataset_test, schemas, config,
+                                     rate)
         res = evaluate_voltage_prediction(model, samples, schemas)
         rows.append({"missing_rate": rate, "samples": len(samples),
                      "mape_pct": res["mape"], "rmse": res["rmse"]})

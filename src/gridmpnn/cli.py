@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import Optional
 
 import numpy as np
@@ -25,10 +25,10 @@ from .gridgraph import (VOLTAGE, SchemaConfig, TopologyError,
                         derive_schemas, load_topology, sensor_id)
 from .imputation import ImputationProblem, impute
 from .mpnn import GnnConfig, GnnModel
-from .training import (ChannelStats, DatasetError, TrainingConfig,
-                       TrainingError, build_samples, chronological_split,
-                       concat_sample_sets, masked_clones, train,
-                       voltage_lag0_selector, write_history_csv)
+from .training import (DatasetError, TrainingConfig, TrainingError,
+                       build_samples, chronological_split, concat_sample_sets,
+                       masked_clones, train, voltage_lag0_selector,
+                       write_history_csv)
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -305,14 +305,9 @@ def _test_samples(cfg, model, dataset, schemas, missing_rate: float = 0.0):
     _, test_ds = _split_dataset(cfg, dataset, schemas)
     if test_ds is None:
         raise ConfigError("dataset has no test range after data.test_start")
-    if missing_rate > 0.0:
-        test_ds = gridsim.inject_missing(test_ds, missing_rate,
-                                         seed=cfg.get("seed", 0))
-    stats = ChannelStats(model.std_mean, model.std_std)
-    tcfg = TrainingConfig(**cfg["training"])
-    if missing_rate > 0.0:
-        tcfg = replace(tcfg, missing_threshold=max(0.5, 2 * missing_rate))
-    return build_samples(test_ds, model.topology, schemas, tcfg, stats=stats), test_ds
+    tcfg = TrainingConfig(**cfg["training"], seed=cfg["seed"])
+    return baselines.evaluation_samples(model, test_ds, schemas, tcfg,
+                                        missing_rate), test_ds
 
 
 def cmd_evaluate(args) -> int:
@@ -454,8 +449,8 @@ def cmd_bench(args) -> int:
                 kind, topo, schemas, layers=bench["layers"], hidden=hidden,
                 seed=cfg.get("seed", 0))
             mp_steps = None
-        result, _ = _train_model(model, cfg, topo, schemas, train_ds,
-                                 verbose=args.verbose)
+        result, tcfg = _train_model(model, cfg, topo, schemas, train_ds,
+                                    verbose=args.verbose)
         entries.append((kind.upper(), model, bench["layers"], mp_steps))
         print(f"{kind}: {model.count_parameters()} parameters, "
               f"best val NLL {result.best_val_nll:+.4f}")
@@ -470,8 +465,7 @@ def cmd_bench(args) -> int:
               f"MAPE={r.mape:.4f}% RMSE={r.rmse:.4f}")
     if gnn_model is not None and bench.get("missing_rates"):
         baselines.missing_rate_sweep(
-            gnn_model, test_ds, topo, schemas, bench["missing_rates"],
-            seed=cfg.get("seed", 0),
+            gnn_model, test_ds, schemas, tcfg, bench["missing_rates"],
             csv_path=os.path.join(out, "missing_sweep.csv"),
             header_comment=_meta_comment(cfg))
     if gnn_model is not None:

@@ -100,17 +100,6 @@ class GridTopology:
     def ids(self, kind: Optional[str] = None) -> list[str]:
         return [n.node_id for n in self.nodes if kind is None or n.kind == kind]
 
-    def path_to_root(self, node_id: str) -> list[tuple[str, str]]:
-        """Edges (parent, child) from the root down to ``node_id``."""
-        path = []
-        cur = node_id
-        while cur != self.root:
-            par = self.parent[cur]
-            path.append((par, cur))
-            cur = par
-        path.reverse()
-        return path
-
     def to_document(self) -> dict:
         doc = {
             "nodes": [{"id": n.node_id, "kind": n.kind} for n in self.nodes],

@@ -11,7 +11,9 @@ accumulated along the path from the source:
 with P the active power flowing through each line (everything
 downstream) and Q = q_ratio * P. The model is linear in the loads, so
 the generated joint distribution stays Gaussian-friendly and the exact
-conditioning oracle below applies.
+conditioning oracle below applies. ``voltage_profile`` is its one
+solver: ``simulate`` runs it on the true flows and
+``replay_feeder_delta`` on the recorded ones.
 
 Loads are stored as energy per 15-minute slot (kWh); voltages in V;
 weather as temperature (degC), irradiance (W/m2), cloud cover (0..1).
@@ -599,21 +601,12 @@ def simulate(spec: SyntheticGridSpec, start: str | datetime,
     grid_kw = sum((sub_kw[s] for s in topo.ids(SUBSTATION)), np.zeros(n))
 
     # voltages via accumulated linear drop (kW flows through each line)
-    drop_to: dict[str, np.ndarray] = {topo.root: np.zeros(n)}
-    flow_kw = {**{pid: net_kw[pid] for pid in topo.ids(PROSUMER)},
-               **feeder_kw, **sub_kw}
-    order = [nid for nid in topo.ids() if nid != topo.root]
-    for nid in order:
-        parent = topo.parent[nid]
-        r, x = spec.line(parent, nid)
-        p_w = flow_kw[nid] * 1000.0
-        drop = (r * p_w + x * spec.q_ratio * p_w) / spec.v0
-        drop_to[nid] = drop_to[parent] + drop
+    voltage = voltage_profile(spec, {**net_kw, **feeder_kw, **sub_kw})
 
     # emit sensor series with measurement noise
     for pid in topo.ids(PROSUMER):
         node = topo.node(pid)
-        v_true = spec.v0 - drop_to[pid]
+        v_true = voltage[pid]
         e_true = net_kw[pid] * SLOT_HOURS
         if node.phases == 1:
             ds.add_series(sensor_id(pid, "voltage"),
@@ -665,66 +658,62 @@ def _noise(seed: int, key: str, n: int, std: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Noise-free voltage solver (shared by simulate-replay and tests)
+# Linear-drop voltage solver (shared by simulate and replay)
 
 
-def voltage_profile(spec: SyntheticGridSpec, prosumer_net_kw: dict[str, float],
-                    feeder_extra_kw: Optional[dict[str, float]] = None,
-                    ) -> dict[str, float]:
-    """Noise-free prosumer voltages for one snapshot of loads.
+def voltage_profile(spec: SyntheticGridSpec, flow_kw: dict) -> dict:
+    """Noise-free prosumer voltages from the active power flowing into
+    each non-root node through its line (kW, positive = towards the
+    node), as floats or as aligned time series.
 
-    ``prosumer_net_kw``: net load per prosumer (positive = consumption).
-    ``feeder_extra_kw``: unmetered load added at each feeder bus.
+    The drop (r * P + x * q_ratio * P) / v0 of each line is accumulated
+    from the root down; a prosumer's voltage is v0 minus the drop on its
+    path.
     """
     topo = spec.topology
-    feeder_extra_kw = feeder_extra_kw or {}
-    subtree_kw: dict[str, float] = {}
-
-    def total(nid: str) -> float:
-        if nid in subtree_kw:
-            return subtree_kw[nid]
-        kind = topo.node(nid).kind
-        tot = float(prosumer_net_kw.get(nid, 0.0)) if kind == PROSUMER else 0.0
-        if kind == FEEDER:
-            tot += float(feeder_extra_kw.get(nid, 0.0))
-        for child in topo.children[nid]:
-            tot += total(child)
-        subtree_kw[nid] = tot
-        return tot
-
-    total(topo.root)
-    out = {}
-    for pid in topo.ids(PROSUMER):
-        drop = 0.0
-        for parent, child in topo.path_to_root(pid):
-            r, x = spec.line(parent, child)
-            p_w = subtree_kw[child] * 1000.0
-            drop += (r * p_w + x * spec.q_ratio * p_w) / spec.v0
-        out[pid] = spec.v0 - drop
-    return out
+    order = [topo.root]
+    for nid in order:  # parents before children
+        order.extend(topo.children[nid])
+    drop_to = {topo.root: 0.0}
+    for nid in order[1:]:
+        parent = topo.parent[nid]
+        r, x = spec.line(parent, nid)
+        p_w = flow_kw[nid] * 1000.0
+        drop = (r * p_w + x * spec.q_ratio * p_w) / spec.v0
+        drop_to[nid] = drop_to[parent] + drop
+    return {pid: spec.v0 - drop_to[pid] for pid in topo.ids(PROSUMER)}
 
 
 def replay_feeder_delta(spec: SyntheticGridSpec, dataset: TimeSeriesDataset,
                         t_index: int, feeder_deltas_kwh: dict[str, float],
                         ) -> dict[str, float]:
     """Re-solve one timestep's voltages with extra energy injected at
-    feeder buses (positive = additional load), using the recorded loads."""
+    feeder buses (positive = additional load), from the recorded loads:
+    each prosumer's energy, each feeder's ``load_p`` plus its delta, and
+    each substation the sum of its feeders. ``SimulationError`` for a
+    delta at a node that is not a feeder or a step off the dataset."""
     topo = spec.topology
-    net_kw: dict[str, float] = {}
+    if not 0 <= t_index < dataset.n_steps:
+        raise SimulationError(
+            f"step {t_index} is outside the dataset's {dataset.n_steps} steps")
+    feeders = topo.ids(FEEDER)
+    for fid in feeder_deltas_kwh:
+        if fid not in feeders:
+            raise SimulationError(f"feeder delta at {fid!r}, not a feeder")
+    flow_kw: dict[str, float] = {}
     for pid in topo.ids(PROSUMER):
-        node = topo.node(pid)
-        if node.phases == 1:
+        if topo.node(pid).phases == 1:
             e = dataset.series[sensor_id(pid, "energy")][t_index]
         else:
             e = sum(dataset.series[sensor_id(pid, f"energy_{ph}")][t_index]
                     for ph in _PHASES)
-        net_kw[pid] = e / SLOT_HOURS
-    extra_kw: dict[str, float] = {}
-    for fid in topo.ids(FEEDER):
-        rec = dataset.series[sensor_id(fid, "load_p")][t_index] / SLOT_HOURS
-        metered = sum(net_kw[pid] for pid in topo.children[fid])
-        extra_kw[fid] = rec - metered + feeder_deltas_kwh.get(fid, 0.0) / SLOT_HOURS
-    return voltage_profile(spec, net_kw, extra_kw)
+        flow_kw[pid] = e / SLOT_HOURS
+    for fid in feeders:
+        flow_kw[fid] = (dataset.series[sensor_id(fid, "load_p")][t_index]
+                        + feeder_deltas_kwh.get(fid, 0.0)) / SLOT_HOURS
+    for sid in topo.ids(SUBSTATION):
+        flow_kw[sid] = sum(flow_kw[f] for f in topo.children[sid])
+    return voltage_profile(spec, flow_kw)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ import pytest
 from gridmpnn import diffcore as dc
 from gridmpnn import gridsim
 from gridmpnn.baselines import (BENCH_MLP_HIDDEN, CentralModel, MetricError,
-                                build_baseline, compare, mape_with_counts,
-                                missing_rate_sweep, rmse)
+                                build_baseline, compare, evaluation_samples,
+                                mape_with_counts, missing_rate_sweep, rmse)
 from gridmpnn.gridgraph import (NodeSchema, derive_schemas, load_topology,
                                 total_feature_dim, total_latent_dim)
 from gridmpnn.mpnn import GnnModel
@@ -187,20 +187,32 @@ def test_compare_writes_table(tmp_path, pilot_world):
     assert all(np.isfinite(r.mape) and np.isfinite(r.rmse) for r in rows)
 
 
-def test_missing_rate_sweep_shape(tmp_path, pilot_world):
+def _pilot_gnn(pilot_world):
+    """An untrained pilot graph model standardized on the pilot world,
+    and the world's first seven samples as a test window."""
     spec, dataset = pilot_world
-    topo = spec.topology
-    schemas = derive_schemas(topo)
-    samples = build_samples(dataset, topo, schemas, TrainingConfig())
-    gnn = GnnModel(topo, schemas)
+    schemas = derive_schemas(spec.topology)
+    samples = build_samples(dataset, spec.topology, schemas, TrainingConfig())
+    gnn = GnnModel(spec.topology, schemas)
     gnn.init_parameters(0)
     gnn.set_standardization(samples.stats.mean, samples.stats.std)
-    test_ds = dataset.slice_steps(0, 193 + 6)
+    return gnn, schemas, dataset.slice_steps(0, 193 + 6)
+
+
+def test_missing_rate_sweep_shape(tmp_path, pilot_world):
+    gnn, schemas, test_ds = _pilot_gnn(pilot_world)
     path = str(tmp_path / "sweep.csv")
-    rows = missing_rate_sweep(gnn, test_ds, topo, schemas,
-                              rates=[0.0, 0.01], seed=0, csv_path=path)
+    rows = missing_rate_sweep(gnn, test_ds, schemas, TrainingConfig(),
+                              rates=[0.0, 0.01], csv_path=path)
     assert [r["missing_rate"] for r in rows] == [0.0, 0.01]
     assert all(r["samples"] > 0 for r in rows)
     lines = open(path).read().splitlines()
     assert lines[0] == "missing_rate,samples,mape_pct,rmse"
     assert len(lines) == 3
+
+
+def test_a_missing_rate_above_one_half_keeps_every_sample(pilot_world):
+    # the bound max(0.5, 2 * rate) stops at 1, the most a share can be
+    gnn, schemas, test_ds = _pilot_gnn(pilot_world)
+    samples = evaluation_samples(gnn, test_ds, schemas, TrainingConfig(), 0.6)
+    assert len(samples) == 7

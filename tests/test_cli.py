@@ -451,5 +451,32 @@ def test_bench_writes_comparison_and_sweep(world, tmp_path):
     assert os.path.exists(os.path.join(out, "checkpoint.json"))
 
 
+def test_bench_sweep_and_evaluate_score_the_same_samples(world, tmp_path):
+    # every reading of the last test step is flagged missing, so a quarter
+    # of that step's sample (lags 0, 96, 144, 192) is unobserved
+    paths = {name: os.path.join(world["data_dir"], f"{name}.csv")
+             for name in ("dataset", "weather")}
+    ds = gridsim.TimeSeriesDataset.read_csv(*paths.values())
+    for flags in ds.missing.values():
+        flags[-1] = True
+    cfg = json.loads(json.dumps(world["cfg"]))
+    for name, weather in (("dataset", False), ("weather", True)):
+        cfg["paths"][name] = str(tmp_path / f"{name}.csv")
+        ds.write_csv(cfg["paths"][name], weather=weather)
+    out = tmp_path / "run"
+    cfg["paths"]["out_dir"] = str(out)
+    cfg["training"]["max_epochs"] = 1
+    cfg["benchmark"].update(models=["gnn"], missing_rates=[0.0])
+    cfg_path = str(tmp_path / "gapped.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main(["evaluate", "--config", cfg_path]) == 0
+    report = json.load(open(out / "evaluation.json"))
+    assert report["n_samples"] == 191  # the gapped step's sample is dropped
+    assert main(["bench", "--config", cfg_path]) == 0
+    sweep = open(out / "missing_sweep.csv").read().splitlines()
+    assert sweep[2].split(",")[:2] == ["0.0", "191"]
+
+
 def test_unknown_command_exits_2():
     assert main(["frobnicate"]) == 2

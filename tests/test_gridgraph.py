@@ -85,14 +85,6 @@ def test_topology_document_roundtrip_and_hash_stability():
     assert again.to_document() == doc
 
 
-def test_path_to_root():
-    topo = gridsim.pilot_topology()
-    path = topo.path_to_root("p1")
-    assert path[0][0] == "grid"
-    assert path[-1][1] == "p1"
-    assert len(path) == 3  # grid -> substation -> feeder -> prosumer
-
-
 # ---------------------------------------------------------------------------
 # Schemas
 

@@ -3,6 +3,7 @@ seeded determinism, missingness injection, and the exact Gaussian
 conditioning oracle (checked against grid quadrature)."""
 
 import csv
+import hashlib
 import re
 from datetime import datetime, timezone
 
@@ -28,16 +29,73 @@ def one_prosumer_spec(r_lateral=0.5, x_lateral=0.0, v0=240.0):
                                      lines=lines, noise=noise)
 
 
+def flows_of(topology, prosumer_kw):
+    """kW through each non-root node's line when only the prosumers draw
+    power, ``prosumer_kw`` each."""
+    flow = dict.fromkeys(topology.ids(), 0.0)
+    for pid, kw in prosumer_kw.items():
+        nid = pid
+        while nid != topology.root:
+            flow[nid] += kw
+            nid = topology.parent[nid]
+    del flow[topology.root]
+    return flow
+
+
 def test_single_line_voltage_drop_value():
     spec = one_prosumer_spec()
-    v = gridsim.voltage_profile(spec, {"p": 0.48})  # 480 W through 0.5 ohm
+    # 480 W through 0.5 ohm
+    v = gridsim.voltage_profile(spec, flows_of(spec.topology, {"p": 0.48}))
     assert v["p"] == pytest.approx(239.0, abs=1e-12)
 
 
 def test_pv_export_raises_voltage():
     spec = one_prosumer_spec()
-    v = gridsim.voltage_profile(spec, {"p": -0.48})
+    v = gridsim.voltage_profile(spec, flows_of(spec.topology, {"p": -0.48}))
     assert v["p"] == pytest.approx(241.0, abs=1e-12)
+
+
+# Line (r, x) into each node of a two-feeder tree, listed leaves first.
+BRANCHING_RX = {"p1": (0.02, 0.008), "p2": (0.035, 0.01), "p3": (0.04, 0.02),
+                "p4": (0.015, 0.006), "p5": (0.025, 0.011),
+                "f1": (0.21, 0.09), "f2": (0.3, 0.12), "s": (0.006, 0.003)}
+
+
+def branching_spec():
+    parent = {"p1": "f1", "p2": "f1", "p3": "f2", "p4": "f2", "p5": "f2",
+              "f1": "s", "f2": "s", "s": "g"}
+    kind = {"p": "prosumer", "f": "feeder", "s": "substation"}
+    topo = load_topology({
+        "nodes": [{"id": nid, "kind": kind[nid[0]]} for nid in BRANCHING_RX]
+        + [{"id": "g", "kind": "global"}],
+        "edges": [[p, c] for c, p in parent.items()]})
+    lines = {(parent[nid], nid): {"r": r, "x": x}
+             for nid, (r, x) in BRANCHING_RX.items()}
+    return gridsim.SyntheticGridSpec(topology=topo, v0=238.0, q_ratio=0.3,
+                                     lines=lines)
+
+
+def test_branching_tree_voltages_match_the_closed_form():
+    spec = branching_spec()
+    load = {"p1": 1.2, "p2": -3.5, "p3": 0.7, "p4": 2.2, "p5": -0.4}
+    # each feeder also carries unmetered load: 4 kW and 3 kW
+    flow = {**load, "f1": 1.2 - 3.5 + 4.0, "f2": 0.7 + 2.2 - 0.4 + 3.0}
+    flow["s"] = flow["f1"] + flow["f2"]
+    paths = {"p1": ("s", "f1", "p1"), "p2": ("s", "f1", "p2"),
+             "p3": ("s", "f2", "p3"), "p4": ("s", "f2", "p4"),
+             "p5": ("s", "f2", "p5")}
+    v = gridsim.voltage_profile(spec, flow)
+    assert set(v) == set(paths)
+    for pid, path in paths.items():
+        drop = sum((BRANCHING_RX[n][0] + BRANCHING_RX[n][1] * 0.3)
+                   * flow[n] * 1000.0 for n in path) / 238.0
+        assert v[pid] == pytest.approx(238.0 - drop, rel=1e-14, abs=1e-12)
+
+
+def test_simulate_runs_on_a_tree_listed_leaves_first():
+    ds = gridsim.simulate(branching_spec(), "2019-06-01T00:00:00Z",
+                          days=2.5, seed=0)
+    assert len(ds.ids(weather=False)) == 5 * 2 + 2 * 2 + 3 + 2
 
 
 def test_zero_load_zero_noise_gives_source_voltage_everywhere():
@@ -65,11 +123,12 @@ def test_zero_load_zero_noise_gives_source_voltage_everywhere():
 
 def test_voltage_drop_is_linear_in_load():
     spec = gridsim.pilot_spec(seed=3)
+    topo = spec.topology
     rng = np.random.default_rng(0)
-    loads = {pid: float(rng.uniform(-3, 3))
-             for pid in spec.topology.ids("prosumer")}
-    v1 = gridsim.voltage_profile(spec, loads)
-    v2 = gridsim.voltage_profile(spec, {k: 2 * v for k, v in loads.items()})
+    loads = {pid: float(rng.uniform(-3, 3)) for pid in topo.ids("prosumer")}
+    v1 = gridsim.voltage_profile(spec, flows_of(topo, loads))
+    v2 = gridsim.voltage_profile(
+        spec, flows_of(topo, {k: 2 * v for k, v in loads.items()}))
     for pid in loads:
         assert (spec.v0 - v2[pid]) == pytest.approx(2 * (spec.v0 - v1[pid]),
                                                     rel=1e-9, abs=1e-12)
@@ -77,13 +136,15 @@ def test_voltage_drop_is_linear_in_load():
 
 def test_voltage_superposition():
     spec = gridsim.pilot_spec(seed=3)
+    topo = spec.topology
     rng = np.random.default_rng(1)
-    ids = spec.topology.ids("prosumer")
+    ids = topo.ids("prosumer")
     la = {pid: float(rng.uniform(0, 2)) for pid in ids}
     lb = {pid: float(rng.uniform(-2, 0)) for pid in ids}
-    va = gridsim.voltage_profile(spec, la)
-    vb = gridsim.voltage_profile(spec, lb)
-    vab = gridsim.voltage_profile(spec, {k: la[k] + lb[k] for k in ids})
+    va = gridsim.voltage_profile(spec, flows_of(topo, la))
+    vb = gridsim.voltage_profile(spec, flows_of(topo, lb))
+    vab = gridsim.voltage_profile(
+        spec, flows_of(topo, {k: la[k] + lb[k] for k in ids}))
     for pid in ids:
         drop = (spec.v0 - va[pid]) + (spec.v0 - vb[pid])
         assert (spec.v0 - vab[pid]) == pytest.approx(drop, rel=1e-9, abs=1e-12)
@@ -91,14 +152,15 @@ def test_voltage_superposition():
 
 def test_increasing_load_never_raises_any_voltage():
     spec = gridsim.pilot_spec(seed=5)
+    topo = spec.topology
     rng = np.random.default_rng(2)
-    ids = spec.topology.ids("prosumer")
+    ids = topo.ids("prosumer")
     base = {pid: float(rng.uniform(-2, 2)) for pid in ids}
-    v0 = gridsim.voltage_profile(spec, base)
+    v0 = gridsim.voltage_profile(spec, flows_of(topo, base))
     for bump_node in ids[:6]:
         bumped = dict(base)
         bumped[bump_node] += 1.5
-        v1 = gridsim.voltage_profile(spec, bumped)
+        v1 = gridsim.voltage_profile(spec, flows_of(topo, bumped))
         assert all(v1[pid] <= v0[pid] + 1e-12 for pid in ids)
 
 
@@ -125,6 +187,24 @@ def test_simulated_series_naming_and_counts():
     assert np.all(ds.series["wx:s1:irradiance"] >= 0.0)
 
 
+# sha256 of the CSV files of the 8-day pilot world (spec seed 7, seed 11).
+# A change that moves a simulated byte updates these and says so.
+PILOT_CSV_SHA256 = {
+    "dataset": "dc238a7baa769f8057b4884f8691b96530c6e467343bb120e3d61f77b47c5165",
+    "weather": "0a4af2b91245650b99e1600672db5392c46f1cf257231eb170a376f0f8ddfead",
+}
+
+
+def test_simulated_csv_bytes_are_pinned(tmp_path):
+    ds = gridsim.simulate(gridsim.pilot_spec(7), "2019-06-01T00:00:00Z", 8,
+                          seed=11)
+    for name, weather in (("dataset", False), ("weather", True)):
+        path = tmp_path / f"{name}.csv"
+        ds.write_csv(str(path), weather=weather)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == PILOT_CSV_SHA256[name], name
+
+
 def test_simulate_rejects_too_short_duration():
     spec = gridsim.pilot_spec(seed=7)
     with pytest.raises(gridsim.SimulationError, match="lag horizon"):
@@ -144,18 +224,35 @@ def test_replay_feeder_delta_moves_voltage_down():
 
 
 def test_noise_free_replay_reproduces_the_simulated_voltages():
-    # the replay re-solves a step from the recorded loads, so without
-    # measurement noise it must land on the voltages the simulator wrote
+    # the replay re-solves a step from the recorded loads with the
+    # simulator's own solver, so without measurement noise it lands on
+    # the voltages the simulator wrote, to the last bit
     spec = gridsim.pilot_spec(seed=7)
     spec.noise = dict.fromkeys(spec.noise, 0.0)
     ds = gridsim.simulate(spec, "2019-06-01T00:00:00Z", days=2.5, seed=0)
     single = [pid for pid in spec.topology.ids("prosumer")
               if spec.topology.node(pid).phases == 1]
     assert single
-    for t in (0, 150, ds.n_steps - 1):
+    for t in range(ds.n_steps):
         v = gridsim.replay_feeder_delta(spec, ds, t, {})
         for pid in single:
-            assert abs(v[pid] - ds.series[f"{pid}:voltage"][t]) <= 1e-9, (t, pid)
+            assert v[pid] == ds.series[f"{pid}:voltage"][t], (t, pid)
+
+
+@pytest.mark.parametrize("key", ["p1", "s1", "grid", "f99"])
+def test_replay_rejects_a_delta_off_the_feeders(key):
+    spec = gridsim.pilot_spec(seed=7)
+    ds = gridsim.simulate(spec, "2019-06-01T00:00:00Z", days=2.5, seed=0)
+    with pytest.raises(gridsim.SimulationError, match=repr(key)):
+        gridsim.replay_feeder_delta(spec, ds, 150, {"f1": 1.0, key: 1.0})
+
+
+@pytest.mark.parametrize("t", [-1, 240, 1000])
+def test_replay_rejects_a_step_off_the_dataset(t):
+    spec = gridsim.pilot_spec(seed=7)
+    ds = gridsim.simulate(spec, "2019-06-01T00:00:00Z", days=2.5, seed=0)
+    with pytest.raises(gridsim.SimulationError, match=f"step {t} "):
+        gridsim.replay_feeder_delta(spec, ds, t, {})
 
 
 # ---------------------------------------------------------------------------
