@@ -6,7 +6,7 @@ Submodules:
 * ``gridgraph``  topology hierarchy and per-node feature schemas
 * ``mpnn``       the encode / message-pass / decode model
 * ``training``   sample assembly, Gaussian NLL, training loop
-* ``imputation`` missing-data imputation by iterated inference
+* ``imputation`` missing-data imputation by one forward inference
 * ``gridsim``    synthetic grid simulator and exact Gaussian oracle
 * ``baselines``  centralized MLP/AE benchmarks and metrics
 * ``services``   congestion detection and flexibility-bid estimation

@@ -11,10 +11,9 @@ deviations, the one-sided Z-test of ``z_scores``; the exceedance
 probability reported is Phi(z_score). A flexibility bid is estimated by
 clamping the affected voltage channels to the target value (as
 observed), masking the energy channels at the corresponding feeder and
-substation, re-running imputation, and reading off the energy delta that
-the model deems consistent with the clamped voltage. Every service stops
-imputing by the one rule of ``imputation.MAX_ITERATIONS`` and
-``imputation.TOLERANCE``.
+substation, imputing, and reading off the energy delta that the model
+deems consistent with the clamped voltage. Every service imputes by one
+untaped forward per row block (``imputation.impute_packed``).
 """
 
 from __future__ import annotations
@@ -47,16 +46,14 @@ class VoltagePrediction:
     current-time voltage channel: ``flags`` (n_nodes, q) marks those
     channels; ``mu``, ``sigma`` and ``actual`` are (n_nodes, B, q);
     ``known`` is True where a channel is flagged and its actual is known.
-    ``first_hit`` and ``final_delta`` are the imputation's, per sample
-    (see ``impute_packed``)."""
+    ``filled`` is the imputation's, per sample (see ``impute_packed``)."""
 
     flags: dict[str, np.ndarray]
     mu: dict[str, np.ndarray]
     sigma: dict[str, np.ndarray]
     actual: dict[str, np.ndarray]
     known: dict[str, np.ndarray]
-    first_hit: np.ndarray
-    final_delta: np.ndarray
+    filled: np.ndarray
 
 
 def predict_voltages(model, samples,
@@ -65,8 +62,8 @@ def predict_voltages(model, samples,
     in one batched pass and un-standardize the prediction."""
     sel = voltage_lag0_selector(schemas, samples.groups)
     feats, masks = mask_channels(samples.targets, samples.input_mask, sel)
-    _, mu, sigma, first_hit, final_delta = impute_packed(model, feats, masks)
-    pred = VoltagePrediction({}, {}, {}, {}, {}, first_hit, final_delta)
+    _, mu, sigma, filled = impute_packed(model, feats, masks)
+    pred = VoltagePrediction({}, {}, {}, {}, {}, filled)
     for g in samples.groups:
         flags = sel[g.key]
         if not flags.any():
@@ -134,7 +131,9 @@ class CongestionEvent:
 @dataclass
 class FlexibilityBid:
     """Energy change (kWh per 15-minute slot, positive = increase load)
-    that removes the linked congestion events, per (feeder, timestamp)."""
+    that removes the linked congestion events, per (feeder, timestamp).
+    ``low_confidence`` is kept for a bid whose slope has the wrong sign;
+    no rule sets it yet, so it is False."""
 
     substation_id: str
     feeder_id: str
@@ -204,8 +203,7 @@ def estimate_bids(model, features: dict[str, np.ndarray],
             substation_id=substation, feeder_id=feeder, timestamp=ts,
             baseline_energy=baseline, constrained_energy=constrained,
             delta=constrained - baseline,
-            event_ids=[ev.event_id for ev in evs],
-            low_confidence=not result.converged))
+            event_ids=[ev.event_id for ev in evs]))
     return bids
 
 

@@ -345,7 +345,7 @@ def test_malformed_dataset_csv_exits_2(world, tmp_path, capsys, fault):
     assert not os.path.exists(tmp_path / "out" / "evaluation.json")
 
 
-def test_impute_writes_report(world):
+def test_impute_writes_report(world, capsys):
     rc = main(["impute", "--config", world["cfg_path"],
                "--timestamp", "2019-06-05T12:00:00Z"])
     assert rc == 0
@@ -353,6 +353,11 @@ def test_impute_writes_report(world):
     assert doc["timestamp"] == "2019-06-05T12:00:00Z"
     assert "p1:voltage" in doc["channels"]
     assert doc["channels"]["p1:voltage"]["was_observed"] is True
+    # one forward: no iteration count or convergence flag to report
+    assert "iterations" not in doc and "converged" not in doc
+    n_filled = sum(not rec["was_observed"] for rec in doc["channels"].values())
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"imputed {n_filled} channels in one forward")
 
 
 def test_congest_on_quiet_world_finds_no_events(world):

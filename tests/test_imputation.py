@@ -1,7 +1,6 @@
-"""Imputation loop mechanics: pass-through, fixpoint behavior, reports,
-and the blocked forwards of a batch on free cores."""
+"""Imputation mechanics: pass-through, one forward per row block,
+reports, and the blocked forwards of a batch on free cores."""
 
-import functools
 import os
 import subprocess
 import sys
@@ -11,11 +10,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from gridmpnn import diffcore, gridsim, imputation
+from gridmpnn import diffcore, gridsim
 from gridmpnn.baselines import build_baseline
 from gridmpnn.gridgraph import NodeSchema, derive_schemas
-from gridmpnn.imputation import (ImputationError, ImputationProblem, impute,
-                                 impute_packed)
+from gridmpnn.imputation import (ImputationError, ImputationProblem,
+                                 blocked_forward, impute, impute_packed)
 from gridmpnn.mpnn import GnnModel, compute_groups
 from gridmpnn.services import predict_voltages
 from gridmpnn.training import (TrainingConfig, build_samples, mask_channels,
@@ -39,8 +38,6 @@ def _problem(model, observed_x=(1.2, 0.4, None)):
 def test_nothing_missing_returns_input_verbatim(quick_chain_model):
     problem = _problem(quick_chain_model, (1.2, 0.4, -0.3))
     result = impute(quick_chain_model, problem)
-    assert result.iterations == 0
-    assert result.converged
     for nid, want in zip(("g", "s", "f"), (1.2, 0.4, -0.3)):
         assert result.values[nid][0] == want
 
@@ -55,19 +52,6 @@ def test_observed_entries_preserved_exactly(quick_chain_model):
     assert result.sigma["f"][0] > 0
 
 
-def test_final_update_below_tolerance_and_fixpoint_idempotence(quick_chain_model):
-    model = quick_chain_model
-    feats, mask = _packed_rows(model, [((1.2, 0.4, 0.0), (1, 1, 0))])
-    first, _, _, hit, _ = impute_packed(model, feats, mask)
-    assert hit[0] > 0  # converged
-    # re-enter at the converged fill: one iteration, update below tolerance
-    again, _, _, hit, delta = impute_packed(model, first, mask)
-    assert hit[0] == 1
-    assert delta[0] < 1e-3
-    for key in first:
-        assert np.allclose(again[key], first[key], rtol=0, atol=1e-3)
-
-
 def test_at_least_one_observation_required(quick_chain_model):
     feats = {nid: np.zeros(1) for nid in ("g", "s", "f")}
     obs = {nid: np.array([False]) for nid in ("g", "s", "f")}
@@ -76,29 +60,13 @@ def test_at_least_one_observation_required(quick_chain_model):
                                                     observed=obs))
 
 
-def test_non_convergence_is_flagged_not_fatal(quick_chain_model,
-                                              monkeypatch):
-    # no update falls below a tolerance of 0: the loop runs to its bound
-    monkeypatch.setattr(imputation, "impute_packed",
-                        functools.partial(impute_packed, tolerance=0.0))
-    result = impute(quick_chain_model,
-                    _problem(quick_chain_model, (1.2, 0.4, None)))
-    assert not result.converged
-    assert result.iterations == imputation.MAX_ITERATIONS
-    assert np.isfinite(result.values["f"][0])
-
-
-# (g, s, f) values and observed flags per sample; holes start at the
-# given value. With max_iterations 6 and the default tolerance the first
-# three converge at different iterations, the fourth has nothing to
-# impute and the fifth (the chain model never learned to fill s) does not
-# converge.
+# (g, s, f) values and observed flags per sample: three with f to fill,
+# one with nothing to impute and one with s to fill.
 MIXED_ROWS = [((-0.5, 0.1, 0.0), (1, 1, 0)),
               ((1.2, 0.4, 0.0), (1, 1, 0)),
               ((1.2, 0.4, -20.0), (1, 1, 0)),
               ((1.2, 0.4, -0.3), (1, 1, 1)),
               ((1.2, 0.0, -0.3), (1, 0, 1))]
-MIXED_MAX_ITERATIONS = 6
 
 
 def _packed_rows(model, rows):
@@ -111,62 +79,63 @@ def _packed_rows(model, rows):
 
 def test_batched_rows_equal_their_own_single_sample_runs(quick_chain_model):
     model = quick_chain_model
-    batch = impute_packed(model, *_packed_rows(model, MIXED_ROWS),
-                          max_iterations=MIXED_MAX_ITERATIONS)
-    values, mu, sigma, first_hit, final_delta = batch
-    assert len(set(first_hit[:3])) == 3 and all(first_hit[:3] > 0)
-    assert list(first_hit[3:]) == [0, 0]
-    assert final_delta[4] >= 1e-3  # the last row really did not converge
+    values, mu, sigma, filled = impute_packed(
+        model, *_packed_rows(model, MIXED_ROWS))
+    assert filled.tolist() == [1, 1, 1, 0, 1]
     for i, row in enumerate(MIXED_ROWS):
-        alone = impute_packed(model, *_packed_rows(model, [row]),
-                              max_iterations=MIXED_MAX_ITERATIONS)
+        alone = impute_packed(model, *_packed_rows(model, [row]))
         for got, want in zip((values, mu, sigma), alone[:3]):
             for key in got:
                 assert np.abs(got[key][:, i] - want[key][:, 0]).max() <= 1e-12
-        assert first_hit[i] == alone[3][0]
-        assert final_delta[i] == pytest.approx(alone[4][0], abs=1e-12)
+        assert filled[i] == alone[3][0]
 
 
-def test_forwards_run_only_on_pending_rows(quick_chain_model, monkeypatch):
+def test_hole_values_never_reach_the_model():
+    # the same batch with noise under every mask-0 entry: the forward
+    # sees the placeholder 0 there either way
+    model, feats, masks = _pilot_holes("gnn", 40)
+    rng = np.random.default_rng(3)
+    noisy = {k: np.where(masks[k], v, rng.normal(0.0, 5.0, v.shape))
+             for k, v in feats.items()}
+    assert any(not np.array_equal(noisy[k], v) for k, v in feats.items())
+    assert _same_bytes(impute_packed(model, feats, masks),
+                       impute_packed(model, noisy, masks))
+
+
+def test_mu_is_the_blocked_forwards_bit_for_bit():
+    model, feats, masks = _pilot_holes("gnn", 301)  # three blocks
+    values, mu, sigma, filled = impute_packed(model, feats, masks)
+    want_mu, logvar = blocked_forward(
+        model, {k: np.where(masks[k], v, 0.0) for k, v in feats.items()},
+        masks)
+    assert filled.tolist() == [1] * 301
+    for k, m in masks.items():
+        assert mu[k].tobytes() == want_mu[k].tobytes()
+        assert sigma[k].tobytes() == np.sqrt(np.exp(logvar[k])).tobytes()
+        assert np.array_equal(values[k], np.where(m, feats[k], mu[k]))
+
+
+@pytest.mark.parametrize("rows", [1, 128, 129, 301])
+def test_one_forward_per_row_block(quick_chain_model, monkeypatch, rows):
     model = quick_chain_model
     forward = model.forward
-    rows_seen = []
+    calls = []
 
     def counting(features, mask, tape=None):
-        rows_seen.append(next(iter(features.values())).shape[1])
+        calls.append(next(iter(features.values())).shape[1])
         return forward(features, mask, tape=tape)
 
     monkeypatch.setattr(model, "forward", counting)
-    per_row = []
-    for row in MIXED_ROWS:
-        rows_seen.clear()
-        impute_packed(model, *_packed_rows(model, [row]),
-                      max_iterations=MIXED_MAX_ITERATIONS)
-        per_row.append(len(rows_seen))
-    # one block of five rows, then blocks of one, two and two, each
-    # forwarding only its own rows still pending
-    for block_rows, blocks in ((diffcore.BLOCK_ROWS, 1), (2, 3)):
-        monkeypatch.setattr(diffcore, "BLOCK_ROWS", block_rows)
-        rows_seen.clear()
-        impute_packed(model, *_packed_rows(model, MIXED_ROWS),
-                      max_iterations=MIXED_MAX_ITERATIONS)
-        assert sum(rows_seen) == sum(per_row)
-        assert max(rows_seen) == -(-len(MIXED_ROWS) // blocks)
-        assert sum(rows_seen) < max(rows_seen) * len(rows_seen)
-
-
-def test_max_iterations_must_be_positive(quick_chain_model):
-    model = quick_chain_model
-    with pytest.raises(ImputationError):
-        impute_packed(model, *_packed_rows(model, MIXED_ROWS[:1]),
-                      max_iterations=0)
+    impute_packed(model, *_chain_holes(model, rows))
+    blocks = diffcore.row_blocks(rows)
+    assert sorted(calls) == sorted(hi - lo for lo, hi in blocks)
 
 
 def test_report_json_structure(quick_chain_model):
     problem = _problem(quick_chain_model, (1.2, 0.4, None))
     result = impute(quick_chain_model, problem)
     doc = result.report_document(quick_chain_model.schemas)
-    assert set(doc) == {"channels", "iterations", "converged"}
+    assert set(doc) == {"channels"}
     assert doc["channels"]["f:x"]["was_observed"] is False
     assert doc["channels"]["g:x"]["value"] == 1.2
     assert doc["channels"]["f:x"]["sigma"] > 0
@@ -182,7 +151,7 @@ def test_predict_voltages_emits_mu_and_sigma_band(quick_chain_model):
     assert np.flatnonzero(pred.flags[key].any(axis=1)).tolist() == [j]
     assert pred.known[key][j].all()
     assert (pred.sigma[key][j] > 0).all()
-    assert len(pred.first_hit) == len(samples)
+    assert pred.filled.tolist() == [1] * len(samples)
     # the prediction conditions on g and s, not on the masked voltages;
     # the observed voltages move their features with their targets
     moved = samples.select(np.arange(len(samples)))
@@ -258,7 +227,7 @@ def _blocked_run(kind: str) -> tuple[bool, int]:
     results = []
     for workers in (1, 2, 4, 8):
         diffcore._WORKERS = workers
-        results.append(impute_packed(model, feats, masks, max_iterations=3))
+        results.append(impute_packed(model, feats, masks))
     pool.pool.shutdown()
     return all(_same_bytes(results[0], r) for r in results[1:]), pool.jobs
 
@@ -279,14 +248,13 @@ def test_blocked_pass_returns_the_serial_bytes(kind):
 
 def test_a_batch_gives_each_block_the_bytes_it_gets_alone():
     model, feats, masks = _pilot_holes("gnn", 301)
-    batch = impute_packed(model, feats, masks, max_iterations=3)
+    batch = impute_packed(model, feats, masks)
     for lo, hi in ((0, 100), (100, 200), (200, 301)):  # 301 rows, 3 blocks
         alone = impute_packed(model,
                               {k: v[:, lo:hi] for k, v in feats.items()},
-                              {k: v[:, lo:hi] for k, v in masks.items()},
-                              max_iterations=3)
+                              {k: v[:, lo:hi] for k, v in masks.items()})
         part = [{k: np.ascontiguousarray(v[:, lo:hi]) for k, v in p.items()}
-                for p in batch[:3]] + [p[lo:hi] for p in batch[3:]]
+                for p in batch[:3]] + [batch[3][lo:hi]]
         assert _same_bytes(part, alone)
 
 
@@ -304,7 +272,7 @@ def test_the_cuts_read_only_the_row_count(quick_chain_model, monkeypatch,
     monkeypatch.setattr(model, "forward", recording)
     monkeypatch.setattr(diffcore, "_WORKERS", workers)
     assert diffcore.BLOCK_ROWS == 128
-    impute_packed(model, *_chain_holes(model, 485), max_iterations=1)
+    impute_packed(model, *_chain_holes(model, 485))
     assert sorted(calls) == [121, 121, 121, 122]
 
 
@@ -314,7 +282,7 @@ def test_a_batch_of_one_block_never_reaches_the_pool(
     model, rows = quick_chain_model, diffcore.BLOCK_ROWS
     impute_packed(model, *_chain_holes(model, rows))
     assert counting_pool.jobs == 0
-    impute_packed(model, *_chain_holes(model, rows + 1), max_iterations=1)
+    impute_packed(model, *_chain_holes(model, rows + 1))
     assert counting_pool.jobs == 1
 
 
@@ -355,7 +323,7 @@ def test_eight_blocks_on_eight_threads_fill_every_row(quick_chain_model,
                                                       monkeypatch):
     model = quick_chain_model
     feats, mask = _chain_holes(model, 8 * diffcore.BLOCK_ROWS - 5)
-    serial = impute_packed(model, feats, mask, max_iterations=4)
+    serial = impute_packed(model, feats, mask)
     pool = ThreadPoolExecutor(max_workers=7)
     monkeypatch.setattr(diffcore, "_POOL", CountingPool(pool))
     monkeypatch.setattr(diffcore, "_WORKERS", 8)
@@ -365,7 +333,7 @@ def test_eight_blocks_on_eight_threads_fill_every_row(quick_chain_model,
     try:
         for _ in range(5):
             runner = threading.Thread(target=lambda: results.append(
-                impute_packed(model, feats, mask, max_iterations=4)))
+                impute_packed(model, feats, mask)))
             runner.start()
             runner.join(timeout=60)
             assert not runner.is_alive()
@@ -383,7 +351,7 @@ def test_a_busy_pool_does_not_hold_up_the_pass(quick_chain_model,
     model = quick_chain_model
     feats, mask = _chain_holes(model, 300)
     monkeypatch.setattr(diffcore, "_WORKERS", 1)
-    serial = impute_packed(model, feats, mask, max_iterations=3)
+    serial = impute_packed(model, feats, mask)
     pool = ThreadPoolExecutor(max_workers=1)
     held = threading.Event()
     pool.submit(held.wait)
@@ -392,7 +360,7 @@ def test_a_busy_pool_does_not_hold_up_the_pass(quick_chain_model,
     results = []
     try:
         runner = threading.Thread(target=lambda: results.append(
-            impute_packed(model, feats, mask, max_iterations=3)))
+            impute_packed(model, feats, mask)))
         runner.start()
         runner.join(timeout=60)
         assert not runner.is_alive()

@@ -47,10 +47,6 @@ ORACLES = {
 # Defaulted parameters no library or benchmark call passes, kept on purpose.
 # The oracles' parameters are exempt with the oracles.
 UNPASSED = {
-    "imputation.impute_packed.max_iterations":
-        "the stopping rule's bound; tests vary it to exercise the loop",
-    "imputation.impute_packed.tolerance":
-        "the stopping rule's tolerance; tests vary it to exercise the loop",
     "cli.main.argv":
         "the console script reads the process arguments; tests pass argv",
 }
@@ -73,7 +69,7 @@ SHARED_CALLERS = {
     "mpnn.GnnConfig.from_document": "mpnn.GnnModel._from_checkpoint",
     "mpnn.GnnConfig.to_document": "mpnn.GnnModel.save_checkpoint",
     "mpnn.GnnModel.count_parameters": "cli.cmd_train",
-    "mpnn.GnnModel.forward": "imputation.impute_packed",
+    "mpnn.GnnModel.forward": "imputation.blocked_forward",
     "mpnn.GnnModel.init_parameters": "cli.cmd_train",
     "services.CongestionEvent.to_document": "services.write_jsonl",
     "services.FlexibilityBid.to_document": "services.write_jsonl",

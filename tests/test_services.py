@@ -83,7 +83,6 @@ def test_nothing_masked_preserves_energy_delta_zero(quick_chain_model):
     obs = {nid: np.array([True]) for nid in feats}
     result = impute(quick_chain_model, ImputationProblem(
         features=feats, observed=obs))
-    assert result.iterations == 0
     assert result.values["s"][0] - feats["s"][0] == 0.0
 
 
@@ -105,6 +104,7 @@ def test_bid_delta_definition_and_determinism(quick_pilot_bid_world):
         assert x.delta == pytest.approx(x.constrained_energy
                                         - x.baseline_energy)
         assert x.substation_id == model.topology.parent[x.feeder_id]
+        assert x.low_confidence is False  # no rule flags a bid yet
 
 
 def test_single_event_bid(quick_pilot_bid_world):
