@@ -2,7 +2,7 @@
 
 Submodules:
 
-* ``diffcore``   tensors, reverse-mode autodiff, MLPs, Adam
+* ``diffcore``   layers and their backward kernels, MLPs, Adam
 * ``gridgraph``  topology hierarchy and per-node feature schemas
 * ``mpnn``       the encode / message-pass / decode model
 * ``training``   sample assembly, Gaussian NLL, training loop

@@ -51,6 +51,7 @@ class CentralModel(ModelBase):
     The constant inputs are flattened in numpy and reach the first layer
     as parts of one ``diffcore.dense`` input, and each group's mean and
     log-variance are read from the flat output with ``diffcore.regroup``.
+    A taped forward records its layers, and ``reverse`` walks them back.
     """
 
     def __init__(self, kind: str, topology: GridTopology,
@@ -103,18 +104,41 @@ class CentralModel(ModelBase):
                 mask: dict[str, np.ndarray], tape: Optional[Tape] = None):
         """Packed groups in, packed standardized (mu, logvar) out; same
         contract as the graph model's forward, rows rounded by BLAS the
-        same way."""
+        same way; the first layer reads data and forms no input adjoint."""
+        if tape is not None:
+            tape.reverse = self.reverse
         h = (self._flatten(features), self._flatten(mask))
-        for name, spec in self.layer_specs:
-            h = dc.mlp_forward(self.params, spec, name, h, tape=tape)
+        for k, (name, spec) in enumerate(self.layer_specs):
+            h = dc.mlp_forward(self.params, spec, name, h, tape=tape,
+                               grad_parts=None if k else 0)
         mu, logvar = {}, {}
         for g in self.groups:
             lo, hi = self._cols[g.key]
             n, d = len(g.node_ids), self.d_features
             mu[g.key] = dc.regroup(h, lo, hi, n)
             logvar[g.key] = dc.clip(dc.regroup(h, d + lo, d + hi, n),
-                                    np.log(VAR_CLAMP_LO), np.log(VAR_CLAMP_HI))
+                                    np.log(VAR_CLAMP_LO), np.log(VAR_CLAMP_HI),
+                                    tape)
         return mu, logvar
+
+    def reverse(self, tape: Tape, seed: np.ndarray) -> None:
+        """The reverse pass of ``forward`` and its loss on ``tape``,
+        seeded with the loss's scale: each group's log-variance and then
+        mean columns of the flat output's adjoint from the last group
+        back, then the MLPs from the last. Each adjoint is dropped once
+        it is read."""
+        grads = self.params.grads if tape.grads is None else tape.grads
+        dmu, dlv = dc.gaussian_nll_backward(tape.take(dc.NllRecord), seed)
+        d = self.d_features
+        parts = [np.zeros((next(iter(dmu.values())).shape[1], self.d_out))]
+        for g in reversed(self.groups):
+            lo, hi = self._cols[g.key]
+            dc.regroup_backward(dc.clip_backward(
+                tape.take(dc.ClipRecord), dlv.pop(g.key)), d + lo, d + hi,
+                parts[0])
+            dc.regroup_backward(dmu.pop(g.key), lo, hi, parts[0])
+        for _, spec in reversed(self.layer_specs):
+            parts = dc.mlp_backward(tape, grads, len(spec) - 1, parts.pop())
 
 
 def build_baseline(kind: str, topology: GridTopology,

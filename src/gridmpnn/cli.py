@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -240,8 +241,8 @@ def _train_model(model, cfg, topo, schemas, train_ds, verbose: bool = False):
 
 
 def cmd_simulate(args) -> int:
-    if args.days <= 0:
-        print("error: --days must be positive", file=sys.stderr)
+    if not (math.isfinite(args.days) and args.days > 0):
+        print("error: --days must be positive and finite", file=sys.stderr)
         return EXIT_CONFIG
     if args.spec:
         if not os.path.exists(args.spec):
@@ -311,6 +312,9 @@ def _test_samples(cfg, model, dataset, schemas, missing_rate: float = 0.0):
 
 
 def cmd_evaluate(args) -> int:
+    if not 0.0 <= args.missing_rate < 1.0:  # NaN fails too
+        raise ConfigError(f"--missing-rate must lie in [0, 1), "
+                          f"not {args.missing_rate}")
     cfg = load_config(args.config)
     model = _load_model(cfg)
     _, _, schemas, dataset = _load_bundle(cfg)
@@ -351,6 +355,15 @@ def cmd_impute(args) -> int:
             obs[c] = not dataset.missing[sid][t_index - ch.lag]
         features[nid] = vec
         observed[nid] = obs
+    for mask in args.mask:
+        nid, _, name = mask.rpartition(":")
+        if nid not in schemas:
+            raise ConfigError(f"--mask {mask!r}: unknown node {nid!r}")
+        names = [ch.name for ch in schemas[nid].channels()]
+        if name not in names:
+            raise ConfigError(f"--mask {mask!r}: node {nid!r} has no "
+                              f"channel {name!r}")
+        observed[nid][names.index(name)] = False
     result = impute(model, ImputationProblem(features=features,
                                              observed=observed))
     doc = result.report_document(schemas)
@@ -502,6 +515,10 @@ def build_parser() -> argparse.ArgumentParser:
             c.add_argument("--missing-rate", type=float, default=0.0)
         if name == "impute":
             c.add_argument("--timestamp", required=True)
+            c.add_argument("--mask", action="append", default=[],
+                           metavar="NODE:CHANNEL",
+                           help="impute this channel as if unobserved "
+                                "(repeatable)")
         c.set_defaults(func=fn)
     return p
 

@@ -1,11 +1,11 @@
-"""Dense-tensor math with reverse-mode differentiation.
+"""Dense-layer math with a reverse pass per model.
 
 Everything in this package that learns runs on this module: float64
-tensors recorded on an explicit tape, and on it only the layers of the
-two models that train, the graph model and the centralized MLP or
-auto-encoder: one fused dense layer (plain or over gathered rows), the
-graph model's message routing, the centralized model's regrouping of
-its flat output, a clamp, one fused Gaussian negative log-likelihood;
+arrays through the layers of the two models that train, the graph model
+and the centralized MLP or auto-encoder: one fused dense layer (plain or
+over gathered rows), the graph model's message routing, the centralized
+model's regrouping of its flat output, a clamp, one fused Gaussian
+negative log-likelihood, each with the backward kernel that undoes it;
 then a bias-corrected Adam optimizer. Data a model only lays out
 (flattening constant inputs, a ones column) is laid out in numpy.
 
@@ -13,32 +13,31 @@ Design choices:
 
 * float64 only; the models are small and reproducibility matters more
   than speed.
-* The tape is an append-only list, so creation order is a topological
-  order for free. It records backward closures, not op outputs, and
-  serves one reverse pass, which releases them as it goes. The pass is
-  seeded with an adjoint of the output's shape (``backward``), so a
-  loss's scale needs no op of its own.
-* A backward closure captures the node ids of its inputs, never
-  ``Tensor`` objects, and only the arrays its own backward reads: a
-  dense layer's input only for its block's gradient and its block only
-  for its input's, its output only if the layer is hidden (for the tanh
-  derivative), the routing matrix for ``route``, and the mask for
-  ``clip``. A dense layer whose input comes in parts keeps the parts,
-  never the array it assembles them in, and assembles them again in
-  its backward. So the tape holds no array that the reverse pass does
-  not read, and no copy of one, and an untaped call returns before it
-  builds a closure.
+* Each model runs one fixed graph, so there is no general reverse-mode
+  engine. A taped forward appends one record per layer to
+  ``Tape.nodes``, holding exactly the arrays that layer's backward
+  reads, and the model that recorded the tape walks the records back
+  itself: its reverse pass (``Tape.reverse``, run by ``backward``) calls
+  the backward kernels (``dense_backward``, ``route_backward``,
+  ``regroup_backward``, ``clip_backward``, ``gaussian_nll_backward``)
+  and adds their adjoints in an order it fixes. The pass is seeded with
+  the loss's scale, so the scale needs no op of its own, and takes each
+  record once, last first (``Tape.take``), freeing what it holds.
+* A dense layer's record keeps its input for its block's gradient, the
+  block (a reference) for its input's adjoint and its output only if the
+  layer is hidden, for the tanh derivative; a clamp keeps its mask and
+  the loss its residuals, exponentials and weights. ``route`` and
+  ``regroup`` read only constants their model holds, so they record
+  nothing. A dense layer forms the adjoints of its leading
+  ``grad_parts`` input parts only: a graph model's encoder, which reads
+  data, forms none.
 * A dense layer assembles its ``[parts | 1]`` input (``_gather_rows``)
   part by part into one buffer, then writes the ones column there: no
-  ones array and no concatenation. A whole part is copied straight in;
-  gathered rows go through numpy's fancy-index temporary, as a loop
-  over the rows, which would avoid it, costs far more at one row.
-* The reverse pass does only the work parameter gradients need. Each
-  tape node records whether a parameter leaf lies upstream of it; nodes
-  without one (constants, inputs, masks and everything computed only
-  from them) get no backward closure, adjoints sent to them are
-  dropped, and ``dense`` skips the operand products whose target needs
-  no gradient.
+  ones array and no concatenation. Its record keeps the parts, never
+  that buffer, and its backward assembles them again. A whole part is
+  copied straight in; gathered rows go through numpy's fancy-index
+  temporary, as a loop over the rows, which would avoid it, costs far
+  more at one row.
 * An MLP layer is one affine block, (i + 1, o) or stacked (k, i + 1, o):
   its weight rows, then its bias row. ``dense(x, a, hidden)`` computes
   the layer as one GEMM, ``x @ a`` with tanh on hidden layers, in place
@@ -47,53 +46,45 @@ Design choices:
   carries one constant unit, weights 0 and bias ``CONSTANT_BIAS`` = 40,
   whose ``tanh`` is exactly 1.0, so it is the next layer's ones column.
   Its arithmetic matches a matmul with the weights, a bias add and a
-  tanh, bit for bit at the graph model's shapes. One backward closure
-  undoes it: one GEMM, ``x^T @ g``, gives the weights' and the bias's
-  gradients at once, and the tanh derivative ``1 - out^2`` is formed in
-  the kept output's buffer, which nothing reads after it. The constant
-  unit's derivative is exactly 0, so its gradient is 0 and Adam never
-  moves it; it is not a parameter (``ParameterSet.n_scalars``).
-  Given a list of parts as ``x``, ``dense`` matches ``dense`` of the
-  parts' concatenation, bit for bit, forward and adjoints alike.
+  tanh, bit for bit at the graph model's shapes, stacked ("batched")
+  as (n, B, i) @ (n, i, o) to run many per-node MLPs at once. One
+  backward kernel undoes it: one GEMM, ``x^T @ g``, gives the weights'
+  and the bias's gradients at once, and the tanh derivative
+  ``1 - out^2`` is formed in the kept output's buffer, which nothing
+  reads after it. The constant unit's derivative is exactly 0, so its
+  gradient is 0 and Adam never moves it; it is not a parameter
+  (``ParameterSet.n_scalars``). Given a list of parts as ``x``,
+  ``dense`` matches ``dense`` of the parts' concatenation, bit for bit,
+  forward and adjoints alike. ``mlp_forward`` is one loop of such
+  layers, taped or not, and ``mlp_backward`` walks their records back.
 * ``gaussian_nll(mu, logvar, targets, weights)`` is the training loss,
-  summed over per-group dicts into one scalar and undone by one backward
-  closure. Its forward and adjoints use the numpy operations, in the
-  order, of the loss composed from elementwise primitives (subtract,
-  square, exp, scale, add, weight, sum), so they match it bit for bit.
-  It keeps the residual, not its square, which the backward forms
-  again.
-* ``gather_dense(xs, rows, a, hidden)`` is ``dense`` of rows gathered
-  from several tensors and concatenated, as a graph model's edge MLP
-  reads both endpoint states. It keeps the tensors and indices, not the
-  gathered copy, and gathers again in its backward. Its adjoint to each
-  tensor adds each selected row's whole slab in index order (the same
-  additions, in the same order, as ``np.add.at``), and plainly assigns
-  when the indices are unique.
-* ``dense`` and ``gather_dense`` take an optional ``members`` index into
-  a stacked block's leading axis, so a block can hold fewer MLPs than
-  the layer has slices, as when a graph model shares one MLP per node
-  type: slice j applies member ``members[j]``, and each member's
-  gradient adds the slabs of its slices in index order, by the same
-  rule.
+  summed over per-group dicts into one scalar. It and its backward use
+  the numpy operations, in the order, of the loss composed from
+  elementwise primitives (subtract, square, exp, scale, add, weight,
+  sum), so they match it bit for bit. It keeps the residual, not its
+  square, which the backward forms again.
+* With ``rows``, ``dense`` reads rows gathered from several arrays and
+  concatenated, as a graph model's edge MLP reads both endpoint states,
+  and keeps the arrays and indices, not the gathered copy. Its adjoint
+  to each array adds each selected row's whole slab in index order (the
+  additions, in the order, of ``np.add.at``), and plainly assigns when
+  the indices are unique. With ``members``, an index into a stacked
+  block's leading axis, slice j applies member ``members[j]``, as when
+  a graph model shares one MLP per node type, and each member's
+  gradient adds its slices' slabs by the same rule.
 * ``route(msgs, routing)`` is a graph model's mean incoming message:
   its messages stacked, flattened and multiplied by a constant routing
   matrix, and ``regroup(h, lo, hi, n)`` reads a column range of a flat
-  (B, D) output as (n, B, q) per node group. Both use the numpy calls,
-  in the order, of the stack, reshape, transpose, slice and matmul
-  steps they stand for, so the bytes are theirs.
-* Dense layers run stacked ("batched") matmuls such as
-  (n, B, i) @ (n, i, o), which the graph model uses to evaluate many
-  per-node MLPs at once.
+  (B, D) output as (n, B, q) per node group. Both, and their backward
+  kernels, use the numpy calls, in the order, of the stack, reshape,
+  transpose, slice and matmul steps they stand for, so the bytes are
+  theirs.
 * Parameters live only in blocks of the shapes the engine computes
   with: per MLP layer one affine block, stacked along a leading member
   axis when k same-shaped MLPs run as one batched matmul. There is no
   per-MLP copy; a caller that names single MLPs (the graph model's
   checkpoint ids) takes views of block slices that leave the constant
   units out (``mlp_views``).
-* An untaped ``mlp_forward`` runs on plain arrays: one GEMM and one
-  in-place tanh per layer, with no ``Tensor`` or tape lookup between
-  layers; only its result is wrapped. The other ops evaluate eagerly
-  with no recording when no operand is on a tape.
 * Work cut into blocks runs on the cores that BLAS leaves free
   (``run_blocks``): the calling thread and a module-level pool take the
   blocks from one shared list until none is left, and numpy releases
@@ -101,9 +92,9 @@ Design choices:
   caller cuts rows by one rule, ``row_blocks`` at ``BLOCK_ROWS``, which
   reads only the row count, never the worker count, so what the blocks
   compute does not depend on how many cores run them. A training step
-  records each block on its own ``fork`` of the step's tape, which sends
-  parameter gradients to that block's buffers, so blocks that run at
-  once never write to one array.
+  records each block on its own ``fork`` of the step's tape, whose
+  reverse pass sends parameter gradients to that block's buffers, so
+  blocks that run at once never write to one array.
 * A training worker owns a ``Workspace``, handed to each of its blocks'
   forks. On that fork every hidden dense output, which the backward
   keeps, is written into a workspace buffer (``np.matmul(..., out=)``),
@@ -111,7 +102,7 @@ Design choices:
   assembled in the workspace's one scratch buffer. Such an output stays
   valid until the worker's next block, which starts after this block's
   backward, so no buffer is live twice, and a steady-state step does
-  not take fresh pages for its tape, which the allocator would hand
+  not take fresh pages for its records, which the allocator would hand
   back to the kernel after each backward. Other outputs, plain tapes
   and untaped passes write new arrays.
 """
@@ -144,44 +135,31 @@ def _as_array(x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Tape and tensors
-
-
-@dataclass
-class TapeNode:
-    op: str
-    inputs: tuple[int, ...]
-    # bwd(adjoint, accum) where accum(input_position_node_id, grad_array)
-    bwd: Optional[Callable[[np.ndarray, Callable[[int, np.ndarray], None]], None]]
-    # leaves bound to a parameter accumulate adjoints here: (grads dict, id)
-    grad_sink: Optional[tuple[dict, str]] = None
-    # a parameter leaf lies upstream (the node itself included)
-    needs_grad: bool = False
+# Tape and layer records
 
 
 class Tape:
-    """Ordered record of primitive operations.
-
-    Every operand precedes its consumer because nodes are appended at
-    creation time. Nodes keep only what the reverse pass reads: each
-    backward closure holds its inputs' node ids and the forward arrays
-    its own backward uses, never a ``Tensor``, and ``backward`` drops the
-    closure once consumed, which keeps training memory bounded.
-    """
+    """The layer records of one taped forward and its loss, in forward
+    order (``nodes``), and where its reverse pass sends gradients. The
+    model that recorded them sets ``reverse``, which ``backward`` runs
+    once, taking the records back one by one (``take``)."""
 
     def __init__(self) -> None:
-        self.nodes: list[TapeNode] = []
-        # where parameter leaves accumulate; None: their ParameterSet's grads
+        self.nodes: list = []
+        # where parameter gradients are added; None: the model's own grads
         self.grads: Optional[dict[str, np.ndarray]] = None
         # the buffers dense layers write into; None: new arrays
         self.workspace: Optional[Workspace] = None
+        # the recording model's reverse pass, reverse(tape, seed)
+        self.reverse: Optional[Callable[["Tape", np.ndarray], None]] = None
+        self.taken = 0  # records the reverse pass has taken
 
     def fork(self, grads: dict[str, np.ndarray],
              workspace: Optional["Workspace"] = None) -> "Tape":
         """A new tape for one block of this tape's work, recorded and run
-        backward on its own, on any thread. Its parameter leaves
-        accumulate into ``grads`` (keyed like ``ParameterSet.grads``)
-        instead of their parameter set's accumulators. With a
+        backward on its own, on any thread. Its reverse pass adds
+        parameter gradients into ``grads`` (keyed like
+        ``ParameterSet.grads``) instead of the model's own. With a
         ``workspace``, its dense layers write their hidden outputs and
         assemble their inputs in that workspace's buffers, from its first
         buffer on, so whatever an earlier fork on it recorded is no longer
@@ -193,58 +171,43 @@ class Tape:
             tape.workspace = workspace
         return tape
 
-    def _append(self, node: TapeNode) -> int:
-        self.nodes.append(node)
-        return len(self.nodes) - 1
-
-    def leaf(self, data: np.ndarray, op: str = "const",
-             grad_sink: Optional[tuple[dict, str]] = None) -> "Tensor":
-        nid = self._append(TapeNode(op, (), None, grad_sink,
-                                    needs_grad=grad_sink is not None))
-        return Tensor(data, self, nid)
-
-
-class Tensor:
-    """A float64 array, ``data``, stored row-major (C order) and
-    optionally recorded on a tape."""
-
-    __slots__ = ("data", "tape", "node")
-
-    def __init__(self, data, tape: Optional[Tape] = None, node: int = -1):
-        self.data = _as_array(data)
-        self.tape = tape
-        self.node = node
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, taped={self.tape is not None})"
+    def take(self, kind: type):
+        """The last record not yet taken, which must be a ``kind``. Its
+        slot is emptied, freeing the arrays the record holds, so
+        ``nodes`` keeps its length."""
+        i = len(self.nodes) - 1 - self.taken
+        record = self.nodes[i] if i >= 0 else None
+        if not isinstance(record, kind):
+            raise ContractError(f"the reverse pass expected a {kind.__name__}"
+                                f", found {type(record).__name__}")
+        self.nodes[i] = None
+        self.taken += 1
+        return record
 
 
-def _wrap(data: np.ndarray) -> Tensor:
-    """A tape-free tensor over an array already known to be C-contiguous
-    float64, without ``_as_array``'s checks."""
-    t = Tensor.__new__(Tensor)
-    t.data, t.tape, t.node = data, None, -1
-    return t
+@dataclass(eq=False, slots=True)
+class DenseRecord:
+    """What a taped dense layer's backward reads."""
+
+    key: Optional[str]  # the block's parameter id
+    parts: list[np.ndarray]  # the input's parts, or the arrays rows came from
+    rows: Optional[list[np.ndarray]]
+    ones: bool
+    block: np.ndarray
+    members: Optional[np.ndarray]
+    out: Optional[np.ndarray]  # a hidden layer's output
+    grad_parts: int  # the leading parts that get an adjoint
 
 
-def _coerce(x, tape: Optional[Tape]) -> Tensor:
-    """Attach ``x`` to ``tape`` (as a const leaf) if needed."""
-    if isinstance(x, Tensor):
-        if tape is None or (x.tape is tape and x.node >= 0):
-            return x
-        if x.tape is not None and x.tape is not tape:
-            raise ContractError("operands recorded on different tapes")
-        return tape.leaf(x.data)
-    if tape is None:
-        return Tensor(x)
-    return tape.leaf(_as_array(x))
+@dataclass(eq=False, slots=True)
+class ClipRecord:
+    inside: np.ndarray  # where the clamp passed its input through
 
 
-def _find_tape(*xs) -> Optional[Tape]:
-    for x in xs:
-        if isinstance(x, Tensor) and x.tape is not None:
-            return x.tape
-    return None
+@dataclass(eq=False, slots=True)
+class NllRecord:
+    # per group, in forward order: (key, residual, exp(-logvar), weights)
+    groups: list[tuple[str, np.ndarray, np.ndarray, np.ndarray]]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -260,21 +223,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _record(tape: Tape, op: str, inputs: Sequence[Tensor],
-            out: np.ndarray, bwd) -> Tensor:
-    """``out`` as the output of a new node of ``tape``; its backward
-    closure is kept only if a parameter lies upstream."""
-    needs = any(tape.nodes[t.node].needs_grad for t in inputs)
-    nid = tape._append(TapeNode(op, tuple(t.node for t in inputs),
-                                bwd if needs else None, needs_grad=needs))
-    result = _wrap(out)  # every primitive's output is C-contiguous float64
-    result.tape = tape
-    result.node = nid
-    return result
-
-
 # ---------------------------------------------------------------------------
-# Primitives
+# Layers and their backward kernels
 
 
 class Workspace:
@@ -316,7 +266,10 @@ def _check_inner(a: np.ndarray, b: np.ndarray, op: str) -> None:
         raise ShapeError(f"{op} inner dimensions differ: {a.shape} @ {b.shape}")
 
 
-def dense(x, a, hidden: bool, members=None, ones: bool = False) -> Tensor:
+def dense(x, a, hidden: bool, members=None, ones: bool = False,
+          rows: Optional[Sequence] = None, tape: Optional[Tape] = None,
+          key: Optional[str] = None,
+          grad_parts: Optional[int] = None) -> np.ndarray:
     """One MLP layer as one GEMM: ``x @ a``, then tanh if ``hidden``.
 
     ``a`` is an affine block, (i, o) or stacked (k, i, o): the weight
@@ -328,40 +281,43 @@ def dense(x, a, hidden: bool, members=None, ones: bool = False) -> Tensor:
     for a hidden layer on a tape with a workspace (``Tape.fork``).
 
     ``x`` may be a list or tuple of parts, the input being their
-    concatenation along the last axis. The tape then keeps the parts,
-    not the assembled input: the backward assembles it again for the
-    block's gradient and sends each part its slice of the input's
-    adjoint, in order, the bytes of ``dense`` over the concatenation. The
-    input's adjoint covers its columns up to the last part that needs a
-    gradient, so an appended ones column gets none.
+    concatenation along the last axis. With ``rows``, one index array
+    per part, the input is ``[x[0][rows[0]] | x[1][rows[1]] | ...]``, the
+    rows each index array selects along axis 0 (repeated indices
+    allowed).
 
     With ``members``, an index array of length n into the leading axis
     of stacked ``a``, slice j of an (n, B, i) input applies member
-    ``members[j]``: the layer computes with ``a[members]``, and each
-    member's gradient adds the slabs of the slices that read it, in
-    index order.
+    ``members[j]``: the layer computes with ``a[members]``.
 
-    The backward forms a hidden layer's tanh derivative in place in the
-    output it kept, so after ``backward`` a hidden output tensor holds
-    ``1 - out^2``, not ``out``.
+    On a ``tape`` the layer appends a ``DenseRecord`` for block ``key``
+    whose backward (``dense_backward``) forms the adjoints of the
+    leading ``grad_parts`` parts (all by default).
     """
-    xs = list(x) if isinstance(x, (list, tuple)) else [x]
-    return _dense("dense", xs, None, a, hidden, members, ones)
-
-
-def gather_dense(xs: Sequence, rows: Sequence, a, hidden: bool,
-                 members=None, ones: bool = False) -> Tensor:
-    """``dense`` of ``[xs[0][rows[0]] | xs[1][rows[1]] | ...]``, the rows
-    each index array selects along axis 0 (repeated indices allowed),
-    concatenated along the last axis.
-
-    The tape keeps the ``xs`` and the indices, not the gathered input: the
-    backward gathers it again for the block's gradient, and sends the
-    input's adjoint to ``xs[0]``, ``xs[1]``, ... in that order.
-    ``members`` and ``ones`` are ``dense``'s.
-    """
-    rows = [np.asarray(r, dtype=np.intp) for r in rows]
-    return _dense("gather_dense", xs, rows, a, hidden, members, ones)
+    xs = [_as_array(t) for t in x] if isinstance(x, (list, tuple)) \
+        else [_as_array(x)]
+    if rows is not None:
+        rows = [np.asarray(r, dtype=np.intp) for r in rows]
+    a = _as_array(a)
+    ws = tape.workspace if tape is not None else None
+    xa = _gather_rows(xs, rows, ones, ws)
+    if members is not None:
+        members = np.asarray(members, dtype=np.intp)
+    am = a if members is None else a[members]
+    _check_inner(xa, am, "dense")
+    if hidden and ws is not None:  # kept for the backward: a workspace buffer
+        out = np.matmul(xa, am, out=ws.output(
+            np.broadcast_shapes(xa.shape[:-2], am.shape[:-2])
+            + (xa.shape[-2], am.shape[-1])))
+    else:
+        out = xa @ am
+    if hidden:
+        np.tanh(out, out=out)
+    if tape is not None:
+        tape.nodes.append(DenseRecord(
+            key, xs, rows, ones, a, members, out if hidden else None,
+            len(xs) if grad_parts is None else grad_parts))
+    return out
 
 
 def _gather_rows(xs: Sequence[np.ndarray], rows, ones: bool,
@@ -406,234 +362,177 @@ def _add_rows(shape: tuple[int, ...], r: np.ndarray,
     return g
 
 
-def _scatter_rows(gx: np.ndarray, xids, rows, shapes, accum) -> None:
-    """Send each part, in order, the adjoint of its slice of the input:
-    the slice of ``gx`` itself for a part taken whole, or for gathered
-    rows each selected row's whole slab of the slice added in index
-    order (``_add_rows``)."""
-    lo = 0
-    for k, (xid, shape) in enumerate(zip(xids, shapes)):
-        hi = lo + shape[-1]
-        piece = gx[..., lo:hi]
-        lo = hi
-        accum(xid, piece if rows is None else _add_rows(shape, rows[k], piece))
+def dense_backward(record: DenseRecord, adj: np.ndarray,
+                   ws: Optional[Workspace] = None,
+                   ) -> tuple[list[np.ndarray], np.ndarray]:
+    """The adjoints of a dense layer's leading ``grad_parts`` input parts,
+    in order, and its block's gradient, from the adjoint ``adj`` of its
+    output. A part's adjoint is its slice of the input's; for gathered
+    rows, each selected row's whole slab of the slice added in index
+    order (``_add_rows``), and so is each member's gradient into its
+    block row. The input is assembled again in ``ws``'s scratch buffer,
+    if given.
+
+    A hidden layer forms its tanh derivative in place in the output it
+    kept, so afterwards that array holds ``1 - out^2``, not ``out``.
+    """
+    r = record
+    if r.out is None:
+        g = adj
+    else:  # adj * (1 - out^2), in the kept output's buffer
+        g = r.out
+        np.multiply(g, g, out=g)
+        np.subtract(1.0, g, out=g)
+        np.multiply(g, adj, out=g)
+    parts = []
+    if r.grad_parts:
+        shapes = [x.shape for x in r.parts[:r.grad_parts]]
+        width = sum(sh[-1] for sh in shapes)
+        lead = (r.parts[0].shape[:-1] if r.rows is None
+                else r.rows[0].shape + r.parts[0].shape[1:-1])
+        wt = (r.block if r.members is None
+              else r.block[r.members])[..., :width, :]
+        gx = _unbroadcast(g @ wt.swapaxes(-1, -2), lead + (width,))
+        lo = 0
+        for k, shape in enumerate(shapes):
+            hi = lo + shape[-1]
+            piece = gx[..., lo:hi]
+            lo = hi
+            parts.append(piece if r.rows is None
+                         else _add_rows(shape, r.rows[k], piece))
+    xd = _gather_rows(r.parts, r.rows, r.ones, ws)
+    if r.members is None:
+        return parts, _unbroadcast(xd.swapaxes(-1, -2) @ g, r.block.shape)
+    grad = _unbroadcast(xd.swapaxes(-1, -2) @ g,
+                        r.members.shape + r.block.shape[1:])
+    return parts, _add_rows(r.block.shape, r.members, grad)
 
 
-def _dense(op: str, xs: Sequence, rows, a, hidden: bool, members,
-           ones: bool) -> Tensor:
-    """``dense`` of the parts ``xs`` (``rows`` None) or ``gather_dense``."""
-    tape = _find_tape(*xs, a)
-    xs = [_coerce(x, tape) for x in xs]
-    a = _coerce(a, tape)
-    ws = tape.workspace if tape is not None else None
-    x = _gather_rows([t.data for t in xs], rows, ones, ws)
-    am = a.data
-    if members is not None:
-        members = np.asarray(members, dtype=np.intp)
-        am = am[members]
-    _check_inner(x, am, op)
-    if hidden and ws is not None:  # kept for the backward: a workspace buffer
-        out = np.matmul(x, am, out=ws.output(
-            np.broadcast_shapes(x.shape[:-2], am.shape[:-2])
-            + (x.shape[-2], am.shape[-1])))
-    else:
-        out = x @ am
-    if hidden:
-        np.tanh(out, out=out)
-    if tape is None:
-        return _wrap(out)
-    nodes = tape.nodes
-    xids, aid = [t.node for t in xs], a.node
-    xsh, xshs = x.shape, [t.data.shape for t in xs]
-    ash, amsh = a.data.shape, am.shape
-    # the input's adjoint spans the parts up to the last that needs one
-    grad_parts = max((k + 1 for k, i in enumerate(xids) if nodes[i].needs_grad),
-                     default=0)
-    width = sum(sh[-1] for sh in xshs[:grad_parts])
-    need_a = nodes[aid].needs_grad
-    # the input only for the block's gradient and the block (not the
-    # members' copy) only for the input's; the output only for the tanh
-    # derivative
-    xds = [t.data for t in xs] if need_a else None
-    ad = a.data if grad_parts else None
-    kept = out if hidden else None
-
-    def to_block(grad):
-        # the members' gradients added into their block rows
-        return grad if members is None else _add_rows(ash, members, grad)
-
-    def bwd(adj, accum):
-        if kept is None:
-            g = adj
-        else:  # adj * (1 - out^2), in the kept output's buffer
-            g = kept
-            np.multiply(g, g, out=g)
-            np.subtract(1.0, g, out=g)
-            np.multiply(g, adj, out=g)
-        if grad_parts:
-            wt = (ad if members is None else ad[members])[..., :width, :]
-            gx = _unbroadcast(g @ wt.swapaxes(-1, -2), xsh[:-1] + (width,))
-            _scatter_rows(gx, xids[:grad_parts], rows, xshs[:grad_parts],
-                          accum)
-        if need_a:
-            xd = _gather_rows(xds, rows, ones, ws)
-            accum(aid, to_block(_unbroadcast(xd.swapaxes(-1, -2) @ g, amsh)))
-
-    return _record(tape, op, (*xs, a), out, bwd)
+def clip(a, lo: float, hi: float, tape: Optional[Tape] = None) -> np.ndarray:
+    """Clamp to [lo, hi]; on a ``tape`` it records where ``a`` lies
+    inside, where ``clip_backward`` passes the adjoint through."""
+    a = _as_array(a)
+    if tape is not None:
+        tape.nodes.append(ClipRecord((a >= lo) & (a <= hi)))
+    return np.clip(a, lo, hi)
 
 
-def clip(a, lo: float, hi: float) -> Tensor:
-    """Clamp with pass-through gradient inside [lo, hi], zero outside."""
-    tape = _find_tape(a)
-    a = _coerce(a, tape)
-    out = np.clip(a.data, lo, hi)
-    if tape is None:
-        return _wrap(out)
-    aid = a.node
-    inside = (a.data >= lo) & (a.data <= hi)
-
-    def bwd(adj, accum):
-        accum(aid, adj * inside)
-
-    return _record(tape, "clip", (a,), out, bwd)
+def clip_backward(record: ClipRecord, adj: np.ndarray) -> np.ndarray:
+    """The clamp's input adjoint: ``adj`` inside [lo, hi], zero outside."""
+    return adj * record.inside
 
 
-def route(msgs: Sequence, routing: np.ndarray) -> Tensor:
+def route(msgs: Sequence, routing: np.ndarray) -> np.ndarray:
     """A graph model's mean incoming message per node: ``routing @`` the
-    message tensors ``msgs``, each (k, B, m), stacked along axis 0 and
+    message arrays ``msgs``, each (k, B, m), stacked along axis 0 and
     flattened to (edges, B * m), as (n, B, m) for an (n, edges) constant
-    ``routing``. Each message tensor's adjoint is its rows of
-    ``routing^T @`` the output's adjoint; the tape keeps no array but the
-    routing matrix."""
-    tape = _find_tape(*msgs)
-    ms = [_coerce(m, tape) for m in msgs]
-    stacked = (ms[0].data if len(ms) == 1
-               else np.concatenate([m.data for m in ms]))
+    ``routing``."""
+    stacked = (_as_array(msgs[0]) if len(msgs) == 1
+               else np.concatenate(msgs))
     edges, rows, width = stacked.shape
     n, flat = routing.shape[0], stacked.reshape(edges, rows * width)
     _check_inner(routing, flat, "route")
-    out = (routing @ flat).reshape(n, rows, width)
-    if tape is None:
-        return _wrap(out)
-    mids, cuts = [m.node for m in ms], np.cumsum([m.data.shape[0] for m in ms])
-
-    def bwd(adj, accum):
-        g = routing.swapaxes(-1, -2) @ adj.reshape(n, rows * width)
-        for mid, piece in zip(mids, np.split(g.reshape(edges, rows, width),
-                                             cuts[:-1])):
-            accum(mid, piece)
-
-    return _record(tape, "route", ms, out, bwd)
+    return (routing @ flat).reshape(n, rows, width)
 
 
-def regroup(h, lo: int, hi: int, n: int) -> Tensor:
-    """Columns ``lo:hi`` of a (B, D) tensor as n groups of q = (hi - lo) / n
+def route_backward(routing: np.ndarray, adj: np.ndarray,
+                   sizes: Sequence[int]) -> list[np.ndarray]:
+    """The adjoints of the message arrays ``route`` read, of ``sizes``
+    edges each: their rows of ``routing^T @`` the (n, B, m) output
+    adjoint ``adj``."""
+    n, rows, width = adj.shape
+    g = routing.swapaxes(-1, -2) @ adj.reshape(n, rows * width)
+    return np.split(g.reshape(-1, rows, width), np.cumsum(sizes)[:-1])
+
+
+def regroup(h, lo: int, hi: int, n: int) -> np.ndarray:
+    """Columns ``lo:hi`` of a (B, D) array as n groups of q = (hi - lo) / n
     columns, stacked (n, B, q): column lo + j * q + c of row b is element
     (j, b, c), as a centralized model's flat output is read per node
-    group. The adjoint puts the columns back in a zero (B, D) array, so
-    the tape keeps no array."""
-    tape = _find_tape(h)
-    h = _coerce(h, tape)
-    rows, width = h.data.shape
+    group."""
+    h = _as_array(h)
+    rows, width = h.shape
     if not 0 <= lo < hi <= width or (hi - lo) % n:
         raise ShapeError(f"regroup: columns {lo}:{hi} of {width} do not "
                          f"split into {n} groups")
-    out = np.ascontiguousarray(
-        h.data[:, lo:hi].reshape(rows, n, (hi - lo) // n).transpose(1, 0, 2))
-    if tape is None:
-        return _wrap(out)
-    hid = h.node
-
-    def bwd(adj, accum):
-        g = np.zeros((rows, width))
-        g[:, lo:hi] += adj.transpose(1, 0, 2).reshape(rows, hi - lo)
-        accum(hid, g)
-
-    return _record(tape, "regroup", (h,), out, bwd)
+    return np.ascontiguousarray(
+        h[:, lo:hi].reshape(rows, n, (hi - lo) // n).transpose(1, 0, 2))
 
 
-def gaussian_nll(mu: dict, logvar: dict, targets: dict, weights: dict) -> Tensor:
+def regroup_backward(adj: np.ndarray, lo: int, hi: int,
+                     into: np.ndarray) -> None:
+    """Add the adjoint of ``regroup(h, lo, hi, n)``, the (n, B, q)
+    ``adj``, into columns ``lo:hi`` of ``into``, h's (B, D) adjoint,
+    which starts as zeros: each column gets 0 + its adjoint, whatever
+    the order in which column ranges are added."""
+    into[:, lo:hi] += adj.transpose(1, 0, 2).reshape(into.shape[0], hi - lo)
+
+
+def gaussian_nll(mu: dict, logvar: dict, targets: dict, weights: dict,
+                 tape: Optional[Tape] = None) -> np.ndarray:
     """Weighted Gaussian negative log-likelihood (without its constant) as
-    one scalar: over the groups of ``mu``, in order, the sum of
+    one 0-d array: over the groups of ``mu``, in order, the sum of
     ``w * (0.5 * lv + 0.5 * (y - mu)^2 * exp(-lv))``.
 
-    ``mu`` and ``logvar`` map group keys to tensors; ``targets`` and
-    ``weights`` map them to constant arrays of the same shapes, which get
-    no gradient.
+    ``mu``, ``logvar``, ``targets`` and ``weights`` map group keys to
+    arrays of the same shapes. On a ``tape`` it appends an ``NllRecord``
+    for ``gaussian_nll_backward``.
     """
-    tape = _find_tape(*mu.values(), *logvar.values())
-    inputs, saved, total = [], [], None
+    saved, total = [], None
     for key in mu:
-        m, lv = _coerce(mu[key], tape), _coerce(logvar[key], tape)
+        m, lv = _as_array(mu[key]), _as_array(logvar[key])
         y, w = _as_array(targets[key]), _as_array(weights[key])
-        if not m.data.shape == lv.data.shape == y.shape == w.shape:
+        if not m.shape == lv.shape == y.shape == w.shape:
             raise ShapeError(f"gaussian_nll group {key!r}: shapes differ")
-        d = y - m.data
-        e = np.exp(-lv.data)
-        s = ((lv.data * 0.5 + ((d * d) * e) * 0.5) * w).sum()
+        d = y - m
+        e = np.exp(-lv)
+        s = ((lv * 0.5 + ((d * d) * e) * 0.5) * w).sum()
         total = s if total is None else total + s
         if tape is not None:
-            inputs += (m, lv)
-            saved.append((m.node, lv.node, d, e, w))
-    if tape is None:
-        return _wrap(np.asarray(total))
+            saved.append((key, d, e, w))
+    if tape is not None:
+        tape.nodes.append(NllRecord(saved))
+    return np.asarray(total)
 
-    def bwd(adj, accum):
-        # last group first, log-variance before mean, as the composed
-        # chain's reverse pass sent them; d * d is formed again, the
-        # same bits as the forward's
-        for mid, lid, d, e, w in reversed(saved):
-            g = adj * w
-            h = g * 0.5
-            accum(lid, -((h * (d * d)) * e) + h)
-            t = (h * e) * d
-            accum(mid, -(t + t))
 
-    return _record(tape, "gaussian_nll", inputs, np.asarray(total), bwd)
+def gaussian_nll_backward(record: NllRecord, adj: np.ndarray,
+                          ) -> tuple[dict, dict]:
+    """The adjoints of the loss's means and log-variances, per group,
+    from the adjoint ``adj`` of its sum (its scale)."""
+    dmu, dlv = {}, {}
+    # last group first, log-variance before mean, as the composed chain's
+    # reverse pass formed them; d * d is formed again, the same bits as
+    # the forward's
+    for key, d, e, w in reversed(record.groups):
+        g = adj * w
+        h = g * 0.5
+        dlv[key] = -((h * (d * d)) * e) + h
+        t = (h * e) * d
+        dmu[key] = -(t + t)
+    return dmu, dlv
 
 
 # ---------------------------------------------------------------------------
 # Reverse pass
 
 
-def backward(tape: Tape, out: Tensor, adjoint) -> None:
-    """Accumulate into every parameter leaf on the tape the gradient of
-    sum(adjoint * out): ``adjoint``, of ``out``'s shape, seeds the
-    reverse pass, as a scalar loss's scale or a tensor output's weights.
-
-    Parameters ``out`` does not reach keep their current (zeroed)
-    gradient accumulator. Adjoints sent to nodes with no parameter
-    upstream are dropped. Each node's backward closure is dropped once
-    consumed, freeing the forward arrays it captured, so a tape supports
-    one backward pass.
-    """
-    if out.tape is not tape or out.node < 0:
-        raise ContractError("output was not produced by this tape")
+def backward(tape: Tape, out, adjoint) -> None:
+    """Run the reverse pass of the model whose forward and loss ``tape``
+    recorded (``Tape.reverse``), seeded with ``adjoint``, of the loss
+    ``out``'s shape: the loss's scale. Parameter gradients are added into
+    the tape's buffers (``Tape.fork``), or else the model's own. A tape
+    supports one reverse pass, which takes every record."""
+    if tape.reverse is None:
+        raise ContractError("no model recorded its forward on this tape")
     seed = np.asarray(adjoint, dtype=np.float64)
-    if seed.shape != out.data.shape:
+    if seed.shape != np.shape(out):
         raise ContractError(f"adjoint of shape {seed.shape} for an output "
-                            f"of shape {out.data.shape}")
-    adjoints: dict[int, np.ndarray] = {out.node: seed}
-    nodes = tape.nodes
-
-    def accum(nid: int, grad: np.ndarray) -> None:
-        if not nodes[nid].needs_grad:
-            return
-        cur = adjoints.get(nid)
-        adjoints[nid] = grad if cur is None else cur + grad
-
-    for nid in range(out.node, -1, -1):
-        adj = adjoints.pop(nid, None)
-        node = nodes[nid]
-        if adj is None:
-            node.bwd = None
-            continue
-        if node.grad_sink is not None:
-            grads, pid = node.grad_sink
-            grads[pid] += adj.reshape(grads[pid].shape)
-        if node.bwd is not None:
-            node.bwd(adj, accum)
-            node.bwd = None
+                            f"of shape {np.shape(out)}")
+    if tape.taken:
+        raise ContractError("the tape's reverse pass has run")
+    tape.reverse(tape, seed)
+    if tape.taken != len(tape.nodes):
+        raise ContractError("the reverse pass left records it did not take")
 
 
 # ---------------------------------------------------------------------------
@@ -681,16 +580,6 @@ class ParameterSet:
     def zero_grads(self) -> None:
         for g in self.grads.values():
             g[...] = 0.0
-
-    def tensor(self, tape: Optional[Tape], key: str) -> Tensor:
-        """Leaf tensor for a block; gradients flow back into its
-        accumulator."""
-        if key not in self.values:
-            raise ContractError(f"unknown parameter block {key!r}")
-        if tape is None:
-            return _wrap(self.values[key])
-        grads = self.grads if tape.grads is None else tape.grads
-        return tape.leaf(self.values[key], op="param", grad_sink=(grads, key))
 
     def copy(self) -> "ParameterSet":
         out = ParameterSet()
@@ -765,55 +654,55 @@ def _layer_ids(prefix: str, n_layers: int) -> tuple[tuple[str, bool], ...]:
 def mlp_forward(params: ParameterSet, layer_spec: Sequence[int], prefix: str,
                 x, tape: Optional[Tape] = None,
                 rows: Optional[Sequence] = None,
-                members: Optional[np.ndarray] = None) -> Tensor:
+                members: Optional[np.ndarray] = None,
+                grad_parts: Optional[int] = None) -> np.ndarray:
     """Apply the MLP block ``prefix``: tanh on hidden layers, linear
-    final layer, one GEMM per layer.
+    final layer, one GEMM per layer (``dense``).
 
     ``x`` has the layer input width as its last dimension. For a block
     of k stacked MLPs ``x`` is (k, B, in) and MLP j applies to slice j;
     a single MLP's parameters broadcast over all leading dimensions.
     ``x`` may be a list or tuple of parts, which the first layer reads
-    as ``dense`` does, the input being ``[x[0] | x[1] | ...]``; with
-    ``rows`` it is ``[x[0][rows[0]] | x[1][rows[1]] | ...]``, which the
-    first layer builds as ``gather_dense`` does. The first layer appends
-    the ones column its bias row multiplies. With ``members``, slice j
-    of the input applies member ``members[j]`` of the block, as in
-    ``dense``.
+    as ``dense`` does, the input being ``[x[0] | x[1] | ...]``, or with
+    ``rows`` ``[x[0][rows[0]] | x[1][rows[1]] | ...]``. The first layer
+    appends the ones column its bias row multiplies. With ``members``,
+    slice j of the input applies member ``members[j]`` of the block, as
+    in ``dense``.
 
-    Untaped, the layers run on plain arrays: one GEMM and one in-place
-    tanh each, the result wrapped in a ``Tensor`` at the end.
+    On a ``tape`` each layer appends its record, and the first forms
+    the adjoints of its leading ``grad_parts`` parts only (all by
+    default); ``mlp_backward`` walks the records back.
     """
     layers = _layer_ids(prefix, len(layer_spec) - 1)
-    xs = list(x) if isinstance(x, (list, tuple)) else [x]
-    tape = tape if tape is not None else _find_tape(*xs)
-    if tape is None:
-        h = _gather_rows([t.data if isinstance(t, Tensor) else _as_array(t)
-                          for t in xs], rows, True)
-        _check_input(prefix, layer_spec, h.shape[-1])
-        for i, (aid, hidden) in enumerate(layers):
-            try:
-                a = params.values[aid]
-            except KeyError:
-                raise ContractError(
-                    f"missing parameters for {prefix} layer {i}") from None
-            h = h @ (a if members is None else a[members])
-            if hidden:
-                np.tanh(h, out=h)
-        return _wrap(h)
-    xs = [_coerce(t, tape) for t in xs]
-    _check_input(prefix, layer_spec, sum(t.data.shape[-1] for t in xs) + 1)
-    h = xs
+    h = list(x) if isinstance(x, (list, tuple)) else [x]
+    _check_input(prefix, layer_spec, sum(np.shape(t)[-1] for t in h) + 1)
     for i, (aid, hidden) in enumerate(layers):
         try:
-            a = params.tensor(tape, aid)
-        except ContractError:
+            a = params.values[aid]
+        except KeyError:
             raise ContractError(
                 f"missing parameters for {prefix} layer {i}") from None
-        if i == 0 and rows is not None:
-            h = gather_dense(xs, rows, a, hidden, members, ones=True)
-        else:
-            h = dense(h, a, hidden, members, ones=i == 0)
+        h = dense(h, a, hidden, members, ones=i == 0,
+                  rows=rows if i == 0 else None, tape=tape, key=aid,
+                  grad_parts=grad_parts if i == 0 else None)
     return h
+
+
+def mlp_backward(tape: Tape, grads: dict[str, np.ndarray], layers: int,
+                 adj: np.ndarray) -> list[np.ndarray]:
+    """The reverse pass of an MLP's ``layers`` dense layers, the last
+    records ``tape`` has not taken, from the adjoint ``adj`` of its
+    output: each block's gradient is added into ``grads`` under its id,
+    last layer first, and the first layer's part adjoints are returned
+    (``dense_backward``)."""
+    parts = [adj]
+    del adj  # held by ``parts`` alone, so each layer's backward frees it
+    for _ in range(layers):
+        record = tape.take(DenseRecord)
+        parts, grad = dense_backward(record, parts.pop(), tape.workspace)
+        grads[record.key] += grad
+        del grad  # a whole block: freed before the next layer's backward
+    return parts
 
 
 def _check_input(prefix: str, layer_spec: Sequence[int], width: int) -> None:

@@ -333,9 +333,11 @@ class TimeSeriesDataset:
         file is parsed a block of ``CSV_BLOCK_CHARS`` characters at a
         time, column by column. ``SimulationError`` is raised for any
         other header, a row without exactly four fields, an unparsable
-        timestamp or value, or a quality other than ``ok``/``missing``
-        (naming the file and line); for a row off the 15-minute grid; and
-        for a second row of a (series, timestamp)."""
+        timestamp or value, a value that is not finite on an ``ok`` row
+        (``nan``, ``inf``, ``1e999``), or a quality other than
+        ``ok``/``missing`` (naming the file and line); for a row off the
+        15-minute grid; and for a second row of a (series, timestamp). A
+        ``missing`` row's value is never read, so any number passes."""
         seconds: dict[str, int] = {}  # each distinct timestamp parsed once
         codes: dict[str, int] = {}  # sensor id -> code, first appearance
         blocks = []
@@ -352,12 +354,16 @@ class TimeSeriesDataset:
                 for line0, text in _csv_blocks(fh, line_no + 1):
                     try:
                         ts, sid, val, quality = _csv_columns(text)
+                        vals = np.fromiter(map(float, val), np.float64,
+                                           len(val))
+                        miss = np.fromiter(map(_IS_MISSING.__getitem__,
+                                               quality), bool, len(quality))
+                        if not (np.isfinite(vals) | miss).all():
+                            raise ValueError("non-finite value")
                         blocks.append((
                             _coded(ts, seconds, _epoch_seconds),
                             _coded(sid, codes, lambda s: len(codes)),
-                            np.fromiter(map(float, val), np.float64, len(val)),
-                            np.fromiter(map(_IS_MISSING.__getitem__, quality),
-                                        bool, len(quality))))
+                            vals, miss))
                     except (ValueError, KeyError):
                         raise _malformed(path, line0, text) from None
         if not seconds:
@@ -475,12 +481,15 @@ def _malformed(path: str, line0: int, text: str) -> SimulationError:
         except ValueError:
             return SimulationError(f"{where}: bad timestamp {ts!r}")
         try:
-            float(val)
+            value = float(val)
         except ValueError:
             return SimulationError(f"{where}: bad value {val!r}")
         if quality not in _IS_MISSING:
             return SimulationError(
                 f"{where}: quality {quality!r} is not 'ok' or 'missing'")
+        if quality == "ok" and not math.isfinite(value):
+            return SimulationError(
+                f"{where}: value {val!r} of an ok row is not finite")
     return SimulationError(f"{path}: malformed rows from line {line0}")
 
 

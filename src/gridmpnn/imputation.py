@@ -73,7 +73,7 @@ def blocked_forward(model, features: dict[str, np.ndarray],
                             {k: v[:, cols] for k, v in mask.items()})
         for dst, src in zip((mu, logvar), out):
             for k, t in src.items():
-                dst[k][:, cols] = t.data
+                dst[k][:, cols] = t
 
     dc.run_blocks(dc.row_blocks(rows), run)
     return mu, logvar

@@ -12,14 +12,15 @@ For speed, nodes whose MLPs have the same layer shapes (one group per
 (q, p), whatever their kind) are evaluated together as stacked MLP
 applications, and so are the edges between two such groups; each edge
 MLP's first layer gathers both endpoint states from their groups'
-stacks (``diffcore.gather_dense``), and message aggregation is one
-``diffcore.route`` per group, a constant routing-matrix multiply. Every
-layer is one GEMM over an input whose last column is ones. The
+stacks (``diffcore.dense`` with ``rows``), and message aggregation is
+one ``diffcore.route`` per group, a constant routing-matrix multiply.
+Every layer is one GEMM over an input whose last column is ones. The
 encoder's first layer reads [features | mask | 1], the aggregator's
 [state | mean message | 1] and the edge MLP's [destination state |
 source state | 1], each as parts of one ``diffcore.dense`` input, so a
 taped pass keeps the parts, not their concatenation; each decoder head
-reads its own [state | 1]. Parameters
+reads its own [state | 1]. A taped forward records its layers, and
+``GnnModel.reverse`` walks them back. Parameters
 are per node and per directed edge unless ``share_by_type`` is set. They
 live only in the blocks the forward computes with, one affine block per
 layer and MLP role of a node group (``stack/<group>/<role>/L<i>``) or
@@ -51,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from . import diffcore as dc
-from .diffcore import ParameterSet, ShapeError, Tape, Tensor
+from .diffcore import ParameterSet, ShapeError, Tape
 from .gridgraph import GridTopology, NodeSchema, SchemaConfig
 
 VAR_CLAMP_LO = 1e-6
@@ -182,6 +183,9 @@ class ModelBase:
             m, s = np.asarray(mean[nid], float), np.asarray(std[nid], float)
             if m.shape != (self.schemas[nid].q,) or s.shape != m.shape:
                 raise ShapeError(f"standardization stats for {nid!r} have wrong shape")
+            if not (np.isfinite(m).all() and np.isfinite(s).all()):
+                raise dc.ContractError(
+                    f"standardization stats for {nid!r} must be finite")
             if np.any(s <= 0):
                 raise ShapeError(f"standardization std for {nid!r} must be positive")
             self.std_mean[nid] = m.copy()
@@ -351,9 +355,9 @@ class GnnModel(ModelBase):
 
     def encode(self, features: dict[str, np.ndarray],
                mask: dict[str, np.ndarray],
-               tape: Optional[Tape] = None) -> dict[str, Tensor]:
+               tape: Optional[Tape] = None) -> dict[str, np.ndarray]:
         """Initial latent states from standardized features and observed-mask
-        (both packed per group, (n, B, q))."""
+        (both packed per group, (n, B, q)), which get no adjoint."""
         states = {}
         for g in self.groups:
             f, m = features[g.key], mask[g.key]
@@ -361,14 +365,16 @@ class GnnModel(ModelBase):
                 raise ShapeError(f"group {g.key}: feature/mask shape mismatch")
             states[g.key] = dc.mlp_forward(
                 self.params, self._enc_spec(g), f"stack/{g.key}/enc",
-                (f, m), tape=tape, members=self._node_members[g.key])
+                (f, m), tape=tape, members=self._node_members[g.key],
+                grad_parts=0)
         return states
 
-    def message_pass(self, states: dict[str, Tensor],
-                     tape: Optional[Tape] = None) -> dict[str, Tensor]:
-        """T synchronous steps: edge messages, then aggregator updates."""
+    def message_pass(self, states: dict[str, np.ndarray],
+                     tape: Optional[Tape] = None) -> dict[str, np.ndarray]:
+        """T synchronous steps: edge messages, then aggregator updates. An
+        aggregator that no edge feeds forms its state's adjoint only."""
         for _ in range(self.config.message_passing_steps):
-            msgs: dict[str, list[Tensor]] = {g.key: [] for g in self.groups}
+            msgs: dict[str, list[np.ndarray]] = {g.key: [] for g in self.groups}
             for eg in self.edge_groups:
                 m = dc.mlp_forward(
                     self.params, eg.spec, eg.block,
@@ -378,25 +384,25 @@ class GnnModel(ModelBase):
             new_states = {}
             for g in self.groups:
                 own = states[g.key]
-                mean = self._mean_message(g, msgs[g.key], own.data.shape[1])
+                mean = self._mean_message(g, msgs[g.key], own.shape[1])
                 new_states[g.key] = dc.mlp_forward(
                     self.params, self._agg_spec(g), f"stack/{g.key}/agg",
-                    (own, mean), tape=tape, members=self._node_members[g.key])
+                    (own, mean), tape=tape, members=self._node_members[g.key],
+                    grad_parts=None if msgs[g.key] else 1)
             states = new_states
         return states
 
-    def _mean_message(self, g: NodeGroup, msgs: list[Tensor],
-                      rows: int) -> Tensor:
+    def _mean_message(self, g: NodeGroup, msgs: list[np.ndarray],
+                      rows: int) -> np.ndarray:
         """Mean incoming message per node of group ``g``, (n, B, md):
         ``diffcore.route`` of the group's incoming messages, zeros when
         it has none."""
         if not msgs:
-            return Tensor(np.zeros((len(g.node_ids), rows,
-                                    self.message_dim_for(g))))
+            return np.zeros((len(g.node_ids), rows, self.message_dim_for(g)))
         return dc.route(msgs, self.routing[g.key])
 
-    def decode(self, states: dict[str, Tensor],
-               tape: Optional[Tape] = None) -> tuple[dict[str, Tensor], dict[str, Tensor]]:
+    def decode(self, states: dict[str, np.ndarray], tape: Optional[Tape] = None,
+               ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
         """Standardized mean and clamped log-variance per group, (n, B, q).
         Each head reads its own [state | 1]."""
         mu, logvar = {}, {}
@@ -409,22 +415,71 @@ class GnnModel(ModelBase):
             raw = dc.mlp_forward(
                 self.params, self._dec_spec(g), f"stack/{g.key}/dec_lv", state,
                 tape=tape, members=members)
-            logvar[g.key] = dc.clip(raw, np.log(VAR_CLAMP_LO), np.log(VAR_CLAMP_HI))
+            logvar[g.key] = dc.clip(raw, np.log(VAR_CLAMP_LO),
+                                    np.log(VAR_CLAMP_HI), tape)
         return mu, logvar
 
     def forward(self, features: dict[str, np.ndarray],
                 mask: dict[str, np.ndarray],
                 tape: Optional[Tape] = None,
-                ) -> tuple[dict[str, Tensor], dict[str, Tensor]]:
+                ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
         """Single feed-forward pass encode -> message_pass -> decode over
         the rows given. Returns standardized (mu, logvar) per group; no
         internal iteration. BLAS rounds a row by the width of the
         products, so a row's last bits depend on how many rows run with
-        it; ``diffcore.row_blocks`` fixes that count for a batch.
+        it; ``diffcore.row_blocks`` fixes that count for a batch. On a
+        ``tape`` it records its layers for ``reverse``, which
+        ``diffcore.backward`` runs once the loss is recorded after them.
         """
+        if tape is not None:
+            tape.reverse = self.reverse
         states = self.encode(features, mask, tape)
         states = self.message_pass(states, tape)
         return self.decode(states, tape)
+
+    def reverse(self, tape: Tape, seed: np.ndarray) -> None:
+        """The reverse pass of ``forward`` and its loss on ``tape``,
+        seeded with the loss's scale: the decoders from the last group
+        back, each message-passing step from the last, the encoders. A
+        final state's adjoint adds its log-variance head's part, then its
+        mean head's; a block's gradient adds over the steps from the
+        last. An adjoint is popped when read, so it is freed once used."""
+        grads = self.params.grads if tape.grads is None else tape.grads
+        layers = self.config.layers
+        dmu, dlv = dc.gaussian_nll_backward(tape.take(dc.NllRecord), seed)
+        d_states = {}
+        for g in reversed(self.groups):
+            parts = dc.mlp_backward(tape, grads, layers, dc.clip_backward(
+                tape.take(dc.ClipRecord), dlv.pop(g.key)))
+            d_states[g.key] = parts.pop() + dc.mlp_backward(
+                tape, grads, layers, dmu.pop(g.key)).pop()
+        for _ in range(self.config.message_passing_steps):
+            d_states = self._step_reverse(tape, grads, d_states)
+        for g in reversed(self.groups):
+            dc.mlp_backward(tape, grads, layers, d_states.pop(g.key))
+
+    def _step_reverse(self, tape: Tape, grads: dict, d_states: dict) -> dict:
+        """One message-passing step undone: the aggregators from the last
+        group back, each group's mean message routed back to its edge
+        groups, then those from the last. An input state's adjoint adds
+        its aggregator's part, then each edge group's parts from the last
+        group back, destination before source."""
+        layers = self.config.layers
+        d_prev, d_msgs = {}, {}
+        for g in reversed(self.groups):
+            parts = dc.mlp_backward(tape, grads, layers, d_states.pop(g.key))
+            egs = self._incoming_groups[g.key]
+            if egs:
+                d_msgs.update(zip(
+                    (eg.key for eg in egs),
+                    dc.route_backward(self.routing[g.key], parts.pop(),
+                                      [len(eg.pairs) for eg in egs])))
+            d_prev[g.key] = parts.pop()
+        for eg in reversed(self.edge_groups):
+            parts = dc.mlp_backward(tape, grads, layers, d_msgs.pop(eg.key))
+            for key in (eg.dst_group, eg.src_group):
+                d_prev[key] = d_prev[key] + parts.pop(0)
+        return d_prev
 
     # -- checkpoints ----------------------------------------------------------
 
@@ -494,6 +549,8 @@ class GnnModel(ModelBase):
             if list(shape) != list(view.shape) or values.size != view.size:
                 raise ValueError(f"checkpoint parameter {pid!r} has shape "
                                  f"{shape}, not {list(view.shape)}")
+            if not np.isfinite(values).all():
+                raise ValueError(f"checkpoint parameter {pid!r} is not finite")
             view[...] = values.reshape(view.shape)
         model.set_standardization(
             {nid: np.array(rec["mean"]) for nid, rec in doc["standardization"].items()},

@@ -10,7 +10,7 @@ read-only arrays. Augmentation appends ``masked_clones`` of the
 training set with the current-time voltages (``voltage_lag0_selector``)
 masked from the inputs and the loss targets kept, joined with
 ``concat_sample_sets``; every trainer adds this one pattern. The loss,
-``nll_loss_packed``, is one engine primitive, ``diffcore.gaussian_nll``,
+``nll_loss_packed``, is one engine layer, ``diffcore.gaussian_nll``,
 which sums over observed entries only
 
     0.5 * log(var) + 0.5 * (y - mu)^2 / var
@@ -22,7 +22,8 @@ per-epoch train/validation NLL and stops early when validation stops
 improving; the returned parameters are the best-validation checkpoint.
 The loop only needs a model exposing ``params`` and
 ``forward(features, mask, tape) -> (mu, logvar)`` over packed group
-arrays, so the centralized baselines train through the same code path.
+arrays that, on a tape, sets the tape's reverse pass (``Tape.reverse``),
+so the centralized baselines train through the same code path.
 
 Each mini-batch trains as the row blocks ``diffcore.row_blocks`` cuts by
 its row count alone (512 rows as 4 × 128, 240 as 2 × 120), on the cores
@@ -334,11 +335,13 @@ def concat_sample_sets(parts: Sequence[SampleSet]) -> SampleSet:
 # Loss
 
 
-def nll_loss_packed(mu: dict, logvar: dict, targets: dict, loss_mask: dict):
-    """Masked NLL over packed groups, one ``diffcore.gaussian_nll`` node
-    on the operands' tape (if any); returns (sum tensor, n observed)."""
+def nll_loss_packed(mu: dict, logvar: dict, targets: dict, loss_mask: dict,
+                    tape: Optional[Tape] = None):
+    """Masked NLL over packed groups, one ``diffcore.gaussian_nll``
+    record on ``tape`` (if any) after the forward's; returns (0-d sum
+    array, n observed)."""
     count = sum(float(np.asarray(loss_mask[key]).sum()) for key in mu)
-    return dc.gaussian_nll(mu, logvar, targets, loss_mask), count
+    return dc.gaussian_nll(mu, logvar, targets, loss_mask, tape), count
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +365,7 @@ def evaluate_nll(model, samples: SampleSet) -> float:
         f, m, t, lm = samples.batch(idx)
         mu, logvar = blocked_forward(model, f, m)
         loss, c = nll_loss_packed(mu, logvar, t, lm)
-        total += float(loss.data)
+        total += float(loss)
         count += c
     if count == 0:
         raise DatasetError("no observed entries to evaluate")
@@ -415,12 +418,12 @@ def _train_block(model, samples: SampleSet, idx: np.ndarray, tape: Tape,
     f, m, t, lm = samples.batch(idx)
     block_tape = tape.fork(grads, workspace)
     mu, logvar = model.forward(f, m, tape=block_tape)
-    loss_sum, _ = nll_loss_packed(mu, logvar, t, lm)
-    if np.isfinite(loss_sum.data):
+    loss_sum, _ = nll_loss_packed(mu, logvar, t, lm, tape=block_tape)
+    if np.isfinite(loss_sum):
         for g in grads.values():
             g[...] = 0.0
         backward(block_tape, loss_sum, scale)
-    return float(loss_sum.data)
+    return float(loss_sum)
 
 
 def train(model, train_samples: SampleSet, val_samples: SampleSet,

@@ -53,8 +53,8 @@ def test_degenerate_single_node_baseline():
     f = mlp.pack({"g": np.array([[0.5, -1.0]])})
     m = mlp.pack({"g": np.ones((1, 2))})
     mu, lv = mlp.forward(f, m)
-    assert mu["2:2"].data.shape == (1, 1, 2)
-    assert np.all(np.exp(lv["2:2"].data) > 0)
+    assert mu["2:2"].shape == (1, 1, 2)
+    assert np.all(np.exp(lv["2:2"]) > 0)
 
 
 def test_baseline_forward_and_gradients_flow():
@@ -67,34 +67,38 @@ def test_baseline_forward_and_gradients_flow():
     t = mlp.pack({nid: rng.standard_normal((4, 1)) for nid in topo.ids()})
     tape = dc.Tape()
     mu, lv = mlp.forward(f, m, tape=tape)
-    loss, cnt = nll_loss_packed(mu, lv, t, m)
+    loss, cnt = nll_loss_packed(mu, lv, t, m, tape=tape)
     dc.backward(tape, loss, 1.0)
     total = sum(float(np.abs(g).sum()) for g in mlp.params.grads.values())
     assert total > 0.0
 
 
 def test_baseline_gradients_match_finite_differences():
+    # the auto-encoder's and the MLP's reverse pass, at 1, 2 and 3 layers
     topo = chain_topology()
     schemas = chain_schemas()
-    mlp = build_baseline("ae", topo, schemas, layers=2, hidden=4, seed=3)
-    rng = np.random.default_rng(1)
-    f = mlp.pack({nid: rng.standard_normal((2, 1)) for nid in topo.ids()})
-    m = mlp.pack({nid: np.ones((2, 1)) for nid in topo.ids()})
-    t = mlp.pack({nid: rng.standard_normal((2, 1)) for nid in topo.ids()})
+    for kind, layers in (("ae", 2), ("mlp", 2), ("mlp", 1), ("ae", 3)):
+        mlp = build_baseline(kind, topo, schemas, layers=layers, hidden=4,
+                             seed=3)
+        rng = np.random.default_rng(1)
+        f = mlp.pack({nid: rng.standard_normal((2, 1)) for nid in topo.ids()})
+        m = mlp.pack({nid: np.ones((2, 1)) for nid in topo.ids()})
+        t = mlp.pack({nid: rng.standard_normal((2, 1)) for nid in topo.ids()})
 
-    def build(tape):
-        mu, lv = mlp.forward(f, m, tape=tape)
-        loss, cnt = nll_loss_packed(mu, lv, t, m)
-        return loss
+        def build(tape):
+            mu, lv = mlp.forward(f, m, tape=tape)
+            loss, cnt = nll_loss_packed(mu, lv, t, m, tape=tape)
+            return loss
 
-    tape = dc.Tape()
-    loss = build(tape)
-    dc.backward(tape, loss, 1.0)
-    analytic = {p: g.copy() for p, g in mlp.params.grads.items()}
-    mlp.params.zero_grads()
-    err = dc.gradient_check(lambda: float(build(None).data), mlp.params,
-                            analytic, floor=1e-4)
-    assert err < 1e-4
+        tape = dc.Tape()
+        loss = build(tape)
+        dc.backward(tape, loss, 1.0)
+        analytic = {p: g.copy() for p, g in mlp.params.grads.items()}
+        assert all(g.any() for g in analytic.values()), (kind, layers)
+        mlp.params.zero_grads()
+        err = dc.gradient_check(lambda: float(build(None)), mlp.params,
+                                analytic, floor=1e-4)
+        assert err < 1e-4, (kind, layers)
 
 
 def test_unknown_baseline_kind_rejected():

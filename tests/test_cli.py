@@ -104,6 +104,16 @@ def test_simulate_rejects_zero_days(world, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("days", ["inf", "nan", "-1"])
+def test_simulate_rejects_days_that_are_not_finite_and_positive(
+        world, tmp_path, capsys, days):
+    rc = main(["simulate", "--spec", world["spec_path"], "--days", days,
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "--days must be positive and finite" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "x")
+
+
 def test_simulate_missing_spec_is_missing_artifact(tmp_path):
     rc = main(["simulate", "--spec", str(tmp_path / "nope.json"),
                "--days", "3", "--out", str(tmp_path / "x")])
@@ -159,6 +169,23 @@ def test_evaluate_with_missing_rate_flag(world):
     assert report["missing_rate"] == 0.10
 
 
+@pytest.mark.parametrize("rate", ["-0.5", "1", "1.5", "nan"])
+def test_evaluate_missing_rate_outside_zero_one_exits_2(world, tmp_path,
+                                                       capsys, rate):
+    # checked before the config or checkpoint is read: a missing
+    # checkpoint would exit 3
+    cfg = json.loads(json.dumps(world["cfg"]))
+    cfg["paths"]["checkpoint"] = str(tmp_path / "none.json")
+    cfg["paths"]["out_dir"] = str(tmp_path / "out")
+    cfg_path = str(tmp_path / "rate.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    rc = main(["evaluate", "--config", cfg_path, "--missing-rate", rate])
+    assert rc == 2
+    assert "--missing-rate must lie in [0, 1)" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "evaluation.json")
+
+
 def test_missing_checkpoint_exits_3(world, tmp_path):
     cfg = json.loads(json.dumps(world["cfg"]))
     cfg["paths"]["checkpoint"] = str(tmp_path / "no_such.json")
@@ -184,6 +211,24 @@ def test_bad_checkpoint_parameter_exits_2(world, tmp_path, capsys, fault):
     pid = write_bad_checkpoint(world["cfg"]["paths"]["checkpoint"], bad, fault)
     assert _evaluate_with_checkpoint(world, tmp_path, bad) == 2
     assert repr(pid) in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "evaluation.json")
+
+
+@pytest.mark.parametrize("fault, name", [("weight", "node/p1/enc/L0/W"),
+                                         ("std", "p2")])
+def test_non_finite_checkpoint_exits_2(world, tmp_path, capsys, fault, name):
+    with open(world["cfg"]["paths"]["checkpoint"]) as fh:
+        doc = json.load(fh)
+    if fault == "weight":
+        doc["parameters"][name]["values"][0] = float("nan")
+    else:
+        doc["standardization"][name]["std"][0] = float("inf")
+    bad = str(tmp_path / "bad_checkpoint.json")
+    with open(bad, "w") as fh:
+        json.dump(doc, fh)  # NaN and Infinity, which json.load reads back
+    assert _evaluate_with_checkpoint(world, tmp_path, bad) == 2
+    err = capsys.readouterr().err
+    assert repr(name) in err and "finite" in err
     assert not os.path.exists(tmp_path / "out" / "evaluation.json")
 
 
@@ -358,6 +403,49 @@ def test_impute_writes_report(world, capsys):
     n_filled = sum(not rec["was_observed"] for rec in doc["channels"].values())
     assert capsys.readouterr().out.splitlines()[-1] == (
         f"imputed {n_filled} channels in one forward")
+
+
+def test_impute_mask_imputes_the_named_channels(world, tmp_path, capsys):
+    cfg = json.loads(json.dumps(world["cfg"]))
+    cfg["paths"]["out_dir"] = str(tmp_path / "out")
+    cfg_path = str(tmp_path / "mask.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    args = ["impute", "--config", cfg_path, "--timestamp",
+            "2019-06-05T12:00:00Z"]
+    assert main(args) == 0
+    plain = json.load(open(tmp_path / "out" / "imputation.json"))["channels"]
+    assert plain["p1:voltage"]["was_observed"]
+    assert plain["p3:energy@-96"]["was_observed"]
+    capsys.readouterr()
+    assert main(args + ["--mask", "p1:voltage",
+                        "--mask", "p3:energy@-96"]) == 0
+    doc = json.load(open(tmp_path / "out" / "imputation.json"))["channels"]
+    for name in ("p1:voltage", "p3:energy@-96"):
+        assert not doc[name]["was_observed"], name
+        assert doc[name]["value"] != plain[name]["value"], name
+    n_filled = sum(not rec["was_observed"] for rec in doc.values())
+    assert n_filled == 2 + sum(not rec["was_observed"]
+                               for rec in plain.values())
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"imputed {n_filled} channels in one forward")
+
+
+@pytest.mark.parametrize("mask, named", [
+    ("p9:voltage", "unknown node 'p9'"), ("p1:volts", "no channel 'volts'"),
+    ("voltage", "unknown node ''")])
+def test_impute_mask_of_an_unknown_channel_exits_2(world, tmp_path, capsys,
+                                                   mask, named):
+    cfg = json.loads(json.dumps(world["cfg"]))
+    cfg["paths"]["out_dir"] = str(tmp_path / "out")
+    cfg_path = str(tmp_path / "mask.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    rc = main(["impute", "--config", cfg_path, "--timestamp",
+               "2019-06-05T12:00:00Z", "--mask", mask])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "imputation.json")
 
 
 def test_congest_on_quiet_world_finds_no_events(world):

@@ -1,6 +1,7 @@
-"""Tensor engine tests: forward semantics, reverse-mode gradients against
-central finite differences, stacked MLP blocks, Adam, tape order, what
-the tape keeps alive and run-to-run determinism."""
+"""Layer kernels and their backward kernels: forward semantics, adjoints
+against central finite differences and against numpy compositions bit
+for bit, stacked MLP blocks, Adam, record order, what a record keeps
+alive, the reverse-pass contract and run-to-run determinism."""
 
 import gc
 import tracemalloc
@@ -11,32 +12,46 @@ import pytest
 
 from gridmpnn import diffcore as dc
 from gridmpnn import gridsim
-from gridmpnn.gridgraph import derive_schemas
+from gridmpnn.gridgraph import NodeSchema, derive_schemas, load_topology
 from gridmpnn.mpnn import GnnConfig, GnnModel
 from gridmpnn.training import TrainingConfig, build_samples, nll_loss_packed
 
 
 def _seed(out, mix):
-    """The first ``out.data.size`` entries of ``mix`` in ``out``'s shape:
-    the adjoint that seeds the gradient of sum(mix * out)."""
-    return np.reshape(mix[:out.data.size], out.data.shape)
+    """The first ``out.size`` entries of ``mix`` in ``out``'s shape: the
+    adjoint that seeds the gradient of sum(mix * out)."""
+    return np.reshape(mix[:np.size(out)], np.shape(out))
 
 
-def _fd_check(build_out, params, mix, step=1e-5, floor=1e-6):
-    """Analytic gradients of sum(mix * out) via one taped backward seeded
-    with ``mix``, then the central-difference oracle over every parameter
-    entry."""
+def _fd_check(forward, reverse, params, mix, step=1e-5, floor=1e-6):
+    """Analytic gradients of sum(mix * out), ``out = forward(values,
+    tape)``, from ``reverse(tape, adjoint)`` -> {parameter id: gradient},
+    which must take every record; then the central-difference oracle
+    over every parameter entry."""
     tape = dc.Tape()
-    out = build_out(tape)
+    out = forward(params.values, tape)
     adjoint = _seed(out, mix)
-    dc.backward(tape, out, adjoint)
-    analytic = {key: g.copy() for key, g in params.grads.items()}
-    params.zero_grads()
+    analytic = reverse(tape, adjoint)
+    assert tape.taken == len(tape.nodes)
 
     def loss_value():
-        return float((build_out(None).data * adjoint).sum())
+        return float((forward(params.values, None) * adjoint).sum())
 
     return dc.gradient_check(loss_value, params, analytic, step=step, floor=floor)
+
+
+def _mlp(params, spec, x, prefix="net"):
+    """(forward, reverse) of the MLP block ``prefix`` over ``x`` for
+    ``_fd_check``."""
+    def forward(values, tape):
+        return dc.mlp_forward(params, spec, prefix, x, tape=tape)
+
+    def reverse(tape, adj):
+        grads = {k: np.zeros_like(v) for k, v in params.values.items()}
+        dc.mlp_backward(tape, grads, len(spec) - 1, adj)
+        return grads
+
+    return forward, reverse
 
 
 # ---------------------------------------------------------------------------
@@ -48,14 +63,14 @@ def test_mlp_zero_weights_gives_zero_output():
     for a, shape in zip(dc.mlp_layer_ids("net", [3, 4, 2]), [(4, 5), (5, 2)]):
         params.add(a, np.zeros(shape))
     out = dc.mlp_forward(params, [3, 4, 2], "net", np.array([[0.3, -1.2, 2.0]]))
-    assert np.array_equal(out.data, np.zeros((1, 2)))
+    assert np.array_equal(out, np.zeros((1, 2)))
 
 
 def test_mlp_single_linear_layer_is_identity_map():
     params = dc.ParameterSet()
     params.add("net/L0", np.array([[1.0], [0.0]]))  # weight 1, bias 0
     out = dc.mlp_forward(params, [1, 1], "net", np.array([[0.7]]))
-    assert out.data[0, 0] == pytest.approx(0.7)
+    assert out[0, 0] == pytest.approx(0.7)
 
 
 def test_mlp_two_layer_tanh_of_zero_is_zero():
@@ -64,7 +79,7 @@ def test_mlp_two_layer_tanh_of_zero_is_zero():
     params.add("net/L0", np.array([[1.0, 0.0], [0.0, dc.CONSTANT_BIAS]]))
     params.add("net/L1", np.array([[1.0], [0.0]]))
     out = dc.mlp_forward(params, [1, 1, 1], "net", np.array([[0.0]]))
-    assert out.data[0, 0] == 0.0
+    assert out[0, 0] == 0.0
 
 
 def test_mlp_shape_mismatch_names_layer():
@@ -98,49 +113,59 @@ def test_mlp_init_ranges():
 
 
 def test_backward_linear_gradient():
-    params = dc.ParameterSet()
-    params.add("a", np.array([[2.0], [0.0]]))  # weight 2, bias 0
     tape = dc.Tape()
-    x = tape.leaf(np.array([[3.0]]))
-    out = dc.dense(x, params.tensor(tape, "a"), hidden=False, ones=True)
-    dc.backward(tape, out, np.ones((1, 1)))
-    assert params.grads["a"][0, 0] == pytest.approx(3.0)
+    dc.dense(np.array([[3.0]]), np.array([[2.0], [0.0]]), hidden=False,
+             ones=True, tape=tape)  # weight 2, bias 0
+    _, grad = dc.dense_backward(tape.take(dc.DenseRecord), np.ones((1, 1)))
+    assert grad[0, 0] == pytest.approx(3.0)
 
 
 def test_backward_tanh_prime_at_zero():
     # a hidden dense layer at zero pre-activation: d tanh(x*w + b)/db = 1
-    params = dc.ParameterSet()
-    params.add("a", np.array([[1.0], [0.0]]))  # weight 1, bias 0
     tape = dc.Tape()
-    out = dc.dense(np.array([[0.0]]), params.tensor(tape, "a"), hidden=True,
-                   ones=True)
-    dc.backward(tape, out, np.ones((1, 1)))
-    assert params.grads["a"][1, 0] == pytest.approx(1.0)
+    dc.dense(np.array([[0.0]]), np.array([[1.0], [0.0]]), hidden=True,
+             ones=True, tape=tape)  # weight 1, bias 0
+    _, grad = dc.dense_backward(tape.take(dc.DenseRecord), np.ones((1, 1)))
+    assert grad[1, 0] == pytest.approx(1.0)
+
+
+def _lone_node_model():
+    topo = load_topology({"nodes": [{"id": "g", "kind": "global"}],
+                          "edges": []})
+    model = GnnModel(topo, {"g": NodeSchema("g", [("x", "energy")], [], [],
+                                            p=1)},
+                     GnnConfig(message_passing_steps=1))
+    f = model.pack({"g": np.array([[0.4], [-0.3], [1.2]])})
+    return model, f, model.pack({"g": np.ones((3, 1))})
 
 
 def test_backward_rejects_an_adjoint_of_another_shape():
-    params = dc.ParameterSet()
-    params.add("w", np.ones(3))
+    # the seed has the loss's shape, () for its scale; backward runs the
+    # reverse pass of the model that recorded the tape, once
+    model, f, m = _lone_node_model()
     tape = dc.Tape()
-    out = dc.clip(params.tensor(tape, "w"), -2.0, 2.0)
+    mu, logvar = model.forward(f, m, tape=tape)
+    loss, _ = nll_loss_packed(mu, logvar, f, m, tape=tape)
     with pytest.raises(dc.ContractError, match="adjoint"):
-        dc.backward(tape, out, 1.0)
-    with pytest.raises(dc.ContractError, match="tape"):
-        dc.backward(dc.Tape(), out, np.ones(3))
-    dc.backward(tape, out, np.full(3, 0.5))
-    assert np.array_equal(params.grads["w"], np.full(3, 0.5))
+        dc.backward(tape, loss, np.ones(3))
+    with pytest.raises(dc.ContractError, match="no model"):
+        dc.backward(dc.Tape(), loss, 0.5)
+    dc.backward(tape, loss, 0.5)
+    assert tape.taken == len(tape.nodes) > 0
+    assert all(record is None for record in tape.nodes)
+    assert any(g.any() for g in model.params.grads.values())
+    with pytest.raises(dc.ContractError, match="has run"):
+        dc.backward(tape, loss, 0.5)
 
 
 def test_backward_unreachable_parameter_keeps_zero_gradient():
     params = dc.ParameterSet()
-    params.add("used", np.array([[1.5], [0.0]]))  # weight 1.5, bias 0
+    params.add("net/L0", np.array([[1.5], [0.0]]))  # weight 1.5, bias 0
     params.add("unused", np.array([2.5]))
     tape = dc.Tape()
-    out = dc.dense(np.array([[2.0]]), params.tensor(tape, "used"),
-                   hidden=False, ones=True)
-    _ = params.tensor(tape, "unused")  # on the tape but not in the output
-    dc.backward(tape, out, np.ones((1, 1)))
-    assert params.grads["used"][0, 0] == pytest.approx(2.0)
+    dc.mlp_forward(params, [1, 1], "net", np.array([[2.0]]), tape=tape)
+    dc.mlp_backward(tape, params.grads, 1, np.ones((1, 1)))
+    assert params.grads["net/L0"][0, 0] == pytest.approx(2.0)
     assert params.grads["unused"][0] == 0.0
 
 
@@ -150,11 +175,8 @@ def test_backward_random_mlp_matches_finite_differences():
     dc.mlp_init(params, "net", [4, 6, 3], rng)
     x = rng.standard_normal((5, 4))
     w = rng.standard_normal((5, 3))  # fixed mixing weights -> scalar loss
-
-    def build(tape):
-        return dc.mlp_forward(params, [4, 6, 3], "net", x, tape=tape)
-
-    assert _fd_check(build, params, w.ravel()) < 1e-4
+    forward, reverse = _mlp(params, [4, 6, 3], x)
+    assert _fd_check(forward, reverse, params, w.ravel()) < 1e-4
 
 
 _X_STACK = np.array([[[0.5], [-1.5]], [[2.0], [0.25]]])  # (n=2, B=2, i=1)
@@ -164,62 +186,111 @@ _NLL = {"y": np.array([[0.8, -1.3]]), "lv": np.array([[0.3, -0.6]]),
 # a routing matrix over 3 incoming edges of 2 nodes, one of them fed twice
 _ROUTING = np.array([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
 
-# name: (parameter shapes, the op over those parameters' tensors). Each
-# affine block is the weight rows, then the bias row.
+
+def _dense_grads(tape, adj, names):
+    """{name: adjoint} of a dense layer's parts and block, for the names
+    given in part order, the block's last; a name given twice adds."""
+    parts, grad = dc.dense_backward(tape.take(dc.DenseRecord), adj)
+    out = {}
+    for name, g in zip(names, parts + [grad]):
+        if name is not None:
+            out[name] = out[name] + g if name in out else g
+    return out
+
+
+def _nll_grads(tape, adj, names):
+    """{name: adjoint} of the loss's (mean or log-variance, group)
+    operands named in ``names``; a name given twice adds."""
+    dmu, dlv = dc.gaussian_nll_backward(tape.take(dc.NllRecord), adj)
+    out = {}
+    for name, (head, key) in names.items():
+        for h, k in ([(head, key)] if isinstance(head, str) else zip(head, key)):
+            g = (dmu if h == "mu" else dlv)[k]
+            out[name] = out[name] + g if name in out else g
+    return out
+
+
+def _regroup_grads(tape, adj):
+    into = np.zeros((2, 7))
+    dc.regroup_backward(adj, 1, 7, into)
+    return {"h": into}
+
+
+# name: (parameter shapes, forward over those parameters' values, the
+# reverse giving each parameter's gradient). Each affine block is the
+# weight rows, then the bias row.
 OPS = {
     # the input of a hidden layer
-    "dense_hidden": ({"p": (1, 2)}, lambda t: dc.dense(
+    "dense_hidden": ({"p": (1, 2)}, lambda t, tape: dc.dense(
         t["p"], np.array([[0.7, -1.1], [0.4, 0.9], [0.2, -0.3]]), hidden=True,
-        ones=True)),
+        ones=True, tape=tape), lambda tape, adj: _dense_grads(
+            tape, adj, ["p", None])),
     # the block of an output layer
-    "dense_output": ({"a": (2, 2)}, lambda t: dc.dense(
-        np.array([[1.3], [-0.6]]), t["a"], hidden=False, ones=True)),
+    "dense_output": ({"a": (2, 2)}, lambda t, tape: dc.dense(
+        np.array([[1.3], [-0.6]]), t["a"], hidden=False, ones=True,
+        tape=tape), lambda tape, adj: _dense_grads(tape, adj, [None, "a"])),
     # a stacked (n, i + 1, o) block
-    "dense_stacked": ({"a": (2, 2, 1)}, lambda t: dc.dense(
-        _X_STACK, t["a"], hidden=True, ones=True)),
+    "dense_stacked": ({"a": (2, 2, 1)}, lambda t, tape: dc.dense(
+        _X_STACK, t["a"], hidden=True, ones=True, tape=tape),
+        lambda tape, adj: _dense_grads(tape, adj, [None, "a"])),
     # one (i + 1, o) block broadcast over (n, B)
-    "dense_shared": ({"a": (2, 1)}, lambda t: dc.dense(
-        _X_STACK[:, :1], t["a"], hidden=True, ones=True)),
+    "dense_shared": ({"a": (2, 1)}, lambda t, tape: dc.dense(
+        _X_STACK[:, :1], t["a"], hidden=True, ones=True, tape=tape),
+        lambda tape, adj: _dense_grads(tape, adj, [None, "a"])),
     # a part read twice of a multi-part input, and the block
-    "dense_parts": ({"x": (2, 1), "a": (4, 2)}, lambda t: dc.dense(
+    "dense_parts": ({"x": (2, 1), "a": (4, 2)}, lambda t, tape: dc.dense(
         [t["x"], np.array([[0.6], [-0.2]]), t["x"]], t["a"], hidden=True,
-        ones=True)),
-    # a gathered tensor (with repeated rows), and the block
-    "gather_dense": ({"x": (2, 1, 1), "a": (3, 1)}, lambda t: dc.gather_dense(
-        [t["x"], _X_STACK[:, :1]], [np.array([1, 0, 1]), np.array([0, 1, 1])],
-        t["a"], hidden=True, ones=True)),
+        ones=True, tape=tape), lambda tape, adj: _dense_grads(
+            tape, adj, ["x", None, "x", "a"])),
+    # a gathered array (with repeated rows), and the block
+    "gather_dense": ({"x": (2, 1, 1), "a": (3, 1)}, lambda t, tape: dc.dense(
+        [t["x"], _X_STACK[:, :1]], t["a"], hidden=True, ones=True,
+        rows=[np.array([1, 0, 1]), np.array([0, 1, 1])], tape=tape),
+        lambda tape, adj: _dense_grads(tape, adj, ["x", None, "a"])),
     # a group fed by one edge group, and one fed by two
-    "route_one_group": ({"m": (3, 2, 2)}, lambda t: dc.route(
-        [t["m"]], _ROUTING)),
+    "route_one_group": ({"m": (3, 2, 2)}, lambda t, tape: dc.route(
+        [t["m"]], _ROUTING), lambda tape, adj: dict(zip(
+            "m", dc.route_backward(_ROUTING, adj, [3])))),
     "route_several_groups": ({"m": (2, 2, 2), "k": (1, 2, 2)},
-                             lambda t: dc.route([t["m"], t["k"]], _ROUTING)),
-    "regroup": ({"h": (2, 7)}, lambda t: dc.regroup(t["h"], 1, 7, 3)),
-    "clip": ({"p": (1, 2)}, lambda t: dc.clip(t["p"], -0.5, 0.5)),
-    "gaussian_nll_mu": ({"p": (1, 2)}, lambda t: dc.gaussian_nll(
-        {"k": t["p"]}, {"k": _NLL["lv"]}, {"k": _NLL["y"]}, {"k": _NLL["w"]})),
-    "gaussian_nll_logvar": ({"p": (1, 2)}, lambda t: dc.gaussian_nll(
-        {"k": _NLL["mu"]}, {"k": t["p"]}, {"k": _NLL["y"]}, {"k": _NLL["w"]})),
+                             lambda t, tape: dc.route([t["m"], t["k"]],
+                                                      _ROUTING),
+                             lambda tape, adj: dict(zip(
+                                 "mk", dc.route_backward(_ROUTING, adj,
+                                                         [2, 1])))),
+    "regroup": ({"h": (2, 7)}, lambda t, tape: dc.regroup(t["h"], 1, 7, 3),
+                _regroup_grads),
+    "clip": ({"p": (1, 2)}, lambda t, tape: dc.clip(t["p"], -0.5, 0.5, tape),
+             lambda tape, adj: {"p": dc.clip_backward(
+                 tape.take(dc.ClipRecord), adj)}),
+    "gaussian_nll_mu": ({"p": (1, 2)}, lambda t, tape: dc.gaussian_nll(
+        {"k": t["p"]}, {"k": _NLL["lv"]}, {"k": _NLL["y"]}, {"k": _NLL["w"]},
+        tape), lambda tape, adj: _nll_grads(tape, adj, {"p": ("mu", "k")})),
+    "gaussian_nll_logvar": ({"p": (1, 2)}, lambda t, tape: dc.gaussian_nll(
+        {"k": _NLL["mu"]}, {"k": t["p"]}, {"k": _NLL["y"]}, {"k": _NLL["w"]},
+        tape), lambda tape, adj: _nll_grads(tape, adj, {"p": ("lv", "k")})),
     # two groups, p the mean of one and the log-variance of the other
-    "gaussian_nll_groups": ({"p": (1, 2), "q": (1, 2)}, lambda t: dc.gaussian_nll(
-        {"a": t["p"], "b": t["q"]}, {"a": _NLL["lv"], "b": t["p"]},
-        {"a": _NLL["y"], "b": _NLL["mu"]},
-        {"a": _NLL["w"], "b": _NLL["w"][:, ::-1]})),
+    "gaussian_nll_groups": ({"p": (1, 2), "q": (1, 2)},
+                            lambda t, tape: dc.gaussian_nll(
+                                {"a": t["p"], "b": t["q"]},
+                                {"a": _NLL["lv"], "b": t["p"]},
+                                {"a": _NLL["y"], "b": _NLL["mu"]},
+                                {"a": _NLL["w"], "b": _NLL["w"][:, ::-1]},
+                                tape),
+                            lambda tape, adj: _nll_grads(
+                                tape, adj, {"p": (("mu", "lv"), ("a", "b")),
+                                            "q": ("mu", "b")})),
 }
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
 def test_primitive_gradients_match_finite_differences(name):
     rng = np.random.default_rng(7)
-    shapes, op = OPS[name]
+    shapes, forward, reverse = OPS[name]
     params = dc.ParameterSet()
     for key, shape in shapes.items():
         params.add(key, rng.uniform(-0.4, 0.4, size=shape))
     mix = rng.standard_normal(16)
-
-    def build(tape):
-        return op({key: params.tensor(tape, key) for key in shapes})
-
-    assert _fd_check(build, params, mix) < 1e-4
+    assert _fd_check(forward, reverse, params, mix) < 1e-4
 
 
 def test_matmul_stacked_and_broadcast_gradients():
@@ -231,11 +302,14 @@ def test_matmul_stacked_and_broadcast_gradients():
         params = dc.ParameterSet()
         params.add("a", rng.standard_normal(block))
 
-        def build(tape):
-            return dc.dense(x, params.tensor(tape, "a"), hidden=False,
-                            ones=True)
+        def forward(values, tape):
+            return dc.dense(x, values["a"], hidden=False, ones=True, tape=tape)
 
-        assert _fd_check(build, params, rng.standard_normal(40)) < 1e-4, block
+        def reverse(tape, adj):
+            return _dense_grads(tape, adj, [None, "a"])
+
+        assert _fd_check(forward, reverse, params,
+                         rng.standard_normal(40)) < 1e-4, block
 
 
 def _sum_to(g, shape):
@@ -264,15 +338,11 @@ def test_dense_matches_unfused_composition_bit_for_bit(shapes, hidden):
     xd = np.random.default_rng(13).standard_normal(xs)
     wd = np.random.default_rng(14).standard_normal(ws)
     bd = np.random.default_rng(15).standard_normal(bs)
-    params = dc.ParameterSet()
-    params.add("x", xd)
-    params.add("a", np.concatenate([wd, bd.reshape(ws[:-2] + (1, ws[-1]))],
-                                   axis=-2))
+    block = np.concatenate([wd, bd.reshape(ws[:-2] + (1, ws[-1]))], axis=-2)
     tape = dc.Tape()
-    out = dc.dense(params.tensor(tape, "x"), params.tensor(tape, "a"),
-                   hidden=hidden, ones=True)
-    got = out.data.copy()  # backward forms the tanh derivative in place
-    dc.backward(tape, out, mix)
+    out = dc.dense(xd, block, hidden=hidden, ones=True, tape=tape)
+    got = out.copy()  # backward forms the tanh derivative in place
+    (gx,), ga = dc.dense_backward(tape.take(dc.DenseRecord), mix)
     want = xd @ wd + bd
     g = mix
     if hidden:
@@ -284,17 +354,15 @@ def test_dense_matches_unfused_composition_bit_for_bit(shapes, hidden):
     wants = {"x": _sum_to(g @ wd.swapaxes(-1, -2), xs),
              "W": _sum_to(xd.swapaxes(-1, -2) @ g, ws),
              "b": _sum_to(g.sum(axis=-2, keepdims=True), bs)}
-    ga = params.grads["a"]
-    gots = {"x": params.grads["x"], "W": ga[..., :-1, :],
-            "b": ga[..., -1, :].reshape(bs)}
+    gots = {"x": gx, "W": ga[..., :-1, :], "b": ga[..., -1, :].reshape(bs)}
     for k, want in wants.items():
         assert gots[k].any()
         assert np.array_equal(gots[k], want), k
 
 
 def _composed_nll(mu, lv, y, w, c):
-    """The loss, times ``c``, as elementwise tape primitives composed it,
-    in numpy: per group d = y - mu, terms = 0.5 * lv + 0.5 * (d * d) *
+    """The loss, times ``c``, as elementwise primitives composed it, in
+    numpy: per group d = y - mu, terms = 0.5 * lv + 0.5 * (d * d) *
     exp(-lv) and sum(terms * w), the group sums added in order; then the
     adjoints that chain's backward sent to lv (first from -lv, then from
     0.5 * lv) and to mu (from both factors of d * d, then through y - mu).
@@ -318,33 +386,26 @@ def test_gaussian_nll_matches_composed_loss_bit_for_bit():
     # three groups, whose sums added in reverse order give another float
     rng = np.random.default_rng(23)
     shapes = {"a": (3, 7, 2), "b": (1, 7, 5), "c": (4, 7, 1)}
-    params = dc.ParameterSet()
-    y, w = {}, {}
+    mu, lv, y, w = {}, {}, {}, {}
     for k, shape in shapes.items():
-        params.add(f"mu/{k}", rng.standard_normal(shape))
-        params.add(f"lv/{k}", rng.uniform(-2.0, 2.0, shape))
+        mu[k] = rng.standard_normal(shape)
+        lv[k] = rng.uniform(-2.0, 2.0, shape)
         y[k] = rng.standard_normal(shape)
         w[k] = (rng.random(shape) > 0.3) * rng.uniform(0.5, 2.0, shape)
     c = 1.0 / 12345.0
     tape = dc.Tape()
-    loss = dc.gaussian_nll(
-        {k: params.tensor(tape, f"mu/{k}") for k in shapes},
-        {k: params.tensor(tape, f"lv/{k}") for k in shapes}, y, w)
-    dc.backward(tape, loss, c)
-    mu = {k: params.values[f"mu/{k}"] for k in shapes}
-    lv = {k: params.values[f"lv/{k}"] for k in shapes}
-    want, dmu, dlv = _composed_nll(mu, lv, y, w, c)
+    loss = dc.gaussian_nll(mu, lv, y, w, tape)
+    dmu, dlv = dc.gaussian_nll_backward(tape.take(dc.NllRecord),
+                                        np.asarray(c))
+    want, want_mu, want_lv = _composed_nll(mu, lv, y, w, c)
     backwards = {k: mu[k] for k in reversed(shapes)}
     assert _composed_nll(backwards, lv, y, w, c)[0] != want
-    assert np.array_equal(loss.data * c, want)
+    assert np.array_equal(loss * c, want)
     for k in shapes:
-        assert params.grads[f"mu/{k}"].any() and params.grads[f"lv/{k}"].any()
-        assert np.array_equal(params.grads[f"mu/{k}"], dmu[k]), k
-        assert np.array_equal(params.grads[f"lv/{k}"], dlv[k]), k
-    untaped = dc.gaussian_nll({k: dc.Tensor(v) for k, v in mu.items()},
-                              {k: dc.Tensor(v) for k, v in lv.items()}, y, w)
-    assert untaped.tape is None
-    assert np.array_equal(untaped.data, loss.data)
+        assert dmu[k].any() and dlv[k].any()
+        assert np.array_equal(dmu[k], want_mu[k]), k
+        assert np.array_equal(dlv[k], want_lv[k]), k
+    assert np.array_equal(dc.gaussian_nll(mu, lv, y, w), loss)
 
 
 # per node group, the sizes of the edge groups that feed it
@@ -361,22 +422,15 @@ def test_route_matches_numpy_reference_bit_for_bit(feeds):
     edges = sum(sizes)
     routing = rng.uniform(0.1, 1.0, (n, edges)) * (rng.random((n, edges)) > 0.4)
     mix = rng.standard_normal((n, batch, m))
-    params = dc.ParameterSet()
-    for k, size in enumerate(sizes):
-        params.add(f"m{k}", rng.standard_normal((size, batch, m)))
-    tape = dc.Tape()
-    out = dc.route([params.tensor(tape, f"m{k}") for k in range(len(sizes))],
-                   routing)
-    dc.backward(tape, out, mix)
-    stacked = np.concatenate([params.values[f"m{k}"] for k in range(len(sizes))])
+    msgs = [rng.standard_normal((size, batch, m)) for size in sizes]
+    out = dc.route(msgs, routing)
+    pieces = dc.route_backward(routing, mix, sizes)
+    stacked = np.concatenate(msgs)
     want = (routing @ stacked.reshape(edges, batch * m)).reshape(n, batch, m)
-    assert out.data.tobytes() == want.tobytes()
+    assert out.tobytes() == want.tobytes()
     back = (routing.T @ mix.reshape(n, batch * m)).reshape(edges, batch, m)
     for k, piece in enumerate(np.split(back, np.cumsum(sizes)[:-1])):
-        assert params.grads[f"m{k}"].tobytes() == piece.tobytes(), k
-    untaped = dc.route([dc.Tensor(params.values[f"m{k}"])
-                        for k in range(len(sizes))], routing)
-    assert untaped.tape is None and untaped.data.tobytes() == want.tobytes()
+        assert pieces[k].tobytes() == piece.tobytes(), k
 
 
 def test_regroup_matches_numpy_reference_bit_for_bit():
@@ -385,22 +439,20 @@ def test_regroup_matches_numpy_reference_bit_for_bit():
     rng = np.random.default_rng(52)
     batch, layout = 4, [(0, 6, 3), (6, 8, 1)]  # (lo, hi, nodes) per group
     d = layout[-1][1]
-    params = dc.ParameterSet()
-    params.add("h", rng.standard_normal((batch, 2 * d)))
+    h = rng.standard_normal((batch, 2 * d))
+    into = np.zeros((batch, 2 * d))
     want_grad = np.zeros((batch, 2 * d))
     for lo, hi, n in [(lo + off, hi + off, n) for off in (0, d)
                       for lo, hi, n in layout]:
-        tape = dc.Tape()
-        out = dc.regroup(params.tensor(tape, "h"), lo, hi, n)
-        want = params.values["h"][:, lo:hi].reshape(
-            batch, n, (hi - lo) // n).transpose(1, 0, 2)
-        assert out.data.tobytes() == np.ascontiguousarray(want).tobytes()
-        mix = rng.standard_normal(out.data.shape)
-        dc.backward(tape, out, mix)  # adds into the gradient accumulator
+        out = dc.regroup(h, lo, hi, n)
+        want = h[:, lo:hi].reshape(batch, n, (hi - lo) // n).transpose(1, 0, 2)
+        assert out.tobytes() == np.ascontiguousarray(want).tobytes()
+        mix = rng.standard_normal(out.shape)
+        dc.regroup_backward(mix, lo, hi, into)  # adds into its columns
         want_grad[:, lo:hi] = mix.transpose(1, 0, 2).reshape(batch, hi - lo)
-    assert params.grads["h"].tobytes() == want_grad.tobytes()
+    assert into.tobytes() == want_grad.tobytes()
     with pytest.raises(dc.ShapeError, match="regroup"):
-        dc.regroup(dc.Tensor(want_grad), 0, 5, 2)
+        dc.regroup(want_grad, 0, 5, 2)
 
 
 def test_gaussian_nll_rejects_mismatched_group_shapes():
@@ -417,9 +469,9 @@ def test_dense_rejects_mismatched_inner_dimensions():
         dc.dense([np.zeros((2, 4, 1)), np.zeros((2, 1, 1))], np.zeros((3, 2)),
                  hidden=False, ones=True)
     with pytest.raises(dc.ShapeError, match="leading shapes"):
-        dc.gather_dense([np.zeros((3, 4, 1)), np.zeros((3, 4, 1))],
-                        [np.array([0, 1]), np.array([2])], np.zeros((3, 2)),
-                        hidden=False, ones=True)
+        dc.dense([np.zeros((3, 4, 1)), np.zeros((3, 4, 1))], np.zeros((3, 2)),
+                 hidden=False, ones=True,
+                 rows=[np.array([0, 1]), np.array([2])])
 
 
 @pytest.mark.parametrize("idx", [
@@ -432,18 +484,16 @@ def test_gather_dense_backward_matches_add_at_bit_for_bit(idx):
     # the adjoint through unchanged
     rng = np.random.default_rng(16)
     n = int(idx.max()) + 1
-    params = dc.ParameterSet()
-    params.add("a", rng.standard_normal((n, 7, 3)))
+    a = rng.standard_normal((n, 7, 3))
     mix = rng.standard_normal((idx.size, 7, 3))
     tape = dc.Tape()
-    out = dc.gather_dense([params.tensor(tape, "a")], [idx],
-                          np.vstack([np.eye(3), np.zeros(3)]), hidden=False,
-                          ones=True)
-    assert np.array_equal(out.data, params.values["a"][idx])
-    dc.backward(tape, out, mix)
+    out = dc.dense([a], np.vstack([np.eye(3), np.zeros(3)]), hidden=False,
+                   ones=True, rows=[idx], tape=tape)
+    assert np.array_equal(out, a[idx])
+    (ga,), _ = dc.dense_backward(tape.take(dc.DenseRecord), mix)
     want = np.zeros((n, 7, 3))
     np.add.at(want, idx, mix)
-    assert np.array_equal(params.grads["a"], want)
+    assert np.array_equal(ga, want)
 
 
 @pytest.mark.parametrize("hidden", [False, True])
@@ -454,30 +504,25 @@ def test_dense_members_match_gathered_weights_bit_for_bit(hidden):
     # order
     rng = np.random.default_rng(41)
     members = np.array([1, 0, 1, 2, 1, 0])
-    values = {"a": np.concatenate([rng.standard_normal((3, 4, 5)),
-                                   rng.standard_normal((3, 1, 5))], axis=1),
-              "x": rng.standard_normal((6, 7, 4))}
+    block = np.concatenate([rng.standard_normal((3, 4, 5)),
+                            rng.standard_normal((3, 1, 5))], axis=1)
+    x = rng.standard_normal((6, 7, 4))
     mix = rng.standard_normal((6, 7, 5))
 
-    def run(params, **kw):
+    def run(a, **kw):
         tape = dc.Tape()
-        out = dc.dense(params.tensor(tape, "x"), params.tensor(tape, "a"),
-                       hidden, ones=True, **kw)
-        got = out.data.copy()
-        dc.backward(tape, out, mix)
-        return got
+        out = dc.dense(x, a, hidden, ones=True, tape=tape, **kw)
+        got = out.copy()
+        (gx,), ga = dc.dense_backward(tape.take(dc.DenseRecord), mix)
+        return got, gx, ga
 
-    fused, gathered = dc.ParameterSet(), dc.ParameterSet()
-    for k, v in values.items():
-        fused.add(k, v)
-        gathered.add(k, v if k == "x" else v[members])
-    out = run(fused, members=members)
-    want = run(gathered)
+    out, gx, ga = run(block, members=members)
+    want, want_x, want_a = run(block[members])
     assert np.array_equal(out, want)
-    assert np.array_equal(fused.grads["x"], gathered.grads["x"])
-    block = np.zeros(values["a"].shape)
-    np.add.at(block, members, gathered.grads["a"])
-    assert np.array_equal(fused.grads["a"], block)
+    assert np.array_equal(gx, want_x)
+    added = np.zeros(block.shape)
+    np.add.at(added, members, want_a)
+    assert np.array_equal(ga, added)
 
 
 # (destination rows, source rows, source group is the destination group)
@@ -491,13 +536,14 @@ _EDGE_CASES = {
 }
 
 
-def _and_later(out, x, block):
-    """``out`` and a later linear read of ``x`` through the constant
-    ``block``, which sends ``x`` an adjoint before ``out``'s, stacked
-    along axis 0 into one output by an identity routing."""
-    later = dc.dense(x, block, hidden=False, ones=True)
-    edges = out.data.shape[0] + later.data.shape[0]
-    return dc.route([out, later], np.eye(edges))
+def _mlp_pass(params, spec, x, mix, **kw):
+    """The taped forward of MLP ``m`` and its reverse pass from ``mix``:
+    (output, first layer's part adjoints, block gradients)."""
+    tape = dc.Tape()
+    out = dc.mlp_forward(params, spec, "m", x, tape=tape, **kw)
+    grads = {k: np.zeros_like(v) for k, v in params.values.items()}
+    parts = dc.mlp_backward(tape, grads, len(spec) - 1, mix)
+    return out, parts, grads
 
 
 @pytest.mark.parametrize("weights", ["stacked", "lone"])
@@ -506,9 +552,7 @@ def _and_later(out, x, block):
 def test_gather_dense_matches_composed_layers_bit_for_bit(case, layers, weights):
     # the reference gathers and concatenates in numpy and feeds that copy
     # to dense layers; its adjoint goes back through np.add.at, to the
-    # destination first, as the composed gather -> gather -> concat ->
-    # dense chain sent it. A later read of the destination states sends
-    # them an adjoint first, so the order of the three sums shows.
+    # destination and to the source rows
     dst, src, same = _EDGE_CASES[case]
     rng = np.random.default_rng(31)
     pd, ps, batch = 3, (3 if same else 2), 5
@@ -516,46 +560,21 @@ def test_gather_dense_matches_composed_layers_bit_for_bit(case, layers, weights)
     xs = xd if same else rng.standard_normal((int(src.max()) + 1, batch, ps))
     spec = [pd + ps] + [4] * (layers - 1) + [2]
     members = 1 if weights == "lone" else dst.size  # share_by_type: one MLP
-
-    def model(extra):
-        params = dc.ParameterSet()
-        dc.mlp_init(params, "m", spec, np.random.default_rng(32),
-                    members=members)
-        for k, v in extra.items():
-            params.add(k, v)
-        return params
-
+    params = dc.ParameterSet()
+    dc.mlp_init(params, "m", spec, np.random.default_rng(32), members=members)
     mix = rng.standard_normal((dst.size, batch, 2))
-    mix_d = rng.standard_normal((xd.shape[0], batch, 2))
-    later = np.vstack([rng.standard_normal((pd, 2)), np.zeros((1, 2))])
-    fused = model({"xd": xd} if same else {"xd": xd, "xs": xs})
-    tape = dc.Tape()
-    td = fused.tensor(tape, "xd")
-    ts = td if same else fused.tensor(tape, "xs")
-    out = dc.mlp_forward(fused, spec, "m", (td, ts), tape=tape, rows=(dst, src))
-    dc.backward(tape, _and_later(out, td, later), np.concatenate([mix, mix_d]))
-
+    out, (to_dst, to_src), grads = _mlp_pass(params, spec, (xd, xs), mix,
+                                             rows=(dst, src))
     x = np.concatenate([xd[dst], xs[src]], axis=-1)
-    composed = model({"x": x})
-    tape = dc.Tape()
-    want = dc.mlp_forward(composed, spec, "m", composed.tensor(tape, "x"),
-                          tape=tape)
-    dc.backward(tape, want, mix)
-    assert np.array_equal(out.data, want.data)
-    gx = composed.grads["x"]
-    to_dst, to_src = np.zeros(xd.shape), np.zeros(xs.shape)
-    np.add.at(to_dst, dst, gx[..., :pd])
-    np.add.at(to_src, src, gx[..., pd:])
-    to_dst += mix_d @ later[:pd].swapaxes(-1, -2)
-    if same:
-        assert np.array_equal(fused.grads["xd"], to_dst + to_src)
-    else:
-        assert np.array_equal(fused.grads["xd"], to_dst)
-        assert np.array_equal(fused.grads["xs"], to_src)
-    for key in composed.values:
-        if key != "x":
-            assert fused.grads[key].any(), key
-            assert np.array_equal(fused.grads[key], composed.grads[key]), key
+    want, (gx,), want_grads = _mlp_pass(params, spec, x, mix)
+    assert np.array_equal(out, want)
+    ref_dst, ref_src = np.zeros(xd.shape), np.zeros(xs.shape)
+    np.add.at(ref_dst, dst, gx[..., :pd])
+    np.add.at(ref_src, src, gx[..., pd:])
+    assert np.array_equal(to_dst, ref_dst)
+    assert np.array_equal(to_src, ref_src)
+    for key, g in want_grads.items():
+        assert g.any() and np.array_equal(grads[key], g), key
 
 
 @pytest.mark.parametrize("weights", ["stacked", "lone"])
@@ -563,76 +582,43 @@ def test_gather_dense_matches_composed_layers_bit_for_bit(case, layers, weights)
 @pytest.mark.parametrize("same", [False, True], ids=["two_parts", "one_twice"])
 def test_dense_parts_match_concat_then_dense_bit_for_bit(same, layers, weights):
     # an MLP whose first layer reads (a, b) as parts against the same MLP
-    # fed their numpy concatenation, held as a parameter: a later read of
-    # a sends it an adjoint first, so the order in which its adjoints are
-    # added shows, and with b = a so does the order of the two slices
+    # fed their numpy concatenation: each part's adjoint is its slice of
+    # the concatenation's, and with b = a the two slices come apart
     rng = np.random.default_rng(41)
     n, batch, pa, pb = 3, 5, 3, (3 if same else 2)
     a = rng.standard_normal((n, batch, pa))
     b = a if same else rng.standard_normal((n, batch, pb))
     spec = [pa + pb] + [4] * (layers - 1) + [2]
     mix = rng.standard_normal((n, batch, 2))
-    mix_a = rng.standard_normal((n, batch, 2))
-    later = np.vstack([rng.standard_normal((pa, 2)), np.zeros((1, 2))])
-
-    def model(extra):
-        params = dc.ParameterSet()
-        dc.mlp_init(params, "m", spec, np.random.default_rng(42),
-                    members=n if weights == "stacked" else 1)
-        for k, v in extra.items():
-            params.add(k, v)
-        return params
-
-    fused = model({"a": a} if same else {"a": a, "b": b})
-    tape = dc.Tape()
-    ta = fused.tensor(tape, "a")
-    tb = ta if same else fused.tensor(tape, "b")
-    out = dc.mlp_forward(fused, spec, "m", (ta, tb), tape=tape)
-    dc.backward(tape, _and_later(out, ta, later), np.concatenate([mix, mix_a]))
-
-    composed = model({"x": np.concatenate([a, b], axis=-1)})
-    tape = dc.Tape()
-    want = dc.mlp_forward(composed, spec, "m", composed.tensor(tape, "x"),
-                          tape=tape)
-    dc.backward(tape, want, mix)
-    assert out.data.tobytes() == want.data.tobytes()
-    gx = composed.grads["x"]
-    to_a = mix_a @ later[:pa].swapaxes(-1, -2) + gx[..., :pa]
-    if same:
-        assert fused.grads["a"].tobytes() == (to_a + gx[..., pa:]).tobytes()
-    else:
-        assert fused.grads["a"].tobytes() == to_a.tobytes()
-        assert fused.grads["b"].tobytes() == gx[..., pa:].tobytes()
-    for key in composed.values:
-        if key != "x":
-            g = fused.grads[key]
-            assert g.any() and g.tobytes() == composed.grads[key].tobytes(), key
+    params = dc.ParameterSet()
+    dc.mlp_init(params, "m", spec, np.random.default_rng(42),
+                members=n if weights == "stacked" else 1)
+    out, (to_a, to_b), grads = _mlp_pass(params, spec, (a, b), mix)
+    want, (gx,), want_grads = _mlp_pass(
+        params, spec, np.concatenate([a, b], axis=-1), mix)
+    assert out.tobytes() == want.tobytes()
+    assert to_a.tobytes() == gx[..., :pa].tobytes()
+    assert to_b.tobytes() == gx[..., pa:].tobytes()
+    for key, g in want_grads.items():
+        assert g.any() and grads[key].tobytes() == g.tobytes(), key
 
 
-def _held_arrays(tape):
-    """Every array the backward closures on ``tape`` capture, directly
-    or in a list or tuple."""
-    held, todo = [], [c.cell_contents for node in tape.nodes if node.bwd
-                      for c in node.bwd.__closure__ or ()]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, np.ndarray):
-            held.append(item)
-        elif isinstance(item, (list, tuple)):
-            todo.extend(item)
-    return held
+def _held_arrays(record):
+    """Every array a dense record holds, directly or in a list."""
+    return [x for x in (*record.parts, record.block, record.out)
+            if isinstance(x, np.ndarray)]
 
 
 def test_dense_parts_keep_no_concatenated_copy(monkeypatch):
-    # the weight needs a gradient, so the layer keeps its input: the parts,
-    # while the array it assembled them in is dropped with the forward
-    # (a new one) or left to the next layer (a workspace's scratch buffer)
-    params = dc.ParameterSet()
-    params.add("p", np.random.default_rng(3).uniform(-0.4, 0.4, (2, 3)))
-    params.add("a", np.random.default_rng(5).uniform(-0.4, 0.4, (7, 2)))
+    # the block's gradient reads the layer's input, so the layer keeps its
+    # parts, while the array it assembled them in is dropped with the
+    # forward (a new one) or left to the next layer (a workspace's
+    # scratch buffer)
+    rng = np.random.default_rng(3)
+    p = rng.uniform(-0.4, 0.4, (2, 3))
+    a = np.random.default_rng(5).uniform(-0.4, 0.4, (7, 2))
     for ws in (None, dc.Workspace()):
-        tape = dc.Tape().fork(params.grads, ws)
-        p = params.tensor(tape, "p")
+        tape = dc.Tape().fork({}, ws)
         made = []
         empty = np.empty
 
@@ -642,21 +628,22 @@ def test_dense_parts_keep_no_concatenated_copy(monkeypatch):
             return out
 
         monkeypatch.setattr(np, "empty", watched)
-        out = dc.dense([dc.clip(p, -1.0, 1.0), p], params.tensor(tape, "a"),
-                       hidden=True, ones=True)
+        out = dc.dense([dc.clip(p, -1.0, 1.0, tape), p], a, hidden=True,
+                       ones=True, tape=tape)
         monkeypatch.undo()
         gc.collect()
-        held = _held_arrays(tape)
-        assert any(h is p.data for h in held)
+        held = _held_arrays(tape.nodes[-1])
+        assert any(h is p for h in held)
         if ws is None:
             assert len(made) == 1 and made[0]() is None
         else:
-            assert ws.scratch.size == 2 * 7 and np.shares_memory(out.data,
+            assert ws.scratch.size == 2 * 7 and np.shares_memory(out,
                                                                 ws.outputs[0])
             assert not any(np.shares_memory(h, ws.scratch) for h in held)
-        dc.backward(tape, out, _seed(out, _MIX))
-        assert params.grads["p"].any() and params.grads["a"].any()
-        params.zero_grads()
+        (g_clip, g_p), ga = dc.dense_backward(tape.take(dc.DenseRecord),
+                                              _seed(out, _MIX), ws)
+        g_p = dc.clip_backward(tape.take(dc.ClipRecord), g_clip) + g_p
+        assert g_p.any() and ga.any()
 
 
 def _pilot_layers():
@@ -697,14 +684,10 @@ def test_affine_layers_match_the_bias_add_composition_bit_for_bit(batch):
             block[..., -1, -1] = dc.CONSTANT_BIAS
         x = rng.standard_normal((n, batch, i))
         mix = rng.standard_normal((n, batch, shape[-1]))
-        params = dc.ParameterSet()
-        params.add("x", x)
-        params.add("a", block, constant_unit=hidden)
         tape = dc.Tape()
-        out = dc.dense(params.tensor(tape, "x"), params.tensor(tape, "a"),
-                       hidden, members, ones=True)
-        got = out.data.copy()
-        dc.backward(tape, out, mix)
+        out = dc.dense(x, block, hidden, members, ones=True, tape=tape)
+        got = out.copy()
+        (gx,), ga = dc.dense_backward(tape.take(dc.DenseRecord), mix)
 
         w, b = block[..., :i, :o], block[..., i:, :o]
         if members is not None:
@@ -726,42 +709,28 @@ def test_affine_layers_match_the_bias_add_composition_bit_for_bit(batch):
         assert np.array_equal(got[..., :o], want), case
         if hidden:
             assert (got[..., o] == 1.0).all(), case
-        assert np.array_equal(params.grads["x"], g @ w.swapaxes(-1, -2)), case
-        ga = params.grads["a"]
+        assert np.array_equal(gx, g @ w.swapaxes(-1, -2)), case
         assert np.array_equal(ga[..., :i, :o], dw), case
         assert np.array_equal(ga[..., i:, :o], db), case
         assert not ga[..., o:].any(), case
 
 
-def test_nodes_without_parameters_upstream_have_no_backward():
-    params = dc.ParameterSet()
-    params.add("a", np.array([[0.5, -1.0], [0.0, 0.0]]))
-    tape = dc.Tape()
-    x = tape.leaf(np.array([[2.0], [3.0]]))
-    const = dc.clip(x, -1.0, 1.0)
-    taped = dc.dense(const, params.tensor(tape, "a"), hidden=True, ones=True)
-    for t in (x, const):
-        assert not tape.nodes[t.node].needs_grad
-        assert tape.nodes[t.node].bwd is None
-    assert tape.nodes[taped.node].needs_grad
-    assert tape.nodes[taped.node].bwd is not None
-
-
 def test_backward_of_loss_without_parameters_leaves_gradients_zero():
-    params = dc.ParameterSet()
-    params.add("w", np.array([1.5, -2.0]))
+    # a loss recorded on a tape that no model's forward recorded has no
+    # reverse pass to run: backward refuses it and no gradient moves
+    model, f, m = _lone_node_model()
+    mu, logvar = model.forward(f, m)
     tape = dc.Tape()
-    # on the tape, not upstream of the output
-    _ = dc.clip(params.tensor(tape, "w"), -2.0, 2.0)
-    x = tape.leaf(np.array([0.3, 0.4]))
-    dc.backward(tape, x, np.array([0.3, 0.4]))
-    assert not params.grads["w"].any()
+    loss, _ = nll_loss_packed(mu, logvar, f, m, tape=tape)
+    with pytest.raises(dc.ContractError, match="no model"):
+        dc.backward(tape, loss, 1.0)
+    assert not any(g.any() for g in model.params.grads.values())
 
 
 def test_gather_dense_and_stack_gradients():
-    # gather rows of a stacked (2, 3, 2) block with repeated indices, from
+    # gather rows of a stacked (2, 3, 2) array with repeated indices, from
     # both sides of the concatenation; the finite differences perturb
-    # every entry of that block
+    # every entry of that array
     rng = np.random.default_rng(9)
     params = dc.ParameterSet()
     params.add("ab", np.stack([rng.standard_normal((3, 2)),
@@ -769,13 +738,16 @@ def test_gather_dense_and_stack_gradients():
     a = np.vstack([rng.standard_normal((4, 3)), np.zeros(3)])
     mix = rng.standard_normal((5, 3, 3))
 
-    def build(tape):
-        ab = params.tensor(tape, "ab")
-        return dc.gather_dense([ab, ab], [np.array([0, 1, 1, 0, 1]),
-                                          np.array([1, 1, 0, 0, 0])],
-                               a, hidden=True, ones=True)
+    def forward(values, tape):
+        ab = values["ab"]
+        return dc.dense([ab, ab], a, hidden=True, ones=True, tape=tape,
+                        rows=[np.array([0, 1, 1, 0, 1]),
+                              np.array([1, 1, 0, 0, 0])])
 
-    assert _fd_check(build, params, mix.ravel()) < 1e-4
+    def reverse(tape, adj):
+        return _dense_grads(tape, adj, ["ab", "ab", None])
+
+    assert _fd_check(forward, reverse, params, mix.ravel()) < 1e-4
 
 
 def _three_mlps(seed=4, spec=(3, 5, 2)):
@@ -793,6 +765,7 @@ def _member(arrays, block, pid):
 
 
 def test_mlp_forward_stacked_matches_separate_mlps_with_one_leaf_per_block():
+    # one record per layer, naming the block the layer computes with
     spec = [3, 5, 2]
     stacked = dc.ParameterSet()
     dc.mlp_init(stacked, "blk", spec, np.random.default_rng(4), members=3)
@@ -802,14 +775,13 @@ def test_mlp_forward_stacked_matches_separate_mlps_with_one_leaf_per_block():
     mix = rng.standard_normal((3, 4, 2))
     tape = dc.Tape()
     out = dc.mlp_forward(stacked, spec, "blk", x, tape=tape)
-    dc.backward(tape, out, mix)
-    leaves = sum(node.op == "param" for node in tape.nodes)
-    assert leaves == len(spec) - 1
+    assert [r.key for r in tape.nodes] == dc.mlp_layer_ids("blk", spec)
+    dc.mlp_backward(tape, stacked.grads, len(spec) - 1, mix)
     for j, prefix in enumerate(("m0", "m1", "m2")):
         tape = dc.Tape()
         want = dc.mlp_forward(separate, spec, prefix, x[j], tape=tape)
-        dc.backward(tape, want, mix[j])
-        assert np.allclose(out.data[j], want.data, rtol=0, atol=1e-14)
+        dc.mlp_backward(tape, separate.grads, len(spec) - 1, mix[j])
+        assert np.allclose(out[j], want, rtol=0, atol=1e-14)
     for pid in separate.values:
         assert np.allclose(_member(stacked.grads, "blk", pid),
                            separate.grads[pid], rtol=0, atol=1e-13)
@@ -828,9 +800,9 @@ def test_mlp_members_are_views_of_their_block():
     assert params.values["blk/L0"].shape == (3, 4, 6)
     assert params.values["blk/L1"].shape == (3, 6, 2)
     x = np.random.default_rng(5).standard_normal((3, 4, 3))
-    before = dc.mlp_forward(params, spec, "blk", x).data
+    before = dc.mlp_forward(params, spec, "blk", x)
     dc.mlp_views(_member(params.values, "blk", "m1/L1"), 2)[1][1] = 7.0
-    after = dc.mlp_forward(params, spec, "blk", x).data
+    after = dc.mlp_forward(params, spec, "blk", x)
     assert np.array_equal(after[[0, 2]], before[[0, 2]])
     assert np.allclose(after[1, :, 1] - before[1, :, 1], 7.0)
     dc.mlp_views(_member(params.grads, "blk", "m2/L1"), 2)[0][0, 1] = -3.0
@@ -886,35 +858,27 @@ def test_adam_over_blocks_matches_per_id_reference_bit_for_bit():
         assert not view(stacked.grads, pid).any()
 
 
-def test_operations_on_different_tapes_rejected():
-    t1, t2 = dc.Tape(), dc.Tape()
-    a = t1.leaf(np.ones((1, 1)))
-    b = t2.leaf(np.ones((1, 1)))
-    with pytest.raises(dc.ContractError, match="tapes"):
-        dc.dense([a, b], np.ones((3, 1)), hidden=False, ones=True)
-
-
 # ---------------------------------------------------------------------------
-# What the tape keeps
+# What a record keeps
 
 
 def _dies(make):
-    """Build ``make(tape, p)`` -> (tensor whose array to watch, output)
-    on a fresh tape, drop the caller's references but the output's and
-    tell whether that array died before ``backward``; after ``backward``
-    it must be dead."""
-    params = dc.ParameterSet()
-    params.add("p", np.random.default_rng(3).uniform(-0.4, 0.4, (3, 2)))
+    """Build ``make(tape, p)`` -> (array to watch, output, reverse) on a
+    fresh tape, drop the caller's references but the output's and tell
+    whether that array died before the reverse pass; after
+    ``reverse(tape, adjoint)``, which returns p's gradient, it must be
+    dead."""
+    p = np.random.default_rng(3).uniform(-0.4, 0.4, (3, 2))
     tape = dc.Tape()
-    watched, out = make(tape, params.tensor(tape, "p"))
-    ref = weakref.ref(watched.data)
+    watched, out, reverse = make(tape, p)
+    ref = weakref.ref(watched)
     del watched
     gc.collect()
     alive = ref() is not None
-    dc.backward(tape, out, _seed(out, _MIX))
+    grad = reverse(tape, _seed(out, _MIX))
     gc.collect()
     assert ref() is None  # the reverse pass releases what it read
-    assert params.grads["p"].any()
+    assert tape.taken == len(tape.nodes) and grad.any()
     return not alive
 
 
@@ -922,49 +886,75 @@ _MIX = np.random.default_rng(4).standard_normal(8)
 _A = np.array([[0.4, -0.2], [1.1, 0.3], [0.0, 0.0]])
 
 
+def _regroup_back(adj, shape):
+    into = np.zeros(shape)
+    dc.regroup_backward(adj, 0, 2, into)
+    return into
+
+
+def _dense_back(tape, adj):
+    """The first part's adjoint of the last dense record."""
+    return dc.dense_backward(tape.take(dc.DenseRecord), adj)[0][0]
+
+
+def _block_back(tape, adj):
+    """The adjoint of p through the last dense record's block, clamped."""
+    grad = dc.dense_backward(tape.take(dc.DenseRecord), adj)[1]
+    return dc.clip_backward(tape.take(dc.ClipRecord), grad)
+
+
 def _linear_dense(tape, p):
-    out = dc.dense(p, _A, hidden=False, ones=True)
-    return out, dc.regroup(out, 0, 2, 2)
+    out = dc.dense(p, _A, hidden=False, ones=True, tape=tape)
+    return out, dc.regroup(out, 0, 2, 2), lambda tape, adj: _dense_back(
+        tape, _regroup_back(adj, (3, 2)))
 
 
 def _hidden_dense(tape, p):
-    out = dc.dense(p, _A, hidden=True, ones=True)
-    return out, dc.regroup(out, 0, 2, 2)
+    out = dc.dense(p, _A, hidden=True, ones=True, tape=tape)
+    return out, dc.regroup(out, 0, 2, 2), lambda tape, adj: _dense_back(
+        tape, _regroup_back(adj, (3, 2)))
 
 
 def _clip_input(tape, p):
     x = dc.regroup(p, 0, 2, 2)
-    return x, dc.clip(x, -0.5, 0.5)
+    return x, dc.clip(x, -0.5, 0.5, tape), lambda tape, adj: _regroup_back(
+        dc.clip_backward(tape.take(dc.ClipRecord), adj), (3, 2))
 
 
 def _route_input(tape, p):
     x = dc.regroup(p, 0, 2, 2)
-    return x, dc.route([x], np.array([[1.0, -1.0]]))
+    routing = np.array([[1.0, -1.0]])
+    return x, dc.route([x], routing), lambda tape, adj: _regroup_back(
+        dc.route_backward(routing, adj, [2])[0], (3, 2))
 
 
 def _regroup_input(tape, p):
-    x = dc.clip(p, -1.0, 1.0)
-    return x, dc.regroup(x, 0, 2, 2)
+    x = dc.clip(p, -1.0, 1.0, tape)
+    return x, dc.regroup(x, 0, 2, 2), lambda tape, adj: dc.clip_backward(
+        tape.take(dc.ClipRecord), _regroup_back(adj, (3, 2)))
 
 
 def _dense_input(tape, p):
     # the block needs a gradient, so the layer keeps its input
-    x = tape.leaf(np.array([[0.2, -0.1], [0.4, 0.3]]))
-    return x, dc.dense(x, dc.clip(p, -1.0, 1.0), hidden=True, ones=True)
+    x = np.array([[0.2, -0.1], [0.4, 0.3]])
+    return x, dc.dense(x, dc.clip(p, -1.0, 1.0, tape), hidden=True,
+                       ones=True, tape=tape), _block_back
 
 
 def _dense_part(tape, p):
     # ... and of an input in parts, each part
-    x = tape.leaf(np.array([[0.2], [0.4]]))
-    return x, dc.dense([x, np.array([[-0.1], [0.3]])], dc.clip(p, -1.0, 1.0),
-                       hidden=True, ones=True)
+    x = np.array([[0.2], [0.4]])
+    return x, dc.dense([x, np.array([[-0.1], [0.3]])],
+                       dc.clip(p, -1.0, 1.0, tape), hidden=True, ones=True,
+                       tape=tape), _block_back
 
 
 def _gather_dense_input(tape, p):
-    # ... and of gathered rows, the tensor they are gathered from
-    x = tape.leaf(np.array([[[0.2, -0.1]], [[0.4, 0.3]]]))
-    return x, dc.gather_dense([x], [np.array([1, 0, 1])],
-                              dc.clip(p, -1.0, 1.0), hidden=True, ones=True)
+    # ... and of gathered rows, the array they are gathered from
+    x = np.array([[[0.2, -0.1]], [[0.4, 0.3]]])
+    return x, dc.dense([x], dc.clip(p, -1.0, 1.0, tape), hidden=True,
+                       ones=True, rows=[np.array([1, 0, 1])],
+                       tape=tape), _block_back
 
 
 @pytest.mark.parametrize("make", [_linear_dense, _clip_input, _route_input,
@@ -983,11 +973,11 @@ def test_arrays_the_backward_reads_live_until_backward(make):
     assert not _dies(make)
 
 
-# Bytes a taped forward and loss of 128 rows of the conftest pilot world
-# may leave held until backward: what the reverse pass reads is about
-# 41.6 MB, of which the hidden layers' constant units take 1.3 MB; first
-# layers that keep their concatenated inputs hold about 47.5 MB, and
-# closures that keep whole tensors or gathered edge inputs about 86 MB.
+# Bytes the layer records of a taped forward and loss of 128 rows of the
+# conftest pilot world may hold until the reverse pass: what it reads is
+# about 41.6 MB, of which the hidden layers' constant units take 1.3 MB;
+# first layers that keep their concatenated inputs would hold about
+# 47.5 MB, and records that keep gathered edge inputs about 86 MB.
 PILOT_BLOCK_TAPE_BUDGET = 43e6
 
 
@@ -1003,7 +993,7 @@ def test_one_pilot_block_tape_stays_within_its_byte_budget(pilot_world):
         base = tracemalloc.get_traced_memory()[0]
         tape = dc.Tape()
         mu, logvar = model.forward(f, m, tape=tape)
-        loss, _ = nll_loss_packed(mu, logvar, t, lm)
+        loss, _ = nll_loss_packed(mu, logvar, t, lm, tape=tape)
         del mu, logvar
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - base
@@ -1031,7 +1021,7 @@ def test_one_pilot_block_workspace_stays_within_its_byte_budget(pilot_world):
     ws = dc.Workspace()
     tape = dc.Tape().fork(model.params.grads, ws)
     mu, logvar = model.forward(f, m, tape=tape)
-    loss, _ = nll_loss_packed(mu, logvar, t, lm)
+    loss, _ = nll_loss_packed(mu, logvar, t, lm, tape=tape)
     dc.backward(tape, loss, 1.0)
     assert any(g.any() for g in model.params.grads.values())
     held = ws.scratch.nbytes + sum(b.nbytes for b in ws.outputs)
@@ -1119,7 +1109,7 @@ def test_gradient_shape_matches_parameter_shape():
 
 
 # ---------------------------------------------------------------------------
-# Tape semantics
+# Record order
 
 
 def test_tape_topological_order_and_replay_idempotence():
@@ -1130,15 +1120,18 @@ def test_tape_topological_order_and_replay_idempotence():
     mix = rng.standard_normal((4, 2))
     tape = dc.Tape()
     out = dc.mlp_forward(params, [3, 5, 2], "net", x, tape=tape)
-    for nid, node in enumerate(tape.nodes):
-        assert all(i < nid for i in node.inputs)
-    out_before = out.data.copy()
-    dc.backward(tape, out, mix)
+    # records in forward order, each layer's input the last one's output
+    assert [r.key for r in tape.nodes] == ["net/L0", "net/L1"]
+    assert tape.nodes[1].parts[0] is tape.nodes[0].out
+    out_before = out.copy()
+    dc.mlp_backward(tape, params.grads, 2, mix)
     # forward -> backward -> forward again on a fresh tape: the reverse pass
     # leaves parameters and inputs alone, so the second forward is bit-identical
     tape2 = dc.Tape()
     out2 = dc.mlp_forward(params, [3, 5, 2], "net", x, tape=tape2)
-    assert np.array_equal(out2.data, out_before)
+    assert np.array_equal(out2, out_before)
+    with pytest.raises(dc.ContractError, match="DenseRecord"):
+        tape.take(dc.DenseRecord)  # the reverse pass took every record
 
 
 def test_forward_and_gradients_deterministic_across_runs():
@@ -1150,11 +1143,9 @@ def test_forward_and_gradients_deterministic_across_runs():
         mix = rng.standard_normal((6, 1))
         tape = dc.Tape()
         out = dc.mlp_forward(params, [4, 4, 1], "net", x, tape=tape)
-        # creation order is a topological order
-        for nid, node in enumerate(tape.nodes):
-            assert all(i < nid for i in node.inputs)
-        dc.backward(tape, out, mix)
-        return (out.data.copy(),
+        assert [r.key for r in tape.nodes] == ["net/L0", "net/L1"]
+        dc.mlp_backward(tape, params.grads, 2, mix)
+        return (out.copy(),
                 {p: g.copy() for p, g in params.grads.items()})
 
     o1, g1 = run()
@@ -1165,10 +1156,14 @@ def test_forward_and_gradients_deterministic_across_runs():
 
 
 def test_untaped_operations_evaluate_eagerly():
-    a = dc.Tensor(np.array([[1.0, 2.0]]))
+    a = np.array([[1.0, 2.0]])
     clipped = dc.clip(a, 0.0, 1.5)
     grouped = dc.regroup(clipped, 0, 2, 2)
     out = dc.route([grouped], np.array([[2.0, 1.0]]))
-    assert clipped.tape is None and grouped.tape is None and out.tape is None
-    assert np.array_equal(grouped.data, [[[1.0]], [[1.5]]])
-    assert np.array_equal(out.data, [[[3.5]]])
+    assert np.array_equal(grouped, [[[1.0]], [[1.5]]])
+    assert np.array_equal(out, [[[3.5]]])
+    # on a tape only the clamp records: route and regroup read constants
+    tape = dc.Tape()
+    dc.route([dc.regroup(dc.clip(a, 0.0, 1.5, tape), 0, 2, 2)],
+             np.array([[2.0, 1.0]]))
+    assert [type(r) for r in tape.nodes] == [dc.ClipRecord]

@@ -555,6 +555,27 @@ def test_csv_malformed_row_names_file_and_line(tmp_path, monkeypatch, block,
         gridsim.TimeSeriesDataset.read_csv(str(path))
 
 
+@pytest.mark.parametrize("block", [1 << 20, 16])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "NaN"])
+def test_csv_non_finite_ok_value_names_file_and_line(tmp_path, monkeypatch,
+                                                     block, value):
+    # an ok row's value is an observation; a missing row's is never read
+    monkeypatch.setattr(gridsim, "CSV_BLOCK_CHARS", block)
+    path = tmp_path / "dataset.csv"
+    rows = ("timestamp,sensor_id,value,quality\n"
+            "2019-06-01T00:00:00Z,p1:voltage,239.1,ok\n"
+            f"2019-06-01T00:15:00Z,p1:voltage,{value},missing\n"
+            "2019-06-01T00:30:00Z,p1:voltage,239.0,ok\n")
+    path.write_text(rows)
+    ds = gridsim.TimeSeriesDataset.read_csv(str(path))
+    assert ds.missing["p1:voltage"].tolist() == [False, True, False]
+    path.write_text(rows + f"2019-06-01T00:45:00Z,p1:voltage,{value},ok\n")
+    with pytest.raises(gridsim.SimulationError,
+                       match=re.escape(f"{path}, line 5: value {value!r} "
+                                       "of an ok row is not finite")):
+        gridsim.TimeSeriesDataset.read_csv(str(path))
+
+
 # ---------------------------------------------------------------------------
 # Exact Gaussian conditioning
 

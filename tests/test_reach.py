@@ -56,6 +56,7 @@ SHARED_CALLERS = {
     "baselines.CentralModel.count_parameters": "baselines.compare",
     "baselines.CentralModel.forward": "training._train_block",
     "baselines.CentralModel.init_parameters": "baselines.build_baseline",
+    "baselines.CentralModel.reverse": "baselines.CentralModel.forward",
     "diffcore.ParameterSet.copy": "training.train",
     "gridgraph.GridTopology.ids": "mpnn.ModelBase.set_standardization",
     "gridgraph.GridTopology.to_document": "cli.cmd_simulate",
@@ -71,6 +72,7 @@ SHARED_CALLERS = {
     "mpnn.GnnModel.count_parameters": "cli.cmd_train",
     "mpnn.GnnModel.forward": "imputation.blocked_forward",
     "mpnn.GnnModel.init_parameters": "cli.cmd_train",
+    "mpnn.GnnModel.reverse": "mpnn.GnnModel.forward",
     "services.CongestionEvent.to_document": "services.write_jsonl",
     "services.FlexibilityBid.to_document": "services.write_jsonl",
     "training.SampleSet.sample": "cli.cmd_bid",

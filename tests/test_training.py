@@ -273,9 +273,8 @@ def test_augmentation_on_empty_set_rejected():
 
 def _nll(mu, logvar, y, mask):
     """Untaped ``nll_loss_packed`` over one group of plain arrays."""
-    loss, _ = nll_loss_packed({"k": dc.Tensor(mu)}, {"k": dc.Tensor(logvar)},
-                              {"k": y}, {"k": mask})
-    return float(loss.data)
+    loss, _ = nll_loss_packed({"k": mu}, {"k": logvar}, {"k": y}, {"k": mask})
+    return float(loss)
 
 
 def test_nll_zero_when_prediction_exact_unit_variance():
@@ -307,22 +306,18 @@ def test_nll_gradient_identities():
     rng = np.random.default_rng(4)
     y = rng.standard_normal((2, 3))
     mask = np.ones((2, 3))
-    params = dc.ParameterSet()
-    params.add("mu", rng.standard_normal((2, 3)))
-    params.add("lv", rng.uniform(-1, 1, size=(2, 3)))
+    mu = rng.standard_normal((2, 3))
+    lv = rng.uniform(-1, 1, size=(2, 3))
     tape = dc.Tape()
-    mu_t = params.tensor(tape, "mu")
-    lv_t = params.tensor(tape, "lv")
-    loss, cnt = nll_loss_packed({"k": mu_t}, {"k": lv_t}, {"k": y},
-                                {"k": mask})
-    dc.backward(tape, loss, 1.0)
-    mu, lv = params.values["mu"], params.values["lv"]
+    nll_loss_packed({"k": mu}, {"k": lv}, {"k": y}, {"k": mask}, tape=tape)
+    dmu, dlv = dc.gaussian_nll_backward(tape.take(dc.NllRecord),
+                                        np.asarray(1.0))
     var = np.exp(lv)
     want_mu = (mu - y) / var
     want_var = 0.5 * (1.0 / var - np.square(y - mu) / var ** 2)
-    assert np.allclose(params.grads["mu"], want_mu, atol=1e-12)
+    assert np.allclose(dmu["k"], want_mu, atol=1e-12)
     # chain rule: dL/dvar = dL/dlv / var
-    assert np.allclose(params.grads["lv"] / var, want_var, atol=1e-12)
+    assert np.allclose(dlv["k"] / var, want_var, atol=1e-12)
 
 
 def test_nll_packed_matches_plain_sum():
@@ -331,45 +326,34 @@ def test_nll_packed_matches_plain_sum():
     lv = rng.uniform(-1, 1, (2, 5, 3))
     y = rng.standard_normal((2, 5, 3))
     mask = (rng.random((2, 5, 3)) > 0.3).astype(float)
-    loss, cnt = nll_loss_packed({"k": dc.Tensor(mu)}, {"k": dc.Tensor(lv)},
-                                {"k": y}, {"k": mask})
+    loss, cnt = nll_loss_packed({"k": mu}, {"k": lv}, {"k": y}, {"k": mask})
     assert cnt == mask.sum()
     var = np.exp(lv)
     terms = 0.5 * np.log(var) + 0.5 * np.square(y - mu) / var
-    assert float(loss.data) == pytest.approx(terms[mask > 0].sum())
+    assert float(loss) == pytest.approx(terms[mask > 0].sum())
 
 
 def test_nll_loss_packed_is_one_tape_node():
+    # one record for every group, in group order; untaped, the same sum
     rng = np.random.default_rng(9)
-    params = dc.ParameterSet()
-    for k in ("a", "b"):
-        params.add(f"mu/{k}", rng.standard_normal((2, 4, 3)))
-        params.add(f"lv/{k}", rng.uniform(-1, 1, (2, 4, 3)))
-    tape = dc.Tape()
-    mu = {k: params.tensor(tape, f"mu/{k}") for k in ("a", "b")}
-    lv = {k: params.tensor(tape, f"lv/{k}") for k in ("a", "b")}
+    mu = {k: rng.standard_normal((2, 4, 3)) for k in ("a", "b")}
+    lv = {k: rng.uniform(-1, 1, (2, 4, 3)) for k in ("a", "b")}
     y = {k: rng.standard_normal((2, 4, 3)) for k in ("a", "b")}
     mask = {k: (rng.random((2, 4, 3)) > 0.5).astype(float) for k in ("a", "b")}
-    before = len(tape.nodes)
-    loss, cnt = nll_loss_packed(mu, lv, y, mask)
-    assert len(tape.nodes) == before + 1
-    assert loss.tape is tape and loss.node == before
-    assert tape.nodes[before].inputs == (mu["a"].node, lv["a"].node,
-                                         mu["b"].node, lv["b"].node)
+    tape = dc.Tape()
+    loss, cnt = nll_loss_packed(mu, lv, y, mask, tape=tape)
+    (record,) = tape.nodes
+    assert isinstance(record, dc.NllRecord)
+    assert [group[0] for group in record.groups] == ["a", "b"]
     assert cnt == mask["a"].sum() + mask["b"].sum()
+    untaped, _ = nll_loss_packed(mu, lv, y, mask)
+    assert loss.shape == () and untaped.tobytes() == loss.tobytes()
 
 
-class _UnprunedTape(dc.Tape):
-    """Marks every leaf as needing a gradient, so backward forms every
-    adjoint and every operand product: the reference for pruning."""
-
-    def leaf(self, *args, **kwargs):
-        t = super().leaf(*args, **kwargs)
-        self.nodes[t.node].needs_grad = True
-        return t
-
-
-def test_pruned_training_step_matches_unpruned_gradients(pilot_world):
+def test_pruned_training_step_matches_unpruned_gradients(pilot_world,
+                                                        monkeypatch):
+    # the reference forms every dense layer's input adjoints, the
+    # encoders' too, which the reverse pass drops
     spec, dataset = pilot_world
     schemas = derive_schemas(spec.topology)
     cfg = TrainingConfig()
@@ -378,15 +362,21 @@ def test_pruned_training_step_matches_unpruned_gradients(pilot_world):
     model.init_parameters(3)
     model.set_standardization(samples.stats.mean, samples.stats.std)
     f, m, t, lm = samples.batch(np.arange(0, len(samples), 7)[:24])
-    grads, constants = [], []
-    for tape in (dc.Tape(), _UnprunedTape()):
+    grads, pruned = [], []
+    dense = dc.dense
+    for prune in (True, False):
+        if not prune:
+            monkeypatch.setattr(dc, "dense", lambda *args, grad_parts=None,
+                                **kwargs: dense(*args, **kwargs))
+        tape = dc.Tape()
         mu, logvar = model.forward(f, m, tape=tape)
-        loss_sum, cnt = nll_loss_packed(mu, logvar, t, lm)
+        loss_sum, cnt = nll_loss_packed(mu, logvar, t, lm, tape=tape)
+        pruned.append(sum(isinstance(r, dc.DenseRecord)
+                          and r.grad_parts < len(r.parts) for r in tape.nodes))
         dc.backward(tape, loss_sum, 1.0 / cnt)
         grads.append({k: g.copy() for k, g in model.params.grads.items()})
-        constants.append(sum(not node.needs_grad for node in tape.nodes))
         model.params.zero_grads()
-    assert constants[0] > 0 and constants[1] == 0
+    assert pruned[0] == len(model.groups) and pruned[1] == 0
     assert len(grads[0]) > 1 and all(g.any() for g in grads[0].values())
     for key, g in grads[0].items():
         assert np.array_equal(g, grads[1][key]), key
@@ -493,11 +483,6 @@ def test_divergence_in_one_block_leaves_the_last_update(monkeypatch, block):
         assert not model.params.grads[key].any(), key
 
 
-# The ops of the two trained models' layers, and their leaves
-_MODEL_OPS = {"param", "const", "dense", "gather_dense", "route", "regroup",
-              "clip", "gaussian_nll"}
-
-
 class _ForkRecorder(dc.Tape):
     """A step's tape that keeps the block tapes it forks."""
 
@@ -510,38 +495,54 @@ class _ForkRecorder(dc.Tape):
         return self.forks[-1]
 
 
-def test_a_training_block_tape_holds_only_model_layers(pilot_world):
+def test_a_training_block_tape_holds_only_model_layers(pilot_world,
+                                                       monkeypatch):
+    # a dense record per layer, a clamp's per group and the loss's, each
+    # taken once by the model's reverse pass, which empties its slot
     topology, schemas, samples, tr, val = _pilot_sets(pilot_world)
-    seen = {}
+    take = dc.Tape.take
+    taken = []
+
+    def logged(tape, kind):
+        record = take(tape, kind)
+        taken.append(record)
+        return record
+
+    monkeypatch.setattr(dc.Tape, "take", logged)
     for kind in ("gnn", "mlp", "ae"):
         model = _pilot_model(topology, schemas, samples, kind)
         tape = _ForkRecorder()
         grads = {k: np.zeros_like(g) for k, g in model.params.grads.items()}
+        taken.clear()
         training._train_block(model, tr, np.arange(dc.BLOCK_ROWS), tape,
                               grads, 1.0)
         (fork,) = tape.forks
-        seen[kind] = {node.op for node in fork.nodes}
-        assert seen[kind] <= _MODEL_OPS, (kind, seen[kind] - _MODEL_OPS)
+        assert len(taken) == len(fork.nodes) == fork.taken, kind
+        assert all(r is None for r in fork.nodes), kind
+        dense = [r for r in taken if isinstance(r, dc.DenseRecord)]
+        assert type(taken[0]) is dc.NllRecord, kind
+        assert sum(isinstance(r, dc.ClipRecord) for r in taken) == len(
+            model.groups), kind
+        assert len(dense) == len(taken) - 1 - len(model.groups), kind
+        assert {r.key for r in dense} == set(model.params.values), kind
+        assert (kind == "gnn") == any(r.rows is not None for r in dense)
         assert all(g.any() for g in grads.values()), kind
-    assert {"gather_dense", "route"} <= seen["gnn"]
-    assert "regroup" in seen["mlp"] and "regroup" in seen["ae"]
 
 
 def _watch_hidden_outputs(monkeypatch) -> list:
     """The list every hidden dense layer's output array is appended to
     from now on, in call order."""
     made = []
-    for name in ("dense", "gather_dense"):
-        op = getattr(dc, name)
-        signature = inspect.signature(op)
+    dense = dc.dense
+    signature = inspect.signature(dense)
 
-        def watched(*args, op=op, signature=signature, **kwargs):
-            out = op(*args, **kwargs)
-            if signature.bind(*args, **kwargs).arguments["hidden"]:
-                made.append(out.data)
-            return out
+    def watched(*args, **kwargs):
+        out = dense(*args, **kwargs)
+        if signature.bind(*args, **kwargs).arguments["hidden"]:
+            made.append(out)
+        return out
 
-        monkeypatch.setattr(dc, name, watched)
+    monkeypatch.setattr(dc, "dense", watched)
     return made
 
 
@@ -633,7 +634,7 @@ def test_block_gradients_sum_to_the_whole_batch_gradient(pilot_world,
     f, m, t, lm = tr.batch(idx)
     tape = dc.Tape()
     mu, logvar = reference.forward(f, m, tape=tape)
-    loss_sum, cnt = nll_loss_packed(mu, logvar, t, lm)
+    loss_sum, cnt = nll_loss_packed(mu, logvar, t, lm, tape=tape)
     dc.backward(tape, loss_sum, 1.0 / cnt)
     assert set(stepped) == set(reference.params.grads)
     for key, want in reference.params.grads.items():
