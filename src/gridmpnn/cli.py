@@ -79,8 +79,9 @@ CONFIG_KEYS = {
 
 def _check_section(name: str, doc, defaults: dict) -> None:
     """Reject a section that is not an object, names a key it does not
-    read or gives a value of another JSON type than the key's default:
-    an integer passes for a float, and any value for a None default."""
+    read or gives a value of another JSON type than the key's default
+    (an integer passes for a float, and any value for a None default),
+    or a number that is not finite: JSON reads NaN and Infinity."""
     if not isinstance(doc, dict):
         raise ConfigError(f"config {name} must be a JSON object")
     unknown = sorted(set(doc) - set(defaults))
@@ -92,10 +93,21 @@ def _check_section(name: str, doc, defaults: dict) -> None:
               or (isinstance(value, want)
                   and (want is bool or not isinstance(value, bool)))
               or (want is float and type(value) is int))
+        where = key if name == "config" else f"{name}.{key}"
         if not ok:
-            where = key if name == "config" else f"{name}.{key}"
             raise ConfigError(f"config {where} must be {want.__name__}, "
                               f"not {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"config {where} must be finite, not {value!r}")
+
+
+def _gnn_config(cfg: dict, **override) -> GnnConfig:
+    """The model section over the defaults; a bad value names its key."""
+    try:
+        return GnnConfig.from_document({**GnnConfig().to_document(),
+                                        **cfg.get("model", {}), **override})
+    except ValueError as e:
+        raise ConfigError(f"config model.{e}") from e
 
 
 def load_config(path: str) -> dict:
@@ -130,6 +142,12 @@ def load_config(path: str) -> dict:
     if target is not None and type(target) not in (int, float):
         raise ConfigError("config services.target_voltage must be a number "
                           f"or null, not {target!r}")
+    # a bad model or training value exits before any data loads
+    _gnn_config(cfg)
+    try:
+        TrainingConfig(**cfg["training"], seed=cfg["seed"])
+    except ValueError as e:
+        raise ConfigError(f"config training.{e}") from e
     cfg["benchmark"] = bench = {**DEFAULT_BENCHMARK, **cfg.get("benchmark", {})}
     models = bench["models"]
     for kind in models:
@@ -275,8 +293,7 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     topo, schema_cfg, schemas, dataset = _load_bundle(cfg)
     train_ds, _ = _split_dataset(cfg, dataset, schemas)
-    model = GnnModel(topo, schemas, GnnConfig.from_document(
-        {**GnnConfig().to_document(), **cfg["model"]}), schema_config=schema_cfg)
+    model = GnnModel(topo, schemas, _gnn_config(cfg), schema_config=schema_cfg)
     model.init_parameters(seed=cfg.get("seed", 0))
     result, tcfg = _train_model(model, cfg, topo, schemas, train_ds,
                                 verbose=args.verbose)
@@ -449,9 +466,9 @@ def cmd_bench(args) -> int:
     gnn_model: Optional[GnnModel] = None
     for kind in bench["models"]:
         if kind == "gnn":
-            model = GnnModel(topo, schemas, GnnConfig.from_document(
-                {**GnnConfig().to_document(), **cfg["model"],
-                 "layers": bench["layers"]}), schema_config=schema_cfg)
+            model = GnnModel(topo, schemas,
+                             _gnn_config(cfg, layers=bench["layers"]),
+                             schema_config=schema_cfg)
             model.init_parameters(seed=cfg.get("seed", 0))
             mp_steps = model.config.message_passing_steps
             gnn_model = model

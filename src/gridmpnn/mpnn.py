@@ -64,10 +64,18 @@ CHECKPOINT_VERSION = 1
 @dataclass
 class GnnConfig:
     """Architecture knobs: weight layers per MLP, message-passing steps,
-    message dimensionality rule, optional parameter sharing by node type."""
+    message dimensionality rule (``"dest_latent"`` or a positive size),
+    optional parameter sharing by node type.
+
+    Three steps by default, the depth of the grid tree: each step carries
+    state one hop, and the pilot tree runs grid -> substation -> feeder ->
+    prosumer. A prosumer's voltage is set by the flows on its own path,
+    and with its substation's energy hidden the sibling feeders that load
+    that path are 3 hops away (p <- f <- s <- f'). Nodes farther out put
+    no flow on the path, so more steps add compute, not physics."""
 
     layers: int = 2
-    message_passing_steps: int = 5
+    message_passing_steps: int = 3
     message_dim: int | str = "dest_latent"
     share_by_type: bool = False
 
@@ -76,6 +84,10 @@ class GnnConfig:
             raise dc.ContractError("layers must be at least 1")
         if self.message_passing_steps < 0:
             raise dc.ContractError("message_passing_steps cannot be negative")
+        dim = self.message_dim
+        if dim != "dest_latent" and not (type(dim) is int and dim > 0):
+            raise dc.ContractError("message_dim must be 'dest_latent' or a "
+                                   f"positive integer, not {dim!r}")
 
     def to_document(self) -> dict:
         return {"layers": self.layers,
@@ -239,7 +251,7 @@ class GnnModel(ModelBase):
     def message_dim_for(self, group: NodeGroup) -> int:
         if self.config.message_dim == "dest_latent":
             return group.p
-        return int(self.config.message_dim)
+        return self.config.message_dim
 
     def _enc_spec(self, g: NodeGroup) -> list[int]:
         return _layer_spec(2 * g.q, g.p, self.config.layers)

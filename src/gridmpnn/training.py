@@ -80,8 +80,9 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ContractError("learning_rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ContractError("learning_rate must be positive and finite, "
+                                f"not {self.learning_rate!r}")
         if not 0.0 <= self.missing_threshold <= 1.0:
             raise ContractError("missing_threshold must lie in [0, 1]")
         for name in ("batch_size", "early_stopping_patience"):

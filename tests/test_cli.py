@@ -498,6 +498,34 @@ def test_a_bad_service_value_exits_2(world, tmp_path, capsys, command, key,
     assert not os.path.exists(tmp_path / "out" / artifact)
 
 
+@pytest.mark.parametrize("command, where, value, artifact", [
+    ("congest", "services.threshold_v", float("nan"), "events.jsonl"),
+    ("bid", "services.target_voltage", float("inf"), "bids.jsonl"),
+    ("train", "training.learning_rate", float("nan"), "history.csv"),
+    ("train", "training.batch_size", 0, "history.csv"),
+    ("train", "model.message_dim", 2.5, "history.csv"),
+    ("train", "model.message_dim", 0, "history.csv"),
+    ("train", "model.message_dim", "foo", "history.csv")])
+def test_a_bad_value_exits_2_before_the_dataset_is_read(
+        world, tmp_path, capsys, command, where, value, artifact):
+    cfg = json.loads(json.dumps(world["cfg"]))
+    section, key = where.split(".")
+    cfg[section][key] = value  # json writes NaN and Infinity as such
+    out = tmp_path / "out"
+    cfg["paths"]["out_dir"] = str(out)
+    cfg["paths"]["checkpoint"] = (world["cfg"]["paths"]["checkpoint"]
+                                  if command != "train"
+                                  else str(out / "checkpoint.json"))
+    # read first, a dataset that is not there would exit 3
+    cfg["paths"]["dataset"] = str(tmp_path / "absent.csv")
+    cfg_path = str(tmp_path / "bad_value.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main([command, "--config", cfg_path]) == 2
+    assert f"config {where}" in capsys.readouterr().err
+    assert not (out / artifact).exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("models", ["gnn", "rnn"]),
     ("models", []),

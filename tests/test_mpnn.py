@@ -191,6 +191,31 @@ def test_locality_light_cone():
             assert changed == (nid in reachable), (nid, t_steps)
 
 
+def test_three_steps_reach_a_sibling_feeder_and_two_do_not():
+    # the default's depth: a prosumer's path p <- f <- s carries the flow
+    # of its substation's other feeders f', 3 hops away
+    topo = gridsim.pilot_topology()
+    schemas = derive_schemas(topo)
+    s = next(nid for nid in topo.ids("substation")
+             if len(topo.children[nid]) > 1
+             and any(topo.children[c] for c in topo.children[nid]))
+    f = next(c for c in topo.children[s] if topo.children[c])
+    sibling = next(c for c in topo.children[s] if c != f)
+    p = topo.children[f][0]
+    for steps, moves in ((GnnConfig().message_passing_steps, True),
+                         (2, False)):
+        model = GnnModel(topo, schemas, GnnConfig(message_passing_steps=steps))
+        model.init_parameters(5)
+        features, mask = ones_inputs(model, b=4)
+        moved = model.unpack(features)
+        moved[sibling] = moved[sibling] + 1.0
+        base_mu, _ = model.forward(features, mask)
+        moved_mu, _ = model.forward(model.pack(moved), mask)
+        same = np.array_equal(model.unpack(base_mu)[p],
+                              model.unpack(moved_mu)[p])
+        assert same != moves, (steps, p, sibling)
+
+
 def test_permutation_relabeling_transports_predictions():
     topo = chain_topology()
     schemas = tiny_schemas(topo)
@@ -256,20 +281,21 @@ def test_pilot_parameters_live_in_22_blocks():
     assert len(model.parameter_views()) == 1648
 
 
-def test_pilot_forward_runs_62_dense_layers():
-    # 2 node groups x (encoder, 5 aggregator steps, 2 decoders) x 2 layers
-    # + 3 edge groups x 5 steps x 2 layers; grouping by kind ran 160
+def test_pilot_forward_runs_42_dense_layers():
+    # 2 node groups x (encoder, 3 aggregator steps, 2 decoders) x 2 layers
+    # + 3 edge groups x 3 steps x 2 layers; grouping by kind ran 160 at
+    # 5 steps
     topo = gridsim.pilot_topology()
     model = GnnModel(topo, derive_schemas(topo))
     f, m = ones_inputs(model)
     tape = dc.Tape()
     model.forward(f, m, tape=tape)
     dense = [r for r in tape.nodes if isinstance(r, dc.DenseRecord)]
-    assert len(dense) == 62
-    assert sum(r.rows is not None for r in dense) == 15  # edge first layers
+    assert len(dense) == 42
+    assert sum(r.rows is not None for r in dense) == 9  # edge first layers
     # one block per layer, no bias of its own; one clamp per group
     assert {r.key for r in dense} == set(model.params.values)
-    assert len(tape.nodes) == 62 + len(model.groups)
+    assert len(tape.nodes) == 42 + len(model.groups)
 
 
 def test_pilot_share_by_type_keeps_types_and_ids():
@@ -638,6 +664,10 @@ def test_gnn_config_validation():
             GnnConfig(**bad)
     with pytest.raises(dc.ContractError, match="layers"):
         GnnConfig.from_document({**GnnConfig().to_document(), "layers": 0})
+    for bad in (2.5, 0, -3, True, "foo", None):
+        with pytest.raises(dc.ContractError, match="message_dim"):
+            GnnConfig(message_dim=bad)
+    assert GnnConfig(message_dim=4).message_dim == 4
     assert GnnConfig(layers=1, message_passing_steps=0).layers == 1
 
 

@@ -832,8 +832,9 @@ def test_history_csv_layout(tmp_path):
 
 
 def test_training_config_validation():
-    with pytest.raises(dc.ContractError):
-        TrainingConfig(learning_rate=0.0)
+    for lr in (0.0, float("nan"), float("inf")):
+        with pytest.raises(dc.ContractError, match="learning_rate"):
+            TrainingConfig(learning_rate=lr)
     with pytest.raises(dc.ContractError):
         TrainingConfig(missing_threshold=1.5)
     for key in ("max_batch_size", "augmentation_enabled",
