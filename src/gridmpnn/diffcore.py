@@ -38,17 +38,20 @@ Design choices:
   copied straight in; gathered rows go through numpy's fancy-index
   temporary, as a loop over the rows, which would avoid it, costs far
   more at one row.
-* An MLP layer is one affine block, (i + 1, o) or stacked (k, i + 1, o):
-  its weight rows, then its bias row. ``dense(x, a, hidden)`` computes
-  the layer as one GEMM, ``x @ a`` with tanh on hidden layers, in place
-  in one output buffer, over an input whose last column is ones: a
-  first layer appends that column (``ones``), and each hidden layer
-  carries one constant unit, weights 0 and bias ``CONSTANT_BIAS`` = 40,
-  whose ``tanh`` is exactly 1.0, so it is the next layer's ones column.
+* An MLP layer is one affine block, plain (i + 1, o) over (B, i) rows,
+  as the centralized models run, or stacked (k, i + 1, o) over an
+  (n, B, i) stack, as the graph model runs; nothing broadcasts. The
+  block holds its weight rows, then its bias row. ``dense(x, a,
+  hidden)`` computes the layer as one GEMM, ``x @ a`` with tanh on
+  hidden layers, in place in one output buffer, over an input whose
+  last column is ones: a first layer appends that column (``ones``),
+  and each hidden layer carries one constant unit, weights 0 and bias
+  ``CONSTANT_BIAS`` = 40, whose ``tanh`` is exactly 1.0, so it is the
+  next layer's ones column.
   Its arithmetic matches a matmul with the weights, a bias add and a
   tanh, bit for bit at the graph model's shapes, stacked ("batched")
-  as (n, B, i) @ (n, i, o) to run many per-node MLPs at once. One
-  backward kernel undoes it: one GEMM, ``x^T @ g``, gives the weights'
+  as (n, B, i) @ (n, i, o) to run many MLPs at once. One backward
+  kernel undoes it: one GEMM, ``x^T @ g``, gives the weights'
   and the bias's gradients at once, and the tanh derivative
   ``1 - out^2`` is formed in the kept output's buffer, which nothing
   reads after it. The constant unit's derivative is exactly 0, so its
@@ -69,9 +72,9 @@ Design choices:
   to each array adds each selected row's whole slab in index order (the
   additions, in the order, of ``np.add.at``), and plainly assigns when
   the indices are unique. With ``members``, an index into a stacked
-  block's leading axis, slice j applies member ``members[j]``, as when
-  a graph model shares one MLP per node type, and each member's
-  gradient adds its slices' slabs by the same rule.
+  block's leading axis, slice j applies member ``members[j]``, as a
+  graph model's nodes and edges read their type's MLP, and each
+  member's gradient adds its slices' slabs by the same rule.
 * ``route(msgs, routing)`` is a graph model's mean incoming message:
   its messages stacked, flattened and multiplied by a constant routing
   matrix, and ``regroup(h, lo, hi, n)`` reads a column range of a flat
@@ -210,19 +213,6 @@ class NllRecord:
     groups: list[tuple[str, np.ndarray, np.ndarray, np.ndarray]]
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` down to ``shape`` (reverse of numpy broadcasting)."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 # ---------------------------------------------------------------------------
 # Layers and their backward kernels
 
@@ -260,8 +250,11 @@ class Workspace:
 
 
 def _check_inner(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"{op} operands must have ndim >= 2")
+    """Operands of one matmul each, or of one stacked matmul slice by
+    slice: nothing broadcasts."""
+    if a.ndim < 2 or b.ndim < 2 or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"{op} operands must both be matrices or stacks "
+                         f"of as many: {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"{op} inner dimensions differ: {a.shape} @ {b.shape}")
 
@@ -272,8 +265,9 @@ def dense(x, a, hidden: bool, members=None, ones: bool = False,
           grad_parts: Optional[int] = None) -> np.ndarray:
     """One MLP layer as one GEMM: ``x @ a``, then tanh if ``hidden``.
 
-    ``a`` is an affine block, (i, o) or stacked (k, i, o): the weight
-    rows, then the bias row, which the input's last column multiplies.
+    ``a`` is an affine block, plain (i, o) over a (B, i) input or
+    stacked (n, i, o) over an (n, B, i) one: the weight rows, then the
+    bias row, which the input's last column multiplies.
     That column is ones: with ``ones`` the layer appends it to ``x`` (a
     first layer), and a hidden layer's output ends with its constant
     unit, which is 1 (see ``mlp_init``). The output buffer is the matmul
@@ -287,8 +281,8 @@ def dense(x, a, hidden: bool, members=None, ones: bool = False,
     allowed).
 
     With ``members``, an index array of length n into the leading axis
-    of stacked ``a``, slice j of an (n, B, i) input applies member
-    ``members[j]``: the layer computes with ``a[members]``.
+    of a stacked (k, i, o) ``a``, slice j of an (n, B, i) input applies
+    member ``members[j]``: the layer computes with ``a[members]``.
 
     On a ``tape`` the layer appends a ``DenseRecord`` for block ``key``
     whose backward (``dense_backward``) forms the adjoints of the
@@ -306,9 +300,7 @@ def dense(x, a, hidden: bool, members=None, ones: bool = False,
     am = a if members is None else a[members]
     _check_inner(xa, am, "dense")
     if hidden and ws is not None:  # kept for the backward: a workspace buffer
-        out = np.matmul(xa, am, out=ws.output(
-            np.broadcast_shapes(xa.shape[:-2], am.shape[:-2])
-            + (xa.shape[-2], am.shape[-1])))
+        out = np.matmul(xa, am, out=ws.output(xa.shape[:-1] + am.shape[-1:]))
     else:
         out = xa @ am
     if hidden:
@@ -388,11 +380,9 @@ def dense_backward(record: DenseRecord, adj: np.ndarray,
     if r.grad_parts:
         shapes = [x.shape for x in r.parts[:r.grad_parts]]
         width = sum(sh[-1] for sh in shapes)
-        lead = (r.parts[0].shape[:-1] if r.rows is None
-                else r.rows[0].shape + r.parts[0].shape[1:-1])
         wt = (r.block if r.members is None
               else r.block[r.members])[..., :width, :]
-        gx = _unbroadcast(g @ wt.swapaxes(-1, -2), lead + (width,))
+        gx = g @ wt.swapaxes(-1, -2)
         lo = 0
         for k, shape in enumerate(shapes):
             hi = lo + shape[-1]
@@ -400,11 +390,9 @@ def dense_backward(record: DenseRecord, adj: np.ndarray,
             lo = hi
             parts.append(piece if r.rows is None
                          else _add_rows(shape, r.rows[k], piece))
-    xd = _gather_rows(r.parts, r.rows, r.ones, ws)
+    grad = _gather_rows(r.parts, r.rows, r.ones, ws).swapaxes(-1, -2) @ g
     if r.members is None:
-        return parts, _unbroadcast(xd.swapaxes(-1, -2) @ g, r.block.shape)
-    grad = _unbroadcast(xd.swapaxes(-1, -2) @ g,
-                        r.members.shape + r.block.shape[1:])
+        return parts, grad
     return parts, _add_rows(r.block.shape, r.members, grad)
 
 
@@ -545,7 +533,7 @@ class ParameterSet:
 
     A block has the shape the engine computes with: one MLP layer's
     affine (i + 1, o) block, its weight rows and then its bias row, or,
-    for k structurally identical MLPs, a (k, i + 1, o) block stacked
+    for structurally identical MLPs, a (k, i + 1, o) block stacked
     along a leading member axis. A block added with ``constant_unit``
     ends with a hidden layer's constant unit, a column that is not a
     parameter. Optimizers walk the blocks; a member's slice is a view of
@@ -609,20 +597,23 @@ def mlp_layer_ids(prefix: str, layer_spec: Sequence[int]) -> list[str]:
 
 
 def mlp_init(params: ParameterSet, prefix: str, layer_spec: Sequence[int],
-             rng: np.random.Generator, members: int = 1) -> None:
-    """Create the affine blocks of ``members`` structurally identical MLPs.
+             rng: np.random.Generator,
+             members: Optional[int] = None) -> None:
+    """Create the affine blocks of one MLP, or of ``members`` structurally
+    identical MLPs stacked.
 
-    Layer i of spec (n_0, n_1, ...) is one (n_i + 1, n_{i+1}) block, or
-    (k, n_i + 1, n_{i+1}) for k > 1 members: the weight rows, then the
-    bias row. A hidden layer's block has one column more, its constant
-    unit (``CONSTANT_BIAS``), which is not a parameter. Weights are
-    W ~ U[-a, a] with a = sqrt(6/(fan_in+fan_out)), drawn member by
-    member, each member's layers in order; biases are zero.
+    Layer i of spec (n_0, n_1, ...) is one plain (n_i + 1, n_{i+1})
+    block, or (k, n_i + 1, n_{i+1}) for k members, 1 included: the
+    weight rows, then the bias row. A hidden layer's block has one
+    column more, its constant unit (``CONSTANT_BIAS``), which is not a
+    parameter. Weights are W ~ U[-a, a] with a = sqrt(6/(fan_in+fan_out)),
+    drawn member by member, each member's layers in order; biases are
+    zero.
     """
-    if members < 1:
+    if members is not None and members < 1:
         raise ContractError("an MLP block needs at least one member")
     ids = mlp_layer_ids(prefix, layer_spec)
-    lead = () if members == 1 else (members,)
+    lead = () if members is None else (members,)
     fans = [(int(layer_spec[i]), int(layer_spec[i + 1])) for i in range(len(ids))]
     for i, (aid, (fan_in, fan_out)) in enumerate(zip(ids, fans)):
         hidden = i < len(ids) - 1
@@ -630,7 +621,7 @@ def mlp_init(params: ParameterSet, prefix: str, layer_spec: Sequence[int],
         if hidden:
             block[..., -1, -1] = CONSTANT_BIAS
         params.add(aid, block, constant_unit=hidden)
-    for j in range(members):
+    for j in range(members or 1):
         for aid, (fan_in, fan_out) in zip(ids, fans):
             a = math.sqrt(6.0 / (fan_in + fan_out))
             block = params.values[aid]
@@ -659,15 +650,13 @@ def mlp_forward(params: ParameterSet, layer_spec: Sequence[int], prefix: str,
     """Apply the MLP block ``prefix``: tanh on hidden layers, linear
     final layer, one GEMM per layer (``dense``).
 
-    ``x`` has the layer input width as its last dimension. For a block
-    of k stacked MLPs ``x`` is (k, B, in) and MLP j applies to slice j;
-    a single MLP's parameters broadcast over all leading dimensions.
-    ``x`` may be a list or tuple of parts, which the first layer reads
-    as ``dense`` does, the input being ``[x[0] | x[1] | ...]``, or with
+    ``x`` has the layer input width as its last dimension: (B, in) for
+    a plain block; for a block of stacked MLPs (n, B, in), and MLP j
+    applies to slice j, or with ``members`` member ``members[j]`` of
+    the block, as in ``dense``. ``x`` may be a list or tuple of parts,
+    which the first layer reads as ``dense`` does, the input being ``[x[0] | x[1] | ...]``, or with
     ``rows`` ``[x[0][rows[0]] | x[1][rows[1]] | ...]``. The first layer
-    appends the ones column its bias row multiplies. With ``members``,
-    slice j of the input applies member ``members[j]`` of the block, as
-    in ``dense``.
+    appends the ones column its bias row multiplies.
 
     On a ``tape`` each layer appends its record, and the first forms
     the adjoints of its leading ``grad_parts`` parts only (all by

@@ -44,7 +44,7 @@ class Node:
 
 
 class GridTopology:
-    """Validated hierarchical node/edge tree. Immutable after load."""
+    """Validated hierarchical tree of nodes and edges. Immutable after load."""
 
     def __init__(self, nodes: Sequence[Node], edges: Sequence[tuple[str, str]]):
         self.nodes = list(nodes)

@@ -1,10 +1,13 @@
 """Message-passing graph neural network over a grid topology.
 
-Per node: an encoder MLP (features + observed-mask -> latent state), a
-mean decoder and a log-variance decoder (latent -> feature space). Per
-directed edge: a message MLP (both endpoint states -> message). Per
-node again: an aggregator MLP (own state + mean incoming message ->
-next state). Inference is one feed-forward chain:
+Per node type: an encoder MLP (features + observed-mask -> latent
+state), a mean decoder and a log-variance decoder (latent -> feature
+space). Per directed edge type: a message MLP (both endpoint states ->
+message). Per node type again: an aggregator MLP (own state + mean
+incoming message -> next state). A node's type is (kind, q, p) and an
+edge's the types of its endpoints, so the parameter count depends on
+the kinds of node and edge a grid has, not on how many. Inference is
+one feed-forward chain:
 
     encode -> T synchronous message-passing steps -> decode
 
@@ -20,27 +23,24 @@ encoder's first layer reads [features | mask | 1], the aggregator's
 source state | 1], each as parts of one ``diffcore.dense`` input, so a
 taped pass keeps the parts, not their concatenation; each decoder head
 reads its own [state | 1]. A taped forward records its layers, and
-``GnnModel.reverse`` walks them back. Parameters
-are per node and per directed edge unless ``share_by_type`` is set. They
-live only in the blocks the forward computes with, one affine block per
-layer and MLP role of a node group (``stack/<group>/<role>/L<i>``) or
-edge group (``stack/<src_group>><dst_group>/msg/L<i>``): the weight
-rows, then the bias row, and on a hidden layer a last column for its
-constant unit, which is not a parameter (``diffcore.mlp_init``). A
-group of k MLPs has a (k, i + 1, o) block; a group's lone MLP (a
-single-node group, a single-edge group or a group's one shared type
-MLP) has an (i + 1, o) block. Under ``share_by_type`` a type is
-(kind, q, p), so a group holding several types stacks one member per
-type, and each node or edge reads its type's member through an index
-on the block's leading axis.
+``GnnModel.reverse`` walks them back.
+
+Parameters live only in the blocks the forward computes with, one
+affine block per layer and MLP role of a node group
+(``stack/<group>/<role>/L<i>``) or edge group
+(``stack/<src_group>><dst_group>/msg/L<i>``), stacked by type as
+(types, i + 1, o), also when a group holds one type: the weight rows,
+then the bias row, and on a hidden layer a last column for its constant
+unit, which is not a parameter (``diffcore.mlp_init``). Each node or
+edge reads its type's member through an index on the block's leading
+axis (``diffcore.dense`` with ``members``).
 
 Parameter-id scheme (stable; checkpoints are written in it, and
 ``GnnModel.parameter_views`` maps each id to a view of its block slice,
 the weight rows or the bias row without the constant unit):
 
-    node/<node_id>/enc|agg|dec_mu|dec_lv/L<i>/W|b
-    edge/<src>><dst>/msg/L<i>/W|b
-    type/<kind>:<q>:<p>/...  and  etype/<src type>><dst type>/msg/...   (shared)
+    type/<kind>:<q>:<p>/enc|agg|dec_mu|dec_lv/L<i>/W|b
+    etype/<src type>><dst type>/msg/L<i>/W|b
 """
 
 from __future__ import annotations
@@ -64,8 +64,7 @@ CHECKPOINT_VERSION = 1
 @dataclass
 class GnnConfig:
     """Architecture knobs: weight layers per MLP, message-passing steps,
-    message dimensionality rule (``"dest_latent"`` or a positive size),
-    optional parameter sharing by node type.
+    message dimensionality rule (``"dest_latent"`` or a positive size).
 
     Three steps by default, the depth of the grid tree: each step carries
     state one hop, and the pilot tree runs grid -> substation -> feeder ->
@@ -77,13 +76,13 @@ class GnnConfig:
     layers: int = 2
     message_passing_steps: int = 3
     message_dim: int | str = "dest_latent"
-    share_by_type: bool = False
 
     def __post_init__(self) -> None:
-        if self.layers < 1:
-            raise dc.ContractError("layers must be at least 1")
-        if self.message_passing_steps < 0:
-            raise dc.ContractError("message_passing_steps cannot be negative")
+        for name, least in (("layers", 1), ("message_passing_steps", 0)):
+            value = getattr(self, name)
+            if not (type(value) is int and value >= least):
+                raise dc.ContractError(f"{name} must be an integer of at "
+                                       f"least {least}, not {value!r}")
         dim = self.message_dim
         if dim != "dest_latent" and not (type(dim) is int and dim > 0):
             raise dc.ContractError("message_dim must be 'dest_latent' or a "
@@ -92,18 +91,23 @@ class GnnConfig:
     def to_document(self) -> dict:
         return {"layers": self.layers,
                 "message_passing_steps": self.message_passing_steps,
-                "message_dim": self.message_dim,
-                "share_by_type": self.share_by_type}
+                "message_dim": self.message_dim}
 
     @classmethod
     def from_document(cls, doc: dict) -> "GnnConfig":
+        # checkpoints written under "share_by_type": true hold this
+        # layout's type ids; any other value, per-node ones
+        doc = dict(doc)
+        if "share_by_type" in doc and doc.pop("share_by_type") is not True:
+            raise dc.ContractError(
+                "share_by_type: the checkpoint holds per-node parameters, "
+                "which no model has any more; retrain it")
         unknown = sorted(set(doc) - set(cls().to_document()))
         if unknown:
             raise dc.ContractError(f"unknown model keys: {', '.join(unknown)}")
-        return cls(layers=int(doc["layers"]),
-                   message_passing_steps=int(doc["message_passing_steps"]),
-                   message_dim=doc["message_dim"],
-                   share_by_type=bool(doc["share_by_type"]))
+        return cls(layers=doc["layers"],
+                   message_passing_steps=doc["message_passing_steps"],
+                   message_dim=doc["message_dim"])
 
 
 @dataclass
@@ -154,15 +158,13 @@ class _EdgeGroup:
     spec: list[int]
     prefixes: list[str]
     block: str
-    members: Optional[np.ndarray]  # each edge's shared MLP, or None
+    members: np.ndarray  # each edge's type MLP
 
 
-def _shared(types: list[str]) -> tuple[list[str], Optional[np.ndarray]]:
-    """The distinct ``types`` in sorted order, one shared MLP each, and
-    each position's member index, or None when one MLP serves all."""
+def _types(types: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct ``types`` in sorted order, one MLP each, and each
+    position's member index."""
     distinct = sorted(set(types))
-    if len(distinct) == 1:
-        return distinct, None
     at = {t: i for i, t in enumerate(distinct)}
     return distinct, np.array([at[t] for t in types], dtype=np.intp)
 
@@ -238,7 +240,7 @@ class GnnModel(ModelBase):
         self._init_base(topology, schemas)
         self.config = config or GnnConfig()
         self.schema_config = schema_config
-        # a node's type, (kind, q, p), names its MLPs under share_by_type
+        # a node's type, (kind, q, p), names its MLPs
         self._type_of = {nid: f"{kind}:{g.key}" for g in self.groups
                          for nid, kind in zip(g.node_ids, g.kinds)}
         self._compile_edges()
@@ -277,21 +279,16 @@ class GnnModel(ModelBase):
             sg, dg = self._group_by_key[gs], self._group_by_key[gd]
             spec = _layer_spec(sg.p + dg.p, self.message_dim_for(dg),
                                self.config.layers)
-            if self.config.share_by_type:
-                etypes, members = _shared([
-                    f"{self._type_of[s]}>{self._type_of[d]}" for s, d in pairs])
-                prefixes = [f"etype/{e}/msg" for e in etypes]
-            else:
-                prefixes = [f"edge/{s}>{d}/msg" for s, d in pairs]
-                members = None
+            etypes, members = _types([
+                f"{self._type_of[s]}>{self._type_of[d]}" for s, d in pairs])
             key = f"{gs}>{gd}"
             self.edge_groups.append(_EdgeGroup(
                 key=key,
                 src_group=gs, dst_group=gd, pairs=pairs,
                 src_idx=np.array([sg.index_of[s] for s, _ in pairs], dtype=np.intp),
                 dst_idx=np.array([dg.index_of[d] for _, d in pairs], dtype=np.intp),
-                spec=spec, prefixes=prefixes, block=f"stack/{key}/msg",
-                members=members))
+                spec=spec, prefixes=[f"etype/{e}/msg" for e in etypes],
+                block=f"stack/{key}/msg", members=members))
 
     def _compile_routing(self) -> None:
         """Per node group, the (n_nodes, n_incoming_edges) matrix whose rows
@@ -321,14 +318,11 @@ class GnnModel(ModelBase):
     def _compile_mlps(self) -> None:
         # (block, member prefixes, layer spec) per MLP group, in id order
         self._mlp_blocks: list[tuple[str, list[str], list[int]]] = []
-        # per node group, each node's shared MLP, or None
-        self._node_members: dict[str, Optional[np.ndarray]] = {}
+        # per node group, each node's type MLP
+        self._node_members: dict[str, np.ndarray] = {}
         for g in self.groups:
-            if self.config.share_by_type:
-                names, members = _shared(
-                    [f"type/{self._type_of[nid]}" for nid in g.node_ids])
-            else:
-                names, members = [f"node/{nid}" for nid in g.node_ids], None
+            names, members = _types(
+                [f"type/{self._type_of[nid]}" for nid in g.node_ids])
             self._node_members[g.key] = members
             for role, spec in (("enc", self._enc_spec(g)),
                                ("agg", self._agg_spec(g)),
@@ -355,8 +349,7 @@ class GnnModel(ModelBase):
                       for a in dc.mlp_layer_ids(block, spec)]
             for j, prefix in enumerate(prefixes):
                 for i, a in enumerate(blocks):
-                    w, b = dc.mlp_views(a[j] if len(prefixes) > 1 else a,
-                                        spec[i + 1])
+                    w, b = dc.mlp_views(a[j], spec[i + 1])
                     views[f"{prefix}/L{i}/W"], views[f"{prefix}/L{i}/b"] = w, b
         return views
 

@@ -15,13 +15,16 @@ from gridmpnn.training import (ChannelStats, TrainingConfig, build_samples,
                                masked_clones, train, voltage_lag0_selector)
 
 # A checkpoint parameter record to drop, add or replace: (id, record), a
-# None record drops the id. Every test topology has a lone global node
-# "g" with more than one channel, so its bias has more than one entry.
+# None record drops the id. An id whose type has no q:p is completed
+# with the q:p the checkpoint's node of that kind has. Every test
+# topology has a global node with more than one channel, so its bias
+# has more than one entry.
 BAD_PARAMETERS = {
-    "missing": ("node/p1/agg/L1/W", None),
-    "unknown": ("node/p9/enc/L1/b", {"shape": [2], "values": [0.0, 0.0]}),
-    # a lone MLP's bias of a shape numpy would broadcast in the forward
-    "wrong_shape": ("node/g/dec_mu/L1/b", {"shape": [1], "values": [0.0]}),
+    "missing": ("type/prosumer/agg/L1/W", None),
+    "unknown": ("type/storage:2:2/enc/L1/b",
+                {"shape": [2], "values": [0.0, 0.0]}),
+    # a bias of a shape numpy would broadcast in the forward
+    "wrong_shape": ("type/global/dec_mu/L1/b", {"shape": [1], "values": [0.0]}),
 }
 
 
@@ -31,6 +34,10 @@ def write_bad_checkpoint(src: str, dst: str, fault: str) -> str:
     with open(src) as fh:
         doc = json.load(fh)
     pid, rec = BAD_PARAMETERS[fault]
+    kind, rest = pid.split("/")[1], pid.split("/", 2)[2]
+    if ":" not in kind:
+        pid = next(p for p in doc["parameters"]
+                   if p.startswith(f"type/{kind}:") and p.endswith(rest))
     if rec is None:
         del doc["parameters"][pid]
     else:

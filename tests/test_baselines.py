@@ -35,6 +35,40 @@ def test_matched_mlp_exceeds_gnn_parameters_fivefold():
     assert gnn.count_parameters() < 0.20 * mlp.count_parameters()
 
 
+def _pilot_shaped(feeders: int, prosumers: int):
+    """The pilot tree's pattern at other sizes: 15 substations, feeders
+    dealt round-robin to them and prosumers to the feeders, every fourth
+    prosumer three-phase."""
+    nodes = [{"id": "grid", "kind": "global"}]
+    nodes += [{"id": f"s{i}", "kind": "substation"} for i in range(1, 16)]
+    edges = [["grid", f"s{i}"] for i in range(1, 16)]
+    for j in range(1, feeders + 1):
+        nodes.append({"id": f"f{j}", "kind": "feeder"})
+        edges.append([f"s{(j - 1) % 15 + 1}", f"f{j}"])
+    for k in range(1, prosumers + 1):
+        nodes.append({"id": f"p{k}", "kind": "prosumer"})
+        edges.append([f"f{(k - 1) % feeders + 1}", f"p{k}"])
+    return load_topology({"nodes": nodes, "edges": edges, "phases": {
+        f"p{k}": 3 for k in range(4, prosumers + 1, 4)}})
+
+
+def test_gnn_parameters_do_not_grow_with_the_grid():
+    # the paper's sparsity: one MLP per node and edge type, so twice the
+    # feeders and prosumers add no parameter, while the centralized MLP's
+    # input and output widths grow with every node
+    pilot = _pilot_shaped(25, 28)
+    assert pilot.content_hash() == gridsim.pilot_topology().content_hash()
+    counts = []
+    for topo in (pilot, _pilot_shaped(50, 56)):
+        schemas = derive_schemas(topo)
+        counts.append((GnnModel(topo, schemas).count_parameters(),
+                       CentralModel("mlp", topo, schemas,
+                                    hidden=BENCH_MLP_HIDDEN).count_parameters()))
+    (gnn, mlp), (gnn2, mlp2) = counts
+    assert gnn == gnn2 == 30342
+    assert mlp2 > mlp > 76 * gnn
+
+
 def test_baseline_consumes_exact_feature_concatenation():
     topo = gridsim.pilot_topology()
     schemas = derive_schemas(topo)

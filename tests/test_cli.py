@@ -214,7 +214,42 @@ def test_bad_checkpoint_parameter_exits_2(world, tmp_path, capsys, fault):
     assert not os.path.exists(tmp_path / "out" / "evaluation.json")
 
 
-@pytest.mark.parametrize("fault, name", [("weight", "node/p1/enc/L0/W"),
+@pytest.mark.parametrize("key, value", [
+    ("message_passing_steps", 2.5), ("message_passing_steps", True),
+    ("layers", 2.0), ("layers", True), ("share_by_type", False)])
+def test_bad_checkpoint_model_value_exits_2(world, tmp_path, capsys, key,
+                                            value):
+    # a count is read as written; share_by_type false marks per-node
+    # parameters
+    with open(world["cfg"]["paths"]["checkpoint"]) as fh:
+        doc = json.load(fh)
+    doc["model"][key] = value
+    bad = str(tmp_path / "bad_checkpoint.json")
+    with open(bad, "w") as fh:
+        json.dump(doc, fh)
+    assert _evaluate_with_checkpoint(world, tmp_path, bad) == 2
+    assert key in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "evaluation.json")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "impute", "congest", "bid"])
+def test_per_node_checkpoint_exits_2(world, tmp_path, capsys, command):
+    # written for this world's topology with one MLP per node and per
+    # directed edge, which no model has any more
+    cfg = json.loads(json.dumps(world["cfg"]))
+    cfg["paths"]["checkpoint"] = os.path.join(
+        os.path.dirname(__file__), "data", "two_kinds_default.checkpoint.json")
+    cfg["paths"]["out_dir"] = out = str(tmp_path / "out")
+    cfg_path = str(tmp_path / "per_node.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    extra = ["--timestamp", "2019-06-05T12:00:00Z"] if command == "impute" else []
+    assert main([command, "--config", cfg_path, *extra]) == 2
+    assert "per-node parameters" in capsys.readouterr().err
+    assert not os.path.exists(out) or not os.listdir(out)
+
+
+@pytest.mark.parametrize("fault, name", [("weight", "type/prosumer:8:6/enc/L0/W"),
                                          ("std", "p2")])
 def test_non_finite_checkpoint_exits_2(world, tmp_path, capsys, fault, name):
     with open(world["cfg"]["paths"]["checkpoint"]) as fh:
@@ -238,7 +273,8 @@ def test_non_finite_checkpoint_exits_2(world, tmp_path, capsys, fault, name):
 def test_checkpoint_without_a_key_exits_2(world, tmp_path, capsys, key):
     with open(world["cfg"]["paths"]["checkpoint"]) as fh:
         doc = json.load(fh)
-    record = doc if key in doc else doc["parameters"]["node/p1/enc/L0/W"]
+    record = (doc if key in doc
+              else doc["parameters"]["type/prosumer:8:6/enc/L0/W"])
     del record[key]
     bad = str(tmp_path / "bad_checkpoint.json")
     with open(bad, "w") as fh:
@@ -316,6 +352,7 @@ UNREAD_KEYS = [
     ("training", "max_batch_size", 5000),
     ("training", "augmentation_enabled", True),
     ("training", "bid_augmentation_enabled", False),
+    ("model", "share_by_type", True),
 ]
 
 

@@ -233,19 +233,21 @@ OPS = {
     "dense_stacked": ({"a": (2, 2, 1)}, lambda t, tape: dc.dense(
         _X_STACK, t["a"], hidden=True, ones=True, tape=tape),
         lambda tape, adj: _dense_grads(tape, adj, [None, "a"])),
-    # one (i + 1, o) block broadcast over (n, B)
-    "dense_shared": ({"a": (2, 1)}, lambda t, tape: dc.dense(
-        _X_STACK[:, :1], t["a"], hidden=True, ones=True, tape=tape),
+    # one type's (1, i + 1, o) block, which every slice reads as member 0
+    "dense_shared": ({"a": (1, 2, 1)}, lambda t, tape: dc.dense(
+        _X_STACK[:, :1], t["a"], hidden=True, members=[0, 0], ones=True,
+        tape=tape),
         lambda tape, adj: _dense_grads(tape, adj, [None, "a"])),
     # a part read twice of a multi-part input, and the block
     "dense_parts": ({"x": (2, 1), "a": (4, 2)}, lambda t, tape: dc.dense(
         [t["x"], np.array([[0.6], [-0.2]]), t["x"]], t["a"], hidden=True,
         ones=True, tape=tape), lambda tape, adj: _dense_grads(
             tape, adj, ["x", None, "x", "a"])),
-    # a gathered array (with repeated rows), and the block
-    "gather_dense": ({"x": (2, 1, 1), "a": (3, 1)}, lambda t, tape: dc.dense(
-        [t["x"], _X_STACK[:, :1]], t["a"], hidden=True, ones=True,
-        rows=[np.array([1, 0, 1]), np.array([0, 1, 1])], tape=tape),
+    # a gathered array (with repeated rows), and the block of two types
+    "gather_dense": ({"x": (2, 1, 1), "a": (2, 3, 1)}, lambda t, tape: dc.dense(
+        [t["x"], _X_STACK[:, :1]], t["a"], hidden=True, members=[1, 0, 1],
+        ones=True, rows=[np.array([1, 0, 1]), np.array([0, 1, 1])],
+        tape=tape),
         lambda tape, adj: _dense_grads(tape, adj, ["x", None, "a"])),
     # a group fed by one edge group, and one fed by two
     "route_one_group": ({"m": (3, 2, 2)}, lambda t, tape: dc.route(
@@ -295,15 +297,19 @@ def test_primitive_gradients_match_finite_differences(name):
 
 def test_matmul_stacked_and_broadcast_gradients():
     # a dense layer's GEMM over a stacked (n, i + 1, o) block, and over
-    # one (i + 1, o) block broadcast over the stack
+    # one (1, i + 1, o) block that both slices read as member 0, where a
+    # plain block would broadcast; a plain block over a stack is refused
     rng = np.random.default_rng(3)
     x = rng.standard_normal((2, 5, 3))
-    for block in ((2, 4, 4), (4, 4)):
+    with pytest.raises(dc.ShapeError, match="stacks"):
+        dc.dense(x, np.zeros((4, 4)), hidden=False, ones=True)
+    for block, members in (((2, 4, 4), None), ((1, 4, 4), [0, 0])):
         params = dc.ParameterSet()
         params.add("a", rng.standard_normal(block))
 
         def forward(values, tape):
-            return dc.dense(x, values["a"], hidden=False, ones=True, tape=tape)
+            return dc.dense(x, values["a"], hidden=False, members=members,
+                            ones=True, tape=tape)
 
         def reverse(tape, adj):
             return _dense_grads(tape, adj, [None, "a"])
@@ -331,7 +337,8 @@ def test_dense_matches_unfused_composition_bit_for_bit(shapes, hidden):
     # and a tanh, each output its own array; backward from the adjoint
     # ``mix``: adj * (1 - out^2) through the tanh, then the matmul's two
     # products and the bias sum, each summed back to its operand's shape.
-    # The fused layer computes [x | 1] @ [w; b] in one GEMM.
+    # The fused layer computes [x | 1] @ [w; b] in one GEMM; the shared
+    # MLP is a one-member block that every slice reads as member 0.
     rng = np.random.default_rng(12)
     xs, ws, bs = shapes
     mix = rng.standard_normal(xs[:-1] + ws[-1:])
@@ -339,8 +346,12 @@ def test_dense_matches_unfused_composition_bit_for_bit(shapes, hidden):
     wd = np.random.default_rng(14).standard_normal(ws)
     bd = np.random.default_rng(15).standard_normal(bs)
     block = np.concatenate([wd, bd.reshape(ws[:-2] + (1, ws[-1]))], axis=-2)
+    members = None
+    if len(xs) > len(ws):
+        block, members = block[None], np.zeros(xs[0], dtype=int)
     tape = dc.Tape()
-    out = dc.dense(xd, block, hidden=hidden, ones=True, tape=tape)
+    out = dc.dense(xd, block, hidden=hidden, members=members, ones=True,
+                   tape=tape)
     got = out.copy()  # backward forms the tanh derivative in place
     (gx,), ga = dc.dense_backward(tape.take(dc.DenseRecord), mix)
     want = xd @ wd + bd
@@ -354,7 +365,8 @@ def test_dense_matches_unfused_composition_bit_for_bit(shapes, hidden):
     wants = {"x": _sum_to(g @ wd.swapaxes(-1, -2), xs),
              "W": _sum_to(xd.swapaxes(-1, -2) @ g, ws),
              "b": _sum_to(g.sum(axis=-2, keepdims=True), bs)}
-    gots = {"x": gx, "W": ga[..., :-1, :], "b": ga[..., -1, :].reshape(bs)}
+    gots = {"x": gx, "W": ga[..., :-1, :].reshape(ws),
+            "b": ga[..., -1, :].reshape(bs)}
     for k, want in wants.items():
         assert gots[k].any()
         assert np.array_equal(gots[k], want), k
@@ -480,14 +492,15 @@ def test_dense_rejects_mismatched_inner_dimensions():
     np.array([2, 0, 3, 1]),           # all unique
 ], ids=["repeated", "fan_in_15", "unique"])
 def test_gather_dense_backward_matches_add_at_bit_for_bit(idx):
-    # an identity weight and a zero bias row pass the gathered rows and
-    # the adjoint through unchanged
+    # an identity weight and a zero bias row, one member every gathered
+    # slice reads, pass the gathered rows and the adjoint through unchanged
     rng = np.random.default_rng(16)
     n = int(idx.max()) + 1
     a = rng.standard_normal((n, 7, 3))
     mix = rng.standard_normal((idx.size, 7, 3))
     tape = dc.Tape()
-    out = dc.dense([a], np.vstack([np.eye(3), np.zeros(3)]), hidden=False,
+    out = dc.dense([a], np.vstack([np.eye(3), np.zeros(3)])[None],
+                   hidden=False, members=np.zeros(idx.size, dtype=int),
                    ones=True, rows=[idx], tape=tape)
     assert np.array_equal(out, a[idx])
     (ga,), _ = dc.dense_backward(tape.take(dc.DenseRecord), mix)
@@ -559,14 +572,17 @@ def test_gather_dense_matches_composed_layers_bit_for_bit(case, layers, weights)
     xd = rng.standard_normal((int(dst.max()) + 1, batch, pd))
     xs = xd if same else rng.standard_normal((int(src.max()) + 1, batch, ps))
     spec = [pd + ps] + [4] * (layers - 1) + [2]
-    members = 1 if weights == "lone" else dst.size  # share_by_type: one MLP
+    # a lone MLP is one member, which every edge reads
+    lone = {"members": np.zeros(dst.size, dtype=int)} if weights == "lone" \
+        else {}
     params = dc.ParameterSet()
-    dc.mlp_init(params, "m", spec, np.random.default_rng(32), members=members)
+    dc.mlp_init(params, "m", spec, np.random.default_rng(32),
+                members=1 if lone else dst.size)
     mix = rng.standard_normal((dst.size, batch, 2))
     out, (to_dst, to_src), grads = _mlp_pass(params, spec, (xd, xs), mix,
-                                             rows=(dst, src))
+                                             rows=(dst, src), **lone)
     x = np.concatenate([xd[dst], xs[src]], axis=-1)
-    want, (gx,), want_grads = _mlp_pass(params, spec, x, mix)
+    want, (gx,), want_grads = _mlp_pass(params, spec, x, mix, **lone)
     assert np.array_equal(out, want)
     ref_dst, ref_src = np.zeros(xd.shape), np.zeros(xs.shape)
     np.add.at(ref_dst, dst, gx[..., :pd])
@@ -590,12 +606,14 @@ def test_dense_parts_match_concat_then_dense_bit_for_bit(same, layers, weights):
     b = a if same else rng.standard_normal((n, batch, pb))
     spec = [pa + pb] + [4] * (layers - 1) + [2]
     mix = rng.standard_normal((n, batch, 2))
+    # a lone MLP is one member, which every slice reads
+    lone = {"members": np.zeros(n, dtype=int)} if weights == "lone" else {}
     params = dc.ParameterSet()
     dc.mlp_init(params, "m", spec, np.random.default_rng(42),
-                members=n if weights == "stacked" else 1)
-    out, (to_a, to_b), grads = _mlp_pass(params, spec, (a, b), mix)
+                members=1 if lone else n)
+    out, (to_a, to_b), grads = _mlp_pass(params, spec, (a, b), mix, **lone)
     want, (gx,), want_grads = _mlp_pass(
-        params, spec, np.concatenate([a, b], axis=-1), mix)
+        params, spec, np.concatenate([a, b], axis=-1), mix, **lone)
     assert out.tobytes() == want.tobytes()
     assert to_a.tobytes() == gx[..., :pa].tobytes()
     assert to_b.tobytes() == gx[..., pa:].tobytes()
@@ -648,30 +666,27 @@ def test_dense_parts_keep_no_concatenated_copy(monkeypatch):
 
 def _pilot_layers():
     """(slices, block shape, inputs, outputs, hidden, members) of every
-    layer of the pilot model, with MLPs per node and edge and with one
-    MLP per type."""
+    layer of the pilot model, whose nodes and edges read one MLP per
+    type."""
     topo = gridsim.pilot_topology()
-    schemas = derive_schemas(topo)
+    model = GnnModel(topo, derive_schemas(topo))
+    reads = {eg.block: (len(eg.pairs), eg.members) for eg in model.edge_groups}
+    for g in model.groups:
+        for role in ("enc", "agg", "dec_mu", "dec_lv"):
+            reads[f"stack/{g.key}/{role}"] = (len(g.node_ids),
+                                              model._node_members[g.key])
     layers = []
-    for share in (False, True):
-        model = GnnModel(topo, schemas, GnnConfig(share_by_type=share))
-        reads = {eg.block: (len(eg.pairs), eg.members)
-                 for eg in model.edge_groups}
-        for g in model.groups:
-            for role in ("enc", "agg", "dec_mu", "dec_lv"):
-                reads[f"stack/{g.key}/{role}"] = (len(g.node_ids),
-                                                  model._node_members[g.key])
-        for block, _, spec in model._mlp_blocks:
-            n, members = reads[block]
-            for i, a in enumerate(dc.mlp_layer_ids(block, spec)):
-                layers.append((n, model.params.values[a].shape, spec[i],
-                               spec[i + 1], i < len(spec) - 2, members))
+    for block, _, spec in model._mlp_blocks:
+        n, members = reads[block]
+        for i, a in enumerate(dc.mlp_layer_ids(block, spec)):
+            layers.append((n, model.params.values[a].shape, spec[i],
+                           spec[i + 1], i < len(spec) - 2, members))
     return layers
 
 
 @pytest.mark.parametrize("batch", [1, 24, 120, 256])
 def test_affine_layers_match_the_bias_add_composition_bit_for_bit(batch):
-    # every layer shape of the pilot model, with and without members: the
+    # every layer shape of the pilot model, each read through members: the
     # one-GEMM layer [x | 1] @ [W; b] against x @ W, then += b, then tanh,
     # and its adjoints against that composition's: the tanh derivative,
     # the two matmul products and the bias sum over each slice's rows,
@@ -689,23 +704,17 @@ def test_affine_layers_match_the_bias_add_composition_bit_for_bit(batch):
         got = out.copy()
         (gx,), ga = dc.dense_backward(tape.take(dc.DenseRecord), mix)
 
-        w, b = block[..., :i, :o], block[..., i:, :o]
-        if members is not None:
-            w, b = w[members], b[members]
+        w, b = block[members, :i, :o], block[members, i:, :o]
         want = x @ w
         want += b
         g = mix[..., :o]
         if hidden:
             np.tanh(want, out=want)
             g = g * (1.0 - want * want)
-        dw, db = x.swapaxes(-1, -2) @ g, g.sum(axis=-2, keepdims=True)
-        if members is not None:
-            dw_block, db_block = np.zeros(shape[:-2] + (i, o)), np.zeros(
-                shape[:-2] + (1, o))
-            np.add.at(dw_block, members, dw)
-            np.add.at(db_block, members, db)
-            dw, db = dw_block, db_block
-        case = (n, shape, members is not None)
+        dw, db = np.zeros(shape[:-2] + (i, o)), np.zeros(shape[:-2] + (1, o))
+        np.add.at(dw, members, x.swapaxes(-1, -2) @ g)
+        np.add.at(db, members, g.sum(axis=-2, keepdims=True))
+        case = (n, shape)
         assert np.array_equal(got[..., :o], want), case
         if hidden:
             assert (got[..., o] == 1.0).all(), case
@@ -735,12 +744,13 @@ def test_gather_dense_and_stack_gradients():
     params = dc.ParameterSet()
     params.add("ab", np.stack([rng.standard_normal((3, 2)),
                                rng.standard_normal((3, 2))]))
-    a = np.vstack([rng.standard_normal((4, 3)), np.zeros(3)])
+    a = np.vstack([rng.standard_normal((4, 3)), np.zeros(3)])[None]
     mix = rng.standard_normal((5, 3, 3))
 
     def forward(values, tape):
         ab = values["ab"]
-        return dc.dense([ab, ab], a, hidden=True, ones=True, tape=tape,
+        return dc.dense([ab, ab], a, hidden=True, members=np.zeros(5, int),
+                        ones=True, tape=tape,
                         rows=[np.array([0, 1, 1, 0, 1]),
                               np.array([1, 1, 0, 0, 0])])
 
@@ -952,9 +962,9 @@ def _dense_part(tape, p):
 def _gather_dense_input(tape, p):
     # ... and of gathered rows, the array they are gathered from
     x = np.array([[[0.2, -0.1]], [[0.4, 0.3]]])
-    return x, dc.dense([x], dc.clip(p, -1.0, 1.0, tape), hidden=True,
-                       ones=True, rows=[np.array([1, 0, 1])],
-                       tape=tape), _block_back
+    return x, dc.dense([x], dc.clip(p, -1.0, 1.0, tape)[None], hidden=True,
+                       members=np.zeros(3, int), ones=True,
+                       rows=[np.array([1, 0, 1])], tape=tape), _block_back
 
 
 @pytest.mark.parametrize("make", [_linear_dense, _clip_input, _route_input,

@@ -107,12 +107,11 @@ def test_zero_messages_with_identity_aggregator_keep_states():
     for pid, view in views.items():
         if "/msg/" in pid:
             view[...] = 0.0
-    for nid in topo.ids():
-        p = schemas[nid].p
-        w = views[f"node/{nid}/agg/L0/W"]
+    for kind in ("global", "substation", "feeder", "prosumer"):
+        w = views[f"type/{kind}:2:2/agg/L0/W"]
         w[...] = 0.0
-        w[:p, :p] = np.eye(p)
-        views[f"node/{nid}/agg/L0/b"][...] = 0.0
+        w[:2, :2] = np.eye(2)
+        views[f"type/{kind}:2:2/agg/L0/b"][...] = 0.0
     f, m = ones_inputs(model, seed=4)
     states = model.encode(f, m)
     after = model.message_pass(states)
@@ -233,18 +232,10 @@ def test_permutation_relabeling_transports_predictions():
     model2 = GnnModel(topo2, schemas2, GnnConfig(message_passing_steps=2))
     model2.init_parameters(99)
 
-    def rename_key(pid):
-        parts = pid.split("/")
-        if parts[0] == "node":
-            parts[1] = mapping[parts[1]]
-        elif parts[0] == "edge":
-            src, dst = parts[1].split(">")
-            parts[1] = f"{mapping[src]}>{mapping[dst]}"
-        return "/".join(parts)
-
+    # ids name types, which a relabeling keeps
     views2 = model2.parameter_views()
     for pid, view in model.parameter_views().items():
-        views2[rename_key(pid)][...] = view
+        views2[pid][...] = view
 
     rng = np.random.default_rng(23)
     feats = {nid: rng.standard_normal((1, 2)) for nid in topo.ids()}
@@ -262,10 +253,15 @@ def test_permutation_relabeling_transports_predictions():
 def test_count_parameters_pilot_default_architecture():
     topo = gridsim.pilot_topology()
     model = GnnModel(topo, derive_schemas(topo))
-    # hand-derived for 2-layer functions, hidden=max(in,out), T-shared edges
-    assert model.count_parameters() == 389598
+    # hand-derived for 2-layer functions, hidden=max(in,out), T-shared
+    # edges: per 8:6 node type (feeder, global, prosumer) encoder 374,
+    # aggregator 234 and decoders 2 x 128; per 24:24 type (prosumer,
+    # substation) 3528, 3528 and 2 x 1200; per edge type 1116 (24:24>8:6,
+    # three), 1674 (8:6>24:24, three) or 234 (8:6>8:6, two):
+    # 3 x 864 + 2 x 9456 + 3 x 1116 + 3 x 1674 + 2 x 234
+    assert model.count_parameters() == 30342
     model.init_parameters(0)
-    assert model.params.n_scalars() == 389598
+    assert model.params.n_scalars() == 30342
 
 
 def test_pilot_parameters_live_in_22_blocks():
@@ -278,7 +274,7 @@ def test_pilot_parameters_live_in_22_blocks():
     assert [eg.key for eg in model.edge_groups] == [
         "24:24>8:6", "8:6>24:24", "8:6>8:6"]
     assert len(model.params) == 22
-    assert len(model.parameter_views()) == 1648
+    assert len(model.parameter_views()) == 112
 
 
 def test_pilot_forward_runs_42_dense_layers():
@@ -301,7 +297,7 @@ def test_pilot_forward_runs_42_dense_layers():
 def test_pilot_share_by_type_keeps_types_and_ids():
     # a type stays (kind, q, p); the shape groups stack one member per type
     topo = gridsim.pilot_topology()
-    model = GnnModel(topo, derive_schemas(topo), GnnConfig(share_by_type=True))
+    model = GnnModel(topo, derive_schemas(topo))
     assert model.count_parameters() == 30342
     types = ["feeder:8:6", "global:8:6", "prosumer:24:24", "prosumer:8:6",
              "substation:24:24"]
@@ -327,8 +323,7 @@ def test_share_by_type_gradients_match_finite_differences():
     # every shape group holds two types, so each layer reads its
     # members through an index
     topo, schemas = two_kinds_world()
-    model = GnnModel(topo, schemas, GnnConfig(message_passing_steps=2,
-                                              share_by_type=True))
+    model = GnnModel(topo, schemas, GnnConfig(message_passing_steps=2))
     model.init_parameters(8)
     assert model.params.values["stack/2:2/enc/L0"].shape == (2, 5, 5)
     assert model.params.values["stack/2:2>2:2/msg/L0"].shape == (2, 5, 5)
@@ -351,10 +346,11 @@ def test_share_by_type_gradients_match_finite_differences():
     assert dc.gradient_check(loss, model.params, analytic) < 1e-4
 
 
-@pytest.mark.parametrize("name", ["default", "shared"])
+@pytest.mark.parametrize("name", ["shared"])
 def test_checkpoints_written_under_kind_groups_predict_as_recorded(name):
     # written when nodes were grouped by (kind, q, p), with the untaped mu
-    # and sigma that grouping gave for a fixed input
+    # and sigma that grouping gave for a fixed input; its model section
+    # still says "share_by_type": true
     topo, _ = two_kinds_world()
     model = GnnModel.load_checkpoint(
         os.path.join(DATA, f"two_kinds_{name}.checkpoint.json"), topo)
@@ -374,14 +370,31 @@ def test_checkpoints_written_under_kind_groups_predict_as_recorded(name):
                                    rtol=1e-12, atol=0)
 
 
+def test_per_node_checkpoints_are_rejected():
+    # written with one MLP per node and per directed edge, which no model
+    # has any more: it must be retrained, not read
+    topo, _ = two_kinds_world()
+    with pytest.raises(ValueError, match="per-node parameters.*retrain"):
+        GnnModel.load_checkpoint(
+            os.path.join(DATA, "two_kinds_default.checkpoint.json"), topo)
+
+
 def test_share_by_type_shrinks_parameters():
+    # one MLP per node and per directed edge, each of its type's shapes,
+    # would hold 389,598 parameters on the pilot
     topo = gridsim.pilot_topology()
-    schemas = derive_schemas(topo)
-    per_node = GnnModel(topo, schemas).count_parameters()
-    shared = GnnModel(topo, schemas,
-                      GnnConfig(share_by_type=True)).count_parameters()
-    assert shared < 0.1 * per_node
-    model = GnnModel(topo, schemas, GnnConfig(share_by_type=True))
+    model = GnnModel(topo, derive_schemas(topo))
+    size: dict[str, int] = {}
+    for pid, view in model.parameter_views().items():
+        owner = pid.split("/")[1]
+        size[owner] = size.get(owner, 0) + view.size
+    type_of = {n.node_id: f"{n.kind}:{model.group_of[n.node_id]}"
+               for n in topo.nodes}
+    per_node = sum(size[type_of[nid]] for nid in topo.ids())
+    per_node += sum(size[f"{type_of[a]}>{type_of[b]}"] + size[
+        f"{type_of[b]}>{type_of[a]}"] for a, b in topo.edges)
+    assert per_node == 389598
+    assert model.count_parameters() == 30342 < 0.1 * per_node
     model.init_parameters(1)
     f, m = ones_inputs(model)
     mu, _ = model.forward(f, m)
@@ -421,10 +434,11 @@ def test_checkpoint_values_roundtrip_bit_exact(tmp_path):
     model = GnnModel(topo, tiny_schemas(topo))
     rng = np.random.default_rng(11)
     views = model.parameter_views()
-    views["node/g/enc/L0/W"][...] = rng.standard_normal((4, 4)) * 1e-7
-    views["node/p1/enc/L1/b"][...] = [1.0 / 3.0, -0.0]
-    views["node/p2/enc/L1/b"][...] = [2.0 ** -40, 5e-324]
-    views["edge/f>p2/msg/L0/W"][...] = rng.standard_normal((4, 4)) * 1e9
+    views["type/global:2:2/enc/L0/W"][...] = rng.standard_normal((4, 4)) * 1e-7
+    views["type/prosumer:2:2/enc/L1/b"][...] = [1.0 / 3.0, -0.0]
+    views["type/feeder:2:2/enc/L1/b"][...] = [2.0 ** -40, 5e-324]
+    views["etype/feeder:2:2>prosumer:2:2/msg/L0/W"][...] = (
+        rng.standard_normal((4, 4)) * 1e9)
     path = os.path.join(tmp_path, "ckpt.json")
     model.save_checkpoint(path)
     back = GnnModel.load_checkpoint(path, topo).parameter_views()
@@ -433,10 +447,11 @@ def test_checkpoint_values_roundtrip_bit_exact(tmp_path):
         assert back[pid].shape == value.shape
         assert np.array_equal(back[pid], value)
         assert np.array_equal(np.signbit(back[pid]), np.signbit(value))
-    assert np.signbit(back["node/p1/enc/L1/b"][1])
+    assert np.signbit(back["type/prosumer:2:2/enc/L1/b"][1])
     # a plain object with shape and values per parameter id
     doc = json.load(open(path))
-    assert doc["parameters"]["node/g/enc/L0/W"]["shape"] == [4, 4]
+    assert doc["parameters"]["type/global:2:2/enc/L0/W"]["shape"] == [4, 4]
+    assert "share_by_type" not in doc["model"]
 
 
 @pytest.mark.parametrize("fault", list(BAD_PARAMETERS))
@@ -452,7 +467,8 @@ def test_checkpoint_parameter_ids_are_validated_on_load(tmp_path, fault):
 
 
 @pytest.mark.parametrize("fault, names", [
-    ("nan_weight", "node/p1/enc/L0/W"), ("inf_bias", "edge/s>f/msg/L1/b"),
+    ("nan_weight", "type/prosumer:2:2/enc/L0/W"),
+    ("inf_bias", "etype/substation:2:2>feeder:2:2/msg/L1/b"),
     ("inf_std", "p1"), ("nan_mean", "g")])
 def test_non_finite_checkpoint_values_are_rejected_on_load(tmp_path, fault,
                                                            names):
@@ -497,19 +513,20 @@ def test_stacked_storage_keeps_ids_shapes_and_initial_draws():
     for pid, value in want.items():
         assert views[pid].shape == value.shape
         assert np.array_equal(views[pid], value)
-    assert views["node/p2/enc/L0/W"].shape == (4, 4)
-    assert views["edge/f>p1/msg/L1/b"].shape == (2,)
-    # the same-shaped substation, feeder and prosumers, and the six edges
-    # among them, share blocks; the lone global node's MLPs and its lone
-    # edges keep the unstacked shapes
+    assert views["type/prosumer:2:2/enc/L0/W"].shape == (4, 4)
+    assert views["etype/feeder:2:2>prosumer:2:2/msg/L1/b"].shape == (2,)
+    # the same-shaped substation, feeder and prosumer types, and the four
+    # edge types among them, share blocks; the global node's group, which
+    # holds one type, and its edge groups of one type each stack that type
+    # alone
     blocks = model.params.values
-    assert blocks["stack/2:2/enc/L0"].shape == (4, 5, 5)
-    assert blocks["stack/2:2>2:2/msg/L1"].shape == (6, 5, 2)
-    assert blocks["stack/1:1/enc/L1"].shape == (3, 1)
-    assert blocks["stack/1:1>2:2/msg/L0"].shape == (4, 4)
-    assert np.shares_memory(views["node/p2/enc/L0/W"],
+    assert blocks["stack/2:2/enc/L0"].shape == (3, 5, 5)
+    assert blocks["stack/2:2>2:2/msg/L1"].shape == (4, 5, 2)
+    assert blocks["stack/1:1/enc/L1"].shape == (1, 3, 1)
+    assert blocks["stack/1:1>2:2/msg/L0"].shape == (1, 4, 4)
+    assert np.shares_memory(views["type/prosumer:2:2/enc/L0/W"],
                             blocks["stack/2:2/enc/L0"])
-    assert np.shares_memory(views["node/g/enc/L1/b"],
+    assert np.shares_memory(views["type/global:1:1/enc/L1/b"],
                             blocks["stack/1:1/enc/L1"])
     assert len(blocks) < len(views)
 
@@ -521,11 +538,11 @@ def test_inplace_write_through_parameter_id_changes_forward():
     f, m = ones_inputs(model, b=2, seed=6)
     before, _ = model.forward(f, m)
     before = model.unpack(before)
-    model.parameter_views()["node/p2/dec_mu/L1/b"][...] += 1.0
+    model.parameter_views()["type/feeder:2:2/dec_mu/L1/b"][...] += 1.0
     after, _ = model.forward(f, m)
     after = model.unpack(after)
     for nid in topo.ids():
-        shift = 1.0 if nid == "p2" else 0.0
+        shift = 1.0 if nid == "f" else 0.0
         assert np.allclose(after[nid] - before[nid], shift, atol=1e-12), nid
 
 
@@ -566,7 +583,7 @@ def test_gnn_gradients_match_finite_differences():
 
 def test_share_by_type_trains_and_reloads(tmp_path):
     topo = chain_topology()
-    model = GnnModel(topo, tiny_schemas(topo), GnnConfig(share_by_type=True))
+    model = GnnModel(topo, tiny_schemas(topo))
     model.init_parameters(4)
     f, m = ones_inputs(model, b=8, seed=12)
     adam = dc.AdamState()
@@ -638,18 +655,17 @@ def test_constant_units_stay_fixed_and_are_no_parameters(tmp_path):
 def test_untaped_forward_matches_the_taped_forward_bit_for_bit():
     # one layer loop runs both; the taped pass records its layers too
     topo = gridsim.pilot_topology()
-    for share in (False, True):
-        model = GnnModel(topo, derive_schemas(topo), GnnConfig(share_by_type=share))
-        model.init_parameters(3)
-        for b in (1, 24, 120):
-            f, m = ones_inputs(model, b=b, seed=b)
-            m = {k: (v * (np.arange(v.size).reshape(v.shape) % 3 > 0))
-                 for k, v in m.items()}
-            untaped = model.forward(f, m)
-            taped = model.forward(f, m, tape=dc.Tape())
-            for want, got in zip(taped, untaped):
-                for k in want:
-                    assert got[k].tobytes() == want[k].tobytes()
+    model = GnnModel(topo, derive_schemas(topo))
+    model.init_parameters(3)
+    for b in (1, 24, 120):
+        f, m = ones_inputs(model, b=b, seed=b)
+        m = {k: (v * (np.arange(v.size).reshape(v.shape) % 3 > 0))
+             for k, v in m.items()}
+        untaped = model.forward(f, m)
+        taped = model.forward(f, m, tape=dc.Tape())
+        for want, got in zip(taped, untaped):
+            for k in want:
+                assert got[k].tobytes() == want[k].tobytes()
 
 
 def test_unknown_model_config_key_rejected():
@@ -659,11 +675,22 @@ def test_unknown_model_config_key_rejected():
 
 
 def test_gnn_config_validation():
-    for bad in ({"layers": 0}, {"layers": -1}, {"message_passing_steps": -1}):
+    # a count is a JSON integer: a checkpoint's 2.5 or true must not load
+    # as a 2- or 1-step model
+    for bad in ({"layers": 0}, {"layers": -1}, {"message_passing_steps": -1},
+                {"layers": 2.0}, {"layers": True},
+                {"message_passing_steps": 2.5},
+                {"message_passing_steps": True}):
         with pytest.raises(dc.ContractError, match=next(iter(bad))):
             GnnConfig(**bad)
-    with pytest.raises(dc.ContractError, match="layers"):
-        GnnConfig.from_document({**GnnConfig().to_document(), "layers": 0})
+        with pytest.raises(dc.ContractError, match=next(iter(bad))):
+            GnnConfig.from_document({**GnnConfig().to_document(), **bad})
+    # checkpoints written with "share_by_type" hold type ids only if true
+    legacy = {**GnnConfig().to_document(), "share_by_type": True}
+    assert GnnConfig.from_document(legacy) == GnnConfig()
+    for bad in (False, 1, None):
+        with pytest.raises(dc.ContractError, match="per-node parameters"):
+            GnnConfig.from_document({**legacy, "share_by_type": bad})
     for bad in (2.5, 0, -3, True, "foo", None):
         with pytest.raises(dc.ContractError, match="message_dim"):
             GnnConfig(message_dim=bad)

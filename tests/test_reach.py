@@ -3,10 +3,13 @@ the library or the benchmark, not only from tests, and so is each of its
 defaulted parameters; the reference oracles that tests compare against
 and the parameters in ``UNPASSED`` are the listed exceptions.
 
-The check is by name: a definition counts as reached when its name is
-read as a variable or an attribute, or imported, anywhere under ``src/``
-or ``benchmarks/`` outside the definition itself. Assigning to a name
-(a field, a local) does not count. A name that
+The check follows bindings, outside the definition itself, anywhere
+under ``src/`` or ``benchmarks/``: a method counts as reached only when
+its name is read as an attribute (``x.name``); a module-level function
+or class when its name is read as an attribute, or as a bare name in
+its own module or in a module that imports it from there. Assigning to
+a name (a field, a local) does not count, and neither does a local or
+an argument of the same name elsewhere. A name that
 two public definitions share (``copy``, ``to_document``, ...) would let
 one stand in for the other, so each shared definition names in
 ``SHARED_CALLERS`` one function under ``src/`` or ``benchmarks/`` whose
@@ -145,21 +148,76 @@ def _shared_definitions():
     return {q for q, n in defs if counts[n] > 1}
 
 
-def test_only_the_oracles_are_reached_from_tests_alone():
-    refs = {}
-    for path in _python_files(PACKAGE, BENCHMARKS):
-        for name, line in _references(_parse(path)):
-            refs.setdefault(name, []).append((path, line))
-    shared = _shared_definitions()
-    unreached = shared - set(SHARED_CALLERS)
-    for path in _python_files(PACKAGE):
+def _reads(paths):
+    """Every read under ``paths``: name -> (path, line) of each attribute
+    read and of each bare-name read, and per path the name each ``from``
+    import binds, keyed by (module, imported name); a module is named by
+    its last dotted part."""
+    attrs, bare = collections.defaultdict(list), collections.defaultdict(list)
+    imports = {}
+    for path in paths:
+        imports[path] = bound = {}
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                bare[node.id].append((path, node.lineno))
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                attrs[node.attr].append((path, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                module = node.module.rsplit(".", 1)[-1]
+                for alias in node.names:
+                    bound[(module, alias.name)] = alias.asname or alias.name
+    return attrs, bare, imports
+
+
+def _unreached(paths, others):
+    """Qualified names of the public definitions of the modules ``paths``
+    that no read under ``paths`` or ``others`` reaches outside the
+    definition itself, by the binding rules above."""
+    attrs, bare, imports = _reads([*paths, *others])
+    unreached = set()
+    for path in paths:
+        module = os.path.splitext(os.path.basename(path))[0]
         for qualified, name, first, last in _definitions(path):
-            if qualified in shared:
-                continue
-            if not any(p != path or not first <= line <= last
-                       for p, line in refs.get(name, ())):
+            def outside(p, line):
+                return p != path or not first <= line <= last
+
+            reached = any(outside(p, line) for p, line in attrs[name])
+            if not reached and qualified.count(".") == 1:
+                # the name each module binds the definition to, if any
+                binds = {p: b.get((module, name)) for p, b in imports.items()}
+                binds[path] = name
+                reached = any(outside(p, line)
+                              for p, bound in binds.items() if bound
+                              for q, line in bare[bound] if q == p)
+            if not reached:
                 unreached.add(qualified)
-    assert unreached == set(ORACLES)
+    return unreached
+
+
+def test_reach_follows_bindings(tmp_path):
+    # a local named like a method, or like a function its module does not
+    # import, reaches nothing; an attribute read or an imported binding does
+    sources = {
+        "m.py": "class C:\n    def run(self): ...\n    def go(self): ...\n"
+                "def helper(): ...\ndef lonely(): ...\ndef stray(): ...\n"
+                "def main(c):\n    run = 1\n    print(run)\n    c.go()\n"
+                "    helper()\n",
+        "n.py": "from m import lonely as alone\nstray = 0\n"
+                "print(alone(), stray)\n"}
+    paths = []
+    for name, text in sources.items():
+        paths.append(str(tmp_path / name))
+        (tmp_path / name).write_text(text)
+    assert _unreached(paths[:1], paths[1:]) == {"m.C", "m.C.run", "m.main",
+                                                "m.stray"}
+
+
+def test_only_the_oracles_are_reached_from_tests_alone():
+    shared = _shared_definitions()
+    unreached = _unreached(list(_python_files(PACKAGE)),
+                           list(_python_files(BENCHMARKS)))
+    assert (unreached - shared) | (shared - set(SHARED_CALLERS)) == set(ORACLES)
 
 
 def test_shared_names_have_a_listed_caller():
