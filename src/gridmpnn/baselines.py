@@ -10,8 +10,9 @@ prediction is scored through ``services.predict_voltages``: one untaped
 forward per row block, the masked voltages filled with its mean.
 
 The flat layout is the deterministic group order of
-``mpnn.compute_groups``: groups by layer shape, sorted by their ``q:p``
-key, topology order within a group.
+``mpnn.compute_groups``: one group per node type, sorted by its ``q:p``
+shape key, then by its first node's topology position, topology order
+within a group.
 """
 
 from __future__ import annotations

@@ -207,10 +207,9 @@ def _load_bundle(cfg: dict):
     schema_cfg = (SchemaConfig.from_document(cfg["schema"])
                   if cfg.get("schema") else SchemaConfig())
     schemas = derive_schemas(topo, schema_cfg)
-    dataset_path = _require_path(cfg, "dataset")
-    weather_path = cfg.get("paths", {}).get("weather")
-    paths = [dataset_path] + ([weather_path] if weather_path
-                              and os.path.exists(weather_path) else [])
+    paths = [_require_path(cfg, "dataset")]
+    if cfg.get("paths", {}).get("weather"):  # "" means none is given
+        paths.append(_require_path(cfg, "weather"))
     dataset = gridsim.TimeSeriesDataset.read_csv(*paths)
     return topo, schema_cfg, schemas, dataset
 
@@ -309,14 +308,27 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_model(cfg: dict) -> GnnModel:
+def _load_served(cfg: dict):
+    """The checkpoint's model, then the topology, schemas and dataset it
+    serves. The schemas come from the config, and must be the ones the
+    model was trained with: the first node whose schema differs is
+    named."""
     topo = _read_topology(cfg)
     ckpt = cfg.get("paths", {}).get("checkpoint")
     if not ckpt:
         raise ConfigError("config paths.checkpoint is required")
     if not os.path.exists(ckpt):
         raise MissingArtifact(f"checkpoint not found: {ckpt}")
-    return GnnModel.load_checkpoint(ckpt, topo)
+    model = GnnModel.load_checkpoint(ckpt, topo)
+    _, _, schemas, dataset = _load_bundle(cfg)
+    for nid in topo.ids():
+        ours, trained = vars(schemas[nid]), vars(model.schemas[nid])
+        for key, value in ours.items():
+            if value != trained[key]:
+                raise ConfigError(
+                    f"node {nid!r}: the config's schema has {key} {value!r}, "
+                    f"the checkpoint was trained with {trained[key]!r}")
+    return model, topo, schemas, dataset
 
 
 def _test_samples(cfg, model, dataset, schemas, missing_rate: float = 0.0):
@@ -333,8 +345,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"--missing-rate must lie in [0, 1), "
                           f"not {args.missing_rate}")
     cfg = load_config(args.config)
-    model = _load_model(cfg)
-    _, _, schemas, dataset = _load_bundle(cfg)
+    model, _, schemas, dataset = _load_served(cfg)
     samples, _ = _test_samples(cfg, model, dataset, schemas,
                                missing_rate=args.missing_rate)
     res = baselines.evaluate_voltage_prediction(model, samples, schemas)
@@ -352,8 +363,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_impute(args) -> int:
     cfg = load_config(args.config)
-    model = _load_model(cfg)
-    _, _, schemas, dataset = _load_bundle(cfg)
+    model, _, schemas, dataset = _load_served(cfg)
     try:
         t_index = dataset.index_of(args.timestamp)
     except KeyError as e:
@@ -368,6 +378,8 @@ def cmd_impute(args) -> int:
         for c, ch in enumerate(schema.channels()):
             sid = sensor_id(nid, ch.var,
                             weather=ch.var in schema.weather_covariates)
+            if sid not in dataset.series:
+                raise DatasetError(f"dataset lacks series {sid!r}")
             vec[c] = dataset.series[sid][t_index - ch.lag]
             obs[c] = not dataset.missing[sid][t_index - ch.lag]
         features[nid] = vec
@@ -397,8 +409,7 @@ def cmd_impute(args) -> int:
 
 def cmd_congest(args) -> int:
     cfg = load_config(args.config)
-    model = _load_model(cfg)
-    topo, _, schemas, dataset = _load_bundle(cfg)
+    model, topo, schemas, dataset = _load_served(cfg)
     svc = cfg["services"]
     node = svc["plot_node"]
     if node is not None and node not in topo.ids():
@@ -424,8 +435,7 @@ def cmd_congest(args) -> int:
 
 def cmd_bid(args) -> int:
     cfg = load_config(args.config)
-    model = _load_model(cfg)
-    _, _, schemas, dataset = _load_bundle(cfg)
+    model, _, schemas, dataset = _load_served(cfg)
     samples, test_ds = _test_samples(cfg, model, dataset, schemas)
     svc = cfg["services"]
     events, _ = services.scan_congestions(

@@ -38,21 +38,22 @@ Design choices:
   copied straight in; gathered rows go through numpy's fancy-index
   temporary, as a loop over the rows, which would avoid it, costs far
   more at one row.
-* An MLP layer is one affine block, plain (i + 1, o) over (B, i) rows,
-  as the centralized models run, or stacked (k, i + 1, o) over an
-  (n, B, i) stack, as the graph model runs; nothing broadcasts. The
-  block holds its weight rows, then its bias row. ``dense(x, a,
-  hidden)`` computes the layer as one GEMM, ``x @ a`` with tanh on
-  hidden layers, in place in one output buffer, over an input whose
-  last column is ones: a first layer appends that column (``ones``),
-  and each hidden layer carries one constant unit, weights 0 and bias
-  ``CONSTANT_BIAS`` = 40, whose ``tanh`` is exactly 1.0, so it is the
-  next layer's ones column.
+* An MLP layer is one affine (i + 1, o) block, its weight rows and
+  then its bias row, over (B, i) rows, as the centralized models run,
+  or over an (n, B, i) stack, as the graph model runs one MLP over the
+  n nodes or edges of a type, as (n·B, i) rows; nothing broadcasts.
+  ``dense(x, a, hidden)`` computes the layer as one GEMM, ``x @ a``
+  with tanh on hidden layers, in place in one output buffer, over an
+  input whose last column is ones: a first layer appends that column
+  (``ones``), and each hidden layer carries one constant unit, weights
+  0 and bias ``CONSTANT_BIAS`` = 40, whose ``tanh`` is exactly 1.0, so
+  it is the next layer's ones column.
   Its arithmetic matches a matmul with the weights, a bias add and a
-  tanh, bit for bit at the graph model's shapes, stacked ("batched")
-  as (n, B, i) @ (n, i, o) to run many MLPs at once. One backward
-  kernel undoes it: one GEMM, ``x^T @ g``, gives the weights'
-  and the bias's gradients at once, and the tanh derivative
+  tanh over the same rows, bit for bit at the graph model's shapes. One
+  backward kernel undoes it: ``x^T @ g`` gives the weights' and the
+  bias's gradients at once, over a stack one product per slice, added
+  over the slices in order (one GEMM over all n·B rows sums the bias
+  row in BLAS's blocks, not in row order), and the tanh derivative
   ``1 - out^2`` is formed in the kept output's buffer, which nothing
   reads after it. The constant unit's derivative is exactly 0, so its
   gradient is 0 and Adam never moves it; it is not a parameter
@@ -69,12 +70,8 @@ Design choices:
 * With ``rows``, ``dense`` reads rows gathered from several arrays and
   concatenated, as a graph model's edge MLP reads both endpoint states,
   and keeps the arrays and indices, not the gathered copy. Its adjoint
-  to each array adds each selected row's whole slab in index order (the
-  additions, in the order, of ``np.add.at``), and plainly assigns when
-  the indices are unique. With ``members``, an index into a stacked
-  block's leading axis, slice j applies member ``members[j]``, as a
-  graph model's nodes and edges read their type's MLP, and each
-  member's gradient adds its slices' slabs by the same rule.
+  to each array is one product with the rows' 0/1 incidence matrix,
+  which sums each array row's occurrences.
 * ``route(msgs, routing)`` is a graph model's mean incoming message:
   its messages stacked, flattened and multiplied by a constant routing
   matrix, and ``regroup(h, lo, hi, n)`` reads a column range of a flat
@@ -82,12 +79,10 @@ Design choices:
   kernels, use the numpy calls, in the order, of the stack, reshape,
   transpose, slice and matmul steps they stand for, so the bytes are
   theirs.
-* Parameters live only in blocks of the shapes the engine computes
-  with: per MLP layer one affine block, stacked along a leading member
-  axis when k same-shaped MLPs run as one batched matmul. There is no
-  per-MLP copy; a caller that names single MLPs (the graph model's
-  checkpoint ids) takes views of block slices that leave the constant
-  units out (``mlp_views``).
+* Parameters live only in the blocks the engine computes with, one
+  affine block per MLP layer. A caller that names weights and biases
+  (the graph model's checkpoint ids) takes views of the block that
+  leave the constant unit out (``mlp_views``).
 * Work cut into blocks runs on the cores that BLAS leaves free
   (``run_blocks``): the calling thread and a module-level pool take the
   blocks from one shared list until none is left, and numpy releases
@@ -197,7 +192,6 @@ class DenseRecord:
     rows: Optional[list[np.ndarray]]
     ones: bool
     block: np.ndarray
-    members: Optional[np.ndarray]
     out: Optional[np.ndarray]  # a hidden layer's output
     grad_parts: int  # the leading parts that get an adjoint
 
@@ -250,24 +244,23 @@ class Workspace:
 
 
 def _check_inner(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    """Operands of one matmul each, or of one stacked matmul slice by
-    slice: nothing broadcasts."""
-    if a.ndim < 2 or b.ndim < 2 or a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"{op} operands must both be matrices or stacks "
-                         f"of as many: {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
+    """Rows ``a`` (any leading shape) times the matrix ``b``: nothing
+    broadcasts."""
+    if b.ndim != 2:
+        raise ShapeError(f"{op} needs a matrix on the right, not {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"{op} inner dimensions differ: {a.shape} @ {b.shape}")
 
 
-def dense(x, a, hidden: bool, members=None, ones: bool = False,
+def dense(x, a, hidden: bool, ones: bool = False,
           rows: Optional[Sequence] = None, tape: Optional[Tape] = None,
           key: Optional[str] = None,
           grad_parts: Optional[int] = None) -> np.ndarray:
     """One MLP layer as one GEMM: ``x @ a``, then tanh if ``hidden``.
 
-    ``a`` is an affine block, plain (i, o) over a (B, i) input or
-    stacked (n, i, o) over an (n, B, i) one: the weight rows, then the
-    bias row, which the input's last column multiplies.
+    ``a`` is an affine (i, o) block: the weight rows, then the bias row,
+    which the input's last column multiplies. The input has any leading
+    shape, (B, i) or a stack (n, B, i), and runs as one (n·B, i) GEMM.
     That column is ones: with ``ones`` the layer appends it to ``x`` (a
     first layer), and a hidden layer's output ends with its constant
     unit, which is 1 (see ``mlp_init``). The output buffer is the matmul
@@ -280,10 +273,6 @@ def dense(x, a, hidden: bool, members=None, ones: bool = False,
     rows each index array selects along axis 0 (repeated indices
     allowed).
 
-    With ``members``, an index array of length n into the leading axis
-    of a stacked (k, i, o) ``a``, slice j of an (n, B, i) input applies
-    member ``members[j]``: the layer computes with ``a[members]``.
-
     On a ``tape`` the layer appends a ``DenseRecord`` for block ``key``
     whose backward (``dense_backward``) forms the adjoints of the
     leading ``grad_parts`` parts (all by default).
@@ -295,19 +284,18 @@ def dense(x, a, hidden: bool, members=None, ones: bool = False,
     a = _as_array(a)
     ws = tape.workspace if tape is not None else None
     xa = _gather_rows(xs, rows, ones, ws)
-    if members is not None:
-        members = np.asarray(members, dtype=np.intp)
-    am = a if members is None else a[members]
-    _check_inner(xa, am, "dense")
+    _check_inner(xa, a, "dense")
+    flat = xa.reshape(-1, a.shape[0])
     if hidden and ws is not None:  # kept for the backward: a workspace buffer
-        out = np.matmul(xa, am, out=ws.output(xa.shape[:-1] + am.shape[-1:]))
+        out = np.matmul(flat, a, out=ws.output((flat.shape[0], a.shape[1])))
     else:
-        out = xa @ am
+        out = flat @ a
     if hidden:
         np.tanh(out, out=out)
+    out = out.reshape(xa.shape[:-1] + a.shape[1:])
     if tape is not None:
         tape.nodes.append(DenseRecord(
-            key, xs, rows, ones, a, members, out if hidden else None,
+            key, xs, rows, ones, a, out if hidden else None,
             len(xs) if grad_parts is None else grad_parts))
     return out
 
@@ -336,22 +324,15 @@ def _gather_rows(xs: Sequence[np.ndarray], rows, ones: bool,
     return out
 
 
-def _add_rows(shape: tuple[int, ...], r: np.ndarray,
-              piece: np.ndarray) -> np.ndarray:
-    """Zeros of ``shape`` with slab ``piece[j]`` added into row ``r[j]``
-    for every j, in index order: the additions, in the order, of
-    ``np.add.at``; unique indices are assigned at once. Each addition is
-    one in-place add of a whole (B, ...) slab, which at the graph
-    model's shapes runs several times faster than one fancy-indexed add
-    per occurrence rank, whose gathered copies cost more than the loop
-    saves."""
-    g = np.zeros(shape)
-    if np.unique(r).size == r.size:
-        g[r] = piece
-    else:
-        for j, i in enumerate(r):
-            g[i] += piece[j]
-    return g
+def _scatter_rows(shape: tuple[int, ...], r: np.ndarray,
+                  piece: np.ndarray) -> np.ndarray:
+    """The adjoint, of ``shape``, of the rows ``r`` gathered from it, given
+    theirs, ``piece``: one product with the rows' 0/1 incidence matrix,
+    whose row i has a 1 in column j wherever ``r[j]`` is i, so each row
+    sums the slabs of its occurrences."""
+    incidence = np.zeros((shape[0], r.size))
+    incidence[r, np.arange(r.size)] = 1.0
+    return (incidence @ piece.reshape(r.size, -1)).reshape(shape)
 
 
 def dense_backward(record: DenseRecord, adj: np.ndarray,
@@ -359,41 +340,38 @@ def dense_backward(record: DenseRecord, adj: np.ndarray,
                    ) -> tuple[list[np.ndarray], np.ndarray]:
     """The adjoints of a dense layer's leading ``grad_parts`` input parts,
     in order, and its block's gradient, from the adjoint ``adj`` of its
-    output. A part's adjoint is its slice of the input's; for gathered
-    rows, each selected row's whole slab of the slice added in index
-    order (``_add_rows``), and so is each member's gradient into its
-    block row. The input is assembled again in ``ws``'s scratch buffer,
-    if given.
+    output. A part's adjoint is its slice of the input's, one GEMM over
+    every row; for gathered rows, that slice summed back into the rows'
+    array by their incidence matrix (``_scatter_rows``). The block's
+    gradient is ``x^T @ g``, over a stack one product per slice, added
+    over the slices in order, the input assembled again in ``ws``'s
+    scratch buffer, if given.
 
     A hidden layer forms its tanh derivative in place in the output it
     kept, so afterwards that array holds ``1 - out^2``, not ``out``.
     """
     r = record
-    if r.out is None:
-        g = adj
-    else:  # adj * (1 - out^2), in the kept output's buffer
-        g = r.out
-        np.multiply(g, g, out=g)
-        np.subtract(1.0, g, out=g)
-        np.multiply(g, adj, out=g)
+    g = adj.reshape(-1, r.block.shape[1])
+    if r.out is not None:  # adj * (1 - out^2), in the kept output's buffer
+        out = r.out.reshape(g.shape)
+        np.multiply(out, out, out=out)
+        np.subtract(1.0, out, out=out)
+        g = np.multiply(out, g, out=out)
     parts = []
     if r.grad_parts:
         shapes = [x.shape for x in r.parts[:r.grad_parts]]
         width = sum(sh[-1] for sh in shapes)
-        wt = (r.block if r.members is None
-              else r.block[r.members])[..., :width, :]
-        gx = g @ wt.swapaxes(-1, -2)
+        gx = (g @ r.block[:width].T).reshape(adj.shape[:-1] + (width,))
         lo = 0
         for k, shape in enumerate(shapes):
             hi = lo + shape[-1]
             piece = gx[..., lo:hi]
             lo = hi
             parts.append(piece if r.rows is None
-                         else _add_rows(shape, r.rows[k], piece))
-    grad = _gather_rows(r.parts, r.rows, r.ones, ws).swapaxes(-1, -2) @ g
-    if r.members is None:
-        return parts, grad
-    return parts, _add_rows(r.block.shape, r.members, grad)
+                         else _scatter_rows(shape, r.rows[k], piece))
+    xa = _gather_rows(r.parts, r.rows, r.ones, ws)
+    grad = xa.swapaxes(-1, -2) @ g.reshape(xa.shape[:-1] + g.shape[-1:])
+    return parts, grad if grad.ndim == 2 else grad.sum(axis=0)
 
 
 def clip(a, lo: float, hi: float, tape: Optional[Tape] = None) -> np.ndarray:
@@ -532,12 +510,11 @@ class ParameterSet:
     block id.
 
     A block has the shape the engine computes with: one MLP layer's
-    affine (i + 1, o) block, its weight rows and then its bias row, or,
-    for structurally identical MLPs, a (k, i + 1, o) block stacked
-    along a leading member axis. A block added with ``constant_unit``
-    ends with a hidden layer's constant unit, a column that is not a
-    parameter. Optimizers walk the blocks; a member's slice is a view of
-    its block, so writes through it are seen by the next forward.
+    affine (i + 1, o) block, its weight rows and then its bias row. A
+    block added with ``constant_unit`` ends with a hidden layer's
+    constant unit, a column that is not a parameter. Optimizers walk the
+    blocks; a weight or bias view is a view of its block, so writes
+    through it are seen by the next forward.
     """
 
     def __init__(self) -> None:
@@ -597,47 +574,36 @@ def mlp_layer_ids(prefix: str, layer_spec: Sequence[int]) -> list[str]:
 
 
 def mlp_init(params: ParameterSet, prefix: str, layer_spec: Sequence[int],
-             rng: np.random.Generator,
-             members: Optional[int] = None) -> None:
-    """Create the affine blocks of one MLP, or of ``members`` structurally
-    identical MLPs stacked.
+             rng: np.random.Generator) -> None:
+    """Create the affine blocks of one MLP.
 
-    Layer i of spec (n_0, n_1, ...) is one plain (n_i + 1, n_{i+1})
-    block, or (k, n_i + 1, n_{i+1}) for k members, 1 included: the
+    Layer i of spec (n_0, n_1, ...) is one (n_i + 1, n_{i+1}) block: the
     weight rows, then the bias row. A hidden layer's block has one
     column more, its constant unit (``CONSTANT_BIAS``), which is not a
     parameter. Weights are W ~ U[-a, a] with a = sqrt(6/(fan_in+fan_out)),
-    drawn member by member, each member's layers in order; biases are
-    zero.
+    drawn layer by layer; biases are zero.
     """
-    if members is not None and members < 1:
-        raise ContractError("an MLP block needs at least one member")
     ids = mlp_layer_ids(prefix, layer_spec)
-    lead = () if members is None else (members,)
-    fans = [(int(layer_spec[i]), int(layer_spec[i + 1])) for i in range(len(ids))]
-    for i, (aid, (fan_in, fan_out)) in enumerate(zip(ids, fans)):
+    for i, aid in enumerate(ids):
+        fan_in, fan_out = int(layer_spec[i]), int(layer_spec[i + 1])
         hidden = i < len(ids) - 1
-        block = np.zeros(lead + (fan_in + 1, fan_out + hidden))
+        block = np.zeros((fan_in + 1, fan_out + hidden))
         if hidden:
-            block[..., -1, -1] = CONSTANT_BIAS
+            block[-1, -1] = CONSTANT_BIAS
+        a = math.sqrt(6.0 / (fan_in + fan_out))
+        block[:fan_in, :fan_out] = rng.uniform(-a, a, size=(fan_in, fan_out))
         params.add(aid, block, constant_unit=hidden)
-    for j in range(members or 1):
-        for aid, (fan_in, fan_out) in zip(ids, fans):
-            a = math.sqrt(6.0 / (fan_in + fan_out))
-            block = params.values[aid]
-            (block[j] if lead else block)[:fan_in, :fan_out] = rng.uniform(
-                -a, a, size=(fan_in, fan_out))
 
 
 def mlp_views(block: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (weight, bias) views of one MLP's slice of an affine block
-    whose layer has ``width`` outputs, without its constant unit."""
-    return block[..., :-1, :width], block[..., -1, :width]
+    """The (weight, bias) views of an affine block whose layer has
+    ``width`` outputs, without its constant unit."""
+    return block[:-1, :width], block[-1, :width]
 
 
 @functools.lru_cache(maxsize=None)
 def _layer_ids(prefix: str, n_layers: int) -> tuple[tuple[str, bool], ...]:
-    """(block id, hidden) per layer of MLP block ``prefix``."""
+    """(block id, hidden) per layer of MLP ``prefix``."""
     ids = mlp_layer_ids(prefix, range(n_layers + 1))
     return tuple((a, i < n_layers - 1) for i, a in enumerate(ids))
 
@@ -645,18 +611,16 @@ def _layer_ids(prefix: str, n_layers: int) -> tuple[tuple[str, bool], ...]:
 def mlp_forward(params: ParameterSet, layer_spec: Sequence[int], prefix: str,
                 x, tape: Optional[Tape] = None,
                 rows: Optional[Sequence] = None,
-                members: Optional[np.ndarray] = None,
                 grad_parts: Optional[int] = None) -> np.ndarray:
-    """Apply the MLP block ``prefix``: tanh on hidden layers, linear
-    final layer, one GEMM per layer (``dense``).
+    """Apply the MLP ``prefix``: tanh on hidden layers, linear final
+    layer, one GEMM per layer (``dense``).
 
-    ``x`` has the layer input width as its last dimension: (B, in) for
-    a plain block; for a block of stacked MLPs (n, B, in), and MLP j
-    applies to slice j, or with ``members`` member ``members[j]`` of
-    the block, as in ``dense``. ``x`` may be a list or tuple of parts,
-    which the first layer reads as ``dense`` does, the input being ``[x[0] | x[1] | ...]``, or with
-    ``rows`` ``[x[0][rows[0]] | x[1][rows[1]] | ...]``. The first layer
-    appends the ones column its bias row multiplies.
+    ``x`` has the layer input width as its last dimension, (B, in) or a
+    stack (n, B, in), which every layer runs as n·B rows. ``x`` may be a
+    list or tuple of parts, which the first layer reads as ``dense``
+    does, the input being ``[x[0] | x[1] | ...]``, or with ``rows``
+    ``[x[0][rows[0]] | x[1][rows[1]] | ...]``. The first layer appends
+    the ones column its bias row multiplies.
 
     On a ``tape`` each layer appends its record, and the first forms
     the adjoints of its leading ``grad_parts`` parts only (all by
@@ -671,7 +635,7 @@ def mlp_forward(params: ParameterSet, layer_spec: Sequence[int], prefix: str,
         except KeyError:
             raise ContractError(
                 f"missing parameters for {prefix} layer {i}") from None
-        h = dense(h, a, hidden, members, ones=i == 0,
+        h = dense(h, a, hidden, ones=i == 0,
                   rows=rows if i == 0 else None, tape=tape, key=aid,
                   grad_parts=grad_parts if i == 0 else None)
     return h
@@ -721,9 +685,9 @@ class AdamState:
 def adam_step(params: ParameterSet, state: AdamState, lr: float = 0.01) -> None:
     """Bias-corrected Adam update from the accumulated gradients.
 
-    Walks the storage blocks, so a stacked block updates in one array
-    operation. Gradients are zeroed afterwards. Moments missing for a
-    block are initialized to zeros on first use.
+    Walks the storage blocks, so a layer's weights and bias update in
+    one array operation. Gradients are zeroed afterwards. Moments
+    missing for a block are initialized to zeros on first use.
     """
     if lr <= 0:
         raise ContractError("learning rate must be positive")

@@ -6,17 +6,16 @@ space). Per directed edge type: a message MLP (both endpoint states ->
 message). Per node type again: an aggregator MLP (own state + mean
 incoming message -> next state). A node's type is (kind, q, p) and an
 edge's the types of its endpoints, so the parameter count depends on
-the kinds of node and edge a grid has, not on how many. Inference is
-one feed-forward chain:
+which types of node and edge a grid has, not on how many of each.
+Inference is one feed-forward chain:
 
     encode -> T synchronous message-passing steps -> decode
 
-For speed, nodes whose MLPs have the same layer shapes (one group per
-(q, p), whatever their kind) are evaluated together as stacked MLP
-applications, and so are the edges between two such groups; each edge
-MLP's first layer gathers both endpoint states from their groups'
+Nodes of one type are evaluated together as one group, one MLP over
+their (n, B, ·) stack, and so are the edges of one type; each edge
+MLP's first layer gathers both endpoint states from their types'
 stacks (``diffcore.dense`` with ``rows``), and message aggregation is
-one ``diffcore.route`` per group, a constant routing-matrix multiply.
+one ``diffcore.route`` per type, a constant routing-matrix multiply.
 Every layer is one GEMM over an input whose last column is ones. The
 encoder's first layer reads [features | mask | 1], the aggregator's
 [state | mean message | 1] and the edge MLP's [destination state |
@@ -26,18 +25,14 @@ reads its own [state | 1]. A taped forward records its layers, and
 ``GnnModel.reverse`` walks them back.
 
 Parameters live only in the blocks the forward computes with, one
-affine block per layer and MLP role of a node group
-(``stack/<group>/<role>/L<i>``) or edge group
-(``stack/<src_group>><dst_group>/msg/L<i>``), stacked by type as
-(types, i + 1, o), also when a group holds one type: the weight rows,
-then the bias row, and on a hidden layer a last column for its constant
-unit, which is not a parameter (``diffcore.mlp_init``). Each node or
-edge reads its type's member through an index on the block's leading
-axis (``diffcore.dense`` with ``members``).
+affine (i + 1, o) block per MLP layer, whose id is its checkpoint ids'
+root: the weight rows, then the bias row, and on a hidden layer a last
+column for its constant unit, which is not a parameter
+(``diffcore.mlp_init``).
 
 Parameter-id scheme (stable; checkpoints are written in it, and
-``GnnModel.parameter_views`` maps each id to a view of its block slice,
-the weight rows or the bias row without the constant unit):
+``GnnModel.parameter_views`` maps each id to a view of its block, the
+weight rows or the bias row without the constant unit):
 
     type/<kind>:<q>:<p>/enc|agg|dec_mu|dec_lv/L<i>/W|b
     etype/<src type>><dst type>/msg/L<i>/W|b
@@ -112,12 +107,12 @@ class GnnConfig:
 
 @dataclass
 class NodeGroup:
-    """Nodes whose MLPs share one layer shape: q features, p latents.
-    ``kinds`` holds each node's kind, in node order."""
+    """The nodes of one type, (kind, q, p), in topology order: q
+    features, p latents."""
 
     key: str
     node_ids: list[str]
-    kinds: list[str]
+    kind: str
     q: int
     p: int
     index_of: dict[str, int] = field(default_factory=dict)
@@ -125,30 +120,34 @@ class NodeGroup:
     def __post_init__(self) -> None:
         self.index_of = {nid: i for i, nid in enumerate(self.node_ids)}
 
-
-def group_key(q: int, p: int) -> str:
-    return f"{q}:{p}"
+    @property
+    def shape(self) -> str:
+        """The layer-shape key, ``<q>:<p>``."""
+        return f"{self.q}:{self.p}"
 
 
 def compute_groups(topology: GridTopology,
                    schemas: dict[str, NodeSchema]) -> list[NodeGroup]:
-    """Deterministic grouping of nodes by layer shape (q, p); node order
-    within a group follows topology order, groups sorted by key."""
+    """One group per node type, keyed ``<kind>:<q>:<p>``, its nodes in
+    topology order; groups sorted by their ``<q>:<p>`` shape key, then by
+    their first node's topology position."""
     buckets: dict[str, list] = {}
     for node in topology.nodes:
         s = schemas[node.node_id]
-        buckets.setdefault(group_key(s.q, s.p), []).append(node)
-    out = []
-    for key in sorted(buckets):
-        nodes = buckets[key]
+        buckets.setdefault(f"{node.kind}:{s.q}:{s.p}", []).append(node)
+    groups = []
+    for key, nodes in buckets.items():  # first-node order
         s = schemas[nodes[0].node_id]
-        out.append(NodeGroup(key, [n.node_id for n in nodes],
-                             [n.kind for n in nodes], s.q, s.p))
-    return out
+        groups.append(NodeGroup(key, [n.node_id for n in nodes],
+                                nodes[0].kind, s.q, s.p))
+    return sorted(groups, key=lambda g: g.shape)
 
 
 @dataclass
 class _EdgeGroup:
+    """The directed edges of one type, (source type, destination type),
+    keyed ``<src type>><dst type>``."""
+
     key: str
     src_group: str
     dst_group: str
@@ -156,17 +155,6 @@ class _EdgeGroup:
     src_idx: np.ndarray
     dst_idx: np.ndarray
     spec: list[int]
-    prefixes: list[str]
-    block: str
-    members: np.ndarray  # each edge's type MLP
-
-
-def _types(types: list[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct ``types`` in sorted order, one MLP each, and each
-    position's member index."""
-    distinct = sorted(set(types))
-    at = {t: i for i, t in enumerate(distinct)}
-    return distinct, np.array([at[t] for t in types], dtype=np.intp)
 
 
 def _layer_spec(in_dim: int, out_dim: int, layers: int) -> list[int]:
@@ -240,9 +228,6 @@ class GnnModel(ModelBase):
         self._init_base(topology, schemas)
         self.config = config or GnnConfig()
         self.schema_config = schema_config
-        # a node's type, (kind, q, p), names its MLPs
-        self._type_of = {nid: f"{kind}:{g.key}" for g in self.groups
-                         for nid, kind in zip(g.node_ids, g.kinds)}
         self._compile_edges()
         self._compile_routing()
         self._compile_mlps()
@@ -265,34 +250,30 @@ class GnnModel(ModelBase):
         return _layer_spec(g.p, g.q, self.config.layers)
 
     def _compile_edges(self) -> None:
-        directed: list[tuple[str, str]] = []
-        for parent, child in self.topology.edges:
-            directed.append((parent, child))
-            directed.append((child, parent))
+        """One edge group per edge type, sorted by the source type's shape
+        key, the destination type's, then the edge type."""
         buckets: dict[tuple[str, str], list[tuple[str, str]]] = {}
-        for src, dst in directed:
-            buckets.setdefault((self.group_of[src], self.group_of[dst]),
-                               []).append((src, dst))
+        for parent, child in self.topology.edges:
+            for src, dst in ((parent, child), (child, parent)):
+                buckets.setdefault((self.group_of[src], self.group_of[dst]),
+                                   []).append((src, dst))
+        by_key = self._group_by_key
+        order = sorted(buckets, key=lambda k: (
+            by_key[k[0]].shape, by_key[k[1]].shape, f"{k[0]}>{k[1]}"))
         self.edge_groups: list[_EdgeGroup] = []
-        for (gs, gd) in sorted(buckets):
+        for gs, gd in order:
             pairs = buckets[(gs, gd)]
-            sg, dg = self._group_by_key[gs], self._group_by_key[gd]
-            spec = _layer_spec(sg.p + dg.p, self.message_dim_for(dg),
-                               self.config.layers)
-            etypes, members = _types([
-                f"{self._type_of[s]}>{self._type_of[d]}" for s, d in pairs])
-            key = f"{gs}>{gd}"
+            sg, dg = by_key[gs], by_key[gd]
             self.edge_groups.append(_EdgeGroup(
-                key=key,
-                src_group=gs, dst_group=gd, pairs=pairs,
+                key=f"{gs}>{gd}", src_group=gs, dst_group=gd, pairs=pairs,
                 src_idx=np.array([sg.index_of[s] for s, _ in pairs], dtype=np.intp),
                 dst_idx=np.array([dg.index_of[d] for _, d in pairs], dtype=np.intp),
-                spec=spec, prefixes=[f"etype/{e}/msg" for e in etypes],
-                block=f"stack/{key}/msg", members=members))
+                spec=_layer_spec(sg.p + dg.p, self.message_dim_for(dg),
+                                 self.config.layers)))
 
     def _compile_routing(self) -> None:
-        """Per node group, the (n_nodes, n_incoming_edges) matrix whose rows
-        average the concatenated incoming messages of the group."""
+        """Per node type, the (n_nodes, n_incoming_edges) matrix whose rows
+        average the concatenated incoming messages of the type."""
         degree: dict[str, int] = {nid: 0 for nid in self.topology.ids()}
         for eg in self.edge_groups:
             for _, dst in eg.pairs:
@@ -316,41 +297,34 @@ class GnnModel(ModelBase):
             self.routing[g.key] = r
 
     def _compile_mlps(self) -> None:
-        # (block, member prefixes, layer spec) per MLP group, in id order
-        self._mlp_blocks: list[tuple[str, list[str], list[int]]] = []
-        # per node group, each node's type MLP
-        self._node_members: dict[str, np.ndarray] = {}
-        for g in self.groups:
-            names, members = _types(
-                [f"type/{self._type_of[nid]}" for nid in g.node_ids])
-            self._node_members[g.key] = members
-            for role, spec in (("enc", self._enc_spec(g)),
-                               ("agg", self._agg_spec(g)),
-                               ("dec_mu", self._dec_spec(g)),
-                               ("dec_lv", self._dec_spec(g))):
-                self._mlp_blocks.append((f"stack/{g.key}/{role}",
-                                         [f"{n}/{role}" for n in names], spec))
-        for eg in self.edge_groups:
-            self._mlp_blocks.append((eg.block, eg.prefixes, eg.spec))
+        """(id prefix, layer spec) of every MLP, in checkpoint id order:
+        the node types' by shape key, role, then type; then the edge
+        types', in edge-group order."""
+        roles = (("enc", self._enc_spec), ("agg", self._agg_spec),
+                 ("dec_mu", self._dec_spec), ("dec_lv", self._dec_spec))
+        order = sorted((g.shape, r, g.key) for g in self.groups
+                       for r in range(len(roles)))
+        self._mlps: list[tuple[str, list[int]]] = [
+            (f"type/{key}/{roles[r][0]}", roles[r][1](self._group_by_key[key]))
+            for _, r, key in order]
+        self._mlps += [(f"etype/{eg.key}/msg", eg.spec)
+                       for eg in self.edge_groups]
 
     def init_parameters(self, seed: int = 0) -> None:
         """(Re)initialize every MLP from a seeded generator, in id order."""
         rng = np.random.default_rng(seed)
         self.params = ParameterSet()
-        for block, prefixes, spec in self._mlp_blocks:
-            dc.mlp_init(self.params, block, spec, rng, members=len(prefixes))
+        for prefix, spec in self._mlps:
+            dc.mlp_init(self.params, prefix, spec, rng)
 
     def parameter_views(self) -> dict[str, np.ndarray]:
         """Every documented parameter id, in checkpoint order, mapped to
-        a view of its slice of its block (never a constant unit)."""
+        a view of its block (never a constant unit)."""
         views = {}
-        for block, prefixes, spec in self._mlp_blocks:
-            blocks = [self.params.values[a]
-                      for a in dc.mlp_layer_ids(block, spec)]
-            for j, prefix in enumerate(prefixes):
-                for i, a in enumerate(blocks):
-                    w, b = dc.mlp_views(a[j], spec[i + 1])
-                    views[f"{prefix}/L{i}/W"], views[f"{prefix}/L{i}/b"] = w, b
+        for prefix, spec in self._mlps:
+            for i, a in enumerate(dc.mlp_layer_ids(prefix, spec)):
+                views[f"{a}/W"], views[f"{a}/b"] = dc.mlp_views(
+                    self.params.values[a], spec[i + 1])
         return views
 
     def count_parameters(self) -> int:
@@ -369,9 +343,8 @@ class GnnModel(ModelBase):
             if f.shape != m.shape or f.shape[-1] != g.q:
                 raise ShapeError(f"group {g.key}: feature/mask shape mismatch")
             states[g.key] = dc.mlp_forward(
-                self.params, self._enc_spec(g), f"stack/{g.key}/enc",
-                (f, m), tape=tape, members=self._node_members[g.key],
-                grad_parts=0)
+                self.params, self._enc_spec(g), f"type/{g.key}/enc",
+                (f, m), tape=tape, grad_parts=0)
         return states
 
     def message_pass(self, states: dict[str, np.ndarray],
@@ -382,17 +355,17 @@ class GnnModel(ModelBase):
             msgs: dict[str, list[np.ndarray]] = {g.key: [] for g in self.groups}
             for eg in self.edge_groups:
                 m = dc.mlp_forward(
-                    self.params, eg.spec, eg.block,
+                    self.params, eg.spec, f"etype/{eg.key}/msg",
                     (states[eg.dst_group], states[eg.src_group]), tape=tape,
-                    rows=(eg.dst_idx, eg.src_idx), members=eg.members)
+                    rows=(eg.dst_idx, eg.src_idx))
                 msgs[eg.dst_group].append(m)
             new_states = {}
             for g in self.groups:
                 own = states[g.key]
                 mean = self._mean_message(g, msgs[g.key], own.shape[1])
                 new_states[g.key] = dc.mlp_forward(
-                    self.params, self._agg_spec(g), f"stack/{g.key}/agg",
-                    (own, mean), tape=tape, members=self._node_members[g.key],
+                    self.params, self._agg_spec(g), f"type/{g.key}/agg",
+                    (own, mean), tape=tape,
                     grad_parts=None if msgs[g.key] else 1)
             states = new_states
         return states
@@ -412,14 +385,13 @@ class GnnModel(ModelBase):
         Each head reads its own [state | 1]."""
         mu, logvar = {}, {}
         for g in self.groups:
-            members = self._node_members[g.key]
             state = states[g.key]
             mu[g.key] = dc.mlp_forward(
-                self.params, self._dec_spec(g), f"stack/{g.key}/dec_mu", state,
-                tape=tape, members=members)
+                self.params, self._dec_spec(g), f"type/{g.key}/dec_mu", state,
+                tape=tape)
             raw = dc.mlp_forward(
-                self.params, self._dec_spec(g), f"stack/{g.key}/dec_lv", state,
-                tape=tape, members=members)
+                self.params, self._dec_spec(g), f"type/{g.key}/dec_lv", state,
+                tape=tape)
             logvar[g.key] = dc.clip(raw, np.log(VAR_CLAMP_LO),
                                     np.log(VAR_CLAMP_HI), tape)
         return mu, logvar

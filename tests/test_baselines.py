@@ -87,8 +87,8 @@ def test_degenerate_single_node_baseline():
     f = mlp.pack({"g": np.array([[0.5, -1.0]])})
     m = mlp.pack({"g": np.ones((1, 2))})
     mu, lv = mlp.forward(f, m)
-    assert mu["2:2"].shape == (1, 1, 2)
-    assert np.all(np.exp(lv["2:2"]) > 0)
+    assert mu["global:2:2"].shape == (1, 1, 2)
+    assert np.all(np.exp(lv["global:2:2"]) > 0)
 
 
 def test_baseline_forward_and_gradients_flow():

@@ -249,6 +249,53 @@ def test_per_node_checkpoint_exits_2(world, tmp_path, capsys, command):
     assert not os.path.exists(out) or not os.listdir(out)
 
 
+def _serve(world, tmp_path, command, **paths_or_schema) -> int:
+    """Run a serving command on the world's checkpoint, its config
+    changed as given (``schema``: schema keys over the defaults; any
+    other keyword: a path), writing into ``tmp_path / "out"``."""
+    cfg = json.loads(json.dumps(world["cfg"]))
+    schema = paths_or_schema.pop("schema", None)
+    if schema is not None:
+        cfg["schema"] = {**SchemaConfig().to_document(), **schema}
+    cfg["paths"].update(paths_or_schema, out_dir=str(tmp_path / "out"))
+    cfg_path = str(tmp_path / "served.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    extra = ["--timestamp", "2019-06-05T12:00:00Z"] if command == "impute" else []
+    return main([command, "--config", cfg_path, *extra])
+
+
+@pytest.mark.parametrize("command", ["evaluate", "impute", "congest", "bid"])
+@pytest.mark.parametrize("key, value, node", [
+    ("ar_lags", [96, 144, 200], "g"),
+    ("weather_covariates", ["irradiance", "temperature", "cloud_cover"], "s1"),
+], ids=["lags", "weather_order"])
+def test_a_checkpoint_served_under_another_schema_exits_2(
+        world, tmp_path, capsys, command, key, value, node):
+    # every node keeps its q, so the model would read other channels in
+    # the slots it was trained on; the first node that differs is named
+    assert _serve(world, tmp_path, command, schema={key: value}) == 2
+    err = capsys.readouterr().err
+    assert f"node {node!r}" in err and key in err
+    out = tmp_path / "out"
+    assert not os.path.exists(out) or not os.listdir(out)
+
+
+def test_impute_on_a_dataset_lacking_a_series_exits_2(world, tmp_path, capsys):
+    # an empty paths.weather gives no weather file, so the dataset lacks
+    # the substation's weather series
+    assert _serve(world, tmp_path, "impute", weather="") == 2
+    assert "dataset lacks series 'wx:s1:temperature'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "imputation.json")
+
+
+def test_a_missing_weather_file_exits_3(world, tmp_path, capsys):
+    missing = str(tmp_path / "no_weather.csv")
+    assert _serve(world, tmp_path, "evaluate", weather=missing) == 3
+    assert f"paths.weather does not exist: {missing}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "evaluation.json")
+
+
 @pytest.mark.parametrize("fault, name", [("weight", "type/prosumer:8:6/enc/L0/W"),
                                          ("std", "p2")])
 def test_non_finite_checkpoint_exits_2(world, tmp_path, capsys, fault, name):

@@ -1,6 +1,6 @@
 """Layer kernels and their backward kernels: forward semantics, adjoints
 against central finite differences and against numpy compositions bit
-for bit, stacked MLP blocks, Adam, record order, what a record keeps
+for bit, MLPs over stacks, Adam, record order, what a record keeps
 alive, the reverse-pass contract and run-to-run determinism."""
 
 import gc
@@ -229,25 +229,23 @@ OPS = {
     "dense_output": ({"a": (2, 2)}, lambda t, tape: dc.dense(
         np.array([[1.3], [-0.6]]), t["a"], hidden=False, ones=True,
         tape=tape), lambda tape, adj: _dense_grads(tape, adj, [None, "a"])),
-    # a stacked (n, i + 1, o) block
-    "dense_stacked": ({"a": (2, 2, 1)}, lambda t, tape: dc.dense(
+    # the block of a layer over an (n, B, i) stack
+    "dense_stacked": ({"a": (2, 1)}, lambda t, tape: dc.dense(
         _X_STACK, t["a"], hidden=True, ones=True, tape=tape),
         lambda tape, adj: _dense_grads(tape, adj, [None, "a"])),
-    # one type's (1, i + 1, o) block, which every slice reads as member 0
-    "dense_shared": ({"a": (1, 2, 1)}, lambda t, tape: dc.dense(
-        _X_STACK[:, :1], t["a"], hidden=True, members=[0, 0], ones=True,
-        tape=tape),
-        lambda tape, adj: _dense_grads(tape, adj, [None, "a"])),
+    # a stack and the one block every slice of it shares
+    "dense_shared": ({"x": (2, 2, 1), "a": (2, 1)}, lambda t, tape: dc.dense(
+        t["x"], t["a"], hidden=True, ones=True, tape=tape),
+        lambda tape, adj: _dense_grads(tape, adj, ["x", "a"])),
     # a part read twice of a multi-part input, and the block
     "dense_parts": ({"x": (2, 1), "a": (4, 2)}, lambda t, tape: dc.dense(
         [t["x"], np.array([[0.6], [-0.2]]), t["x"]], t["a"], hidden=True,
         ones=True, tape=tape), lambda tape, adj: _dense_grads(
             tape, adj, ["x", None, "x", "a"])),
-    # a gathered array (with repeated rows), and the block of two types
-    "gather_dense": ({"x": (2, 1, 1), "a": (2, 3, 1)}, lambda t, tape: dc.dense(
-        [t["x"], _X_STACK[:, :1]], t["a"], hidden=True, members=[1, 0, 1],
-        ones=True, rows=[np.array([1, 0, 1]), np.array([0, 1, 1])],
-        tape=tape),
+    # a gathered array (with repeated rows), and the block
+    "gather_dense": ({"x": (2, 1, 1), "a": (3, 1)}, lambda t, tape: dc.dense(
+        [t["x"], _X_STACK[:, :1]], t["a"], hidden=True, ones=True,
+        rows=[np.array([1, 0, 1]), np.array([0, 1, 1])], tape=tape),
         lambda tape, adj: _dense_grads(tape, adj, ["x", None, "a"])),
     # a group fed by one edge group, and one fed by two
     "route_one_group": ({"m": (3, 2, 2)}, lambda t, tape: dc.route(
@@ -296,26 +294,27 @@ def test_primitive_gradients_match_finite_differences(name):
 
 
 def test_matmul_stacked_and_broadcast_gradients():
-    # a dense layer's GEMM over a stacked (n, i + 1, o) block, and over
-    # one (1, i + 1, o) block that both slices read as member 0, where a
-    # plain block would broadcast; a plain block over a stack is refused
+    # one (i + 1, o) block over an (n, B, i) stack, as one GEMM over its
+    # n * B rows: each slice's rows get what the slice alone gets; a
+    # stacked block, one per slice, is refused
     rng = np.random.default_rng(3)
     x = rng.standard_normal((2, 5, 3))
-    with pytest.raises(dc.ShapeError, match="stacks"):
-        dc.dense(x, np.zeros((4, 4)), hidden=False, ones=True)
-    for block, members in (((2, 4, 4), None), ((1, 4, 4), [0, 0])):
-        params = dc.ParameterSet()
-        params.add("a", rng.standard_normal(block))
+    with pytest.raises(dc.ShapeError, match="matrix"):
+        dc.dense(x, np.zeros((2, 4, 4)), hidden=False, ones=True)
+    params = dc.ParameterSet()
+    params.add("a", rng.standard_normal((4, 4)))
+    out = dc.dense(x, params.values["a"], hidden=False, ones=True)
+    for j in range(2):
+        alone = dc.dense(x[j], params.values["a"], hidden=False, ones=True)
+        np.testing.assert_allclose(out[j], alone, rtol=1e-15, atol=0)
 
-        def forward(values, tape):
-            return dc.dense(x, values["a"], hidden=False, members=members,
-                            ones=True, tape=tape)
+    def forward(values, tape):
+        return dc.dense(x, values["a"], hidden=False, ones=True, tape=tape)
 
-        def reverse(tape, adj):
-            return _dense_grads(tape, adj, [None, "a"])
+    def reverse(tape, adj):
+        return _dense_grads(tape, adj, [None, "a"])
 
-        assert _fd_check(forward, reverse, params,
-                         rng.standard_normal(40)) < 1e-4, block
+    assert _fd_check(forward, reverse, params, rng.standard_normal(40)) < 1e-4
 
 
 def _sum_to(g, shape):
@@ -327,42 +326,37 @@ def _sum_to(g, shape):
 
 
 @pytest.mark.parametrize("shapes", [
-    ((3, 5, 4), (3, 4, 6), (3, 1, 6)),  # stacked weights and biases
     ((3, 5, 4), (4, 6), (6,)),          # one MLP shared over the stack
     ((5, 4), (4, 6), (6,)),             # plain layer
-], ids=["stacked", "shared", "plain"])
+], ids=["shared", "plain"])
 @pytest.mark.parametrize("hidden", [True, False], ids=["hidden", "output"])
 def test_dense_matches_unfused_composition_bit_for_bit(shapes, hidden):
-    # the reference is the unfused layer in numpy: a matmul, a bias add
-    # and a tanh, each output its own array; backward from the adjoint
-    # ``mix``: adj * (1 - out^2) through the tanh, then the matmul's two
-    # products and the bias sum, each summed back to its operand's shape.
-    # The fused layer computes [x | 1] @ [w; b] in one GEMM; the shared
-    # MLP is a one-member block that every slice reads as member 0.
+    # the reference is the unfused layer in numpy over the stack's rows: a
+    # matmul, a bias add and a tanh, each output its own array; backward
+    # from the adjoint ``mix``: adj * (1 - out^2) through the tanh, then
+    # the matmul's two products and the bias sum, each summed back to its
+    # operand's shape. The fused layer computes [x | 1] @ [w; b] in one
+    # GEMM over the n * B rows of a stack.
     rng = np.random.default_rng(12)
     xs, ws, bs = shapes
     mix = rng.standard_normal(xs[:-1] + ws[-1:])
     xd = np.random.default_rng(13).standard_normal(xs)
     wd = np.random.default_rng(14).standard_normal(ws)
     bd = np.random.default_rng(15).standard_normal(bs)
-    block = np.concatenate([wd, bd.reshape(ws[:-2] + (1, ws[-1]))], axis=-2)
-    members = None
-    if len(xs) > len(ws):
-        block, members = block[None], np.zeros(xs[0], dtype=int)
+    block = np.concatenate([wd, bd.reshape(1, ws[-1])])
     tape = dc.Tape()
-    out = dc.dense(xd, block, hidden=hidden, members=members, ones=True,
-                   tape=tape)
+    out = dc.dense(xd, block, hidden=hidden, ones=True, tape=tape)
     got = out.copy()  # backward forms the tanh derivative in place
     (gx,), ga = dc.dense_backward(tape.take(dc.DenseRecord), mix)
-    want = xd @ wd + bd
+    want = (xd.reshape(-1, xs[-1]) @ wd + bd).reshape(out.shape)
     g = mix
     if hidden:
         want = np.tanh(want)
         g = mix * (1.0 - want * want)
     assert np.array_equal(got, want)
-    # the bias sums over the rows of each slice, as the block's GEMM
-    # does, then over a stack that shares it
-    wants = {"x": _sum_to(g @ wd.swapaxes(-1, -2), xs),
+    # the weights and the bias sum over the rows of each slice, then
+    # over the slices of a stack in order
+    wants = {"x": (g.reshape(-1, ws[-1]) @ wd.T).reshape(xs),
              "W": _sum_to(xd.swapaxes(-1, -2) @ g, ws),
              "b": _sum_to(g.sum(axis=-2, keepdims=True), bs)}
     gots = {"x": gx, "W": ga[..., :-1, :].reshape(ws),
@@ -486,56 +480,38 @@ def test_dense_rejects_mismatched_inner_dimensions():
                  rows=[np.array([0, 1]), np.array([2])])
 
 
+def _incidence_sum(n, idx, piece):
+    """The rows ``piece[j]`` summed into row ``idx[j]`` of n rows, as one
+    product with the 0/1 incidence matrix of ``idx``."""
+    incidence = np.zeros((n, idx.size))
+    incidence[idx, np.arange(idx.size)] = 1.0
+    return (incidence @ piece.reshape(idx.size, -1)).reshape(
+        (n,) + piece.shape[1:])
+
+
 @pytest.mark.parametrize("idx", [
     np.array([3, 0, 3, 1, 0, 3, 2]),  # unsorted, repeated
     np.zeros(15, dtype=int),          # 15-to-1 fan-in, as into the global node
     np.array([2, 0, 3, 1]),           # all unique
 ], ids=["repeated", "fan_in_15", "unique"])
-def test_gather_dense_backward_matches_add_at_bit_for_bit(idx):
-    # an identity weight and a zero bias row, one member every gathered
-    # slice reads, pass the gathered rows and the adjoint through unchanged
+def test_gather_dense_backward_is_one_incidence_product_bit_for_bit(idx):
+    # an identity weight and a zero bias row pass the gathered rows and
+    # the adjoint through unchanged; the adjoint of the gathered array is
+    # the rows' incidence matrix times it, which sums each row's
+    # occurrences as np.add.at does, up to the order of the additions
     rng = np.random.default_rng(16)
     n = int(idx.max()) + 1
     a = rng.standard_normal((n, 7, 3))
     mix = rng.standard_normal((idx.size, 7, 3))
     tape = dc.Tape()
-    out = dc.dense([a], np.vstack([np.eye(3), np.zeros(3)])[None],
-                   hidden=False, members=np.zeros(idx.size, dtype=int),
+    out = dc.dense([a], np.vstack([np.eye(3), np.zeros(3)]), hidden=False,
                    ones=True, rows=[idx], tape=tape)
     assert np.array_equal(out, a[idx])
     (ga,), _ = dc.dense_backward(tape.take(dc.DenseRecord), mix)
-    want = np.zeros((n, 7, 3))
-    np.add.at(want, idx, mix)
-    assert np.array_equal(ga, want)
-
-
-@pytest.mark.parametrize("hidden", [False, True])
-def test_dense_members_match_gathered_weights_bit_for_bit(hidden):
-    # slice j of the input applies member members[j] of the block: the
-    # bytes of a layer fed the gathered (n, i + 1, o) copies, whose
-    # gradients np.add.at adds back into the block, slab by slab in index
-    # order
-    rng = np.random.default_rng(41)
-    members = np.array([1, 0, 1, 2, 1, 0])
-    block = np.concatenate([rng.standard_normal((3, 4, 5)),
-                            rng.standard_normal((3, 1, 5))], axis=1)
-    x = rng.standard_normal((6, 7, 4))
-    mix = rng.standard_normal((6, 7, 5))
-
-    def run(a, **kw):
-        tape = dc.Tape()
-        out = dc.dense(x, a, hidden, ones=True, tape=tape, **kw)
-        got = out.copy()
-        (gx,), ga = dc.dense_backward(tape.take(dc.DenseRecord), mix)
-        return got, gx, ga
-
-    out, gx, ga = run(block, members=members)
-    want, want_x, want_a = run(block[members])
-    assert np.array_equal(out, want)
-    assert np.array_equal(gx, want_x)
-    added = np.zeros(block.shape)
-    np.add.at(added, members, want_a)
-    assert np.array_equal(ga, added)
+    assert ga.tobytes() == _incidence_sum(n, idx, mix).tobytes()
+    added = np.zeros((n, 7, 3))
+    np.add.at(added, idx, mix)
+    np.testing.assert_allclose(ga, added, rtol=1e-14, atol=1e-14)
 
 
 # (destination rows, source rows, source group is the destination group)
@@ -559,61 +535,56 @@ def _mlp_pass(params, spec, x, mix, **kw):
     return out, parts, grads
 
 
-@pytest.mark.parametrize("weights", ["stacked", "lone"])
+@pytest.mark.parametrize("inputs", ["stacked", "lone"])
 @pytest.mark.parametrize("layers", [1, 3])
 @pytest.mark.parametrize("case", sorted(_EDGE_CASES))
-def test_gather_dense_matches_composed_layers_bit_for_bit(case, layers, weights):
+def test_gather_dense_matches_composed_layers_bit_for_bit(case, layers, inputs):
     # the reference gathers and concatenates in numpy and feeds that copy
-    # to dense layers; its adjoint goes back through np.add.at, to the
-    # destination and to the source rows
+    # to dense layers; its adjoint goes back to the destination and to the
+    # source rows by their incidence matrices. The arrays are (n, B, p)
+    # stacks, or (n, p) matrices whose rows are gathered
     dst, src, same = _EDGE_CASES[case]
     rng = np.random.default_rng(31)
-    pd, ps, batch = 3, (3 if same else 2), 5
-    xd = rng.standard_normal((int(dst.max()) + 1, batch, pd))
-    xs = xd if same else rng.standard_normal((int(src.max()) + 1, batch, ps))
+    pd, ps = 3, (3 if same else 2)
+    lead = (5,) if inputs == "stacked" else ()
+    xd = rng.standard_normal((int(dst.max()) + 1, *lead, pd))
+    xs = xd if same else rng.standard_normal((int(src.max()) + 1, *lead, ps))
     spec = [pd + ps] + [4] * (layers - 1) + [2]
-    # a lone MLP is one member, which every edge reads
-    lone = {"members": np.zeros(dst.size, dtype=int)} if weights == "lone" \
-        else {}
     params = dc.ParameterSet()
-    dc.mlp_init(params, "m", spec, np.random.default_rng(32),
-                members=1 if lone else dst.size)
-    mix = rng.standard_normal((dst.size, batch, 2))
+    dc.mlp_init(params, "m", spec, np.random.default_rng(32))
+    mix = rng.standard_normal((dst.size, *lead, 2))
     out, (to_dst, to_src), grads = _mlp_pass(params, spec, (xd, xs), mix,
-                                             rows=(dst, src), **lone)
+                                             rows=(dst, src))
     x = np.concatenate([xd[dst], xs[src]], axis=-1)
-    want, (gx,), want_grads = _mlp_pass(params, spec, x, mix, **lone)
+    want, (gx,), want_grads = _mlp_pass(params, spec, x, mix)
     assert np.array_equal(out, want)
-    ref_dst, ref_src = np.zeros(xd.shape), np.zeros(xs.shape)
-    np.add.at(ref_dst, dst, gx[..., :pd])
-    np.add.at(ref_src, src, gx[..., pd:])
-    assert np.array_equal(to_dst, ref_dst)
-    assert np.array_equal(to_src, ref_src)
+    ref_dst = _incidence_sum(len(xd), dst, gx[..., :pd])
+    ref_src = _incidence_sum(len(xs), src, gx[..., pd:])
+    assert to_dst.tobytes() == ref_dst.tobytes()
+    assert to_src.tobytes() == ref_src.tobytes()
     for key, g in want_grads.items():
         assert g.any() and np.array_equal(grads[key], g), key
 
 
-@pytest.mark.parametrize("weights", ["stacked", "lone"])
+@pytest.mark.parametrize("inputs", ["stacked", "lone"])
 @pytest.mark.parametrize("layers", [1, 3])
 @pytest.mark.parametrize("same", [False, True], ids=["two_parts", "one_twice"])
-def test_dense_parts_match_concat_then_dense_bit_for_bit(same, layers, weights):
+def test_dense_parts_match_concat_then_dense_bit_for_bit(same, layers, inputs):
     # an MLP whose first layer reads (a, b) as parts against the same MLP
     # fed their numpy concatenation: each part's adjoint is its slice of
-    # the concatenation's, and with b = a the two slices come apart
+    # the concatenation's, and with b = a the two slices come apart. The
+    # parts are (n, B, p) stacks or (B, p) matrices
     rng = np.random.default_rng(41)
-    n, batch, pa, pb = 3, 5, 3, (3 if same else 2)
-    a = rng.standard_normal((n, batch, pa))
-    b = a if same else rng.standard_normal((n, batch, pb))
+    lead, pa, pb = ((3, 5) if inputs == "stacked" else (5,)), 3, (3 if same else 2)
+    a = rng.standard_normal((*lead, pa))
+    b = a if same else rng.standard_normal((*lead, pb))
     spec = [pa + pb] + [4] * (layers - 1) + [2]
-    mix = rng.standard_normal((n, batch, 2))
-    # a lone MLP is one member, which every slice reads
-    lone = {"members": np.zeros(n, dtype=int)} if weights == "lone" else {}
+    mix = rng.standard_normal((*lead, 2))
     params = dc.ParameterSet()
-    dc.mlp_init(params, "m", spec, np.random.default_rng(42),
-                members=1 if lone else n)
-    out, (to_a, to_b), grads = _mlp_pass(params, spec, (a, b), mix, **lone)
+    dc.mlp_init(params, "m", spec, np.random.default_rng(42))
+    out, (to_a, to_b), grads = _mlp_pass(params, spec, (a, b), mix)
     want, (gx,), want_grads = _mlp_pass(
-        params, spec, np.concatenate([a, b], axis=-1), mix, **lone)
+        params, spec, np.concatenate([a, b], axis=-1), mix)
     assert out.tobytes() == want.tobytes()
     assert to_a.tobytes() == gx[..., :pa].tobytes()
     assert to_b.tobytes() == gx[..., pa:].tobytes()
@@ -665,63 +636,61 @@ def test_dense_parts_keep_no_concatenated_copy(monkeypatch):
 
 
 def _pilot_layers():
-    """(slices, block shape, inputs, outputs, hidden, members) of every
-    layer of the pilot model, whose nodes and edges read one MLP per
-    type."""
+    """(rows' leading size, block shape, inputs, outputs, hidden) of every
+    layer of the pilot model, whose node and edge types each run one MLP
+    over their stack."""
     topo = gridsim.pilot_topology()
     model = GnnModel(topo, derive_schemas(topo))
-    reads = {eg.block: (len(eg.pairs), eg.members) for eg in model.edge_groups}
-    for g in model.groups:
-        for role in ("enc", "agg", "dec_mu", "dec_lv"):
-            reads[f"stack/{g.key}/{role}"] = (len(g.node_ids),
-                                              model._node_members[g.key])
+    size = {f"type/{g.key}": len(g.node_ids) for g in model.groups}
+    size.update({f"etype/{eg.key}": len(eg.pairs) for eg in model.edge_groups})
     layers = []
-    for block, _, spec in model._mlp_blocks:
-        n, members = reads[block]
-        for i, a in enumerate(dc.mlp_layer_ids(block, spec)):
+    for prefix, spec in model._mlps:
+        n = size[prefix.rsplit("/", 1)[0]]
+        for i, a in enumerate(dc.mlp_layer_ids(prefix, spec)):
             layers.append((n, model.params.values[a].shape, spec[i],
-                           spec[i + 1], i < len(spec) - 2, members))
+                           spec[i + 1], i < len(spec) - 2))
     return layers
 
 
 @pytest.mark.parametrize("batch", [1, 24, 120, 256])
 def test_affine_layers_match_the_bias_add_composition_bit_for_bit(batch):
-    # every layer shape of the pilot model, each read through members: the
-    # one-GEMM layer [x | 1] @ [W; b] against x @ W, then += b, then tanh,
-    # and its adjoints against that composition's: the tanh derivative,
-    # the two matmul products and the bias sum over each slice's rows,
-    # added into the block per member in index order (np.add.at)
+    # every layer shape of the pilot model over its (n, B, i) stack: the
+    # one-GEMM layer [x | 1] @ [W; b] over the n * B rows against x @ W,
+    # then += b, then tanh over the same rows, and its adjoints against
+    # that composition's: the tanh derivative, the input's adjoint over
+    # the same rows, and the two weight products and the bias sum over
+    # each slice's rows, added over the slices in order
     rng = np.random.default_rng(batch)
-    for n, shape, i, o, hidden, members in _pilot_layers():
+    for n, shape, i, o, hidden in _pilot_layers():
         block = rng.uniform(-0.5, 0.5, shape)
         if hidden:
-            block[..., -1] = 0.0
-            block[..., -1, -1] = dc.CONSTANT_BIAS
+            block[:, -1] = 0.0
+            block[-1, -1] = dc.CONSTANT_BIAS
         x = rng.standard_normal((n, batch, i))
         mix = rng.standard_normal((n, batch, shape[-1]))
         tape = dc.Tape()
-        out = dc.dense(x, block, hidden, members, ones=True, tape=tape)
+        out = dc.dense(x, block, hidden, ones=True, tape=tape)
         got = out.copy()
         (gx,), ga = dc.dense_backward(tape.take(dc.DenseRecord), mix)
 
-        w, b = block[members, :i, :o], block[members, i:, :o]
-        want = x @ w
+        w, b = block[:i, :o], block[i:, :o]
+        want = x.reshape(-1, i) @ w
         want += b
-        g = mix[..., :o]
+        g = mix[..., :o].reshape(-1, o)
         if hidden:
             np.tanh(want, out=want)
             g = g * (1.0 - want * want)
-        dw, db = np.zeros(shape[:-2] + (i, o)), np.zeros(shape[:-2] + (1, o))
-        np.add.at(dw, members, x.swapaxes(-1, -2) @ g)
-        np.add.at(db, members, g.sum(axis=-2, keepdims=True))
+        slices = g.reshape(n, batch, o)
+        dw = (x.swapaxes(-1, -2) @ slices).sum(axis=0)
+        db = slices.sum(axis=-2, keepdims=True).sum(axis=0)
         case = (n, shape)
-        assert np.array_equal(got[..., :o], want), case
+        assert np.array_equal(got[..., :o].reshape(-1, o), want), case
         if hidden:
             assert (got[..., o] == 1.0).all(), case
-        assert np.array_equal(gx, g @ w.swapaxes(-1, -2)), case
-        assert np.array_equal(ga[..., :i, :o], dw), case
-        assert np.array_equal(ga[..., i:, :o], db), case
-        assert not ga[..., o:].any(), case
+        assert np.array_equal(gx.reshape(-1, i), g @ w.T), case
+        assert np.array_equal(ga[:i, :o], dw), case
+        assert np.array_equal(ga[i:, :o], db), case
+        assert not ga[:, o:].any(), case
 
 
 def test_backward_of_loss_without_parameters_leaves_gradients_zero():
@@ -744,13 +713,12 @@ def test_gather_dense_and_stack_gradients():
     params = dc.ParameterSet()
     params.add("ab", np.stack([rng.standard_normal((3, 2)),
                                rng.standard_normal((3, 2))]))
-    a = np.vstack([rng.standard_normal((4, 3)), np.zeros(3)])[None]
+    a = np.vstack([rng.standard_normal((4, 3)), np.zeros(3)])
     mix = rng.standard_normal((5, 3, 3))
 
     def forward(values, tape):
         ab = values["ab"]
-        return dc.dense([ab, ab], a, hidden=True, members=np.zeros(5, int),
-                        ones=True, tape=tape,
+        return dc.dense([ab, ab], a, hidden=True, ones=True, tape=tape,
                         rows=[np.array([0, 1, 1, 0, 1]),
                               np.array([1, 1, 0, 0, 0])])
 
@@ -768,61 +736,67 @@ def _three_mlps(seed=4, spec=(3, 5, 2)):
     return params
 
 
-def _member(arrays, block, pid):
-    """Member j's slice of a stacked block, for the block id ``m<j>/L<i>``."""
-    j, layer = int(pid[1]), pid.split("/", 1)[1]
-    return arrays[f"{block}/{layer}"][j]
+def _views(arrays, spec):
+    """{id: weight or bias view} of the blocks ``arrays`` (values or
+    gradients) of MLPs of ``spec``."""
+    out = {}
+    for a, block in arrays.items():
+        w, b = dc.mlp_views(block, spec[int(a.rsplit("/L", 1)[1]) + 1])
+        out[f"{a}/W"], out[f"{a}/b"] = w, b
+    return out
 
 
 def test_mlp_forward_stacked_matches_separate_mlps_with_one_leaf_per_block():
-    # one record per layer, naming the block the layer computes with
+    # one MLP over an (n, B, i) stack: one record per layer, naming the
+    # block the layer computes with; each slice gets what it gets alone,
+    # and the block's gradient is the slices' gradients added
     spec = [3, 5, 2]
-    stacked = dc.ParameterSet()
-    dc.mlp_init(stacked, "blk", spec, np.random.default_rng(4), members=3)
-    separate = _three_mlps()
+    params = _three_mlps()
     rng = np.random.default_rng(6)
     x = rng.standard_normal((3, 4, 3))
     mix = rng.standard_normal((3, 4, 2))
     tape = dc.Tape()
-    out = dc.mlp_forward(stacked, spec, "blk", x, tape=tape)
-    assert [r.key for r in tape.nodes] == dc.mlp_layer_ids("blk", spec)
-    dc.mlp_backward(tape, stacked.grads, len(spec) - 1, mix)
-    for j, prefix in enumerate(("m0", "m1", "m2")):
+    out = dc.mlp_forward(params, spec, "m1", x, tape=tape)
+    assert [r.key for r in tape.nodes] == dc.mlp_layer_ids("m1", spec)
+    stacked = {a: np.zeros_like(v) for a, v in params.values.items()}
+    dc.mlp_backward(tape, stacked, len(spec) - 1, mix)
+    separate = {a: np.zeros_like(v) for a, v in params.values.items()}
+    for j in range(3):
         tape = dc.Tape()
-        want = dc.mlp_forward(separate, spec, prefix, x[j], tape=tape)
-        dc.mlp_backward(tape, separate.grads, len(spec) - 1, mix[j])
+        want = dc.mlp_forward(params, spec, "m1", x[j], tape=tape)
+        dc.mlp_backward(tape, separate, len(spec) - 1, mix[j])
         assert np.allclose(out[j], want, rtol=0, atol=1e-14)
-    for pid in separate.values:
-        assert np.allclose(_member(stacked.grads, "blk", pid),
-                           separate.grads[pid], rtol=0, atol=1e-13)
+    for a in dc.mlp_layer_ids("m1", spec):
+        assert stacked[a].any()
+        assert np.allclose(stacked[a], separate[a], rtol=0, atol=1e-13), a
 
 
-def test_mlp_members_are_views_of_their_block():
+def test_mlp_views_are_views_of_their_block():
     spec = [3, 5, 2]
     params = dc.ParameterSet()
-    dc.mlp_init(params, "blk", spec, np.random.default_rng(4), members=3)
-    # member by member, each member's layers in order: the draws of
-    # three separate MLPs
-    separate = _three_mlps()
-    for pid, value in separate.values.items():
-        assert np.array_equal(_member(params.values, "blk", pid), value)
+    dc.mlp_init(params, "net", spec, np.random.default_rng(4))
+    # layer by layer, each its weights from one draw; biases zero
+    rng = np.random.default_rng(4)
+    for i, a in enumerate(dc.mlp_layer_ids("net", spec)):
+        bound = np.sqrt(6.0 / (spec[i] + spec[i + 1]))
+        w, b = dc.mlp_views(params.values[a], spec[i + 1])
+        assert np.array_equal(w, rng.uniform(-bound, bound, w.shape))
+        assert not b.any()
     # weight rows and a bias row; the hidden layer's constant unit last
-    assert params.values["blk/L0"].shape == (3, 4, 6)
-    assert params.values["blk/L1"].shape == (3, 6, 2)
+    assert params.values["net/L0"].shape == (4, 6)
+    assert params.values["net/L1"].shape == (6, 2)
     x = np.random.default_rng(5).standard_normal((3, 4, 3))
-    before = dc.mlp_forward(params, spec, "blk", x)
-    dc.mlp_views(_member(params.values, "blk", "m1/L1"), 2)[1][1] = 7.0
-    after = dc.mlp_forward(params, spec, "blk", x)
-    assert np.array_equal(after[[0, 2]], before[[0, 2]])
-    assert np.allclose(after[1, :, 1] - before[1, :, 1], 7.0)
-    dc.mlp_views(_member(params.grads, "blk", "m2/L1"), 2)[0][0, 1] = -3.0
-    assert params.grads["blk/L1"][2, 0, 1] == -3.0
+    before = dc.mlp_forward(params, spec, "net", x)
+    dc.mlp_views(params.values["net/L1"], 2)[1][1] = 7.0
+    after = dc.mlp_forward(params, spec, "net", x)
+    assert np.array_equal(after[..., 0], before[..., 0])
+    assert np.allclose(after[..., 1] - before[..., 1], 7.0)
+    dc.mlp_views(params.grads["net/L1"], 2)[0][0, 1] = -3.0
+    assert params.grads["net/L1"][0, 1] == -3.0
     params.zero_grads()
-    assert not params.grads["blk/L1"].any()
+    assert not params.grads["net/L1"].any()
     with pytest.raises(dc.ContractError, match="duplicate"):
-        dc.mlp_init(params, "blk", spec, np.random.default_rng(4), members=3)
-    with pytest.raises(dc.ContractError, match="member"):
-        dc.mlp_init(params, "other", spec, np.random.default_rng(4), members=0)
+        dc.mlp_init(params, "net", spec, np.random.default_rng(4))
 
 
 def _reference_adam(params, state, lr):
@@ -842,30 +816,25 @@ def _reference_adam(params, state, lr):
 
 
 def test_adam_over_blocks_matches_per_id_reference_bit_for_bit():
-    # m0 and m1 as one stacked block, m2 on its own; the reference keeps
-    # one array per MLP
+    # the blocks of three MLPs against a reference that keeps one array
+    # per weight and bias id
     spec = [3, 5, 2]
-    stacked = dc.ParameterSet()
-    rng = np.random.default_rng(4)
-    dc.mlp_init(stacked, "blk", spec, rng, members=2)
-    dc.mlp_init(stacked, "m2", spec, rng)
-    reference = _three_mlps()
-
-    def view(arrays, pid):
-        return arrays[pid] if pid.startswith("m2") else _member(arrays, "blk", pid)
-
+    blocks = _three_mlps()
+    reference = dc.ParameterSet()
+    for pid, view in _views(blocks.values, spec).items():
+        reference.add(pid, view.copy())
     rng = np.random.default_rng(8)
     s_state, r_state = dc.AdamState(), dc.AdamState()
     for _ in range(4):
-        for pid in reference.values:
-            g = rng.standard_normal(reference.grads[pid].shape)
+        for pid, view in _views(blocks.grads, spec).items():
+            g = rng.standard_normal(view.shape)
             reference.grads[pid][...] = g
-            view(stacked.grads, pid)[...] = g
-        dc.adam_step(stacked, s_state, lr=0.03)
+            view[...] = g
+        dc.adam_step(blocks, s_state, lr=0.03)
         _reference_adam(reference, r_state, lr=0.03)
-    for pid in reference.values:
-        assert np.array_equal(view(stacked.values, pid), reference.values[pid])
-        assert not view(stacked.grads, pid).any()
+    for pid, view in _views(blocks.values, spec).items():
+        assert np.array_equal(view, reference.values[pid])
+    assert not any(g.any() for g in blocks.grads.values())
 
 
 # ---------------------------------------------------------------------------
@@ -962,9 +931,9 @@ def _dense_part(tape, p):
 def _gather_dense_input(tape, p):
     # ... and of gathered rows, the array they are gathered from
     x = np.array([[[0.2, -0.1]], [[0.4, 0.3]]])
-    return x, dc.dense([x], dc.clip(p, -1.0, 1.0, tape)[None], hidden=True,
-                       members=np.zeros(3, int), ones=True,
-                       rows=[np.array([1, 0, 1])], tape=tape), _block_back
+    return x, dc.dense([x], dc.clip(p, -1.0, 1.0, tape), hidden=True,
+                       ones=True, rows=[np.array([1, 0, 1])],
+                       tape=tape), _block_back
 
 
 @pytest.mark.parametrize("make", [_linear_dense, _clip_input, _route_input,

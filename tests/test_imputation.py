@@ -172,7 +172,8 @@ def test_voltage_channel_indices():
     sel = voltage_lag0_selector(schemas,
                                 compute_groups(chain_topology(), schemas))
     assert {k: v.tolist() for k, v in sel.items()} == {
-        "4:1": [[True, False, False, False]], "1:1": [[False], [False]]}
+        "feeder:4:1": [[True, False, False, False]],
+        "global:1:1": [[False]], "substation:1:1": [[False]]}
 
 
 @pytest.fixture

@@ -64,8 +64,8 @@ def test_pilot_prosumer_state_length_is_six():
     f, m = ones_inputs(model)
     states = model.encode(f, m)
     single = [(g.key, j) for g in model.groups
-              for j, (nid, kind) in enumerate(zip(g.node_ids, g.kinds))
-              if kind == "prosumer" and topo.node(nid).phases == 1]
+              for j, nid in enumerate(g.node_ids)
+              if g.kind == "prosumer" and topo.node(nid).phases == 1]
     assert len(single) == 21
     for key, j in single:
         assert states[key][j].shape == (1, 6)
@@ -127,7 +127,7 @@ def test_isolated_node_depends_only_on_own_encoder():
     model.init_parameters(5)
     f, m = ones_inputs(model, seed=2)
     mu, logvar = model.forward(f, m)
-    assert mu["1:1"].shape == (1, 1, 1)
+    assert mu["global:1:1"].shape == (1, 1, 1)
 
 
 def test_decode_variance_strictly_positive_and_clamped():
@@ -264,38 +264,49 @@ def test_count_parameters_pilot_default_architecture():
     assert model.params.n_scalars() == 30342
 
 
-def test_pilot_parameters_live_in_22_blocks():
-    # node groups by layer shape: 8:6 (global, feeders, single-phase
-    # prosumers) and 24:24 (substations, three-phase prosumers); edge
-    # groups 8:6>8:6, 8:6>24:24 and 24:24>8:6; one affine block per layer
+def test_pilot_parameters_live_in_56_blocks():
+    # one node group per type, by layer shape and then first node: the
+    # 24:24 substations and three-phase prosumers, then the 8:6 global
+    # node, feeders and single-phase prosumers, which keeps the flat node
+    # order of grouping by shape; one edge group per edge type; one
+    # affine block per MLP layer: 5 x 4 x 2 + 8 x 2
     topo = gridsim.pilot_topology()
     model = GnnModel(topo, derive_schemas(topo))
-    assert [g.key for g in model.groups] == ["24:24", "8:6"]
+    assert [g.key for g in model.groups] == [
+        "substation:24:24", "prosumer:24:24", "global:8:6", "feeder:8:6",
+        "prosumer:8:6"]
     assert [eg.key for eg in model.edge_groups] == [
-        "24:24>8:6", "8:6>24:24", "8:6>8:6"]
-    assert len(model.params) == 22
+        "prosumer:24:24>feeder:8:6", "substation:24:24>feeder:8:6",
+        "substation:24:24>global:8:6", "feeder:8:6>prosumer:24:24",
+        "feeder:8:6>substation:24:24", "global:8:6>substation:24:24",
+        "feeder:8:6>prosumer:8:6", "prosumer:8:6>feeder:8:6"]
+    flat = [nid for g in model.groups for nid in g.node_ids]
+    shape = {nid: f"{s.q}:{s.p}" for nid, s in model.schemas.items()}
+    assert flat == sorted(topo.ids(), key=lambda nid: shape[nid])
+    assert len(model.params) == 56
     assert len(model.parameter_views()) == 112
+    assert model.count_parameters() == 30342
 
 
-def test_pilot_forward_runs_42_dense_layers():
-    # 2 node groups x (encoder, 3 aggregator steps, 2 decoders) x 2 layers
-    # + 3 edge groups x 3 steps x 2 layers; grouping by kind ran 160 at
-    # 5 steps
+def test_pilot_forward_runs_108_dense_layers():
+    # 5 node types x (encoder, 3 aggregator steps, 2 decoders) x 2 layers
+    # + 8 edge types x 3 steps x 2 layers; grouping by shape ran 42
     topo = gridsim.pilot_topology()
     model = GnnModel(topo, derive_schemas(topo))
     f, m = ones_inputs(model)
     tape = dc.Tape()
     model.forward(f, m, tape=tape)
     dense = [r for r in tape.nodes if isinstance(r, dc.DenseRecord)]
-    assert len(dense) == 42
-    assert sum(r.rows is not None for r in dense) == 9  # edge first layers
+    assert len(dense) == 108
+    assert sum(r.rows is not None for r in dense) == 24  # edge first layers
     # one block per layer, no bias of its own; one clamp per group
     assert {r.key for r in dense} == set(model.params.values)
-    assert len(tape.nodes) == 42 + len(model.groups)
+    assert len(tape.nodes) == 108 + len(model.groups)
 
 
 def test_pilot_share_by_type_keeps_types_and_ids():
-    # a type stays (kind, q, p); the shape groups stack one member per type
+    # a type stays (kind, q, p); each MLP layer is one block, whose id is
+    # its checkpoint ids' root
     topo = gridsim.pilot_topology()
     model = GnnModel(topo, derive_schemas(topo))
     assert model.count_parameters() == 30342
@@ -313,20 +324,22 @@ def test_pilot_share_by_type_keeps_types_and_ids():
     views = model.parameter_views()
     assert len(views) == 112 and set(views) == want
     blocks = model.params.values
-    assert blocks["stack/8:6/enc/L0"].shape == (3, 17, 17)
-    assert blocks["stack/8:6>8:6/msg/L0"].shape == (2, 13, 13)
+    assert set(blocks) == {pid.rsplit("/", 1)[0] for pid in views}
+    assert blocks["type/global:8:6/enc/L0"].shape == (17, 17)
+    assert blocks["etype/feeder:8:6>prosumer:8:6/msg/L0"].shape == (13, 13)
     assert np.shares_memory(views["type/global:8:6/enc/L0/W"],
-                            blocks["stack/8:6/enc/L0"])
+                            blocks["type/global:8:6/enc/L0"])
 
 
 def test_share_by_type_gradients_match_finite_differences():
-    # every shape group holds two types, so each layer reads its
-    # members through an index
+    # two kinds share each layer shape, each with its own MLPs; the
+    # feeder type's edges gather rows of both prosumer and feeder stacks
     topo, schemas = two_kinds_world()
     model = GnnModel(topo, schemas, GnnConfig(message_passing_steps=2))
     model.init_parameters(8)
-    assert model.params.values["stack/2:2/enc/L0"].shape == (2, 5, 5)
-    assert model.params.values["stack/2:2>2:2/msg/L0"].shape == (2, 5, 5)
+    assert model.params.values["type/feeder:2:2/enc/L0"].shape == (5, 5)
+    assert model.params.values[
+        "etype/prosumer:2:2>feeder:2:2/msg/L0"].shape == (5, 5)
     rng = np.random.default_rng(9)
     for v in model.parameter_views().values():
         v += rng.normal(scale=0.2, size=v.shape)  # biases off zero too
@@ -354,7 +367,8 @@ def test_checkpoints_written_under_kind_groups_predict_as_recorded(name):
     topo, _ = two_kinds_world()
     model = GnnModel.load_checkpoint(
         os.path.join(DATA, f"two_kinds_{name}.checkpoint.json"), topo)
-    assert [g.key for g in model.groups] == ["1:1", "2:2"]
+    assert [g.key for g in model.groups] == [
+        "global:1:1", "substation:1:1", "feeder:2:2", "prosumer:2:2"]
     with open(os.path.join(DATA, f"two_kinds_{name}.forward.json")) as fh:
         doc = json.load(fh)
     mask = {nid: np.array(doc["mask"][nid]) for nid in topo.ids()}
@@ -368,6 +382,37 @@ def test_checkpoints_written_under_kind_groups_predict_as_recorded(name):
         np.testing.assert_allclose(mu[nid], doc["mu"][nid], rtol=1e-12, atol=0)
         np.testing.assert_allclose(sigma[nid], doc["sigma"][nid],
                                    rtol=1e-12, atol=0)
+
+
+def test_checkpoint_gradient_matches_the_recorded_one():
+    # the gradient of the NLL of every feature, hidden or not, given the
+    # fixture's masked input, recorded when nodes were grouped by layer
+    # shape and each read its type's MLP from a block stacked by type
+    topo, _ = two_kinds_world()
+    model = GnnModel.load_checkpoint(
+        os.path.join(DATA, "two_kinds_shared.checkpoint.json"), topo)
+    with open(os.path.join(DATA, "two_kinds_shared.forward.json")) as fh:
+        doc = json.load(fh)
+    with open(os.path.join(DATA, "two_kinds_shared.gradient.json")) as fh:
+        recorded = json.load(fh)
+    mask = {nid: np.array(doc["mask"][nid]) for nid in topo.ids()}
+    feats = {nid: np.array(doc["features"][nid]) for nid in topo.ids()}
+    f = model.pack({nid: np.where(mask[nid], feats[nid], 0.0)
+                    for nid in topo.ids()})
+    m = model.pack({nid: mask[nid].astype(float) for nid in topo.ids()})
+    weights = model.pack({nid: np.ones(v.shape) for nid, v in feats.items()})
+    tape = dc.Tape()
+    mu, logvar = model.forward(f, m, tape=tape)
+    loss, _ = nll_loss_packed(mu, logvar, model.pack(feats), weights, tape=tape)
+    dc.backward(tape, loss, 1.0)
+    assert float(loss) == pytest.approx(recorded["loss"], rel=1e-12, abs=0)
+    for block, grad in model.params.grads.items():  # read through the ids
+        model.params.values[block][...] = grad
+    views = model.parameter_views()
+    assert list(views) == list(recorded["gradient"])
+    for pid, view in views.items():
+        np.testing.assert_allclose(view, recorded["gradient"][pid],
+                                   rtol=1e-10, atol=0, err_msg=pid)
 
 
 def test_per_node_checkpoints_are_rejected():
@@ -388,8 +433,7 @@ def test_share_by_type_shrinks_parameters():
     for pid, view in model.parameter_views().items():
         owner = pid.split("/")[1]
         size[owner] = size.get(owner, 0) + view.size
-    type_of = {n.node_id: f"{n.kind}:{model.group_of[n.node_id]}"
-               for n in topo.nodes}
+    type_of = model.group_of
     per_node = sum(size[type_of[nid]] for nid in topo.ids())
     per_node += sum(size[f"{type_of[a]}>{type_of[b]}"] + size[
         f"{type_of[b]}>{type_of[a]}"] for a, b in topo.edges)
@@ -398,7 +442,7 @@ def test_share_by_type_shrinks_parameters():
     model.init_parameters(1)
     f, m = ones_inputs(model)
     mu, _ = model.forward(f, m)
-    assert mu["8:6"].shape == (47, 1, 8)
+    assert mu["prosumer:8:6"].shape == (21, 1, 8)
 
 
 def test_checkpoint_roundtrip_preserves_predictions(tmp_path):
@@ -492,22 +536,33 @@ def test_non_finite_checkpoint_values_are_rejected_on_load(tmp_path, fault,
         model.set_standardization({**std, "s": np.array([0.0, bad])}, std)
 
 
-def test_stacked_storage_keeps_ids_shapes_and_initial_draws():
+def test_block_storage_keeps_ids_shapes_and_initial_draws():
     topo = chain_topology()
     # the global node alone has its layer shape
     schemas = {**tiny_schemas(topo), "g": tiny_schemas(topo, q=1)["g"]}
     model = GnnModel(topo, schemas)
     model.init_parameters(5)
-    # the same draws as one standalone MLP per id prefix, in id order
+    # the draws of one standalone MLP per id prefix, in id order: the node
+    # types by layer shape key, role, then type; then the edge types by
+    # source shape, destination shape, then edge type
+    roles = ("enc", "agg", "dec_mu", "dec_lv")
+    prefixes = [f"type/global:1:1/{role}" for role in roles]
+    prefixes += [f"type/{kind}:2:2/{role}" for role in roles
+                 for kind in ("feeder", "prosumer", "substation")]
+    prefixes += [f"etype/{e}/msg" for e in (
+        "global:1:1>substation:2:2", "substation:2:2>global:1:1",
+        "feeder:2:2>prosumer:2:2", "feeder:2:2>substation:2:2",
+        "prosumer:2:2>feeder:2:2", "substation:2:2>feeder:2:2")]
+    specs = dict(model._mlps)
     reference = dc.ParameterSet()
     rng = np.random.default_rng(5)
     want = {}
-    for _, prefixes, spec in model._mlp_blocks:
-        for prefix in prefixes:
-            dc.mlp_init(reference, prefix, spec, rng)
-            for i, a in enumerate(dc.mlp_layer_ids(prefix, spec)):
-                want[f"{a}/W"], want[f"{a}/b"] = dc.mlp_views(
-                    reference.values[a], spec[i + 1])
+    for prefix in prefixes:
+        spec = specs[prefix]
+        dc.mlp_init(reference, prefix, spec, rng)
+        for i, a in enumerate(dc.mlp_layer_ids(prefix, spec)):
+            want[f"{a}/W"], want[f"{a}/b"] = dc.mlp_views(
+                reference.values[a], spec[i + 1])
     views = model.parameter_views()
     assert list(views) == list(want)
     for pid, value in want.items():
@@ -515,20 +570,19 @@ def test_stacked_storage_keeps_ids_shapes_and_initial_draws():
         assert np.array_equal(views[pid], value)
     assert views["type/prosumer:2:2/enc/L0/W"].shape == (4, 4)
     assert views["etype/feeder:2:2>prosumer:2:2/msg/L1/b"].shape == (2,)
-    # the same-shaped substation, feeder and prosumer types, and the four
-    # edge types among them, share blocks; the global node's group, which
-    # holds one type, and its edge groups of one type each stack that type
-    # alone
+    # one (i + 1, o) block per MLP layer, named by its ids' root, with a
+    # hidden layer's constant unit as its last column
     blocks = model.params.values
-    assert blocks["stack/2:2/enc/L0"].shape == (3, 5, 5)
-    assert blocks["stack/2:2>2:2/msg/L1"].shape == (4, 5, 2)
-    assert blocks["stack/1:1/enc/L1"].shape == (1, 3, 1)
-    assert blocks["stack/1:1>2:2/msg/L0"].shape == (1, 4, 4)
+    assert list(blocks) == list(dict.fromkeys(
+        pid.rsplit("/", 1)[0] for pid in views))
+    assert blocks["type/prosumer:2:2/enc/L0"].shape == (5, 5)
+    assert blocks["etype/feeder:2:2>prosumer:2:2/msg/L1"].shape == (5, 2)
+    assert blocks["type/global:1:1/enc/L1"].shape == (3, 1)
+    assert blocks["etype/global:1:1>substation:2:2/msg/L0"].shape == (4, 4)
     assert np.shares_memory(views["type/prosumer:2:2/enc/L0/W"],
-                            blocks["stack/2:2/enc/L0"])
+                            blocks["type/prosumer:2:2/enc/L0"])
     assert np.shares_memory(views["type/global:1:1/enc/L1/b"],
-                            blocks["stack/1:1/enc/L1"])
-    assert len(blocks) < len(views)
+                            blocks["type/global:1:1/enc/L1"])
 
 
 def test_inplace_write_through_parameter_id_changes_forward():
@@ -615,8 +669,8 @@ def test_constant_units_stay_fixed_and_are_no_parameters(tmp_path):
     model = GnnModel(topo, tiny_schemas(topo), GnnConfig(message_passing_steps=2))
     model.init_parameters(4)
     blocks = model.params.values
-    hidden = {a for block, _, spec in model._mlp_blocks
-              for a in dc.mlp_layer_ids(block, spec)[:-1]}
+    hidden = {a for prefix, spec in model._mlps
+              for a in dc.mlp_layer_ids(prefix, spec)[:-1]}
     assert model.params.constant_units == hidden
     f, m = ones_inputs(model, b=8, seed=12)
     start = {a: v.copy() for a, v in blocks.items()}
