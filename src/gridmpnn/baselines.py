@@ -94,20 +94,23 @@ class CentralModel(ModelBase):
         return self.params.n_scalars()
 
     def _flatten(self, packed: dict[str, np.ndarray]) -> np.ndarray:
-        """(B, d_features) rows of packed (n, B, q) groups, each sample's
-        nodes in the flat layout."""
-        parts = []
+        """The feature-major (d_features, B) columns of packed (n, B, q)
+        groups, each sample's nodes in the flat layout."""
+        rows = next(iter(packed.values())).shape[1]
+        out = np.empty((self.d_features, rows))
         for g in self.groups:
-            n, b, q = packed[g.key].shape
-            parts.append(np.ascontiguousarray(
-                packed[g.key].transpose(1, 0, 2)).reshape(b, n * q))
-        return np.concatenate(parts, axis=1)
+            lo, hi = self._cols[g.key]
+            n, _, q = packed[g.key].shape
+            out[lo:hi].reshape(n, q, rows)[...] = \
+                packed[g.key].transpose(0, 2, 1)
+        return out
 
     def forward(self, features: dict[str, np.ndarray],
                 mask: dict[str, np.ndarray], tape: Optional[Tape] = None):
         """Packed groups in, packed standardized (mu, logvar) out; same
         contract as the graph model's forward, rows rounded by BLAS the
-        same way; the first layer reads data and forms no input adjoint."""
+        same way. The flat input and every layer are feature-major, (D,
+        B); the first layer reads data and forms no input adjoint."""
         if tape is not None:
             tape.reverse = self.reverse
         h = (self._flatten(features), self._flatten(mask))
@@ -127,13 +130,13 @@ class CentralModel(ModelBase):
     def reverse(self, tape: Tape, seed: np.ndarray) -> None:
         """The reverse pass of ``forward`` and its loss on ``tape``,
         seeded with the loss's scale: each group's log-variance and then
-        mean columns of the flat output's adjoint from the last group
-        back, then the MLPs from the last. Each adjoint is dropped once
-        it is read."""
+        mean rows of the flat output's adjoint from the last group back,
+        then the MLPs from the last. Each adjoint is dropped once it is
+        read."""
         grads = self.params.grads if tape.grads is None else tape.grads
         dmu, dlv = dc.gaussian_nll_backward(tape.take(dc.NllRecord), seed)
         d = self.d_features
-        parts = [np.zeros((next(iter(dmu.values())).shape[1], self.d_out))]
+        parts = [np.zeros((self.d_out, next(iter(dmu.values())).shape[1]))]
         for g in reversed(self.groups):
             lo, hi = self._cols[g.key]
             dc.regroup_backward(dc.clip_backward(

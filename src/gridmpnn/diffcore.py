@@ -7,12 +7,18 @@ over gathered rows), the graph model's message routing, the centralized
 model's regrouping of its flat output, a clamp, one fused Gaussian
 negative log-likelihood, each with the backward kernel that undoes it;
 then a bias-corrected Adam optimizer. Data a model only lays out
-(flattening constant inputs, a ones column) is laid out in numpy.
+(flattening constant inputs, a ones row) is laid out in numpy.
 
 Design choices:
 
 * float64 only; the models are small and reproducibility matters more
   than speed.
+* Every activation is feature-major, (features, B) or a stack
+  (features, n, B), so each GEMM has the n·B rows, not the few
+  features, as BLAS's long dimension: at the graph model's shapes (at
+  most 49 features over 900-6,000 rows) its forward and input-adjoint
+  products run up to about 1.9x faster. The models transpose only
+  their packed (n, B, q) boundary.
 * Each model runs one fixed graph, so there is no general reverse-mode
   engine. A taped forward appends one record per layer to
   ``Tape.nodes``, holding exactly the arrays that layer's backward
@@ -31,33 +37,33 @@ Design choices:
   nothing. A dense layer forms the adjoints of its leading
   ``grad_parts`` input parts only: a graph model's encoder, which reads
   data, forms none.
-* A dense layer assembles its ``[parts | 1]`` input (``_gather_rows``)
-  part by part into one buffer, then writes the ones column there: no
+* A dense layer assembles its ``[parts; 1]`` input (``_gather_rows``)
+  part by part into one buffer, then writes the ones row there: no
   ones array and no concatenation. Its record keeps the parts, never
-  that buffer, and its backward assembles them again. A whole part is
-  copied straight in; gathered rows go through numpy's fancy-index
-  temporary, as a loop over the rows, which would avoid it, costs far
-  more at one row.
+  that buffer, and its backward assembles them again. Each part fills
+  a contiguous row range: a whole part is copied straight in, gathered
+  entries are taken straight in (``np.take``), and a part may be a view
+  of any layout, as the graph encoder's transposed data is.
 * An MLP layer is one affine (i + 1, o) block, its weight rows and
-  then its bias row, over (B, i) rows, as the centralized models run,
-  or over an (n, B, i) stack, as the graph model runs one MLP over the
-  n nodes or edges of a type, as (n·B, i) rows; nothing broadcasts.
-  ``dense(x, a, hidden)`` computes the layer as one GEMM, ``x @ a``
+  then its bias row, over an (i, B) input, as the centralized models
+  run, or an (i, n, B) stack, as the graph model runs one MLP over the
+  n nodes or edges of a type, as (i, n·B); nothing broadcasts.
+  ``dense(x, a, hidden)`` computes the layer as one GEMM, ``a^T @ x``
   with tanh on hidden layers, in place in one output buffer, over an
-  input whose last column is ones: a first layer appends that column
+  input whose last row is ones: a first layer appends that row
   (``ones``), and each hidden layer carries one constant unit, weights
   0 and bias ``CONSTANT_BIAS`` = 40, whose ``tanh`` is exactly 1.0, so
-  it is the next layer's ones column.
+  its output's last row is the next layer's ones row.
   Its arithmetic matches a matmul with the weights, a bias add and a
-  tanh over the same rows, bit for bit at the graph model's shapes. One
-  backward kernel undoes it: ``x^T @ g`` gives the weights' and the
-  bias's gradients at once, over a stack one product per slice, added
-  over the slices in order (one GEMM over all n·B rows sums the bias
-  row in BLAS's blocks, not in row order), and the tanh derivative
-  ``1 - out^2`` is formed in the kept output's buffer, which nothing
-  reads after it. The constant unit's derivative is exactly 0, so its
-  gradient is 0 and Adam never moves it; it is not a parameter
-  (``ParameterSet.n_scalars``). Given a list of parts as ``x``,
+  tanh over the same columns, bit for bit at the graph model's shapes.
+  One backward kernel undoes it: per slice of a stack ``x[:, j] @
+  g[:, j]^T`` gives the weights' gradient and numpy's row sum of
+  ``g[:, j]`` the bias's, added over the slices in order (the ones
+  row's product sums in BLAS's order, which is not numpy's), and the
+  tanh derivative ``1 - out^2`` is formed in the kept output's buffer,
+  which nothing reads after it. The constant unit's derivative is
+  exactly 0, so its gradient is 0 and Adam never moves it; it is not a
+  parameter (``ParameterSet.n_scalars``). Given a list of parts as ``x``,
   ``dense`` matches ``dense`` of the parts' concatenation, bit for bit,
   forward and adjoints alike. ``mlp_forward`` is one loop of such
   layers, taped or not, and ``mlp_backward`` walks their records back.
@@ -67,18 +73,19 @@ Design choices:
   elementwise primitives (subtract, square, exp, scale, add, weight,
   sum), so they match it bit for bit. It keeps the residual, not its
   square, which the backward forms again.
-* With ``rows``, ``dense`` reads rows gathered from several arrays and
-  concatenated, as a graph model's edge MLP reads both endpoint states,
-  and keeps the arrays and indices, not the gathered copy. Its adjoint
-  to each array is one product with the rows' 0/1 incidence matrix,
-  which sums each array row's occurrences.
+* With ``rows``, ``dense`` reads entries gathered along axis 1 from
+  several arrays and concatenated, as a graph model's edge MLP reads
+  both endpoint states, and keeps the arrays and indices, not the
+  gathered copy. Its adjoint to each array is, per feature, one product
+  with the entries' 0/1 incidence matrix, which sums each entry's
+  occurrences.
 * ``route(msgs, routing)`` is a graph model's mean incoming message:
-  its messages stacked, flattened and multiplied by a constant routing
-  matrix, and ``regroup(h, lo, hi, n)`` reads a column range of a flat
-  (B, D) output as (n, B, q) per node group. Both, and their backward
-  kernels, use the numpy calls, in the order, of the stack, reshape,
-  transpose, slice and matmul steps they stand for, so the bytes are
-  theirs.
+  per feature, its messages stacked along axis 1 and multiplied by a
+  constant routing matrix, and ``regroup(h, lo, hi, n)`` reads a row
+  range of a flat (D, B) output as packed (n, B, q) per node group.
+  Both, and their backward kernels, use the numpy calls, in the order,
+  of the stack, reshape, transpose, slice and matmul steps they stand
+  for, so the bytes are theirs.
 * Parameters live only in the blocks the engine computes with, one
   affine block per MLP layer. A caller that names weights and biases
   (the graph model's checkpoint ids) takes views of the block that
@@ -190,7 +197,6 @@ class DenseRecord:
     key: Optional[str]  # the block's parameter id
     parts: list[np.ndarray]  # the input's parts, or the arrays rows came from
     rows: Optional[list[np.ndarray]]
-    ones: bool
     block: np.ndarray
     out: Optional[np.ndarray]  # a hidden layer's output
     grad_parts: int  # the leading parts that get an adjoint
@@ -244,11 +250,11 @@ class Workspace:
 
 
 def _check_inner(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    """Rows ``a`` (any leading shape) times the matrix ``b``: nothing
-    broadcasts."""
-    if b.ndim != 2:
-        raise ShapeError(f"{op} needs a matrix on the right, not {b.shape}")
-    if a.shape[-1] != b.shape[0]:
+    """The matrix ``a`` times ``b`` along ``b``'s first axis (any trailing
+    shape): nothing broadcasts."""
+    if a.ndim != 2:
+        raise ShapeError(f"{op} needs a matrix on the left, not {a.shape}")
+    if a.shape[1] != b.shape[0]:
         raise ShapeError(f"{op} inner dimensions differ: {a.shape} @ {b.shape}")
 
 
@@ -256,83 +262,88 @@ def dense(x, a, hidden: bool, ones: bool = False,
           rows: Optional[Sequence] = None, tape: Optional[Tape] = None,
           key: Optional[str] = None,
           grad_parts: Optional[int] = None) -> np.ndarray:
-    """One MLP layer as one GEMM: ``x @ a``, then tanh if ``hidden``.
+    """One MLP layer as one GEMM: ``a^T @ x``, then tanh if ``hidden``.
 
     ``a`` is an affine (i, o) block: the weight rows, then the bias row,
-    which the input's last column multiplies. The input has any leading
-    shape, (B, i) or a stack (n, B, i), and runs as one (n·B, i) GEMM.
-    That column is ones: with ``ones`` the layer appends it to ``x`` (a
-    first layer), and a hidden layer's output ends with its constant
-    unit, which is 1 (see ``mlp_init``). The output buffer is the matmul
-    result, updated in place, so a layer allocates one array, or none
-    for a hidden layer on a tape with a workspace (``Tape.fork``).
+    which the input's last row multiplies. The input is feature-major,
+    (i, B) or a stack (i, n, B), which runs as one (i, n·B) GEMM, as
+    the (o, ...) output does. Its last row is ones: with ``ones`` the
+    layer appends it to ``x`` (a first layer), and a hidden layer's
+    output ends with its constant unit, which is 1 (see ``mlp_init``).
+    The output buffer is the matmul result, updated in place, so a layer
+    allocates one array, or none for a hidden layer on a tape with a
+    workspace (``Tape.fork``).
 
-    ``x`` may be a list or tuple of parts, the input being their
-    concatenation along the last axis. With ``rows``, one index array
-    per part, the input is ``[x[0][rows[0]] | x[1][rows[1]] | ...]``, the
-    rows each index array selects along axis 0 (repeated indices
-    allowed).
+    ``x`` may be a list or tuple of parts, of any memory layout, the
+    input being their concatenation along axis 0. With ``rows``, one
+    index array per part, the input is ``[x[0][:, rows[0]]; x[1][:,
+    rows[1]]; ...]``, the entries each index array selects along axis 1
+    (repeated indices allowed), which must lie in range: a check would
+    cost more than the gather at one row.
 
     On a ``tape`` the layer appends a ``DenseRecord`` for block ``key``
     whose backward (``dense_backward``) forms the adjoints of the
     leading ``grad_parts`` parts (all by default).
     """
-    xs = [_as_array(t) for t in x] if isinstance(x, (list, tuple)) \
-        else [_as_array(x)]
+    xs = [np.asarray(t, dtype=np.float64) for t in x] \
+        if isinstance(x, (list, tuple)) else [np.asarray(x, dtype=np.float64)]
     if rows is not None:
         rows = [np.asarray(r, dtype=np.intp) for r in rows]
     a = _as_array(a)
     ws = tape.workspace if tape is not None else None
     xa = _gather_rows(xs, rows, ones, ws)
-    _check_inner(xa, a, "dense")
-    flat = xa.reshape(-1, a.shape[0])
+    _check_inner(a.T, xa, "dense")
+    flat = xa.reshape(a.shape[0], -1)
     if hidden and ws is not None:  # kept for the backward: a workspace buffer
-        out = np.matmul(flat, a, out=ws.output((flat.shape[0], a.shape[1])))
+        out = np.matmul(a.T, flat, out=ws.output((a.shape[1], flat.shape[1])))
     else:
-        out = flat @ a
+        out = a.T @ flat
     if hidden:
         np.tanh(out, out=out)
-    out = out.reshape(xa.shape[:-1] + a.shape[1:])
+    out = out.reshape(a.shape[1:] + xa.shape[1:])
     if tape is not None:
         tape.nodes.append(DenseRecord(
-            key, xs, rows, ones, a, out if hidden else None,
+            key, xs, rows, a, out if hidden else None,
             len(xs) if grad_parts is None else grad_parts))
     return out
 
 
 def _gather_rows(xs: Sequence[np.ndarray], rows, ones: bool,
                  ws: Optional[Workspace] = None) -> np.ndarray:
-    """``[xs[0][rows[0]] | xs[1][rows[1]] | ...]`` (each part whole if
-    ``rows`` is None), then a ones column if ``ones``, written part by
-    part into one array: ``ws``'s scratch buffer, or a new one. A lone
-    whole part without ones is returned as it is."""
+    """``[xs[0][:, rows[0]]; xs[1][:, rows[1]]; ...]`` (each part whole if
+    ``rows`` is None), then a ones row if ``ones``, written part by part
+    into one array: ``ws``'s scratch buffer, or a new one. A lone whole
+    part without ones is returned as it is."""
     if rows is None and not ones and len(xs) == 1:
         return xs[0]
-    lead = {x.shape[:-1] if rows is None else rows[k].shape + x.shape[1:-1]
+    lead = {x.shape[1:] if rows is None else rows[k].shape + x.shape[2:]
             for k, x in enumerate(xs)}
     if len(lead) > 1:
-        raise ShapeError(f"input parts' leading shapes differ: {lead}")
-    shape = lead.pop() + (sum(x.shape[-1] for x in xs) + ones,)
+        raise ShapeError(f"input parts' trailing shapes differ: {lead}")
+    shape = (sum(x.shape[0] for x in xs) + ones,) + lead.pop()
     out = np.empty(shape) if ws is None else ws.input(shape)
     lo = 0
     for k, x in enumerate(xs):
-        hi = lo + x.shape[-1]
-        out[..., lo:hi] = x if rows is None else x[rows[k]]
+        hi = lo + x.shape[0]
+        if rows is None:
+            out[lo:hi] = x
+        else:  # straight into its rows: "raise" would copy them twice
+            np.take(x, rows[k], axis=1, out=out[lo:hi], mode="clip")
         lo = hi
     if ones:
-        out[..., -1] = 1.0
+        out[-1] = 1.0
     return out
 
 
 def _scatter_rows(shape: tuple[int, ...], r: np.ndarray,
                   piece: np.ndarray) -> np.ndarray:
-    """The adjoint, of ``shape``, of the rows ``r`` gathered from it, given
-    theirs, ``piece``: one product with the rows' 0/1 incidence matrix,
-    whose row i has a 1 in column j wherever ``r[j]`` is i, so each row
-    sums the slabs of its occurrences."""
-    incidence = np.zeros((shape[0], r.size))
+    """The adjoint, of ``shape``, of the entries ``r`` gathered from it
+    along axis 1, given theirs, ``piece``: per feature, one product with
+    the entries' 0/1 incidence matrix, whose row i has a 1 in column j
+    wherever ``r[j]`` is i, so each entry sums its occurrences."""
+    incidence = np.zeros((shape[1], r.size))
     incidence[r, np.arange(r.size)] = 1.0
-    return (incidence @ piece.reshape(r.size, -1)).reshape(shape)
+    return (incidence @ piece.reshape(shape[0], r.size, -1)).reshape(shape)
 
 
 def dense_backward(record: DenseRecord, adj: np.ndarray,
@@ -340,18 +351,19 @@ def dense_backward(record: DenseRecord, adj: np.ndarray,
                    ) -> tuple[list[np.ndarray], np.ndarray]:
     """The adjoints of a dense layer's leading ``grad_parts`` input parts,
     in order, and its block's gradient, from the adjoint ``adj`` of its
-    output. A part's adjoint is its slice of the input's, one GEMM over
-    every row; for gathered rows, that slice summed back into the rows'
-    array by their incidence matrix (``_scatter_rows``). The block's
-    gradient is ``x^T @ g``, over a stack one product per slice, added
-    over the slices in order, the input assembled again in ``ws``'s
-    scratch buffer, if given.
+    output. A part's adjoint is its rows of the input's, one GEMM over
+    every column; for gathered entries, those rows summed back into the
+    entries' array by their incidence matrix (``_scatter_rows``). The
+    block's gradient is one product per slice of a stack, ``x[:, j] @
+    g[:, j]^T`` for the weight rows and numpy's sum of ``g[:, j]`` over
+    its rows for the bias row, added over the slices in order, the input
+    assembled again in ``ws``'s scratch buffer, if given.
 
     A hidden layer forms its tanh derivative in place in the output it
     kept, so afterwards that array holds ``1 - out^2``, not ``out``.
     """
     r = record
-    g = adj.reshape(-1, r.block.shape[1])
+    g = adj.reshape(r.block.shape[1], -1)
     if r.out is not None:  # adj * (1 - out^2), in the kept output's buffer
         out = r.out.reshape(g.shape)
         np.multiply(out, out, out=out)
@@ -359,19 +371,24 @@ def dense_backward(record: DenseRecord, adj: np.ndarray,
         g = np.multiply(out, g, out=out)
     parts = []
     if r.grad_parts:
-        shapes = [x.shape for x in r.parts[:r.grad_parts]]
-        width = sum(sh[-1] for sh in shapes)
-        gx = (g @ r.block[:width].T).reshape(adj.shape[:-1] + (width,))
+        width = sum(x.shape[0] for x in r.parts[:r.grad_parts])
+        gx = (r.block[:width] @ g).reshape((width,) + adj.shape[1:])
         lo = 0
-        for k, shape in enumerate(shapes):
-            hi = lo + shape[-1]
-            piece = gx[..., lo:hi]
+        for k, x in enumerate(r.parts[:r.grad_parts]):
+            hi = lo + x.shape[0]
+            piece = gx[lo:hi]
             lo = hi
             parts.append(piece if r.rows is None
-                         else _scatter_rows(shape, r.rows[k], piece))
-    xa = _gather_rows(r.parts, r.rows, r.ones, ws)
-    grad = xa.swapaxes(-1, -2) @ g.reshape(xa.shape[:-1] + g.shape[-1:])
-    return parts, grad if grad.ndim == 2 else grad.sum(axis=0)
+                         else _scatter_rows(x.shape, r.rows[k], piece))
+    i = r.block.shape[0] - 1
+    xa = _gather_rows(r.parts, r.rows, False, ws)  # no ones row: unread
+    x3 = xa.reshape(xa.shape[0], -1, xa.shape[-1])[:i]  # (i, n, B)
+    g3 = g.reshape((g.shape[0],) + x3.shape[1:])
+    slices = np.empty((x3.shape[1],) + r.block.shape)
+    np.matmul(x3.transpose(1, 0, 2), g3.transpose(1, 2, 0),
+              out=slices[:, :i])
+    np.sum(g3, axis=-1, out=slices[:, i].T)
+    return parts, slices[0] if len(slices) == 1 else slices.sum(axis=0)
 
 
 def clip(a, lo: float, hi: float, tape: Optional[Tape] = None) -> np.ndarray:
@@ -390,48 +407,45 @@ def clip_backward(record: ClipRecord, adj: np.ndarray) -> np.ndarray:
 
 def route(msgs: Sequence, routing: np.ndarray) -> np.ndarray:
     """A graph model's mean incoming message per node: ``routing @`` the
-    message arrays ``msgs``, each (k, B, m), stacked along axis 0 and
-    flattened to (edges, B * m), as (n, B, m) for an (n, edges) constant
+    message arrays ``msgs``, each (m, k, B), stacked along axis 1 to
+    (m, edges, B), per feature, as (m, n, B) for an (n, edges) constant
     ``routing``."""
     stacked = (_as_array(msgs[0]) if len(msgs) == 1
-               else np.concatenate(msgs))
-    edges, rows, width = stacked.shape
-    n, flat = routing.shape[0], stacked.reshape(edges, rows * width)
-    _check_inner(routing, flat, "route")
-    return (routing @ flat).reshape(n, rows, width)
+               else np.concatenate(msgs, axis=1))
+    _check_inner(routing, stacked[0], "route")
+    return routing @ stacked
 
 
 def route_backward(routing: np.ndarray, adj: np.ndarray,
                    sizes: Sequence[int]) -> list[np.ndarray]:
     """The adjoints of the message arrays ``route`` read, of ``sizes``
-    edges each: their rows of ``routing^T @`` the (n, B, m) output
-    adjoint ``adj``."""
-    n, rows, width = adj.shape
-    g = routing.swapaxes(-1, -2) @ adj.reshape(n, rows * width)
-    return np.split(g.reshape(-1, rows, width), np.cumsum(sizes)[:-1])
+    edges each: their columns of ``routing^T @`` the (m, n, B) output
+    adjoint ``adj``, per feature."""
+    g = routing.T @ adj
+    return np.split(g, np.cumsum(sizes)[:-1], axis=1)
 
 
 def regroup(h, lo: int, hi: int, n: int) -> np.ndarray:
-    """Columns ``lo:hi`` of a (B, D) array as n groups of q = (hi - lo) / n
-    columns, stacked (n, B, q): column lo + j * q + c of row b is element
-    (j, b, c), as a centralized model's flat output is read per node
-    group."""
+    """Rows ``lo:hi`` of a feature-major (D, B) array as n groups of
+    q = (hi - lo) / n rows, stacked (n, B, q): row lo + j * q + c of
+    column b is element (j, b, c), as a centralized model's flat output
+    is read per node group."""
     h = _as_array(h)
-    rows, width = h.shape
+    width, rows = h.shape
     if not 0 <= lo < hi <= width or (hi - lo) % n:
-        raise ShapeError(f"regroup: columns {lo}:{hi} of {width} do not "
+        raise ShapeError(f"regroup: rows {lo}:{hi} of {width} do not "
                          f"split into {n} groups")
-    return np.ascontiguousarray(
-        h[:, lo:hi].reshape(rows, n, (hi - lo) // n).transpose(1, 0, 2))
+    return h[lo:hi].reshape(n, (hi - lo) // n, rows).transpose(0, 2, 1).copy()
 
 
 def regroup_backward(adj: np.ndarray, lo: int, hi: int,
                      into: np.ndarray) -> None:
     """Add the adjoint of ``regroup(h, lo, hi, n)``, the (n, B, q)
-    ``adj``, into columns ``lo:hi`` of ``into``, h's (B, D) adjoint,
-    which starts as zeros: each column gets 0 + its adjoint, whatever
-    the order in which column ranges are added."""
-    into[:, lo:hi] += adj.transpose(1, 0, 2).reshape(into.shape[0], hi - lo)
+    ``adj``, into rows ``lo:hi`` of ``into``, h's (D, B) adjoint, which
+    starts as zeros: each entry gets 0 + its adjoint, whatever the order
+    in which row ranges are added."""
+    n, rows, q = adj.shape
+    into[lo:hi].reshape(n, q, rows)[...] += adj.transpose(0, 2, 1)
 
 
 def gaussian_nll(mu: dict, logvar: dict, targets: dict, weights: dict,
@@ -615,12 +629,12 @@ def mlp_forward(params: ParameterSet, layer_spec: Sequence[int], prefix: str,
     """Apply the MLP ``prefix``: tanh on hidden layers, linear final
     layer, one GEMM per layer (``dense``).
 
-    ``x`` has the layer input width as its last dimension, (B, in) or a
-    stack (n, B, in), which every layer runs as n·B rows. ``x`` may be a
-    list or tuple of parts, which the first layer reads as ``dense``
-    does, the input being ``[x[0] | x[1] | ...]``, or with ``rows``
-    ``[x[0][rows[0]] | x[1][rows[1]] | ...]``. The first layer appends
-    the ones column its bias row multiplies.
+    ``x`` is feature-major, the layer input width its first dimension,
+    (in, B) or a stack (in, n, B), which every layer runs as n·B
+    columns. ``x`` may be a list or tuple of parts, which the first
+    layer reads as ``dense`` does, the input being ``[x[0]; x[1]; ...]``,
+    or with ``rows`` ``[x[0][:, rows[0]]; x[1][:, rows[1]]; ...]``. The
+    first layer appends the ones row its bias row multiplies.
 
     On a ``tape`` each layer appends its record, and the first forms
     the adjoints of its leading ``grad_parts`` parts only (all by
@@ -628,7 +642,7 @@ def mlp_forward(params: ParameterSet, layer_spec: Sequence[int], prefix: str,
     """
     layers = _layer_ids(prefix, len(layer_spec) - 1)
     h = list(x) if isinstance(x, (list, tuple)) else [x]
-    _check_input(prefix, layer_spec, sum(np.shape(t)[-1] for t in h) + 1)
+    _check_input(prefix, layer_spec, sum(np.shape(t)[0] for t in h) + 1)
     for i, (aid, hidden) in enumerate(layers):
         try:
             a = params.values[aid]
@@ -659,10 +673,10 @@ def mlp_backward(tape: Tape, grads: dict[str, np.ndarray], layers: int,
 
 
 def _check_input(prefix: str, layer_spec: Sequence[int], width: int) -> None:
-    """``width``, the first layer's input columns with its ones column,
+    """``width``, the first layer's input features with its ones row,
     must be the spec's input width plus one."""
     if width != int(layer_spec[0]) + 1:
-        raise ShapeError(f"{prefix} layer 0 input: expected last dimension "
+        raise ShapeError(f"{prefix} layer 0 input: expected first dimension "
                          f"{layer_spec[0]}, got {width - 1}")
 
 
@@ -722,14 +736,17 @@ def _free_workers() -> int:
     """Blocks that can run at once: the usable cores if the first BLAS
     thread count the environment declares is 1, else 1. With none
     declared BLAS already uses every core, and several BLAS threads
-    split each product among themselves by its size."""
+    split each product among themselves by its size. Where the OS tells
+    no process affinity (macOS, Windows), every core is usable."""
     for var in BLAS_THREAD_VARS:
         try:
             threads = int(os.environ[var])
         except (KeyError, ValueError):
             continue
         if threads > 0:
-            return len(os.sched_getaffinity(0)) if threads == 1 else 1
+            affinity = getattr(os, "sched_getaffinity", None)
+            cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+            return cores if threads == 1 else 1
     return 1
 
 

@@ -12,16 +12,18 @@ Inference is one feed-forward chain:
     encode -> T synchronous message-passing steps -> decode
 
 Nodes of one type are evaluated together as one group, one MLP over
-their (n, B, ·) stack, and so are the edges of one type; each edge
-MLP's first layer gathers both endpoint states from their types'
-stacks (``diffcore.dense`` with ``rows``), and message aggregation is
-one ``diffcore.route`` per type, a constant routing-matrix multiply.
-Every layer is one GEMM over an input whose last column is ones. The
-encoder's first layer reads [features | mask | 1], the aggregator's
-[state | mean message | 1] and the edge MLP's [destination state |
-source state | 1], each as parts of one ``diffcore.dense`` input, so a
-taped pass keeps the parts, not their concatenation; each decoder head
-reads its own [state | 1]. A taped forward records its layers, and
+their feature-major (·, n, B) stack, and so are the edges of one type;
+each edge MLP's first layer gathers both endpoint states from their
+types' stacks along axis 1 (``diffcore.dense`` with ``rows``), and
+message aggregation is one ``diffcore.route`` per type, a constant
+routing-matrix multiply. Every layer is one GEMM over an input whose
+last row is ones. The encoder's first layer reads [features; mask; 1],
+the aggregator's [state; mean message; 1] and the edge MLP's
+[destination state; source state; 1], each as parts of one
+``diffcore.dense`` input, so a taped pass keeps the parts, not their
+concatenation; each decoder head reads its own [state; 1]. Only
+``forward``'s packed (n, B, q) inputs and outputs are laid out
+otherwise. A taped forward records its layers, and
 ``GnnModel.reverse`` walks them back.
 
 Parameters live only in the blocks the forward computes with, one
@@ -335,8 +337,9 @@ class GnnModel(ModelBase):
     def encode(self, features: dict[str, np.ndarray],
                mask: dict[str, np.ndarray],
                tape: Optional[Tape] = None) -> dict[str, np.ndarray]:
-        """Initial latent states from standardized features and observed-mask
-        (both packed per group, (n, B, q)), which get no adjoint."""
+        """Feature-major (p, n, B) initial latent states from standardized
+        features and observed-mask, packed (n, B, q) per group, read
+        through transposed views and given no adjoint."""
         states = {}
         for g in self.groups:
             f, m = features[g.key], mask[g.key]
@@ -344,13 +347,15 @@ class GnnModel(ModelBase):
                 raise ShapeError(f"group {g.key}: feature/mask shape mismatch")
             states[g.key] = dc.mlp_forward(
                 self.params, self._enc_spec(g), f"type/{g.key}/enc",
-                (f, m), tape=tape, grad_parts=0)
+                (f.transpose(2, 0, 1), m.transpose(2, 0, 1)), tape=tape,
+                grad_parts=0)
         return states
 
     def message_pass(self, states: dict[str, np.ndarray],
                      tape: Optional[Tape] = None) -> dict[str, np.ndarray]:
-        """T synchronous steps: edge messages, then aggregator updates. An
-        aggregator that no edge feeds forms its state's adjoint only."""
+        """T synchronous steps on feature-major states: edge messages, then
+        aggregator updates; one that no edge feeds forms its state's
+        adjoint only."""
         for _ in range(self.config.message_passing_steps):
             msgs: dict[str, list[np.ndarray]] = {g.key: [] for g in self.groups}
             for eg in self.edge_groups:
@@ -362,7 +367,7 @@ class GnnModel(ModelBase):
             new_states = {}
             for g in self.groups:
                 own = states[g.key]
-                mean = self._mean_message(g, msgs[g.key], own.shape[1])
+                mean = self._mean_message(g, msgs[g.key], own.shape[2])
                 new_states[g.key] = dc.mlp_forward(
                     self.params, self._agg_spec(g), f"type/{g.key}/agg",
                     (own, mean), tape=tape,
@@ -372,28 +377,29 @@ class GnnModel(ModelBase):
 
     def _mean_message(self, g: NodeGroup, msgs: list[np.ndarray],
                       rows: int) -> np.ndarray:
-        """Mean incoming message per node of group ``g``, (n, B, md):
+        """Mean incoming message per node of group ``g``, (md, n, B):
         ``diffcore.route`` of the group's incoming messages, zeros when
         it has none."""
         if not msgs:
-            return np.zeros((len(g.node_ids), rows, self.message_dim_for(g)))
+            return np.zeros((self.message_dim_for(g), len(g.node_ids), rows))
         return dc.route(msgs, self.routing[g.key])
 
     def decode(self, states: dict[str, np.ndarray], tape: Optional[Tape] = None,
                ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        """Standardized mean and clamped log-variance per group, (n, B, q).
-        Each head reads its own [state | 1]."""
+        """Standardized mean and clamped log-variance per group, packed
+        (n, B, q), from feature-major states. Each head reads its own
+        [state; 1]."""
         mu, logvar = {}, {}
         for g in self.groups:
             state = states[g.key]
-            mu[g.key] = dc.mlp_forward(
+            mu[g.key] = _packed(dc.mlp_forward(
                 self.params, self._dec_spec(g), f"type/{g.key}/dec_mu", state,
-                tape=tape)
+                tape=tape))
             raw = dc.mlp_forward(
                 self.params, self._dec_spec(g), f"type/{g.key}/dec_lv", state,
                 tape=tape)
-            logvar[g.key] = dc.clip(raw, np.log(VAR_CLAMP_LO),
-                                    np.log(VAR_CLAMP_HI), tape)
+            logvar[g.key] = _packed(dc.clip(raw, np.log(VAR_CLAMP_LO),
+                                            np.log(VAR_CLAMP_HI), tape))
         return mu, logvar
 
     def forward(self, features: dict[str, np.ndarray],
@@ -401,8 +407,10 @@ class GnnModel(ModelBase):
                 tape: Optional[Tape] = None,
                 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
         """Single feed-forward pass encode -> message_pass -> decode over
-        the rows given. Returns standardized (mu, logvar) per group; no
-        internal iteration. BLAS rounds a row by the width of the
+        the rows given, packed (n, B, q) arrays of any memory layout.
+        Returns standardized (mu, logvar) per group, packed and
+        contiguous; in between every activation is feature-major, (·, n,
+        B). No internal iteration. BLAS rounds a row by the width of the
         products, so a row's last bits depend on how many rows run with
         it; ``diffcore.row_blocks`` fixes that count for a batch. On a
         ``tape`` it records its layers for ``reverse``, which
@@ -417,19 +425,20 @@ class GnnModel(ModelBase):
     def reverse(self, tape: Tape, seed: np.ndarray) -> None:
         """The reverse pass of ``forward`` and its loss on ``tape``,
         seeded with the loss's scale: the decoders from the last group
-        back, each message-passing step from the last, the encoders. A
-        final state's adjoint adds its log-variance head's part, then its
-        mean head's; a block's gradient adds over the steps from the
-        last. An adjoint is popped when read, so it is freed once used."""
+        back, each head's packed adjoint copied feature-major, each
+        message-passing step from the last, the encoders. A final state's
+        adjoint adds its log-variance head's part, then its mean head's;
+        a block's gradient adds over the steps from the last. An adjoint
+        is popped when read, so it is freed once used."""
         grads = self.params.grads if tape.grads is None else tape.grads
         layers = self.config.layers
         dmu, dlv = dc.gaussian_nll_backward(tape.take(dc.NllRecord), seed)
         d_states = {}
         for g in reversed(self.groups):
             parts = dc.mlp_backward(tape, grads, layers, dc.clip_backward(
-                tape.take(dc.ClipRecord), dlv.pop(g.key)))
+                tape.take(dc.ClipRecord), _feature_major(dlv.pop(g.key))))
             d_states[g.key] = parts.pop() + dc.mlp_backward(
-                tape, grads, layers, dmu.pop(g.key)).pop()
+                tape, grads, layers, _feature_major(dmu.pop(g.key))).pop()
         for _ in range(self.config.message_passing_steps):
             d_states = self._step_reverse(tape, grads, d_states)
         for g in reversed(self.groups):
@@ -533,6 +542,16 @@ class GnnModel(ModelBase):
             {nid: np.array(rec["mean"]) for nid, rec in doc["standardization"].items()},
             {nid: np.array(rec["std"]) for nid, rec in doc["standardization"].items()})
         return model
+
+
+def _packed(h: np.ndarray) -> np.ndarray:
+    """A feature-major (q, n, B) array as a contiguous packed (n, B, q)."""
+    return np.ascontiguousarray(h.transpose(1, 2, 0))
+
+
+def _feature_major(a: np.ndarray) -> np.ndarray:
+    """A packed (n, B, q) array as a contiguous feature-major (q, n, B)."""
+    return np.ascontiguousarray(a.transpose(2, 0, 1))
 
 
 def _arrays_json(arrays: dict[str, np.ndarray]) -> str:

@@ -1,7 +1,8 @@
 """Layer kernels and their backward kernels: forward semantics, adjoints
 against central finite differences and against numpy compositions bit
 for bit, MLPs over stacks, Adam, record order, what a record keeps
-alive, the reverse-pass contract and run-to-run determinism."""
+alive, the reverse-pass contract and run-to-run determinism. Every
+activation is feature-major: (features, B), or a stack (features, n, B)."""
 
 import gc
 import tracemalloc
@@ -62,8 +63,9 @@ def test_mlp_zero_weights_gives_zero_output():
     params = dc.ParameterSet()
     for a, shape in zip(dc.mlp_layer_ids("net", [3, 4, 2]), [(4, 5), (5, 2)]):
         params.add(a, np.zeros(shape))
-    out = dc.mlp_forward(params, [3, 4, 2], "net", np.array([[0.3, -1.2, 2.0]]))
-    assert np.array_equal(out, np.zeros((1, 2)))
+    out = dc.mlp_forward(params, [3, 4, 2], "net",
+                         np.array([[0.3], [-1.2], [2.0]]))
+    assert np.array_equal(out, np.zeros((2, 1)))
 
 
 def test_mlp_single_linear_layer_is_identity_map():
@@ -173,13 +175,13 @@ def test_backward_random_mlp_matches_finite_differences():
     rng = np.random.default_rng(42)
     params = dc.ParameterSet()
     dc.mlp_init(params, "net", [4, 6, 3], rng)
-    x = rng.standard_normal((5, 4))
-    w = rng.standard_normal((5, 3))  # fixed mixing weights -> scalar loss
+    x = rng.standard_normal((4, 5))
+    w = rng.standard_normal((3, 5))  # fixed mixing weights -> scalar loss
     forward, reverse = _mlp(params, [4, 6, 3], x)
     assert _fd_check(forward, reverse, params, w.ravel()) < 1e-4
 
 
-_X_STACK = np.array([[[0.5], [-1.5]], [[2.0], [0.25]]])  # (n=2, B=2, i=1)
+_X_STACK = np.array([[[0.5, -1.5], [2.0, 0.25]]])  # (i=1, n=2, B=2)
 # gaussian_nll operands of a (1, 2) group; one zero weight
 _NLL = {"y": np.array([[0.8, -1.3]]), "lv": np.array([[0.3, -0.6]]),
         "mu": np.array([[-0.2, 0.5]]), "w": np.array([[1.5, 0.0]])}
@@ -211,7 +213,7 @@ def _nll_grads(tape, adj, names):
 
 
 def _regroup_grads(tape, adj):
-    into = np.zeros((2, 7))
+    into = np.zeros((7, 2))
     dc.regroup_backward(adj, 1, 7, into)
     return {"h": into}
 
@@ -221,43 +223,43 @@ def _regroup_grads(tape, adj):
 # weight rows, then the bias row.
 OPS = {
     # the input of a hidden layer
-    "dense_hidden": ({"p": (1, 2)}, lambda t, tape: dc.dense(
+    "dense_hidden": ({"p": (2, 1)}, lambda t, tape: dc.dense(
         t["p"], np.array([[0.7, -1.1], [0.4, 0.9], [0.2, -0.3]]), hidden=True,
         ones=True, tape=tape), lambda tape, adj: _dense_grads(
             tape, adj, ["p", None])),
     # the block of an output layer
     "dense_output": ({"a": (2, 2)}, lambda t, tape: dc.dense(
-        np.array([[1.3], [-0.6]]), t["a"], hidden=False, ones=True,
+        np.array([[1.3, -0.6]]), t["a"], hidden=False, ones=True,
         tape=tape), lambda tape, adj: _dense_grads(tape, adj, [None, "a"])),
     # the block of a layer over an (n, B, i) stack
     "dense_stacked": ({"a": (2, 1)}, lambda t, tape: dc.dense(
         _X_STACK, t["a"], hidden=True, ones=True, tape=tape),
         lambda tape, adj: _dense_grads(tape, adj, [None, "a"])),
     # a stack and the one block every slice of it shares
-    "dense_shared": ({"x": (2, 2, 1), "a": (2, 1)}, lambda t, tape: dc.dense(
+    "dense_shared": ({"x": (1, 2, 2), "a": (2, 1)}, lambda t, tape: dc.dense(
         t["x"], t["a"], hidden=True, ones=True, tape=tape),
         lambda tape, adj: _dense_grads(tape, adj, ["x", "a"])),
     # a part read twice of a multi-part input, and the block
-    "dense_parts": ({"x": (2, 1), "a": (4, 2)}, lambda t, tape: dc.dense(
-        [t["x"], np.array([[0.6], [-0.2]]), t["x"]], t["a"], hidden=True,
+    "dense_parts": ({"x": (1, 2), "a": (4, 2)}, lambda t, tape: dc.dense(
+        [t["x"], np.array([[0.6, -0.2]]), t["x"]], t["a"], hidden=True,
         ones=True, tape=tape), lambda tape, adj: _dense_grads(
             tape, adj, ["x", None, "x", "a"])),
     # a gathered array (with repeated rows), and the block
-    "gather_dense": ({"x": (2, 1, 1), "a": (3, 1)}, lambda t, tape: dc.dense(
-        [t["x"], _X_STACK[:, :1]], t["a"], hidden=True, ones=True,
+    "gather_dense": ({"x": (1, 2, 1), "a": (3, 1)}, lambda t, tape: dc.dense(
+        [t["x"], _X_STACK[..., :1]], t["a"], hidden=True, ones=True,
         rows=[np.array([1, 0, 1]), np.array([0, 1, 1])], tape=tape),
         lambda tape, adj: _dense_grads(tape, adj, ["x", None, "a"])),
     # a group fed by one edge group, and one fed by two
-    "route_one_group": ({"m": (3, 2, 2)}, lambda t, tape: dc.route(
+    "route_one_group": ({"m": (2, 3, 2)}, lambda t, tape: dc.route(
         [t["m"]], _ROUTING), lambda tape, adj: dict(zip(
             "m", dc.route_backward(_ROUTING, adj, [3])))),
-    "route_several_groups": ({"m": (2, 2, 2), "k": (1, 2, 2)},
+    "route_several_groups": ({"m": (2, 2, 2), "k": (2, 1, 2)},
                              lambda t, tape: dc.route([t["m"], t["k"]],
                                                       _ROUTING),
                              lambda tape, adj: dict(zip(
                                  "mk", dc.route_backward(_ROUTING, adj,
                                                          [2, 1])))),
-    "regroup": ({"h": (2, 7)}, lambda t, tape: dc.regroup(t["h"], 1, 7, 3),
+    "regroup": ({"h": (7, 2)}, lambda t, tape: dc.regroup(t["h"], 1, 7, 3),
                 _regroup_grads),
     "clip": ({"p": (1, 2)}, lambda t, tape: dc.clip(t["p"], -0.5, 0.5, tape),
              lambda tape, adj: {"p": dc.clip_backward(
@@ -294,19 +296,19 @@ def test_primitive_gradients_match_finite_differences(name):
 
 
 def test_matmul_stacked_and_broadcast_gradients():
-    # one (i + 1, o) block over an (n, B, i) stack, as one GEMM over its
-    # n * B rows: each slice's rows get what the slice alone gets; a
-    # stacked block, one per slice, is refused
+    # one (i + 1, o) block over an (i, n, B) stack, as one GEMM over its
+    # n * B columns: each slice's columns get what the slice alone gets;
+    # a stacked block, one per slice, is refused
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((2, 5, 3))
+    x = rng.standard_normal((3, 2, 5))
     with pytest.raises(dc.ShapeError, match="matrix"):
         dc.dense(x, np.zeros((2, 4, 4)), hidden=False, ones=True)
     params = dc.ParameterSet()
     params.add("a", rng.standard_normal((4, 4)))
     out = dc.dense(x, params.values["a"], hidden=False, ones=True)
     for j in range(2):
-        alone = dc.dense(x[j], params.values["a"], hidden=False, ones=True)
-        np.testing.assert_allclose(out[j], alone, rtol=1e-15, atol=0)
+        alone = dc.dense(x[:, j], params.values["a"], hidden=False, ones=True)
+        np.testing.assert_allclose(out[:, j], alone, rtol=1e-15, atol=0)
 
     def forward(values, tape):
         return dc.dense(x, values["a"], hidden=False, ones=True, tape=tape)
@@ -317,29 +319,36 @@ def test_matmul_stacked_and_broadcast_gradients():
     assert _fd_check(forward, reverse, params, rng.standard_normal(40)) < 1e-4
 
 
-def _sum_to(g, shape):
-    """Sum ``g`` over the axes numpy broadcasting added or stretched to
-    reach it from ``shape``: leading axes at once, then size-1 axes."""
-    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
-    return g.sum(axis=tuple(i for i, n in enumerate(shape)
-                            if n == 1 and g.shape[i] != 1), keepdims=True)
+def _block_grad_reference(x, g):
+    """(weight rows, bias row) of the gradient of a layer over the
+    feature-major input ``x``, (i, B) or (i, n, B), whose output has the
+    adjoint ``g``: per slice, ``x[:, j] @ g[:, j]^T`` and numpy's sum of
+    ``g[:, j]`` over its rows, added over the slices in order."""
+    x3 = x.reshape(x.shape[0], -1, x.shape[-1])
+    g3 = g.reshape(g.shape[0], -1, g.shape[-1])
+    dw = db = None
+    for j in range(x3.shape[1]):
+        w_j, b_j = x3[:, j] @ g3[:, j].T, g3[:, j].sum(axis=-1)
+        dw, db = (w_j, b_j) if dw is None else (dw + w_j, db + b_j)
+    return dw, db
 
 
 @pytest.mark.parametrize("shapes", [
-    ((3, 5, 4), (4, 6), (6,)),          # one MLP shared over the stack
-    ((5, 4), (4, 6), (6,)),             # plain layer
+    ((4, 3, 5), (4, 6), (6,)),          # one MLP shared over the stack
+    ((4, 5), (4, 6), (6,)),             # plain layer
 ], ids=["shared", "plain"])
 @pytest.mark.parametrize("hidden", [True, False], ids=["hidden", "output"])
 def test_dense_matches_unfused_composition_bit_for_bit(shapes, hidden):
-    # the reference is the unfused layer in numpy over the stack's rows: a
-    # matmul, a bias add and a tanh, each output its own array; backward
-    # from the adjoint ``mix``: adj * (1 - out^2) through the tanh, then
-    # the matmul's two products and the bias sum, each summed back to its
-    # operand's shape. The fused layer computes [x | 1] @ [w; b] in one
-    # GEMM over the n * B rows of a stack.
+    # the reference is the unfused layer in numpy over the stack's
+    # columns: a matmul, a bias add and a tanh, each output its own
+    # array; backward from the adjoint ``mix``: adj * (1 - out^2) through
+    # the tanh, then the matmul's two products and the bias's row sum,
+    # per slice of a stack, added over the slices in order. The fused
+    # layer computes [w; b]^T @ [x; 1] in one GEMM over the n * B columns
+    # of a feature-major (i, n, B) stack.
     rng = np.random.default_rng(12)
     xs, ws, bs = shapes
-    mix = rng.standard_normal(xs[:-1] + ws[-1:])
+    mix = rng.standard_normal(ws[-1:] + xs[1:])
     xd = np.random.default_rng(13).standard_normal(xs)
     wd = np.random.default_rng(14).standard_normal(ws)
     bd = np.random.default_rng(15).standard_normal(bs)
@@ -348,19 +357,15 @@ def test_dense_matches_unfused_composition_bit_for_bit(shapes, hidden):
     out = dc.dense(xd, block, hidden=hidden, ones=True, tape=tape)
     got = out.copy()  # backward forms the tanh derivative in place
     (gx,), ga = dc.dense_backward(tape.take(dc.DenseRecord), mix)
-    want = (xd.reshape(-1, xs[-1]) @ wd + bd).reshape(out.shape)
+    want = (wd.T @ xd.reshape(xs[0], -1) + bd[:, None]).reshape(out.shape)
     g = mix
     if hidden:
         want = np.tanh(want)
         g = mix * (1.0 - want * want)
     assert np.array_equal(got, want)
-    # the weights and the bias sum over the rows of each slice, then
-    # over the slices of a stack in order
-    wants = {"x": (g.reshape(-1, ws[-1]) @ wd.T).reshape(xs),
-             "W": _sum_to(xd.swapaxes(-1, -2) @ g, ws),
-             "b": _sum_to(g.sum(axis=-2, keepdims=True), bs)}
-    gots = {"x": gx, "W": ga[..., :-1, :].reshape(ws),
-            "b": ga[..., -1, :].reshape(bs)}
+    dw, db = _block_grad_reference(xd, g)
+    wants = {"x": (wd @ g.reshape(ws[-1], -1)).reshape(xs), "W": dw, "b": db}
+    gots = {"x": gx, "W": ga[:-1], "b": ga[-1]}
     for k, want in wants.items():
         assert gots[k].any()
         assert np.array_equal(gots[k], want), k
@@ -420,42 +425,43 @@ _FEEDS = {"one_edge_group": [5], "several_edge_groups": [3, 1, 4]}
 
 @pytest.mark.parametrize("feeds", sorted(_FEEDS))
 def test_route_matches_numpy_reference_bit_for_bit(feeds):
-    # the forward is routing @ the messages stacked and flattened to
-    # (edges, B * m); the adjoint is routing^T @ the output's adjoint,
-    # split back into the edge groups
+    # the forward is, per message feature, routing @ the messages stacked
+    # along their edge axis; the adjoint is, per feature, routing^T @ the
+    # output's adjoint, split back into the edge groups
     rng = np.random.default_rng(51)
     sizes, n, batch, m = _FEEDS[feeds], 3, 4, 2
     edges = sum(sizes)
     routing = rng.uniform(0.1, 1.0, (n, edges)) * (rng.random((n, edges)) > 0.4)
-    mix = rng.standard_normal((n, batch, m))
-    msgs = [rng.standard_normal((size, batch, m)) for size in sizes]
+    mix = rng.standard_normal((m, n, batch))
+    msgs = [rng.standard_normal((m, size, batch)) for size in sizes]
     out = dc.route(msgs, routing)
     pieces = dc.route_backward(routing, mix, sizes)
-    stacked = np.concatenate(msgs)
-    want = (routing @ stacked.reshape(edges, batch * m)).reshape(n, batch, m)
+    stacked = np.concatenate(msgs, axis=1)
+    want = np.stack([routing @ stacked[c] for c in range(m)])
     assert out.tobytes() == want.tobytes()
-    back = (routing.T @ mix.reshape(n, batch * m)).reshape(edges, batch, m)
-    for k, piece in enumerate(np.split(back, np.cumsum(sizes)[:-1])):
+    back = np.stack([routing.T @ mix[c] for c in range(m)])
+    for k, piece in enumerate(np.split(back, np.cumsum(sizes)[:-1], axis=1)):
         assert pieces[k].tobytes() == piece.tobytes(), k
 
 
 def test_regroup_matches_numpy_reference_bit_for_bit():
-    # a flat (B, D) output read as two node groups' means and then their
-    # log-variances; each read's adjoint lands in its own columns
+    # a feature-major flat (D, B) output read as two node groups' means
+    # and then their log-variances, packed (n, B, q); each read's adjoint
+    # lands in its own rows
     rng = np.random.default_rng(52)
     batch, layout = 4, [(0, 6, 3), (6, 8, 1)]  # (lo, hi, nodes) per group
     d = layout[-1][1]
-    h = rng.standard_normal((batch, 2 * d))
-    into = np.zeros((batch, 2 * d))
-    want_grad = np.zeros((batch, 2 * d))
+    h = rng.standard_normal((2 * d, batch))
+    into = np.zeros((2 * d, batch))
+    want_grad = np.zeros((2 * d, batch))
     for lo, hi, n in [(lo + off, hi + off, n) for off in (0, d)
                       for lo, hi, n in layout]:
         out = dc.regroup(h, lo, hi, n)
-        want = h[:, lo:hi].reshape(batch, n, (hi - lo) // n).transpose(1, 0, 2)
+        want = h[lo:hi].reshape(n, (hi - lo) // n, batch).transpose(0, 2, 1)
         assert out.tobytes() == np.ascontiguousarray(want).tobytes()
         mix = rng.standard_normal(out.shape)
-        dc.regroup_backward(mix, lo, hi, into)  # adds into its columns
-        want_grad[:, lo:hi] = mix.transpose(1, 0, 2).reshape(batch, hi - lo)
+        dc.regroup_backward(mix, lo, hi, into)  # adds into its rows
+        want_grad[lo:hi] = mix.transpose(0, 2, 1).reshape(hi - lo, batch)
     assert into.tobytes() == want_grad.tobytes()
     with pytest.raises(dc.ShapeError, match="regroup"):
         dc.regroup(want_grad, 0, 5, 2)
@@ -469,24 +475,25 @@ def test_gaussian_nll_rejects_mismatched_group_shapes():
 
 def test_dense_rejects_mismatched_inner_dimensions():
     with pytest.raises(dc.ShapeError, match="inner"):
-        dc.dense(np.zeros((2, 3)), np.zeros((5, 5)), hidden=True, ones=True)
+        dc.dense(np.zeros((3, 2)), np.zeros((5, 5)), hidden=True, ones=True)
     # parts are assembled by assignment, which must not broadcast
-    with pytest.raises(dc.ShapeError, match="leading shapes"):
-        dc.dense([np.zeros((2, 4, 1)), np.zeros((2, 1, 1))], np.zeros((3, 2)),
+    with pytest.raises(dc.ShapeError, match="trailing shapes"):
+        dc.dense([np.zeros((1, 2, 4)), np.zeros((1, 2, 1))], np.zeros((3, 2)),
                  hidden=False, ones=True)
-    with pytest.raises(dc.ShapeError, match="leading shapes"):
-        dc.dense([np.zeros((3, 4, 1)), np.zeros((3, 4, 1))], np.zeros((3, 2)),
+    with pytest.raises(dc.ShapeError, match="trailing shapes"):
+        dc.dense([np.zeros((1, 3, 4)), np.zeros((1, 3, 4))], np.zeros((3, 2)),
                  hidden=False, ones=True,
                  rows=[np.array([0, 1]), np.array([2])])
 
 
 def _incidence_sum(n, idx, piece):
-    """The rows ``piece[j]`` summed into row ``idx[j]`` of n rows, as one
-    product with the 0/1 incidence matrix of ``idx``."""
+    """The entries ``piece[:, j]`` summed into entry ``idx[j]`` of n along
+    axis 1, per feature one product with the 0/1 incidence matrix of
+    ``idx``."""
     incidence = np.zeros((n, idx.size))
     incidence[idx, np.arange(idx.size)] = 1.0
-    return (incidence @ piece.reshape(idx.size, -1)).reshape(
-        (n,) + piece.shape[1:])
+    return np.stack([incidence @ p.reshape(idx.size, -1) for p in piece]
+                    ).reshape((len(piece), n) + piece.shape[2:])
 
 
 @pytest.mark.parametrize("idx", [
@@ -495,22 +502,23 @@ def _incidence_sum(n, idx, piece):
     np.array([2, 0, 3, 1]),           # all unique
 ], ids=["repeated", "fan_in_15", "unique"])
 def test_gather_dense_backward_is_one_incidence_product_bit_for_bit(idx):
-    # an identity weight and a zero bias row pass the gathered rows and
+    # an identity weight and a zero bias row pass the gathered entries and
     # the adjoint through unchanged; the adjoint of the gathered array is
-    # the rows' incidence matrix times it, which sums each row's
-    # occurrences as np.add.at does, up to the order of the additions
+    # the entries' incidence matrix times it, per feature, which sums
+    # each entry's occurrences as np.add.at does, up to the order of the
+    # additions
     rng = np.random.default_rng(16)
     n = int(idx.max()) + 1
-    a = rng.standard_normal((n, 7, 3))
-    mix = rng.standard_normal((idx.size, 7, 3))
+    a = rng.standard_normal((3, n, 7))
+    mix = rng.standard_normal((3, idx.size, 7))
     tape = dc.Tape()
     out = dc.dense([a], np.vstack([np.eye(3), np.zeros(3)]), hidden=False,
                    ones=True, rows=[idx], tape=tape)
-    assert np.array_equal(out, a[idx])
+    assert np.array_equal(out, a[:, idx])
     (ga,), _ = dc.dense_backward(tape.take(dc.DenseRecord), mix)
     assert ga.tobytes() == _incidence_sum(n, idx, mix).tobytes()
-    added = np.zeros((n, 7, 3))
-    np.add.at(added, idx, mix)
+    added = np.zeros((3, n, 7))
+    np.add.at(added, (slice(None), idx), mix)
     np.testing.assert_allclose(ga, added, rtol=1e-14, atol=1e-14)
 
 
@@ -541,25 +549,25 @@ def _mlp_pass(params, spec, x, mix, **kw):
 def test_gather_dense_matches_composed_layers_bit_for_bit(case, layers, inputs):
     # the reference gathers and concatenates in numpy and feeds that copy
     # to dense layers; its adjoint goes back to the destination and to the
-    # source rows by their incidence matrices. The arrays are (n, B, p)
-    # stacks, or (n, p) matrices whose rows are gathered
+    # source entries by their incidence matrices. The arrays are
+    # (p, n, B) stacks, or (p, n) matrices whose columns are gathered
     dst, src, same = _EDGE_CASES[case]
     rng = np.random.default_rng(31)
     pd, ps = 3, (3 if same else 2)
-    lead = (5,) if inputs == "stacked" else ()
-    xd = rng.standard_normal((int(dst.max()) + 1, *lead, pd))
-    xs = xd if same else rng.standard_normal((int(src.max()) + 1, *lead, ps))
+    trail = (5,) if inputs == "stacked" else ()
+    xd = rng.standard_normal((pd, int(dst.max()) + 1, *trail))
+    xs = xd if same else rng.standard_normal((ps, int(src.max()) + 1, *trail))
     spec = [pd + ps] + [4] * (layers - 1) + [2]
     params = dc.ParameterSet()
     dc.mlp_init(params, "m", spec, np.random.default_rng(32))
-    mix = rng.standard_normal((dst.size, *lead, 2))
+    mix = rng.standard_normal((2, dst.size, *trail))
     out, (to_dst, to_src), grads = _mlp_pass(params, spec, (xd, xs), mix,
                                              rows=(dst, src))
-    x = np.concatenate([xd[dst], xs[src]], axis=-1)
+    x = np.concatenate([xd[:, dst], xs[:, src]])
     want, (gx,), want_grads = _mlp_pass(params, spec, x, mix)
     assert np.array_equal(out, want)
-    ref_dst = _incidence_sum(len(xd), dst, gx[..., :pd])
-    ref_src = _incidence_sum(len(xs), src, gx[..., pd:])
+    ref_dst = _incidence_sum(xd.shape[1], dst, gx[:pd])
+    ref_src = _incidence_sum(xs.shape[1], src, gx[pd:])
     assert to_dst.tobytes() == ref_dst.tobytes()
     assert to_src.tobytes() == ref_src.tobytes()
     for key, g in want_grads.items():
@@ -571,23 +579,23 @@ def test_gather_dense_matches_composed_layers_bit_for_bit(case, layers, inputs):
 @pytest.mark.parametrize("same", [False, True], ids=["two_parts", "one_twice"])
 def test_dense_parts_match_concat_then_dense_bit_for_bit(same, layers, inputs):
     # an MLP whose first layer reads (a, b) as parts against the same MLP
-    # fed their numpy concatenation: each part's adjoint is its slice of
-    # the concatenation's, and with b = a the two slices come apart. The
-    # parts are (n, B, p) stacks or (B, p) matrices
+    # fed their numpy concatenation: each part's adjoint is its rows of
+    # the concatenation's, and with b = a the two row ranges come apart.
+    # The parts are (p, n, B) stacks or (p, B) matrices
     rng = np.random.default_rng(41)
-    lead, pa, pb = ((3, 5) if inputs == "stacked" else (5,)), 3, (3 if same else 2)
-    a = rng.standard_normal((*lead, pa))
-    b = a if same else rng.standard_normal((*lead, pb))
+    trail, pa, pb = ((3, 5) if inputs == "stacked" else (5,)), 3, (3 if same else 2)
+    a = rng.standard_normal((pa, *trail))
+    b = a if same else rng.standard_normal((pb, *trail))
     spec = [pa + pb] + [4] * (layers - 1) + [2]
-    mix = rng.standard_normal((*lead, 2))
+    mix = rng.standard_normal((2, *trail))
     params = dc.ParameterSet()
     dc.mlp_init(params, "m", spec, np.random.default_rng(42))
     out, (to_a, to_b), grads = _mlp_pass(params, spec, (a, b), mix)
     want, (gx,), want_grads = _mlp_pass(
-        params, spec, np.concatenate([a, b], axis=-1), mix)
+        params, spec, np.concatenate([a, b]), mix)
     assert out.tobytes() == want.tobytes()
-    assert to_a.tobytes() == gx[..., :pa].tobytes()
-    assert to_b.tobytes() == gx[..., pa:].tobytes()
+    assert to_a.tobytes() == gx[:pa].tobytes()
+    assert to_b.tobytes() == gx[pa:].tobytes()
     for key, g in want_grads.items():
         assert g.any() and grads[key].tobytes() == g.tobytes(), key
 
@@ -604,7 +612,7 @@ def test_dense_parts_keep_no_concatenated_copy(monkeypatch):
     # forward (a new one) or left to the next layer (a workspace's
     # scratch buffer)
     rng = np.random.default_rng(3)
-    p = rng.uniform(-0.4, 0.4, (2, 3))
+    p = rng.uniform(-0.4, 0.4, (3, 2))
     a = np.random.default_rng(5).uniform(-0.4, 0.4, (7, 2))
     for ws in (None, dc.Workspace()):
         tape = dc.Tape().fork({}, ws)
@@ -654,42 +662,41 @@ def _pilot_layers():
 
 @pytest.mark.parametrize("batch", [1, 24, 120, 256])
 def test_affine_layers_match_the_bias_add_composition_bit_for_bit(batch):
-    # every layer shape of the pilot model over its (n, B, i) stack: the
-    # one-GEMM layer [x | 1] @ [W; b] over the n * B rows against x @ W,
-    # then += b, then tanh over the same rows, and its adjoints against
-    # that composition's: the tanh derivative, the input's adjoint over
-    # the same rows, and the two weight products and the bias sum over
-    # each slice's rows, added over the slices in order
+    # every layer shape of the pilot model over its feature-major
+    # (i, n, B) stack: the one-GEMM layer [W; b]^T @ [x; 1] over the n * B
+    # columns against W^T @ x, then += b, then tanh over the same columns,
+    # and its adjoints against that composition's: the tanh derivative,
+    # the input's adjoint over the same columns, and the weight product
+    # and the bias's row sum over each slice's columns, added over the
+    # slices in order
     rng = np.random.default_rng(batch)
     for n, shape, i, o, hidden in _pilot_layers():
         block = rng.uniform(-0.5, 0.5, shape)
         if hidden:
             block[:, -1] = 0.0
             block[-1, -1] = dc.CONSTANT_BIAS
-        x = rng.standard_normal((n, batch, i))
-        mix = rng.standard_normal((n, batch, shape[-1]))
+        x = rng.standard_normal((i, n, batch))
+        mix = rng.standard_normal((shape[-1], n, batch))
         tape = dc.Tape()
         out = dc.dense(x, block, hidden, ones=True, tape=tape)
         got = out.copy()
         (gx,), ga = dc.dense_backward(tape.take(dc.DenseRecord), mix)
 
         w, b = block[:i, :o], block[i:, :o]
-        want = x.reshape(-1, i) @ w
-        want += b
-        g = mix[..., :o].reshape(-1, o)
+        want = w.T @ x.reshape(i, -1)
+        want += b.T
+        g = mix[:o].reshape(o, -1)
         if hidden:
             np.tanh(want, out=want)
             g = g * (1.0 - want * want)
-        slices = g.reshape(n, batch, o)
-        dw = (x.swapaxes(-1, -2) @ slices).sum(axis=0)
-        db = slices.sum(axis=-2, keepdims=True).sum(axis=0)
+        dw, db = _block_grad_reference(x, g.reshape(o, n, batch))
         case = (n, shape)
-        assert np.array_equal(got[..., :o].reshape(-1, o), want), case
+        assert np.array_equal(got[:o].reshape(o, -1), want), case
         if hidden:
-            assert (got[..., o] == 1.0).all(), case
-        assert np.array_equal(gx.reshape(-1, i), g @ w.T), case
+            assert (got[o] == 1.0).all(), case
+        assert np.array_equal(gx.reshape(i, -1), w @ g), case
         assert np.array_equal(ga[:i, :o], dw), case
-        assert np.array_equal(ga[i:, :o], db), case
+        assert np.array_equal(ga[i, :o], db), case
         assert not ga[:, o:].any(), case
 
 
@@ -706,9 +713,10 @@ def test_backward_of_loss_without_parameters_leaves_gradients_zero():
 
 
 def test_gather_dense_and_stack_gradients():
-    # gather rows of a stacked (2, 3, 2) array with repeated indices, from
-    # both sides of the concatenation; the finite differences perturb
-    # every entry of that array
+    # gather entries of a stacked (2, 3, 2) array, 2 features of 3
+    # entries of 2 rows, with repeated indices, from both sides of the
+    # concatenation; the finite differences perturb every entry of that
+    # array
     rng = np.random.default_rng(9)
     params = dc.ParameterSet()
     params.add("ab", np.stack([rng.standard_normal((3, 2)),
@@ -747,14 +755,14 @@ def _views(arrays, spec):
 
 
 def test_mlp_forward_stacked_matches_separate_mlps_with_one_leaf_per_block():
-    # one MLP over an (n, B, i) stack: one record per layer, naming the
+    # one MLP over an (i, n, B) stack: one record per layer, naming the
     # block the layer computes with; each slice gets what it gets alone,
     # and the block's gradient is the slices' gradients added
     spec = [3, 5, 2]
     params = _three_mlps()
     rng = np.random.default_rng(6)
-    x = rng.standard_normal((3, 4, 3))
-    mix = rng.standard_normal((3, 4, 2))
+    x = rng.standard_normal((3, 3, 4))
+    mix = rng.standard_normal((2, 3, 4))
     tape = dc.Tape()
     out = dc.mlp_forward(params, spec, "m1", x, tape=tape)
     assert [r.key for r in tape.nodes] == dc.mlp_layer_ids("m1", spec)
@@ -763,9 +771,9 @@ def test_mlp_forward_stacked_matches_separate_mlps_with_one_leaf_per_block():
     separate = {a: np.zeros_like(v) for a, v in params.values.items()}
     for j in range(3):
         tape = dc.Tape()
-        want = dc.mlp_forward(params, spec, "m1", x[j], tape=tape)
-        dc.mlp_backward(tape, separate, len(spec) - 1, mix[j])
-        assert np.allclose(out[j], want, rtol=0, atol=1e-14)
+        want = dc.mlp_forward(params, spec, "m1", x[:, j], tape=tape)
+        dc.mlp_backward(tape, separate, len(spec) - 1, mix[:, j])
+        assert np.allclose(out[:, j], want, rtol=0, atol=1e-14)
     for a in dc.mlp_layer_ids("m1", spec):
         assert stacked[a].any()
         assert np.allclose(stacked[a], separate[a], rtol=0, atol=1e-13), a
@@ -785,12 +793,12 @@ def test_mlp_views_are_views_of_their_block():
     # weight rows and a bias row; the hidden layer's constant unit last
     assert params.values["net/L0"].shape == (4, 6)
     assert params.values["net/L1"].shape == (6, 2)
-    x = np.random.default_rng(5).standard_normal((3, 4, 3))
+    x = np.random.default_rng(5).standard_normal((3, 3, 4))
     before = dc.mlp_forward(params, spec, "net", x)
     dc.mlp_views(params.values["net/L1"], 2)[1][1] = 7.0
     after = dc.mlp_forward(params, spec, "net", x)
-    assert np.array_equal(after[..., 0], before[..., 0])
-    assert np.allclose(after[..., 1] - before[..., 1], 7.0)
+    assert np.array_equal(after[0], before[0])
+    assert np.allclose(after[1] - before[1], 7.0)
     dc.mlp_views(params.grads["net/L1"], 2)[0][0, 1] = -3.0
     assert params.grads["net/L1"][0, 1] == -3.0
     params.zero_grads()
@@ -862,7 +870,7 @@ def _dies(make):
 
 
 _MIX = np.random.default_rng(4).standard_normal(8)
-_A = np.array([[0.4, -0.2], [1.1, 0.3], [0.0, 0.0]])
+_A = np.array([[0.4, -0.2], [1.1, 0.3], [-0.5, 0.8], [0.0, 0.0]])
 
 
 def _regroup_back(adj, shape):
@@ -885,13 +893,13 @@ def _block_back(tape, adj):
 def _linear_dense(tape, p):
     out = dc.dense(p, _A, hidden=False, ones=True, tape=tape)
     return out, dc.regroup(out, 0, 2, 2), lambda tape, adj: _dense_back(
-        tape, _regroup_back(adj, (3, 2)))
+        tape, _regroup_back(adj, (2, 2)))
 
 
 def _hidden_dense(tape, p):
     out = dc.dense(p, _A, hidden=True, ones=True, tape=tape)
     return out, dc.regroup(out, 0, 2, 2), lambda tape, adj: _dense_back(
-        tape, _regroup_back(adj, (3, 2)))
+        tape, _regroup_back(adj, (2, 2)))
 
 
 def _clip_input(tape, p):
@@ -901,7 +909,7 @@ def _clip_input(tape, p):
 
 
 def _route_input(tape, p):
-    x = dc.regroup(p, 0, 2, 2)
+    x = dc.regroup(p, 0, 2, 2)  # read as 2 messages of 2 edges, 1 row
     routing = np.array([[1.0, -1.0]])
     return x, dc.route([x], routing), lambda tape, adj: _regroup_back(
         dc.route_backward(routing, adj, [2])[0], (3, 2))
@@ -922,15 +930,15 @@ def _dense_input(tape, p):
 
 def _dense_part(tape, p):
     # ... and of an input in parts, each part
-    x = np.array([[0.2], [0.4]])
-    return x, dc.dense([x, np.array([[-0.1], [0.3]])],
+    x = np.array([[0.2, 0.4]])
+    return x, dc.dense([x, np.array([[-0.1, 0.3]])],
                        dc.clip(p, -1.0, 1.0, tape), hidden=True, ones=True,
                        tape=tape), _block_back
 
 
 def _gather_dense_input(tape, p):
     # ... and of gathered rows, the array they are gathered from
-    x = np.array([[[0.2, -0.1]], [[0.4, 0.3]]])
+    x = np.array([[[0.2], [0.4]], [[-0.1], [0.3]]])
     return x, dc.dense([x], dc.clip(p, -1.0, 1.0, tape), hidden=True,
                        ones=True, rows=[np.array([1, 0, 1])],
                        tape=tape), _block_back
@@ -1098,8 +1106,8 @@ def test_tape_topological_order_and_replay_idempotence():
     rng = np.random.default_rng(5)
     params = dc.ParameterSet()
     dc.mlp_init(params, "net", [3, 5, 2], rng)
-    x = rng.standard_normal((4, 3))
-    mix = rng.standard_normal((4, 2))
+    x = rng.standard_normal((3, 4))
+    mix = rng.standard_normal((2, 4))
     tape = dc.Tape()
     out = dc.mlp_forward(params, [3, 5, 2], "net", x, tape=tape)
     # records in forward order, each layer's input the last one's output
@@ -1121,8 +1129,8 @@ def test_forward_and_gradients_deterministic_across_runs():
         rng = np.random.default_rng(123)
         params = dc.ParameterSet()
         dc.mlp_init(params, "net", [4, 4, 1], rng)
-        x = rng.standard_normal((6, 4))
-        mix = rng.standard_normal((6, 1))
+        x = rng.standard_normal((4, 6))
+        mix = rng.standard_normal((1, 6))
         tape = dc.Tape()
         out = dc.mlp_forward(params, [4, 4, 1], "net", x, tape=tape)
         assert [r.key for r in tape.nodes] == ["net/L0", "net/L1"]
@@ -1138,14 +1146,14 @@ def test_forward_and_gradients_deterministic_across_runs():
 
 
 def test_untaped_operations_evaluate_eagerly():
-    a = np.array([[1.0, 2.0]])
+    a = np.array([[1.0], [2.0]])
     clipped = dc.clip(a, 0.0, 1.5)
-    grouped = dc.regroup(clipped, 0, 2, 2)
-    out = dc.route([grouped], np.array([[2.0, 1.0]]))
+    grouped = dc.regroup(clipped, 0, 2, 2)  # packed (n=2, B=1, q=1)
+    out = dc.route([grouped.transpose(2, 0, 1)], np.array([[2.0, 1.0]]))
     assert np.array_equal(grouped, [[[1.0]], [[1.5]]])
     assert np.array_equal(out, [[[3.5]]])
     # on a tape only the clamp records: route and regroup read constants
     tape = dc.Tape()
-    dc.route([dc.regroup(dc.clip(a, 0.0, 1.5, tape), 0, 2, 2)],
-             np.array([[2.0, 1.0]]))
+    dc.route([dc.regroup(dc.clip(a, 0.0, 1.5, tape), 0, 2, 2).transpose(
+        2, 0, 1)], np.array([[2.0, 1.0]]))
     assert [type(r) for r in tape.nodes] == [dc.ClipRecord]

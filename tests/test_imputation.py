@@ -297,6 +297,9 @@ def test_a_batch_of_one_block_never_reaches_the_pool(
     ({"OPENBLAS_NUM_THREADS": "3"}, 1),
     ({"OPENBLAS_NUM_THREADS": "2", "cores": 4}, 1),
     ({"OPENBLAS_NUM_THREADS": "1", "cores": 4}, 4),
+    # no process affinity to ask (macOS, Windows): every core counts
+    ({"OPENBLAS_NUM_THREADS": "1", "cores": 3, "affinity": False}, 3),
+    ({"OPENBLAS_NUM_THREADS": "2", "cores": 3, "affinity": False}, 1),
 ])
 def test_workers_are_the_cores_blas_leaves_free(monkeypatch, declared,
                                                 workers):
@@ -304,10 +307,14 @@ def test_workers_are_the_cores_blas_leaves_free(monkeypatch, declared,
         monkeypatch.delenv(var, raising=False)
     declared = dict(declared)
     cores = set(range(declared.pop("cores", 2)))
+    if declared.pop("affinity", True):
+        monkeypatch.setattr(diffcore.os, "sched_getaffinity",
+                            lambda pid: cores, raising=False)
+    else:
+        monkeypatch.delattr(diffcore.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(diffcore.os, "cpu_count", lambda: len(cores))
     for var, value in declared.items():
         monkeypatch.setenv(var, value)
-    monkeypatch.setattr(diffcore.os, "sched_getaffinity",
-                        lambda pid: cores)
     assert diffcore._free_workers() == workers
 
 

@@ -12,7 +12,8 @@ import pytest
 from gridmpnn import diffcore as dc
 from gridmpnn import gridsim
 from gridmpnn.gridgraph import NodeSchema, derive_schemas, load_topology
-from gridmpnn.mpnn import GnnConfig, GnnModel
+from gridmpnn.baselines import build_baseline
+from gridmpnn.mpnn import VAR_CLAMP_HI, VAR_CLAMP_LO, GnnConfig, GnnModel
 from gridmpnn.training import nll_loss_packed
 
 from conftest import BAD_PARAMETERS, two_kinds_world, write_bad_checkpoint
@@ -67,8 +68,8 @@ def test_pilot_prosumer_state_length_is_six():
               for j, nid in enumerate(g.node_ids)
               if g.kind == "prosumer" and topo.node(nid).phases == 1]
     assert len(single) == 21
-    for key, j in single:
-        assert states[key][j].shape == (1, 6)
+    for key, j in single:  # states are feature-major, (p, n, B)
+        assert states[key][:, j].shape == (6, 1)
 
 
 def test_mask_is_an_encoder_input():
@@ -720,6 +721,87 @@ def test_untaped_forward_matches_the_taped_forward_bit_for_bit():
         for want, got in zip(taped, untaped):
             for k in want:
                 assert got[k].tobytes() == want[k].tobytes()
+
+
+def _row_major_forward(model, features, mask):
+    """The graph model's forward in plain numpy, every activation packed
+    row-major (n, B, ·): ``x @ W + b`` per layer through the documented
+    parameter ids, tanh on hidden layers, endpoint states gathered per
+    edge, each node's incoming messages averaged edge by edge, and the
+    log-variance clamped."""
+    views, layers = model.parameter_views(), model.config.layers
+
+    def mlp(prefix, x):
+        for i in range(layers):
+            x = x @ views[f"{prefix}/L{i}/W"] + views[f"{prefix}/L{i}/b"]
+            x = np.tanh(x) if i < layers - 1 else x
+        return x
+
+    by_key = {g.key: g for g in model.groups}
+    states = {g.key: mlp(f"type/{g.key}/enc", np.concatenate(
+        [features[g.key], mask[g.key]], axis=-1)) for g in model.groups}
+    for _ in range(model.config.message_passing_steps):
+        total = {g.key: np.zeros(states[g.key].shape[:2]
+                                 + (model.message_dim_for(g),))
+                 for g in model.groups}
+        count = {g.key: np.zeros((len(g.node_ids), 1, 1)) for g in model.groups}
+        for eg in model.edge_groups:
+            src, dst = by_key[eg.src_group], by_key[eg.dst_group]
+            ends = [([dst.index_of[d] for _, d in eg.pairs], dst),
+                    ([src.index_of[s] for s, _ in eg.pairs], src)]
+            msg = mlp(f"etype/{eg.key}/msg", np.concatenate(
+                [states[g.key][idx] for idx, g in ends], axis=-1))
+            for (_, d), m in zip(eg.pairs, msg):
+                total[dst.key][dst.index_of[d]] += m
+                count[dst.key][dst.index_of[d]] += 1.0
+        states = {g.key: mlp(f"type/{g.key}/agg", np.concatenate(
+            [states[g.key], total[g.key] / np.maximum(count[g.key], 1.0)],
+            axis=-1)) for g in model.groups}
+    lo, hi = np.log(VAR_CLAMP_LO), np.log(VAR_CLAMP_HI)
+    return ({g.key: mlp(f"type/{g.key}/dec_mu", states[g.key])
+             for g in model.groups},
+            {g.key: np.clip(mlp(f"type/{g.key}/dec_lv", states[g.key]), lo, hi)
+             for g in model.groups})
+
+
+@pytest.mark.parametrize("rows", [1, 7, 128])
+def test_pilot_forward_matches_a_row_major_numpy_reference(rows):
+    # the model's math apart from the engine's feature-major layout
+    topo = gridsim.pilot_topology()
+    model = GnnModel(topo, derive_schemas(topo))
+    model.init_parameters(5)
+    f, m = ones_inputs(model, b=rows, seed=rows)
+    m = {k: (v * (np.arange(v.size).reshape(v.shape) % 4 > 0))
+         for k, v in m.items()}
+    f = {k: v * m[k] for k, v in f.items()}
+    for got, want in zip(model.forward(f, m), _row_major_forward(model, f, m)):
+        for k, w in want.items():
+            assert got[k].shape == w.shape, k
+            assert np.abs(got[k] - w).max() <= 1e-12 * np.abs(w).max(), k
+
+
+@pytest.mark.parametrize("kind", ["gnn", "mlp"])
+def test_forward_reads_sliced_packed_inputs_as_their_copies(kind):
+    # imputation.blocked_forward passes column slices of packed (n, B, q)
+    # arrays; the models read them as their contiguous copies, and return
+    # contiguous packed (n, B, q) arrays
+    topo = gridsim.pilot_topology()
+    schemas = derive_schemas(topo)
+    model = (GnnModel(topo, schemas) if kind == "gnn"
+             else build_baseline("mlp", topo, schemas, hidden=16, seed=2))
+    f, m = ones_inputs(model, b=12, seed=9)
+    m = {k: (v * (np.arange(v.size).reshape(v.shape) % 3 > 0))
+         for k, v in m.items()}
+    sliced = [{k: v[:, 2:9] for k, v in d.items()} for d in (f, m)]
+    assert not all(v.flags.c_contiguous for v in sliced[0].values())
+    copies = [{k: np.ascontiguousarray(v) for k, v in d.items()}
+              for d in sliced]
+    for got, want in zip(model.forward(*sliced), model.forward(*copies)):
+        for g in model.groups:
+            out = got[g.key]
+            assert out.shape == (len(g.node_ids), 7, g.q)
+            assert out.flags.c_contiguous
+            assert out.tobytes() == want[g.key].tobytes(), g.key
 
 
 def test_unknown_model_config_key_rejected():

@@ -573,7 +573,7 @@ def test_a_second_step_writes_into_the_first_steps_buffers(pilot_world,
     assert len(again) == len(buffers)
     assert all(a is b for a, b in zip(again, buffers))
     for out, out2, buf in zip(first, second, buffers):
-        assert out.shape[-2] == rows and out.size == buf.size
+        assert out.shape[-1] == rows and out.size == buf.size
         assert np.shares_memory(out, buf) and np.shares_memory(out2, buf)
     assert ws.next == len(buffers)
 
@@ -585,7 +585,7 @@ def test_a_tail_block_adds_no_workspace_buffer(pilot_world, monkeypatch):
     assert len(after) == len(before) == len(tail)
     assert all(a is b for a, b in zip(after, full))
     for out, buf in zip(tail, after):
-        assert out.shape[-2] == 120 and np.shares_memory(out, buf)
+        assert out.shape[-1] == 120 and np.shares_memory(out, buf)
 
 
 @pytest.mark.parametrize("kind", ["gnn", "mlp", "ae"])
