@@ -224,7 +224,12 @@ def _split_dataset(cfg: dict, dataset, schemas):
     lag = _max_lag(schemas)
     test_start = cfg.get("data", {}).get("test_start")
     if test_start:
-        i_test = dataset.index_of(test_start)
+        try:
+            i_test = dataset.index_of(test_start)
+        except KeyError:
+            raise ConfigError(f"data.test_start {test_start} is off the "
+                              "15-minute grid or outside the dataset span"
+                              ) from None
     else:
         i_test = max(lag + 1, (dataset.n_steps * 3) // 4)
     if not lag < i_test <= dataset.n_steps:

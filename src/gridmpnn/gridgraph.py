@@ -127,11 +127,19 @@ def load_topology(document) -> GridTopology:
         raise TopologyError("topology document must be an object with 'nodes'")
     phases = document.get("phases", {})
     nodes = []
-    for rec in document["nodes"]:
+    for i, rec in enumerate(document["nodes"]):
+        if not isinstance(rec, dict) or "id" not in rec or "kind" not in rec:
+            raise TopologyError(f"node record {i} must be an object with "
+                                "'id' and 'kind'")
         kind = str(rec["kind"]).lower()
         nid = str(rec["id"])
         nodes.append(Node(nid, kind, int(phases.get(nid, 1))))
-    edges = [(str(p), str(c)) for p, c in document.get("edges", [])]
+    edges = []
+    for i, pair in enumerate(document.get("edges", [])):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise TopologyError(f"edge record {i} must be a [parent, child] "
+                                "pair")
+        edges.append((str(pair[0]), str(pair[1])))
     return GridTopology(nodes, edges)
 
 

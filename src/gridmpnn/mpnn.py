@@ -497,6 +497,7 @@ class GnnModel(ModelBase):
     def load_checkpoint(cls, path: str, topology: GridTopology) -> "GnnModel":
         with open(path) as fh:
             doc = json.load(fh)
+        _check_checkpoint_objects(doc)
         if doc.get("format_version") != CHECKPOINT_VERSION:
             raise ValueError("unsupported checkpoint format version")
         try:
@@ -542,6 +543,22 @@ class GnnModel(ModelBase):
             {nid: np.array(rec["mean"]) for nid, rec in doc["standardization"].items()},
             {nid: np.array(rec["std"]) for nid, rec in doc["standardization"].items()})
         return model
+
+
+def _check_checkpoint_objects(doc) -> None:
+    """A checkpoint's root, its ``model``, ``schemas``, ``standardization``
+    and ``parameters`` sections and their records must be JSON objects;
+    a missing section is left for ``_from_checkpoint`` to name."""
+    if not isinstance(doc, dict):
+        raise ValueError("checkpoint is not a JSON object")
+    for section in ("model", "schemas", "standardization", "parameters"):
+        if not isinstance(doc.get(section, {}), dict):
+            raise ValueError(f"checkpoint {section!r} is not a JSON object")
+    for section in ("schemas", "standardization", "parameters"):
+        for key, record in doc.get(section, {}).items():
+            if not isinstance(record, dict):
+                raise ValueError(f"checkpoint {section!r} record {key!r} is "
+                                 "not a JSON object")
 
 
 def _packed(h: np.ndarray) -> np.ndarray:

@@ -136,11 +136,6 @@ class SampleSet:
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    @property
-    def features(self) -> Mapping[str, np.ndarray]:
-        """Every sample's features, derived on each access."""
-        return _features(self.targets, self.input_mask)
-
     def batch(self, idx: np.ndarray) -> tuple[Mapping, dict, dict, dict]:
         """Features, input mask, targets and loss mask of the samples
         ``idx``, in the model's and the loss's float64 form (masks 0/1)."""

@@ -331,6 +331,63 @@ def test_checkpoint_without_a_key_exits_2(world, tmp_path, capsys, key):
     assert not os.path.exists(tmp_path / "out" / "evaluation.json")
 
 
+def _parameter_as_list(doc):
+    pid = next(iter(doc["parameters"]))
+    doc["parameters"][pid] = list(doc["parameters"][pid].values())
+
+
+# a checkpoint fault, applied in place, and the section it names
+WRONG_SHAPES = {
+    "root_list": (lambda doc: [doc], "not a JSON object"),
+    "model_null": (lambda doc: doc.update(model=None), "'model'"),
+    "schemas_list": (lambda doc: doc.update(schemas=[]), "'schemas'"),
+    "parameters_null": (lambda doc: doc.update(parameters=None),
+                        "'parameters'"),
+    "parameter_list": (_parameter_as_list, "'parameters' record"),
+    "schema_string": (lambda doc: doc["schemas"].update(p1="q"),
+                      "'schemas' record 'p1'"),
+    "standardization_list": (
+        lambda doc: doc["standardization"].update(p1=[0.0]),
+        "'standardization' record 'p1'"),
+}
+
+
+@pytest.mark.parametrize("fault", list(WRONG_SHAPES))
+def test_a_checkpoint_of_the_wrong_shape_exits_2(world, tmp_path, capsys,
+                                                 fault):
+    with open(world["cfg"]["paths"]["checkpoint"]) as fh:
+        doc = json.load(fh)
+    apply, named = WRONG_SHAPES[fault]
+    doc = apply(doc) or doc
+    bad = str(tmp_path / "bad_checkpoint.json")
+    with open(bad, "w") as fh:
+        json.dump(doc, fh)
+    assert _evaluate_with_checkpoint(world, tmp_path, bad) == 2
+    assert named in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "evaluation.json")
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "congest", "bid",
+                                     "bench"])
+@pytest.mark.parametrize("test_start", ["2019-06-03T00:07:00Z",
+                                        "2020-06-03T00:00:00Z"],
+                         ids=["off_grid", "outside"])
+def test_a_test_start_off_the_dataset_exits_2(world, tmp_path, capsys,
+                                              command, test_start):
+    cfg = json.loads(json.dumps(world["cfg"]))
+    cfg["data"]["test_start"] = test_start
+    out = tmp_path / "out"
+    cfg["paths"]["out_dir"] = str(out)
+    if command in ("train", "bench"):
+        cfg["paths"]["checkpoint"] = str(out / "checkpoint.json")
+    cfg_path = str(tmp_path / "test_start.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main([command, "--config", cfg_path]) == 2
+    assert f"data.test_start {test_start}" in capsys.readouterr().err
+    assert not os.path.exists(out) or not os.listdir(out)
+
+
 @pytest.mark.parametrize("command", ["train", "bench"])
 def test_zero_epoch_budget_exits_2(world, tmp_path, capsys, command):
     cfg = json.loads(json.dumps(world["cfg"]))

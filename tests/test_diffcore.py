@@ -15,7 +15,8 @@ from gridmpnn import diffcore as dc
 from gridmpnn import gridsim
 from gridmpnn.gridgraph import NodeSchema, derive_schemas, load_topology
 from gridmpnn.mpnn import GnnConfig, GnnModel
-from gridmpnn.training import TrainingConfig, build_samples, nll_loss_packed
+from gridmpnn.training import (TrainingConfig, _train_block, build_samples,
+                               nll_loss_packed)
 
 
 def _seed(out, mix):
@@ -1016,6 +1017,38 @@ def test_one_pilot_block_workspace_stays_within_its_byte_budget(pilot_world):
     assert any(g.any() for g in model.params.grads.values())
     held = ws.scratch.nbytes + sum(b.nbytes for b in ws.outputs)
     assert 0 < held <= PILOT_BLOCK_WORKSPACE_BUDGET, held
+
+
+# Bytes one steady-state 128-row training block of the conftest pilot
+# world may allocate at its peak, beyond the buffers its worker's warm
+# workspace already holds: its taped forward, loss and backward on a
+# fork of the step's tape take 16.3 MB at the default 3 message steps
+# (36.1 MB without a workspace), plus the tape budget's 3.9% headroom.
+# Once it returns, what it allocated is freed: 1.8 kB stays traced.
+PILOT_BLOCK_PEAK_BUDGET = 17.0e6
+PILOT_BLOCK_LEFT_BUDGET = 0.1e6
+
+
+def test_one_pilot_training_block_stays_within_its_peak_budget(pilot_world):
+    spec, dataset = pilot_world
+    schemas = derive_schemas(spec.topology)
+    samples = build_samples(dataset, spec.topology, schemas, TrainingConfig())
+    model = GnnModel(spec.topology, schemas, GnnConfig())
+    grads = {k: np.zeros_like(g) for k, g in model.params.grads.items()}
+    idx, ws = np.arange(dc.BLOCK_ROWS), dc.Workspace()
+    _train_block(model, samples, idx, dc.Tape(), grads, 1.0, ws)  # warms ws
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _train_block(model, samples, idx, dc.Tape(), grads, 1.0, ws)
+        gc.collect()
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(g.any() for g in grads.values())
+    assert peak - base <= PILOT_BLOCK_PEAK_BUDGET, peak - base
+    assert left - base <= PILOT_BLOCK_LEFT_BUDGET, left - base
 
 
 def test_row_blocks_cut_by_the_row_count_alone():

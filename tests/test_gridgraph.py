@@ -77,6 +77,23 @@ def test_malformed_json_rejected():
         load_topology("{not json")
 
 
+_GS = [{"id": "g", "kind": "global"}, {"id": "s", "kind": "substation"}]
+
+
+@pytest.mark.parametrize("nodes, edges, named", [
+    ([_GS[0], {"id": "s"}], [["g", "s"]], "node record 1"),
+    ([_GS[0], {"kind": "substation"}], [["g", "s"]], "node record 1"),
+    (["g", _GS[1]], [["g", "s"]], "node record 0"),
+    (_GS, [["g", "s", "x"]], "edge record 0"),
+    (_GS, [["g", "s"], "gs"], "edge record 1"),
+    (_GS, [{"parent": "g", "child": "s"}], "edge record 0"),
+], ids=["no_kind", "no_id", "node_string", "edge_triple", "edge_string",
+        "edge_object"])
+def test_malformed_records_are_named_by_position(nodes, edges, named):
+    with pytest.raises(TopologyError, match=named):
+        load_topology(_doc(nodes, edges))
+
+
 def test_topology_document_roundtrip_and_hash_stability():
     topo = gridsim.pilot_topology()
     doc = topo.to_document()

@@ -17,8 +17,8 @@ from gridmpnn.imputation import (ImputationError, ImputationProblem,
                                  blocked_forward, impute, impute_packed)
 from gridmpnn.mpnn import GnnModel, compute_groups
 from gridmpnn.services import predict_voltages
-from gridmpnn.training import (TrainingConfig, build_samples, mask_channels,
-                               voltage_lag0_selector)
+from gridmpnn.training import (TrainingConfig, _features, build_samples,
+                               mask_channels, voltage_lag0_selector)
 
 from conftest import (CountingPool, chain_samples, chain_schemas,
                       chain_topology)
@@ -157,8 +157,9 @@ def test_predict_voltages_emits_mu_and_sigma_band(quick_chain_model):
     moved = samples.select(np.arange(len(samples)))
     assert moved.input_mask[key][j].all()
     moved.targets[key][j] += 5.0
-    assert np.array_equal(moved.features[key][j],
-                          samples.features[key][j] + 5.0)
+    assert np.array_equal(_features(moved.targets, moved.input_mask)[key][j],
+                          _features(samples.targets,
+                                    samples.input_mask)[key][j] + 5.0)
     again = predict_voltages(model, moved, model.schemas)
     assert np.array_equal(again.mu[key], pred.mu[key])
     assert np.array_equal(again.sigma[key], pred.sigma[key])
@@ -215,7 +216,7 @@ def _pilot_holes(kind: str, rows: int):
                                hidden=16 if kind == "mlp" else 64)
     model.set_standardization(samples.stats.mean, samples.stats.std)
     samples = samples.select(np.arange(rows))
-    feats, masks = mask_channels(samples.features, samples.input_mask,
+    feats, masks = mask_channels(samples.targets, samples.input_mask,
                                  voltage_lag0_selector(schemas, samples.groups))
     return model, feats, masks
 

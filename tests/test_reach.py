@@ -10,8 +10,10 @@ or class when its name is read as an attribute, or as a bare name in
 its own module or in a module that imports it from there. Assigning to
 a name (a field, a local) does not count, and neither does a local or
 an argument of the same name elsewhere. A name that
-two public definitions share (``copy``, ``to_document``, ...) would let
-one stand in for the other, so each shared definition names in
+two public definitions share (``copy``, ``to_document``, ...), or a
+public definition and an annotated class attribute such as a dataclass
+field (``features``, ``q``, ...), would let one stand in for the other,
+so each shared definition names in
 ``SHARED_CALLERS`` one function under ``src/`` or ``benchmarks/`` whose
 body calls it, and that function must still name it.
 
@@ -60,9 +62,11 @@ SHARED_CALLERS = {
     "baselines.CentralModel.forward": "training._train_block",
     "baselines.CentralModel.init_parameters": "baselines.build_baseline",
     "baselines.CentralModel.reverse": "baselines.CentralModel.forward",
+    "baselines.rmse": "baselines.evaluate_voltage_prediction",
     "diffcore.ParameterSet.copy": "training.train",
     "gridgraph.GridTopology.ids": "mpnn.ModelBase.set_standardization",
     "gridgraph.GridTopology.to_document": "cli.cmd_simulate",
+    "gridgraph.NodeSchema.q": "mpnn.compute_groups",
     "gridgraph.SchemaConfig.from_document": "mpnn.GnnModel._from_checkpoint",
     "gridgraph.SchemaConfig.to_document": "mpnn.GnnModel.save_checkpoint",
     "gridsim.SyntheticGridSpec.from_document":
@@ -70,6 +74,7 @@ SHARED_CALLERS = {
     "gridsim.SyntheticGridSpec.to_document": "gridsim.SyntheticGridSpec.to_json",
     "gridsim.TimeSeriesDataset.copy": "gridsim.inject_missing",
     "gridsim.TimeSeriesDataset.ids": "cli.cmd_simulate",
+    "gridsim.TimeSeriesDataset.index_of": "cli.cmd_impute",
     "mpnn.GnnConfig.from_document": "mpnn.GnnModel._from_checkpoint",
     "mpnn.GnnConfig.to_document": "mpnn.GnnModel.save_checkpoint",
     "mpnn.GnnModel.count_parameters": "cli.cmd_train",
@@ -139,12 +144,25 @@ def test_assigned_names_are_not_references():
         "obj", "read", "imported", "print", "called"}
 
 
-def _shared_definitions():
-    """Qualified names of the public definitions whose bare name another
-    public definition of the library also has."""
-    defs = [(q, n) for path in _python_files(PACKAGE)
-            for q, n, _, _ in _definitions(path)]
+def _fields(path):
+    """Bare names of the public annotated class attributes of a module,
+    such as dataclass fields."""
+    for node in _parse(path).body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)
+                        and not item.target.id.startswith("_")):
+                    yield item.target.id
+
+
+def _shared_definitions(paths):
+    """Qualified names of the public definitions of the modules ``paths``
+    whose bare name another public definition or a public annotated class
+    attribute of those modules also has."""
+    defs = [(q, n) for path in paths for q, n, _, _ in _definitions(path)]
     counts = collections.Counter(n for _, n in defs)
+    counts.update(n for path in paths for n in _fields(path))
     return {q for q, n in defs if counts[n] > 1}
 
 
@@ -213,8 +231,23 @@ def test_reach_follows_bindings(tmp_path):
                                                 "m.stray"}
 
 
+def test_a_field_shares_its_name_with_a_method(tmp_path):
+    # a method named like another class's field is shared, as a method
+    # named like another method is; a plain class attribute, a private
+    # field or a field alone shares nothing
+    path = tmp_path / "m.py"
+    path.write_text("class A:\n    size: int\n    _span: int\n"
+                    "    limit = 3\n    rows: int\n"
+                    "class B:\n    def size(self): ...\n"
+                    "    def limit(self): ...\n    def span(self): ...\n"
+                    "    def copy(self): ...\n"
+                    "class C:\n    def copy(self): ...\n")
+    assert _shared_definitions([str(path)]) == {"m.B.size", "m.B.copy",
+                                                "m.C.copy"}
+
+
 def test_only_the_oracles_are_reached_from_tests_alone():
-    shared = _shared_definitions()
+    shared = _shared_definitions(list(_python_files(PACKAGE)))
     unreached = _unreached(list(_python_files(PACKAGE)),
                            list(_python_files(BENCHMARKS)))
     assert (unreached - shared) | (shared - set(SHARED_CALLERS)) == set(ORACLES)
@@ -223,7 +256,7 @@ def test_only_the_oracles_are_reached_from_tests_alone():
 def test_shared_names_have_a_listed_caller():
     callers = {q: node for path in _python_files(PACKAGE, BENCHMARKS)
                for q, _, node in _functions(path, public_only=False)}
-    shared = _shared_definitions()
+    shared = _shared_definitions(list(_python_files(PACKAGE)))
     assert set(SHARED_CALLERS) == shared - set(ORACLES)
     for qualified, caller in SHARED_CALLERS.items():
         assert caller in callers, f"{caller} (listed for {qualified}) is gone"

@@ -34,6 +34,11 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
 
 
+def _features_of(samples):
+    """A sample set's model input features, as ``batch`` derives them."""
+    return training._features(samples.targets, samples.input_mask)
+
+
 def _pinned_run(call: str) -> list[str]:
     """Words printed by ``test_training.<call>`` run in a subprocess with
     BLAS pinned to one thread, the setting under which blocks run on
@@ -133,7 +138,7 @@ def test_features_are_standardized_and_placeholdered():
     samples = build_samples(ds, topo, schemas, TrainingConfig())
     g = next(x for x in samples.groups if "p" in x.node_ids)
     key, j = g.key, g.index_of["p"]
-    feats = samples.features[key]
+    feats = _features_of(samples)[key]
     assert abs(feats[j, :, 0].mean()) < 0.2  # roughly centred
     i = list(samples.timestamps).index(int(ds.epoch_seconds()[300]))
     assert feats[j, i, 0] == 0.0               # placeholder at the hole
@@ -177,11 +182,10 @@ def test_augmentation_doubles_and_masks_current_voltage():
     key, j = g.key, g.index_of["p"]
     # clone: current-time voltage masked, lag features and energy intact
     assert np.all(doubled.input_mask[key][j, n:, 0] == 0.0)
-    assert np.all(doubled.features[key][j, n:, 0] == 0.0)
-    assert np.array_equal(doubled.features[key][j, n:, 1],
-                          samples.features[key][j, :, 1])  # voltage lag kept
-    assert np.array_equal(doubled.features[key][j, n:, 4],
-                          samples.features[key][j, :, 4])  # energy kept
+    clone, orig = _features_of(doubled)[key], _features_of(samples)[key]
+    assert np.all(clone[j, n:, 0] == 0.0)
+    assert np.array_equal(clone[j, n:, 1], orig[j, :, 1])  # voltage lag kept
+    assert np.array_equal(clone[j, n:, 4], orig[j, :, 4])  # energy kept
     # loss targets retained for the masked entries
     assert np.array_equal(doubled.targets[key][j, n:, 0],
                           samples.targets[key][j, :, 0])
@@ -194,20 +198,20 @@ def test_mask_channels_matches_copy_and_assign_reference():
     schemas = derive_schemas(topo)
     samples = build_samples(ds, topo, schemas, TrainingConfig())
     sel = voltage_lag0_selector(schemas, samples.groups)
-    before = {k: v.copy() for k, v in samples.features.items()}
+    before = {k: v.copy() for k, v in _features_of(samples).items()}
     before_m = {k: v.copy() for k, v in samples.input_mask.items()}
     # the set's targets and masks in, as predict_voltages passes them
     feats, masks = mask_channels(samples.targets, samples.input_mask, sel)
     assert any(flags.any() for flags in sel.values())
     for g in samples.groups:
-        want_f = samples.features[g.key].copy()
+        want_f = _features_of(samples)[g.key].copy()
         want_m = samples.input_mask[g.key].copy()
         flags = np.broadcast_to(sel[g.key][:, None, :], want_f.shape)
         want_f[flags] = 0.0
         want_m[flags] = False
         assert feats[g.key].tobytes() == want_f.tobytes()
         assert masks[g.key].tobytes() == want_m.tobytes()
-        assert np.array_equal(samples.features[g.key], before[g.key])
+        assert np.array_equal(_features_of(samples)[g.key], before[g.key])
         assert np.array_equal(samples.input_mask[g.key], before_m[g.key])
 
 
@@ -438,7 +442,7 @@ def test_divergence_raises_training_error():
     key = tr.groups[0].key
     tr.targets[key][0, 5, 0] = np.nan
     tr.input_mask[key][0, 5, 0] = tr.loss_mask[key][0, 5, 0] = True
-    assert np.isnan(tr.features[key][0, 5, 0])
+    assert np.isnan(_features_of(tr)[key][0, 5, 0])
     model = GnnModel(topo, schemas, GnnConfig(layers=1))
     model.init_parameters(0)
     with pytest.raises(TrainingError, match="epoch 1"):
@@ -458,7 +462,7 @@ def test_divergence_in_one_block_leaves_the_last_update(monkeypatch, block):
     key = tr.groups[0].key
     tr.targets[key][0, row, 0] = np.nan
     tr.input_mask[key][0, row, 0] = tr.loss_mask[key][0, row, 0] = True
-    assert np.isnan(tr.features[key][0, row, 0])
+    assert np.isnan(_features_of(tr)[key][0, row, 0])
     model = GnnModel(topo, schemas, GnnConfig(layers=1))
     model.init_parameters(0)
     steps = []
