@@ -16,20 +16,20 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Optional
 
 import numpy as np
 
 from . import baselines, gridsim, services
-from .gridgraph import (VOLTAGE, SchemaConfig, TopologyError,
-                        derive_schemas, load_topology, sensor_id)
+from .gridgraph import (VOLTAGE, NodeSchema, SchemaConfig, TopologyError,
+                        derive_schemas, lag_horizon, load_topology)
 from .imputation import ImputationProblem, impute
 from .mpnn import GnnConfig, GnnModel
 from .training import (DatasetError, TrainingConfig, TrainingError,
                        build_samples, chronological_split, concat_sample_sets,
-                       masked_clones, train, voltage_lag0_selector,
-                       write_history_csv)
+                       gather_channels, masked_clones, train,
+                       voltage_lag0_selector, write_history_csv)
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -201,9 +201,8 @@ def _read_topology(cfg: dict):
         return load_topology(fh.read())
 
 
-def _load_bundle(cfg: dict):
+def _load_bundle(cfg: dict, topo):
     """Topology + schemas + dataset shared by most commands."""
-    topo = _read_topology(cfg)
     schema_cfg = (SchemaConfig.from_document(cfg["schema"])
                   if cfg.get("schema") else SchemaConfig())
     schemas = derive_schemas(topo, schema_cfg)
@@ -214,14 +213,10 @@ def _load_bundle(cfg: dict):
     return topo, schema_cfg, schemas, dataset
 
 
-def _max_lag(schemas) -> int:
-    return max((lag for s in schemas.values() for lag in s.ar_lags), default=0)
-
-
 def _split_dataset(cfg: dict, dataset, schemas):
     """(train slice, test slice with lag history). Test starts at
     data.test_start; without it the final 1/4 of the span is the test."""
-    lag = _max_lag(schemas)
+    lag = lag_horizon(schemas)
     test_start = cfg.get("data", {}).get("test_start")
     if test_start:
         try:
@@ -295,7 +290,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    topo, schema_cfg, schemas, dataset = _load_bundle(cfg)
+    topo, schema_cfg, schemas, dataset = _load_bundle(cfg, _read_topology(cfg))
     train_ds, _ = _split_dataset(cfg, dataset, schemas)
     model = GnnModel(topo, schemas, _gnn_config(cfg), schema_config=schema_cfg)
     model.init_parameters(seed=cfg.get("seed", 0))
@@ -325,14 +320,15 @@ def _load_served(cfg: dict):
     if not os.path.exists(ckpt):
         raise MissingArtifact(f"checkpoint not found: {ckpt}")
     model = GnnModel.load_checkpoint(ckpt, topo)
-    _, _, schemas, dataset = _load_bundle(cfg)
+    _, _, schemas, dataset = _load_bundle(cfg, topo)
     for nid in topo.ids():
-        ours, trained = vars(schemas[nid]), vars(model.schemas[nid])
-        for key, value in ours.items():
-            if value != trained[key]:
+        for f in fields(NodeSchema):
+            ours = getattr(schemas[nid], f.name)
+            trained = getattr(model.schemas[nid], f.name)
+            if ours != trained:
                 raise ConfigError(
-                    f"node {nid!r}: the config's schema has {key} {value!r}, "
-                    f"the checkpoint was trained with {trained[key]!r}")
+                    f"node {nid!r}: the config's schema has {f.name} "
+                    f"{ours!r}, the checkpoint was trained with {trained!r}")
     return model, topo, schemas, dataset
 
 
@@ -373,31 +369,21 @@ def cmd_impute(args) -> int:
         t_index = dataset.index_of(args.timestamp)
     except KeyError as e:
         raise ConfigError(str(e)) from e
-    lag = _max_lag(schemas)
-    if t_index < lag:
+    if t_index < lag_horizon(schemas):
         raise ConfigError("timestamp too early: lag features unavailable")
-    features, observed = {}, {}
-    for nid, schema in schemas.items():
-        vec = np.zeros(schema.q)
-        obs = np.zeros(schema.q, dtype=bool)
-        for c, ch in enumerate(schema.channels()):
-            sid = sensor_id(nid, ch.var,
-                            weather=ch.var in schema.weather_covariates)
-            if sid not in dataset.series:
-                raise DatasetError(f"dataset lacks series {sid!r}")
-            vec[c] = dataset.series[sid][t_index - ch.lag]
-            obs[c] = not dataset.missing[sid][t_index - ch.lag]
-        features[nid] = vec
-        observed[nid] = obs
+    raw, obs = gather_channels(dataset, model.groups, schemas,
+                               np.array([t_index]))
+    features = model.unpack({k: v[:, 0] for k, v in raw.items()})
+    observed = model.unpack({k: v[:, 0] for k, v in obs.items()})
     for mask in args.mask:
         nid, _, name = mask.rpartition(":")
         if nid not in schemas:
             raise ConfigError(f"--mask {mask!r}: unknown node {nid!r}")
-        names = [ch.name for ch in schemas[nid].channels()]
-        if name not in names:
+        index = schemas[nid].channel_index()
+        if name not in index:
             raise ConfigError(f"--mask {mask!r}: node {nid!r} has no "
                               f"channel {name!r}")
-        observed[nid][names.index(name)] = False
+        observed[nid][index[name]] = False
     result = impute(model, ImputationProblem(features=features,
                                              observed=observed))
     doc = result.report_document(schemas)
@@ -419,8 +405,7 @@ def cmd_congest(args) -> int:
     node = svc["plot_node"]
     if node is not None and node not in topo.ids():
         raise ConfigError(f"config services.plot_node: no node {node!r}")
-    if node is not None and not any(ch.category == VOLTAGE and ch.lag == 0
-                                    for ch in schemas[node].channels()):
+    if node is not None and not schemas[node].lag0_indices(VOLTAGE):
         raise ConfigError(f"config services.plot_node: node {node!r} has no "
                           "current-time voltage channel")
     samples, _ = _test_samples(cfg, model, dataset, schemas)
@@ -474,7 +459,7 @@ def _physical_snapshot(model, sample):
 
 def cmd_bench(args) -> int:
     cfg = load_config(args.config)
-    topo, schema_cfg, schemas, dataset = _load_bundle(cfg)
+    topo, schema_cfg, schemas, dataset = _load_bundle(cfg, _read_topology(cfg))
     train_ds, _ = _split_dataset(cfg, dataset, schemas)
     bench = cfg["benchmark"]
     entries = []

@@ -5,14 +5,17 @@ under substations, prosumers under feeders. Each node gets a
 ``NodeSchema`` describing its observed channels (current value plus
 autoregressive lags, plus weather covariates at substations), which
 fixes the node's feature dimensionality ``q`` and latent size ``p``.
+The schema builds its channel table once: every other module reads a
+channel's position, name, category, lag and series from it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field, fields, replace
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 GLOBAL = "global"
 SUBSTATION = "substation"
@@ -125,7 +128,14 @@ def load_topology(document) -> GridTopology:
             raise TopologyError(f"topology document is not valid JSON: {e}") from e
     if not isinstance(document, dict) or "nodes" not in document:
         raise TopologyError("topology document must be an object with 'nodes'")
-    phases = document.get("phases", {})
+    phases, edge_records = document.get("phases", {}), document.get("edges", [])
+    for section, records in (("nodes", document["nodes"]),
+                             ("edges", edge_records)):
+        if not isinstance(records, (list, tuple)):
+            raise TopologyError(f"topology {section!r} must be an array")
+    if not (isinstance(phases, dict)
+            and all(type(n) is int for n in phases.values())):
+        raise TopologyError("topology 'phases' must be an object of integers")
     nodes = []
     for i, rec in enumerate(document["nodes"]):
         if not isinstance(rec, dict) or "id" not in rec or "kind" not in rec:
@@ -133,9 +143,9 @@ def load_topology(document) -> GridTopology:
                                 "'id' and 'kind'")
         kind = str(rec["kind"]).lower()
         nid = str(rec["id"])
-        nodes.append(Node(nid, kind, int(phases.get(nid, 1))))
+        nodes.append(Node(nid, kind, phases.get(nid, 1)))
     edges = []
-    for i, pair in enumerate(document.get("edges", [])):
+    for i, pair in enumerate(edge_records):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise TopologyError(f"edge record {i} must be a [parent, child] "
                                 "pair")
@@ -147,22 +157,28 @@ def load_topology(document) -> GridTopology:
 # Feature schemas
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Channel:
-    """One feature entry: a variable at a lag (0 = current sample)."""
+    """One feature entry: a variable at a lag (0 = current sample), and
+    the dataset series it reads."""
 
     var: str
     lag: int
     category: str  # voltage | energy | weather
+    sensor: str
 
     @property
     def name(self) -> str:
         return self.var if self.lag == 0 else f"{self.var}@-{self.lag}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class NodeSchema:
-    """Observed variables, lags and weather covariates of one node."""
+    """Observed variables, lags and weather covariates of one node, and
+    the channel table they fix, built once here: the channels in order,
+    each reading the weather series when its variable is one of the
+    node's weather covariates; the index of their names; and the lag-0
+    channels of each category."""
 
     node_id: str
     observed_variables: list[tuple[str, str]]  # (name, category)
@@ -171,6 +187,21 @@ class NodeSchema:
     p: int
 
     def __post_init__(self) -> None:
+        wx = self.weather_covariates
+        chans = tuple(Channel(var, lag, cat, sensor_id(self.node_id, var,
+                                                       weather=var in wx))
+                      for var, cat in [*self.observed_variables,
+                                       *((var, WEATHER) for var in wx)]
+                      for lag in (0, *self.ar_lags))
+        lag0: dict[str, tuple[int, ...]] = {}
+        for c, ch in enumerate(chans):
+            if ch.lag == 0:
+                lag0[ch.category] = (*lag0.get(ch.category, ()), c)
+        # not fields: a schema is compared by its fields
+        object.__setattr__(self, "_channels", chans)
+        object.__setattr__(self, "_index", MappingProxyType(
+            {ch.name: c for c, ch in enumerate(chans)}))
+        object.__setattr__(self, "_lag0", lag0)
         if self.p > self.q or self.p < 1:
             raise SchemaError(
                 f"node {self.node_id!r}: latent size {self.p} outside [1, q={self.q}]")
@@ -179,21 +210,22 @@ class NodeSchema:
 
     @property
     def q(self) -> int:
-        per = 1 + len(self.ar_lags)
-        return (len(self.observed_variables) + len(self.weather_covariates)) * per
+        return len(self._channels)
 
-    def channels(self) -> list[Channel]:
-        out = []
-        for var, cat in self.observed_variables:
-            out.append(Channel(var, 0, cat))
-            out.extend(Channel(var, lag, cat) for lag in self.ar_lags)
-        for var in self.weather_covariates:
-            out.append(Channel(var, 0, WEATHER))
-            out.extend(Channel(var, lag, WEATHER) for lag in self.ar_lags)
-        return out
+    def channels(self) -> tuple[Channel, ...]:
+        return self._channels
 
-    def channel_index(self) -> dict[str, int]:
-        return {ch.name: i for i, ch in enumerate(self.channels())}
+    def channel_index(self) -> Mapping[str, int]:
+        return self._index
+
+    def lag0_indices(self, category: str) -> tuple[int, ...]:
+        """Positions of the current-time channels of ``category``."""
+        return self._lag0.get(category, ())
+
+
+def lag_horizon(schemas: Mapping[str, NodeSchema]) -> int:
+    """The longest lag of any schema: the history a sample needs."""
+    return max((lag for s in schemas.values() for lag in s.ar_lags), default=0)
 
 
 @dataclass
@@ -215,28 +247,14 @@ class SchemaConfig:
         return self.latent_small if q <= 8 else min(self.latent_large, q)
 
     def to_document(self) -> dict:
-        return {"ar_lags": list(self.ar_lags),
-                "latent_small": self.latent_small,
-                "latent_large": self.latent_large,
-                "weather_covariates": list(self.weather_covariates)}
+        return asdict(self)
 
     @classmethod
     def from_document(cls, doc: dict) -> "SchemaConfig":
-        return cls(ar_lags=list(doc["ar_lags"]),
-                   latent_small=int(doc["latent_small"]),
-                   latent_large=int(doc["latent_large"]),
-                   weather_covariates=list(doc["weather_covariates"]))
+        return cls(**{f.name: doc[f.name] for f in fields(cls)})
 
 
-_PHASE_SUFFIX = ("a", "b", "c")
-
-
-def _prosumer_vars(phases: int) -> list[tuple[str, str]]:
-    if phases == 1:
-        return [("voltage", VOLTAGE), ("energy", ENERGY)]
-    out = [(f"voltage_{s}", VOLTAGE) for s in _PHASE_SUFFIX]
-    out += [(f"energy_{s}", ENERGY) for s in _PHASE_SUFFIX]
-    return out
+_PHASE_SUFFIXES = ("_a", "_b", "_c")
 
 
 def derive_schemas(topology: GridTopology,
@@ -246,28 +264,16 @@ def derive_schemas(topology: GridTopology,
     schemas: dict[str, NodeSchema] = {}
     for node in topology.nodes:
         if node.kind == PROSUMER:
-            obs = _prosumer_vars(node.phases)
-            wx: list[str] = []
-        elif node.kind == FEEDER:
-            obs = [("load_p", ENERGY), ("load_q", ENERGY)]
-            wx = []
+            obs = [(var + s, cat) for var, cat in (("voltage", VOLTAGE),
+                                                   ("energy", ENERGY))
+                   for s in (_PHASE_SUFFIXES if node.phases == 3 else ("",))]
         elif node.kind == SUBSTATION:
-            obs = [(f"load_{s}", ENERGY) for s in _PHASE_SUFFIX]
-            wx = list(config.weather_covariates)
-        elif node.kind == GLOBAL:
+            obs = [(f"load{s}", ENERGY) for s in _PHASE_SUFFIXES]
+        else:  # a feeder or the global node: the power it carries
             obs = [("load_p", ENERGY), ("load_q", ENERGY)]
-            wx = []
-        else:
-            raise SchemaError(f"node {node.node_id!r}: unknown kind {node.kind!r}")
-        per = 1 + len(config.ar_lags)
-        q = (len(obs) + len(wx)) * per
-        schemas[node.node_id] = NodeSchema(
-            node_id=node.node_id,
-            observed_variables=obs,
-            ar_lags=list(config.ar_lags),
-            weather_covariates=wx,
-            p=config.latent_for(q),
-        )
+        wx = list(config.weather_covariates) if node.kind == SUBSTATION else []
+        schema = NodeSchema(node.node_id, obs, list(config.ar_lags), wx, p=1)
+        schemas[node.node_id] = replace(schema, p=config.latent_for(schema.q))
     return schemas
 
 

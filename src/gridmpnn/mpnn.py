@@ -43,7 +43,7 @@ weight rows or the bias row without the constant unit):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -476,12 +476,9 @@ class GnnModel(ModelBase):
             "model": self.config.to_document(),
             "schema_config": (self.schema_config.to_document()
                               if self.schema_config else None),
-            "schemas": {
-                nid: {"observed_variables": [list(v) for v in s.observed_variables],
-                      "ar_lags": s.ar_lags,
-                      "weather_covariates": s.weather_covariates,
-                      "p": s.p}
-                for nid, s in self.schemas.items()},
+            "schemas": {nid: {k: v for k, v in asdict(s).items()
+                              if k != "node_id"}
+                        for nid, s in self.schemas.items()},
             "standardization": {
                 nid: {"mean": list(self.std_mean[nid]),
                       "std": list(self.std_std[nid])}
@@ -510,13 +507,9 @@ class GnnModel(ModelBase):
     def _from_checkpoint(cls, doc: dict, topology: GridTopology) -> "GnnModel":
         if doc["topology_hash"] != topology.content_hash():
             raise ValueError("checkpoint topology hash does not match topology")
-        schemas = {
-            nid: NodeSchema(
-                node_id=nid,
-                observed_variables=[tuple(v) for v in rec["observed_variables"]],
-                ar_lags=list(rec["ar_lags"]),
-                weather_covariates=list(rec["weather_covariates"]),
-                p=int(rec["p"]))
+        schemas = {nid: NodeSchema(
+            nid, [tuple(v) for v in rec["observed_variables"]], rec["ar_lags"],
+            rec["weather_covariates"], rec["p"])
             for nid, rec in doc["schemas"].items()}
         schema_config = (SchemaConfig.from_document(doc["schema_config"])
                          if doc.get("schema_config") else None)
@@ -545,20 +538,51 @@ class GnnModel(ModelBase):
         return model
 
 
+def _list_of(*kinds: type):
+    return lambda v: isinstance(v, list) and all(type(x) in kinds for x in v)
+
+
+_INTEGER = ("an integer", lambda v: type(v) is int)
+_INTEGERS = ("a list of integers", _list_of(int))
+_NUMBERS = ("a list of numbers", _list_of(int, float))
+_STRINGS = ("a list of strings", _list_of(str))
+# the JSON type, and its test, of each field a checkpoint record is read
+# by: an integer is neither a bool nor a float
+_FIELDS = {
+    "schemas": {"observed_variables": (
+        "a list of [name, category] pairs", lambda v: isinstance(v, list)
+        and all(_list_of(str)(x) and len(x) == 2 for x in v)),
+        "ar_lags": _INTEGERS, "weather_covariates": _STRINGS, "p": _INTEGER},
+    "standardization": {"mean": _NUMBERS, "std": _NUMBERS},
+    "parameters": {"shape": _INTEGERS, "values": _NUMBERS},
+    "schema_config": {"ar_lags": _INTEGERS, "latent_small": _INTEGER,
+                      "latent_large": _INTEGER, "weather_covariates": _STRINGS},
+}
+
+
 def _check_checkpoint_objects(doc) -> None:
     """A checkpoint's root, its ``model``, ``schemas``, ``standardization``
-    and ``parameters`` sections and their records must be JSON objects;
-    a missing section is left for ``_from_checkpoint`` to name."""
+    and ``parameters`` sections, their records and a set ``schema_config``
+    must be JSON objects, and each field in ``_FIELDS`` of its JSON type,
+    so that it is named, not cast; a missing one is left for
+    ``_from_checkpoint`` to name."""
     if not isinstance(doc, dict):
         raise ValueError("checkpoint is not a JSON object")
     for section in ("model", "schemas", "standardization", "parameters"):
         if not isinstance(doc.get(section, {}), dict):
             raise ValueError(f"checkpoint {section!r} is not a JSON object")
-    for section in ("schemas", "standardization", "parameters"):
-        for key, record in doc.get(section, {}).items():
-            if not isinstance(record, dict):
-                raise ValueError(f"checkpoint {section!r} record {key!r} is "
-                                 "not a JSON object")
+    records = [(f"{section!r} record {key!r}", section, record)
+               for section in ("schemas", "standardization", "parameters")
+               for key, record in doc.get(section, {}).items()]
+    records.append(("'schema_config'", "schema_config",
+                    doc.get("schema_config") or {}))
+    for where, section, record in records:
+        if not isinstance(record, dict):
+            raise ValueError(f"checkpoint {where} is not a JSON object")
+        for name, (kind, ok) in _FIELDS[section].items():
+            if name in record and not ok(record[name]):
+                raise ValueError(f"checkpoint {where} field {name!r} must "
+                                 f"be {kind}")
 
 
 def _packed(h: np.ndarray) -> np.ndarray:

@@ -157,11 +157,6 @@ class FlexibilityBid:
         }
 
 
-def _energy_lag0_indices(schema: NodeSchema) -> list[int]:
-    return [c for c, ch in enumerate(schema.channels())
-            if ch.category == ENERGY and ch.lag == 0]
-
-
 def estimate_bids(model, features: dict[str, np.ndarray],
                   observed: dict[str, np.ndarray],
                   events: Sequence[CongestionEvent],
@@ -193,7 +188,7 @@ def estimate_bids(model, features: dict[str, np.ndarray],
             feats[nid][cidx] = target
             obs[nid][cidx] = True
         for nid in (feeder, substation):
-            for c in _energy_lag0_indices(model.schemas[nid]):
+            for c in model.schemas[nid].lag0_indices(ENERGY):
                 obs[nid][c] = False
         result = impute(model, ImputationProblem(features=feats, observed=obs))
         p_idx = model.schemas[feeder].channel_index()["load_p"]

@@ -1,44 +1,37 @@
 """Sample assembly, masked Gaussian NLL and the training loop.
 
-A ``SampleSet`` stores standardized targets (float64, 0 where
-unobserved) with a bool input mask and a bool loss mask. The model's
-input features are the targets where the input mask is set and the
-placeholder value elsewhere (the per-channel training mean, which is
-zero after standardization), so they are not stored: ``batch``,
-``sample`` and ``mask_channels`` derive them where they are read, as
-read-only arrays. Augmentation appends ``masked_clones`` of the
-training set with the current-time voltages (``voltage_lag0_selector``)
-masked from the inputs and the loss targets kept, joined with
-``concat_sample_sets``; every trainer adds this one pattern. The loss,
-``nll_loss_packed``, is one engine layer, ``diffcore.gaussian_nll``,
-which sums over observed entries only
+``gather_channels`` reads every channel of every node at given time
+steps, packed per node group, from the series each channel of the
+node's schema names. ``build_samples`` gathers a dataset once and fits
+the per-channel standardization on what it gathered. A ``SampleSet``
+stores standardized targets (float64, 0 where unobserved) with a bool
+input mask and a bool loss mask; the model's input features, the
+targets where the input mask is set and the placeholder 0 (the training
+mean) elsewhere, are derived where they are read (``batch``, ``sample``,
+``mask_channels``), as read-only arrays. Augmentation appends
+``masked_clones`` of the training set with the current-time voltages
+(``voltage_lag0_selector``) masked from the inputs and the loss targets
+kept, joined with ``concat_sample_sets``. The loss, ``nll_loss_packed``,
+is one engine layer, ``diffcore.gaussian_nll``: over the observed
+entries, 0.5 * log(var) + 0.5 * (y - mu)^2 / var, var taken from the
+model's log-variance, so positive by construction.
 
-    0.5 * log(var) + 0.5 * (y - mu)^2 / var
-
-with the model's log-variance as input, so var is positive by
-construction. Training runs shuffled mini-batches of ``batch_size``
-samples (5000 by default) with Adam, records
-per-epoch train/validation NLL and stops early when validation stops
-improving; the returned parameters are the best-validation checkpoint.
-The loop only needs a model exposing ``params`` and
-``forward(features, mask, tape) -> (mu, logvar)`` over packed group
-arrays that, on a tape, sets the tape's reverse pass (``Tape.reverse``),
-so the centralized baselines train through the same code path.
-
-Each mini-batch trains as the row blocks ``diffcore.row_blocks`` cuts by
-its row count alone (512 rows as 4 × 128, 240 as 2 × 120), on the cores
-that BLAS leaves free (``diffcore.run_blocks``). A block records its
-forward on its own fork of the step's tape, in the ``diffcore.Workspace``
-of the worker thread that runs it, whose buffers that worker's next
-block reuses, scales its NLL sum by the whole batch's observed count
-and backpropagates into a gradient buffer of its own. Blocks are handed
-out in block order, and a finished block's buffer is added into the
-parameters' gradients as soon as every earlier block's is, then reused,
-so at most one buffer more than the blocks that run at once exists;
-one Adam step follows the last. So the
-trained bytes, and the validation NLL, whose forwards
-``imputation.blocked_forward`` cuts by the same rule, depend on the
-block rule, never on the core count.
+Training runs shuffled mini-batches of ``batch_size`` samples with Adam,
+records per-epoch train/validation NLL, stops early when validation
+stops improving and keeps the best-validation parameters. It needs only
+a model with ``params`` and ``forward(features, mask, tape) -> (mu,
+logvar)`` over packed groups that, on a tape, sets ``Tape.reverse``, so
+the centralized baselines train through the same code path. Each
+mini-batch trains as the row blocks ``diffcore.row_blocks`` cuts by its
+row count alone (512 rows as 4 × 128), on the cores BLAS leaves free
+(``diffcore.run_blocks``). A block records its forward on its own fork
+of the step's tape, in the ``diffcore.Workspace`` of its worker thread,
+scales its NLL sum by the batch's observed count and backpropagates
+into a gradient buffer that ``_GradientSlots`` adds into the
+parameters' gradients in block order and then reuses; one Adam step
+follows the last block. So the trained bytes, and the validation NLL,
+whose forwards ``imputation.blocked_forward`` cuts by the same rule,
+depend on the block rule, never on the core count.
 """
 
 from __future__ import annotations
@@ -54,7 +47,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import AdamState, ContractError, Tape, adam_step, backward
-from .gridgraph import NodeSchema, VOLTAGE, sensor_id
+from .gridgraph import VOLTAGE, NodeSchema, lag_horizon
 from .imputation import blocked_forward
 from .mpnn import NodeGroup, compute_groups
 
@@ -187,62 +180,40 @@ def _features(targets: dict[str, np.ndarray],
     return MappingProxyType(out)
 
 
-def compute_stats(dataset, topology, schemas: dict[str, NodeSchema],
-                  eligible: np.ndarray) -> ChannelStats:
-    """Per-channel mean/std over observed entries of the eligible range.
-    Constant channels get std 1 so standardization stays invertible."""
-    mean: dict[str, np.ndarray] = {}
-    std: dict[str, np.ndarray] = {}
-    for nid, schema in schemas.items():
-        chans = schema.channels()
-        m = np.zeros(len(chans))
-        s = np.ones(len(chans))
-        for c, ch in enumerate(chans):
-            sid = _sensor_for(nid, schema, ch.var)
-            vals = dataset.series[sid][eligible - ch.lag]
-            obs = ~dataset.missing[sid][eligible - ch.lag]
-            if obs.any():
-                m[c] = vals[obs].mean()
-                sd = vals[obs].std()
-                s[c] = sd if sd > 1e-9 else 1.0
-        mean[nid] = m
-        std[nid] = s
-    return ChannelStats(mean, std)
-
-
-def _sensor_for(nid: str, schema: NodeSchema, var: str) -> str:
-    if var in schema.weather_covariates:
-        return sensor_id(nid, var, weather=True)
-    return sensor_id(nid, var)
+def gather_channels(dataset, groups: list[NodeGroup],
+                    schemas: Mapping[str, NodeSchema], steps: np.ndarray,
+                    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Raw values and observed flags of every channel at the time indices
+    ``steps``, packed per group (n_nodes, len(steps), q): a channel at
+    lag l reads its series at step - l."""
+    raw: dict[str, np.ndarray] = {}
+    obs: dict[str, np.ndarray] = {}
+    for g in groups:
+        vals = np.zeros((len(g.node_ids), len(steps), g.q))
+        ok = np.zeros(vals.shape, dtype=bool)
+        for j, nid in enumerate(g.node_ids):
+            for c, ch in enumerate(schemas[nid].channels()):
+                if ch.sensor not in dataset.series:
+                    raise DatasetError(f"dataset lacks series {ch.sensor!r}")
+                vals[j, :, c] = dataset.series[ch.sensor][steps - ch.lag]
+                ok[j, :, c] = ~dataset.missing[ch.sensor][steps - ch.lag]
+        raw[g.key] = vals
+        obs[g.key] = ok
+    return raw, obs
 
 
 def build_samples(dataset, topology, schemas: dict[str, NodeSchema],
                   config: TrainingConfig,
                   stats: Optional[ChannelStats] = None) -> SampleSet:
     """One sample per eligible timestamp (lags available, missing fraction
-    within threshold), standardized with training-period statistics."""
-    max_lag = max((lag for s in schemas.values() for lag in s.ar_lags), default=0)
-    if dataset.n_steps <= max_lag:
+    within threshold), standardized with ``stats``, which are fitted on
+    the kept samples (``_moments``) when none are given."""
+    lag = lag_horizon(schemas)
+    if dataset.n_steps <= lag:
         raise DatasetError("dataset shorter than the lag horizon")
-    eligible = np.arange(max_lag, dataset.n_steps)
+    eligible = np.arange(lag, dataset.n_steps)
     groups = compute_groups(topology, schemas)
-
-    # raw values and observed flags, packed (n_nodes, n_eligible, q)
-    raw: dict[str, np.ndarray] = {}
-    obs: dict[str, np.ndarray] = {}
-    for g in groups:
-        vals = np.zeros((len(g.node_ids), len(eligible), g.q))
-        ok = np.zeros((len(g.node_ids), len(eligible), g.q), dtype=bool)
-        for j, nid in enumerate(g.node_ids):
-            schema = schemas[nid]
-            for c, ch in enumerate(schema.channels()):
-                sid = _sensor_for(nid, schema, ch.var)
-                if sid not in dataset.series:
-                    raise DatasetError(f"dataset lacks series {sid!r}")
-                vals[j, :, c] = dataset.series[sid][eligible - ch.lag]
-                ok[j, :, c] = ~dataset.missing[sid][eligible - ch.lag]
-        raw[g.key] = vals
-        obs[g.key] = ok
+    raw, obs = gather_channels(dataset, groups, schemas, eligible)
 
     total_entries = sum(g.q * len(g.node_ids) for g in groups)
     unobserved = sum((~obs[g.key]).sum(axis=(0, 2)) for g in groups)
@@ -251,14 +222,16 @@ def build_samples(dataset, topology, schemas: dict[str, NodeSchema],
     if not keep.any():
         raise DatasetError("no samples within the missing-data threshold")
 
-    if stats is None:
-        stats = compute_stats(dataset, topology, schemas, eligible[keep])
-
+    fit = stats is None
+    stats = stats or ChannelStats({}, {})
     secs = dataset.epoch_seconds()[eligible[keep]]
     out = SampleSet(groups, stats, secs)
     for g in groups:
         vals = raw[g.key][:, keep, :]
         ok = obs[g.key][:, keep, :]
+        if fit:
+            for j, nid in enumerate(g.node_ids):
+                stats.mean[nid], stats.std[nid] = _moments(vals[j], ok[j])
         m = np.stack([stats.mean[nid] for nid in g.node_ids])[:, None, :]
         s = np.stack([stats.std[nid] for nid in g.node_ids])[:, None, :]
         z = (vals - m) / s
@@ -268,6 +241,21 @@ def build_samples(dataset, topology, schemas: dict[str, NodeSchema],
     return out
 
 
+def _moments(vals: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per channel of one node's (B, q) values, the mean and std of its
+    observed entries: 0 and 1 for a channel never observed, std 1 for a
+    constant one (std at most 1e-9), so standardization stays
+    invertible."""
+    mean, std = np.zeros(vals.shape[1]), np.ones(vals.shape[1])
+    for c in range(vals.shape[1]):
+        seen = vals[:, c][ok[:, c]]
+        if seen.size:
+            mean[c] = seen.mean()
+            spread = seen.std()
+            std[c] = spread if spread > 1e-9 else 1.0
+    return mean, std
+
+
 def voltage_lag0_selector(schemas: dict[str, NodeSchema],
                           groups: list[NodeGroup]) -> dict[str, np.ndarray]:
     """Per group, bool (n_nodes, q) marking current-time voltage channels."""
@@ -275,8 +263,7 @@ def voltage_lag0_selector(schemas: dict[str, NodeSchema],
     for g in groups:
         flags = np.zeros((len(g.node_ids), g.q), dtype=bool)
         for j, nid in enumerate(g.node_ids):
-            for c, ch in enumerate(schemas[nid].channels()):
-                flags[j, c] = ch.category == VOLTAGE and ch.lag == 0
+            flags[j, schemas[nid].lag0_indices(VOLTAGE)] = True
         sel[g.key] = flags
     return sel
 

@@ -8,7 +8,7 @@ import pytest
 
 from gridmpnn import gridsim
 from gridmpnn.cli import main
-from gridmpnn.gridgraph import SchemaConfig, load_topology
+from gridmpnn.gridgraph import SchemaConfig, derive_schemas, load_topology
 
 from conftest import BAD_PARAMETERS, write_bad_checkpoint
 
@@ -349,6 +349,23 @@ WRONG_SHAPES = {
     "standardization_list": (
         lambda doc: doc["standardization"].update(p1=[0.0]),
         "'standardization' record 'p1'"),
+    "shape_int": (lambda doc: next(iter(doc["parameters"].values())).update(
+        shape=5), "'parameters' record 'type/"),
+    "schema_config_list": (lambda doc: doc.update(schema_config=[1]),
+                           "'schema_config' is not a JSON object"),
+    "schema_config_lags": (lambda doc: doc["schema_config"].update(ar_lags=5),
+                           "'schema_config' field 'ar_lags'"),
+    "ar_lags_int": (lambda doc: doc["schemas"]["p1"].update(ar_lags=5),
+                    "'schemas' record 'p1' field 'ar_lags' must be a list"),
+    "observed_variables_int": (
+        lambda doc: doc["schemas"]["p1"].update(observed_variables=5),
+        "'schemas' record 'p1' field 'observed_variables'"),
+    "p_float": (lambda doc: doc["schemas"]["p1"].update(p=2.5),
+                "'schemas' record 'p1' field 'p' must be an integer"),
+    "p_string": (lambda doc: doc["schemas"]["p1"].update(p="6"),
+                 "'schemas' record 'p1' field 'p' must be an integer"),
+    "std_null": (lambda doc: doc["standardization"]["p2"].update(std=None),
+                 "'standardization' record 'p2' field 'std'"),
 }
 
 
@@ -570,6 +587,38 @@ def test_impute_mask_imputes_the_named_channels(world, tmp_path, capsys):
                                for rec in plain.values())
     assert capsys.readouterr().out.splitlines()[-1] == (
         f"imputed {n_filled} channels in one forward")
+
+
+def test_impute_reads_each_observed_channel_at_its_lag(world, tmp_path):
+    # on a copy of the world's data with 5% gaps, every channel of the
+    # report is observed exactly where its series has a point at t - lag,
+    # and then holds that point's value
+    data = world["data_dir"]
+    gapped = gridsim.inject_missing(gridsim.TimeSeriesDataset.read_csv(
+        os.path.join(data, "dataset.csv"), os.path.join(data, "weather.csv")),
+        0.05, seed=1)
+    paths = {name: str(tmp_path / f"{name}.csv")
+             for name in ("dataset", "weather")}
+    for name, path in paths.items():
+        gapped.write_csv(path, weather=name == "weather")
+    gapped = gridsim.TimeSeriesDataset.read_csv(*paths.values())
+    assert _serve(world, tmp_path, "impute", **paths) == 0
+    doc = json.load(open(tmp_path / "out" / "imputation.json"))["channels"]
+    t = gapped.index_of("2019-06-05T12:00:00Z")
+    with open(os.path.join(data, "topology.json")) as fh:
+        schemas = derive_schemas(load_topology(fh.read()))
+    assert len(doc) == sum(s.q for s in schemas.values())
+    n_gaps = 0
+    for nid, schema in schemas.items():
+        for ch in schema.channels():
+            sid = (f"wx:{nid}:{ch.var}" if ch.var in schema.weather_covariates
+                   else f"{nid}:{ch.var}")
+            rec = doc[f"{nid}:{ch.name}"]
+            assert rec["was_observed"] == (not gapped.missing[sid][t - ch.lag])
+            if rec["was_observed"]:
+                assert rec["value"] == gapped.series[sid][t - ch.lag]
+            n_gaps += not rec["was_observed"]
+    assert n_gaps > 0
 
 
 @pytest.mark.parametrize("mask, named", [

@@ -1,5 +1,6 @@
 """Topology validation and schema derivation tests."""
 
+import dataclasses
 import json
 
 import pytest
@@ -94,6 +95,17 @@ def test_malformed_records_are_named_by_position(nodes, edges, named):
         load_topology(_doc(nodes, edges))
 
 
+@pytest.mark.parametrize("doc, named", [
+    ({"nodes": 5, "edges": []}, "topology 'nodes' must be an array"),
+    ({"nodes": _GS, "edges": 3}, "topology 'edges' must be an array"),
+    (_doc(_GS, [["g", "s"]], phases=[1]), "topology 'phases' must be an object"),
+    (_doc(_GS, [["g", "s"]], phases={"s": None}), "object of integers"),
+], ids=["nodes_int", "edges_int", "phases_list", "phase_null"])
+def test_malformed_sections_are_named(doc, named):
+    with pytest.raises(TopologyError, match=named):
+        load_topology(doc)
+
+
 def test_topology_document_roundtrip_and_hash_stability():
     topo = gridsim.pilot_topology()
     doc = topo.to_document()
@@ -178,6 +190,26 @@ def test_channel_ordering_current_then_lags():
     names = [ch.name for ch in schemas["p1"].channels()]
     assert names[:4] == ["voltage", "voltage@-96", "voltage@-144", "voltage@-192"]
     assert names[4] == "energy"
+
+
+def test_channel_table_is_built_once():
+    s = derive_schemas(gridsim.pilot_topology())["s1"]
+    assert s.channels() is s.channels()
+    assert s.channel_index() is s.channel_index()
+    assert [s.channel_index()[ch.name] for ch in s.channels()] == list(range(24))
+    sensors = [ch.sensor for ch in s.channels()]
+    assert sensors[:5] == ["s1:load_a"] * 4 + ["s1:load_b"]
+    assert sensors[12:17] == ["wx:s1:temperature"] * 4 + ["wx:s1:irradiance"]
+    assert s.lag0_indices(ENERGY) == (0, 4, 8)
+    assert s.lag0_indices(WEATHER) == (12, 16, 20)
+    assert s.lag0_indices(VOLTAGE) == ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.ar_lags = [1]  # the table could no longer follow
+
+
+def test_a_variable_named_like_a_weather_covariate_reads_the_weather():
+    s = NodeSchema("x", [("temperature", ENERGY)], [], ["temperature"], p=1)
+    assert [ch.sensor for ch in s.channels()] == ["wx:x:temperature"] * 2
 
 
 def test_node_schema_rejects_bad_latent_size():

@@ -18,7 +18,7 @@ import pytest
 from gridmpnn import diffcore as dc
 from gridmpnn import gridsim, training
 from gridmpnn.baselines import build_baseline
-from gridmpnn.gridgraph import derive_schemas, load_topology
+from gridmpnn.gridgraph import derive_schemas, load_topology, sensor_id
 from gridmpnn.mpnn import GnnConfig, GnnModel, compute_groups
 from gridmpnn.training import (ChannelStats, DatasetError, TrainingConfig,
                                TrainingError, build_samples,
@@ -144,6 +144,47 @@ def test_features_are_standardized_and_placeholdered():
     assert feats[j, i, 0] == 0.0               # placeholder at the hole
     assert samples.input_mask[key][j, i, 0] == 0.0
     assert samples.loss_mask[key][j, i, 0] == 0.0  # unknown truth: no loss
+
+
+def _reference_stats(ds, schemas, steps):
+    """Per node, the mean and std of each channel over its observed
+    entries at the time indices ``steps``, channel by channel: mean 0 and
+    std 1 where none is observed, std 1 where the channel is constant."""
+    mean, std = {}, {}
+    for nid, schema in schemas.items():
+        mean[nid], std[nid] = np.zeros(schema.q), np.ones(schema.q)
+        for c, ch in enumerate(schema.channels()):
+            sid = sensor_id(nid, ch.var,
+                            weather=ch.var in schema.weather_covariates)
+            vals = ds.series[sid][steps - ch.lag]
+            obs = ~ds.missing[sid][steps - ch.lag]
+            if obs.any():
+                mean[nid][c] = vals[obs].mean()
+                sd = vals[obs].std()
+                std[nid][c] = sd if sd > 1e-9 else 1.0
+    return mean, std
+
+
+def test_fitted_statistics_match_a_per_channel_reference_bit_for_bit():
+    topo, spec, ds = one_prosumer_world(days=4)
+    ds = gridsim.inject_missing(ds, 0.05, seed=4)
+    ds.series["f:load_q"][:] = 2.5        # constant: std 1
+    ds.missing["wx:s:irradiance"][:] = True  # never observed: mean 0, std 1
+    schemas = derive_schemas(topo)
+    samples = build_samples(ds, topo, schemas,
+                            TrainingConfig(missing_threshold=0.15))
+    steps = np.searchsorted(ds.epoch_seconds(), samples.timestamps)
+    assert 0 < len(samples) < ds.n_steps - 192  # some samples dropped
+    mean, std = _reference_stats(ds, schemas, steps)
+    for nid in schemas:
+        assert samples.stats.mean[nid].tobytes() == mean[nid].tobytes(), nid
+        assert samples.stats.std[nid].tobytes() == std[nid].tobytes(), nid
+    index = schemas["f"].channel_index()
+    assert samples.stats.mean["f"][index["load_q"]] == 2.5
+    assert samples.stats.std["f"][index["load_q"]] == 1.0
+    index = schemas["s"].channel_index()
+    assert samples.stats.mean["s"][index["irradiance@-96"]] == 0.0
+    assert samples.stats.std["s"][index["irradiance@-96"]] == 1.0
 
 
 def test_missing_fraction_invariant():
