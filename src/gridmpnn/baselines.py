@@ -29,7 +29,7 @@ from .gridgraph import GridTopology, NodeSchema, total_feature_dim, total_latent
 from .gridsim import inject_missing
 from .mpnn import VAR_CLAMP_HI, VAR_CLAMP_LO, ModelBase
 from .services import predict_voltages
-from .training import ChannelStats, SampleSet, TrainingConfig, build_samples
+from .training import SampleSet, TrainingConfig, build_samples
 
 
 class MetricError(ValueError):
@@ -263,7 +263,7 @@ def evaluation_samples(model, dataset, schemas: dict[str, NodeSchema],
         config = replace(config,
                          missing_threshold=min(1.0, max(0.5, 2 * rate)))
     return build_samples(dataset, model.topology, schemas, config,
-                         stats=ChannelStats(model.std_mean, model.std_std))
+                         stats=model.stats)
 
 
 def missing_rate_sweep(model, dataset_test, schemas: dict[str, NodeSchema],

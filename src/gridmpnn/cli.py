@@ -24,7 +24,7 @@ import numpy as np
 from . import baselines, gridsim, services
 from .gridgraph import (VOLTAGE, NodeSchema, SchemaConfig, TopologyError,
                         derive_schemas, lag_horizon, load_topology)
-from .imputation import ImputationProblem, impute
+from .imputation import impute
 from .mpnn import GnnConfig, GnnModel
 from .training import (DatasetError, TrainingConfig, TrainingError,
                        build_samples, chronological_split, concat_sample_sets,
@@ -373,8 +373,8 @@ def cmd_impute(args) -> int:
         raise ConfigError("timestamp too early: lag features unavailable")
     raw, obs = gather_channels(dataset, model.groups, schemas,
                                np.array([t_index]))
-    features = model.unpack({k: v[:, 0] for k, v in raw.items()})
-    observed = model.unpack({k: v[:, 0] for k, v in obs.items()})
+    row = {nid: (g.key, j) for g in model.groups
+           for j, nid in enumerate(g.node_ids)}
     for mask in args.mask:
         nid, _, name = mask.rpartition(":")
         if nid not in schemas:
@@ -383,17 +383,19 @@ def cmd_impute(args) -> int:
         if name not in index:
             raise ConfigError(f"--mask {mask!r}: node {nid!r} has no "
                               f"channel {name!r}")
-        observed[nid][index[name]] = False
-    result = impute(model, ImputationProblem(features=features,
-                                             observed=observed))
-    doc = result.report_document(schemas)
-    doc.update(_meta(cfg))
-    doc["timestamp"] = args.timestamp
+        key, j = row[nid]
+        obs[key][j, 0, index[name]] = False
+    values, sigma = impute(model, raw, obs)
+    doc = {**_meta(cfg), "timestamp": args.timestamp, "channels": {
+        f"{nid}:{ch.name}": {"value": float(values[key][j, 0, c]),
+                             "sigma": float(sigma[key][j, 0, c]),
+                             "was_observed": bool(obs[key][j, 0, c])}
+        for nid, (key, j) in row.items()
+        for c, ch in enumerate(schemas[nid].channels())}}
     out = _out_dir(cfg)
     with open(os.path.join(out, "imputation.json"), "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
-    n_filled = sum(1 for rec in doc["channels"].values()
-                   if not rec["was_observed"])
+    n_filled = sum(int((~o).sum()) for o in obs.values())
     print(f"imputed {n_filled} channels in one forward")
     return EXIT_OK
 
@@ -435,26 +437,23 @@ def cmd_bid(args) -> int:
     for ev in events:
         by_ts.setdefault(ev.timestamp, []).append(ev)
     ts_index = {int(t): i for i, t in enumerate(samples.timestamps)}
+    # the window's input features, restored to physical units per group
+    features = {}
+    for g in samples.groups:
+        mean, std = model.stats.stacked(g.node_ids)
+        features[g.key] = np.where(samples.input_mask[g.key],
+                                   samples.targets[g.key], 0.0) * std + mean
     bids = []
     for ts, evs in sorted(by_ts.items()):
-        s = samples.sample(ts_index[ts])
-        feats, obs = _physical_snapshot(model, s)
+        i = ts_index[ts]
+        feats, obs = (model.unpack({k: v[:, i] for k, v in packed.items()})
+                      for packed in (features, samples.input_mask))
         bids.extend(services.estimate_bids(
             model, feats, obs, evs, target_voltage=svc["target_voltage"]))
     out = _out_dir(cfg)
     services.write_jsonl(os.path.join(out, "bids.jsonl"), bids, meta=_meta(cfg))
     print(f"{len(bids)} flexibility bids from {len(events)} events")
     return EXIT_OK
-
-
-def _physical_snapshot(model, sample):
-    """Sample (standardized) -> physical features + observed mask dicts."""
-    feats, obs = {}, {}
-    for nid in model.topology.ids():
-        z = sample.features[nid]
-        feats[nid] = z * model.std_std[nid] + model.std_mean[nid]
-        obs[nid] = sample.input_mask[nid] > 0
-    return feats, obs
 
 
 def cmd_bench(args) -> int:

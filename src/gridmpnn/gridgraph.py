@@ -187,7 +187,16 @@ class NodeSchema:
     p: int
 
     def __post_init__(self) -> None:
-        wx = self.weather_covariates
+        lags, wx = self.ar_lags, self.weather_covariates
+        # a bool is an int to Python, not a lag
+        if not (all(type(lag) is int and lag > 0 for lag in lags)
+                and len(set(lags)) == len(lags)):
+            raise SchemaError(f"node {self.node_id!r}: ar_lags must be "
+                              f"distinct positive integers, not {lags!r}")
+        if not (all(type(var) is str for var in wx)
+                and len(set(wx)) == len(wx)):
+            raise SchemaError(f"node {self.node_id!r}: weather_covariates "
+                              f"must be distinct strings, not {wx!r}")
         chans = tuple(Channel(var, lag, cat, sensor_id(self.node_id, var,
                                                        weather=var in wx))
                       for var, cat in [*self.observed_variables,
@@ -205,8 +214,6 @@ class NodeSchema:
         if self.p > self.q or self.p < 1:
             raise SchemaError(
                 f"node {self.node_id!r}: latent size {self.p} outside [1, q={self.q}]")
-        if any(lag <= 0 for lag in self.ar_lags):
-            raise SchemaError(f"node {self.node_id!r}: lags must be positive")
 
     @property
     def q(self) -> int:

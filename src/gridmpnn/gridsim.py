@@ -92,12 +92,18 @@ class SyntheticGridSpec:
     def __post_init__(self) -> None:
         if self.v0 <= 0:
             raise SimulationError("source voltage must be positive")
+        edges = set(self.topology.edges)
         for edge, rx in self.lines.items():
-            if rx.get("r", 0.0) < 0 or rx.get("x", 0.0) < 0:
-                raise SimulationError(f"line {edge}: R and X must be >= 0")
+            if edge not in edges:
+                raise SimulationError(f"line {list(edge)}: the topology has "
+                                      "no such edge")
+            if not all(_non_negative(rx.get(k, 0.0)) for k in ("r", "x")):
+                raise SimulationError(f"line {edge}: R and X must be "
+                                      "numbers >= 0")
         for k, v in self.noise.items():
-            if v < 0:
-                raise SimulationError(f"noise std {k!r} must be >= 0")
+            if not _non_negative(v):
+                raise SimulationError(f"noise std {k!r} must be a number "
+                                      f">= 0, not {v!r}")
 
     def line(self, parent: str, child: str) -> tuple[float, float]:
         rx = self.lines.get((parent, child), {})
@@ -121,9 +127,23 @@ class SyntheticGridSpec:
 
     @classmethod
     def from_document(cls, doc: dict) -> "SyntheticGridSpec":
+        if not isinstance(doc, dict) or "topology" not in doc:
+            raise SimulationError("spec must be a JSON object with a "
+                                  "'topology'")
+        for key in ("lines", "prosumers", "feeders", "weather", "noise"):
+            kind = list if key == "lines" else dict
+            if not isinstance(doc.get(key, kind()), kind):
+                raise SimulationError(f"spec {key!r} must be a JSON "
+                                      + ("array" if kind is list else "object"))
         topo = load_topology(doc["topology"])
-        lines = {tuple(rec["edge"]): {k: v for k, v in rec.items() if k != "edge"}
-                 for rec in doc.get("lines", [])}
+        lines = {}
+        for i, rec in enumerate(doc.get("lines", [])):
+            edge = rec.get("edge") if isinstance(rec, dict) else None
+            if not (isinstance(edge, list)
+                    and all(type(n) is str for n in edge)):
+                raise SimulationError(f"spec line record {i} must be an "
+                                      "object with an 'edge' [parent, child]")
+            lines[tuple(edge)] = {k: v for k, v in rec.items() if k != "edge"}
         return cls(topology=topo,
                    v0=float(doc.get("v0", 240.0)),
                    q_ratio=float(doc.get("q_ratio", 0.3)),
@@ -137,6 +157,11 @@ class SyntheticGridSpec:
     @classmethod
     def from_json(cls, text: str) -> "SyntheticGridSpec":
         return cls.from_document(json.loads(text))
+
+
+def _non_negative(v) -> bool:
+    """Whether ``v`` is a number >= 0; a bool is not a number here."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0
 
 
 def pilot_topology() -> GridTopology:

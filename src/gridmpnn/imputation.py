@@ -5,7 +5,8 @@ every unobserved entry at the placeholder 0 the model is trained with;
 its holes take the decoded mean mu, its sigma is sqrt(exp(logvar)), and
 observed entries pass through exactly. Voltage prediction
 (``services.predict_voltages``), state estimation and bid estimation are
-all this one pass.
+all this one pass; ``impute`` runs it on packed physical-unit arrays,
+converted with the statistics ``mpnn.ChannelStats.stacked`` stacks.
 
 A batch is cut once into blocks by its row count alone, as training
 steps are (``diffcore.row_blocks``), and each block is one forward on
@@ -17,44 +18,13 @@ the other blocks hold and however many cores run them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import diffcore as dc
-from .gridgraph import NodeSchema
 
 
 class ImputationError(ValueError):
     pass
-
-
-@dataclass
-class ImputationProblem:
-    """Physical-unit snapshot with an observed-mask."""
-
-    features: dict[str, np.ndarray]
-    observed: dict[str, np.ndarray]
-
-
-@dataclass
-class ImputationResult:
-    """Filled values plus per-channel sigma, in physical units."""
-
-    values: dict[str, np.ndarray]
-    sigma: dict[str, np.ndarray]
-    was_observed: dict[str, np.ndarray]
-
-    def report_document(self, schemas: dict[str, NodeSchema]) -> dict:
-        channels = {}
-        for nid, schema in schemas.items():
-            for c, ch in enumerate(schema.channels()):
-                channels[f"{nid}:{ch.name}"] = {
-                    "value": float(self.values[nid][c]),
-                    "sigma": float(self.sigma[nid][c]),
-                    "was_observed": bool(self.was_observed[nid][c]),
-                }
-        return {"channels": channels}
 
 
 def blocked_forward(model, features: dict[str, np.ndarray],
@@ -105,26 +75,20 @@ def impute_packed(model, features: dict[str, np.ndarray],
     return values, mu, sigma, filled
 
 
-def impute(model, problem: ImputationProblem) -> ImputationResult:
-    """Fill one physical-unit snapshot; observed entries pass through
-    exactly."""
-    node_ids = model.topology.ids()
-    obs = {nid: np.asarray(problem.observed[nid], bool) for nid in node_ids}
+def impute(model, features: dict[str, np.ndarray],
+           observed: dict[str, np.ndarray]):
+    """Fill packed physical-unit snapshots (n, B, q), the observed-mask
+    bool or float 0/1: standardized with the model's statistics, imputed
+    by one ``impute_packed`` and restored. Returns packed physical
+    (values, sigma); observed entries pass through exactly."""
+    obs = {k: np.asarray(m) != 0 for k, m in observed.items()}
     if not any(o.any() for o in obs.values()):
         raise ImputationError("at least one entry must be observed")
-
-    packed_f = model.pack({
-        nid: (np.asarray(problem.features[nid], float) - model.std_mean[nid])
-        / model.std_std[nid] for nid in node_ids})
-    packed_m = model.pack({nid: obs[nid].astype(float) for nid in node_ids})
-
-    cur, _, sig, _ = impute_packed(model, packed_f, packed_m)
-    values, sigma = {}, {}
-    filled = model.unpack({k: v[:, 0, :] for k, v in cur.items()})
-    sig_std = model.unpack({k: v[:, 0, :] for k, v in sig.items()})
-    for nid in node_ids:
-        x = np.asarray(problem.features[nid], float)
-        phys = filled[nid] * model.std_std[nid] + model.std_mean[nid]
-        values[nid] = np.where(obs[nid], x, phys)
-        sigma[nid] = sig_std[nid] * model.std_std[nid]
-    return ImputationResult(values, sigma, {nid: obs[nid] for nid in node_ids})
+    stats = {g.key: model.stats.stacked(g.node_ids) for g in model.groups}
+    cur, _, sig, _ = impute_packed(
+        model, {k: (np.asarray(features[k], float) - stats[k][0])
+                / stats[k][1] for k in obs}, obs)
+    values = {k: np.where(o, features[k], cur[k] * stats[k][1] + stats[k][0])
+              for k, o in obs.items()}
+    sigma = {k: sig[k] * stats[k][1] for k in obs}
+    return values, sigma

@@ -108,6 +108,22 @@ class GnnConfig:
 
 
 @dataclass
+class ChannelStats:
+    """Per-node, per-channel standardization statistics: a value x
+    stands as (x - mean) / std."""
+
+    mean: dict[str, np.ndarray]
+    std: dict[str, np.ndarray]
+
+    def stacked(self, node_ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The (mean, std) of the nodes ``node_ids``, stacked as (n, 1, q)
+        arrays that broadcast over a group's packed (n, B, q) values: the
+        one place per-node statistics meet packed arrays."""
+        return (np.stack([self.mean[nid] for nid in node_ids])[:, None, :],
+                np.stack([self.std[nid] for nid in node_ids])[:, None, :])
+
+
+@dataclass
 class NodeGroup:
     """The nodes of one type, (kind, q, p), in topology order: q
     features, p latents."""
@@ -175,11 +191,12 @@ class ModelBase:
         self.groups = compute_groups(topology, schemas)
         self.group_of = {nid: g.key for g in self.groups for nid in g.node_ids}
         self._group_by_key = {g.key: g for g in self.groups}
-        # standardization: per node, per channel mean/std (identity default)
-        self.std_mean: dict[str, np.ndarray] = {
-            nid: np.zeros(schemas[nid].q) for nid in topology.ids()}
-        self.std_std: dict[str, np.ndarray] = {
-            nid: np.ones(schemas[nid].q) for nid in topology.ids()}
+        # standardization: per node, per channel mean/std (identity
+        # default); std_mean and std_std are the dicts ``stats`` holds
+        self.stats = ChannelStats(
+            {nid: np.zeros(schemas[nid].q) for nid in topology.ids()},
+            {nid: np.ones(schemas[nid].q) for nid in topology.ids()})
+        self.std_mean, self.std_std = self.stats.mean, self.stats.std
 
     def set_standardization(self, mean: dict[str, np.ndarray],
                             std: dict[str, np.ndarray]) -> None:
@@ -196,14 +213,12 @@ class ModelBase:
             self.std_std[nid] = s.copy()
 
     def pack(self, per_node: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Stack per-node (B, q) arrays into per-group (n, B, q) arrays."""
+        """Stack per-node (B, q) or (q,) arrays per group as (n, B, q)."""
         out = {}
         for g in self.groups:
             mats = []
             for nid in g.node_ids:
-                a = np.asarray(per_node[nid], dtype=np.float64)
-                if a.ndim == 1:
-                    a = a[None, :]
+                a = np.atleast_2d(np.asarray(per_node[nid], dtype=np.float64))
                 if a.shape[-1] != g.q:
                     raise ShapeError(
                         f"node {nid!r}: expected {g.q} features, got {a.shape[-1]}")
@@ -212,12 +227,9 @@ class ModelBase:
         return out
 
     def unpack(self, packed: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        out = {}
-        for g in self.groups:
-            arr = packed[g.key]
-            for i, nid in enumerate(g.node_ids):
-                out[nid] = arr[i]
-        return out
+        """Per-node views of per-group (n, ...) arrays."""
+        return {nid: packed[g.key][i] for g in self.groups
+                for i, nid in enumerate(g.node_ids)}
 
 
 class GnnModel(ModelBase):

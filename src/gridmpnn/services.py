@@ -11,7 +11,8 @@ deviations, the one-sided Z-test of ``z_scores``; the exceedance
 probability reported is Phi(z_score). A flexibility bid is estimated by
 clamping the affected voltage channels to the target value (as
 observed), masking the energy channels at the corresponding feeder and
-substation, imputing, and reading off the energy delta that the model
+substation, imputing the packed snapshot in physical units
+(``imputation.impute``), and reading off the energy delta that the model
 deems consistent with the clamped voltage. Every service imputes by one
 untaped forward per row block (``imputation.impute_packed``).
 """
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .gridgraph import ENERGY, NodeSchema
-from .imputation import ImputationProblem, impute, impute_packed
+from .imputation import impute, impute_packed
 from .training import mask_channels, voltage_lag0_selector
 
 
@@ -68,8 +69,7 @@ def predict_voltages(model, samples,
         flags = sel[g.key]
         if not flags.any():
             continue
-        std = np.stack([model.std_std[nid] for nid in g.node_ids])[:, None, :]
-        mean = np.stack([model.std_mean[nid] for nid in g.node_ids])[:, None, :]
+        mean, std = model.stats.stacked(g.node_ids)
         pred.flags[g.key] = flags
         pred.mu[g.key] = mu[g.key] * std + mean
         pred.sigma[g.key] = sigma[g.key] * std
@@ -190,10 +190,10 @@ def estimate_bids(model, features: dict[str, np.ndarray],
         for nid in (feeder, substation):
             for c in model.schemas[nid].lag0_indices(ENERGY):
                 obs[nid][c] = False
-        result = impute(model, ImputationProblem(features=feats, observed=obs))
+        values, _ = impute(model, model.pack(feats), model.pack(obs))
         p_idx = model.schemas[feeder].channel_index()["load_p"]
         baseline = float(np.asarray(features[feeder], float)[p_idx])
-        constrained = float(result.values[feeder][p_idx])
+        constrained = float(model.unpack(values)[feeder][0, p_idx])
         bids.append(FlexibilityBid(
             substation_id=substation, feeder_id=feeder, timestamp=ts,
             baseline_energy=baseline, constrained_energy=constrained,

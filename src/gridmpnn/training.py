@@ -49,7 +49,7 @@ from . import diffcore as dc
 from .diffcore import AdamState, ContractError, Tape, adam_step, backward
 from .gridgraph import VOLTAGE, NodeSchema, lag_horizon
 from .imputation import blocked_forward
-from .mpnn import NodeGroup, compute_groups
+from .mpnn import ChannelStats, NodeGroup, compute_groups
 
 # Samples per validation forward.
 EVAL_CHUNK = 2048
@@ -83,14 +83,6 @@ class TrainingConfig:
                 raise ContractError(f"{name} must be at least 1")
         if self.max_epochs < 0:
             raise ContractError("max_epochs cannot be negative")
-
-
-@dataclass
-class ChannelStats:
-    """Per-node, per-channel standardization statistics."""
-
-    mean: dict[str, np.ndarray]
-    std: dict[str, np.ndarray]
 
 
 @dataclass
@@ -232,10 +224,8 @@ def build_samples(dataset, topology, schemas: dict[str, NodeSchema],
         if fit:
             for j, nid in enumerate(g.node_ids):
                 stats.mean[nid], stats.std[nid] = _moments(vals[j], ok[j])
-        m = np.stack([stats.mean[nid] for nid in g.node_ids])[:, None, :]
-        s = np.stack([stats.std[nid] for nid in g.node_ids])[:, None, :]
-        z = (vals - m) / s
-        out.targets[g.key] = np.where(ok, z, 0.0)
+        mean, std = stats.stacked(g.node_ids)
+        out.targets[g.key] = np.where(ok, (vals - mean) / std, 0.0)
         out.input_mask[g.key] = ok
         out.loss_mask[g.key] = ok.copy()
     return out

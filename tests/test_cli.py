@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from gridmpnn import gridsim
+from gridmpnn import gridsim, services
 from gridmpnn.cli import main
 from gridmpnn.gridgraph import SchemaConfig, derive_schemas, load_topology
 
@@ -118,6 +118,39 @@ def test_simulate_missing_spec_is_missing_artifact(tmp_path):
     rc = main(["simulate", "--spec", str(tmp_path / "nope.json"),
                "--days", "3", "--out", str(tmp_path / "x")])
     assert rc == 3
+
+
+def _drop_first_edge(doc):
+    del doc["lines"][0]["edge"]
+
+
+# a spec fault, applied to a copy of the world's spec, and what it names
+BAD_SPECS = {
+    "empty": (lambda doc: {}, "'topology'"),
+    "list": (lambda doc: [], "'topology'"),
+    "line_without_edge": (_drop_first_edge, "line record 0"),
+    "noise_string": (lambda doc: doc.update(noise={"voltage": "x"}),
+                     "noise std 'voltage'"),
+    "unknown_edge": (lambda doc: doc["lines"].append(
+        {"edge": ["g", "zz"], "r": 0.1, "x": 0.04}), "['g', 'zz']"),
+}
+
+
+@pytest.mark.parametrize("fault", list(BAD_SPECS))
+def test_a_malformed_spec_exits_2(world, tmp_path, capsys, fault):
+    with open(world["spec_path"]) as fh:
+        doc = json.load(fh)
+    apply, named = BAD_SPECS[fault]
+    changed = apply(doc)  # a new document, or None where changed in place
+    doc = doc if changed is None else changed
+    bad = str(tmp_path / "spec.json")
+    with open(bad, "w") as fh:
+        json.dump(doc, fh)
+    rc = main(["simulate", "--spec", bad, "--days", "3",
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "x")
 
 
 def test_train_writes_checkpoint_and_history(world):
@@ -509,6 +542,31 @@ def test_a_mistyped_or_missing_value_exits_2(world, tmp_path, capsys,
     assert not os.path.exists(tmp_path / "out" / "history.csv")
 
 
+# schema lists a node's channels are built from, each bad for its node:
+# the first node in topology order has lags, the first substation
+# weather covariates
+BAD_SCHEMA_LISTS = {
+    "lag_string": ("ar_lags", ["a", 96, 144], "node 'g': ar_lags"),
+    "lag_float": ("ar_lags", [96, 144.5, 192], "node 'g': ar_lags"),
+    "lag_bool": ("ar_lags", [True, 96, 144], "node 'g': ar_lags"),
+    "lag_twice": ("ar_lags", [96, 96, 144], "node 'g': ar_lags"),
+    "covariate_twice": ("weather_covariates", ["temperature", "temperature"],
+                        "node 's1': weather_covariates"),
+    "covariate_number": ("weather_covariates", ["temperature", 5],
+                         "node 's1': weather_covariates"),
+}
+
+
+@pytest.mark.parametrize("fault", list(BAD_SCHEMA_LISTS))
+def test_a_bad_schema_list_exits_2(world, tmp_path, capsys, fault):
+    key, value, named = BAD_SCHEMA_LISTS[fault]
+    cfg = json.loads(json.dumps(world["cfg"]))
+    cfg["schema"] = {**SchemaConfig().to_document(), key: value}
+    assert _train_exit(world, tmp_path, cfg) == 2
+    assert named in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "checkpoint.json")
+
+
 _FAULT_MESSAGES = {"duplicate": "duplicate",
                    "off_grid": "off the 15-minute grid",
                    "short_row": "expected 4 fields",
@@ -653,6 +711,44 @@ def test_bid_runs_and_writes_jsonl(world):
     rc = main(["bid", "--config", world["cfg_path"]])
     assert rc == 0
     assert os.path.exists(os.path.join(world["out_dir"], "bids.jsonl"))
+
+
+def test_bid_gets_each_timestamps_physical_snapshot(world, tmp_path,
+                                                    monkeypatch):
+    # every (feeder, timestamp) is asked at a threshold below every
+    # voltage; each request gets the features and observed flags that
+    # the sample at its timestamp restores to node by node
+    scanned, asked = [], []
+    scan, estimate = services.scan_congestions, services.estimate_bids
+
+    def scanning(model, samples, *args, **kwargs):
+        scanned.append(samples)
+        return scan(model, samples, *args, **kwargs)
+
+    def estimating(model, feats, obs, events, **kwargs):
+        asked.append((model, feats, obs, events))
+        return estimate(model, feats, obs, events, **kwargs)
+
+    monkeypatch.setattr(services, "scan_congestions", scanning)
+    monkeypatch.setattr(services, "estimate_bids", estimating)
+    cfg = json.loads(json.dumps(world["cfg"]))
+    cfg["services"] = {"threshold_v": 200.0, "z": 0.0}
+    cfg["paths"]["out_dir"] = str(tmp_path / "out")
+    cfg_path = str(tmp_path / "bid.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main(["bid", "--config", cfg_path]) == 0
+    samples, = scanned
+    column = {int(t): i for i, t in enumerate(samples.timestamps)}
+    assert len(asked) == len(samples)
+    for model, feats, obs, events in asked:
+        sample = samples.sample(column[events[0].timestamp])
+        assert set(feats) == set(obs) == set(model.topology.ids())
+        for nid in model.topology.ids():
+            want = (sample.features[nid] * model.std_std[nid]
+                    + model.std_mean[nid])
+            assert np.array_equal(feats[nid], want), nid
+            assert np.array_equal(obs[nid], sample.input_mask[nid] > 0), nid
 
 
 @pytest.mark.parametrize("command, artifact", [("congest", "events.jsonl"),

@@ -1,6 +1,8 @@
-"""Imputation mechanics: pass-through, one forward per row block,
-reports, and the blocked forwards of a batch on free cores."""
+"""Imputation mechanics: pass-through, the packed physical-unit path
+against its per-node reference, one forward per row block, reports, and
+the blocked forwards of a batch on free cores."""
 
+import json
 import os
 import subprocess
 import sys
@@ -12,52 +14,111 @@ import pytest
 
 from gridmpnn import diffcore, gridsim
 from gridmpnn.baselines import build_baseline
-from gridmpnn.gridgraph import NodeSchema, derive_schemas
-from gridmpnn.imputation import (ImputationError, ImputationProblem,
-                                 blocked_forward, impute, impute_packed)
+from gridmpnn.cli import main
+from gridmpnn.gridgraph import NodeSchema, derive_schemas, lag_horizon
+from gridmpnn.imputation import (ImputationError, blocked_forward, impute,
+                                 impute_packed)
 from gridmpnn.mpnn import GnnModel, compute_groups
 from gridmpnn.services import predict_voltages
 from gridmpnn.training import (TrainingConfig, _features, build_samples,
-                               mask_channels, voltage_lag0_selector)
+                               gather_channels, mask_channels,
+                               voltage_lag0_selector)
 
-from conftest import (CountingPool, chain_samples, chain_schemas,
-                      chain_topology)
+from conftest import (CountingPool, chain_dataset, chain_samples,
+                      chain_schemas, chain_topology)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
 
 
-def _problem(model, observed_x=(1.2, 0.4, None)):
-    feats, obs = {}, {}
-    for nid, val in zip(("g", "s", "f"), observed_x):
-        feats[nid] = np.array([val if val is not None else 0.0])
-        obs[nid] = np.array([val is not None])
-    return ImputationProblem(features=feats, observed=obs)
+def _snapshot(model, observed_x=(1.2, 0.4, None)):
+    """Packed physical-unit features and observed-mask of one chain
+    snapshot; a None value leaves its node unobserved."""
+    feats = model.pack({nid: [0.0 if val is None else val]
+                        for nid, val in zip(("g", "s", "f"), observed_x)})
+    obs = model.pack({nid: [val is not None]
+                      for nid, val in zip(("g", "s", "f"), observed_x)})
+    return feats, {k: m > 0 for k, m in obs.items()}
 
 
 def test_nothing_missing_returns_input_verbatim(quick_chain_model):
-    problem = _problem(quick_chain_model, (1.2, 0.4, -0.3))
-    result = impute(quick_chain_model, problem)
+    model = quick_chain_model
+    values, _ = impute(model, *_snapshot(model, (1.2, 0.4, -0.3)))
     for nid, want in zip(("g", "s", "f"), (1.2, 0.4, -0.3)):
-        assert result.values[nid][0] == want
+        assert model.unpack(values)[nid][0, 0] == want
 
 
 def test_observed_entries_preserved_exactly(quick_chain_model):
-    problem = _problem(quick_chain_model, (1.2, 0.4, None))
-    result = impute(quick_chain_model, problem)
-    assert result.values["g"][0] == 1.2
-    assert result.values["s"][0] == 0.4
-    assert result.was_observed["f"][0] == False  # noqa: E712
-    assert np.isfinite(result.values["f"][0])
-    assert result.sigma["f"][0] > 0
+    model = quick_chain_model
+    values, sigma = impute(model, *_snapshot(model, (1.2, 0.4, None)))
+    values, sigma = model.unpack(values), model.unpack(sigma)
+    assert values["g"][0, 0] == 1.2
+    assert values["s"][0, 0] == 0.4
+    assert np.isfinite(values["f"][0, 0])
+    assert sigma["f"][0, 0] > 0
 
 
 def test_at_least_one_observation_required(quick_chain_model):
-    feats = {nid: np.zeros(1) for nid in ("g", "s", "f")}
-    obs = {nid: np.array([False]) for nid in ("g", "s", "f")}
+    model = quick_chain_model
+    feats = model.pack({nid: np.zeros(1) for nid in ("g", "s", "f")})
+    obs = {k: np.zeros(v.shape, dtype=bool) for k, v in feats.items()}
     with pytest.raises(ImputationError):
-        impute(quick_chain_model, ImputationProblem(features=feats,
-                                                    observed=obs))
+        impute(model, feats, obs)
+
+
+def _per_node_impute(model, features, observed):
+    """Reference: the per-node path packed ``impute`` replaced. Per-node
+    (B, q) physical values are standardized node by node, packed, imputed
+    by ``impute_packed``, unpacked and restored node by node."""
+    ids = model.topology.ids()
+    obs = {nid: np.asarray(observed[nid], bool) for nid in ids}
+    cur, _, sig, _ = impute_packed(
+        model,
+        model.pack({nid: (np.asarray(features[nid], float)
+                          - model.std_mean[nid]) / model.std_std[nid]
+                    for nid in ids}),
+        model.pack({nid: obs[nid].astype(float) for nid in ids}))
+    filled, sig_std = model.unpack(cur), model.unpack(sig)
+    values = {nid: np.where(obs[nid], np.asarray(features[nid], float),
+                            filled[nid] * model.std_std[nid]
+                            + model.std_mean[nid]) for nid in ids}
+    sigma = {nid: sig_std[nid] * model.std_std[nid] for nid in ids}
+    return values, sigma
+
+
+def _physical_holes(model, dataset, steps, seed):
+    """Per-node physical (B, q) values of ``dataset`` at ``steps`` and
+    their observed flags, a fifth of the observed entries hidden."""
+    raw, obs = gather_channels(dataset, model.groups, model.schemas, steps)
+    rng = np.random.default_rng(seed)
+    obs = {k: m & (rng.random(m.shape) > 0.2) for k, m in obs.items()}
+    return model.unpack(raw), model.unpack(obs)
+
+
+@pytest.mark.parametrize("world", ["chain", "pilot"])
+def test_packed_impute_equals_the_per_node_path(quick_chain_model,
+                                                pilot_world, world):
+    if world == "chain":
+        model, dataset = quick_chain_model, chain_dataset(40, seed=5)
+    else:
+        spec, dataset = pilot_world
+        schemas = derive_schemas(spec.topology)
+        samples = build_samples(dataset, spec.topology, schemas,
+                                TrainingConfig())
+        model = GnnModel(spec.topology, schemas)
+        model.set_standardization(samples.stats.mean, samples.stats.std)
+    steps = np.arange(lag_horizon(model.schemas), dataset.n_steps, 7)
+    features, observed = _physical_holes(model, dataset, steps, seed=9)
+    assert not all(o.all() for o in observed.values())
+    for rows in (slice(0, 1), slice(None)):  # one snapshot, then all
+        f = {nid: v[rows] for nid, v in features.items()}
+        o = {nid: v[rows] for nid, v in observed.items()}
+        values, sigma = impute(model, model.pack(f), model.pack(o))
+        want = _per_node_impute(model, f, o)
+        for got, ref in zip((values, sigma), want):
+            got = model.unpack(got)
+            for nid in model.topology.ids():
+                assert got[nid].tobytes() == ref[nid].tobytes(), nid
 
 
 # (g, s, f) values and observed flags per sample: three with f to fill,
@@ -131,14 +192,46 @@ def test_one_forward_per_row_block(quick_chain_model, monkeypatch, rows):
     assert sorted(calls) == sorted(hi - lo for lo, hi in blocks)
 
 
-def test_report_json_structure(quick_chain_model):
-    problem = _problem(quick_chain_model, (1.2, 0.4, None))
-    result = impute(quick_chain_model, problem)
-    doc = result.report_document(quick_chain_model.schemas)
-    assert set(doc) == {"channels"}
-    assert doc["channels"]["f:x"]["was_observed"] is False
-    assert doc["channels"]["g:x"]["value"] == 1.2
-    assert doc["channels"]["f:x"]["sigma"] > 0
+def test_report_json_structure(pilot_world, tmp_path):
+    # gridmpnn impute's report: one record per channel of every node,
+    # each the channel's value, sigma and observed flag, and the run's
+    # metadata beside them
+    spec, dataset = pilot_world
+    schemas = derive_schemas(spec.topology)
+    samples = build_samples(dataset, spec.topology, schemas, TrainingConfig())
+    model = GnnModel(spec.topology, schemas)
+    model.set_standardization(samples.stats.mean, samples.stats.std)
+    paths = {"topology": str(tmp_path / "topology.json"),
+             "dataset": str(tmp_path / "dataset.csv"),
+             "weather": str(tmp_path / "weather.csv"),
+             "checkpoint": str(tmp_path / "checkpoint.json"),
+             "out_dir": str(tmp_path / "out")}
+    with open(paths["topology"], "w") as fh:
+        json.dump(spec.topology.to_document(), fh)
+    dataset.write_csv(paths["dataset"], weather=False)
+    dataset.write_csv(paths["weather"], weather=True)
+    model.save_checkpoint(paths["checkpoint"])
+    with open(tmp_path / "config.json", "w") as fh:
+        json.dump({"schema_version": 1, "paths": paths}, fh)
+    timestamp = "2019-06-03T12:00:00Z"
+    assert main(["impute", "--config", str(tmp_path / "config.json"),
+                 "--timestamp", timestamp, "--mask", "p1:voltage"]) == 0
+    with open(tmp_path / "out" / "imputation.json") as fh:
+        doc = json.load(fh)
+    assert set(doc) == {"channels", "config_sha256", "seed", "timestamp"}
+    assert doc["timestamp"] == timestamp
+    assert sorted(doc["channels"]) == sorted(
+        f"{nid}:{ch.name}" for nid, s in schemas.items()
+        for ch in s.channels())
+    assert all(set(rec) == {"value", "sigma", "was_observed"}
+               for rec in doc["channels"].values())
+    masked = doc["channels"]["p1:voltage"]
+    assert masked["was_observed"] is False and masked["sigma"] > 0
+    parsed = gridsim.TimeSeriesDataset.read_csv(paths["dataset"])
+    assert doc["channels"]["p2:voltage"] == {
+        "value": parsed.series["p2:voltage"][parsed.index_of(timestamp)],
+        "was_observed": True,
+        "sigma": doc["channels"]["p2:voltage"]["sigma"]}
 
 
 def test_predict_voltages_emits_mu_and_sigma_band(quick_chain_model):

@@ -83,7 +83,7 @@ SHARED_CALLERS = {
     "mpnn.GnnModel.reverse": "mpnn.GnnModel.forward",
     "services.CongestionEvent.to_document": "services.write_jsonl",
     "services.FlexibilityBid.to_document": "services.write_jsonl",
-    "training.SampleSet.sample": "cli.cmd_bid",
+    "training.SampleSet.sample": "workloads.Serve.setup",
 }
 
 

@@ -9,7 +9,7 @@ import pytest
 from gridmpnn.services import (CongestionEvent, estimate_bids, phi,
                                predict_voltages, scan_congestions,
                                write_jsonl, write_plot_csv, z_scores)
-from gridmpnn.imputation import ImputationProblem, impute
+from gridmpnn.imputation import impute
 
 from conftest import chain_samples
 
@@ -78,12 +78,11 @@ def test_event_probability_consistent_with_z_score():
 
 
 def test_nothing_masked_preserves_energy_delta_zero(quick_chain_model):
-    feats = {"g": np.array([0.7]), "s": np.array([0.2]),
-             "f": np.array([0.1])}
-    obs = {nid: np.array([True]) for nid in feats}
-    result = impute(quick_chain_model, ImputationProblem(
-        features=feats, observed=obs))
-    assert result.values["s"][0] - feats["s"][0] == 0.0
+    model = quick_chain_model
+    feats = model.pack({"g": [0.7], "s": [0.2], "f": [0.1]})
+    obs = {k: np.ones(v.shape, dtype=bool) for k, v in feats.items()}
+    values, _ = impute(model, feats, obs)
+    assert model.unpack(values)["s"][0, 0] - 0.2 == 0.0
 
 
 def test_bid_groups_events_per_feeder_timestamp(quick_pilot_bid_world):
